@@ -7,9 +7,7 @@
 //! experiment in this reproduction is a configuration of this one loop.
 
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};
-use raven_control::{
-    ControllerConfig, CycleTelemetry, FaultReason, OperatorInput, RavenController,
-};
+use raven_control::{ControllerConfig, FaultReason, OperatorInput, RavenController};
 use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor, SharedDetector};
 use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::chaos::{ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder};
@@ -274,7 +272,6 @@ pub struct Simulation {
     max_ee_step_2ms: f64,
     cycle_log: Vec<CycleRecord>,
     trace: simbus::TraceRecorder,
-    telemetry_bus: simbus::Bus<CycleTelemetry>,
     observer: SharedObserver,
     profiler: StageProfiler,
     spans: SpanHandle,
@@ -384,7 +381,6 @@ impl Simulation {
             max_ee_step_2ms: 0.0,
             cycle_log: Vec::new(),
             trace: simbus::TraceRecorder::new(),
-            telemetry_bus: simbus::Bus::new("raven/telemetry"),
             observer,
             profiler: StageProfiler::new(),
             spans: SpanHandle::default(),
@@ -401,14 +397,6 @@ impl Simulation {
             prev_corrupted: 0,
             prev_lost: 0,
         }
-    }
-
-    /// The ROS-style telemetry topic: the control software publishes its
-    /// [`CycleTelemetry`] every cycle, and any number of subscribers (the
-    /// paper's graphic simulator and dynamic model both "listen to the ROS
-    /// topic generating the robot state", §IV.A) can consume it.
-    pub fn telemetry_bus(&self) -> &simbus::Bus<CycleTelemetry> {
-        &self.telemetry_bus
     }
 
     /// Recorded time-series trace (populated when `record_cycles` is set):
@@ -789,11 +777,6 @@ impl Simulation {
         let span_stage = self.spans.begin(spans::STAGE_CONTROLLER);
         let input = self.last_input;
         let cmd = self.controller.cycle(input.as_ref(), &feedback);
-        if self.telemetry_bus.subscriber_count() > 0 {
-            if let Some(t) = self.controller.telemetry() {
-                self.telemetry_bus.publish(*t);
-            }
-        }
         drop(span_stage);
         self.profiler.end("controller", t_stage);
         let t_stage = self.profiler.begin();

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use raven_dynamics::{BatchModel, PlantState, RtModel};
+use raven_dynamics::RtModel;
 use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
 use raven_hw::{RobotState, UsbCommandPacket};
 use raven_kinematics::{ArmConfig, MotorState, NUM_AXES};
@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use simbus::obs::{names, spans, Event, EventKind, Severity, SharedObserver};
 use simbus::{SpanGuard, SpanHandle};
 
+use crate::batch::BatchDetector;
 use crate::features::InstantFeatures;
 use crate::thresholds::{DetectionThresholds, ThresholdLearner};
 
@@ -139,93 +140,32 @@ impl std::fmt::Display for NoFaultFreeSamples {
 
 impl std::error::Error for NoFaultFreeSamples {}
 
-/// Internal mode representation: armed *means* having thresholds, so the
-/// armed assessment path is infallible by construction (no `Option` to
-/// unwrap inside the control cycle — lint rule R3). Shared with the
-/// batch detector, whose lanes carry the same per-session state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ModeState {
-    Learning,
-    Armed(DetectionThresholds),
-}
-
-/// Reconstructs the tracked plant state from one encoder measurement:
-/// joint positions through the coupling, velocities by differencing
-/// against the previous sample. Shared by [`DynamicDetector`] and the
-/// batch detector so a batched lane tracks measurements bit-identically
-/// to a scalar session.
-pub(crate) fn measured_state(
-    arm: &ArmConfig,
-    dt: f64,
-    last_mpos: &mut Option<MotorState>,
-    last_jpos: &mut Option<[f64; NUM_AXES]>,
-    mpos: MotorState,
-) -> PlantState {
-    let jpos = arm.motors_to_joints(&mpos);
-    let ja = jpos.to_array();
-    let mvel = match *last_mpos {
-        Some(last) => {
-            let d = mpos.delta(last);
-            [d.angles[0] / dt, d.angles[1] / dt, d.angles[2] / dt]
-        }
-        None => [0.0; NUM_AXES],
-    };
-    let jvel = match *last_jpos {
-        Some(last) => [(ja[0] - last[0]) / dt, (ja[1] - last[1]) / dt, (ja[2] - last[2]) / dt],
-        None => [0.0; NUM_AXES],
-    };
-    *last_mpos = Some(mpos);
-    *last_jpos = Some(ja);
-    let mut state = PlantState::default();
-    state.set_motor_pos(mpos);
-    state.set_joint_pos(jpos);
-    state.x[3] = mvel[0];
-    state.x[4] = mvel[1];
-    state.x[5] = mvel[2];
-    state.x[9] = jvel[0];
-    state.x[10] = jvel[1];
-    state.x[11] = jvel[2];
-    state
-}
-
 /// The detector core: real-time model + measurement tracking + thresholds.
+///
+/// The verdict chain itself runs on a 1-lane [`BatchDetector`], the
+/// single implementation shared with fleet monitoring. This type adds
+/// what only a guarded robot needs: threshold learning, the mitigation
+/// state the [`GuardInterceptor`] acts on, and the verdict and
+/// mitigation-window spans.
 ///
 /// Share it between the harness (which feeds encoder measurements each
 /// cycle via [`DynamicDetector::sync_measurement`]) and the
 /// [`GuardInterceptor`] on the write path via [`shared`].
 #[derive(Debug)]
 pub struct DynamicDetector {
-    arm: ArmConfig,
     model: RtModel,
-    /// One-lane SoA kernel the assessment stepping delegates to: the
-    /// M=1 lane of `raven_dynamics::batch` computes bit-identical
-    /// states to [`RtModel::predict`] (the batch module's equivalence
-    /// contract), converts DAC→torque once per command instead of once
-    /// per rollout step, and keeps its integrator scratch preallocated.
-    lane: BatchModel,
-    config: DetectorConfig,
-    mode: ModeState,
+    /// The verdict chain: lane 0 is this session.
+    core: BatchDetector,
     learner: ThresholdLearner,
-    tracked: Option<PlantState>,
-    last_mpos: Option<MotorState>,
-    last_jpos: Option<[f64; NUM_AXES]>,
     /// Ring buffer of recent non-alarming commands; substitution uses the
     /// *oldest* entry (~128 ms back), guaranteed to predate any attack the
     /// detector catches within its latency.
     safe_history: std::collections::VecDeque<[i16; raven_hw::DAC_CHANNELS]>,
     hold_cooldown: u32,
-    assessments: u64,
-    alarms: u64,
-    first_alarm_assessment: Option<u64>,
-    estop_requested: bool,
-    last_assessment: Option<Assessment>,
     spans: SpanHandle,
     /// Open `span.mitigation.window` guard: opened on the first alarm,
     /// closed when the hold cooldown drains (or at session reset/teardown).
     mitigation_span: Option<SpanGuard>,
-    /// Installed kill-suite mutant, if any (`None` ⇒ production behavior).
-    #[cfg(feature = "mutant-hooks")]
-    mutation: Option<crate::mutants::DetectorMutation>,
 }
 
 impl DynamicDetector {
@@ -235,28 +175,15 @@ impl DynamicDetector {
     /// parameter set, reflecting that the paper's hand-tuned model does not
     /// match the robot exactly (Fig. 8).
     pub fn new(arm: ArmConfig, model: RtModel, config: DetectorConfig) -> Self {
-        let lane = BatchModel::with_params(std::slice::from_ref(model.params()), model.config());
+        let core = BatchDetector::from_models(&[arm], std::slice::from_ref(&model), config);
         DynamicDetector {
-            arm,
             model,
-            lane,
-            config,
-            mode: ModeState::Learning,
+            core,
             learner: ThresholdLearner::new(),
-            tracked: None,
-            last_mpos: None,
-            last_jpos: None,
             safe_history: std::collections::VecDeque::new(),
             hold_cooldown: 0,
-            assessments: 0,
-            alarms: 0,
-            first_alarm_assessment: None,
-            estop_requested: false,
-            last_assessment: None,
             spans: SpanHandle::default(),
             mitigation_span: None,
-            #[cfg(feature = "mutant-hooks")]
-            mutation: None,
         }
     }
 
@@ -276,34 +203,28 @@ impl DynamicDetector {
     /// for the `raven-verify` mutation kill-suite.
     #[cfg(feature = "mutant-hooks")]
     pub fn set_mutation(&mut self, mutation: Option<crate::mutants::DetectorMutation>) {
-        self.mutation = mutation;
+        self.core.set_mutation(mutation);
     }
 
     /// The installed kill-suite mutant, if any.
     #[cfg(feature = "mutant-hooks")]
     pub fn mutation(&self) -> Option<crate::mutants::DetectorMutation> {
-        self.mutation
+        self.core.mutation()
     }
 
     /// Current mode.
     pub fn mode(&self) -> DetectorMode {
-        match self.mode {
-            ModeState::Learning => DetectorMode::Learning,
-            ModeState::Armed(_) => DetectorMode::Armed,
-        }
+        self.core.lane_mode(0)
     }
 
     /// The configuration.
     pub fn config(&self) -> DetectorConfig {
-        self.config
+        self.core.config()
     }
 
     /// Learned thresholds, once armed.
     pub fn thresholds(&self) -> Option<&DetectionThresholds> {
-        match &self.mode {
-            ModeState::Learning => None,
-            ModeState::Armed(t) => Some(t),
-        }
+        self.core.lane_thresholds(0)
     }
 
     /// The threshold learner (for inspection and the 600-run protocol).
@@ -321,33 +242,28 @@ impl DynamicDetector {
 
     /// Commands assessed while armed.
     pub fn assessments(&self) -> u64 {
-        self.assessments
+        self.core.lane_assessments(0)
     }
 
     /// Alarms raised while armed.
     pub fn alarms(&self) -> u64 {
-        self.alarms
+        self.core.lane_alarms(0)
     }
 
     /// `true` once any alarm has fired in this session.
     pub fn alarmed(&self) -> bool {
-        self.alarms > 0
+        self.alarms() > 0
     }
 
     /// Assessment index (1-based) of the first alarm, if any — the basis of
     /// detection-latency measurements.
     pub fn first_alarm_assessment(&self) -> Option<u64> {
-        self.first_alarm_assessment
+        self.core.lane_first_alarm_assessment(0)
     }
 
     /// `true` when the E-STOP mitigation has been requested.
     pub fn estop_requested(&self) -> bool {
-        self.estop_requested
-    }
-
-    /// The most recent assessment.
-    pub fn last_assessment(&self) -> Option<&Assessment> {
-        self.last_assessment.as_ref()
+        self.core.lane_estop_requested(0)
     }
 
     /// Feeds the measured motor positions for this cycle (from the encoder
@@ -355,13 +271,7 @@ impl DynamicDetector {
     /// joint states through the coupling — the same information the real
     /// detector extracts from the USB read path.
     pub fn sync_measurement(&mut self, mpos: MotorState) {
-        self.tracked = Some(measured_state(
-            &self.arm,
-            self.config.dt,
-            &mut self.last_mpos,
-            &mut self.last_jpos,
-            mpos,
-        ));
+        self.core.sync_lane(0, mpos);
     }
 
     /// Assesses a candidate DAC command against the model's prediction.
@@ -370,62 +280,17 @@ impl DynamicDetector {
     /// The instant features come from the one-step prediction (the paper's
     /// detector); with `lookahead_steps > 1` the command is additionally
     /// rolled out over the horizon and the *cumulative* end-effector
-    /// displacement is checked against the limit.
+    /// displacement is checked against the limit. In learning mode the
+    /// features feed the threshold learner and never alarm.
     pub fn assess(&mut self, dac: &[i16; NUM_AXES]) -> Option<Assessment> {
         let _verdict = self.spans.begin(spans::DETECTOR_VERDICT);
-        let current = self.tracked?;
-        // Single-session stepping delegates to the M=1 lane of the SoA
-        // batch kernel: the DAC→torque conversion is latched once and the
-        // lookahead rollout re-steps the lane under it, bit-identical to
-        // re-predicting with the same command each step.
-        self.lane.load_state(0, &current);
-        self.lane.set_dac(0, dac);
-        self.lane.step_lanes();
-        let predicted = self.lane.state(0);
-        // FK of the current state is needed both for the one-step feature
-        // and as the lookahead start point — evaluate it once and share.
-        let ee_now = self.arm.forward(&current.joint_pos()).position;
-        let mut features = InstantFeatures::compute_with_current_ee(
-            &self.arm,
-            &current,
-            &predicted,
-            self.config.dt,
-            ee_now,
-        );
-        if self.config.lookahead_steps > 1 {
-            for _ in 1..self.config.lookahead_steps {
-                self.lane.step_lanes();
-            }
-            let rolled = self.lane.state(0);
-            let end = self.arm.forward(&rolled.joint_pos()).position;
-            features.ee_step = features.ee_step.max(ee_now.distance(end));
+        let assessment = self.core.assess_lanes(std::slice::from_ref(dac))[0]?;
+        if self.mode() == DetectorMode::Learning {
+            self.learner.observe(&assessment.features);
+        } else if assessment.alarm() && self.spans.is_enabled() && self.mitigation_span.is_none() {
+            self.mitigation_span = Some(self.spans.begin_floating(spans::MITIGATION_WINDOW));
         }
-        match self.mode {
-            ModeState::Learning => {
-                self.learner.observe(&features);
-                Some(Assessment { features, threshold_alarm: false, ee_alarm: false })
-            }
-            ModeState::Armed(thresholds) => {
-                let threshold_alarm = self.threshold_alarm_for(&thresholds, &features);
-                let ee_alarm = self.ee_alarm_for(&features);
-                let assessment = Assessment { features, threshold_alarm, ee_alarm };
-                self.assessments += 1;
-                if assessment.alarm() {
-                    self.count_alarm();
-                    let first = self.first_alarm_index();
-                    self.first_alarm_assessment.get_or_insert(first);
-                    if self.config.mitigation == Mitigation::EStop && self.estop_request_enabled() {
-                        self.estop_requested = true;
-                    }
-                    if self.spans.is_enabled() && self.mitigation_span.is_none() {
-                        self.mitigation_span =
-                            Some(self.spans.begin_floating(spans::MITIGATION_WINDOW));
-                    }
-                }
-                self.last_assessment = Some(assessment);
-                Some(assessment)
-            }
-        }
+        Some(assessment)
     }
 
     /// Marks the end of one fault-free learning run.
@@ -441,7 +306,7 @@ impl DynamicDetector {
     /// Returns [`NoFaultFreeSamples`] when no fault-free samples were
     /// observed — there is nothing to learn from.
     pub fn arm(&mut self) -> Result<(), NoFaultFreeSamples> {
-        let (lo, hi) = self.config.percentile_band;
+        let (lo, hi) = self.config().percentile_band;
         let thresholds = self.learner.learn(lo, hi).ok_or(NoFaultFreeSamples)?;
         self.arm_with(thresholds);
         Ok(())
@@ -450,19 +315,12 @@ impl DynamicDetector {
     /// Arms with externally supplied thresholds (e.g. deserialized from a
     /// previous training campaign).
     pub fn arm_with(&mut self, thresholds: DetectionThresholds) {
-        self.mode = ModeState::Armed(thresholds);
+        self.core.arm_lane(0, thresholds);
     }
 
     /// Clears per-session alarm state (between campaign runs).
     pub fn reset_session(&mut self) {
-        self.alarms = 0;
-        self.assessments = 0;
-        self.first_alarm_assessment = None;
-        self.estop_requested = false;
-        self.last_assessment = None;
-        self.tracked = None;
-        self.last_mpos = None;
-        self.last_jpos = None;
+        self.core.reset_session(0);
         self.safe_history.clear();
         self.hold_cooldown = 0;
         self.mitigation_span = None;
@@ -483,107 +341,11 @@ impl DynamicDetector {
         self.safe_history.front().copied()
     }
 
-    // ---- kill-suite hook points -------------------------------------
+    // ---- guard-side kill-suite hook points --------------------------
     //
-    // Each decision the mutation kill-suite needs to sabotage routes
-    // through one of these `cfg`-paired helpers. The `not(mutant-hooks)`
-    // versions are the production logic, verbatim; the `mutant-hooks`
-    // versions reproduce it exactly when `self.mutation` is `None` and
-    // apply the seeded defect otherwise. See `crate::mutants`.
-
-    /// Fused threshold-exceedance decision for one assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn threshold_alarm_for(
-        &self,
-        thresholds: &DetectionThresholds,
-        features: &InstantFeatures,
-    ) -> bool {
-        match self.config.fusion {
-            FusionRule::AllThree => thresholds.fused_alarm(features),
-            FusionRule::AnyOne => thresholds.any_alarm(features),
-        }
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn threshold_alarm_for(
-        &self,
-        thresholds: &DetectionThresholds,
-        features: &InstantFeatures,
-    ) -> bool {
-        use crate::mutants::DetectorMutation as M;
-        let mut f = *features;
-        match self.mutation {
-            Some(M::ThresholdsIgnored) => return false,
-            Some(M::FusionBecomesAnyOne) => return thresholds.any_alarm(&f),
-            Some(M::FusionDropsJointVel) => {
-                return (0..NUM_AXES).any(|i| {
-                    f.motor_accel[i] > thresholds.motor_accel[i]
-                        && f.motor_vel[i] > thresholds.motor_vel[i]
-                });
-            }
-            Some(M::SwappedVelAccel) => std::mem::swap(&mut f.motor_accel, &mut f.motor_vel),
-            _ => {}
-        }
-        match self.config.fusion {
-            FusionRule::AllThree => thresholds.fused_alarm(&f),
-            FusionRule::AnyOne => thresholds.any_alarm(&f),
-        }
-    }
-
-    /// Hard end-effector step-limit decision for one assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn ee_alarm_for(&self, features: &InstantFeatures) -> bool {
-        features.ee_step > self.config.ee_step_limit
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn ee_alarm_for(&self, features: &InstantFeatures) -> bool {
-        use crate::mutants::DetectorMutation as M;
-        match self.mutation {
-            Some(M::EeCheckDisabled) => false,
-            Some(M::EeLimitTenfold) => features.ee_step > 10.0 * self.config.ee_step_limit,
-            _ => features.ee_step > self.config.ee_step_limit,
-        }
-    }
-
-    /// Bumps the session alarm counter on an alarming assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn count_alarm(&mut self) {
-        self.alarms += 1;
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn count_alarm(&mut self) {
-        if self.mutation != Some(crate::mutants::DetectorMutation::AlarmCounterStuck) {
-            self.alarms += 1;
-        }
-    }
-
-    /// The 1-based assessment index recorded for the first alarm.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn first_alarm_index(&self) -> u64 {
-        self.assessments
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn first_alarm_index(&self) -> u64 {
-        if self.mutation == Some(crate::mutants::DetectorMutation::FirstAlarmOffByOne) {
-            self.assessments + 1
-        } else {
-            self.assessments
-        }
-    }
-
-    /// Whether the E-STOP mitigation is allowed to request the stop.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn estop_request_enabled(&self) -> bool {
-        true
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn estop_request_enabled(&self) -> bool {
-        self.mutation != Some(crate::mutants::DetectorMutation::EstopRequestDropped)
-    }
+    // The verdict hooks live on `BatchDetector`; these three sabotage
+    // only the mitigation the guard actuates. The `not(mutant-hooks)`
+    // versions are the production logic, verbatim. See `crate::mutants`.
 
     /// Whether the guard's block/substitute path is active at all.
     #[cfg(not(feature = "mutant-hooks"))]
@@ -593,21 +355,21 @@ impl DynamicDetector {
 
     #[cfg(feature = "mutant-hooks")]
     fn block_path_enabled(&self) -> bool {
-        self.mutation != Some(crate::mutants::DetectorMutation::BlockPathDisabled)
+        self.mutation() != Some(crate::mutants::DetectorMutation::BlockPathDisabled)
     }
 
     /// Cooldown cycles loaded after an alarming block-and-hold cycle.
     #[cfg(not(feature = "mutant-hooks"))]
     fn cooldown_reload(&self) -> u32 {
-        self.config.hold_cooldown_cycles
+        self.config().hold_cooldown_cycles
     }
 
     #[cfg(feature = "mutant-hooks")]
     fn cooldown_reload(&self) -> u32 {
-        if self.mutation == Some(crate::mutants::DetectorMutation::CooldownIgnored) {
+        if self.mutation() == Some(crate::mutants::DetectorMutation::CooldownIgnored) {
             0
         } else {
-            self.config.hold_cooldown_cycles
+            self.config().hold_cooldown_cycles
         }
     }
 
@@ -619,7 +381,7 @@ impl DynamicDetector {
 
     #[cfg(feature = "mutant-hooks")]
     fn substitution_source(&self) -> Option<[i16; raven_hw::DAC_CHANNELS]> {
-        if self.mutation == Some(crate::mutants::DetectorMutation::HoldSubstitutesLatest) {
+        if self.mutation() == Some(crate::mutants::DetectorMutation::HoldSubstitutesLatest) {
             self.safe_history.back().copied()
         } else {
             self.held_safe()
@@ -675,8 +437,7 @@ impl WriteInterceptor for GuardInterceptor {
         let Some(assessment) = det.assess(&dac3) else {
             return WriteAction::Forward;
         };
-        let armed = matches!(det.mode, ModeState::Armed(_));
-        if armed {
+        if det.mode() == DetectorMode::Armed {
             if let Some(obs) = &self.observer {
                 obs.lock().metrics.inc(names::DETECTOR_ASSESSMENTS);
             }
@@ -691,7 +452,7 @@ impl WriteInterceptor for GuardInterceptor {
         let (action, blocked) = if !det.block_path_enabled() {
             (WriteAction::Forward, false)
         } else {
-            match det.config.mitigation {
+            match det.config().mitigation {
                 Mitigation::Observe => (WriteAction::Forward, false),
                 Mitigation::EStop => (WriteAction::Drop, true),
                 Mitigation::BlockAndHold => {
@@ -719,7 +480,8 @@ impl WriteInterceptor for GuardInterceptor {
                             dac[3..].copy_from_slice(&pkt.dac[3..]);
                             let replacement =
                                 UsbCommandPacket { state: pkt.state, watchdog: pkt.watchdog, dac };
-                            *buf = replacement.encode().to_vec();
+                            buf.clear();
+                            buf.extend_from_slice(&replacement.encode());
                             (WriteAction::Forward, true)
                         }
                     }
@@ -740,7 +502,7 @@ impl WriteInterceptor for GuardInterceptor {
                 };
                 obs.event(
                     Event::new(ctx.time, "detector", Severity::Warn, EventKind::DetectorVerdict)
-                        .with("assessment", det.assessments)
+                        .with("assessment", det.assessments())
                         .with("seq", ctx.seq)
                         .with("threshold_alarm", assessment.threshold_alarm)
                         .with("ee_alarm", assessment.ee_alarm)

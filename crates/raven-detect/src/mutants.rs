@@ -9,9 +9,13 @@
 //! survives means the oracles have a blind spot exactly where the defect
 //! lives.
 //!
-//! The hooks are wired through `cfg`-paired private helpers on
-//! [`crate::DynamicDetector`] and [`crate::GuardInterceptor`]: with the
-//! feature off the helpers are trivial pass-throughs and the mutant code
+//! The hooks are wired through `cfg`-paired private helpers: the verdict
+//! and bookkeeping hooks on [`crate::BatchDetector`] (the one verdict
+//! implementation, so they reach a fleet monitor lane and the scalar
+//! detector alike), and the three guard-only hooks (`BlockPathDisabled`,
+//! `CooldownIgnored`, `HoldSubstitutesLatest`) on
+//! [`crate::DynamicDetector`] for the [`crate::GuardInterceptor`]. With
+//! the feature off the helpers are trivial pass-throughs and the mutant code
 //! does not exist; with the feature on but no mutation installed
 //! (`set_mutation(None)`, the default) every helper returns the production
 //! value, so an unmutated `mutant-hooks` build behaves identically to a

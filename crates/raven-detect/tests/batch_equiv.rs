@@ -5,6 +5,8 @@
 //! alarm bits, counters) *identical* to a standalone detector fed the same
 //! measurements and commands — across lookahead horizons, fusion rules,
 //! perturbed per-lane models, and `reset_session` on one lane mid-batch.
+//! The standalone detector is itself a 1-lane batch, so this pins lane
+//! independence: an M-lane batch equals M one-lane batches.
 
 use proptest::prelude::*;
 use raven_detect::{

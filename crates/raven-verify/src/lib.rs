@@ -21,7 +21,8 @@
 //!   [`raven_detect::DynamicDetector`] and [`raven_detect::GuardInterceptor`]
 //!   directly with crafted thresholds, pinning down each decision the
 //!   detector makes (fusion rule, end-effector limit, block path, hold
-//!   semantics, alarm bookkeeping).
+//!   semantics, alarm bookkeeping); the verdict probes also run on a
+//!   [`raven_detect::BatchDetector`] lane, the fleet monitor's path.
 //!
 //! The oracle suite's teeth are proven by the **mutation kill-suite**
 //! (`tests/mutation_kill.rs`): `raven-detect` compiled with the
@@ -42,4 +43,4 @@ pub use harness::{
 pub use oracles::{
     fleet_isolation, run_ledger, run_oracles, Expectations, OracleReport, OracleVerdict,
 };
-pub use probes::{all_probes, ProbeResult};
+pub use probes::{all_probes, lane_probes, ProbeResult};

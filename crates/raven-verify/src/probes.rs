@@ -12,13 +12,18 @@
 //! The probes accept an optional [`DetectorMutation`] so the mutation
 //! kill-suite can prove each seeded defect flips at least one probe; with
 //! `None` they all pass against the production implementation.
+//!
+//! [`lane_probes`] runs the verdict probes on a fleet monitor lane
+//! instead: lane 2 of a 4-lane [`BatchDetector`], every lane engaged on
+//! every call, with the alarm and E-STOP bookkeeping read from the
+//! lane's counters. The guard-only probes have no lane counterpart.
 
 use std::sync::Arc;
 
 use raven_detect::detector::shared;
 use raven_detect::{
-    DetectionThresholds, DetectorConfig, DetectorMutation, DynamicDetector, GuardInterceptor,
-    InstantFeatures, Mitigation,
+    Assessment, BatchDetector, DetectionThresholds, DetectorConfig, DetectorMutation,
+    DynamicDetector, GuardInterceptor, InstantFeatures, Mitigation,
 };
 use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
@@ -33,6 +38,21 @@ const VIOLENT: [i16; NUM_AXES] = [30_000, 20_000, -10_000];
 /// A gentle command whose features sit far below the violent ones.
 const GENTLE: [i16; NUM_AXES] = [40, 30, -20];
 
+/// Lanes in the monitor batch [`lane_probes`] runs on.
+const MONITOR_LANES: usize = 4;
+
+/// The lane the lane probes read.
+const PROBE_LANE: usize = 2;
+
+/// Which verdict path a probe drives.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// The scalar detector behind the guard.
+    Scalar,
+    /// [`PROBE_LANE`] of a [`MONITOR_LANES`]-lane batch.
+    Lane,
+}
+
 /// One probe's outcome.
 #[derive(Debug)]
 pub struct ProbeResult {
@@ -46,17 +66,21 @@ fn rest_motors() -> MotorState {
     PlantParams::raven_ii().coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25))
 }
 
-fn detector(config: DetectorConfig) -> DynamicDetector {
+fn session() -> (ArmConfig, RtModel) {
     let params = PlantParams::raven_ii();
     let arm = ArmConfig::builder().coupling(params.coupling()).build();
     // The unperturbed model: probes check decision logic, not robustness
     // to model mismatch, and both the reference features and the armed
     // assessments must come from the *same* model.
-    let model = RtModel::new(params);
+    (arm, RtModel::new(params))
+}
+
+fn detector(config: DetectorConfig) -> DynamicDetector {
+    let (arm, model) = session();
     DynamicDetector::new(arm, model, config)
 }
 
-fn armed(
+fn armed_scalar(
     config: DetectorConfig,
     thresholds: DetectionThresholds,
     mutation: Option<DetectorMutation>,
@@ -66,6 +90,75 @@ fn armed(
     det.set_mutation(mutation);
     det.sync_measurement(rest_motors());
     det
+}
+
+/// The verdict surface a probe drives on either path. Each probe builds
+/// a few short-lived subjects, so the variant size difference is moot.
+#[allow(clippy::large_enum_variant)]
+enum Subject {
+    Scalar(DynamicDetector),
+    Lane(BatchDetector),
+}
+
+impl Subject {
+    fn armed(
+        path: Path,
+        config: DetectorConfig,
+        thresholds: DetectionThresholds,
+        mutation: Option<DetectorMutation>,
+    ) -> Subject {
+        match path {
+            Path::Scalar => Subject::Scalar(armed_scalar(config, thresholds, mutation)),
+            Path::Lane => {
+                let (arm, model) = session();
+                let mut batch = BatchDetector::from_models(
+                    &vec![arm; MONITOR_LANES],
+                    &vec![model; MONITOR_LANES],
+                    config,
+                );
+                batch.set_mutation(mutation);
+                for lane in 0..MONITOR_LANES {
+                    batch.arm_lane(lane, thresholds);
+                    batch.sync_lane(lane, rest_motors());
+                }
+                Subject::Lane(batch)
+            }
+        }
+    }
+
+    fn assess(&mut self, dac: &[i16; NUM_AXES]) -> Option<Assessment> {
+        match self {
+            Subject::Scalar(det) => det.assess(dac),
+            Subject::Lane(batch) => {
+                // The siblings assess the gentle command, so a verdict
+                // leaking across lanes shows up on the probed one.
+                let mut dacs = [GENTLE; MONITOR_LANES];
+                dacs[PROBE_LANE] = *dac;
+                batch.assess_lanes(&dacs)[PROBE_LANE]
+            }
+        }
+    }
+
+    fn alarms(&self) -> u64 {
+        match self {
+            Subject::Scalar(det) => det.alarms(),
+            Subject::Lane(batch) => batch.lane_alarms(PROBE_LANE),
+        }
+    }
+
+    fn first_alarm_assessment(&self) -> Option<u64> {
+        match self {
+            Subject::Scalar(det) => det.first_alarm_assessment(),
+            Subject::Lane(batch) => batch.lane_first_alarm_assessment(PROBE_LANE),
+        }
+    }
+
+    fn estop_requested(&self) -> bool {
+        match self {
+            Subject::Scalar(det) => det.estop_requested(),
+            Subject::Lane(batch) => batch.lane_estop_requested(PROBE_LANE),
+        }
+    }
 }
 
 /// The features the reference command produces from rest, measured with a
@@ -128,7 +221,7 @@ fn ctx() -> WriteContext {
 /// starves the acceleration term). With the joint-velocity thresholds
 /// raised above reach, `AllThree` must stay silent (kills
 /// `FusionDropsJointVel` and `FusionBecomesAnyOne`).
-fn probe_fusion_rule(mutation: Option<DetectorMutation>) -> Result<(), String> {
+fn probe_fusion_rule(path: Path, mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::Observe);
     let f = reference_features(config, &VIOLENT)?;
     for i in 0..NUM_AXES {
@@ -140,7 +233,7 @@ fn probe_fusion_rule(mutation: Option<DetectorMutation>) -> Result<(), String> {
     }
 
     let all_low = scaled_thresholds(&f, 0.5, 0.5, 0.5);
-    let mut det = armed(config, all_low, mutation);
+    let mut det = Subject::armed(path, config, all_low, mutation);
     let gentle = det.assess(&GENTLE).ok_or("gentle assessment missing")?;
     if gentle.threshold_alarm {
         return Err("gentle command must not trip the fused thresholds".into());
@@ -151,7 +244,7 @@ fn probe_fusion_rule(mutation: Option<DetectorMutation>) -> Result<(), String> {
     }
 
     let joint_high = scaled_thresholds(&f, 0.5, 0.5, 10.0);
-    let mut det = armed(config, joint_high, mutation);
+    let mut det = Subject::armed(path, config, joint_high, mutation);
     let violent = det.assess(&VIOLENT).ok_or("violent assessment missing")?;
     if violent.threshold_alarm {
         return Err(
@@ -167,7 +260,7 @@ fn probe_fusion_rule(mutation: Option<DetectorMutation>) -> Result<(), String> {
 /// thresholds out of reach), the ee check must alarm — and must stay
 /// silent once the limit is doubled instead. Kills `EeCheckDisabled` and
 /// `EeLimitTenfold`.
-fn probe_ee_limit(mutation: Option<DetectorMutation>) -> Result<(), String> {
+fn probe_ee_limit(path: Path, mutation: Option<DetectorMutation>) -> Result<(), String> {
     let base = DetectorConfig { mitigation: Mitigation::Observe, ..DetectorConfig::default() };
     let f = reference_features(base, &VIOLENT)?;
     if f.ee_step <= 0.0 {
@@ -176,7 +269,7 @@ fn probe_ee_limit(mutation: Option<DetectorMutation>) -> Result<(), String> {
     let unreachable = scaled_thresholds(&f, 100.0, 100.0, 100.0);
 
     let tight = DetectorConfig { ee_step_limit: f.ee_step / 2.0, ..base };
-    let mut det = armed(tight, unreachable, mutation);
+    let mut det = Subject::armed(path, tight, unreachable, mutation);
     let a = det.assess(&VIOLENT).ok_or("assessment missing")?;
     if a.threshold_alarm {
         return Err("thresholds were set unreachable yet alarmed".into());
@@ -190,7 +283,7 @@ fn probe_ee_limit(mutation: Option<DetectorMutation>) -> Result<(), String> {
     }
 
     let loose = DetectorConfig { ee_step_limit: f.ee_step * 2.0, ..base };
-    let mut det = armed(loose, unreachable, mutation);
+    let mut det = Subject::armed(path, loose, unreachable, mutation);
     let a = det.assess(&VIOLENT).ok_or("assessment missing")?;
     if a.ee_alarm {
         return Err("ee step below the limit must not alarm".into());
@@ -205,7 +298,7 @@ fn probe_ee_limit(mutation: Option<DetectorMutation>) -> Result<(), String> {
 fn probe_guard_block_path(mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::EStop);
     let f = reference_features(config, &VIOLENT)?;
-    let det = shared(armed(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
+    let det = shared(armed_scalar(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
     let mut guard = GuardInterceptor::new(Arc::clone(&det));
 
     let mut safe = pedal_down_packet(GENTLE);
@@ -222,6 +315,29 @@ fn probe_guard_block_path(mutation: Option<DetectorMutation>) -> Result<(), Stri
     Ok(())
 }
 
+/// Probe: the E-STOP request, read from the detector's bookkeeping with
+/// no guard in the loop (the lane counterpart of the guard block path).
+///
+/// A gentle assessment must not request the stop; an alarming one must.
+/// Kills `EstopRequestDropped`.
+fn probe_estop_request(path: Path, mutation: Option<DetectorMutation>) -> Result<(), String> {
+    let config = threshold_only_config(Mitigation::EStop);
+    let f = reference_features(config, &VIOLENT)?;
+    let mut det = Subject::armed(path, config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation);
+    det.assess(&GENTLE).ok_or("gentle assessment missing")?;
+    if det.estop_requested() {
+        return Err("a gentle command must not request the E-STOP".into());
+    }
+    let violent = det.assess(&VIOLENT).ok_or("violent assessment missing")?;
+    if !violent.alarm() {
+        return Err("violent command must alarm".into());
+    }
+    if !det.estop_requested() {
+        return Err("an alarm under E-STOP mitigation must request the E-STOP".into());
+    }
+    Ok(())
+}
+
 /// Probe: block-and-hold substitution semantics.
 ///
 /// The substituted command must be the *oldest* remembered safe command
@@ -230,7 +346,7 @@ fn probe_guard_block_path(mutation: Option<DetectorMutation>) -> Result<(), Stri
 fn probe_hold_semantics(mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::BlockAndHold);
     let f = reference_features(config, &VIOLENT)?;
-    let det = shared(armed(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
+    let det = shared(armed_scalar(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
     let mut guard = GuardInterceptor::new(Arc::clone(&det));
 
     let oldest = [100, 30, -20];
@@ -277,10 +393,10 @@ fn probe_hold_semantics(mutation: Option<DetectorMutation>) -> Result<(), String
 /// One gentle then one violent assessment must leave exactly one alarm
 /// recorded at assessment index 2. Kills `AlarmCounterStuck` and
 /// `FirstAlarmOffByOne`.
-fn probe_alarm_bookkeeping(mutation: Option<DetectorMutation>) -> Result<(), String> {
+fn probe_alarm_bookkeeping(path: Path, mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::Observe);
     let f = reference_features(config, &VIOLENT)?;
-    let mut det = armed(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation);
+    let mut det = Subject::armed(path, config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation);
 
     let gentle = det.assess(&GENTLE).ok_or("gentle assessment missing")?;
     if gentle.alarm() {
@@ -302,14 +418,28 @@ fn probe_alarm_bookkeeping(mutation: Option<DetectorMutation>) -> Result<(), Str
     Ok(())
 }
 
-/// Runs every probe against the (optionally mutated) implementation.
+/// Runs every probe against the (optionally mutated) scalar detector
+/// and its guard.
 pub fn all_probes(mutation: Option<DetectorMutation>) -> Vec<ProbeResult> {
+    let path = Path::Scalar;
     vec![
-        ProbeResult { probe: "fusion-rule", result: probe_fusion_rule(mutation) },
-        ProbeResult { probe: "ee-limit", result: probe_ee_limit(mutation) },
+        ProbeResult { probe: "fusion-rule", result: probe_fusion_rule(path, mutation) },
+        ProbeResult { probe: "ee-limit", result: probe_ee_limit(path, mutation) },
         ProbeResult { probe: "guard-block-path", result: probe_guard_block_path(mutation) },
         ProbeResult { probe: "hold-semantics", result: probe_hold_semantics(mutation) },
-        ProbeResult { probe: "alarm-bookkeeping", result: probe_alarm_bookkeeping(mutation) },
+        ProbeResult { probe: "alarm-bookkeeping", result: probe_alarm_bookkeeping(path, mutation) },
+    ]
+}
+
+/// Runs the verdict probes against one lane of an (optionally mutated)
+/// fleet monitor batch.
+pub fn lane_probes(mutation: Option<DetectorMutation>) -> Vec<ProbeResult> {
+    let path = Path::Lane;
+    vec![
+        ProbeResult { probe: "fusion-rule", result: probe_fusion_rule(path, mutation) },
+        ProbeResult { probe: "ee-limit", result: probe_ee_limit(path, mutation) },
+        ProbeResult { probe: "estop-request", result: probe_estop_request(path, mutation) },
+        ProbeResult { probe: "alarm-bookkeeping", result: probe_alarm_bookkeeping(path, mutation) },
     ]
 }
 
@@ -319,7 +449,7 @@ mod tests {
 
     #[test]
     fn production_implementation_passes_every_probe() {
-        for p in all_probes(None) {
+        for p in all_probes(None).into_iter().chain(lane_probes(None)) {
             assert!(p.result.is_ok(), "probe {} failed: {:?}", p.probe, p.result);
         }
     }

@@ -6,11 +6,20 @@
 //! conformance probe or end-to-end oracle — while the unmutated build
 //! passes everything. A surviving mutant means the oracles have a blind
 //! spot exactly where that defect lives.
+//!
+//! Both verdict paths face the suite: the scalar detector behind the
+//! guard, and a fleet monitor lane of a batched detector.
 
 use raven_detect::DetectorMutation;
 use raven_verify::{
-    all_probes, run_mutated_chaos_session, run_oracles, suite_thresholds, Expectations, VerifySpec,
+    all_probes, lane_probes, run_mutated_chaos_session, run_oracles, suite_thresholds,
+    Expectations, ProbeResult, VerifySpec,
 };
+
+/// The probes a mutant fails.
+fn failed(probes: &[ProbeResult]) -> Vec<&'static str> {
+    probes.iter().filter(|p| p.result.is_err()).map(|p| p.probe).collect()
+}
 
 #[test]
 fn unmutated_build_passes_every_probe() {
@@ -23,12 +32,7 @@ fn unmutated_build_passes_every_probe() {
 fn every_mutant_is_killed_by_the_probe_suite() {
     let mut survivors = Vec::new();
     for mutant in DetectorMutation::ALL {
-        let kills: Vec<&str> = all_probes(Some(mutant))
-            .iter()
-            .filter(|p| p.result.is_err())
-            .map(|p| p.probe)
-            .collect();
-        if kills.is_empty() {
+        if failed(&all_probes(Some(mutant))).is_empty() {
             survivors.push(mutant.slug());
         }
     }
@@ -54,14 +58,45 @@ fn kill_matrix_matches_the_seeded_defects() {
         (DetectorMutation::AlarmCounterStuck, "alarm-bookkeeping"),
     ];
     for (mutant, probe) in expected {
-        let failed: Vec<String> = all_probes(Some(mutant))
-            .iter()
-            .filter(|p| p.result.is_err())
-            .map(|p| p.probe.to_string())
-            .collect();
+        let failed = failed(&all_probes(Some(mutant)));
         assert!(
-            failed.contains(&probe.to_string()),
+            failed.contains(&probe),
             "mutant {} must be killed by probe {probe}, but only {failed:?} failed",
+            mutant.slug()
+        );
+    }
+}
+
+/// The same diagonal on a fleet monitor lane: every verdict and
+/// bookkeeping mutant dies on lane 2 of a 4-lane batch. The three
+/// guard-only mutants (`BlockPathDisabled`, `CooldownIgnored`,
+/// `HoldSubstitutesLatest`) act outside the verdict and have no lane.
+#[test]
+fn lane_kill_matrix_matches_the_seeded_defects() {
+    for p in lane_probes(None) {
+        assert!(
+            p.result.is_ok(),
+            "lane probe {} failed on production code: {:?}",
+            p.probe,
+            p.result
+        );
+    }
+    let expected: [(DetectorMutation, &str); 9] = [
+        (DetectorMutation::EeLimitTenfold, "ee-limit"),
+        (DetectorMutation::EeCheckDisabled, "ee-limit"),
+        (DetectorMutation::FusionDropsJointVel, "fusion-rule"),
+        (DetectorMutation::SwappedVelAccel, "fusion-rule"),
+        (DetectorMutation::ThresholdsIgnored, "fusion-rule"),
+        (DetectorMutation::FusionBecomesAnyOne, "fusion-rule"),
+        (DetectorMutation::EstopRequestDropped, "estop-request"),
+        (DetectorMutation::FirstAlarmOffByOne, "alarm-bookkeeping"),
+        (DetectorMutation::AlarmCounterStuck, "alarm-bookkeeping"),
+    ];
+    for (mutant, probe) in expected {
+        let failed = failed(&lane_probes(Some(mutant)));
+        assert!(
+            failed.contains(&probe),
+            "mutant {} must be killed on the lane by probe {probe}, but only {failed:?} failed",
             mutant.slug()
         );
     }

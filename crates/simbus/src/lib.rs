@@ -6,7 +6,6 @@
 //!
 //! * [`time`] — virtual clock with nanosecond resolution and the robot's
 //!   1 ms control tick;
-//! * [`bus`] — typed publish/subscribe topics (the ROS substitute);
 //! * [`net`] — simulated UDP links with loss, delay, and jitter (carries the
 //!   ITP teleoperation protocol and the malware's exfiltration traffic);
 //! * [`trace`] — time-series recording for experiment analysis (the
@@ -26,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bus;
 pub mod chaos;
 pub mod net;
 pub mod obs;
@@ -35,7 +33,6 @@ pub mod span;
 pub mod time;
 pub mod trace;
 
-pub use bus::{Bus, Subscription};
 pub use chaos::{ChaosConfig, ChaosFault, ChaosFaultKind, ChaosSchedule};
 pub use net::{LinkConfig, SimLink};
 pub use obs::{

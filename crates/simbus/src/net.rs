@@ -8,6 +8,7 @@
 //! plus jitter, may be dropped or reordered, and are delivered when the
 //! receiver polls at or after their arrival time.
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
@@ -184,11 +185,11 @@ impl<T> SimLink<T> {
     /// `drain(..)` it after processing, so steady-state polling never
     /// allocates.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<T>) {
-        while let Some(head) = self.in_flight.peek() {
+        while let Some(head) = self.in_flight.peek_mut() {
             if head.arrival > now {
                 break;
             }
-            let pkt = self.in_flight.pop().expect("peeked entry must exist");
+            let pkt = PeekMut::pop(head);
             self.delivered += 1;
             out.push(pkt.payload);
         }

@@ -1017,8 +1017,8 @@ impl StageProfiler {
 
     /// Records one execution of `stage` lasting `ns` nanoseconds.
     pub fn record_ns(&mut self, stage: &str, ns: u64) {
-        let acc = match self.stages.iter_mut().find(|s| s.name == stage) {
-            Some(acc) => acc,
+        let idx = match self.stages.iter().position(|s| s.name == stage) {
+            Some(idx) => idx,
             None => {
                 self.stages.push(StageAcc {
                     name: stage.to_string(),
@@ -1029,9 +1029,10 @@ impl StageProfiler {
                     samples: Vec::new(),
                     next: 0,
                 });
-                self.stages.last_mut().expect("just pushed")
+                self.stages.len() - 1
             }
         };
+        let acc = &mut self.stages[idx];
         acc.count += 1;
         acc.sum_ns = acc.sum_ns.saturating_add(ns);
         acc.min_ns = acc.min_ns.min(ns);

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use simbus::rng::{derive_seed, splitmix64};
-use simbus::{Bus, LinkConfig, SimClock, SimDuration, SimLink, SimTime};
+use simbus::{LinkConfig, SimClock, SimDuration, SimLink, SimTime};
 
 proptest! {
     #[test]
@@ -32,29 +32,6 @@ proptest! {
         }
         prop_assert_eq!(clock.ticks(), ticks as u64);
         prop_assert_eq!(clock.now().as_millis_f64(), ticks as f64);
-    }
-
-    #[test]
-    fn bus_preserves_order_and_content(msgs in prop::collection::vec(any::<u32>(), 0..200)) {
-        let bus: Bus<u32> = Bus::new("t");
-        let mut sub = bus.subscribe();
-        for &m in &msgs {
-            bus.publish(m);
-        }
-        prop_assert_eq!(sub.drain(), msgs);
-    }
-
-    #[test]
-    fn bus_bounded_queue_keeps_the_newest(cap in 1usize..64, n in 0usize..200) {
-        let bus: Bus<usize> = Bus::with_capacity("t", cap);
-        let mut sub = bus.subscribe();
-        for i in 0..n {
-            bus.publish(i);
-        }
-        let got = sub.drain();
-        let expect: Vec<usize> = (n.saturating_sub(cap)..n).collect();
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(sub.dropped(), n.saturating_sub(cap) as u64);
     }
 
     #[test]
@@ -113,21 +90,20 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Minimizer fixture: bus traffic that delivers an oversized message
+// Minimizer fixture: link traffic that delivers an oversized message
 // shrinks to a single message at the smallest failing value.
 
 #[test]
-fn minimizer_reduces_bus_traffic_to_the_smallest_oversized_message() {
+fn minimizer_reduces_link_traffic_to_the_smallest_oversized_message() {
     use proptest::test_runner::run_reporting;
     let cfg = ProptestConfig::with_cases(64);
     let strat = (prop::collection::vec(any::<u32>(), 0..200),);
     let failure = run_reporting("simbus_minimizer_fixture", &cfg, &strat, |(msgs,)| {
-        let bus: Bus<u32> = Bus::new("fixture");
-        let mut sub = bus.subscribe();
+        let mut link: SimLink<u32> = SimLink::new(LinkConfig::ideal(), 0);
         for &m in &msgs {
-            bus.publish(m);
+            link.send(SimTime::ZERO, m);
         }
-        if sub.drain().iter().any(|&m| m > 1000) {
+        if link.poll(SimTime::ZERO).iter().any(|&m| m > 1000) {
             Err(TestCaseError::fail("oversized message delivered"))
         } else {
             Ok(())

@@ -244,8 +244,8 @@ fn console_silence_stops_the_robot() {
     );
 }
 
-/// Telemetry publishes on the ROS-style bus, and learned thresholds survive
-/// a JSON round trip into a new deployment.
+/// The controller reports telemetry every cycle, and learned thresholds
+/// survive a JSON round trip into a new deployment.
 #[test]
 fn telemetry_bus_and_threshold_persistence() {
     // Train once, persist, reload — the production workflow.
@@ -269,10 +269,15 @@ fn telemetry_bus_and_threshold_persistence() {
         }),
         ..SimConfig::standard(37)
     });
-    let mut sub = sim.telemetry_bus().subscribe();
     sim.boot();
-    let _ = sim.run_session();
-    let frames = sub.drain();
+    let mut frames = Vec::new();
+    for _ in 0..sim.session_ms() {
+        sim.run_session_burst(1);
+        frames.extend(sim.controller().telemetry().copied());
+        if sim.halted() {
+            break;
+        }
+    }
     assert!(frames.len() > 1_000, "telemetry must stream every cycle: {}", frames.len());
     // Frames carry real state: the last ones are Pedal Down with a target.
     let last = frames.last().unwrap();
