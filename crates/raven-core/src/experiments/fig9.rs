@@ -11,7 +11,10 @@
 //! and RAVEN's detection probability sits below the adverse-impact
 //! probability (it cannot catch everything that hurts).
 
+use std::sync::Arc;
+
 use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation};
+use raven_dynamics::plant::PlantPrefix;
 use serde::{Deserialize, Serialize};
 use simbus::rng::derive_seed;
 
@@ -154,6 +157,7 @@ pub fn run_fig9_with(config: &Fig9Config, exec: &ExecutorConfig) -> Fig9Result {
         .flat_map(|&value| config.durations_ms.iter().map(move |&d| (value, d)))
         .collect();
     let reps = config.repetitions.max(1) as usize;
+    let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
     let sweep = run_sweep_observed(
         "fig9",
         grid.len() * config.repetitions as usize,
@@ -169,7 +173,7 @@ pub fn run_fig9_with(config: &Fig9Config, exec: &ExecutorConfig) -> Fig9Result {
         |i, seed, metrics| {
             let (value, duration_ms) = grid[i / reps];
             let rep = (i % reps) as u32;
-            run_rep(config, value, duration_ms, rep, seed, thresholds, metrics)
+            run_rep(config, (value, duration_ms, rep), seed, thresholds, &prefix, metrics)
         },
     );
     let metrics = sweep.stats.metrics.clone();
@@ -202,14 +206,14 @@ pub fn run_fig9_with(config: &Fig9Config, exec: &ExecutorConfig) -> Fig9Result {
     Fig9Result { cells, metrics }
 }
 
-/// One repetition of one grid cell: (adverse, model_detected, raven_detected).
+/// One repetition of one grid cell, on the sweep's shared plant prefix:
+/// (adverse, model_detected, raven_detected).
 fn run_rep(
     config: &Fig9Config,
-    value: i16,
-    duration_ms: u64,
-    rep: u32,
+    (value, duration_ms, rep): (i16, u64, u32),
     seed: u64,
     thresholds: DetectionThresholds,
+    prefix: &Arc<PlantPrefix>,
     metrics: &mut Metrics,
 ) -> (bool, bool, bool) {
     let mut sim = Simulation::new(SimConfig {
@@ -228,6 +232,7 @@ fn run_rep(
         delay_packets: 250 + u64::from(rep) * 37,
         duration_packets: duration_ms,
     });
+    sim.share_plant_prefix(prefix);
     sim.boot();
     let out = sim.run_session();
     metrics.merge(&sim.metrics());

@@ -10,7 +10,10 @@
 //! in shadow (Observe) mode so detection is measured without altering the
 //! physical outcome.
 
+use std::sync::Arc;
+
 use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation};
+use raven_dynamics::plant::PlantPrefix;
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 use simbus::rng::derive_seed;
@@ -189,13 +192,15 @@ fn scenario_attack(scenario: char, run: u32, seed: u64) -> AttackSetup {
     }
 }
 
-/// Runs one scored evaluation run; returns (attack_present, model, raven).
+/// Runs one scored evaluation run on the scenario sweep's shared plant
+/// prefix; returns (attack_present, model, raven).
 fn evaluate_run(
     seed: u64,
     session_ms: u64,
     workload: Workload,
     attack: AttackSetup,
     thresholds: DetectionThresholds,
+    prefix: &Arc<PlantPrefix>,
     metrics: &mut Metrics,
 ) -> (bool, bool, bool) {
     let mut sim = Simulation::new(SimConfig {
@@ -209,6 +214,7 @@ fn evaluate_run(
         ..SimConfig::standard(seed)
     });
     sim.install_attack(&attack);
+    sim.share_plant_prefix(prefix);
     sim.boot();
     let out = sim.run_session();
     metrics.merge(&sim.metrics());
@@ -221,6 +227,7 @@ fn run_scenario(
     config: &Table4Config,
     thresholds: DetectionThresholds,
     exec: &ExecutorConfig,
+    prefix: &Arc<PlantPrefix>,
 ) -> (ScenarioComparison, Metrics) {
     // Fan the scored runs over the executor; each returns its
     // (attacked, model, raven) triple and the confusion matrices fold in
@@ -237,7 +244,7 @@ fn run_scenario(
             let attack =
                 if clean { AttackSetup::None } else { scenario_attack(scenario, run, config.seed) };
             let workload = Workload::training_pair()[(run % 2) as usize];
-            evaluate_run(run_seed, config.session_ms, workload, attack, thresholds, metrics)
+            evaluate_run(run_seed, config.session_ms, workload, attack, thresholds, prefix, metrics)
         },
     );
     let metrics = sweep.stats.metrics.clone();
@@ -277,13 +284,15 @@ pub fn run_table4(config: &Table4Config) -> Table4Result {
 }
 
 /// [`run_table4`] with explicit executor control; output is bit-identical
-/// for any worker count.
+/// for any worker count. Each scenario sweep shares one plant prefix.
 pub fn run_table4_with(config: &Table4Config, exec: &ExecutorConfig) -> Table4Result {
     let training = train_thresholds_with(&config.training, exec);
-    let (scenario_a, metrics_a) =
-        run_scenario('A', config.scenario_a_runs, config, training.thresholds, exec);
-    let (scenario_b, metrics_b) =
-        run_scenario('B', config.scenario_b_runs, config, training.thresholds, exec);
+    let scenario = |label, runs| {
+        let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+        run_scenario(label, runs, config, training.thresholds, exec, &prefix)
+    };
+    let (scenario_a, metrics_a) = scenario('A', config.scenario_a_runs);
+    let (scenario_b, metrics_b) = scenario('B', config.scenario_b_runs);
     let mut metrics = metrics_a;
     metrics.merge(&metrics_b);
     Table4Result {
@@ -330,5 +339,30 @@ mod tests {
             .histogram("detector.detection_latency_cycles")
             .expect("table4 metrics must carry detection latency");
         assert!(latency.count > 0, "{latency:?}");
+    }
+
+    #[test]
+    fn scenario_runs_replay_the_whole_pre_pedal_prefix() {
+        // Boot and the Pedal-Up wait must stay seed-independent: if they
+        // stop being so, the shared prefix silently stops saving anything.
+        let mut cfg = Table4Config::quick(9);
+        cfg.training.runs = 2;
+        let thresholds = train_thresholds_with(&cfg.training, &ExecutorConfig::serial()).thresholds;
+        let runs = 8;
+        for workers in [1, 2] {
+            for scenario in ['A', 'B'] {
+                let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+                let exec = ExecutorConfig::with_workers(workers);
+                let _ = run_scenario(scenario, runs, &cfg, thresholds, &exec, &prefix);
+                assert_eq!(prefix.recorded_periods(), prefix.cap());
+                // Only the runs that started alongside the first one
+                // (one per worker) may have integrated any period.
+                let replays = prefix.full_replays();
+                assert!(
+                    replays >= u64::from(runs) - workers as u64 && replays < u64::from(runs),
+                    "{scenario} on {workers} worker(s): {replays} of {runs} runs replayed"
+                );
+            }
+        }
     }
 }

@@ -6,9 +6,12 @@
 //! the physical system, advanced together on a 1 ms virtual clock. Every
 //! experiment in this reproduction is a configuration of this one loop.
 
+use std::sync::Arc;
+
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};
 use raven_control::{ControllerConfig, FaultReason, OperatorInput, RavenController};
 use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor, SharedDetector};
+use raven_dynamics::plant::PlantPrefix;
 use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::chaos::{ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder};
 use raven_hw::{EStopCause, FaultWindow, HardwareRig, RobotState};
@@ -146,7 +149,11 @@ pub struct SimConfig {
     pub workload: Workload,
     /// Operator tremor RMS (meters); `3e-5` is the standard value.
     pub tremor: f64,
-    /// Teleoperation duration after boot (milliseconds of Pedal Down).
+    /// Session length in milliseconds (one cycle each), counted from the
+    /// end of boot (~1 594 ms after power-up), not from the pedal press at
+    /// [`Simulation::PEDAL_PRESS_MS`]: the first ~906 ms of it are the
+    /// brakes-on Pedal-Up wait, so a 2 500 ms session has ~1 594 ms of
+    /// Pedal Down.
     pub session_ms: u64,
     /// Foot-pedal pattern.
     pub pedal: PedalPattern,
@@ -295,9 +302,16 @@ impl Simulation {
     /// triggering cycle).
     const INCIDENT_WINDOW_MS: u64 = 250;
 
-    /// Virtual start of the chaos-fault window: after boot (< 2 s) and the
-    /// pedal press (2.5 s), so chaos exercises the teleoperation phase.
-    const CHAOS_START_MS: u64 = 2_800;
+    /// Virtual time (ms after power-up) of the operator's first pedal
+    /// press. Boot (idle, start button, homing) ends well before it, about
+    /// 1 594 ms in; until this press nothing seed-dependent reaches the
+    /// plant, so it is also the cap of a shared [`PlantPrefix`].
+    pub const PEDAL_PRESS_MS: u64 = 2_500;
+
+    /// Virtual start of the chaos-fault window: 300 ms after the pedal
+    /// press ([`Simulation::PEDAL_PRESS_MS`]), so chaos exercises the
+    /// teleoperation phase.
+    const CHAOS_START_MS: u64 = Self::PEDAL_PRESS_MS + 300;
 
     /// Builds the clean system for a configuration (no attack installed).
     pub fn new(config: SimConfig) -> Self {
@@ -349,7 +363,7 @@ impl Simulation {
 
         // Boot (pre-start idle + homing from the stowed pose) takes < 2 s;
         // the pedal pattern starts shortly after.
-        let pedal_start = SimTime::ZERO + SimDuration::from_millis(2_500);
+        let pedal_start = SimTime::ZERO + SimDuration::from_millis(Self::PEDAL_PRESS_MS);
         let schedule = match config.pedal {
             PedalPattern::DownAfterBoot => PedalSchedule::down_after(pedal_start),
             PedalPattern::DutyCycle { work_ms, rest_ms, cycles } => PedalSchedule::duty_cycle(
@@ -456,6 +470,20 @@ impl Simulation {
         if let Some(det) = &self.detector {
             det.lock().set_span_handle(self.spans.clone());
         }
+    }
+
+    /// Shares the plant's pre-pedal trajectory with the sibling runs of a
+    /// sweep: periods a sibling already integrated from the same state
+    /// under the same inputs are copied, not re-integrated. Every artifact
+    /// stays byte-identical; only the plant is shared — the console, link,
+    /// detector and BITW keep their own seeded state.
+    ///
+    /// Takes effect only before the first step; returns whether the plant
+    /// attached (see [`RavenPlant::share_prefix`]).
+    ///
+    /// [`RavenPlant::share_prefix`]: raven_dynamics::RavenPlant::share_prefix
+    pub fn share_plant_prefix(&mut self, prefix: &Arc<PlantPrefix>) -> bool {
+        self.clock.ticks() == 0 && self.rig.plant.share_prefix(Arc::clone(prefix))
     }
 
     /// Installs an attack before the session starts.
@@ -1133,6 +1161,50 @@ mod tests {
             serde_json::to_string(&burst_out).unwrap()
         );
         assert_eq!(solo.events().len(), burst.events().len());
+    }
+
+    #[test]
+    fn a_run_on_a_siblings_prefix_is_byte_identical_to_a_standalone_run() {
+        let build = |seed: u64, workload: Workload| {
+            let mut sim = Simulation::new(SimConfig {
+                workload,
+                session_ms: 2_500,
+                detector: Some(DetectorSetup::default()),
+                ..SimConfig::standard(seed)
+            });
+            sim.install_attack(&AttackSetup::ScenarioB {
+                dac_delta: 24_000,
+                channel: (seed % 3) as usize,
+                delay_packets: 300,
+                duration_packets: 128,
+            });
+            sim
+        };
+        let run = |mut sim: Simulation| {
+            sim.boot();
+            let out = sim.run_session();
+            [
+                serde_json::to_string(&out).unwrap(),
+                serde_json::to_string(&sim.metrics()).unwrap(),
+                serde_json::to_string(&sim.events()).unwrap(),
+            ]
+        };
+        let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+        let mut sibling = build(31, Workload::Circle);
+        assert!(sibling.share_plant_prefix(&prefix));
+        let _ = run(sibling);
+        assert_eq!(prefix.recorded_periods(), prefix.cap());
+
+        let mut shared = build(37, Workload::Suturing);
+        assert!(shared.share_plant_prefix(&prefix));
+        let shared = run(shared);
+        assert_eq!(prefix.full_replays(), 1, "the second run replays every pre-pedal period");
+        assert_eq!(shared, run(build(37, Workload::Suturing)));
+
+        // Attaching after the first step is a no-op.
+        let mut late = build(41, Workload::Circle);
+        late.step();
+        assert!(!late.share_plant_prefix(&prefix));
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! velocities of each of the variables over 600 fault-free runs of the model
 //! with two different trajectories containing sufficient variability".
 
+use std::sync::Arc;
+
 use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation, ThresholdLearner};
+use raven_dynamics::plant::PlantPrefix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
@@ -80,6 +83,7 @@ pub fn train_thresholds(config: &TrainingConfig) -> TrainingReport {
 /// faulting run is reported with its index and seed).
 pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> TrainingReport {
     assert!(config.runs > 0, "training needs at least one run");
+    let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
     let learners = run_sweep(
         "training",
         config.runs as usize,
@@ -103,6 +107,7 @@ pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> 
                 ..SimConfig::standard(0)
             };
             let mut sim = Simulation::new(sim_config);
+            sim.share_plant_prefix(&prefix);
             sim.boot();
             let outcome = sim.run_session();
             assert!(

@@ -9,12 +9,19 @@
 //! attacking outside Pedal Down "may not have the desired malicious effect"
 //! (§III.B.3).
 
+use std::sync::Arc;
+
 use raven_kinematics::{JointState, MotorState, NUM_AXES, WRIST_AXES};
 use raven_math::ode::{Integrator, Rk4};
 use serde::{Deserialize, Serialize};
 
 use crate::params::PlantParams;
 use crate::state::{PlantState, ODE_DIM};
+
+mod prefix;
+
+pub use prefix::PlantPrefix;
+use prefix::{Lookup, Origin, PeriodInputs};
 
 /// Derivative of the 12-dimensional plant state under shaft torques `tau_m`.
 ///
@@ -94,11 +101,43 @@ pub struct RavenPlant {
     substeps: u32,
     time: f64,
     wrist_target: [f64; WRIST_AXES],
+    prefix: Option<PrefixCursor>,
+}
+
+/// A plant's place on a shared [`PlantPrefix`] while it stays attached.
+#[derive(Debug, Clone)]
+struct PrefixCursor {
+    prefix: Arc<PlantPrefix>,
+    /// The next control period.
+    period: usize,
+    /// The ODE state the next period must start from: the origin, then
+    /// each period's output.
+    expected: [f64; ODE_DIM],
+    /// Whether this plant integrated any period it was attached for.
+    recorded: bool,
+}
+
+impl PrefixCursor {
+    /// Whether the plant starts this period on the shared trajectory. A
+    /// braked period starts from the previous output with the shafts
+    /// stopped: that is what `engage_brakes` writes before it, in every
+    /// run alike.
+    fn on_path(&self, x: &[f64; ODE_DIM], inputs: &PeriodInputs, dt: f64) -> bool {
+        let mut expected = self.expected;
+        if inputs.braked() {
+            expected[3..6].fill(0.0);
+        }
+        dt.to_bits() == RavenPlant::CONTROL_PERIOD.to_bits() && prefix::same_bits(x, &expected)
+    }
 }
 
 impl RavenPlant {
     /// Default number of RK4 substeps per 1 ms control period.
     pub const DEFAULT_SUBSTEPS: u32 = 10;
+
+    /// The control period (seconds) [`RavenPlant::step_control_period`]
+    /// advances by; the only period a [`PlantPrefix`] records.
+    pub const CONTROL_PERIOD: f64 = 1e-3;
 
     /// Creates a plant at the mid-workspace rest configuration with brakes
     /// engaged (the robot powers up in E-STOP; paper Fig. 1(c)).
@@ -116,7 +155,25 @@ impl RavenPlant {
             substeps: Self::DEFAULT_SUBSTEPS,
             time: 0.0,
             wrist_target: state.wrist,
+            prefix: None,
         }
+    }
+
+    /// Attaches the plant to a trajectory prefix shared with the sibling
+    /// runs of a sweep, from its current state on (see [`PlantPrefix`]).
+    /// Returns `false`, leaving the plant detached, unless its parameters,
+    /// ODE state and substeps are bit-equal to the prefix's origin (the
+    /// first plant offered fixes it).
+    pub fn share_prefix(&mut self, prefix: Arc<PlantPrefix>) -> bool {
+        let origin = Origin { params: self.params, x0: self.state.x, substeps: self.substeps };
+        let attached = prefix.admits(&origin);
+        self.prefix = attached.then_some(PrefixCursor {
+            prefix,
+            period: 0,
+            expected: self.state.x,
+            recorded: false,
+        });
+        attached
     }
 
     /// Overrides the number of RK4 substeps per control period.
@@ -127,6 +184,8 @@ impl RavenPlant {
     pub fn set_substeps(&mut self, substeps: u32) {
         assert!(substeps > 0, "substeps must be positive");
         self.substeps = substeps;
+        // A shared prefix was keyed on the old substeps.
+        self.prefix = None;
     }
 
     /// Current plant state.
@@ -174,10 +233,13 @@ impl RavenPlant {
     /// torques (zero-order hold, as the motor controllers apply between
     /// USB packets).
     pub fn step_control_period(&mut self, tau_m: &[f64; NUM_AXES]) {
-        self.step(tau_m, 1e-3);
+        self.step(tau_m, Self::CONTROL_PERIOD);
     }
 
     /// Advances the plant by `dt` seconds under constant shaft torques.
+    ///
+    /// An attached [`PlantPrefix`] replays the ODE step when a sibling run
+    /// already integrated it from the same state under the same inputs.
     ///
     /// # Panics
     ///
@@ -186,6 +248,58 @@ impl RavenPlant {
         assert!(dt.is_finite() && dt > 0.0, "invalid plant step dt = {dt}");
         let h = dt / f64::from(self.substeps);
         let torques = if self.brakes_engaged { [0.0; NUM_AXES] } else { *tau_m };
+        let inputs = PeriodInputs::new(self.brakes_engaged, &torques);
+        let lookup = match &self.prefix {
+            Some(cursor) if cursor.on_path(&self.state.x, &inputs, dt) => {
+                cursor.prefix.replay_period(cursor.period, &inputs)
+            }
+            _ => Lookup::Miss,
+        };
+        if let Lookup::Hit(out) = lookup {
+            self.state.x = out;
+            for _ in 0..self.substeps {
+                self.time += h;
+            }
+        } else {
+            self.integrate(torques, h);
+        }
+        self.advance_prefix(lookup, &inputs);
+        // Wrist servos: exact first-order lag toward their targets.
+        let lag = (-dt / self.params.wrist_time_constant).exp();
+        for i in 0..WRIST_AXES {
+            if !self.brakes_engaged {
+                self.state.wrist[i] =
+                    self.wrist_target[i] + (self.state.wrist[i] - self.wrist_target[i]) * lag;
+            }
+        }
+    }
+
+    /// Moves an attached plant's cursor past the period just stepped: it
+    /// offers an integrated frontier period to the prefix, and detaches on
+    /// a miss, on losing a frontier race, or at the cap.
+    fn advance_prefix(&mut self, lookup: Lookup, inputs: &PeriodInputs) {
+        let Some(cursor) = &mut self.prefix else { return };
+        let on_path = match lookup {
+            Lookup::Hit(_) => true,
+            Lookup::Frontier => {
+                cursor.recorded = true;
+                cursor.prefix.record_period(cursor.period, inputs, &self.state.x)
+            }
+            Lookup::Miss => false,
+        };
+        cursor.period += 1;
+        cursor.expected = self.state.x;
+        if on_path && cursor.period < cursor.prefix.cap() {
+            return;
+        }
+        if on_path && !cursor.recorded {
+            cursor.prefix.note_full_replay();
+        }
+        self.prefix = None;
+    }
+
+    /// Runs RK4 over one step of `substeps × h` seconds.
+    fn integrate(&mut self, torques: [f64; NUM_AXES], h: f64) {
         let rk4 = Rk4;
         for _ in 0..self.substeps {
             if self.brakes_engaged {
@@ -210,14 +324,6 @@ impl RavenPlant {
                 self.state.x = rk4.step(&self.state.x, self.time, h, &deriv);
             }
             self.time += h;
-        }
-        // Wrist servos: exact first-order lag toward their targets.
-        let lag = (-dt / self.params.wrist_time_constant).exp();
-        for i in 0..WRIST_AXES {
-            if !self.brakes_engaged {
-                self.state.wrist[i] =
-                    self.wrist_target[i] + (self.state.wrist[i] - self.wrist_target[i]) * lag;
-            }
         }
     }
 
