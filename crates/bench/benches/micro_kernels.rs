@@ -4,7 +4,8 @@
 //! * one dynamic-model step, Euler and RK4 (Fig. 8: 0.011 / 0.032 ms on the
 //!   authors' testbed);
 //! * one bare/logged/injected channel write (Table II);
-//! * FK + IK round (the kinematic chain of Fig. 2);
+//! * forward kinematics with and without the tool frame, and an FK + IK
+//!   round (the kinematic chain of Fig. 2);
 //! * one full plant control-period step (the simulation's hot loop);
 //! * the scalar-vs-batched estimator+detector kernel at M ∈ {1, 8, 64, 256}
 //!   sessions (the SoA fleet kernel in `raven_dynamics::batch` /
@@ -75,14 +76,19 @@ fn bench_channel_write(c: &mut Criterion) {
 fn bench_kinematics(c: &mut Criterion) {
     let arm = ArmConfig::raven_ii_left();
     let joints = JointState::new(0.3, 1.4, 0.28);
-    let pos = arm.forward(&joints).position;
-    c.bench_function("fk_ik_round", |b| {
+    let pos = arm.position(&joints);
+    let mut group = c.benchmark_group("kinematics");
+    group.bench_function("fk_ik_round", |b| {
         b.iter(|| {
             let fk = arm.forward(black_box(&joints));
             let ik = arm.inverse(black_box(pos)).expect("reachable");
             black_box((fk, ik))
         })
     });
+    // The full pose beside the per-cycle form, which builds no tool frame.
+    group.bench_function("forward", |b| b.iter(|| black_box(arm.forward(black_box(&joints)))));
+    group.bench_function("position", |b| b.iter(|| black_box(arm.position(black_box(&joints)))));
+    group.finish();
 }
 
 fn bench_guard_assess(c: &mut Criterion) {
@@ -148,7 +154,7 @@ struct ScalingPoint {
 
 #[derive(Serialize)]
 struct KernelsBench {
-    quick_mode: bool,
+    header: bench::BenchHeader,
     cycles_per_repeat: usize,
     repeats: usize,
     lookahead_steps: u32,
@@ -289,7 +295,7 @@ fn bench_batch_scaling() {
     );
 
     let record = KernelsBench {
-        quick_mode: quick,
+        header: bench::BenchHeader::current(),
         cycles_per_repeat: cycles,
         repeats,
         lookahead_steps: lookahead,

@@ -76,6 +76,45 @@ pub fn quick_mode() -> bool {
     std::env::var("RAVEN_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
+/// The header of a wall-clock `BENCH_*.json` record: what a number needs
+/// beside it to be compared with one taken on another host or commit.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct BenchHeader {
+    /// Cores the host exposes (`available_parallelism`).
+    pub nproc: usize,
+    /// Reduced sizes ([`quick_mode`]) rather than full ones.
+    pub quick_mode: bool,
+    /// The checkout's commit (`git describe --always --dirty`: suffixed
+    /// `-dirty` when the work tree has uncommitted changes), or `unknown`
+    /// outside a git work tree.
+    pub commit: String,
+}
+
+impl BenchHeader {
+    /// The header for a run on this host, in this mode, at this checkout.
+    pub fn current() -> Self {
+        let workspace = results_dir().parent().map(std::path::Path::to_path_buf);
+        let commit = workspace
+            .and_then(|root| {
+                std::process::Command::new("git")
+                    .args(["describe", "--always", "--dirty", "--abbrev=40"])
+                    .current_dir(&root)
+                    // Never pick up a repository above the workspace.
+                    .env("GIT_CEILING_DIRECTORIES", root.parent().unwrap_or(&root))
+                    .output()
+                    .ok()
+            })
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string());
+        BenchHeader {
+            nproc: std::thread::available_parallelism().map_or(1, usize::from),
+            quick_mode: quick_mode(),
+            commit,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,6 +137,13 @@ mod tests {
         assert!(text.contains("stage_a"));
         assert!(text.contains("mean_us"));
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn header_names_a_commit_and_at_least_one_core() {
+        let h = BenchHeader::current();
+        assert!(h.nproc >= 1);
+        assert!(!h.commit.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Per control cycle: encoder feedback gives current motor positions
 //! (`mpos`), the coupling inverse gives current joints (`jpos`), forward
-//! kinematics gives the end-effector pose (`pos`, `ori`); the desired
+//! kinematics gives the end-effector position (`pos`); the desired
 //! end-effector position (`pos_d`) goes through inverse kinematics to
 //! desired joints (`jpos_d`) and through the coupling to desired motors
 //! (`mpos_d`).
@@ -27,7 +27,7 @@ pub struct ChainOutput {
 }
 
 /// The chain evaluator; owns the arm geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KinematicChain {
     arm: ArmConfig,
 }
@@ -46,12 +46,15 @@ impl KinematicChain {
     /// Current joints and end-effector position for measured motors.
     pub fn current(&self, motors: &MotorState) -> (JointState, Vec3) {
         let joints = self.arm.motors_to_joints(motors);
-        let pos = self.arm.forward(&joints).position;
+        let pos = self.arm.position(&joints);
         (joints, pos)
     }
 
-    /// Full pipeline: measured motors + desired end-effector position →
-    /// desired joints and motors.
+    /// Full pipeline: the measured pose from [`KinematicChain::current`] +
+    /// desired end-effector position → desired joints and motors.
+    ///
+    /// Taking `current`'s result instead of the motors keeps a controller
+    /// cycle at one forward-kinematics evaluation.
     ///
     /// # Errors
     ///
@@ -60,10 +63,9 @@ impl KinematicChain {
     /// "Unwanted state (IK-fail)").
     pub fn resolve(
         &self,
-        current_motors: &MotorState,
+        (current_joints, current_pos): (JointState, Vec3),
         desired_pos: Vec3,
     ) -> Result<ChainOutput, IkError> {
-        let (current_joints, current_pos) = self.current(current_motors);
         let desired_joints = self.arm.inverse(desired_pos)?;
         let desired_motors = self.arm.joints_to_motors(&desired_joints);
         Ok(ChainOutput { current_joints, current_pos, desired_joints, desired_motors })
@@ -83,11 +85,12 @@ mod tests {
         let c = chain();
         let joints = JointState::new(0.3, 1.3, 0.28);
         let motors = c.arm().joints_to_motors(&joints);
-        let (j, pos) = c.current(&motors);
+        let current = c.current(&motors);
+        let (j, pos) = current;
         assert!((j.shoulder - joints.shoulder).abs() < 1e-9);
         // Resolving the current position as the target yields the current
         // joints/motors (a hold command).
-        let out = c.resolve(&motors, pos).unwrap();
+        let out = c.resolve(current, pos).unwrap();
         assert!(out.desired_motors.delta(motors).max_abs() < 1e-6);
         assert!((out.current_pos - pos).norm() < 1e-12);
     }
@@ -97,11 +100,11 @@ mod tests {
         let c = chain();
         let joints = JointState::new(0.0, 1.4, 0.3);
         let motors = c.arm().joints_to_motors(&joints);
-        let (_, pos) = c.current(&motors);
-        let target = pos + Vec3::new(1e-3, -1e-3, 0.5e-3);
-        let out = c.resolve(&motors, target).unwrap();
+        let current = c.current(&motors);
+        let target = current.1 + Vec3::new(1e-3, -1e-3, 0.5e-3);
+        let out = c.resolve(current, target).unwrap();
         // FK of the desired joints lands on the target.
-        let reached = c.arm().forward(&out.desired_joints).position;
+        let reached = c.arm().position(&out.desired_joints);
         assert!((reached - target).norm() < 1e-9);
     }
 
@@ -109,7 +112,7 @@ mod tests {
     fn resolve_propagates_ik_failure() {
         let c = chain();
         let motors = MotorState::default();
-        let err = c.resolve(&motors, c.arm().remote_center).unwrap_err();
+        let err = c.resolve(c.current(&motors), c.arm().remote_center).unwrap_err();
         assert!(matches!(err, IkError::InsertionOutOfRange { .. }));
     }
 }

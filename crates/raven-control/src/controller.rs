@@ -308,7 +308,7 @@ impl RavenController {
                     *desired = pos + lead * (self.config.max_tracking_error / lead.norm());
                 }
                 let desired = *desired;
-                match self.chain.resolve(&mpos, desired) {
+                match self.chain.resolve((jpos, pos), desired) {
                     Ok(out) => {
                         mpos_d = Some(out.desired_motors);
                         self.run_pids(&out.desired_motors, &mpos, &mvel, DT, &mut dac);
@@ -607,7 +607,7 @@ mod tests {
         ctl.cycle(None, &fb);
         let t = ctl.telemetry().unwrap();
         assert!((t.jpos.shoulder - joints.shoulder).abs() < 1e-3);
-        let expect = ctl.chain().arm().forward(&joints).position;
+        let expect = ctl.chain().arm().position(&joints);
         assert!((t.pos - expect).norm() < 1e-3);
     }
 }

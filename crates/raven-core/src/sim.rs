@@ -833,7 +833,7 @@ impl Simulation {
         let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_PLANT);
         self.rig.step(now);
-        self.record_ee();
+        let ee = self.record_ee();
         if self.config.record_cycles {
             let state = *self.rig.plant.state();
             self.cycle_log.push(CycleRecord {
@@ -843,8 +843,6 @@ impl Simulation {
                 state,
                 engaged: !self.rig.plant.brakes_engaged(),
             });
-            let arm = self.controller.chain().arm();
-            let ee = arm.forward(&state.joint_pos()).position;
             let j = state.joint_pos().to_array();
             self.trace.record(channels::EE_X_MM, now, ee.x * 1e3);
             self.trace.record(channels::EE_Y_MM, now, ee.y * 1e3);
@@ -1061,9 +1059,11 @@ impl Simulation {
         self.prev_lost = lost;
     }
 
-    fn record_ee(&mut self) {
+    /// Appends the plant's true end-effector position to the jump window
+    /// and returns it.
+    fn record_ee(&mut self) -> Vec3 {
         let arm = self.controller.chain().arm();
-        let pos = arm.forward(&self.rig.plant.true_joints()).position;
+        let pos = arm.position(&self.rig.plant.true_joints());
         self.ee_history.push(pos);
         let n = self.ee_history.len();
         if n >= 2 {
@@ -1078,6 +1078,7 @@ impl Simulation {
         if n > 8 {
             self.ee_history.drain(..n - 4);
         }
+        pos
     }
 
     fn outcome(&self, ticks: u64) -> SessionOutcome {

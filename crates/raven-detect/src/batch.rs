@@ -398,7 +398,7 @@ impl BatchDetector {
                 continue;
             };
             let predicted = self.model.state(l);
-            let ee_now = lane.arm.forward(&current.joint_pos()).position;
+            let ee_now = lane.arm.position(&current.joint_pos());
             self.ee_now[l] = ee_now;
             let features = InstantFeatures::compute_with_current_ee(
                 &lane.arm,
@@ -430,7 +430,7 @@ impl BatchDetector {
                 let Some(assessment) = &mut self.verdicts[l] else { continue };
                 let ee_now = self.ee_now[l];
                 let rolled = self.model.state(l);
-                let end = lane.arm.forward(&rolled.joint_pos()).position;
+                let end = lane.arm.position(&rolled.joint_pos());
                 assessment.features.ee_step = assessment.features.ee_step.max(ee_now.distance(end));
                 self.ee_step[l] = assessment.features.ee_step;
             }

@@ -37,7 +37,7 @@ impl InstantFeatures {
     ///
     /// Panics if `dt` is not positive and finite.
     pub fn compute(arm: &ArmConfig, current: &PlantState, predicted: &PlantState, dt: f64) -> Self {
-        let ee_now = arm.forward(&current.joint_pos()).position;
+        let ee_now = arm.position(&current.joint_pos());
         Self::compute_with_current_ee(arm, current, predicted, dt, ee_now)
     }
 
@@ -73,7 +73,7 @@ impl InstantFeatures {
             motor_vel[i] = mv_next[i].abs();
             joint_vel[i] = jv_next[i].abs();
         }
-        let ee_next = arm.forward(&predicted.joint_pos()).position;
+        let ee_next = arm.position(&predicted.joint_pos());
         InstantFeatures { motor_accel, motor_vel, joint_vel, ee_step: ee_now.distance(ee_next) }
     }
 

@@ -113,6 +113,7 @@ pub struct FleetMonitor {
     sessions: Vec<MonitorSession>,
     detector: BatchDetector,
     shared_params: PlantParams,
+    arm: ArmConfig,
 }
 
 impl FleetMonitor {
@@ -127,10 +128,10 @@ impl FleetMonitor {
         let params = PlantParams::raven_ii();
         let arm = ArmConfig::builder().coupling(params.coupling()).build();
         let model = RtModel::new(params);
-        let arms: Vec<ArmConfig> = vec![arm; config.width];
+        let arms: Vec<ArmConfig> = vec![arm.clone(); config.width];
         let models: Vec<RtModel> = vec![model; config.width];
         let detector = BatchDetector::from_models(&arms, &models, config.detector);
-        FleetMonitor { config, sessions, detector, shared_params: params }
+        FleetMonitor { config, sessions, detector, shared_params: params, arm }
     }
 
     /// The estimator model a session's lane is admitted with.
@@ -140,7 +141,7 @@ impl FleetMonitor {
 
     /// The arm config every lane shares.
     pub fn shared_arm(&self) -> ArmConfig {
-        ArmConfig::builder().coupling(self.shared_params.coupling()).build()
+        self.arm.clone()
     }
 
     /// The synthetic measurement stream: a smooth per-session sinusoid

@@ -1,7 +1,6 @@
 //! Arm configuration: geometry, coupling, and limits in one place.
 
 use raven_math::Vec3;
-use serde::{Deserialize, Serialize};
 
 use crate::coupling::CouplingMatrix;
 use crate::joints::{JointState, MotorState};
@@ -24,12 +23,16 @@ use crate::spherical::{self, FkResult, IkError};
 ///     .build();
 /// assert_eq!(arm.remote_center.y, 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The link arc angles are fixed once built (read them through
+/// [`ArmConfig::alpha1`] / [`ArmConfig::alpha2`]), so their sines and
+/// cosines are computed once in [`ArmConfigBuilder::build`] and every
+/// FK, IK and Jacobian evaluation reads the cached [`LinkTrig`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArmConfig {
-    /// First link arc angle α1 (radians); 75° on RAVEN II.
-    pub alpha1: f64,
-    /// Second link arc angle α2 (radians); 52° on RAVEN II.
-    pub alpha2: f64,
+    alpha1: f64,
+    alpha2: f64,
+    trig: LinkTrig,
     /// Remote center (surgical port) in the base frame (meters).
     pub remote_center: Vec3,
     /// Cable coupling between joint and motor space.
@@ -55,9 +58,35 @@ impl ArmConfig {
         ArmConfigBuilder::default()
     }
 
-    /// Forward kinematics for the positioning joints.
+    /// First link arc angle α1 (radians); 75° on RAVEN II.
+    pub fn alpha1(&self) -> f64 {
+        self.alpha1
+    }
+
+    /// Second link arc angle α2 (radians); 52° on RAVEN II.
+    pub fn alpha2(&self) -> f64 {
+        self.alpha2
+    }
+
+    /// Sines and cosines of the link arc angles, computed when the arm was
+    /// built.
+    pub fn link_trig(&self) -> LinkTrig {
+        self.trig
+    }
+
+    /// Forward kinematics for the positioning joints: the full tool pose.
+    ///
+    /// Callers that need only the tip should use [`ArmConfig::position`],
+    /// which skips building the tool-frame orientation and returns the same
+    /// bits as `forward(joints).position`.
     pub fn forward(&self, joints: &JointState) -> FkResult {
         spherical::forward(self, joints)
+    }
+
+    /// End-effector position for the positioning joints (forward kinematics
+    /// without the tool frame).
+    pub fn position(&self, joints: &JointState) -> Vec3 {
+        spherical::position(self, joints)
     }
 
     /// Inverse kinematics for an end-effector position.
@@ -85,7 +114,7 @@ impl ArmConfig {
 
     /// End-effector position reached by a motor state (coupling + FK).
     pub fn motor_to_position(&self, motors: &MotorState) -> Vec3 {
-        self.forward(&self.motors_to_joints(motors)).position
+        self.position(&self.motors_to_joints(motors))
     }
 
     /// A safe mid-workspace joint configuration (homing target).
@@ -97,6 +126,27 @@ impl ArmConfig {
 impl Default for ArmConfig {
     fn default() -> Self {
         ArmConfig::raven_ii_left()
+    }
+}
+
+/// Sines and cosines of the two link arc angles of an [`ArmConfig`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkTrig {
+    /// `sin α1`.
+    pub sa1: f64,
+    /// `cos α1`.
+    pub ca1: f64,
+    /// `sin α2`.
+    pub sa2: f64,
+    /// `cos α2`.
+    pub ca2: f64,
+}
+
+impl LinkTrig {
+    fn new(alpha1: f64, alpha2: f64) -> Self {
+        let (sa1, ca1) = alpha1.sin_cos();
+        let (sa2, ca2) = alpha2.sin_cos();
+        LinkTrig { sa1, ca1, sa2, ca2 }
     }
 }
 
@@ -164,11 +214,12 @@ impl ArmConfigBuilder {
         self
     }
 
-    /// Finalizes the configuration.
+    /// Finalizes the configuration and computes its [`LinkTrig`].
     pub fn build(self) -> ArmConfig {
         ArmConfig {
             alpha1: self.alpha1,
             alpha2: self.alpha2,
+            trig: LinkTrig::new(self.alpha1, self.alpha2),
             remote_center: self.remote_center,
             coupling: self.coupling,
             limits: self.limits,
@@ -190,7 +241,7 @@ mod tests {
         let l = ArmConfig::raven_ii_left();
         let r = ArmConfig::raven_ii_right();
         assert_ne!(l.remote_center, r.remote_center);
-        assert_eq!(l.alpha1, r.alpha1);
+        assert_eq!(l.alpha1(), r.alpha1());
     }
 
     #[test]
@@ -200,8 +251,8 @@ mod tests {
             .alpha2(0.8)
             .remote_center(Vec3::new(1.0, 2.0, 3.0))
             .build();
-        assert_eq!(arm.alpha1, 1.0);
-        assert_eq!(arm.alpha2, 0.8);
+        assert_eq!(arm.alpha1(), 1.0);
+        assert_eq!(arm.alpha2(), 0.8);
         assert_eq!(arm.remote_center, Vec3::new(1.0, 2.0, 3.0));
     }
 

@@ -13,7 +13,7 @@
 
 use raven_math::{Mat3, Vec3};
 
-use crate::config::ArmConfig;
+use crate::config::{ArmConfig, LinkTrig};
 use crate::joints::JointState;
 use crate::spherical;
 
@@ -23,8 +23,7 @@ use crate::spherical;
 pub fn jacobian(config: &ArmConfig, joints: &JointState) -> Mat3 {
     let (s1, c1) = joints.shoulder.sin_cos();
     let (s2, c2) = joints.elbow.sin_cos();
-    let (sa1, ca1) = config.alpha1.sin_cos();
-    let (sa2, ca2) = config.alpha2.sin_cos();
+    let LinkTrig { sa1, ca1, sa2, ca2 } = config.link_trig();
 
     // u = Rz(θ1) · v(θ2) with v as in `spherical::tool_direction`.
     let vx = sa2 * s2;
@@ -72,7 +71,7 @@ pub fn max_gain(config: &ArmConfig, joints: &JointState) -> f64 {
 /// Finite-difference Jacobian (for validation and as a fallback when the
 /// geometry is customized beyond the analytic form).
 pub fn jacobian_numeric(config: &ArmConfig, joints: &JointState, eps: f64) -> Mat3 {
-    let f = |j: &JointState| spherical::forward(config, j).position;
+    let f = |j: &JointState| spherical::position(config, j);
     let mut cols = [Vec3::ZERO; 3];
     for (axis, col) in cols.iter_mut().enumerate() {
         let mut plus = *joints;

@@ -31,7 +31,7 @@
 //!
 //! let arm = ArmConfig::raven_ii_left();
 //! let joints = JointState::new(0.5, 1.6, 0.35);
-//! let pos = arm.forward(&joints).position;
+//! let pos = arm.position(&joints);
 //! let solved = arm.inverse(pos)?;
 //! assert!((solved.shoulder - joints.shoulder).abs() < 1e-9);
 //! # Ok::<(), raven_kinematics::IkError>(())
@@ -46,7 +46,7 @@ pub mod joints;
 pub mod limits;
 pub mod spherical;
 
-pub use config::ArmConfig;
+pub use config::{ArmConfig, LinkTrig};
 pub use coupling::CouplingMatrix;
 pub use jacobian::{ee_velocity, jacobian, max_gain};
 pub use joints::{JointState, MotorState, NUM_AXES, NUM_CHANNELS, WRIST_AXES};

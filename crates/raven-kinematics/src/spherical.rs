@@ -17,7 +17,7 @@
 use raven_math::{Quat, Vec3};
 use serde::{Deserialize, Serialize};
 
-use crate::config::ArmConfig;
+use crate::config::{ArmConfig, LinkTrig};
 use crate::joints::JointState;
 
 /// Result of forward kinematics.
@@ -75,8 +75,7 @@ impl std::error::Error for IkError {}
 pub(crate) fn tool_direction(config: &ArmConfig, shoulder: f64, elbow: f64) -> Vec3 {
     let (s1, c1) = shoulder.sin_cos();
     let (s2, c2) = elbow.sin_cos();
-    let (sa1, ca1) = config.alpha1.sin_cos();
-    let (sa2, ca2) = config.alpha2.sin_cos();
+    let LinkTrig { sa1, ca1, sa2, ca2 } = config.link_trig();
 
     // v = Rx(α1) · Rz(θ2) · Rx(α2) · ẑ, expanded by hand (cheaper than
     // building quaternions in the hot loop).
@@ -88,10 +87,21 @@ pub(crate) fn tool_direction(config: &ArmConfig, shoulder: f64, elbow: f64) -> V
     Vec3::new(c1 * vx - s1 * vy, s1 * vx + c1 * vy, vz)
 }
 
+/// The tip along tool axis `axis` at insertion depth `insertion`.
+fn tip(config: &ArmConfig, axis: Vec3, insertion: f64) -> Vec3 {
+    config.remote_center + axis * insertion
+}
+
+/// Forward kinematics to the end-effector position only: the per-cycle
+/// form, which skips the tool frame that [`forward`] builds.
+pub(crate) fn position(config: &ArmConfig, joints: &JointState) -> Vec3 {
+    tip(config, tool_direction(config, joints.shoulder, joints.elbow), joints.insertion)
+}
+
 /// Forward kinematics: joints to end-effector pose.
 pub(crate) fn forward(config: &ArmConfig, joints: &JointState) -> FkResult {
     let axis = tool_direction(config, joints.shoulder, joints.elbow);
-    let position = config.remote_center + axis * joints.insertion;
+    let position = tip(config, axis, joints.insertion);
     // Tool frame: Z along the tool axis, roll given by the shoulder angle
     // (sufficient for the positioning analysis; the wrist DOF refine it).
     let orientation = orientation_from_axis(axis, joints.shoulder);
@@ -117,8 +127,7 @@ pub(crate) fn inverse(config: &ArmConfig, position: Vec3) -> Result<JointState, 
     }
     let u = rel / d3;
 
-    let (sa1, ca1) = config.alpha1.sin_cos();
-    let (sa2, ca2) = config.alpha2.sin_cos();
+    let LinkTrig { sa1, ca1, sa2, ca2 } = config.link_trig();
 
     // u_z = -sinα1 sinα2 cosθ2 + cosα1 cosα2  ⇒  cosθ2
     let cos_elbow = (ca1 * ca2 - u.z) / (sa1 * sa2);

@@ -1,13 +1,105 @@
 //! Property-based tests: FK∘IK identity, coupling invertibility, limits.
 
 use proptest::prelude::*;
-use raven_kinematics::{ArmConfig, CouplingMatrix, JointLimits, JointState, MotorState};
-use raven_math::Vec3;
+use raven_kinematics::{
+    jacobian, ArmConfig, CouplingMatrix, IkError, JointLimits, JointState, MotorState,
+};
+use raven_math::{Mat3, Vec3};
 
 fn in_limit_joints() -> impl Strategy<Value = JointState> {
     let l = JointLimits::raven_ii();
     (l.shoulder.0..l.shoulder.1, l.elbow.0..l.elbow.1, l.insertion.0..l.insertion.1)
         .prop_map(|(s, e, i)| JointState::new(s, e, i))
+}
+
+/// The left arm, the right arm, or a custom-geometry arm.
+fn arms() -> impl Strategy<Value = ArmConfig> {
+    (0..3u8, 0.2..2.9f64, 0.2..2.9f64).prop_map(|(which, a1, a2)| match which {
+        0 => ArmConfig::raven_ii_left(),
+        1 => ArmConfig::raven_ii_right(),
+        _ => ArmConfig::builder()
+            .alpha1(a1)
+            .alpha2(a2)
+            .remote_center(Vec3::new(-0.1, 0.05, 0.2))
+            .build(),
+    })
+}
+
+fn joint_bits(j: &JointState) -> [u64; 3] {
+    [j.shoulder.to_bits(), j.elbow.to_bits(), j.insertion.to_bits()]
+}
+
+fn vec_bits(v: Vec3) -> [u64; 3] {
+    v.to_array().map(f64::to_bits)
+}
+
+fn mat_bits(m: &Mat3) -> [[u64; 3]; 3] {
+    [0, 1, 2].map(|c| vec_bits(m.column(c)))
+}
+
+/// The IK and Jacobian formulas as they were before the arm cached its
+/// link-arc trig: `sin_cos` of both link angles on every call. The cached
+/// forms must reproduce them bit for bit.
+mod uncached {
+    use raven_kinematics::{ArmConfig, IkError, JointState};
+    use raven_math::{Mat3, Vec3};
+
+    fn tool_direction(arm: &ArmConfig, shoulder: f64, elbow: f64) -> Vec3 {
+        let (s1, c1) = shoulder.sin_cos();
+        let (s2, c2) = elbow.sin_cos();
+        let (sa1, ca1) = arm.alpha1().sin_cos();
+        let (sa2, ca2) = arm.alpha2().sin_cos();
+        let vx = sa2 * s2;
+        let vy = -ca1 * sa2 * c2 - sa1 * ca2;
+        let vz = -sa1 * sa2 * c2 + ca1 * ca2;
+        Vec3::new(c1 * vx - s1 * vy, s1 * vx + c1 * vy, vz)
+    }
+
+    pub fn inverse(arm: &ArmConfig, position: Vec3) -> Result<JointState, IkError> {
+        if !position.is_finite() {
+            return Err(IkError::NonFiniteTarget);
+        }
+        let rel = position - arm.remote_center;
+        let d3 = rel.norm();
+        if !(1e-9..=10.0).contains(&d3) {
+            return Err(IkError::InsertionOutOfRange { requested: d3 });
+        }
+        let u = rel / d3;
+        let (sa1, ca1) = arm.alpha1().sin_cos();
+        let (sa2, ca2) = arm.alpha2().sin_cos();
+        let cos_elbow = (ca1 * ca2 - u.z) / (sa1 * sa2);
+        let elbow = if (-1.0..=1.0).contains(&cos_elbow) {
+            cos_elbow.acos()
+        } else if cos_elbow.abs() <= 1.0 + 1e-9 {
+            if cos_elbow > 0.0 {
+                0.0
+            } else {
+                std::f64::consts::PI
+            }
+        } else {
+            return Err(IkError::DirectionUnreachable { cos_elbow });
+        };
+        let v = tool_direction(arm, 0.0, elbow);
+        let shoulder = raven_math::angles::wrap_to_pi(u.y.atan2(u.x) - v.y.atan2(v.x));
+        Ok(JointState::new(shoulder, elbow, d3))
+    }
+
+    pub fn jacobian(arm: &ArmConfig, joints: &JointState) -> Mat3 {
+        let (s1, c1) = joints.shoulder.sin_cos();
+        let (s2, c2) = joints.elbow.sin_cos();
+        let (sa1, ca1) = arm.alpha1().sin_cos();
+        let (sa2, ca2) = arm.alpha2().sin_cos();
+        let vx = sa2 * s2;
+        let vy = -ca1 * sa2 * c2 - sa1 * ca2;
+        let vz = -sa1 * sa2 * c2 + ca1 * ca2;
+        let dvx = sa2 * c2;
+        let dvy = ca1 * sa2 * s2;
+        let dvz = sa1 * sa2 * s2;
+        let u = Vec3::new(c1 * vx - s1 * vy, s1 * vx + c1 * vy, vz);
+        let du1 = Vec3::new(-s1 * vx - c1 * vy, c1 * vx - s1 * vy, 0.0);
+        let du2 = Vec3::new(c1 * dvx - s1 * dvy, s1 * dvx + c1 * dvy, dvz);
+        Mat3::from_columns(du1 * joints.insertion, du2 * joints.insertion, u)
+    }
 }
 
 proptest! {
@@ -36,6 +128,47 @@ proptest! {
         let eps = JointState::new(j.shoulder + 1e-3, j.elbow + 1e-3, j.insertion + 1e-4);
         let d = arm.forward(&j).position.distance(arm.forward(&eps).position);
         prop_assert!(d < 1.5e-3, "tip moved {d} m for a tiny joint step");
+    }
+
+    #[test]
+    fn position_has_the_bits_of_the_fk_position(arm in arms(), j in in_limit_joints()) {
+        prop_assert_eq!(vec_bits(arm.position(&j)), vec_bits(arm.forward(&j).position));
+    }
+
+    #[test]
+    fn cached_link_trig_has_the_bits_of_sin_cos(arm in arms()) {
+        let t = arm.link_trig();
+        let (sa1, ca1) = arm.alpha1().sin_cos();
+        let (sa2, ca2) = arm.alpha2().sin_cos();
+        prop_assert_eq!(
+            [t.sa1, t.ca1, t.sa2, t.ca2].map(f64::to_bits),
+            [sa1, ca1, sa2, ca2].map(f64::to_bits)
+        );
+    }
+
+    #[test]
+    fn cached_inverse_has_the_bits_of_the_uncached_formula(
+        arm in arms(),
+        j in in_limit_joints(),
+        p in prop::array::uniform3(-0.6..0.6f64),
+    ) {
+        // A reachable target (FK of in-limit joints) and an arbitrary one,
+        // which also exercises the error branches.
+        for target in [arm.position(&j), Vec3::from(p)] {
+            let cached: Result<JointState, IkError> = arm.inverse(target);
+            match (cached, uncached::inverse(&arm, target)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(joint_bits(&a), joint_bits(&b)),
+                (a, b) => prop_assert_eq!(a, b),
+            }
+        }
+    }
+
+    #[test]
+    fn cached_jacobian_has_the_bits_of_the_uncached_formula(
+        arm in arms(),
+        j in in_limit_joints(),
+    ) {
+        prop_assert_eq!(mat_bits(&jacobian(&arm, &j)), mat_bits(&uncached::jacobian(&arm, &j)));
     }
 
     #[test]
