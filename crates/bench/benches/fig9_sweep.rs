@@ -69,11 +69,14 @@ fn main() {
     assert!(big_long.p_adverse >= 0.5, "big/long must hurt");
     assert!(big_long.p_model >= big_long.p_raven, "model dominates RAVEN");
 
-    // Stage-timing sidecar: one representative full session, profiled.
-    // Wall-clock output, so it goes through save_profile (gitignored), never
-    // into the deterministic fig9_sweep.json record above.
+    // Stage-timing sidecar: one representative full session, traced.
+    // Wall-clock output, so it goes through save_profile_stats (gitignored),
+    // never into the deterministic fig9_sweep.json record above.
     let mut sim = raven_core::Simulation::new(raven_core::SimConfig::standard(21));
+    sim.enable_span_recorder();
     sim.boot();
     let _ = sim.run_session();
-    bench::save_profile("fig9_sweep", sim.profiler());
+    sim.spans().finish();
+    assert_eq!(sim.spans().dropped(), 0, "span cap hit: the profile would be partial");
+    bench::save_profile_stats("fig9_sweep", &sim.spans().stage_stats());
 }

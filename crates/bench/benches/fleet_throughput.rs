@@ -51,7 +51,7 @@ struct RigPoint {
 
 #[derive(Serialize)]
 struct FleetBench {
-    quick_mode: bool,
+    header: bench::BenchHeader,
     repeats: usize,
     idle_fraction: f64,
     monitor: Vec<MonitorPoint>,
@@ -179,7 +179,7 @@ fn main() {
     );
 
     let record = FleetBench {
-        quick_mode: quick,
+        header: bench::BenchHeader::current(),
         repeats,
         idle_fraction: 1.0 - 1.0 / IDLE_EVERY as f64,
         monitor: monitor_points,

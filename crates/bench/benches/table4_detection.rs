@@ -58,11 +58,14 @@ fn main() {
         );
     }
 
-    // Stage-timing sidecar: one representative full session, profiled.
-    // Wall-clock output, so it goes through save_profile (gitignored), never
-    // into the deterministic table4_detection.json record above.
+    // Stage-timing sidecar: one representative full session, traced.
+    // Wall-clock output, so it goes through save_profile_stats (gitignored),
+    // never into the deterministic table4_detection.json record above.
     let mut sim = raven_core::Simulation::new(raven_core::SimConfig::standard(9));
+    sim.enable_span_recorder();
     sim.boot();
     let _ = sim.run_session();
-    bench::save_profile("table4_detection", sim.profiler());
+    sim.spans().finish();
+    assert_eq!(sim.spans().dropped(), 0, "span cap hit: the profile would be partial");
+    bench::save_profile_stats("table4_detection", &sim.spans().stage_stats());
 }

@@ -34,28 +34,15 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
     println!("\n[saved {}]", path.display());
 }
 
-/// Persists a [`simbus::StageProfiler`] report as a **non-deterministic
-/// sidecar** at `results/profile_<name>.json`.
-///
-/// Wall-clock stage timings vary run to run, so these files are gitignored
-/// and must never be byte-compared or folded into the deterministic
-/// experiment records written by [`save_json`] (lint rule R1 allowlists the
-/// profiler exactly because its output stays out of those artifacts).
-///
-/// # Panics
-///
-/// Panics if the results directory cannot be created or the file cannot be
-/// written.
-pub fn save_profile(name: &str, profiler: &simbus::StageProfiler) {
-    save_profile_stats(name, &profiler.report());
-}
-
-/// Persists any `Vec<StageStats>`-shaped timing report as a
+/// Persists a span-derived stage profile (`SpanHandle::stage_stats`, or
+/// the sweep-trace collector's `SweepTraceCollector::stage_stats`) as a
 /// **non-deterministic sidecar** at `results/profile_<name>.json` — the
-/// one profile schema shared by the stage profiler, the span layer
-/// (`SpanHandle::stage_stats`), and the sweep-trace collector
-/// (`SweepTraceCollector::stage_stats`), so every producer and the
-/// `raven-sim --profile-json` flag write interchangeable files.
+/// one profile schema, which `raven-sim --profile-json` writes too. Rows
+/// are keyed by span path (`span.cycle/span.stage.plant`).
+///
+/// Wall-clock timings vary run to run, so these files are gitignored and
+/// must never be byte-compared or folded into the deterministic
+/// experiment records written by [`save_json`].
 ///
 /// # Panics
 ///
@@ -127,11 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn save_profile_writes_sidecar() {
-        let mut p = simbus::StageProfiler::new();
-        p.record_ns("stage_a", 1_000);
-        p.record_ns("stage_a", 3_000);
-        save_profile("_selftest", &p);
+    fn save_profile_stats_writes_sidecar() {
+        let row = simbus::StageStats::from_samples_ns("stage_a".into(), &mut [1_000, 3_000]);
+        save_profile_stats("_selftest", &[row]);
         let path = results_dir().join("profile__selftest.json");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("stage_a"));

@@ -9,17 +9,11 @@
 
 use raven_kinematics::{ArmConfig, IkError, JointState, MotorState};
 use raven_math::Vec3;
-use serde::{Deserialize, Serialize};
 
-/// All intermediate results of one pipeline evaluation, exposed so callers
-/// (the safety checker, the trace recorder, the detector) never recompute
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The desired half of one pipeline evaluation, exposed so the safety
+/// checker never recomputes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChainOutput {
-    /// Current joint positions (from encoders through the coupling).
-    pub current_joints: JointState,
-    /// Current end-effector position (FK of `current_joints`).
-    pub current_pos: Vec3,
     /// Desired joint positions (IK of the desired position).
     pub desired_joints: JointState,
     /// Desired motor positions (coupling of `desired_joints`).
@@ -50,25 +44,18 @@ impl KinematicChain {
         (joints, pos)
     }
 
-    /// Full pipeline: the measured pose from [`KinematicChain::current`] +
-    /// desired end-effector position → desired joints and motors.
-    ///
-    /// Taking `current`'s result instead of the motors keeps a controller
-    /// cycle at one forward-kinematics evaluation.
+    /// Desired end-effector position → desired joints (IK) and motors
+    /// (coupling); the measured half is [`KinematicChain::current`].
     ///
     /// # Errors
     ///
     /// Returns [`IkError`] when `desired_pos` has no IK solution; the
     /// controller latches an IK-failure fault in that case (Table I's
     /// "Unwanted state (IK-fail)").
-    pub fn resolve(
-        &self,
-        (current_joints, current_pos): (JointState, Vec3),
-        desired_pos: Vec3,
-    ) -> Result<ChainOutput, IkError> {
+    pub fn resolve(&self, desired_pos: Vec3) -> Result<ChainOutput, IkError> {
         let desired_joints = self.arm.inverse(desired_pos)?;
         let desired_motors = self.arm.joints_to_motors(&desired_joints);
-        Ok(ChainOutput { current_joints, current_pos, desired_joints, desired_motors })
+        Ok(ChainOutput { desired_joints, desired_motors })
     }
 }
 
@@ -85,14 +72,12 @@ mod tests {
         let c = chain();
         let joints = JointState::new(0.3, 1.3, 0.28);
         let motors = c.arm().joints_to_motors(&joints);
-        let current = c.current(&motors);
-        let (j, pos) = current;
+        let (j, pos) = c.current(&motors);
         assert!((j.shoulder - joints.shoulder).abs() < 1e-9);
         // Resolving the current position as the target yields the current
         // joints/motors (a hold command).
-        let out = c.resolve(current, pos).unwrap();
+        let out = c.resolve(pos).unwrap();
         assert!(out.desired_motors.delta(motors).max_abs() < 1e-6);
-        assert!((out.current_pos - pos).norm() < 1e-12);
     }
 
     #[test]
@@ -100,9 +85,9 @@ mod tests {
         let c = chain();
         let joints = JointState::new(0.0, 1.4, 0.3);
         let motors = c.arm().joints_to_motors(&joints);
-        let current = c.current(&motors);
-        let target = current.1 + Vec3::new(1e-3, -1e-3, 0.5e-3);
-        let out = c.resolve(current, target).unwrap();
+        let (_, pos) = c.current(&motors);
+        let target = pos + Vec3::new(1e-3, -1e-3, 0.5e-3);
+        let out = c.resolve(target).unwrap();
         // FK of the desired joints lands on the target.
         let reached = c.arm().position(&out.desired_joints);
         assert!((reached - target).norm() < 1e-9);
@@ -111,8 +96,7 @@ mod tests {
     #[test]
     fn resolve_propagates_ik_failure() {
         let c = chain();
-        let motors = MotorState::default();
-        let err = c.resolve(c.current(&motors), c.arm().remote_center).unwrap_err();
+        let err = c.resolve(c.arm().remote_center).unwrap_err();
         assert!(matches!(err, IkError::InsertionOutOfRange { .. }));
     }
 }

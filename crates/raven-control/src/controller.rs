@@ -308,7 +308,7 @@ impl RavenController {
                     *desired = pos + lead * (self.config.max_tracking_error / lead.norm());
                 }
                 let desired = *desired;
-                match self.chain.resolve((jpos, pos), desired) {
+                match self.chain.resolve(desired) {
                     Ok(out) => {
                         mpos_d = Some(out.desired_motors);
                         self.run_pids(&out.desired_motors, &mpos, &mvel, DT, &mut dac);

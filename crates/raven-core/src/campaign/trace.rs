@@ -14,7 +14,7 @@
 //!   merge-stall summary (`raven-sim profile`).
 //!
 //! All timestamps are wall-clock nanoseconds against the collector's
-//! epoch: like `StageProfiler`, this is sidecar-only telemetry and must
+//! epoch: like span wall durations, this is sidecar-only telemetry and must
 //! never be folded into a serialized artifact. The default executor path
 //! (`trace: None`) takes no timestamps at all, so golden artifacts stay
 //! byte-identical.
@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use simbus::obs::{percentile_nearest_rank, spans, StageStats};
+use simbus::obs::{spans, StageStats};
 use simbus::ChromeTraceBuilder;
 
 /// One run's wall-clock lifecycle inside a sweep.
@@ -197,9 +197,8 @@ impl SweepTraceCollector {
     }
 
     /// One [`StageStats`] row per recorded segment over its run durations
-    /// (`exec/<label>`), in the `bench::save_profile` sidecar schema —
-    /// the same shape the span layer's `SpanHandle::stage_stats` and the
-    /// stage profiler report, so all three feed one `--profile-json` file
+    /// (`exec/<label>`): the schema of the span layer's
+    /// `SpanHandle::stage_stats`, so both feed one `--profile-json` file
     /// format.
     pub fn stage_stats(&self) -> Vec<StageStats> {
         self.segments()
@@ -207,18 +206,7 @@ impl SweepTraceCollector {
             .map(|seg| {
                 let mut samples: Vec<u64> =
                     seg.runs.iter().map(|r| r.finished_ns.saturating_sub(r.started_ns)).collect();
-                samples.sort_unstable();
-                let count = samples.len() as u64;
-                let sum: u64 = samples.iter().sum();
-                let to_us = |ns: u64| ns as f64 / 1_000.0;
-                StageStats {
-                    name: format!("exec/{}", seg.label),
-                    count,
-                    mean_us: if count > 0 { to_us(sum) / count as f64 } else { 0.0 },
-                    min_us: to_us(samples.first().copied().unwrap_or(0)),
-                    max_us: to_us(samples.last().copied().unwrap_or(0)),
-                    p99_us: to_us(percentile_nearest_rank(&samples, 0.99)),
-                }
+                StageStats::from_samples_ns(format!("exec/{}", seg.label), &mut samples)
             })
             .collect()
     }

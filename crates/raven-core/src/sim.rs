@@ -29,7 +29,7 @@ use simbus::obs::{
 use simbus::rng::derive_seed;
 use simbus::{
     ChaosConfig, ChaosFault, ChaosFaultKind, ChaosSchedule, LinkConfig, SimClock, SimDuration,
-    SimLink, SimTime, SpanHandle, StageProfiler,
+    SimLink, SimTime, SpanHandle,
 };
 
 use crate::scenario::AttackSetup;
@@ -280,7 +280,6 @@ pub struct Simulation {
     cycle_log: Vec<CycleRecord>,
     trace: simbus::TraceRecorder,
     observer: SharedObserver,
-    profiler: StageProfiler,
     spans: SpanHandle,
     incident: Option<IncidentReport>,
     chaos: Option<ChaosState>,
@@ -396,7 +395,6 @@ impl Simulation {
             cycle_log: Vec::new(),
             trace: simbus::TraceRecorder::new(),
             observer,
-            profiler: StageProfiler::new(),
             spans: SpanHandle::default(),
             incident: None,
             chaos: None,
@@ -446,12 +444,6 @@ impl Simulation {
     /// tripped it.
     pub fn incident(&self) -> Option<&IncidentReport> {
         self.incident.as_ref()
-    }
-
-    /// Wall-clock stage profile of [`Simulation::step`]. Nondeterministic;
-    /// never part of serialized artifacts.
-    pub fn profiler(&self) -> &StageProfiler {
-        &self.profiler
     }
 
     /// The session's span handle (disabled unless
@@ -729,9 +721,10 @@ impl Simulation {
 
     /// One full 1 ms cycle of the whole system.
     ///
-    /// Each numbered stage is wall-clock profiled (see
-    /// [`Simulation::profiler`]); at the end of the cycle the observer
-    /// diffs the safety-relevant state (robot state, faults, E-STOP latch,
+    /// Each numbered stage runs inside its `span.stage.*` span: with
+    /// [`Simulation::enable_span_recorder`] on, `spans().stage_stats()` is
+    /// this method's wall-clock profile; off (the default), no stage reads
+    /// the clock. At the end of the cycle the observer diffs the safety-relevant state (robot state, faults, E-STOP latch,
     /// injections, alarms) and the flight recorder captures an
     /// [`IncidentReport`] on the first trip.
     pub fn step(&mut self) {
@@ -741,7 +734,6 @@ impl Simulation {
 
         // 1. Console emits; scenario-A malware mutates; chaos link faults
         //    apply; network carries.
-        let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_CONSOLE);
         let pkt = self.console.emit(now);
         let mut bytes = pkt.encode_traced(&self.spans).to_vec();
@@ -750,14 +742,12 @@ impl Simulation {
         }
         self.send_console_bytes(now, bytes);
         drop(span_stage);
-        self.profiler.end("console", t_stage);
 
         // 2. Control software ingests delivered packets. Position increments
         //    are accumulated and applied exactly once (they are *deltas*);
         //    the pedal is a level and holds between packets, but falls back
         //    to "up" if the console goes silent too long — losing the
         //    operator must stop the robot, not freeze it mid-command.
-        let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_LINK);
         let mut accumulated = Vec3::ZERO;
         let mut got_packet = false;
@@ -786,10 +776,8 @@ impl Simulation {
             }
         }
         drop(span_stage);
-        self.profiler.end("link", t_stage);
 
         // 3. Feedback read; detector measurement sync.
-        let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_FEEDBACK);
         let feedback = self.rig.read_feedback(now);
         if let Some(det) = &self.detector {
@@ -797,25 +785,19 @@ impl Simulation {
             det.lock().sync_measurement(mpos);
         }
         drop(span_stage);
-        self.profiler.end("feedback", t_stage);
 
         // 4. Control cycle; command write through the interceptor chain
         //    (malware wrappers first, the dynamic-model guard last).
-        let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_CONTROLLER);
         let input = self.last_input;
         let cmd = self.controller.cycle(input.as_ref(), &feedback);
         drop(span_stage);
-        self.profiler.end("controller", t_stage);
-        let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_INTERCEPTORS);
         self.rig.deliver_command(&cmd, now);
         drop(span_stage);
-        self.profiler.end("interceptors", t_stage);
 
         // 5. Guard-driven E-STOP (the trusted hardware module acts on both
         //    the software and the PLC).
-        let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_DETECTOR);
         if let Some(det) = &self.detector {
             if det.lock().estop_requested()
@@ -827,10 +809,8 @@ impl Simulation {
             }
         }
         drop(span_stage);
-        self.profiler.end("detector", t_stage);
 
         // 6. Physics.
-        let t_stage = self.profiler.begin();
         let span_stage = self.spans.begin(spans::STAGE_PLANT);
         self.rig.step(now);
         let ee = self.record_ee();
@@ -852,7 +832,6 @@ impl Simulation {
             self.trace.record(channels::JPOS3, now, j[2]);
         }
         drop(span_stage);
-        self.profiler.end("plant", t_stage);
 
         self.observe_cycle(now);
         self.clock.tick();

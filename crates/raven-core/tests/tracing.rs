@@ -66,6 +66,8 @@ fn session_span_tree_is_balanced_and_covers_the_pipeline() {
     let mut sim = traced_session(43);
     let _ = sim.run_session();
     sim.spans().finish();
+    // Boot + session cycles, counted by the clock rather than the spans.
+    let cycles_stepped = sim.run_session_outcome_only().ticks;
     let records = sim.spans().snapshot();
     assert!(sim.spans().dropped() == 0, "a 1.5 s session must fit the span arena");
     assert!(!records.is_empty());
@@ -97,6 +99,23 @@ fn session_span_tree_is_balanced_and_covers_the_pipeline() {
         spans::HW_BOARD_CYCLE,
     ] {
         assert!(names.contains(&required), "missing {required}");
+    }
+    // The span-derived stage profile times every stage once per cycle,
+    // boot and session alike.
+    let profile = sim.spans().stage_stats();
+    for stage in [
+        spans::STAGE_CONSOLE,
+        spans::STAGE_LINK,
+        spans::STAGE_FEEDBACK,
+        spans::STAGE_CONTROLLER,
+        spans::STAGE_INTERCEPTORS,
+        spans::STAGE_DETECTOR,
+        spans::STAGE_PLANT,
+    ] {
+        let suffix = format!("/{stage}");
+        let count: u64 =
+            profile.iter().filter(|row| row.name.ends_with(&suffix)).map(|row| row.count).sum();
+        assert_eq!(count, cycles_stepped, "{stage} rows must cover every stepped cycle");
     }
 }
 

@@ -458,8 +458,8 @@ variants = ["Init", "EStop"]
 
 [[allow]]
 rule = "R1"
-path = "crates/simbus/src/obs.rs"
-reason = "profiler is the sanctioned wall-clock surface"
+path = "crates/simbus/src/span.rs"
+reason = "span wall durations are sidecar-only"
 
 [[allow]]
 rule = "R4"

@@ -10,11 +10,11 @@
 //!   ITP teleoperation protocol and the malware's exfiltration traffic);
 //! * [`trace`] — time-series recording for experiment analysis (the
 //!   equivalent of the paper's logged robot runs);
-//! * [`obs`] — structured events, metrics, and wall-clock stage profiling
-//!   (the flight-recorder substrate; see `docs/OBSERVABILITY.md`);
-//! * [`span`] — hierarchical span tracing with virtual-time boundaries and
-//!   Chrome Trace / Perfetto export (disabled by default; sidecar-only
-//!   wall clock, same contract as the stage profiler);
+//! * [`obs`] — structured events and metrics (the flight-recorder
+//!   substrate; see `docs/OBSERVABILITY.md`);
+//! * [`span`] — hierarchical span tracing with virtual-time boundaries,
+//!   Chrome Trace / Perfetto export and per-stage wall-clock profiles
+//!   (disabled by default; the wall clock stays in sidecars);
 //! * [`chaos`] — seed-driven accidental-fault schedules (link corruption,
 //!   stuck encoders, board silence) for the chaos/oracle test harness;
 //! * [`rng`] — seed-derivation helpers so every experiment is reproducible.
@@ -37,10 +37,8 @@ pub use chaos::{ChaosConfig, ChaosFault, ChaosFaultKind, ChaosSchedule};
 pub use net::{LinkConfig, SimLink};
 pub use obs::{
     shared_observer, Event, EventKind, EventLog, FieldValue, Histogram, Metrics, Observer,
-    Severity, SharedObserver, StageProfiler, StageStats,
+    Severity, SharedObserver, StageStats,
 };
-pub use span::{
-    ChromeTraceBuilder, SpanGuard, SpanHandle, SpanPathStats, SpanRecord, SpanRecorder,
-};
+pub use span::{ChromeTraceBuilder, SpanGuard, SpanHandle, SpanRecord, SpanRecorder};
 pub use time::{SimClock, SimDuration, SimTime, CONTROL_PERIOD};
 pub use trace::TraceRecorder;

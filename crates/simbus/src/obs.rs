@@ -1,4 +1,4 @@
-//! Observability: structured events, metrics, and stage profiling.
+//! Observability: structured events, metrics, and the sidecar timing schema.
 //!
 //! The paper's argument hinges on *when* things happen inside one 1 ms
 //! control cycle — the TOCTOU gap between the software safety checks and the
@@ -8,7 +8,7 @@
 //! records *why*: a causal, structured record of state transitions,
 //! injections, detector verdicts, and E-stops.
 //!
-//! Three instruments, with a strict determinism boundary between them:
+//! Two instruments, both deterministic:
 //!
 //! * [`EventLog`] — a bounded ring of structured [`Event`]s stamped with
 //!   **virtual** time only. Serialized event logs are part of a run's
@@ -16,10 +16,11 @@
 //! * [`Metrics`] — a registry of named counters, gauges, and fixed-bucket
 //!   [`Histogram`]s. Also purely virtual-time/count-based, so sweep-level
 //!   merges (in run order) are bit-identical for any worker count.
-//! * [`StageProfiler`] — **wall-clock** min/mean/max/p99 per pipeline stage.
-//!   Wall time is inherently nondeterministic, so profiles are kept strictly
-//!   out of the deterministic artifacts above; they never enter an
-//!   [`EventLog`] or [`Metrics`].
+//!
+//! Wall-clock timing lives in [`crate::span`]; this module only defines
+//! the [`StageStats`] row its profiles are written in. Wall time is
+//! nondeterministic, so those rows never enter an [`EventLog`] or
+//! [`Metrics`].
 //!
 //! The [`log`] submodule is the human-facing side: a leveled stderr filter
 //! controlled by the `RAVEN_LOG` environment variable (silent below `warn`
@@ -28,7 +29,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -891,8 +891,8 @@ pub fn registry_template() -> Metrics {
 /// (`rank = ceil(q·N)`). Rounding the rank down instead would
 /// under-report on small windows. Returns 0 for an empty window.
 ///
-/// The one percentile implementation in the workspace — the stage
-/// profiler and the span-path statistics both go through it.
+/// The one percentile implementation in the workspace — every
+/// [`StageStats`] row goes through it.
 pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -935,10 +935,12 @@ pub fn shared_observer(event_capacity: usize) -> SharedObserver {
     Arc::new(Mutex::new(Observer::new(event_capacity)))
 }
 
-/// Wall-clock statistics of one profiled stage, in microseconds.
+/// Wall-clock statistics of one timed region, in microseconds: the one
+/// sidecar row schema (`--profile-json`, `results/profile_*.json`) for
+/// span paths and executor segments alike.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageStats {
-    /// Stage name, in first-recorded order.
+    /// Region name (a slash-joined span path, or `exec/<label>`).
     pub name: String,
     /// Number of recorded executions.
     pub count: u64,
@@ -948,143 +950,29 @@ pub struct StageStats {
     pub min_us: f64,
     /// Slowest execution.
     pub max_us: f64,
-    /// 99th percentile over the retained sample window.
+    /// Nearest-rank median.
+    pub p50_us: f64,
+    /// Nearest-rank 99th percentile.
     pub p99_us: f64,
 }
 
-#[derive(Debug, Clone)]
-struct StageAcc {
-    name: String,
-    count: u64,
-    sum_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    // Bounded sample ring for the p99 estimate.
-    samples: Vec<u64>,
-    next: usize,
-}
-
-/// Wall-clock profiler for the stages of `Simulation::step`.
-///
-/// **Nondeterministic by nature** — wall time varies run to run — so its
-/// output must never be folded into an [`EventLog`], [`Metrics`], or any
-/// other artifact that is compared byte-for-byte across runs. It reports
-/// through [`report`] only.
-///
-/// [`report`]: StageProfiler::report
-#[derive(Debug, Clone)]
-pub struct StageProfiler {
-    enabled: bool,
-    stages: Vec<StageAcc>,
-}
-
-impl StageProfiler {
-    /// Retained samples per stage for the p99 estimate.
-    const SAMPLE_WINDOW: usize = 512;
-
-    /// Creates an enabled profiler.
-    pub fn new() -> Self {
-        Self { enabled: true, stages: Vec::new() }
-    }
-
-    /// Creates a disabled profiler: `begin` returns `None` and nothing is
-    /// recorded, so the hot loop pays only a branch.
-    pub fn disabled() -> Self {
-        Self { enabled: false, stages: Vec::new() }
-    }
-
-    /// `true` when the profiler records timings.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Starts timing a stage (returns `None` when disabled).
-    pub fn begin(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
+impl StageStats {
+    /// Summarizes wall durations in nanoseconds (sorted in place); every
+    /// field is 0 for an empty set.
+    pub fn from_samples_ns(name: String, samples: &mut [u64]) -> Self {
+        samples.sort_unstable();
+        let us = |ns: u64| ns as f64 / 1_000.0;
+        let count = samples.len() as u64;
+        let sum: u64 = samples.iter().sum();
+        Self {
+            name,
+            count,
+            mean_us: if count == 0 { 0.0 } else { us(sum) / count as f64 },
+            min_us: us(samples.first().copied().unwrap_or(0)),
+            max_us: us(samples.last().copied().unwrap_or(0)),
+            p50_us: us(percentile_nearest_rank(samples, 0.50)),
+            p99_us: us(percentile_nearest_rank(samples, 0.99)),
         }
-    }
-
-    /// Finishes timing a stage started with [`begin`](StageProfiler::begin).
-    pub fn end(&mut self, stage: &str, started: Option<Instant>) {
-        if let Some(t0) = started {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.record_ns(stage, ns);
-        }
-    }
-
-    /// Records one execution of `stage` lasting `ns` nanoseconds.
-    pub fn record_ns(&mut self, stage: &str, ns: u64) {
-        let idx = match self.stages.iter().position(|s| s.name == stage) {
-            Some(idx) => idx,
-            None => {
-                self.stages.push(StageAcc {
-                    name: stage.to_string(),
-                    count: 0,
-                    sum_ns: 0,
-                    min_ns: u64::MAX,
-                    max_ns: 0,
-                    samples: Vec::new(),
-                    next: 0,
-                });
-                self.stages.len() - 1
-            }
-        };
-        let acc = &mut self.stages[idx];
-        acc.count += 1;
-        acc.sum_ns = acc.sum_ns.saturating_add(ns);
-        acc.min_ns = acc.min_ns.min(ns);
-        acc.max_ns = acc.max_ns.max(ns);
-        if acc.samples.len() < Self::SAMPLE_WINDOW {
-            acc.samples.push(ns);
-        } else {
-            acc.samples[acc.next] = ns;
-            acc.next = (acc.next + 1) % Self::SAMPLE_WINDOW;
-        }
-    }
-
-    /// Per-stage statistics, in first-recorded (pipeline) order.
-    pub fn report(&self) -> Vec<StageStats> {
-        self.stages
-            .iter()
-            .map(|acc| {
-                let mut sorted = acc.samples.clone();
-                sorted.sort_unstable();
-                let p99 = percentile_nearest_rank(&sorted, 0.99) as f64 / 1_000.0;
-                StageStats {
-                    name: acc.name.clone(),
-                    count: acc.count,
-                    mean_us: if acc.count == 0 {
-                        0.0
-                    } else {
-                        acc.sum_ns as f64 / acc.count as f64 / 1_000.0
-                    },
-                    min_us: if acc.count == 0 { 0.0 } else { acc.min_ns as f64 / 1_000.0 },
-                    max_us: acc.max_ns as f64 / 1_000.0,
-                    p99_us: p99,
-                }
-            })
-            .collect()
-    }
-
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = String::from("stage                count    mean_us     p99_us     max_us\n");
-        for s in self.report() {
-            out.push_str(&format!(
-                "{:<20} {:>6} {:>10.2} {:>10.2} {:>10.2}\n",
-                s.name, s.count, s.mean_us, s.p99_us, s.max_us
-            ));
-        }
-        out
-    }
-}
-
-impl Default for StageProfiler {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -1289,50 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn profiler_records_and_reports_in_pipeline_order() {
-        let mut p = StageProfiler::new();
-        p.record_ns("console", 1_000);
-        p.record_ns("plant", 3_000);
-        p.record_ns("console", 2_000);
-        let report = p.report();
-        assert_eq!(report.len(), 2);
-        assert_eq!(report[0].name, "console");
-        assert_eq!(report[0].count, 2);
-        assert!((report[0].mean_us - 1.5).abs() < 1e-9);
-        assert!((report[0].min_us - 1.0).abs() < 1e-9);
-        assert!((report[0].max_us - 2.0).abs() < 1e-9);
-        assert_eq!(report[1].name, "plant");
-        let rendered = p.render();
-        assert!(rendered.contains("console"), "render lists stages: {rendered}");
-    }
-
-    #[test]
-    fn profiler_p99_uses_nearest_rank() {
-        // Nearest-rank: for N samples, p99 is the ceil(0.99 * N)-th
-        // smallest. With 1..=67 microseconds the rank is ceil(66.33) = 67,
-        // i.e. the maximum — the old round-down formula reported 66 µs.
-        let mut p = StageProfiler::new();
-        for us in 1..=67u64 {
-            p.record_ns("stage", us * 1_000);
-        }
-        let report = p.report();
-        assert!((report[0].p99_us - 67.0).abs() < 1e-9, "p99 = {}", report[0].p99_us);
-
-        // Degenerate windows: a single sample is its own p99.
-        let mut single = StageProfiler::new();
-        single.record_ns("s", 5_000);
-        assert!((single.report()[0].p99_us - 5.0).abs() < 1e-9);
-
-        // Small windows must never report below the true 99th percentile:
-        // with 10 samples the rank is ceil(9.9) = 10, the maximum.
-        let mut small = StageProfiler::new();
-        for us in [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 100] {
-            small.record_ns("s", us * 1_000);
-        }
-        assert!((small.report()[0].p99_us - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn percentile_helper_small_sample_regressions() {
         // Empty window: defined as 0.
         assert_eq!(percentile_nearest_rank(&[], 0.99), 0);
@@ -1345,7 +1189,7 @@ mod tests {
         assert_eq!(percentile_nearest_rank(&[1, 2, 3, 4, 5], 0.5), 3);
         // 10-sample p99: rank ceil(9.9) = 10, the maximum.
         assert_eq!(percentile_nearest_rank(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 100], 0.99), 100);
-        // 67-sample p99: rank ceil(66.33) = 67 (the StageProfiler pin).
+        // 67-sample p99: rank ceil(66.33) = 67, the maximum.
         let window: Vec<u64> = (1..=67).collect();
         assert_eq!(percentile_nearest_rank(&window, 0.99), 67);
         // 200-sample p99 no longer degenerates to the max: rank 198.
@@ -1388,25 +1232,6 @@ mod tests {
         assert!(text.ends_with("# EOF\n"));
         // Deterministic: same registry, same snapshot.
         assert_eq!(text, m.to_openmetrics());
-    }
-
-    #[test]
-    fn disabled_profiler_records_nothing() {
-        let mut p = StageProfiler::disabled();
-        assert!(p.begin().is_none());
-        p.end("x", p.begin());
-        assert!(p.report().is_empty());
-    }
-
-    #[test]
-    fn profiler_timing_via_begin_end() {
-        let mut p = StageProfiler::new();
-        let t0 = p.begin();
-        assert!(t0.is_some());
-        p.end("stage", t0);
-        let report = p.report();
-        assert_eq!(report[0].count, 1);
-        assert!(report[0].max_us >= 0.0);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Hierarchical span tracing: a balanced span tree per run.
+//! Hierarchical span tracing: a balanced span tree per run, and the one
+//! wall-clock stage timer in the workspace.
 //!
-//! [`StageProfiler`](crate::obs::StageProfiler) answers "how long does each
-//! pipeline stage take, on average" — a flat table. This module answers
-//! "where did *this* run's cycles go": every instrumented region opens a
-//! [`SpanGuard`] on a shared [`SpanRecorder`], producing a tree of
-//! [`SpanRecord`]s (cycle → stage → codec/verdict nests) that exports to
-//! Chrome Trace Event JSON for Perfetto and to the same
-//! [`StageStats`] sidecar schema the profiler feeds.
+//! Every instrumented region opens a [`SpanGuard`] on a shared
+//! [`SpanRecorder`], producing a tree of [`SpanRecord`]s (cycle → stage →
+//! codec/verdict nests). The tree answers both "where did *this* run's
+//! cycles go" (Chrome Trace Event JSON for Perfetto) and "how long does
+//! each pipeline stage take" ([`SpanHandle::stage_stats`]: one
+//! [`StageStats`] row per span path, the `--profile-json` sidecar schema).
 //!
-//! The determinism contract mirrors the profiler's:
+//! The determinism contract:
 //!
 //! * **Span boundaries are virtual-time** (`vt_begin`/`vt_end` in
 //!   [`SimTime`]), so the tree *shape* and its virtual timeline are
@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::obs::{percentile_nearest_rank, StageStats};
+use crate::obs::StageStats;
 use crate::time::SimTime;
 
 /// One recorded span: a named region with virtual-time boundaries and a
@@ -219,40 +219,6 @@ impl Default for SpanRecorder {
     }
 }
 
-/// Wall-clock statistics of one span path, in microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanPathStats {
-    /// Slash-joined span-name path, in first-opened order.
-    pub path: String,
-    /// Closed spans on this path.
-    pub count: u64,
-    /// Nearest-rank median wall duration.
-    pub p50_us: f64,
-    /// Nearest-rank 99th-percentile wall duration.
-    pub p99_us: f64,
-    /// Mean wall duration.
-    pub mean_us: f64,
-    /// Fastest span.
-    pub min_us: f64,
-    /// Slowest span.
-    pub max_us: f64,
-}
-
-impl SpanPathStats {
-    /// Projects onto the profiler's sidecar schema (`results/profile_*.
-    /// json`), keyed by the span path.
-    pub fn to_stage_stats(&self) -> StageStats {
-        StageStats {
-            name: self.path.clone(),
-            count: self.count,
-            mean_us: self.mean_us,
-            min_us: self.min_us,
-            max_us: self.max_us,
-            p99_us: self.p99_us,
-        }
-    }
-}
-
 /// A cloneable handle to an optional shared recorder.
 ///
 /// `SpanHandle::default()` is the disabled handle: every method is a
@@ -344,8 +310,8 @@ impl SpanHandle {
     }
 
     /// Wall-clock statistics per span path over the closed spans, in
-    /// first-opened path order.
-    pub fn path_stats(&self) -> Vec<SpanPathStats> {
+    /// first-opened path order, keyed by the slash-joined path.
+    pub fn stage_stats(&self) -> Vec<StageStats> {
         let Some(rec) = &self.inner else {
             return Vec::new();
         };
@@ -354,38 +320,19 @@ impl SpanHandle {
         // Vec, not a hash map: first-opened order is the report order and
         // must be deterministic (lint rule R2).
         let mut grouped: Vec<(String, Vec<u64>)> = Vec::new();
-        for (span, path) in rec.spans().iter().zip(&paths) {
+        for (span, path) in rec.spans().iter().zip(paths) {
             if !span.closed {
                 continue;
             }
-            match grouped.iter_mut().find(|(p, _)| p == path) {
+            match grouped.iter_mut().find(|(p, _)| *p == path) {
                 Some((_, samples)) => samples.push(span.wall_ns),
-                None => grouped.push((path.clone(), vec![span.wall_ns])),
+                None => grouped.push((path, vec![span.wall_ns])),
             }
         }
         grouped
             .into_iter()
-            .map(|(path, mut samples)| {
-                samples.sort_unstable();
-                let count = samples.len() as u64;
-                let sum: u64 = samples.iter().sum();
-                SpanPathStats {
-                    path,
-                    count,
-                    p50_us: percentile_nearest_rank(&samples, 0.50) as f64 / 1_000.0,
-                    p99_us: percentile_nearest_rank(&samples, 0.99) as f64 / 1_000.0,
-                    mean_us: sum as f64 / count as f64 / 1_000.0,
-                    min_us: samples.first().copied().unwrap_or(0) as f64 / 1_000.0,
-                    max_us: samples.last().copied().unwrap_or(0) as f64 / 1_000.0,
-                }
-            })
+            .map(|(path, mut samples)| StageStats::from_samples_ns(path, &mut samples))
             .collect()
-    }
-
-    /// Projects [`path_stats`](SpanHandle::path_stats) onto the profiler
-    /// sidecar schema.
-    pub fn stage_stats(&self) -> Vec<StageStats> {
-        self.path_stats().iter().map(SpanPathStats::to_stage_stats).collect()
     }
 
     /// Emits the recorded tree as Chrome Trace complete events on one
@@ -559,7 +506,7 @@ mod tests {
         h.set_time(t(5));
         h.finish();
         assert!(h.snapshot().is_empty());
-        assert!(h.path_stats().is_empty());
+        assert!(h.stage_stats().is_empty());
         assert_eq!(h.dropped(), 0);
     }
 
@@ -696,8 +643,8 @@ mod tests {
             let _s = h.begin(spans::STAGE_CONSOLE);
             let _e = h.begin(spans::TELEOP_ENCODE);
         }
-        let stats = h.path_stats();
-        let paths: Vec<&str> = stats.iter().map(|s| s.path.as_str()).collect();
+        let stats = h.stage_stats();
+        let paths: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             paths,
             vec![
@@ -710,28 +657,44 @@ mod tests {
 
     #[test]
     fn path_stats_use_nearest_rank_percentiles() {
-        let mut rec = SpanRecorder::new();
-        // Synthesize 10 closed root spans with known wall durations by
-        // sealing manually.
-        for i in 1..=10u64 {
-            let idx = rec.begin(spans::EXEC_RUN).unwrap();
-            rec.close(idx);
-            let ns = if i == 10 { 100_000 } else { i * 1_000 };
-            rec.spans[idx].wall_ns = ns;
+        // Synthesizes closed root spans with known wall durations (µs) by
+        // sealing manually, and returns the one path's row.
+        let stats_of = |durations_us: &[u64]| {
+            let mut rec = SpanRecorder::new();
+            for &us in durations_us {
+                let idx = rec.begin(spans::EXEC_RUN).unwrap();
+                rec.close(idx);
+                rec.spans[idx].wall_ns = us * 1_000;
+            }
+            let h = SpanHandle { inner: Some(Arc::new(Mutex::new(rec))) };
+            let stats = h.stage_stats();
+            assert_eq!(stats.len(), 1);
+            assert_eq!(stats[0].name, "span.exec.run");
+            stats[0].clone()
+        };
+
+        // 10 samples: p50 is rank ceil(5) = 5 µs; p99 is rank ceil(9.9) =
+        // 10, the maximum — small windows never under-report.
+        let ten = stats_of(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 100]);
+        assert_eq!(ten.count, 10);
+        assert!((ten.p50_us - 5.0).abs() < 1e-9, "{ten:?}");
+        assert!((ten.p99_us - 100.0).abs() < 1e-9, "{ten:?}");
+        assert!((ten.mean_us - 14.5).abs() < 1e-9, "{ten:?}");
+        assert!((ten.min_us - 1.0).abs() < 1e-9);
+        assert!((ten.max_us - 100.0).abs() < 1e-9);
+
+        // 67 samples: p99 is rank ceil(66.33) = 67, the maximum (rounding
+        // the rank down would report 66 µs).
+        let sixty_seven: Vec<u64> = (1..=67).collect();
+        let row = stats_of(&sixty_seven);
+        assert!((row.p99_us - 67.0).abs() < 1e-9, "{row:?}");
+
+        // A single sample is every statistic of itself.
+        let single = stats_of(&[5]);
+        assert_eq!(single.count, 1);
+        for v in [single.mean_us, single.min_us, single.max_us, single.p50_us, single.p99_us] {
+            assert!((v - 5.0).abs() < 1e-9, "{single:?}");
         }
-        let h = SpanHandle { inner: Some(Arc::new(Mutex::new(rec))) };
-        let stats = h.path_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].count, 10);
-        // p50: rank ceil(5) = 5th smallest = 5 µs; p99: rank 10 = max.
-        assert!((stats[0].p50_us - 5.0).abs() < 1e-9, "{stats:?}");
-        assert!((stats[0].p99_us - 100.0).abs() < 1e-9, "{stats:?}");
-        assert!((stats[0].min_us - 1.0).abs() < 1e-9);
-        assert!((stats[0].max_us - 100.0).abs() < 1e-9);
-        // The sidecar projection carries the same numbers.
-        let sidecar = h.stage_stats();
-        assert_eq!(sidecar[0].name, "span.exec.run");
-        assert!((sidecar[0].p99_us - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   for single-run commands, the per-worker `queued → running → merged`
 //!   sweep timeline for sweep commands;
 //! * `--profile-json <path>` — write span/sweep timing statistics in the
-//!   `bench::save_profile` sidecar schema (`Vec<StageStats>`);
+//!   `bench::save_profile_stats` sidecar schema (`Vec<StageStats>`, one
+//!   row per span path or sweep segment);
 //! * `--incident-dir <dir>` — when a single-run command trips the flight
 //!   recorder (fault, detector alarm, or E-STOP), write the incident
 //!   report (event ring + last 250 ms of every trace signal) as JSON
@@ -210,9 +211,9 @@ fn dump_metrics(path: Option<&PathBuf>, metrics: &Metrics) {
     }
 }
 
-/// Flushes a single run's observability artifacts: metrics JSON, incident
-/// report (if the flight recorder tripped), and — at `RAVEN_LOG=debug` —
-/// the per-stage wall-clock profile.
+/// Flushes a single run's observability artifacts: metrics JSON, the
+/// span trace and profile (when asked for), and the incident report (if
+/// the flight recorder tripped).
 ///
 /// Metrics are dumped *before* the incident sink runs: the sink's
 /// ledger bookkeeping must never leak into the run's deterministic
@@ -261,9 +262,6 @@ fn flush_run_artifacts(sim: &Simulation, opts: &RunOpts) {
         } else {
             log::emit(Severity::Info, "raven-sim", "no incident: flight recorder never tripped");
         }
-    }
-    if log::enabled(Severity::Debug) {
-        eprint!("{}", sim.profiler().render());
     }
 }
 
@@ -720,8 +718,8 @@ fn run_profile_command(args: &[String]) {
     sim.spans().finish();
     println!("span paths (representative guarded session, seed {}):", opts.seed);
     println!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");
-    for s in sim.spans().path_stats() {
-        println!("  {:<52} {:>7} {:>10.1} {:>10.1}", s.path, s.count, s.p50_us, s.p99_us);
+    for s in sim.spans().stage_stats() {
+        println!("  {:<52} {:>7} {:>10.1} {:>10.1}", s.name, s.count, s.p50_us, s.p99_us);
     }
     println!();
     print!("{}", collector.render());
