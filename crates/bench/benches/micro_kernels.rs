@@ -25,7 +25,7 @@ use raven_hw::{RobotState, UsbChannel, UsbCommandPacket};
 use raven_kinematics::{ArmConfig, JointState, MotorState};
 use raven_math::ode::Method;
 use serde::Serialize;
-use simbus::SimTime;
+use simbus::{Observer, SimTime};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -50,16 +50,17 @@ fn bench_channel_write(c: &mut Criterion) {
     };
     let bytes = pkt.encode().to_vec();
     let mut group = c.benchmark_group("channel_write");
+    let mut obs = Observer::default();
 
     let mut bare = UsbChannel::new();
     group.bench_function("baseline", |b| {
-        b.iter(|| black_box(bare.write(bytes.clone(), SimTime::ZERO)))
+        b.iter(|| black_box(bare.write(bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });
 
     let mut logged = UsbChannel::new();
     logged.install(Box::new(LoggingWrapper::new(capture_log())));
     group.bench_function("logging_wrapper", |b| {
-        b.iter(|| black_box(logged.write(bytes.clone(), SimTime::ZERO)))
+        b.iter(|| black_box(logged.write(bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });
 
     let mut injected = UsbChannel::new();
@@ -68,7 +69,7 @@ fn bench_channel_write(c: &mut Criterion) {
         ActivationWindow::immediate_persistent(),
     )));
     group.bench_function("injection_wrapper", |b| {
-        b.iter(|| black_box(injected.write(bytes.clone(), SimTime::ZERO)))
+        b.iter(|| black_box(injected.write(bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });
     group.finish();
 }

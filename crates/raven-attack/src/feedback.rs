@@ -47,7 +47,7 @@ impl FeedbackLogger {
 }
 
 impl ReadInterceptor for FeedbackLogger {
-    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) {
+    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
         self.log.lock().push(LoggedPacket { time: ctx.time, seq: ctx.seq, bytes: buf.clone() });
         self.captured += 1;
     }
@@ -157,7 +157,7 @@ impl MotionSensor {
 }
 
 impl ReadInterceptor for MotionSensor {
-    fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) {
+    fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {
         let words = hypothesized_words(buf);
         let mut st = self.state.lock();
         if let Some(prev) = &st.last_words {
@@ -212,7 +212,7 @@ impl GatedInjection {
 }
 
 impl WriteInterceptor for GatedInjection {
-    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction {
+    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
         let moving = self.state.lock().activity_ema > self.activity_threshold;
         if moving {
             self.inner.on_write(buf, ctx)
@@ -252,6 +252,7 @@ mod tests {
     use super::*;
     use crate::wrappers::ActivationWindow;
     use raven_hw::{RobotState, UsbChannel, UsbCommandPacket, UsbFeedbackPacket};
+    use simbus::Observer;
     use simbus::SimTime;
 
     fn feedback(encoders: [i32; 8]) -> Vec<u8> {
@@ -265,12 +266,13 @@ mod tests {
         .to_vec()
     }
 
-    fn ctx(seq: u64) -> WriteContext {
+    fn ctx(seq: u64, obs: &mut Observer) -> WriteContext<'_> {
         WriteContext {
             time: SimTime::ZERO,
             seq,
             process: UsbChannel::PROCESS,
             fd: UsbChannel::BOARD_FD,
+            obs,
         }
     }
 
@@ -303,6 +305,7 @@ mod tests {
 
     #[test]
     fn gate_suppresses_injection_while_idle() {
+        let mut obs = Observer::default();
         let (mut sensor, mut gate) = motion_gated_attack(
             Corruption::AddDacWord { channel: 0, delta: 9000 },
             ActivationWindow::immediate_persistent(),
@@ -314,10 +317,10 @@ mod tests {
         // Idle feedback: the gate stays closed.
         for i in 0..40u64 {
             let mut fb = feedback([1000, 0, 0, 0, 0, 0, 0, 0]);
-            sensor.on_read(&mut fb, &ctx(i));
+            sensor.on_read(&mut fb, &mut ctx(i, &mut obs));
         }
         let mut buf = pedal_down.encode().to_vec();
-        gate.on_write(&mut buf, &ctx(100));
+        gate.on_write(&mut buf, &mut ctx(100, &mut obs));
         assert_eq!(gate.injections(), 0);
         assert_eq!(gate.gated_out(), 1);
         assert_eq!(
@@ -329,16 +332,17 @@ mod tests {
         // Moving feedback: the gate opens.
         for i in 0..60u64 {
             let mut fb = feedback([1000 + 400 * i as i32, 0, 0, 0, 0, 0, 0, 0]);
-            sensor.on_read(&mut fb, &ctx(200 + i));
+            sensor.on_read(&mut fb, &mut ctx(200 + i, &mut obs));
         }
         let mut buf = pedal_down.encode().to_vec();
-        gate.on_write(&mut buf, &ctx(300));
+        gate.on_write(&mut buf, &mut ctx(300, &mut obs));
         assert_eq!(gate.injections(), 1);
         assert_eq!(UsbCommandPacket::decode_unchecked(&buf).unwrap().dac[0], 9000);
     }
 
     #[test]
     fn gate_still_respects_state_trigger() {
+        let mut obs = Observer::default();
         let (mut sensor, mut gate) = motion_gated_attack(
             Corruption::SetByte { offset: 3, value: 9 },
             ActivationWindow::immediate_persistent(),
@@ -346,22 +350,23 @@ mod tests {
         );
         for i in 0..60u64 {
             let mut fb = feedback([1000 + 500 * i as i32, 0, 0, 0, 0, 0, 0, 0]);
-            sensor.on_read(&mut fb, &ctx(i));
+            sensor.on_read(&mut fb, &mut ctx(i, &mut obs));
         }
         // Moving, but Pedal Up: inner trigger refuses.
         let pedal_up = UsbCommandPacket { state: RobotState::PedalUp, watchdog: true, dac: [0; 8] };
         let mut buf = pedal_up.encode().to_vec();
-        gate.on_write(&mut buf, &ctx(100));
+        gate.on_write(&mut buf, &mut ctx(100, &mut obs));
         assert_eq!(gate.injections(), 0);
         assert_eq!(buf[3], pedal_up.encode()[3]);
     }
 
     #[test]
     fn feedback_logger_captures() {
+        let mut obs = Observer::default();
         let log = crate::wrappers::capture_log();
         let mut logger = FeedbackLogger::new(Arc::clone(&log));
         let mut fb = feedback([1, 2, 3, 4, 5, 6, 7, 8]);
-        logger.on_read(&mut fb, &ctx(0));
+        logger.on_read(&mut fb, &mut ctx(0, &mut obs));
         assert_eq!(logger.captured(), 1);
         assert_eq!(log.lock().len(), 1);
     }

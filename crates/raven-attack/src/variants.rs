@@ -191,7 +191,7 @@ impl StateNibbleRewrite {
 }
 
 impl WriteInterceptor for StateNibbleRewrite {
-    fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+    fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
         if let Some(b0) = buf.first_mut() {
             *b0 = (*b0 & 0xF0) | self.forced_nibble;
             self.rewrites += 1;
@@ -242,7 +242,7 @@ impl EncoderCorruption {
 }
 
 impl ReadInterceptor for EncoderCorruption {
-    fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) {
+    fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {
         self.reads += 1;
         if self.reads <= self.activate_after_reads {
             return;
@@ -272,14 +272,16 @@ mod tests {
     use super::*;
     use raven_hw::{RobotState, UsbCommandPacket, UsbFeedbackPacket};
     use raven_math::Vec3;
+    use simbus::Observer;
     use simbus::SimTime;
 
-    fn ctx() -> WriteContext {
+    fn ctx(obs: &mut Observer) -> WriteContext<'_> {
         WriteContext {
             time: SimTime::ZERO,
             seq: 0,
             process: raven_hw::UsbChannel::PROCESS,
             fd: raven_hw::UsbChannel::BOARD_FD,
+            obs,
         }
     }
 
@@ -336,10 +338,11 @@ mod tests {
 
     #[test]
     fn state_nibble_rewrite_changes_plc_view() {
+        let mut obs = Observer::default();
         let mut rw = StateNibbleRewrite::new(RobotState::EStop.nibble());
         let pkt = UsbCommandPacket { state: RobotState::PedalDown, watchdog: true, dac: [0; 8] };
         let mut buf = pkt.encode().to_vec();
-        rw.on_write(&mut buf, &ctx());
+        rw.on_write(&mut buf, &mut ctx(&mut obs));
         let decoded = UsbCommandPacket::decode_unchecked(&buf).unwrap();
         assert_eq!(decoded.state, RobotState::EStop);
         assert!(decoded.watchdog, "watchdog bit preserved");
@@ -348,6 +351,7 @@ mod tests {
 
     #[test]
     fn encoder_corruption_shifts_reading() {
+        let mut obs = Observer::default();
         let mut ec = EncoderCorruption::new(1, 5000);
         let fb = UsbFeedbackPacket {
             state: RobotState::PedalDown,
@@ -356,7 +360,7 @@ mod tests {
             encoders: [100, 200, 300, 0, 0, 0, 0, 0],
         };
         let mut buf = fb.encode().to_vec();
-        ec.on_read(&mut buf, &ctx());
+        ec.on_read(&mut buf, &mut ctx(&mut obs));
         let decoded = UsbFeedbackPacket::decode_unchecked(&buf).unwrap();
         assert_eq!(decoded.encoders[1], 5200);
         assert_eq!(decoded.encoders[0], 100, "other channels untouched");
@@ -365,6 +369,7 @@ mod tests {
 
     #[test]
     fn encoder_corruption_handles_negative_values() {
+        let mut obs = Observer::default();
         let mut ec = EncoderCorruption::new(0, -1000);
         let fb = UsbFeedbackPacket {
             state: RobotState::PedalUp,
@@ -373,7 +378,7 @@ mod tests {
             encoders: [500, 0, 0, 0, 0, 0, 0, 0],
         };
         let mut buf = fb.encode().to_vec();
-        ec.on_read(&mut buf, &ctx());
+        ec.on_read(&mut buf, &mut ctx(&mut obs));
         let decoded = UsbFeedbackPacket::decode_unchecked(&buf).unwrap();
         assert_eq!(decoded.encoders[0], -500);
     }

@@ -82,7 +82,7 @@ impl LoggingWrapper {
 }
 
 impl WriteInterceptor for LoggingWrapper {
-    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction {
+    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
         // The wrapper shadows write(2) for *every* process; it must act only
         // on the robot's USB traffic (paper: "checking the process name and
         // the file descriptor").
@@ -237,7 +237,7 @@ impl InjectionWrapper {
 }
 
 impl WriteInterceptor for InjectionWrapper {
-    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction {
+    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
         if ctx.process != self.expected_process || ctx.fd != self.expected_fd {
             return WriteAction::Forward;
         }
@@ -265,13 +265,15 @@ mod tests {
     use super::*;
     use raven_hw::{RobotState, UsbChannel, UsbCommandPacket};
     use simbus::LinkConfig;
+    use simbus::Observer;
 
-    fn ctx(seq: u64) -> WriteContext {
+    fn ctx(seq: u64, obs: &mut Observer) -> WriteContext<'_> {
         WriteContext {
             time: SimTime::ZERO,
             seq,
             process: UsbChannel::PROCESS,
             fd: UsbChannel::BOARD_FD,
+            obs,
         }
     }
 
@@ -283,16 +285,17 @@ mod tests {
 
     #[test]
     fn logging_wrapper_captures_robot_traffic_only() {
+        let mut obs = Observer::default();
         let log = capture_log();
         let mut w = LoggingWrapper::new(Arc::clone(&log));
         let mut buf = packet(RobotState::PedalDown, true);
-        assert_eq!(w.on_write(&mut buf, &ctx(0)), WriteAction::Forward);
+        assert_eq!(w.on_write(&mut buf, &mut ctx(0, &mut obs)), WriteAction::Forward);
         // A write from a different process is ignored.
-        let other = WriteContext { process: "bash", ..ctx(1) };
-        w.on_write(&mut buf, &other);
+        let mut other = WriteContext { process: "bash", ..ctx(1, &mut obs) };
+        w.on_write(&mut buf, &mut other);
         // A write to a different fd is ignored.
-        let other_fd = WriteContext { fd: 3, ..ctx(2) };
-        w.on_write(&mut buf, &other_fd);
+        let mut other_fd = WriteContext { fd: 3, ..ctx(2, &mut obs) };
+        w.on_write(&mut buf, &mut other_fd);
         assert_eq!(w.captured(), 1);
         assert_eq!(log.lock().len(), 1);
         assert_eq!(log.lock()[0].bytes, buf);
@@ -300,26 +303,29 @@ mod tests {
 
     #[test]
     fn logging_wrapper_never_mutates() {
+        let mut obs = Observer::default();
         let log = capture_log();
         let mut w = LoggingWrapper::new(log);
         let original = packet(RobotState::PedalDown, false);
         let mut buf = original.clone();
-        w.on_write(&mut buf, &ctx(0));
+        w.on_write(&mut buf, &mut ctx(0, &mut obs));
         assert_eq!(buf, original);
     }
 
     #[test]
     fn logging_wrapper_exfiltrates_over_udp() {
+        let mut obs = Observer::default();
         let log = capture_log();
         let link: SimLink<LoggedPacket> = SimLink::new(LinkConfig::ideal(), 1);
         let mut w = LoggingWrapper::new(log).with_exfiltration(link);
         let mut buf = packet(RobotState::Init, true);
-        w.on_write(&mut buf, &ctx(0));
+        w.on_write(&mut buf, &mut ctx(0, &mut obs));
         assert_eq!(w.captured(), 1);
     }
 
     #[test]
     fn injection_fires_only_in_pedal_down() {
+        let mut obs = Observer::default();
         let mut w = InjectionWrapper::pedal_down_trigger(
             Corruption::SetByte { offset: 2, value: 77 },
             ActivationWindow::immediate_persistent(),
@@ -327,22 +333,23 @@ mod tests {
         // Pedal Up: byte0 = 0x07/0x17, not in trigger set.
         let mut up = packet(RobotState::PedalUp, true);
         let before = up.clone();
-        w.on_write(&mut up, &ctx(0));
+        w.on_write(&mut up, &mut ctx(0, &mut obs));
         assert_eq!(up, before);
         assert_eq!(w.injections(), 0);
         // Pedal Down with watchdog (0x1F) fires.
         let mut down = packet(RobotState::PedalDown, true);
-        w.on_write(&mut down, &ctx(1));
+        w.on_write(&mut down, &mut ctx(1, &mut obs));
         assert_eq!(down[2], 77);
         assert_eq!(w.injections(), 1);
         // Pedal Down without watchdog (0x0F) also fires.
         let mut down = packet(RobotState::PedalDown, false);
-        w.on_write(&mut down, &ctx(2));
+        w.on_write(&mut down, &mut ctx(2, &mut obs));
         assert_eq!(w.injections(), 2);
     }
 
     #[test]
     fn corrupted_packet_still_decodes_on_stock_board() {
+        let mut obs = Observer::default();
         // The essence of the TOCTOU attack: the corrupted packet is accepted
         // downstream because the board never verifies integrity.
         let mut w = InjectionWrapper::pedal_down_trigger(
@@ -350,7 +357,7 @@ mod tests {
             ActivationWindow::immediate_persistent(),
         );
         let mut buf = packet(RobotState::PedalDown, true);
-        w.on_write(&mut buf, &ctx(0));
+        w.on_write(&mut buf, &mut ctx(0, &mut obs));
         let decoded = UsbCommandPacket::decode_unchecked(&buf).unwrap();
         assert_eq!(decoded.dac[0], 12_100);
         assert_eq!(decoded.state, RobotState::PedalDown);
@@ -358,6 +365,7 @@ mod tests {
 
     #[test]
     fn activation_window_delay_and_duration() {
+        let mut obs = Observer::default();
         let mut w = InjectionWrapper::pedal_down_trigger(
             Corruption::SetByte { offset: 3, value: 9 },
             ActivationWindow::delayed(2, 3),
@@ -365,7 +373,7 @@ mod tests {
         let mut hits = 0;
         for seq in 0..10 {
             let mut buf = packet(RobotState::PedalDown, seq % 2 == 0);
-            w.on_write(&mut buf, &ctx(seq));
+            w.on_write(&mut buf, &mut ctx(seq, &mut obs));
             if buf[3] == 9 {
                 hits += 1;
             }

@@ -9,7 +9,7 @@ use raven_dynamics::PlantParams;
 use raven_hw::{HardwareRig, RobotState};
 use raven_kinematics::ArmConfig;
 use raven_math::Vec3;
-use simbus::SimClock;
+use simbus::{Observer, SimClock};
 
 /// One full control cycle: read feedback, run software, write command, step
 /// physics.
@@ -20,16 +20,17 @@ fn run_cycle(
     input: Option<&OperatorInput>,
 ) {
     let now = clock.now();
-    let feedback = rig.read_feedback(now);
+    let obs = &mut Observer::default();
+    let feedback = rig.read_feedback(now, obs);
     let pkt = ctl.cycle(input, &feedback);
-    rig.deliver_command(&pkt, now);
-    rig.step(now);
+    rig.deliver_command(&pkt, now, None, obs);
+    rig.step(now, obs);
     clock.tick();
 }
 
 /// Boots the robot to Pedal Up: start button + homing.
 fn boot(ctl: &mut RavenController, rig: &mut HardwareRig, clock: &mut SimClock) {
-    rig.press_start(clock.now());
+    rig.press_start(clock.now(), &mut Observer::default());
     ctl.press_start();
     for _ in 0..3000 {
         run_cycle(ctl, rig, clock, None);

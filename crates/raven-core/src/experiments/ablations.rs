@@ -10,7 +10,7 @@
 //!    lack (§III.B.3): packet checksum verification stops scenario B cold
 //!    but is blind to scenario A (which re-encodes well-formed packets).
 
-use raven_detect::{DetectorConfig, FusionRule, Mitigation};
+use raven_detect::{DetectorConfig, DynamicDetector, FusionRule, Mitigation};
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
@@ -263,6 +263,15 @@ impl HardenedBoardResult {
     }
 }
 
+/// A 3 s session on the checksum-verifying board: the stock simulation
+/// with only its board swapped, so the plant boots from the same stowed
+/// pose and the rig keeps its span handle.
+fn hardened_board_sim(run_seed: u64) -> Simulation {
+    let mut sim = Simulation::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(run_seed) });
+    sim.rig_mut().board = raven_hw::UsbBoard::hardened();
+    sim
+}
+
 /// Runs the hardened-board counterfactual with the default executor.
 pub fn run_hardened_board(seed: u64) -> HardenedBoardResult {
     run_hardened_board_with(seed, &ExecutorConfig::default())
@@ -280,16 +289,7 @@ pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> HardenedBoar
         exec,
         |i| derive_seed(seed, labels[i]),
         |i, run_seed| {
-            let mut sim =
-                Simulation::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(run_seed) });
-            *sim.rig_mut() = {
-                let params = *sim.rig_params();
-                raven_hw::HardwareRig::with_hardened_board(params)
-            };
-            // The replacement rig starts unobserved; re-attach the run's
-            // observer so E-STOP events keep flowing.
-            let observer = std::sync::Arc::clone(sim.observer());
-            sim.rig_mut().set_observer(observer);
+            let mut sim = hardened_board_sim(run_seed);
             if i == 0 {
                 sim.install_attack(&AttackSetup::ScenarioB {
                     dac_delta: 30_000,
@@ -415,7 +415,7 @@ pub fn run_lookahead_ablation_with(
                 let out = sim.run_session();
                 let latency = if attack.is_attack() && out.model_detected {
                     sim.detector()
-                        .and_then(|d| d.lock().first_alarm_assessment())
+                        .and_then(DynamicDetector::first_alarm_assessment)
                         // Assessments count Pedal-Down packets; injection
                         // starts after `delay` of them.
                         .map(|first| first.saturating_sub(delay) as f64)
@@ -614,6 +614,13 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hardened_board_session_starts_from_the_stock_plant_state() {
+        let mut hardened = hardened_board_sim(45);
+        let mut stock = Simulation::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(45) });
+        assert_eq!(hardened.rig_mut().plant.state(), stock.rig_mut().plant.state());
+    }
 
     #[test]
     fn fusion_reduces_false_positives() {

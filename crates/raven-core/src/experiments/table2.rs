@@ -15,7 +15,7 @@ use raven_attack::{capture_log, ActivationWindow, Corruption, InjectionWrapper, 
 use raven_hw::{RobotState, UsbChannel, UsbCommandPacket};
 use raven_math::stats::RunningStats;
 use serde::{Deserialize, Serialize};
-use simbus::{LinkConfig, SimLink, SimTime};
+use simbus::{LinkConfig, Observer, SimLink, SimTime};
 
 /// One row of Table II.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -74,14 +74,15 @@ fn time_writes(channel: &mut UsbChannel, iters: u64) -> RunningStats {
     };
     let bytes = pkt.encode().to_vec();
     let mut stats = RunningStats::new();
+    let mut obs = Observer::default();
     // Warm-up to fault in code paths and allocator state.
     for _ in 0..1000 {
-        let _ = channel.write(bytes.clone(), SimTime::ZERO);
+        let _ = channel.write(bytes.clone(), SimTime::ZERO, None, &mut obs);
     }
     for _ in 0..iters {
         let buf = bytes.clone();
         let start = Instant::now();
-        let out = channel.write(buf, SimTime::ZERO);
+        let out = channel.write(buf, SimTime::ZERO, None, &mut obs);
         let elapsed = start.elapsed();
         std::hint::black_box(out);
         stats.push(elapsed.as_secs_f64() * 1e6);

@@ -10,11 +10,11 @@ use std::sync::Arc;
 
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};
 use raven_control::{ControllerConfig, FaultReason, OperatorInput, RavenController};
-use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor, SharedDetector};
+use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor};
 use raven_dynamics::plant::PlantPrefix;
 use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::chaos::{ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder};
-use raven_hw::{EStopCause, FaultWindow, HardwareRig, RobotState};
+use raven_hw::{EStopCause, FaultWindow, HardwareRig, RobotState, WriteInterceptor};
 use raven_kinematics::ArmConfig;
 use raven_math::Vec3;
 use raven_teleop::{
@@ -23,8 +23,7 @@ use raven_teleop::{
 };
 use serde::{Deserialize, Serialize};
 use simbus::obs::{
-    channels, names, shared_observer, spans, streams, Event, EventKind, EventLog, Metrics,
-    Severity, SharedObserver,
+    channels, names, spans, streams, Event, EventKind, EventLog, Metrics, Observer, Severity,
 };
 use simbus::rng::derive_seed;
 use simbus::{
@@ -270,7 +269,8 @@ pub struct Simulation {
     itp_rx: Vec<Vec<u8>>,
     controller: RavenController,
     rig: HardwareRig,
-    detector: Option<SharedDetector>,
+    /// The one owner of the detector: the guard borrows it for each write.
+    detector: Option<DynamicDetector>,
     mitm: Option<ItpMitm>,
     last_input: Option<OperatorInput>,
     last_packet_at: SimTime,
@@ -279,7 +279,9 @@ pub struct Simulation {
     max_ee_step_2ms: f64,
     cycle_log: Vec<CycleRecord>,
     trace: simbus::TraceRecorder,
-    observer: SharedObserver,
+    /// The one owner of the event ring and metrics: the rig and the
+    /// interceptors borrow it for each call.
+    observer: Observer,
     spans: SpanHandle,
     incident: Option<IncidentReport>,
     chaos: Option<ChaosState>,
@@ -316,9 +318,8 @@ impl Simulation {
     pub fn new(config: SimConfig) -> Self {
         let arm = ArmConfig::builder().coupling(config.plant.coupling()).build();
         let controller = RavenController::new(arm.clone(), config.controller);
-        let observer = shared_observer(config.event_capacity);
+        let observer = Observer::new(config.event_capacity);
         let mut rig = HardwareRig::new(config.plant);
-        rig.set_observer(std::sync::Arc::clone(&observer));
         // The robot powers up in a stowed pose, not at the homing target —
         // initialization must physically move the arm (otherwise the
         // homing-failure attacks of Table I would be unobservable).
@@ -349,15 +350,13 @@ impl Simulation {
             if let Some(thresholds) = setup.thresholds {
                 det.arm_with(thresholds);
             }
-            raven_detect::shared(det)
+            det
         });
-        // The guard is the LAST write interceptor: closest to the hardware,
-        // downstream of any malware installed later (paper §IV.C).
-        if let Some(det) = &detector {
-            rig.channel.install(Box::new(GuardInterceptor::with_observer(
-                std::sync::Arc::clone(det),
-                std::sync::Arc::clone(&observer),
-            )));
+        // The guard's slot closes the write chain as built here: closest to
+        // the hardware, downstream of any malware installed later with
+        // `install_first` (paper §IV.C).
+        if detector.is_some() {
+            rig.channel.reserve_guard_slot(GuardInterceptor::NAME);
         }
 
         // Boot (pre-start idle + homing from the stowed pose) takes < 2 s;
@@ -423,21 +422,21 @@ impl Simulation {
         &self.cycle_log
     }
 
-    /// The shared observer (event ring + metrics) every instrumented
-    /// component of this simulation writes into.
-    pub fn observer(&self) -> &SharedObserver {
+    /// The observer (event ring + metrics) every instrumented component
+    /// of this simulation writes into.
+    pub fn observer(&self) -> &Observer {
         &self.observer
     }
 
     /// Snapshot of the metric registry (deterministic given the seed).
     pub fn metrics(&self) -> Metrics {
-        self.observer.lock().metrics.clone()
+        self.observer.metrics.clone()
     }
 
     /// Snapshot of the event ring, oldest first (deterministic given the
     /// seed).
     pub fn events(&self) -> Vec<Event> {
-        self.observer.lock().events.snapshot()
+        self.observer.events.snapshot()
     }
 
     /// The flight recorder's dump, if a fault, E-STOP, or detector alarm
@@ -453,14 +452,14 @@ impl Simulation {
     }
 
     /// Turns on hierarchical span tracing for this session and threads the
-    /// shared recorder through the rig and the detector. Off by default:
+    /// recorder through the rig and the detector. Off by default:
     /// a disabled handle consumes no RNG and perturbs no serialized
     /// artifact, so golden/manifest guards stay byte-identical.
     pub fn enable_span_recorder(&mut self) {
         self.spans = SpanHandle::recording();
         self.rig.set_span_handle(self.spans.clone());
-        if let Some(det) = &self.detector {
-            det.lock().set_span_handle(self.spans.clone());
+        if let Some(det) = &mut self.detector {
+            det.set_span_handle(self.spans.clone());
         }
     }
 
@@ -481,7 +480,7 @@ impl Simulation {
     /// Installs an attack before the session starts.
     pub fn install_attack(&mut self, attack: &AttackSetup) {
         if !matches!(attack, AttackSetup::None) {
-            self.observer.lock().event(
+            self.observer.event(
                 Event::new(self.clock.now(), "attack", Severity::Info, EventKind::AttackInstalled)
                     .with("setup", format!("{attack:?}")),
             );
@@ -562,7 +561,6 @@ impl Simulation {
                     self.rig.channel.install_read(Box::new(ChaosStuckEncoder::new(
                         channel as usize,
                         FaultWindow::starting_at(fault.at, ms),
-                        Some(std::sync::Arc::clone(&self.observer)),
                     )));
                 }
                 ChaosFaultKind::EncoderBitFlip { channel, bit, ms } => {
@@ -570,24 +568,19 @@ impl Simulation {
                         channel as usize,
                         bit,
                         FaultWindow::starting_at(fault.at, ms),
-                        Some(std::sync::Arc::clone(&self.observer)),
                     )));
                 }
                 ChaosFaultKind::DropUsbFrames { ms } => {
                     self.rig.channel.install(Box::new(ChaosFrameDrop::usb_frames(
                         FaultWindow::starting_at(fault.at, ms),
-                        Some(std::sync::Arc::clone(&self.observer)),
                     )));
                 }
                 ChaosFaultKind::BoardSilence { ms } => {
                     let window = FaultWindow::starting_at(fault.at, ms);
                     // The write half announces; the read half is silent so
                     // the pair counts as one injected fault.
-                    self.rig.channel.install(Box::new(ChaosFrameDrop::board_silence(
-                        window,
-                        Some(std::sync::Arc::clone(&self.observer)),
-                    )));
-                    self.rig.channel.install_read(Box::new(ChaosFeedbackHold::new(window, None)));
+                    self.rig.channel.install(Box::new(ChaosFrameDrop::board_silence(window)));
+                    self.rig.channel.install_read(Box::new(ChaosFeedbackHold::new(window)));
                 }
             }
         }
@@ -595,9 +588,15 @@ impl Simulation {
         scheduled
     }
 
-    /// Read access to the shared detector (training protocols, metrics).
-    pub fn detector(&self) -> Option<&SharedDetector> {
+    /// The detector, if the run has one (training protocols, metrics).
+    pub fn detector(&self) -> Option<&DynamicDetector> {
         self.detector.as_ref()
+    }
+
+    /// Mutable access to the detector (ending a learning run, arming a
+    /// mutant).
+    pub fn detector_mut(&mut self) -> Option<&mut DynamicDetector> {
+        self.detector.as_mut()
     }
 
     /// Mutable access to the hardware rig (installing bespoke interceptors
@@ -649,7 +648,7 @@ impl Simulation {
         for _ in 0..60 {
             self.step();
         }
-        self.rig.press_start(self.clock.now());
+        self.rig.press_start(self.clock.now(), &mut self.observer);
         self.controller.press_start();
         for _ in 0..5_000 {
             self.step();
@@ -779,28 +778,30 @@ impl Simulation {
 
         // 3. Feedback read; detector measurement sync.
         let span_stage = self.spans.begin(spans::STAGE_FEEDBACK);
-        let feedback = self.rig.read_feedback(now);
-        if let Some(det) = &self.detector {
+        let feedback = self.rig.read_feedback(now, &mut self.observer);
+        if let Some(det) = &mut self.detector {
             let mpos = self.rig.decode_motor_positions(&feedback);
-            det.lock().sync_measurement(mpos);
+            det.sync_measurement(mpos);
         }
         drop(span_stage);
 
         // 4. Control cycle; command write through the interceptor chain
-        //    (malware wrappers first, the dynamic-model guard last).
+        //    (malware wrappers first, then the guard at its slot).
         let span_stage = self.spans.begin(spans::STAGE_CONTROLLER);
         let input = self.last_input;
         let cmd = self.controller.cycle(input.as_ref(), &feedback);
         drop(span_stage);
         let span_stage = self.spans.begin(spans::STAGE_INTERCEPTORS);
-        self.rig.deliver_command(&cmd, now);
+        let mut guard = self.detector.as_mut().map(GuardInterceptor::new);
+        let guard = guard.as_mut().map(|g| g as &mut dyn WriteInterceptor);
+        self.rig.deliver_command(&cmd, now, guard, &mut self.observer);
         drop(span_stage);
 
         // 5. Guard-driven E-STOP (the trusted hardware module acts on both
         //    the software and the PLC).
         let span_stage = self.spans.begin(spans::STAGE_DETECTOR);
         if let Some(det) = &self.detector {
-            if det.lock().estop_requested()
+            if det.estop_requested()
                 && self.controller.state_machine().fault() != Some(FaultReason::GuardStop)
                 && !self.controller.state_machine().is_estop()
             {
@@ -812,7 +813,7 @@ impl Simulation {
 
         // 6. Physics.
         let span_stage = self.spans.begin(spans::STAGE_PLANT);
-        self.rig.step(now);
+        self.rig.step(now, &mut self.observer);
         let ee = self.record_ee();
         if self.config.record_cycles {
             let state = *self.rig.plant.state();
@@ -901,7 +902,7 @@ impl Simulation {
                 | ChaosFaultKind::BoardSilence { .. } => false,
             };
             if applied {
-                let mut obs = self.observer.lock();
+                let obs = &mut self.observer;
                 obs.metrics.inc(names::CHAOS_INJECTIONS);
                 let mut event = Event::new(now, "chaos", Severity::Warn, EventKind::ChaosInjected)
                     .with("fault", fault.kind.slug());
@@ -931,12 +932,7 @@ impl Simulation {
     /// the previous cycle, emits events/metrics for every edge, and trips
     /// the flight recorder once.
     fn observe_cycle(&mut self, now: SimTime) {
-        // Sample detector state first (consistent lock order: detector
-        // before observer, matching the guard interceptor).
-        let det_sample = self.detector.as_ref().map(|det| {
-            let d = det.lock();
-            (d.alarmed(), d.first_alarm_assessment())
-        });
+        let det_sample = self.detector.as_ref().map(|d| (d.alarmed(), d.first_alarm_assessment()));
 
         let state = self.controller.state_machine().state();
         let fault = self.controller.state_machine().fault();
@@ -946,57 +942,55 @@ impl Simulation {
         let lost = self.itp_link.lost();
         let alarmed = det_sample.is_some_and(|(a, _)| a);
 
-        {
-            let mut obs = self.observer.lock();
-            if state != self.prev_state {
-                obs.metrics.inc(names::CONTROL_TRANSITIONS);
+        let obs = &mut self.observer;
+        if state != self.prev_state {
+            obs.metrics.inc(names::CONTROL_TRANSITIONS);
+            obs.event(
+                Event::new(now, "control", Severity::Info, EventKind::StateTransition)
+                    .with("from", format!("{:?}", self.prev_state))
+                    .with("to", format!("{state:?}")),
+            );
+        }
+        if fault != self.prev_fault {
+            if let Some(reason) = fault {
+                obs.metrics.inc(&names::fault_count(reason.slug()));
                 obs.event(
-                    Event::new(now, "control", Severity::Info, EventKind::StateTransition)
-                        .with("from", format!("{:?}", self.prev_state))
-                        .with("to", format!("{state:?}")),
+                    Event::new(now, "control", Severity::Error, EventKind::ControlFault)
+                        .with("reason", reason.slug()),
                 );
             }
-            if fault != self.prev_fault {
-                if let Some(reason) = fault {
-                    obs.metrics.inc(&names::fault_count(reason.slug()));
-                    obs.event(
-                        Event::new(now, "control", Severity::Error, EventKind::ControlFault)
-                            .with("reason", reason.slug()),
+        }
+        if mutations > self.prev_mutations {
+            let delta = mutations - self.prev_mutations;
+            obs.metrics.add(names::ATTACK_INJECTIONS, delta);
+            obs.event(
+                Event::new(now, "attack", Severity::Warn, EventKind::AttackInjection)
+                    .with("vector", "usb")
+                    .with("count", delta),
+            );
+        }
+        if corrupted > self.prev_corrupted {
+            let delta = corrupted - self.prev_corrupted;
+            obs.metrics.add(names::ATTACK_INJECTIONS, delta);
+            obs.event(
+                Event::new(now, "attack", Severity::Warn, EventKind::AttackInjection)
+                    .with("vector", "itp")
+                    .with("count", delta),
+            );
+        }
+        if lost > self.prev_lost {
+            obs.metrics.add(names::NET_PACKETS_DROPPED, lost - self.prev_lost);
+        }
+        if alarmed && !self.prev_alarmed {
+            if let Some((_, Some(first))) = det_sample {
+                obs.metrics.set_gauge(names::DETECTOR_FIRST_ALARM_ASSESSMENT, first as f64);
+                if let Some(delay) = self.attack_delay_packets {
+                    // The paper's detection latency: armed assessments
+                    // between injection onset and the first alarm.
+                    obs.metrics.observe(
+                        names::DETECTOR_DETECTION_LATENCY_CYCLES,
+                        first.saturating_sub(delay) as f64,
                     );
-                }
-            }
-            if mutations > self.prev_mutations {
-                let delta = mutations - self.prev_mutations;
-                obs.metrics.add(names::ATTACK_INJECTIONS, delta);
-                obs.event(
-                    Event::new(now, "attack", Severity::Warn, EventKind::AttackInjection)
-                        .with("vector", "usb")
-                        .with("count", delta),
-                );
-            }
-            if corrupted > self.prev_corrupted {
-                let delta = corrupted - self.prev_corrupted;
-                obs.metrics.add(names::ATTACK_INJECTIONS, delta);
-                obs.event(
-                    Event::new(now, "attack", Severity::Warn, EventKind::AttackInjection)
-                        .with("vector", "itp")
-                        .with("count", delta),
-                );
-            }
-            if lost > self.prev_lost {
-                obs.metrics.add(names::NET_PACKETS_DROPPED, lost - self.prev_lost);
-            }
-            if alarmed && !self.prev_alarmed {
-                if let Some((_, Some(first))) = det_sample {
-                    obs.metrics.set_gauge(names::DETECTOR_FIRST_ALARM_ASSESSMENT, first as f64);
-                    if let Some(delay) = self.attack_delay_packets {
-                        // The paper's detection latency: armed assessments
-                        // between injection onset and the first alarm.
-                        obs.metrics.observe(
-                            names::DETECTOR_DETECTION_LATENCY_CYCLES,
-                            first.saturating_sub(delay) as f64,
-                        );
-                    }
                 }
             }
         }
@@ -1017,13 +1011,12 @@ impl Simulation {
                 let _capture = self.spans.begin(spans::FLIGHT_RECORDER_CAPTURE);
                 let window = SimDuration::from_millis(Self::INCIDENT_WINDOW_MS);
                 let from = SimTime::from_nanos(now.as_nanos().saturating_sub(window.as_nanos()));
-                let obs = self.observer.lock();
                 self.incident = Some(IncidentReport {
                     time: now,
                     cause,
                     seed: self.config.seed,
                     window_ms: Self::INCIDENT_WINDOW_MS,
-                    events: obs.events.snapshot(),
+                    events: self.observer.events.snapshot(),
                     signals: self.trace.window_from(from),
                 });
             }
@@ -1075,7 +1068,7 @@ impl Simulation {
             self.rig.estop(),
             Some(EStopCause::WatchdogTimeout) | Some(EStopCause::HardwareFault)
         );
-        let model_detected = self.detector.as_ref().map(|d| d.lock().alarmed()).unwrap_or(false);
+        let model_detected = self.detector.as_ref().is_some_and(DynamicDetector::alarmed);
         SessionOutcome {
             max_ee_step_1ms: self.max_ee_step_1ms,
             max_ee_step_2ms: self.max_ee_step_2ms,
@@ -1112,6 +1105,33 @@ mod tests {
         // every trait object inside the rig must therefore be `Send`.
         fn assert_send<T: Send>() {}
         assert_send::<Simulation>();
+    }
+
+    #[test]
+    fn guard_slot_sits_between_malware_and_later_chaos_stages() {
+        let mut sim = Simulation::new(SimConfig {
+            session_ms: 10_000,
+            detector: Some(DetectorSetup::default()),
+            ..SimConfig::standard(7)
+        });
+        sim.install_attack(&AttackSetup::ScenarioB {
+            dac_delta: 14_000,
+            channel: 0,
+            delay_packets: 400,
+            duration_packets: 256,
+        });
+        sim.install_chaos(&ChaosConfig::standard());
+        assert_eq!(
+            sim.rig.channel.write_chain_names(),
+            [
+                InjectionWrapper::NAME,
+                GuardInterceptor::NAME,
+                "chaos.usb_frame_drop",
+                "chaos.usb_frame_drop",
+                "chaos.board_silence.write",
+                "chaos.board_silence.write",
+            ]
+        );
     }
 
     #[test]

@@ -114,8 +114,7 @@ pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> 
                 outcome.controller_fault.is_none(),
                 "fault-free training run {run} faulted: {outcome:?}"
             );
-            let det = sim.detector().expect("training sim must have a detector");
-            let mut det = det.lock();
+            let det = sim.detector_mut().expect("training sim must have a detector");
             det.end_learning_run();
             det.learner().clone()
         },

@@ -4,20 +4,17 @@
 //! Placement matters: the paper argues the detector belongs "at lower layers
 //! of control structure and just before the commands are going to be
 //! executed on the physical robot" (§IV.C), downstream of any compromised
-//! software. [`GuardInterceptor`] therefore installs as the *last* write
-//! interceptor: it sees exactly the bytes the board would execute —
-//! including any malware mutations — and vets them against the model's
-//! one-step prediction *before* they reach the motors.
+//! software. [`GuardInterceptor`] therefore runs at the write chain's guard
+//! slot, downstream of the malware: it sees exactly the bytes the board
+//! would execute — including any malware mutations — and vets them against
+//! the model's one-step prediction *before* they reach the motors.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use raven_dynamics::RtModel;
 use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
 use raven_hw::{RobotState, UsbCommandPacket};
 use raven_kinematics::{ArmConfig, MotorState, NUM_AXES};
 use serde::{Deserialize, Serialize};
-use simbus::obs::{names, spans, Event, EventKind, Severity, SharedObserver};
+use simbus::obs::{names, spans, Event, EventKind, Severity};
 use simbus::{SpanGuard, SpanHandle};
 
 use crate::batch::BatchDetector;
@@ -389,41 +386,29 @@ impl DynamicDetector {
     }
 }
 
-/// A shareable handle to a detector.
-pub type SharedDetector = Arc<Mutex<DynamicDetector>>;
-
-/// Wraps a detector for sharing between the guard and the harness.
-pub fn shared(detector: DynamicDetector) -> SharedDetector {
-    Arc::new(Mutex::new(detector))
-}
-
 /// The write-path guard: assesses every Pedal-Down command packet before it
 /// reaches the USB board, and mitigates on alarm.
+///
+/// It borrows the detector its owner holds for the length of one write and
+/// reports assessments, verdicts and blocked commands into the observer of
+/// the [`WriteContext`] (events stamped with the write's virtual time).
 #[derive(Debug)]
-pub struct GuardInterceptor {
-    detector: SharedDetector,
-    observer: Option<SharedObserver>,
+pub struct GuardInterceptor<'a> {
+    detector: &'a mut DynamicDetector,
 }
 
-impl GuardInterceptor {
+impl<'a> GuardInterceptor<'a> {
     /// Interceptor name.
     pub const NAME: &'static str = "dynamic-model-guard";
 
-    /// Creates a guard over a shared detector.
-    pub fn new(detector: SharedDetector) -> Self {
-        GuardInterceptor { detector, observer: None }
-    }
-
-    /// Creates a guard that also reports assessments, verdicts, and blocked
-    /// commands into an observer (events stamped with the write's virtual
-    /// time from [`WriteContext`]).
-    pub fn with_observer(detector: SharedDetector, observer: SharedObserver) -> Self {
-        GuardInterceptor { detector, observer: Some(observer) }
+    /// Creates a guard over a borrowed detector.
+    pub fn new(detector: &'a mut DynamicDetector) -> Self {
+        GuardInterceptor { detector }
     }
 }
 
-impl WriteInterceptor for GuardInterceptor {
-    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction {
+impl WriteInterceptor for GuardInterceptor<'_> {
+    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
         let Ok(pkt) = UsbCommandPacket::decode_unchecked(buf) else {
             // Undecodable buffers cannot be executed by the board anyway.
             return WriteAction::Forward;
@@ -432,15 +417,13 @@ impl WriteInterceptor for GuardInterceptor {
         if pkt.state != RobotState::PedalDown {
             return WriteAction::Forward;
         }
-        let mut det = self.detector.lock();
+        let det = &mut *self.detector;
         let dac3 = [pkt.dac[0], pkt.dac[1], pkt.dac[2]];
         let Some(assessment) = det.assess(&dac3) else {
             return WriteAction::Forward;
         };
         if det.mode() == DetectorMode::Armed {
-            if let Some(obs) = &self.observer {
-                obs.lock().metrics.inc(names::DETECTOR_ASSESSMENTS);
-            }
+            ctx.obs.metrics.inc(names::DETECTOR_ASSESSMENTS);
         }
         let holding = det.hold_cooldown > 0;
         if !assessment.alarm() && !holding {
@@ -488,28 +471,25 @@ impl WriteInterceptor for GuardInterceptor {
                 }
             }
         };
-        if let Some(obs) = &self.observer {
-            let mut obs = obs.lock();
-            if blocked {
-                obs.metrics.inc(names::DETECTOR_BLOCKED_COMMANDS);
-            }
-            if assessment.alarm() {
-                obs.metrics.inc(names::DETECTOR_ALARMS);
-                let action_label = match action {
-                    WriteAction::Drop => "drop",
-                    WriteAction::Forward if blocked => "hold",
-                    WriteAction::Forward => "observe",
-                };
-                obs.event(
-                    Event::new(ctx.time, "detector", Severity::Warn, EventKind::DetectorVerdict)
-                        .with("assessment", det.assessments())
-                        .with("seq", ctx.seq)
-                        .with("threshold_alarm", assessment.threshold_alarm)
-                        .with("ee_alarm", assessment.ee_alarm)
-                        .with("ee_step_mm", assessment.features.ee_step * 1e3)
-                        .with("action", action_label),
-                );
-            }
+        if blocked {
+            ctx.obs.metrics.inc(names::DETECTOR_BLOCKED_COMMANDS);
+        }
+        if assessment.alarm() {
+            ctx.obs.metrics.inc(names::DETECTOR_ALARMS);
+            let action_label = match action {
+                WriteAction::Drop => "drop",
+                WriteAction::Forward if blocked => "hold",
+                WriteAction::Forward => "observe",
+            };
+            ctx.obs.event(
+                Event::new(ctx.time, "detector", Severity::Warn, EventKind::DetectorVerdict)
+                    .with("assessment", det.assessments())
+                    .with("seq", ctx.seq)
+                    .with("threshold_alarm", assessment.threshold_alarm)
+                    .with("ee_alarm", assessment.ee_alarm)
+                    .with("ee_step_mm", assessment.features.ee_step * 1e3)
+                    .with("action", action_label),
+            );
         }
         action
     }
@@ -524,20 +504,19 @@ mod tests {
     use super::*;
     use raven_dynamics::PlantParams;
     use raven_kinematics::JointState;
-    use simbus::SimTime;
+    use simbus::{Observer, SimTime};
 
-    fn setup(mitigation: Mitigation) -> (SharedDetector, PlantParams) {
+    fn setup(mitigation: Mitigation) -> (DynamicDetector, PlantParams) {
         let params = PlantParams::raven_ii();
         let arm = ArmConfig::builder().coupling(params.coupling()).build();
         let model = RtModel::new(params.perturbed(1, 0.02));
         let config = DetectorConfig { mitigation, ..DetectorConfig::default() };
         let det = DynamicDetector::new(arm, model, config);
-        (shared(det), params)
+        (det, params)
     }
 
     /// Trains on gentle synthetic motion and arms.
-    fn train_and_arm(det: &SharedDetector, params: &PlantParams) {
-        let mut d = det.lock();
+    fn train_and_arm(d: &mut DynamicDetector, params: &PlantParams) {
         let coupling = params.coupling();
         for k in 0..2000u64 {
             let t = k as f64 * 1e-3;
@@ -556,10 +535,10 @@ mod tests {
 
     /// Feeds a measurement showing the shoulder motor running away
     /// (~50 rad/s over one cycle), as seen mid-injection.
-    fn runaway_measurement(det: &SharedDetector, params: &PlantParams) {
+    fn runaway_measurement(det: &mut DynamicDetector, params: &PlantParams) {
         let mut m = params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25));
         m.angles[0] += 0.05;
-        det.lock().sync_measurement(m);
+        det.sync_measurement(m);
     }
 
     fn pedal_down_packet(dac0: i16) -> Vec<u8> {
@@ -572,19 +551,34 @@ mod tests {
         .to_vec()
     }
 
-    fn ctx() -> WriteContext {
+    fn ctx(obs: &mut Observer) -> WriteContext<'_> {
         WriteContext {
             time: SimTime::ZERO,
             seq: 0,
             process: raven_hw::UsbChannel::PROCESS,
             fd: raven_hw::UsbChannel::BOARD_FD,
+            obs,
         }
+    }
+
+    /// Runs one write through a guard over `det`.
+    fn guard_write(
+        det: &mut DynamicDetector,
+        buf: &mut Vec<u8>,
+        obs: &mut Observer,
+    ) -> WriteAction {
+        GuardInterceptor::new(det).on_write(buf, &mut ctx(obs))
+    }
+
+    /// Resets the session and syncs a resting measurement.
+    fn rest(det: &mut DynamicDetector, params: &PlantParams) {
+        det.reset_session();
+        det.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
     }
 
     #[test]
     fn learning_mode_never_alarms() {
-        let (det, params) = setup(Mitigation::EStop);
-        let mut d = det.lock();
+        let (mut d, params) = setup(Mitigation::EStop);
         d.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let a = d.assess(&[30_000, 0, 0]).unwrap();
         assert!(!a.alarm());
@@ -594,9 +588,8 @@ mod tests {
 
     #[test]
     fn armed_detector_flags_violent_command_and_passes_gentle() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        let mut d = det.lock();
+        let (mut d, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut d, &params);
         d.reset_session(); // fresh session: no stale differenced velocity
         d.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let gentle = d.assess(&[150, 100, -50]).unwrap();
@@ -615,77 +608,62 @@ mod tests {
 
     #[test]
     fn guard_drops_alarming_packet_in_estop_mode() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        {
-            let mut d = det.lock();
-            d.reset_session();
-            d.sync_measurement(
-                params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)),
-            );
-        }
-        let mut guard = GuardInterceptor::new(Arc::clone(&det));
+        let (mut det, params) = setup(Mitigation::EStop);
+        let mut obs = Observer::default();
+        train_and_arm(&mut det, &params);
+        rest(&mut det, &params);
         let mut safe = pedal_down_packet(150);
-        assert_eq!(guard.on_write(&mut safe, &ctx()), WriteAction::Forward);
-        runaway_measurement(&det, &params);
+        assert_eq!(guard_write(&mut det, &mut safe, &mut obs), WriteAction::Forward);
+        runaway_measurement(&mut det, &params);
         let mut hot = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut hot, &ctx()), WriteAction::Drop);
-        assert!(det.lock().estop_requested());
+        assert_eq!(guard_write(&mut det, &mut hot, &mut obs), WriteAction::Drop);
+        assert!(det.estop_requested());
     }
 
     #[test]
     fn guard_substitutes_last_safe_in_hold_mode() {
-        let (det, params) = setup(Mitigation::BlockAndHold);
-        train_and_arm(&det, &params);
-        {
-            let mut d = det.lock();
-            d.reset_session();
-            d.sync_measurement(
-                params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)),
-            );
-        }
-        let mut guard = GuardInterceptor::new(Arc::clone(&det));
+        let (mut det, params) = setup(Mitigation::BlockAndHold);
+        let mut obs = Observer::default();
+        train_and_arm(&mut det, &params);
+        rest(&mut det, &params);
         let mut safe = pedal_down_packet(150);
-        guard.on_write(&mut safe, &ctx());
-        runaway_measurement(&det, &params);
+        guard_write(&mut det, &mut safe, &mut obs);
+        runaway_measurement(&mut det, &params);
         let mut hot = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut hot, &ctx()), WriteAction::Forward);
+        assert_eq!(guard_write(&mut det, &mut hot, &mut obs), WriteAction::Forward);
         let substituted = UsbCommandPacket::decode_unchecked(&hot).unwrap();
         assert_eq!(substituted.dac[0], 150, "last-safe DAC substituted");
-        assert!(!det.lock().estop_requested(), "hold mode must not demand E-STOP");
+        assert!(!det.estop_requested(), "hold mode must not demand E-STOP");
     }
 
     #[test]
     fn guard_ignores_non_pedal_down_states() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        det.lock()
-            .sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
-        let mut guard = GuardInterceptor::new(Arc::clone(&det));
+        let (mut det, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut det, &params);
+        det.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let mut pkt =
             UsbCommandPacket { state: RobotState::PedalUp, watchdog: true, dac: [32_000; 8] }
                 .encode()
                 .to_vec();
-        assert_eq!(guard.on_write(&mut pkt, &ctx()), WriteAction::Forward);
-        assert_eq!(det.lock().assessments(), 0);
+        let mut obs = Observer::default();
+        assert_eq!(guard_write(&mut det, &mut pkt, &mut obs), WriteAction::Forward);
+        assert_eq!(det.assessments(), 0);
     }
 
     #[test]
     fn guard_forwards_without_measurement() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        det.lock().reset_session(); // clears the tracked state
-        let mut guard = GuardInterceptor::new(det);
+        let (mut det, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut det, &params);
+        det.reset_session(); // clears the tracked state
         let mut pkt = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut pkt, &ctx()), WriteAction::Forward);
-        let _ = params;
+        let mut obs = Observer::default();
+        assert_eq!(guard_write(&mut det, &mut pkt, &mut obs), WriteAction::Forward);
     }
 
     #[test]
     fn reset_session_clears_counters_but_keeps_thresholds() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        let mut d = det.lock();
+        let (mut d, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut d, &params);
         d.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         d.assess(&[32_000, 0, 0]);
         assert!(d.alarmed());
@@ -698,30 +676,22 @@ mod tests {
 
     #[test]
     fn arming_without_samples_errors() {
-        let (det, _) = setup(Mitigation::EStop);
-        assert_eq!(det.lock().arm(), Err(NoFaultFreeSamples));
-        assert_eq!(det.lock().mode(), DetectorMode::Learning);
+        let (mut det, _) = setup(Mitigation::EStop);
+        assert_eq!(det.arm(), Err(NoFaultFreeSamples));
+        assert_eq!(det.mode(), DetectorMode::Learning);
     }
 
     #[test]
     fn observed_guard_reports_assessments_verdicts_and_blocks() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        {
-            let mut d = det.lock();
-            d.reset_session();
-            d.sync_measurement(
-                params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)),
-            );
-        }
-        let obs = simbus::obs::shared_observer(64);
-        let mut guard = GuardInterceptor::with_observer(Arc::clone(&det), Arc::clone(&obs));
+        let (mut det, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut det, &params);
+        rest(&mut det, &params);
+        let mut o = Observer::new(64);
         let mut safe = pedal_down_packet(150);
-        guard.on_write(&mut safe, &ctx());
-        runaway_measurement(&det, &params);
+        guard_write(&mut det, &mut safe, &mut o);
+        runaway_measurement(&mut det, &params);
         let mut hot = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut hot, &ctx()), WriteAction::Drop);
-        let o = obs.lock();
+        assert_eq!(guard_write(&mut det, &mut hot, &mut o), WriteAction::Drop);
         assert_eq!(o.metrics.counter("detector.assessments"), 2);
         assert_eq!(o.metrics.counter("detector.alarms"), 1);
         assert_eq!(o.metrics.counter("detector.blocked_commands"), 1);

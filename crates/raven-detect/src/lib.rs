@@ -31,8 +31,8 @@ pub mod thresholds;
 
 pub use batch::{BatchDetector, SoaFeatures};
 pub use detector::{
-    shared, Assessment, DetectorConfig, DetectorMode, DynamicDetector, FusionRule,
-    GuardInterceptor, Mitigation, NoFaultFreeSamples, SharedDetector,
+    Assessment, DetectorConfig, DetectorMode, DynamicDetector, FusionRule, GuardInterceptor,
+    Mitigation, NoFaultFreeSamples,
 };
 pub use features::InstantFeatures;
 #[cfg(feature = "mutant-hooks")]

@@ -193,18 +193,15 @@ impl SessionArtifact {
         outcome: SessionOutcome,
         sim: &Simulation,
     ) -> Self {
-        let (events, events_dropped) = {
-            let obs = sim.observer().lock();
-            (obs.events.snapshot(), obs.events.dropped())
-        };
+        let events = &sim.observer().events;
         SessionArtifact {
             id,
             name: spec.name.clone(),
             seed: spec.config.seed,
             booted,
             outcome,
-            events,
-            events_dropped,
+            events: events.snapshot(),
+            events_dropped: events.dropped(),
             metrics: sim.metrics(),
             incident: sim.incident().cloned(),
         }

@@ -11,17 +11,21 @@
 //!
 //! The same hook point hosts the defense: the paper argues the detector
 //! belongs "at lower layers of control structure and just before the
-//! commands are going to be executed on the physical robot" (§IV.C), so the
-//! dynamic-model guard in `raven-detect` is installed as the *last*
-//! interceptor in the chain — downstream of any malware.
+//! commands are going to be executed on the physical robot" (§IV.C). The
+//! dynamic-model guard in `raven-detect` borrows the detector its owner
+//! holds, so it is not installed: [`UsbChannel::reserve_guard_slot`] marks
+//! its place in the chain, and [`UsbChannel::write`] runs the guard it is
+//! handed there — downstream of any malware installed with
+//! [`UsbChannel::install_first`].
 
-use simbus::SimTime;
+use simbus::{Observer, SimTime};
 
 /// Metadata an interceptor can inspect, mirroring what the paper's wrapper
 /// checks before acting ("checking the process name and the file
-/// descriptor", §III.C.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteContext {
+/// descriptor", §III.C.2), plus the observer the write or read reports
+/// into.
+#[derive(Debug)]
+pub struct WriteContext<'a> {
     /// Virtual time of the write.
     pub time: SimTime,
     /// Monotonic sequence number of the write on this channel.
@@ -30,6 +34,8 @@ pub struct WriteContext {
     pub process: &'static str,
     /// File descriptor being written.
     pub fd: i32,
+    /// The run's event ring and metric registry, lent for this call.
+    pub obs: &'a mut Observer,
 }
 
 /// What an interceptor decided to do with a write.
@@ -53,7 +59,7 @@ pub enum WriteAction {
 /// between fleet worker threads.
 pub trait WriteInterceptor: std::fmt::Debug + Send {
     /// Inspects and possibly mutates one outgoing buffer.
-    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction;
+    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction;
 
     /// Human-readable name for diagnostics.
     fn name(&self) -> &str;
@@ -63,7 +69,7 @@ pub trait WriteInterceptor: std::fmt::Debug + Send {
 /// [`WriteInterceptor`]: fleet workers move rigs across threads.
 pub trait ReadInterceptor: std::fmt::Debug + Send {
     /// Inspects and possibly mutates one incoming buffer.
-    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext);
+    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>);
 
     /// Human-readable name for diagnostics.
     fn name(&self) -> &str;
@@ -80,18 +86,27 @@ pub struct WriteOutcome {
     pub mutated: bool,
 }
 
+/// One place in the write chain.
+#[derive(Debug)]
+enum WriteStage {
+    /// An interceptor the channel owns.
+    Installed(Box<dyn WriteInterceptor>),
+    /// The reserved place of the borrowed guard, under its name.
+    Guard(&'static str),
+}
+
 /// The USB write path: an ordered interceptor chain in front of the board.
 ///
 /// # Example
 ///
 /// ```
 /// use raven_hw::channel::{UsbChannel, WriteAction, WriteContext, WriteInterceptor};
-/// use simbus::SimTime;
+/// use simbus::{Observer, SimTime};
 ///
 /// #[derive(Debug)]
 /// struct Nop;
 /// impl WriteInterceptor for Nop {
-///     fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+///     fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
 ///         WriteAction::Forward
 ///     }
 ///     fn name(&self) -> &str { "nop" }
@@ -99,12 +114,12 @@ pub struct WriteOutcome {
 ///
 /// let mut ch = UsbChannel::new();
 /// ch.install(Box::new(Nop));
-/// let out = ch.write(vec![1, 2, 3], SimTime::ZERO);
+/// let out = ch.write(vec![1, 2, 3], SimTime::ZERO, None, &mut Observer::default());
 /// assert_eq!(out.delivered, Some(vec![1, 2, 3]));
 /// ```
 #[derive(Debug, Default)]
 pub struct UsbChannel {
-    write_chain: Vec<Box<dyn WriteInterceptor>>,
+    write_chain: Vec<WriteStage>,
     read_chain: Vec<Box<dyn ReadInterceptor>>,
     seq: u64,
     writes: u64,
@@ -125,13 +140,21 @@ impl UsbChannel {
 
     /// Appends a write interceptor to the end of the chain (runs last).
     pub fn install(&mut self, interceptor: Box<dyn WriteInterceptor>) {
-        self.write_chain.push(interceptor);
+        self.write_chain.push(WriteStage::Installed(interceptor));
     }
 
     /// Prepends a write interceptor (runs first — how `LD_PRELOAD` shadows
     /// every later hook).
     pub fn install_first(&mut self, interceptor: Box<dyn WriteInterceptor>) {
-        self.write_chain.insert(0, interceptor);
+        self.write_chain.insert(0, WriteStage::Installed(interceptor));
+    }
+
+    /// Appends the guard's place to the chain under `name`: the guard
+    /// handed to [`UsbChannel::write`] runs here, after every interceptor
+    /// installed so far or with [`UsbChannel::install_first`], and before
+    /// any appended later.
+    pub fn reserve_guard_slot(&mut self, name: &'static str) {
+        self.write_chain.push(WriteStage::Guard(name));
     }
 
     /// Appends a read interceptor.
@@ -139,27 +162,52 @@ impl UsbChannel {
         self.read_chain.push(interceptor);
     }
 
-    /// Removes every interceptor whose name matches.
+    /// Removes every interceptor whose name matches (a reserved guard slot
+    /// stays).
     pub fn uninstall(&mut self, name: &str) {
-        self.write_chain.retain(|i| i.name() != name);
+        self.write_chain
+            .retain(|stage| !matches!(stage, WriteStage::Installed(i) if i.name() == name));
         self.read_chain.retain(|i| i.name() != name);
     }
 
-    /// Names of the installed write interceptors, in execution order.
+    /// Names of the write interceptors and the guard slot, in execution
+    /// order.
     pub fn write_chain_names(&self) -> Vec<&str> {
-        self.write_chain.iter().map(|i| i.name()).collect()
+        self.write_chain
+            .iter()
+            .map(|stage| match stage {
+                WriteStage::Installed(i) => i.name(),
+                WriteStage::Guard(name) => name,
+            })
+            .collect()
     }
 
-    /// Pushes a buffer through the write chain.
-    pub fn write(&mut self, buf: Vec<u8>, time: SimTime) -> WriteOutcome {
-        let ctx = WriteContext { time, seq: self.seq, process: Self::PROCESS, fd: Self::BOARD_FD };
+    /// Pushes a buffer through the write chain, running `guard` at the
+    /// reserved guard slot; `obs` is lent to every interceptor through the
+    /// [`WriteContext`].
+    pub fn write(
+        &mut self,
+        buf: Vec<u8>,
+        time: SimTime,
+        mut guard: Option<&mut dyn WriteInterceptor>,
+        obs: &mut Observer,
+    ) -> WriteOutcome {
+        let mut ctx =
+            WriteContext { time, seq: self.seq, process: Self::PROCESS, fd: Self::BOARD_FD, obs };
         self.seq += 1;
         self.writes += 1;
 
         let original = buf.clone();
         let mut current = buf;
-        for interceptor in &mut self.write_chain {
-            match interceptor.on_write(&mut current, &ctx) {
+        for stage in &mut self.write_chain {
+            let interceptor: &mut dyn WriteInterceptor = match stage {
+                WriteStage::Installed(i) => i.as_mut(),
+                WriteStage::Guard(_) => match guard.as_deref_mut() {
+                    Some(g) => g,
+                    None => continue,
+                },
+            };
+            match interceptor.on_write(&mut current, &mut ctx) {
                 WriteAction::Forward => {}
                 WriteAction::Drop => {
                     self.drops += 1;
@@ -184,11 +232,12 @@ impl UsbChannel {
 
     /// Pushes a feedback buffer through the read chain, returning the bytes
     /// the control software ultimately sees.
-    pub fn read(&mut self, buf: Vec<u8>, time: SimTime) -> Vec<u8> {
-        let ctx = WriteContext { time, seq: self.seq, process: Self::PROCESS, fd: Self::BOARD_FD };
+    pub fn read(&mut self, buf: Vec<u8>, time: SimTime, obs: &mut Observer) -> Vec<u8> {
+        let mut ctx =
+            WriteContext { time, seq: self.seq, process: Self::PROCESS, fd: Self::BOARD_FD, obs };
         let mut current = buf;
         for interceptor in &mut self.read_chain {
-            interceptor.on_read(&mut current, &ctx);
+            interceptor.on_read(&mut current, &mut ctx);
         }
         current
     }
@@ -216,7 +265,7 @@ mod tests {
     #[derive(Debug)]
     struct AddOne;
     impl WriteInterceptor for AddOne {
-        fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+        fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
             for b in buf.iter_mut() {
                 *b = b.wrapping_add(1);
             }
@@ -230,7 +279,7 @@ mod tests {
     #[derive(Debug)]
     struct DropAll;
     impl WriteInterceptor for DropAll {
-        fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+        fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
             WriteAction::Drop
         }
         fn name(&self) -> &str {
@@ -241,7 +290,7 @@ mod tests {
     #[derive(Debug)]
     struct SeqRecorder(Vec<u64>);
     impl WriteInterceptor for SeqRecorder {
-        fn on_write(&mut self, _buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction {
+        fn on_write(&mut self, _buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
             self.0.push(ctx.seq);
             WriteAction::Forward
         }
@@ -253,7 +302,7 @@ mod tests {
     #[test]
     fn empty_chain_forwards_unchanged() {
         let mut ch = UsbChannel::new();
-        let out = ch.write(vec![1, 2, 3], SimTime::ZERO);
+        let out = ch.write(vec![1, 2, 3], SimTime::ZERO, None, &mut Observer::default());
         assert_eq!(out.delivered, Some(vec![1, 2, 3]));
         assert!(!out.mutated);
         assert_eq!(ch.writes(), 1);
@@ -265,7 +314,7 @@ mod tests {
         let mut ch = UsbChannel::new();
         ch.install(Box::new(AddOne));
         ch.install(Box::new(AddOne));
-        let out = ch.write(vec![10], SimTime::ZERO);
+        let out = ch.write(vec![10], SimTime::ZERO, None, &mut Observer::default());
         assert_eq!(out.delivered, Some(vec![12]));
         assert!(out.mutated);
         assert_eq!(ch.mutations(), 1);
@@ -276,7 +325,7 @@ mod tests {
         #[derive(Debug)]
         struct FailIfNotFirst;
         impl WriteInterceptor for FailIfNotFirst {
-            fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+            fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
                 assert_eq!(buf[0], 10, "must see the original bytes");
                 WriteAction::Forward
             }
@@ -288,7 +337,7 @@ mod tests {
         ch.install(Box::new(AddOne));
         ch.install_first(Box::new(FailIfNotFirst));
         assert_eq!(ch.write_chain_names(), vec!["first", "add-one"]);
-        let out = ch.write(vec![10], SimTime::ZERO);
+        let out = ch.write(vec![10], SimTime::ZERO, None, &mut Observer::default());
         assert_eq!(out.delivered, Some(vec![11]));
     }
 
@@ -297,10 +346,37 @@ mod tests {
         let mut ch = UsbChannel::new();
         ch.install(Box::new(DropAll));
         ch.install(Box::new(AddOne)); // must never run
-        let out = ch.write(vec![1], SimTime::ZERO);
+        let out = ch.write(vec![1], SimTime::ZERO, None, &mut Observer::default());
         assert_eq!(out.delivered, None);
         assert_eq!(out.dropped_by.as_deref(), Some("drop-all"));
         assert_eq!(ch.drops(), 1);
+    }
+
+    #[test]
+    fn guard_runs_at_its_reserved_slot() {
+        #[derive(Debug)]
+        struct Double;
+        impl WriteInterceptor for Double {
+            fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
+                buf[0] *= 2;
+                WriteAction::Forward
+            }
+            fn name(&self) -> &str {
+                "double"
+            }
+        }
+        let mut ch = UsbChannel::new();
+        ch.reserve_guard_slot("double");
+        ch.install_first(Box::new(AddOne));
+        ch.install(Box::new(DropAll));
+        assert_eq!(ch.write_chain_names(), vec!["add-one", "double", "drop-all"]);
+        ch.uninstall("drop-all");
+        // (10 + 1) * 2: the upstream interceptor runs before the guard.
+        let out = ch.write(vec![10], SimTime::ZERO, Some(&mut Double), &mut Observer::default());
+        assert_eq!(out.delivered, Some(vec![22]));
+        // Without a guard to run, the slot forwards.
+        let out = ch.write(vec![10], SimTime::ZERO, None, &mut Observer::default());
+        assert_eq!(out.delivered, Some(vec![11]));
     }
 
     #[test]
@@ -310,7 +386,10 @@ mod tests {
         ch.install(Box::new(DropAll));
         ch.uninstall("drop-all");
         assert_eq!(ch.write_chain_names(), vec!["add-one"]);
-        assert!(ch.write(vec![0], SimTime::ZERO).delivered.is_some());
+        assert!(ch
+            .write(vec![0], SimTime::ZERO, None, &mut Observer::default())
+            .delivered
+            .is_some());
     }
 
     #[test]
@@ -318,7 +397,7 @@ mod tests {
         let mut ch = UsbChannel::new();
         ch.install(Box::new(SeqRecorder(Vec::new())));
         for _ in 0..5 {
-            ch.write(vec![0], SimTime::ZERO);
+            ch.write(vec![0], SimTime::ZERO, None, &mut Observer::default());
         }
         // Recorder is boxed inside; verify indirectly via counters.
         assert_eq!(ch.writes(), 5);
@@ -329,7 +408,7 @@ mod tests {
         #[derive(Debug)]
         struct Zero;
         impl ReadInterceptor for Zero {
-            fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) {
+            fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {
                 buf.fill(0);
             }
             fn name(&self) -> &str {
@@ -338,8 +417,8 @@ mod tests {
         }
         let mut ch = UsbChannel::new();
         ch.install_read(Box::new(Zero));
-        assert_eq!(ch.read(vec![1, 2, 3], SimTime::ZERO), vec![0, 0, 0]);
+        assert_eq!(ch.read(vec![1, 2, 3], SimTime::ZERO, &mut Observer::default()), vec![0, 0, 0]);
         ch.uninstall("zero");
-        assert_eq!(ch.read(vec![1, 2, 3], SimTime::ZERO), vec![1, 2, 3]);
+        assert_eq!(ch.read(vec![1, 2, 3], SimTime::ZERO, &mut Observer::default()), vec![1, 2, 3]);
     }
 }

@@ -24,8 +24,8 @@
 //! Everything here is panic-free (lint rule R3): malformed buffers are
 //! forwarded unchanged rather than unwrapped.
 
-use simbus::obs::{names, Event, EventKind, Severity, SharedObserver};
-use simbus::{SimDuration, SimTime};
+use simbus::obs::{names, Event, EventKind, Severity};
+use simbus::{Observer, SimDuration, SimTime};
 
 use crate::channel::{ReadInterceptor, WriteAction, WriteContext, WriteInterceptor};
 use crate::packet::{checksum, FEEDBACK_PACKET_LEN};
@@ -54,14 +54,12 @@ impl FaultWindow {
 
 /// Emits the one-per-window `chaos.injected` announcement.
 fn announce(
-    observer: &Option<SharedObserver>,
+    obs: &mut Observer,
     now: SimTime,
     slug: &'static str,
     window: &FaultWindow,
     details: &[(&'static str, i64)],
 ) {
-    let Some(observer) = observer else { return };
-    let mut obs = observer.lock();
     obs.metrics.inc(names::CHAOS_INJECTIONS);
     let span_ms = window.until.saturating_since(window.from).as_nanos() / 1_000_000;
     let mut event = Event::new(now, "chaos", Severity::Warn, EventKind::ChaosInjected)
@@ -85,43 +83,40 @@ pub struct ChaosFrameDrop {
     slug: &'static str,
     window: FaultWindow,
     announced: bool,
-    observer: Option<SharedObserver>,
 }
 
 impl ChaosFrameDrop {
     /// A dropped-USB-frames fault over `window`.
-    pub fn usb_frames(window: FaultWindow, observer: Option<SharedObserver>) -> Self {
+    pub fn usb_frames(window: FaultWindow) -> Self {
         ChaosFrameDrop {
             name: "chaos.usb_frame_drop",
             slug: "hw.usb_frame_drop",
             window,
             announced: false,
-            observer,
         }
     }
 
     /// The write half of a board-silence fault over `window`. Announces as
-    /// `hw.board_silence`; install a silent [`ChaosFeedbackHold`] for the
-    /// read half so the pair emits one announcement.
-    pub fn board_silence(window: FaultWindow, observer: Option<SharedObserver>) -> Self {
+    /// `hw.board_silence`; a [`ChaosFeedbackHold`] for the read half
+    /// stays silent, so the pair emits one announcement.
+    pub fn board_silence(window: FaultWindow) -> Self {
         ChaosFrameDrop {
             name: "chaos.board_silence.write",
             slug: "hw.board_silence",
             window,
             announced: false,
-            observer,
         }
     }
 }
 
 impl WriteInterceptor for ChaosFrameDrop {
-    fn on_write(&mut self, _buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction {
+    fn on_write(&mut self, _buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
         if !self.window.contains(ctx.time) {
             return WriteAction::Forward;
         }
         if !self.announced {
             self.announced = true;
-            announce(&self.observer, ctx.time, self.slug, &self.window, &[]);
+            announce(ctx.obs, ctx.time, self.slug, &self.window, &[]);
         }
         WriteAction::Drop
     }
@@ -152,18 +147,17 @@ pub struct ChaosStuckEncoder {
     window: FaultWindow,
     held: Option<[u8; 3]>,
     announced: bool,
-    observer: Option<SharedObserver>,
 }
 
 impl ChaosStuckEncoder {
     /// Freezes positioning channel `channel` (0–2) over `window`.
-    pub fn new(channel: usize, window: FaultWindow, observer: Option<SharedObserver>) -> Self {
-        ChaosStuckEncoder { channel, window, held: None, announced: false, observer }
+    pub fn new(channel: usize, window: FaultWindow) -> Self {
+        ChaosStuckEncoder { channel, window, held: None, announced: false }
     }
 }
 
 impl ReadInterceptor for ChaosStuckEncoder {
-    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) {
+    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
         let off = encoder_offset(self.channel);
         if buf.len() != FEEDBACK_PACKET_LEN || off + 3 > buf.len() {
             return;
@@ -174,7 +168,7 @@ impl ReadInterceptor for ChaosStuckEncoder {
         if !self.announced {
             self.announced = true;
             announce(
-                &self.observer,
+                ctx.obs,
                 ctx.time,
                 "hw.stuck_encoder",
                 &self.window,
@@ -199,24 +193,18 @@ pub struct ChaosEncoderBitFlip {
     bit: u8,
     window: FaultWindow,
     announced: bool,
-    observer: Option<SharedObserver>,
 }
 
 impl ChaosEncoderBitFlip {
     /// Flips bit `bit` (0–23) of positioning channel `channel` over
     /// `window`.
-    pub fn new(
-        channel: usize,
-        bit: u8,
-        window: FaultWindow,
-        observer: Option<SharedObserver>,
-    ) -> Self {
-        ChaosEncoderBitFlip { channel, bit, window, announced: false, observer }
+    pub fn new(channel: usize, bit: u8, window: FaultWindow) -> Self {
+        ChaosEncoderBitFlip { channel, bit, window, announced: false }
     }
 }
 
 impl ReadInterceptor for ChaosEncoderBitFlip {
-    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) {
+    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
         let off = encoder_offset(self.channel) + usize::from(self.bit / 8);
         if buf.len() != FEEDBACK_PACKET_LEN || off >= buf.len() - 1 || self.bit >= 24 {
             return;
@@ -227,7 +215,7 @@ impl ReadInterceptor for ChaosEncoderBitFlip {
         if !self.announced {
             self.announced = true;
             announce(
-                &self.observer,
+                ctx.obs,
                 ctx.time,
                 "hw.encoder_bitflip",
                 &self.window,
@@ -247,33 +235,27 @@ impl ReadInterceptor for ChaosEncoderBitFlip {
 /// control software keeps reading the last frame the board produced before
 /// going silent.
 ///
-/// Construct with `observer = None` when paired with
-/// [`ChaosFrameDrop::board_silence`], which owns the announcement.
+/// Silent: the paired [`ChaosFrameDrop::board_silence`] owns the
+/// announcement.
 #[derive(Debug)]
 pub struct ChaosFeedbackHold {
     window: FaultWindow,
     last: Option<Vec<u8>>,
-    announced: bool,
-    observer: Option<SharedObserver>,
 }
 
 impl ChaosFeedbackHold {
     /// Holds feedback at its pre-window value over `window`.
-    pub fn new(window: FaultWindow, observer: Option<SharedObserver>) -> Self {
-        ChaosFeedbackHold { window, last: None, announced: false, observer }
+    pub fn new(window: FaultWindow) -> Self {
+        ChaosFeedbackHold { window, last: None }
     }
 }
 
 impl ReadInterceptor for ChaosFeedbackHold {
-    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) {
+    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
         if buf.len() != FEEDBACK_PACKET_LEN {
             return;
         }
         if self.window.contains(ctx.time) {
-            if !self.announced {
-                self.announced = true;
-                announce(&self.observer, ctx.time, "hw.board_silence", &self.window, &[]);
-            }
             if let Some(last) = &self.last {
                 buf.clone_from(last);
             }
@@ -310,110 +292,97 @@ mod tests {
 
     #[test]
     fn frame_drop_only_inside_window_and_never_mutates() {
-        let obs = simbus::obs::shared_observer(16);
+        let mut obs = Observer::new(16);
         let mut ch = UsbChannel::new();
-        ch.install(Box::new(ChaosFrameDrop::usb_frames(
-            FaultWindow::starting_at(at(10), 5),
-            Some(std::sync::Arc::clone(&obs)),
-        )));
+        ch.install(Box::new(ChaosFrameDrop::usb_frames(FaultWindow::starting_at(at(10), 5))));
         let pkt = UsbCommandPacket::default().encode().to_vec();
-        assert!(ch.write(pkt.clone(), at(9)).delivered.is_some());
+        assert!(ch.write(pkt.clone(), at(9), None, &mut obs).delivered.is_some());
         for ms in 10..15 {
-            let out = ch.write(pkt.clone(), at(ms));
+            let out = ch.write(pkt.clone(), at(ms), None, &mut obs);
             assert!(out.delivered.is_none());
             assert!(!out.mutated, "chaos drops must not count as mutations");
         }
-        assert!(ch.write(pkt, at(15)).delivered.is_some());
+        assert!(ch.write(pkt, at(15), None, &mut obs).delivered.is_some());
         assert_eq!(ch.drops(), 5);
         assert_eq!(ch.mutations(), 0);
-        let o = obs.lock();
-        assert_eq!(o.metrics.counter(names::CHAOS_INJECTIONS), 1, "one announcement per window");
-        assert_eq!(o.events.count_kind(EventKind::ChaosInjected.as_str()), 1);
+        assert_eq!(obs.metrics.counter(names::CHAOS_INJECTIONS), 1, "one announcement per window");
+        assert_eq!(obs.events.count_kind(EventKind::ChaosInjected.as_str()), 1);
     }
 
     #[test]
     fn stuck_encoder_holds_window_entry_value() {
+        let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosStuckEncoder::new(
-            1,
-            FaultWindow::starting_at(at(5), 3),
-            None,
-        )));
+        ch.install_read(Box::new(ChaosStuckEncoder::new(1, FaultWindow::starting_at(at(5), 3))));
         let decode = |b: &[u8]| UsbFeedbackPacket::decode_unchecked(b).map(|f| f.encoders);
-        let before = ch.read(feedback([0, 100, 0, 0, 0, 0, 0, 0]), at(4));
+        let before = ch.read(feedback([0, 100, 0, 0, 0, 0, 0, 0]), at(4), &mut obs);
         assert_eq!(decode(&before).map(|e| e[1]), Ok(100));
         // Window opens at count 200; later reads keep reporting 200.
-        let first = ch.read(feedback([0, 200, 0, 0, 0, 0, 0, 0]), at(5));
+        let first = ch.read(feedback([0, 200, 0, 0, 0, 0, 0, 0]), at(5), &mut obs);
         assert_eq!(decode(&first).map(|e| e[1]), Ok(200));
-        let held = ch.read(feedback([7, 300, 9, 0, 0, 0, 0, 0]), at(6));
+        let held = ch.read(feedback([7, 300, 9, 0, 0, 0, 0, 0]), at(6), &mut obs);
         let held = decode(&held).unwrap();
         assert_eq!(held[1], 200, "stuck channel holds its window-entry count");
         assert_eq!((held[0], held[2]), (7, 9), "other channels flow through");
         // After the window the live value is visible again.
-        let after = ch.read(feedback([0, 400, 0, 0, 0, 0, 0, 0]), at(8));
+        let after = ch.read(feedback([0, 400, 0, 0, 0, 0, 0, 0]), at(8), &mut obs);
         assert_eq!(decode(&after).map(|e| e[1]), Ok(400));
     }
 
     #[test]
     fn bitflip_xors_exactly_one_bit() {
+        let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
         ch.install_read(Box::new(ChaosEncoderBitFlip::new(
             0,
             12,
             FaultWindow::starting_at(at(1), 2),
-            None,
         )));
-        let clean = ch.read(feedback([1000, 0, 0, 0, 0, 0, 0, 0]), at(0));
+        let clean = ch.read(feedback([1000, 0, 0, 0, 0, 0, 0, 0]), at(0), &mut obs);
         assert_eq!(UsbFeedbackPacket::decode_unchecked(&clean).unwrap().encoders[0], 1000);
-        let flipped = ch.read(feedback([1000, 0, 0, 0, 0, 0, 0, 0]), at(1));
+        let flipped = ch.read(feedback([1000, 0, 0, 0, 0, 0, 0, 0]), at(1), &mut obs);
         let got = UsbFeedbackPacket::decode_unchecked(&flipped).unwrap().encoders[0];
         assert_eq!(got, 1000 ^ (1 << 12));
     }
 
     #[test]
     fn feedback_hold_replays_last_pre_window_frame() {
+        let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosFeedbackHold::new(FaultWindow::starting_at(at(3), 2), None)));
-        let _ = ch.read(feedback([10, 0, 0, 0, 0, 0, 0, 0]), at(1));
-        let last = ch.read(feedback([20, 0, 0, 0, 0, 0, 0, 0]), at(2));
-        let silent = ch.read(feedback([999, 999, 0, 0, 0, 0, 0, 0]), at(3));
+        ch.install_read(Box::new(ChaosFeedbackHold::new(FaultWindow::starting_at(at(3), 2))));
+        let _ = ch.read(feedback([10, 0, 0, 0, 0, 0, 0, 0]), at(1), &mut obs);
+        let last = ch.read(feedback([20, 0, 0, 0, 0, 0, 0, 0]), at(2), &mut obs);
+        let silent = ch.read(feedback([999, 999, 0, 0, 0, 0, 0, 0]), at(3), &mut obs);
         assert_eq!(silent, last, "silence replays the last live frame");
-        let live = ch.read(feedback([30, 0, 0, 0, 0, 0, 0, 0]), at(5));
+        let live = ch.read(feedback([30, 0, 0, 0, 0, 0, 0, 0]), at(5), &mut obs);
         assert_eq!(UsbFeedbackPacket::decode_unchecked(&live).unwrap().encoders[0], 30);
     }
 
     #[test]
     fn malformed_buffers_pass_through_unchanged() {
+        let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosStuckEncoder::new(
-            0,
-            FaultWindow::starting_at(at(0), 10),
-            None,
-        )));
+        ch.install_read(Box::new(ChaosStuckEncoder::new(0, FaultWindow::starting_at(at(0), 10))));
         ch.install_read(Box::new(ChaosEncoderBitFlip::new(
             0,
             5,
             FaultWindow::starting_at(at(0), 10),
-            None,
         )));
-        ch.install_read(Box::new(ChaosFeedbackHold::new(
-            FaultWindow::starting_at(at(0), 10),
-            None,
-        )));
+        ch.install_read(Box::new(ChaosFeedbackHold::new(FaultWindow::starting_at(at(0), 10))));
         let short = vec![1, 2, 3];
-        assert_eq!(ch.read(short.clone(), at(1)), short);
+        assert_eq!(ch.read(short.clone(), at(1), &mut obs), short);
     }
 
     #[test]
     fn mutated_feedback_keeps_a_valid_checksum() {
+        let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
         ch.install_read(Box::new(ChaosEncoderBitFlip::new(
             2,
             15,
             FaultWindow::starting_at(at(0), 10),
-            None,
         )));
-        let out = ch.read(feedback([0, 0, 5000, 0, 0, 0, 0, 0]), at(1));
+        let out = ch.read(feedback([0, 0, 5000, 0, 0, 0, 0, 0]), at(1), &mut obs);
         assert_eq!(out[FEEDBACK_PACKET_LEN - 1], checksum(&out[..FEEDBACK_PACKET_LEN - 1]));
     }
 }

@@ -7,8 +7,8 @@
 //!   integrity check the attack exploits (§III.B.3);
 //! * [`channel`] — the USB write/read paths with an interceptor chain, the
 //!   analog of the `LD_PRELOAD` system-call-wrapper hook (Fig. 4): attack
-//!   wrappers from `raven-attack` and the dynamic-model guard from
-//!   `raven-detect` both install here;
+//!   wrappers from `raven-attack` install here, and the dynamic-model guard
+//!   from `raven-detect` runs at the chain's reserved guard slot;
 //! * [`board`] — the 8-channel interface board (stock: no integrity check;
 //!   [`board::UsbBoard::hardened`] for the counterfactual);
 //! * [`chaos`] — windowed accidental-fault interceptors (stuck/bit-flipped

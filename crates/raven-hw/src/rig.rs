@@ -10,12 +10,12 @@
 use raven_dynamics::plant::EncoderReading;
 use raven_dynamics::{PlantParams, RavenPlant};
 use raven_kinematics::{MotorState, WRIST_AXES};
-use simbus::obs::{names, spans, Event, EventKind, Severity, SharedObserver};
-use simbus::{SimTime, SpanHandle};
+use simbus::obs::{names, spans, Event, EventKind, Severity};
+use simbus::{Observer, SimTime, SpanHandle};
 
 use crate::bitw::{BitwCodec, BitwPlacement};
 use crate::board::UsbBoard;
-use crate::channel::{UsbChannel, WriteOutcome};
+use crate::channel::{UsbChannel, WriteInterceptor, WriteOutcome};
 use crate::packet::{UsbCommandPacket, UsbFeedbackPacket, DAC_CHANNELS};
 use crate::plc::{EStopCause, Plc};
 
@@ -32,19 +32,23 @@ pub const OVERSPEED_LIMITS: [f64; 3] = [160.0, 160.0, 100.0];
 
 /// The hardware side of the robot, assembled.
 ///
+/// The rig holds no observer: every entry point that can report an event
+/// takes the run's [`Observer`] as a `&mut` parameter.
+///
 /// # Example
 ///
 /// ```
 /// use raven_hw::{HardwareRig, UsbCommandPacket, RobotState};
 /// use raven_dynamics::PlantParams;
-/// use simbus::SimTime;
+/// use simbus::{Observer, SimTime};
 ///
+/// let mut obs = Observer::default();
 /// let mut rig = HardwareRig::new(PlantParams::raven_ii());
-/// rig.press_start(SimTime::ZERO);
+/// rig.press_start(SimTime::ZERO, &mut obs);
 /// let pkt = UsbCommandPacket { state: RobotState::Init, watchdog: true, dac: [0; 8] };
-/// rig.deliver_command(&pkt, SimTime::ZERO);
-/// rig.step(SimTime::ZERO);
-/// let fb = rig.read_feedback(SimTime::ZERO);
+/// rig.deliver_command(&pkt, SimTime::ZERO, None, &mut obs);
+/// rig.step(SimTime::ZERO, &mut obs);
+/// let fb = rig.read_feedback(SimTime::ZERO, &mut obs);
 /// assert_eq!(fb.state, RobotState::Init);
 /// ```
 #[derive(Debug)]
@@ -59,7 +63,6 @@ pub struct HardwareRig {
     pub plant: RavenPlant,
     last_encoder: Option<[i32; 3]>,
     bitw: Option<Bitw>,
-    observer: Option<SharedObserver>,
     spans: SpanHandle,
     reported_estop: Option<EStopCause>,
     /// Reusable frame for the read path: carries the encoded (or sealed)
@@ -96,7 +99,6 @@ impl HardwareRig {
             plant: RavenPlant::new(params),
             last_encoder: None,
             bitw: None,
-            observer: None,
             spans: SpanHandle::default(),
             reported_estop,
             rx_frame: Vec::default(),
@@ -105,30 +107,23 @@ impl HardwareRig {
         }
     }
 
-    /// Attaches an observer: the rig reports PLC E-STOP latch transitions
-    /// as `estop.latched` / `estop.cleared` events and per-cause counters.
-    pub fn set_observer(&mut self, observer: SharedObserver) {
-        self.observer = Some(observer);
-    }
-
     /// Attaches a span handle: [`HardwareRig::step`] runs under a
     /// `span.hw.board_cycle` span (no-op when the handle is disabled).
     pub fn set_span_handle(&mut self, handle: SpanHandle) {
         self.spans = handle;
     }
 
-    /// Reports E-STOP latch edges since the last check. The PLC itself has
+    /// Reports E-STOP latch edges since the last check as `estop.latched` /
+    /// `estop.cleared` events and per-cause counters. The PLC itself has
     /// several latch sites (watchdog deadline, state byte, button, over-
     /// speed trip), so the rig samples the latch at its two entry points
     /// (`deliver_command`, `step`) rather than instrumenting each site —
     /// the event time is the virtual time of the cycle that latched.
-    fn note_estop_edges(&mut self, now: SimTime) {
-        let Some(observer) = &self.observer else { return };
+    fn note_estop_edges(&mut self, now: SimTime, obs: &mut Observer) {
         let current = self.plc.estop();
         if current == self.reported_estop {
             return;
         }
-        let mut obs = observer.lock();
         match current {
             Some(cause) => {
                 obs.metrics.inc(&names::estop_count(cause.slug()));
@@ -161,15 +156,10 @@ impl HardwareRig {
         self.bitw.as_ref().map_or(0, |b| b.board_rx.rejects())
     }
 
-    /// Builds a rig with a checksum-verifying (hardened) board.
-    pub fn with_hardened_board(params: PlantParams) -> Self {
-        HardwareRig { board: UsbBoard::hardened(), ..Self::new(params) }
-    }
-
     /// Presses the physical start button (clears the PLC E-STOP latch).
-    pub fn press_start(&mut self, now: SimTime) {
+    pub fn press_start(&mut self, now: SimTime, obs: &mut Observer) {
         self.plc.press_start(now);
-        self.note_estop_edges(now);
+        self.note_estop_edges(now, obs);
     }
 
     /// Presses the physical E-STOP button.
@@ -179,13 +169,20 @@ impl HardwareRig {
 
     /// Delivers one command packet through the interceptor chain to the
     /// board; the PLC observes the state byte of whatever actually arrived.
+    /// `guard` runs at the channel's reserved guard slot.
     ///
     /// With BITW enabled, the placement decides what the interceptors see:
     /// `Wire` (the real retrofit) encrypts downstream of the host, so the
     /// in-host malware still sees and mutates plaintext; `Host` encrypts
     /// upstream of `write`, so interceptors see only ciphertext and any
     /// mutation is rejected by the board-side authenticator.
-    pub fn deliver_command(&mut self, pkt: &UsbCommandPacket, now: SimTime) -> WriteOutcome {
+    pub fn deliver_command(
+        &mut self,
+        pkt: &UsbCommandPacket,
+        now: SimTime,
+        guard: Option<&mut dyn WriteInterceptor>,
+        obs: &mut Observer,
+    ) -> WriteOutcome {
         // The write chain takes ownership of its input and hands the
         // delivered bytes to the caller inside the outcome, so this frame
         // is a genuine transfer; everything downstream (seal, open, the
@@ -202,7 +199,7 @@ impl HardwareRig {
                 false
             }
         };
-        let outcome = self.channel.write(frame, now);
+        let outcome = self.channel.write(frame, now, guard, obs);
         if let Some(bytes) = &outcome.delivered {
             // The wire segment between chain and board.
             let mut open_buf = std::mem::take(&mut self.open_scratch);
@@ -234,14 +231,14 @@ impl HardwareRig {
             }
             self.open_scratch = open_buf;
         }
-        self.note_estop_edges(now);
+        self.note_estop_edges(now, obs);
         outcome
     }
 
     /// Advances the physical world by one control period: PLC deadline
     /// check, brake actuation, motor torques from the latched DAC words,
     /// plant integration.
-    pub fn step(&mut self, now: SimTime) {
+    pub fn step(&mut self, now: SimTime, obs: &mut Observer) {
         let _cycle = self.spans.begin(spans::HW_BOARD_CYCLE);
         self.plc.tick(now);
         if self.plc.brakes_released() {
@@ -259,7 +256,7 @@ impl HardwareRig {
         self.plant.set_wrist_targets(wrist);
         self.plant.step_control_period(&torques);
         self.check_overspeed();
-        self.note_estop_edges(now);
+        self.note_estop_edges(now, obs);
     }
 
     /// Motor-controller over-speed protection: compares consecutive encoder
@@ -282,7 +279,7 @@ impl HardwareRig {
 
     /// Builds the feedback packet, passes it through the read interceptors,
     /// and returns what the control software sees.
-    pub fn read_feedback(&mut self, now: SimTime) -> UsbFeedbackPacket {
+    pub fn read_feedback(&mut self, now: SimTime, obs: &mut Observer) -> UsbFeedbackPacket {
         let reading = self.plant.read_encoders();
         let mut encoders = [0i32; DAC_CHANNELS];
         encoders[..3].copy_from_slice(&reading.counts);
@@ -300,7 +297,7 @@ impl HardwareRig {
         }
         // The read chain returns the same storage it was handed (possibly
         // mutated in place), so the frame is reclaimed below.
-        let bytes = self.channel.read(frame, now);
+        let bytes = self.channel.read(frame, now, obs);
         // A mangled feedback packet falls back to the unmodified reading —
         // the control software has no way to detect it either way, but the
         // simulation must stay well-formed.
@@ -354,53 +351,56 @@ mod tests {
     }
 
     /// Runs a healthy Pedal-Down session applying `dac0` for `ms` periods.
-    fn run_session(rig: &mut HardwareRig, dac0: i16, ms: u64) {
-        rig.press_start(at(0));
+    fn run_session(rig: &mut HardwareRig, obs: &mut Observer, dac0: i16, ms: u64) {
+        rig.press_start(at(0), obs);
         for t in 0..ms {
-            rig.deliver_command(&pedal_down(dac0, t % 2 == 0), at(t));
-            rig.step(at(t));
+            rig.deliver_command(&pedal_down(dac0, t % 2 == 0), at(t), None, obs);
+            rig.step(at(t), obs);
         }
     }
 
     #[test]
     fn motors_move_only_in_pedal_down() {
+        let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
-        rig.press_start(at(0));
+        rig.press_start(at(0), &mut obs);
         let m0 = rig.plant.state().motor_pos();
         // Pedal Up with a big DAC: brakes stay on, nothing moves.
         for t in 0..20 {
             let mut pkt = pedal_down(8000, t % 2 == 0);
             pkt.state = RobotState::PedalUp;
-            rig.deliver_command(&pkt, at(t));
-            rig.step(at(t));
+            rig.deliver_command(&pkt, at(t), None, &mut obs);
+            rig.step(at(t), &mut obs);
         }
         assert_eq!(rig.plant.state().motor_pos(), m0);
         // Pedal Down: the same DAC moves the shoulder.
         for t in 20..60 {
-            rig.deliver_command(&pedal_down(8000, t % 2 == 0), at(t));
-            rig.step(at(t));
+            rig.deliver_command(&pedal_down(8000, t % 2 == 0), at(t), None, &mut obs);
+            rig.step(at(t), &mut obs);
         }
         assert!(rig.plant.state().motor_pos().angles[0] > m0.angles[0]);
     }
 
     #[test]
     fn feedback_reflects_motion() {
+        let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
-        let before = rig.read_feedback(at(0)).encoders[0];
-        run_session(&mut rig, 6000, 50);
-        let after = rig.read_feedback(at(50)).encoders[0];
+        let before = rig.read_feedback(at(0), &mut obs).encoders[0];
+        run_session(&mut rig, &mut obs, 6000, 50);
+        let after = rig.read_feedback(at(50), &mut obs).encoders[0];
         assert!(after > before, "encoder counts should increase: {before} -> {after}");
     }
 
     #[test]
     fn frozen_watchdog_triggers_estop_and_brakes() {
+        let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
-        run_session(&mut rig, 2000, 20);
+        run_session(&mut rig, &mut obs, 2000, 20);
         assert!(rig.estop().is_none());
         // Watchdog stops toggling.
         for t in 20..40 {
-            rig.deliver_command(&pedal_down(2000, true), at(t));
-            rig.step(at(t));
+            rig.deliver_command(&pedal_down(2000, true), at(t), None, &mut obs);
+            rig.step(at(t), &mut obs);
         }
         assert_eq!(rig.estop(), Some(EStopCause::WatchdogTimeout));
         assert!(rig.plant.brakes_engaged());
@@ -408,27 +408,29 @@ mod tests {
 
     #[test]
     fn estop_button_stops_motion_immediately() {
+        let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
-        run_session(&mut rig, 5000, 30);
+        run_session(&mut rig, &mut obs, 5000, 30);
         rig.press_estop();
         let m = rig.plant.state().motor_pos();
         for t in 30..50 {
-            rig.deliver_command(&pedal_down(5000, t % 2 == 0), at(t));
-            rig.step(at(t));
+            rig.deliver_command(&pedal_down(5000, t % 2 == 0), at(t), None, &mut obs);
+            rig.step(at(t), &mut obs);
         }
         assert_eq!(rig.plant.state().motor_pos(), m);
     }
 
     #[test]
     fn wrist_channels_drive_wrist_servos() {
+        let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
-        rig.press_start(at(0));
+        rig.press_start(at(0), &mut obs);
         let mut dac = [0i16; DAC_CHANNELS];
         dac[3] = 10_000; // wrist channel
         for t in 0..400 {
             let pkt = UsbCommandPacket { state: RobotState::PedalDown, watchdog: t % 2 == 0, dac };
-            rig.deliver_command(&pkt, at(t));
-            rig.step(at(t));
+            rig.deliver_command(&pkt, at(t), None, &mut obs);
+            rig.step(at(t), &mut obs);
         }
         let target = 10_000.0 * WRIST_RAD_PER_COUNT;
         assert!((rig.plant.state().wrist[0] - target).abs() < 0.05 * target.abs() + 1e-4);
@@ -436,9 +438,10 @@ mod tests {
 
     #[test]
     fn decode_motor_positions_matches_plant() {
+        let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
-        run_session(&mut rig, 3000, 40);
-        let fb = rig.read_feedback(at(40));
+        run_session(&mut rig, &mut obs, 3000, 40);
+        let fb = rig.read_feedback(at(40), &mut obs);
         let decoded = rig.decode_motor_positions(&fb);
         let truth = rig.plant.state().motor_pos();
         let res = rig.plant.params().encoder_counts_per_rad;
@@ -449,30 +452,25 @@ mod tests {
 
     #[test]
     fn observer_sees_estop_latch_and_clear_edges() {
-        let obs = simbus::obs::shared_observer(16);
+        let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
-        rig.set_observer(std::sync::Arc::clone(&obs));
-        run_session(&mut rig, 2000, 20);
+        run_session(&mut rig, &mut obs, 2000, 20);
         // Watchdog freezes -> PLC latches; exactly one latch event despite
         // the latch staying set for many cycles.
         for t in 20..40 {
-            rig.deliver_command(&pedal_down(2000, true), at(t));
-            rig.step(at(t));
+            rig.deliver_command(&pedal_down(2000, true), at(t), None, &mut obs);
+            rig.step(at(t), &mut obs);
         }
-        {
-            let o = obs.lock();
-            assert_eq!(o.events.count_kind("estop.latched"), 1);
-            assert_eq!(o.metrics.counter("estop.count.watchdog_timeout"), 1);
-            let latched = o.events.iter().find(|e| e.kind == "estop.latched").unwrap();
-            assert!(latched.time >= at(20), "latch reported at the cycle it happened");
-        }
-        rig.press_start(at(40));
-        let o = obs.lock();
+        assert_eq!(obs.events.count_kind("estop.latched"), 1);
+        assert_eq!(obs.metrics.counter("estop.count.watchdog_timeout"), 1);
+        let latched = obs.events.iter().find(|e| e.kind == "estop.latched").unwrap();
+        assert!(latched.time >= at(20), "latch reported at the cycle it happened");
+        rig.press_start(at(40), &mut obs);
         // Two clears: the boot-time start press releasing the power-up
         // latch, and this one. The power-up latch itself is never reported
         // as an `estop.latched` edge (it is the rig's normal initial state).
-        assert_eq!(o.events.count_kind("estop.cleared"), 2);
-        assert_eq!(o.events.count_kind("estop.latched"), 1);
+        assert_eq!(obs.events.count_kind("estop.cleared"), 2);
+        assert_eq!(obs.events.count_kind("estop.latched"), 1);
     }
 
     #[test]
@@ -481,7 +479,7 @@ mod tests {
         #[derive(Debug)]
         struct Corruptor;
         impl WriteInterceptor for Corruptor {
-            fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+            fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
                 buf[2] = buf[2].wrapping_add(50);
                 WriteAction::Forward
             }
@@ -489,10 +487,12 @@ mod tests {
                 "corruptor"
             }
         }
-        let mut rig = HardwareRig::with_hardened_board(PlantParams::raven_ii());
+        let mut obs = Observer::default();
+        let mut rig = HardwareRig::new(PlantParams::raven_ii());
+        rig.board = UsbBoard::hardened();
         rig.channel.install(Box::new(Corruptor));
-        rig.press_start(at(0));
-        rig.deliver_command(&pedal_down(0, true), at(0));
+        rig.press_start(at(0), &mut obs);
+        rig.deliver_command(&pedal_down(0, true), at(0), None, &mut obs);
         assert_eq!(rig.board.integrity_rejects(), 1);
         assert_eq!(rig.board.latched_dac()[0], 0);
     }

@@ -71,8 +71,8 @@ pub struct StructDecl {
     pub serialize: bool,
 }
 
-/// A `type Name = ...;` alias, used to see through `SharedDetector`-style
-/// lock aliases.
+/// A `type Name = ...;` alias, used to see through lock aliases such as
+/// `type Shared = Arc<Mutex<Det>>`.
 #[derive(Debug, Clone)]
 pub struct TypeAlias {
     pub name: String,

@@ -250,16 +250,13 @@ pub fn run_mutated_chaos_session(
     }
     let chaos_scheduled = if spec.chaos.is_off() { 0 } else { sim.install_chaos(&spec.chaos) };
     if let Some(m) = mutation {
-        if let Some(det) = sim.detector() {
-            det.lock().set_mutation(Some(m));
+        if let Some(det) = sim.detector_mut() {
+            det.set_mutation(Some(m));
         }
     }
     let booted = sim.boot_expecting_failure();
     let outcome = sim.run_session();
-    let (events, events_dropped) = {
-        let obs = sim.observer().lock();
-        (obs.events.snapshot(), obs.events.dropped())
-    };
+    let events = &sim.observer().events;
     ChaosRunReport {
         name: spec.name.to_string(),
         seed: spec.seed,
@@ -267,8 +264,8 @@ pub fn run_mutated_chaos_session(
         chaos_scheduled,
         booted,
         outcome,
-        events,
-        events_dropped,
+        events: events.snapshot(),
+        events_dropped: events.dropped(),
         metrics: sim.metrics(),
         incident: sim.incident().cloned(),
         signals: sim.trace().window_from(SimTime::ZERO),

@@ -18,9 +18,6 @@
 //! every call, with the alarm and E-STOP bookkeeping read from the
 //! lane's counters. The guard-only probes have no lane counterpart.
 
-use std::sync::Arc;
-
-use raven_detect::detector::shared;
 use raven_detect::{
     Assessment, BatchDetector, DetectionThresholds, DetectorConfig, DetectorMutation,
     DynamicDetector, GuardInterceptor, InstantFeatures, Mitigation,
@@ -29,7 +26,7 @@ use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
 use raven_hw::{RobotState, UsbChannel, UsbCommandPacket};
 use raven_kinematics::{ArmConfig, JointState, MotorState, NUM_AXES};
-use simbus::SimTime;
+use simbus::{Observer, SimTime};
 
 /// A violent reference command: saturating torque on every positioning
 /// axis, so all nine features are strictly positive.
@@ -204,12 +201,13 @@ fn pedal_down_packet(dac: [i16; NUM_AXES]) -> Vec<u8> {
     .to_vec()
 }
 
-fn ctx() -> WriteContext {
+fn ctx(obs: &mut Observer) -> WriteContext<'_> {
     WriteContext {
         time: SimTime::ZERO,
         seq: 0,
         process: UsbChannel::PROCESS,
         fd: UsbChannel::BOARD_FD,
+        obs,
     }
 }
 
@@ -298,18 +296,19 @@ fn probe_ee_limit(path: Path, mutation: Option<DetectorMutation>) -> Result<(), 
 fn probe_guard_block_path(mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::EStop);
     let f = reference_features(config, &VIOLENT)?;
-    let det = shared(armed_scalar(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
-    let mut guard = GuardInterceptor::new(Arc::clone(&det));
+    let mut det = armed_scalar(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation);
+    let mut obs = Observer::default();
+    let mut guard = GuardInterceptor::new(&mut det);
 
     let mut safe = pedal_down_packet(GENTLE);
-    if guard.on_write(&mut safe, &ctx()) != WriteAction::Forward {
+    if guard.on_write(&mut safe, &mut ctx(&mut obs)) != WriteAction::Forward {
         return Err("gentle packet must be forwarded".into());
     }
     let mut hot = pedal_down_packet(VIOLENT);
-    if guard.on_write(&mut hot, &ctx()) != WriteAction::Drop {
+    if guard.on_write(&mut hot, &mut ctx(&mut obs)) != WriteAction::Drop {
         return Err("alarming packet must be dropped in E-STOP mitigation".into());
     }
-    if !det.lock().estop_requested() {
+    if !det.estop_requested() {
         return Err("alarming packet must request the E-STOP".into());
     }
     Ok(())
@@ -346,20 +345,21 @@ fn probe_estop_request(path: Path, mutation: Option<DetectorMutation>) -> Result
 fn probe_hold_semantics(mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::BlockAndHold);
     let f = reference_features(config, &VIOLENT)?;
-    let det = shared(armed_scalar(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
-    let mut guard = GuardInterceptor::new(Arc::clone(&det));
+    let mut det = armed_scalar(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation);
+    let mut obs = Observer::default();
+    let mut guard = GuardInterceptor::new(&mut det);
 
     let oldest = [100, 30, -20];
     let newest = [200, 30, -20];
     for dac in [oldest, newest] {
         let mut buf = pedal_down_packet(dac);
-        if guard.on_write(&mut buf, &ctx()) != WriteAction::Forward {
+        if guard.on_write(&mut buf, &mut ctx(&mut obs)) != WriteAction::Forward {
             return Err("gentle packets must be forwarded while no alarm is active".into());
         }
     }
 
     let mut hot = pedal_down_packet(VIOLENT);
-    if guard.on_write(&mut hot, &ctx()) != WriteAction::Forward {
+    if guard.on_write(&mut hot, &mut ctx(&mut obs)) != WriteAction::Forward {
         return Err("block-and-hold must substitute, not drop, once history exists".into());
     }
     let substituted = UsbCommandPacket::decode_unchecked(&hot)
@@ -374,7 +374,7 @@ fn probe_hold_semantics(mutation: Option<DetectorMutation>) -> Result<(), String
     // One cycle later the attack pauses: the cooldown must keep holding.
     let after = [300, 30, -20];
     let mut buf = pedal_down_packet(after);
-    if guard.on_write(&mut buf, &ctx()) != WriteAction::Forward {
+    if guard.on_write(&mut buf, &mut ctx(&mut obs)) != WriteAction::Forward {
         return Err("cooldown substitution must forward a replacement".into());
     }
     let held = UsbCommandPacket::decode_unchecked(&buf)

@@ -36,8 +36,7 @@ pub mod trace;
 pub use chaos::{ChaosConfig, ChaosFault, ChaosFaultKind, ChaosSchedule};
 pub use net::{LinkConfig, SimLink};
 pub use obs::{
-    shared_observer, Event, EventKind, EventLog, FieldValue, Histogram, Metrics, Observer,
-    Severity, SharedObserver, StageStats,
+    Event, EventKind, EventLog, FieldValue, Histogram, Metrics, Observer, Severity, StageStats,
 };
 pub use span::{ChromeTraceBuilder, SpanGuard, SpanHandle, SpanRecord, SpanRecorder};
 pub use time::{SimClock, SimDuration, SimTime, CONTROL_PERIOD};

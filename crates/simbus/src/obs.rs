@@ -28,9 +28,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
@@ -742,7 +740,8 @@ impl Histogram {
 /// Names are stable dotted identifiers (`detector.assessments`,
 /// `net.packets_dropped`, `estop.count.watchdog_timeout`, …); the full list
 /// lives in `docs/OBSERVABILITY.md`. `BTreeMap` storage keeps serialization
-/// order independent of insertion order.
+/// order independent of insertion order. A write allocates a key only the
+/// first time it meets a name, so steady-state writes do not allocate.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Monotonic counters.
@@ -766,7 +765,11 @@ impl Metrics {
 
     /// Increments a counter by `n`.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        if let Some(count) = self.counters.get_mut(name) {
+            *count += n;
+        } else {
+            insert_new(&mut self.counters, name, n);
+        }
     }
 
     /// Current counter value (0 if never incremented).
@@ -776,7 +779,12 @@ impl Metrics {
 
     /// Sets a gauge. Non-finite values are clamped to 0 (JSON-safety).
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), if v.is_finite() { v } else { 0.0 });
+        let v = if v.is_finite() { v } else { 0.0 };
+        if let Some(gauge) = self.gauges.get_mut(name) {
+            *gauge = v;
+        } else {
+            insert_new(&mut self.gauges, name, v);
+        }
     }
 
     /// Current gauge value, if set.
@@ -792,10 +800,13 @@ impl Metrics {
     /// Records an observation into a histogram, creating it with the given
     /// bounds on first use (later observations reuse the existing bounds).
     pub fn observe_with(&mut self, name: &str, bounds: &[f64], v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(v);
+        if let Some(histogram) = self.histograms.get_mut(name) {
+            histogram.observe(v);
+        } else {
+            let mut histogram = Histogram::new(bounds);
+            histogram.observe(v);
+            insert_new(&mut self.histograms, name, histogram);
+        }
     }
 
     /// Looks up a histogram by name.
@@ -864,6 +875,12 @@ impl Metrics {
     }
 }
 
+/// Inserts a metric under a newly allocated key: the one allocation a
+/// metric write makes, on the first write to its name only.
+fn insert_new<V>(map: &mut BTreeMap<String, V>, name: &str, value: V) {
+    map.insert(name.to_string(), value);
+}
+
 /// A [`Metrics`] registry pre-populated with every exact name in
 /// [`names::ALL`] at zero, typed per the catalogue in
 /// `docs/OBSERVABILITY.md` (the two `<slug>` families are instantiated
@@ -901,8 +918,9 @@ pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Shared observer: the event ring and metric registry one simulation
-/// writes into, handed out to every instrumented component.
+/// The event ring and metric registry one simulation writes into. The
+/// simulation owns it and lends `&mut` to each instrumented component for
+/// the length of a call.
 #[derive(Debug, Clone, Default)]
 pub struct Observer {
     /// Structured event ring.
@@ -924,15 +942,6 @@ impl Observer {
         }
         self.events.push(event);
     }
-}
-
-/// An [`Observer`] behind `Arc<Mutex<..>>`, shareable across the console,
-/// controller, interceptor chain, and hardware rig of one simulation.
-pub type SharedObserver = Arc<Mutex<Observer>>;
-
-/// Creates a fresh [`SharedObserver`].
-pub fn shared_observer(event_capacity: usize) -> SharedObserver {
-    Arc::new(Mutex::new(Observer::new(event_capacity)))
 }
 
 /// Wall-clock statistics of one timed region, in microseconds: the one
@@ -1253,14 +1262,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_observer_collects_events_and_metrics() {
-        let obs = shared_observer(16);
-        {
-            let mut o = obs.lock();
-            o.event(Event::new(t(0), "test", Severity::Info, "unit.test"));
-            o.metrics.inc("unit.count");
-        }
-        let o = obs.lock();
+    fn observer_collects_events_and_metrics() {
+        let mut o = Observer::new(16);
+        o.event(Event::new(t(0), "test", Severity::Info, "unit.test"));
+        o.metrics.inc("unit.count");
         assert_eq!(o.events.len(), 1);
         assert_eq!(o.metrics.counter("unit.count"), 1);
     }

@@ -46,7 +46,7 @@ fn workspace_passes_its_own_audit_with_pinned_counts() {
             .unwrap_or_else(|| panic!("no count before `{marker}` in: {summary}"))
     };
     assert_eq!(grab(" finding(s)"), 0, "{summary}");
-    assert_eq!(grab(" allowlisted exception(s)"), 70, "{summary}");
+    assert_eq!(grab(" allowlisted exception(s)"), 66, "{summary}");
     let scanned = grab(" file(s) scanned");
     assert!(
         (140..=220).contains(&scanned),
