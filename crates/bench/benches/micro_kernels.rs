@@ -54,13 +54,13 @@ fn bench_channel_write(c: &mut Criterion) {
 
     let mut bare = UsbChannel::new();
     group.bench_function("baseline", |b| {
-        b.iter(|| black_box(bare.write(bytes.clone(), SimTime::ZERO, None, &mut obs)))
+        b.iter(|| black_box(bare.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });
 
     let mut logged = UsbChannel::new();
     logged.install(Box::new(LoggingWrapper::new(capture_log())));
     group.bench_function("logging_wrapper", |b| {
-        b.iter(|| black_box(logged.write(bytes.clone(), SimTime::ZERO, None, &mut obs)))
+        b.iter(|| black_box(logged.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });
 
     let mut injected = UsbChannel::new();
@@ -69,7 +69,7 @@ fn bench_channel_write(c: &mut Criterion) {
         ActivationWindow::immediate_persistent(),
     )));
     group.bench_function("injection_wrapper", |b| {
-        b.iter(|| black_box(injected.write(bytes.clone(), SimTime::ZERO, None, &mut obs)))
+        b.iter(|| black_box(injected.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });
     group.finish();
 }

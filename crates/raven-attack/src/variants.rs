@@ -8,7 +8,7 @@
 //! simulation exposes (ITP network, USB write, USB read).
 
 use raven_hw::channel::{ReadInterceptor, WriteAction, WriteContext, WriteInterceptor};
-use raven_teleop::ItpPacket;
+use raven_teleop::{ItpPacket, ITP_PACKET_LEN};
 use serde::{Deserialize, Serialize};
 
 /// Target layer in the control structure (column 1 of Table I).
@@ -145,7 +145,7 @@ impl ItpMitm {
 
     /// Processes one on-the-wire ITP buffer, possibly replacing it with a
     /// corrupted re-encoding.
-    pub fn process(&mut self, buf: &mut Vec<u8>) {
+    pub fn process(&mut self, buf: &mut [u8; ITP_PACKET_LEN]) {
         let Ok(mut pkt) = ItpPacket::decode(buf) else {
             return;
         };
@@ -155,7 +155,7 @@ impl ItpMitm {
         self.seen += 1;
         if self.seen > self.delay_packets && self.corrupted < self.duration_packets {
             pkt.delta_pos += self.extra_delta;
-            *buf = pkt.encode().to_vec();
+            *buf = pkt.encode();
             self.corrupted += 1;
         }
     }
@@ -301,13 +301,13 @@ mod tests {
     fn itp_mitm_corrupts_only_pedal_down_packets() {
         let mut mitm = ItpMitm::new(Vec3::new(1e-3, 0.0, 0.0), 0, u64::MAX);
         let up = ItpPacket { pedal: false, ..Default::default() };
-        let mut buf = up.encode().to_vec();
+        let mut buf = up.encode();
         mitm.process(&mut buf);
         assert_eq!(ItpPacket::decode(&buf).unwrap().delta_pos, Vec3::ZERO);
         assert_eq!(mitm.corrupted(), 0);
 
         let down = ItpPacket { pedal: true, ..Default::default() };
-        let mut buf = down.encode().to_vec();
+        let mut buf = down.encode();
         mitm.process(&mut buf);
         let decoded = ItpPacket::decode(&buf).unwrap();
         assert!((decoded.delta_pos.x - 1e-3).abs() < 1e-7);
@@ -319,7 +319,7 @@ mod tests {
         let mut mitm = ItpMitm::new(Vec3::new(1e-3, 0.0, 0.0), 2, 3);
         let mut hits = 0;
         for _ in 0..10 {
-            let mut buf = ItpPacket { pedal: true, ..Default::default() }.encode().to_vec();
+            let mut buf = ItpPacket { pedal: true, ..Default::default() }.encode();
             mitm.process(&mut buf);
             if ItpPacket::decode(&buf).unwrap().delta_pos.x > 1e-4 {
                 hits += 1;
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn itp_mitm_output_always_validates() {
         let mut mitm = ItpMitm::new(Vec3::new(5e-3, -1e-3, 2e-3), 0, u64::MAX);
-        let mut buf = ItpPacket { pedal: true, seq: 42, ..Default::default() }.encode().to_vec();
+        let mut buf = ItpPacket { pedal: true, seq: 42, ..Default::default() }.encode();
         mitm.process(&mut buf);
         assert!(ItpPacket::decode(&buf).is_ok(), "MITM output must remain well-formed");
     }

@@ -75,16 +75,17 @@ fn time_writes(channel: &mut UsbChannel, iters: u64) -> RunningStats {
     let bytes = pkt.encode().to_vec();
     let mut stats = RunningStats::new();
     let mut obs = Observer::default();
-    // Warm-up to fault in code paths and allocator state.
+    // Warm-up to fault in code paths and allocator state. Every write gets
+    // a fresh copy of the packet: the chain edits its buffer in place.
     for _ in 0..1000 {
-        let _ = channel.write(bytes.clone(), SimTime::ZERO, None, &mut obs);
+        let _ = channel.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs);
     }
     for _ in 0..iters {
-        let buf = bytes.clone();
+        let mut buf = bytes.clone();
         let start = Instant::now();
-        let out = channel.write(buf, SimTime::ZERO, None, &mut obs);
+        let action = channel.write(&mut buf, SimTime::ZERO, None, &mut obs);
         let elapsed = start.elapsed();
-        std::hint::black_box(out);
+        std::hint::black_box((action, buf));
         stats.push(elapsed.as_secs_f64() * 1e6);
     }
     stats

@@ -19,7 +19,7 @@ use raven_kinematics::ArmConfig;
 use raven_math::Vec3;
 use raven_teleop::{
     Circle, ItpPacket, Lissajous, MasterConsole, MinimumJerk, PedalSchedule, Suturing, Trajectory,
-    WithTremor,
+    WithTremor, ITP_PACKET_LEN,
 };
 use serde::{Deserialize, Serialize};
 use simbus::obs::{
@@ -252,7 +252,7 @@ struct ChaosState {
     /// Pending link faults, time-ordered.
     link: std::collections::VecDeque<ChaosFault>,
     /// A console packet held back one tick by a reorder fault.
-    reorder_held: Option<Vec<u8>>,
+    reorder_held: Option<[u8; ITP_PACKET_LEN]>,
     /// End of an active 100%-loss burst, if one is running.
     burst_until: Option<SimTime>,
 }
@@ -262,11 +262,11 @@ pub struct Simulation {
     config: SimConfig,
     clock: SimClock,
     console: MasterConsole,
-    itp_link: SimLink<Vec<u8>>,
+    itp_link: SimLink<[u8; ITP_PACKET_LEN]>,
     /// Reusable drain buffer for `itp_link` polling — stage 2 takes it,
     /// drains arrived datagrams through it, and puts it back, so the
     /// steady-state cycle never allocates for link delivery.
-    itp_rx: Vec<Vec<u8>>,
+    itp_rx: Vec<[u8; ITP_PACKET_LEN]>,
     controller: RavenController,
     rig: HardwareRig,
     /// The one owner of the detector: the guard borrows it for each write.
@@ -735,7 +735,7 @@ impl Simulation {
         //    apply; network carries.
         let span_stage = self.spans.begin(spans::STAGE_CONSOLE);
         let pkt = self.console.emit(now);
-        let mut bytes = pkt.encode_traced(&self.spans).to_vec();
+        let mut bytes = pkt.encode_traced(&self.spans);
         if let Some(mitm) = &mut self.mitm {
             mitm.process(&mut bytes);
         }
@@ -842,7 +842,7 @@ impl Simulation {
     /// link-level chaos faults due this tick. Without an installed chaos
     /// schedule this is exactly `itp_link.send` — the clean path is
     /// untouched and consumes no extra RNG.
-    fn send_console_bytes(&mut self, now: SimTime, bytes: Vec<u8>) {
+    fn send_console_bytes(&mut self, now: SimTime, mut bytes: [u8; ITP_PACKET_LEN]) {
         let Some(chaos) = &mut self.chaos else {
             self.itp_link.send(now, bytes);
             return;
@@ -854,7 +854,6 @@ impl Simulation {
             self.itp_link.set_loss_probability(self.config.link.loss_probability);
         }
 
-        let mut bytes = bytes;
         let mut hold_this_tick = false;
         let mut duplicate = false;
         while let Some(fault) = chaos.link.front().copied() {
@@ -876,15 +875,11 @@ impl Simulation {
                     true
                 }
                 ChaosFaultKind::CorruptPacket { byte, mask } => {
-                    if bytes.is_empty() {
-                        false
-                    } else {
-                        let i = byte as usize % bytes.len();
-                        bytes[i] ^= mask;
-                        detail.push(("byte", i as i64));
-                        detail.push(("mask", i64::from(mask)));
-                        true
-                    }
+                    let i = byte as usize % ITP_PACKET_LEN;
+                    bytes[i] ^= mask;
+                    detail.push(("byte", i as i64));
+                    detail.push(("mask", i64::from(mask)));
+                    true
                 }
                 ChaosFaultKind::BurstLoss { ms } => {
                     let until = now + SimDuration::from_millis(ms);
@@ -920,7 +915,7 @@ impl Simulation {
             return;
         }
         if duplicate {
-            self.itp_link.send(now, bytes.clone());
+            self.itp_link.send(now, bytes);
         }
         self.itp_link.send(now, bytes);
         if let Some(held) = chaos.reorder_held.take() {

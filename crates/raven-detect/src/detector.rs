@@ -145,9 +145,9 @@ impl std::error::Error for NoFaultFreeSamples {}
 /// state the [`GuardInterceptor`] acts on, and the verdict and
 /// mitigation-window spans.
 ///
-/// Share it between the harness (which feeds encoder measurements each
-/// cycle via [`DynamicDetector::sync_measurement`]) and the
-/// [`GuardInterceptor`] on the write path via [`shared`].
+/// Its owner feeds encoder measurements each cycle via
+/// [`DynamicDetector::sync_measurement`] and lends it to a
+/// [`GuardInterceptor`] for each command write.
 #[derive(Debug)]
 pub struct DynamicDetector {
     model: RtModel,

@@ -296,13 +296,15 @@ mod tests {
         let mut ch = UsbChannel::new();
         ch.install(Box::new(ChaosFrameDrop::usb_frames(FaultWindow::starting_at(at(10), 5))));
         let pkt = UsbCommandPacket::default().encode().to_vec();
-        assert!(ch.write(pkt.clone(), at(9), None, &mut obs).delivered.is_some());
+        let mut buf = pkt.clone();
+        assert_eq!(ch.write(&mut buf, at(9), None, &mut obs), WriteAction::Forward);
         for ms in 10..15 {
-            let out = ch.write(pkt.clone(), at(ms), None, &mut obs);
-            assert!(out.delivered.is_none());
-            assert!(!out.mutated, "chaos drops must not count as mutations");
+            assert_eq!(ch.write(&mut buf, at(ms), None, &mut obs), WriteAction::Drop);
+            assert_eq!(buf, pkt);
+            assert_eq!(ch.mutations(), 0, "chaos drops must not count as mutations");
         }
-        assert!(ch.write(pkt, at(15), None, &mut obs).delivered.is_some());
+        assert_eq!(ch.write(&mut buf, at(15), None, &mut obs), WriteAction::Forward);
+        assert_eq!(buf, pkt);
         assert_eq!(ch.drops(), 5);
         assert_eq!(ch.mutations(), 0);
         assert_eq!(obs.metrics.counter(names::CHAOS_INJECTIONS), 1, "one announcement per window");

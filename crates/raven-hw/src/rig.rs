@@ -15,7 +15,7 @@ use simbus::{Observer, SimTime, SpanHandle};
 
 use crate::bitw::{BitwCodec, BitwPlacement};
 use crate::board::UsbBoard;
-use crate::channel::{UsbChannel, WriteInterceptor, WriteOutcome};
+use crate::channel::{UsbChannel, WriteAction, WriteInterceptor};
 use crate::packet::{UsbCommandPacket, UsbFeedbackPacket, DAC_CHANNELS};
 use crate::plc::{EStopCause, Plc};
 
@@ -65,6 +65,9 @@ pub struct HardwareRig {
     bitw: Option<Bitw>,
     spans: SpanHandle,
     reported_estop: Option<EStopCause>,
+    /// Reusable frame for the write path: carries the encoded (or sealed)
+    /// command packet through the write interceptors to the board.
+    tx_frame: Vec<u8>,
     /// Reusable frame for the read path: carries the encoded (or sealed)
     /// feedback packet through the read interceptors, and reclaims the
     /// channel's returned storage afterwards.
@@ -101,6 +104,7 @@ impl HardwareRig {
             bitw: None,
             spans: SpanHandle::default(),
             reported_estop,
+            tx_frame: Vec::default(),
             rx_frame: Vec::default(),
             open_scratch: Vec::default(),
             wire_scratch: Vec::default(),
@@ -182,25 +186,22 @@ impl HardwareRig {
         now: SimTime,
         guard: Option<&mut dyn WriteInterceptor>,
         obs: &mut Observer,
-    ) -> WriteOutcome {
-        // The write chain takes ownership of its input and hands the
-        // delivered bytes to the caller inside the outcome, so this frame
-        // is a genuine transfer; everything downstream (seal, open, the
-        // wire round trip) reuses rig-held scratch buffers.
+    ) {
         let encoded = pkt.encode();
-        let mut frame = Vec::with_capacity(encoded.len() + crate::bitw::BITW_OVERHEAD);
+        let frame = &mut self.tx_frame;
         let host_sealed = match &mut self.bitw {
             Some(b) if b.placement == BitwPlacement::Host => {
-                b.host_tx.seal_into(&encoded, &mut frame);
+                b.host_tx.seal_into(&encoded, frame);
                 true
             }
             _ => {
+                frame.clear();
                 frame.extend_from_slice(&encoded);
                 false
             }
         };
-        let outcome = self.channel.write(frame, now, guard, obs);
-        if let Some(bytes) = &outcome.delivered {
+        if self.channel.write(frame, now, guard, obs) == WriteAction::Forward {
+            let bytes = &self.tx_frame;
             // The wire segment between chain and board.
             let mut open_buf = std::mem::take(&mut self.open_scratch);
             let at_board: Option<&[u8]> = match &mut self.bitw {
@@ -232,7 +233,6 @@ impl HardwareRig {
             self.open_scratch = open_buf;
         }
         self.note_estop_edges(now, obs);
-        outcome
     }
 
     /// Advances the physical world by one control period: PLC deadline

@@ -13,7 +13,7 @@ use std::fmt;
 /// the allowlist cannot silently outlive the code it excuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule id: `R1`..`R7`.
+    /// Rule id: `R1`..`R11`, except the retired `R8`.
     pub rule: String,
     /// Workspace-relative file path, or a directory prefix ending in `/`.
     pub path: String,
@@ -81,12 +81,10 @@ pub struct Config {
     pub unordered_crates: Vec<String>,
     /// R2: forbidden unordered-collection tokens.
     pub unordered_tokens: Vec<String>,
-    /// R3/R8: call-graph entry points (`Type::method` or free-fn names).
+    /// R3: call-graph entry points (`Type::method` or free-fn names).
     pub hot_path_entry_points: Vec<String>,
     /// R3: forbidden panic tokens in the reachable set.
     pub panic_tokens: Vec<String>,
-    /// R8: forbidden allocation tokens in the reachable set.
-    pub alloc_tokens: Vec<String>,
     /// R9: seed-deriving functions whose stream argument is audited.
     pub stream_fns: Vec<String>,
     /// R11: glob patterns (`dir/prefix*.json`) naming the golden
@@ -230,9 +228,6 @@ impl Config {
                 (Open::None, "rules.no_panic_in_hot_path", "tokens") => {
                     cfg.panic_tokens = value.arr(lineno)?
                 }
-                (Open::None, "rules.no_alloc_in_hot_path", "tokens") => {
-                    cfg.alloc_tokens = value.arr(lineno)?
-                }
                 (Open::None, "rules.rng_stream", "fns") => cfg.stream_fns = value.arr(lineno)?,
                 (Open::None, "rules.artifact_schema", "globs") => {
                     cfg.artifact_globs = value.arr(lineno)?
@@ -296,12 +291,15 @@ impl Config {
     }
 
     fn validate(&self) -> Result<(), ConfigError> {
-        const RULES: [&str; 11] =
-            ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11"];
+        const RULES: [&str; 10] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R9", "R10", "R11"];
         for (i, a) in self.allows.iter().enumerate() {
             let at = |msg: String| err(0, format!("[[allow]] entry #{}: {msg}", i + 1));
             if !RULES.contains(&a.rule.as_str()) {
-                return Err(at(format!("rule must be one of R1..R11, got `{}`", a.rule)));
+                return Err(at(format!(
+                    "rule must be one of {}, got `{}`",
+                    RULES.join(", "),
+                    a.rule
+                )));
             }
             if a.path.is_empty() {
                 return Err(at("missing `path`".into()));
@@ -512,10 +510,7 @@ reason = "illegal events are ignored by design (paper Fig. 1c)"
     fn parses_hot_path_and_artifact_schema_sections() {
         let text = r#"
 [rules.hot_path]
-entry_points = ["Simulation::step", "Rig::step"]
-
-[rules.no_alloc_in_hot_path]
-tokens = ["Box::new(", "format!("]
+entry_points = ["Simulation::step", "HardwareRig::step"]
 
 [rules.rng_stream]
 fns = ["stream_rng", "derive_seed"]
@@ -529,8 +524,7 @@ json = "results/table4_detection.json"
 struct = "Table4Artifact"
 "#;
         let cfg = Config::parse(text).expect("parse");
-        assert_eq!(cfg.hot_path_entry_points, vec!["Simulation::step", "Rig::step"]);
-        assert_eq!(cfg.alloc_tokens, vec!["Box::new(", "format!("]);
+        assert_eq!(cfg.hot_path_entry_points, vec!["Simulation::step", "HardwareRig::step"]);
         assert_eq!(cfg.stream_fns, vec!["stream_rng", "derive_seed"]);
         assert_eq!(cfg.artifact_globs.len(), 2);
         assert_eq!(cfg.artifact_ignore_keys, vec!["traceEvents"]);

@@ -75,33 +75,12 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
         }
     }
 
-    // Call-graph rules: R3/R8 over every fn reachable from the hot-path
-    // entry points, R10 everywhere.
+    // Call-graph rules: R3 over every fn reachable from the hot-path entry
+    // points, R10 everywhere.
     let graph = CallGraph::build(&files);
     if !cfg.hot_path_entry_points.is_empty() {
         let reach = graph.reachable_from(&cfg.hot_path_entry_points);
-        raw.extend(rules::hot_path_rule(
-            &files,
-            &graph,
-            &reach,
-            &cfg.panic_tokens,
-            "R3",
-            "no-panic-in-hot-path",
-            "can panic inside the control cycle; return a typed error or restructure \
-             so the failure is impossible (panic isolation belongs to the campaign \
-             executor, not the safety loop)",
-        ));
-        raw.extend(rules::hot_path_rule(
-            &files,
-            &graph,
-            &reach,
-            &cfg.alloc_tokens,
-            "R8",
-            "no-alloc-in-hot-path",
-            "allocates on the heap inside the control cycle; preallocate in the \
-             constructor or reuse a fixed-capacity buffer so the 1 ms deadline never \
-             meets the allocator",
-        ));
+        raw.extend(rules::hot_path_rule(&files, &graph, &reach, &cfg.panic_tokens));
     }
     raw.extend(rules::lock_discipline(&files, &graph));
 
@@ -166,6 +145,22 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
                 snippet: format!("rule = \"{}\", path = \"{}\"", a.rule, a.path),
                 hint: "this [[allow]] entry matched no finding; delete it (or fix its \
                        `path`/`contains`) so the exception list stays honest"
+                    .to_string(),
+            });
+        }
+    }
+    // An entry point that names no fn silently shrinks the hot set to
+    // nothing, so it is reported the same way.
+    for spec in &cfg.hot_path_entry_points {
+        if graph.entry_indices(spec).is_empty() {
+            findings.push(Finding {
+                path: "raven-lint.toml".to_string(),
+                line: 1,
+                rule: "CONFIG".to_string(),
+                name: "unresolved-entry-point".to_string(),
+                snippet: format!("entry_points = [\"{spec}\"]"),
+                hint: "this [rules.hot_path] entry point matches no fn in the scanned \
+                       sources; fix the `Type::method` spelling or delete it"
                     .to_string(),
             });
         }

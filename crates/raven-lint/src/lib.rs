@@ -14,7 +14,7 @@
 //! region tracker excludes `#[cfg(test)]` modules where panics and hash
 //! collections are legitimate, an item/signature parser builds a symbol
 //! table and an approximate workspace call graph, and a rule engine
-//! applies eleven rules (see `docs/STATIC_ANALYSIS.md`):
+//! applies ten rules (see `docs/STATIC_ANALYSIS.md`):
 //!
 //! * **R1 no-wall-clock** — `Instant::now`/`SystemTime` only in
 //!   allowlisted timing surfaces, so wall-clock can never leak into a
@@ -37,10 +37,6 @@
 //!   carrying a `// SAFETY:` comment.
 //! * **R7 no-float-eq** — no `==`/`!=` against float literals in
 //!   merged-artifact crates.
-//! * **R8 no-alloc-in-hot-path** — heap allocation (`Box::new`,
-//!   `format!`, `to_string`, `Vec` growth, clones) forbidden in the same
-//!   call-graph-reachable set R3 audits; the work-list for the batched
-//!   SoA refactor.
 //! * **R9 rng-stream-discipline** — every `stream_rng`/`derive_seed`
 //!   label comes from `simbus::obs::streams`, whose constants must be
 //!   unique workspace-wide.

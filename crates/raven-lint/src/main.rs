@@ -50,7 +50,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 Some(id) => rule_filter.push(id),
-                None => return usage("--rule needs a rule id (e.g. R8)"),
+                None => return usage("--rule needs a rule id (e.g. R3)"),
             },
             "--baseline" => match args.next() {
                 Some(p) => baseline_path = Some(PathBuf::from(p)),

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline — no syn, no proc-macro2 — so this module
 //! extracts just enough structure from [`crate::lexer::SourceFile`]s to
-//! power the call-graph rules (R3/R8), lock discipline (R10), and
+//! power the hot-path rule (R3), lock discipline (R10), and
 //! artifact-schema drift (R11): function items with their impl type and
 //! parameter types, struct declarations with field types and their
 //! `#[derive(Serialize)]` flag, and `type` aliases. It is an

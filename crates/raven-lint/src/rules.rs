@@ -16,7 +16,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule id (`R1`..`R7`, or `CONFIG` for allowlist hygiene).
+    /// Rule id (`R1`..`R11`, or `CONFIG` for configuration hygiene).
     pub rule: String,
     /// Short rule name.
     pub name: String,
@@ -964,7 +964,7 @@ pub fn unsafe_audit(file: &SourceFile, unsafe_files: &[String]) -> Vec<Finding> 
     out
 }
 
-/// R3/R8 share a shape: a token list that must not appear in any function
+/// R3: none of `tokens` (the panic forms) may appear in a function
 /// transitively reachable from the hot-path entry points. The hint carries
 /// the discovery chain so the report explains *why* a function is hot, not
 /// just that it is.
@@ -973,9 +973,6 @@ pub fn hot_path_rule(
     graph: &CallGraph,
     reach: &Reachability,
     tokens: &[String],
-    rule: &str,
-    name: &str,
-    hint: &str,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     // Nested fns produce overlapping body spans; dedup by source line.
@@ -998,9 +995,14 @@ pub fn hot_path_rule(
                 out.push(Finding::at(
                     file,
                     offset,
-                    rule,
-                    name,
-                    format!("`{token}` {hint} (hot path: {})", graph.chain(reach, idx)),
+                    "R3",
+                    "no-panic-in-hot-path",
+                    format!(
+                        "`{token}` can panic inside the control cycle; return a typed error \
+                         or restructure so the failure is impossible (panic isolation \
+                         belongs to the campaign executor, not the safety loop) (hot path: {})",
+                        graph.chain(reach, idx)
+                    ),
                 ));
             }
         }
@@ -1813,22 +1815,15 @@ mod tests {
         let src = "struct Sim { x: u8 }\n\
                    impl Sim {\n\
                        pub fn step(&mut self) { self.inner(); }\n\
-                       fn inner(&mut self) { let v = self.x.to_string(); }\n\
+                       fn inner(&mut self) { let v = self.x.checked_add(1).unwrap(); }\n\
                    }\n\
-                   fn cold() { let v = 1.to_string(); }\n";
+                   fn cold() { let v = Some(1).unwrap(); }\n";
         let files = vec![file(src)];
         let graph = graph_of(&files);
         let reach = graph.reachable_from(&["Sim::step".to_string()]);
-        let hits = hot_path_rule(
-            &files,
-            &graph,
-            &reach,
-            &["to_string".to_string()],
-            "R8",
-            "no-alloc-in-hot-path",
-            "allocates",
-        );
+        let hits = hot_path_rule(&files, &graph, &reach, &[".unwrap(".to_string()]);
         assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, "R3");
         assert_eq!(hits[0].line, 4);
         assert!(hits[0].hint.contains("Sim::step → Sim::inner"), "{}", hits[0].hint);
     }
@@ -1839,20 +1834,12 @@ mod tests {
                    fn work() {}\n\
                    #[cfg(test)]\n\
                    mod t {\n\
-                       fn helper() { let s = 1.to_string(); }\n\
+                       fn helper() { let s = Some(1).unwrap(); }\n\
                    }\n";
         let files = vec![file(src)];
         let graph = graph_of(&files);
         let reach = graph.reachable_from(&["step".to_string()]);
-        let hits = hot_path_rule(
-            &files,
-            &graph,
-            &reach,
-            &["to_string".to_string()],
-            "R8",
-            "no-alloc-in-hot-path",
-            "allocates",
-        );
+        let hits = hot_path_rule(&files, &graph, &reach, &[".unwrap(".to_string()]);
         assert!(hits.is_empty(), "{hits:?}");
     }
 

@@ -37,16 +37,21 @@ fn run_lint(root: &Path) -> (bool, String) {
 fn seeded_violations_fail_with_every_rule_represented() {
     let (ok, output) = run_lint(&ws());
     assert!(!ok, "seeded workspace must fail the audit:\n{output}");
-    for rule in ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11"] {
+    for rule in ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R9", "R10", "R11"] {
         assert!(
             output.contains(&format!("\"rule\": \"{rule}\"")),
             "rule {rule} missing from findings:\n{output}"
         );
     }
-    // The deliberately stale allowlist entry must surface as CONFIG.
+    // The deliberately stale allowlist entry and the entry point that
+    // names no fn must both surface as CONFIG.
     assert!(
         output.contains("\"rule\": \"CONFIG\""),
         "stale allowlist entry not reported:\n{output}"
+    );
+    assert!(
+        output.contains("unresolved-entry-point") && output.contains("Missing::step"),
+        "unresolved entry point not reported:\n{output}"
     );
 }
 
@@ -54,7 +59,7 @@ fn seeded_violations_fail_with_every_rule_represented() {
 fn call_graph_rules_walk_the_chain_and_respect_cfg_test() {
     let (ok, output) = run_lint(&ws());
     assert!(!ok);
-    // The panic and the allocation sit two calls from HotLoop::step; the
+    // The panic sits two calls from HotLoop::step; the
     // finding must carry the reconstructed chain.
     assert!(
         output.contains("expect(\\\"non-empty\\\")") || output.contains("non-empty"),
@@ -131,7 +136,7 @@ fn baseline_suppresses_known_findings() {
 fn list_rules_prints_catalog_and_unknown_rule_is_an_error() {
     let (status, stdout, _) = run_args(&["--list-rules"], None);
     assert!(status.success());
-    for id in ["R1", "R8", "R9", "R10", "R11"] {
+    for id in ["R1", "R3", "R9", "R10", "R11"] {
         assert!(stdout.contains(id), "catalog missing {id}:\n{stdout}");
     }
     let (status, _, stderr) = run_args(&["--rule", "R99"], Some(&ws()));

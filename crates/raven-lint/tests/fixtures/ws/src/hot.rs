@@ -1,6 +1,6 @@
 //! Call-graph fixtures. `HotLoop::step` is the configured entry point;
-//! `deep` sits two calls away, so its panic (R3) and allocation (R8) are
-//! only findable by walking the graph. The same panic behind
+//! `deep` sits two calls away, so its panic (R3) is only findable by
+//! walking the graph. The same panic behind
 //! `#[cfg(test)]` and in the unreachable `cold_path` must stay invisible.
 
 pub struct HotLoop {
@@ -18,8 +18,6 @@ fn middle(vals: &[u8]) -> u8 {
 }
 
 fn deep(vals: &[u8]) -> u8 {
-    let label = format!("deep-{}", vals.len()); // R8: two calls from step
-    let _ = label;
     *vals.first().expect("non-empty") // R3: two calls from step
 }
 
