@@ -341,7 +341,8 @@ impl BatchDetector {
     /// `None` slots are *parked* this cycle — no assessment, no counter
     /// movement, verdict `None` — which is how the fleet multiplexer
     /// runs a batch where only a subset of sessions is active. Parked
-    /// (and unsynced) lanes are still stepped with the batch, but are
+    /// (and unsynced) lanes still ride the batch's model steps (the
+    /// one-step prediction and the lookahead rollout), but are
     /// re-loaded with the benign rest state and zero torque on every
     /// call, so an idle lane can never drift toward non-finite values
     /// over a long soak and never influences an engaged sibling (lanes
@@ -417,20 +418,23 @@ impl BatchDetector {
             self.verdicts[l] =
                 Some(Assessment { features, threshold_alarm: false, ee_alarm: false });
         }
-        // Lookahead rollout: the whole batch re-steps under the latched
-        // torques, then each lane checks its cumulative EE displacement.
+        // Lookahead rollout: the whole batch holds the latched torques for
+        // the remaining steps, then each lane checks its cumulative EE
+        // displacement. Only the end pose is read, so the last step
+        // advances positions alone (`step_positions`); the next call's
+        // `load_state` on every lane overwrites the stale velocity rows.
         if self.config.lookahead_steps > 1 {
-            for _ in 1..self.config.lookahead_steps {
+            for _ in 2..self.config.lookahead_steps {
                 self.model.step_lanes();
             }
+            self.model.step_positions();
             for (l, lane) in self.lanes.iter().enumerate() {
                 if !self.engaged[l] {
                     continue;
                 }
                 let Some(assessment) = &mut self.verdicts[l] else { continue };
                 let ee_now = self.ee_now[l];
-                let rolled = self.model.state(l);
-                let end = lane.arm.position(&rolled.joint_pos());
+                let end = lane.arm.position(&self.model.joint_pos(l));
                 assessment.features.ee_step = assessment.features.ee_step.max(ee_now.distance(end));
                 self.ee_step[l] = assessment.features.ee_step;
             }

@@ -67,6 +67,9 @@ pub struct DetectorConfig {
     /// hardware module" with budget for deeper rollouts: the candidate
     /// command is *held* for `lookahead_steps` model steps and the
     /// cumulative end-effector displacement is checked against the limit.
+    /// The rollout's last step only needs the end pose: under Euler it
+    /// advances positions without evaluating the dynamics, so a horizon
+    /// of `h > 1` costs `h − 1` derivative evaluations (`4h` under RK4).
     pub lookahead_steps: u32,
     /// Hard cap on the predicted end-effector step per control period
     /// (paper: 1 mm per 1–2 ms, from expert surgeons).

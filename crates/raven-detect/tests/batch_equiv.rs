@@ -1,19 +1,23 @@
 //! Property-based equivalence: [`BatchDetector`] vs independent scalar
-//! [`DynamicDetector`] sessions, and the ee_step hoist regression.
+//! [`DynamicDetector`] sessions, and both vs an iterated scalar model.
 //!
 //! Contract under test: every batched lane produces assessments (features,
 //! alarm bits, counters) *identical* to a standalone detector fed the same
 //! measurements and commands — across lookahead horizons, fusion rules,
 //! perturbed per-lane models, and `reset_session` on one lane mid-batch.
 //! The standalone detector is itself a 1-lane batch, so this pins lane
-//! independence: an M-lane batch equals M one-lane batches.
+//! independence: an M-lane batch equals M one-lane batches. The rollout
+//! oracle at the end checks both against an independent reference built
+//! from the scalar model.
 
 use proptest::prelude::*;
 use raven_detect::{
     BatchDetector, DetectionThresholds, DetectorConfig, DynamicDetector, FusionRule,
+    InstantFeatures,
 };
-use raven_dynamics::{PlantParams, RtModel};
-use raven_kinematics::{ArmConfig, JointState, NUM_AXES};
+use raven_dynamics::{PlantParams, PlantState, RtModel, RtModelConfig};
+use raven_kinematics::{ArmConfig, JointState, MotorState, NUM_AXES};
+use raven_math::ode::Method;
 
 fn workspace_joints() -> impl Strategy<Value = JointState> {
     (-1.0..1.0f64, 0.5..2.2f64, 0.12..0.40f64).prop_map(|(s, e, i)| JointState::new(s, e, i))
@@ -132,61 +136,101 @@ proptest! {
     }
 }
 
-/// Regression for the hoisted forward-kinematics call: `assess` used to
-/// evaluate `arm.forward(&current.joint_pos())` once for the one-step
-/// feature and *again* inside the lookahead branch. FK is pure, so sharing
-/// the first evaluation must leave `ee_step` bit-identical to the
-/// recomputed variant — asserted here against an explicit re-derivation
-/// from the detector's own model.
-#[test]
-fn lookahead_ee_step_is_identical_to_recomputed_rollout() {
-    let (arm, model) = session(1);
-    for lookahead in [1u32, 2, 4, 8] {
-        let cfg = config(lookahead, FusionRule::AllThree);
-        let mut det = DynamicDetector::new(arm.clone(), model.clone(), cfg);
-        let coupling = PlantParams::raven_ii().coupling();
-        let poses = [JointState::new(0.0, 1.4, 0.25), JointState::new(0.02, 1.38, 0.26)];
-        for pose in &poses {
-            det.sync_measurement(coupling.joints_to_motors(pose));
+/// Test-local reference for one verdict's features, written from their
+/// definitions rather than from the detector: the tracked state by
+/// differencing two measurements, the scalar `RtModel::predict` iterated
+/// over the whole horizon, and position-only FK of the current, predicted
+/// and rolled-out joints.
+fn reference_features(
+    arm: &ArmConfig,
+    model: &RtModel,
+    cfg: &DetectorConfig,
+    prev: Option<MotorState>,
+    now: MotorState,
+    dac: &[i16; 3],
+) -> InstantFeatures {
+    let dt = cfg.dt;
+    let jpos = arm.motors_to_joints(&now);
+    let mut current = PlantState::default();
+    current.set_motor_pos(now);
+    current.set_joint_pos(jpos);
+    if let Some(prev) = prev {
+        let jprev = arm.motors_to_joints(&prev).to_array();
+        for (i, (j, jp)) in jpos.to_array().into_iter().zip(jprev).enumerate() {
+            current.x[3 + i] = (now.angles[i] - prev.angles[i]) / dt;
+            current.x[9 + i] = (j - jp) / dt;
         }
-        let dac = [9_000, -4_000, 2_000];
-        let got = det.assess(&dac).expect("measurement synced").features.ee_step;
+    }
+    let predicted = model.predict(&current, dac);
+    let mut rolled = predicted;
+    for _ in 1..cfg.lookahead_steps {
+        rolled = model.predict(&rolled, dac);
+    }
+    let mut f = InstantFeatures::default();
+    for i in 0..NUM_AXES {
+        f.motor_accel[i] = ((predicted.x[3 + i] - current.x[3 + i]) / dt).abs();
+        f.motor_vel[i] = predicted.x[3 + i].abs();
+        f.joint_vel[i] = predicted.x[9 + i].abs();
+    }
+    let ee_now = arm.position(&current.joint_pos());
+    let one_step = ee_now.distance(arm.position(&predicted.joint_pos()));
+    f.ee_step = one_step.max(ee_now.distance(arm.position(&rolled.joint_pos())));
+    f
+}
 
-        // Old-style computation, redundant FK and all: reconstruct the
-        // tracked state from the same two measurements, then chain scalar
-        // one-step predictions over the horizon.
-        let dt = cfg.dt;
-        let m0 = coupling.joints_to_motors(&poses[0]);
-        let m1 = coupling.joints_to_motors(&poses[1]);
-        let j0 = arm.motors_to_joints(&m0).to_array();
-        let j1v = arm.motors_to_joints(&m1);
-        let j1 = j1v.to_array();
-        let dm = m1.delta(m0);
-        let mut current = raven_dynamics::PlantState::default();
-        current.set_motor_pos(m1);
-        current.set_joint_pos(j1v);
-        for i in 0..3 {
-            current.x[3 + i] = dm.angles[i] / dt;
-            current.x[9 + i] = (j1[i] - j0[i]) / dt;
-        }
-        let predicted = det.model().predict(&current, &dac);
-        let ee_now = arm.forward(&current.joint_pos()).position;
-        let ee_next = arm.forward(&predicted.joint_pos()).position;
-        let mut expected = ee_now.distance(ee_next);
-        if lookahead > 1 {
-            let mut rolled = predicted;
-            for _ in 1..lookahead {
-                rolled = det.model().predict(&rolled, &dac);
+/// Every `InstantFeatures` field as raw bits, so the comparison is exact.
+fn bits(f: &InstantFeatures) -> Vec<u64> {
+    f.flattened().iter().chain([&f.ee_step]).map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Non-circular rollout oracle: for both integrators and horizons
+    /// 1/2/3/8, a 1-lane `DynamicDetector` and one lane of a 64-lane
+    /// `BatchDetector` (every sibling parked) produce features bit-equal
+    /// to [`reference_features`] on every cycle.
+    #[test]
+    fn verdict_features_match_the_iterated_scalar_model(
+        seed in 0..64u64,
+        lane in 0..64usize,
+        poses in prop::collection::vec(workspace_joints(), 4..5),
+        dacs in prop::collection::vec(dac(), 4..5),
+    ) {
+        let (arm, base) = session(seed);
+        let coupling = PlantParams::raven_ii().coupling();
+        for method in Method::all() {
+            let model_config = RtModelConfig { method, ..RtModelConfig::default() };
+            let model = RtModel::with_config(*base.params(), model_config);
+            let mut models: Vec<RtModel> = (0..64u64)
+                .map(|l| RtModel::with_config(*session(l + 100).1.params(), model_config))
+                .collect();
+            models[lane] = model.clone();
+            for lookahead in [1u32, 2, 3, 8] {
+                let cfg = config(lookahead, FusionRule::AllThree);
+                let mut solo = DynamicDetector::new(arm.clone(), model.clone(), cfg);
+                let mut fleet = BatchDetector::from_models(&vec![arm.clone(); 64], &models, cfg);
+                let mut slots = vec![None; 64];
+                let mut prev = None;
+                for (k, (pose, cmd)) in poses.iter().zip(&dacs).enumerate() {
+                    let mpos = coupling.joints_to_motors(pose);
+                    solo.sync_measurement(mpos);
+                    fleet.sync_lane(lane, mpos);
+                    slots[lane] = Some(*cmd);
+                    let want = reference_features(&arm, &model, &cfg, prev, mpos, cmd);
+                    let got = solo.assess(cmd).expect("synced").features;
+                    prop_assert!(
+                        bits(&got) == bits(&want),
+                        "{method} h={lookahead} cycle {k}: detector {got:?} != reference {want:?}"
+                    );
+                    let got = fleet.assess_lanes_masked(&slots)[lane].expect("synced").features;
+                    prop_assert!(
+                        bits(&got) == bits(&want),
+                        "{method} h={lookahead} cycle {k}: lane {lane} {got:?} != reference {want:?}"
+                    );
+                    prev = Some(mpos);
+                }
             }
-            // The recomputation the old code performed redundantly:
-            let ee_now_again = arm.forward(&current.joint_pos()).position;
-            let end = arm.forward(&rolled.joint_pos()).position;
-            expected = expected.max(ee_now_again.distance(end));
         }
-        assert_eq!(
-            got.to_bits(),
-            expected.to_bits(),
-            "ee_step drifted at lookahead {lookahead}: {got} vs {expected}"
-        );
     }
 }

@@ -24,8 +24,8 @@
 //! integrators. All scratch (RK4 stages, cable-force rows) is
 //! allocated once at construction; stepping never allocates.
 
-use raven_kinematics::{NUM_AXES, WRIST_AXES};
-use raven_math::ode::BatchScratch;
+use raven_kinematics::{JointState, NUM_AXES, WRIST_AXES};
+use raven_math::ode::{BatchScratch, Method};
 
 use crate::estimator::RtModelConfig;
 use crate::link::LinkParams;
@@ -331,14 +331,55 @@ impl BatchModel {
         config.method.step_batch(x, 0.0, config.step_size, &mut deriv, &mut scratch, next);
         std::mem::swap(x, next);
     }
+
+    /// Advances every lane's motor and joint *positions* by one
+    /// integration step, bit-identical to the position rows
+    /// [`step_lanes`](Self::step_lanes) would produce — the final step
+    /// of a rollout whose result is read only through
+    /// [`joint_pos`](Self::joint_pos).
+    ///
+    /// Under [`Method::Euler`] the
+    /// derivative of a position row is a copy of its velocity row, so
+    /// each position advances as `x[pos] + dt * x[vel]` (the expression
+    /// `Method::step_batch` computes for it) with no derivative
+    /// evaluation. RK4's position update needs the stage velocities, so
+    /// under [`Method::Rk4`] this is a full `step_lanes`.
+    ///
+    /// Velocity rows are left untouched under Euler: after this call only
+    /// the positions are valid, until the next
+    /// [`load_state`](Self::load_state) of each lane.
+    pub fn step_positions(&mut self) {
+        match self.config.method {
+            Method::Rk4 => self.step_lanes(),
+            Method::Euler => {
+                let (m, dt) = (self.soa.lanes, self.config.step_size);
+                // Rows `[pos, pos + NUM_AXES)` are positions, the next
+                // NUM_AXES rows their velocities.
+                for pos in [0, 2 * NUM_AXES] {
+                    let rows = &mut self.x[pos * m..(pos + 2 * NUM_AXES) * m];
+                    let (p, v) = rows.split_at_mut(NUM_AXES * m);
+                    for (p, &v) in p.iter_mut().zip(v.iter()) {
+                        *p += dt * v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One lane's joint positions — the three values a rollout reads,
+    /// without gathering the whole state.
+    pub fn joint_pos(&self, lane: usize) -> JointState {
+        let m = self.soa.lanes;
+        assert!(lane < m, "lane {lane} out of {m}");
+        let jp = 2 * NUM_AXES * m;
+        JointState::new(self.x[jp + lane], self.x[jp + m + lane], self.x[jp + 2 * m + lane])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::RtModel;
-    use raven_kinematics::JointState;
-    use raven_math::ode::Method;
 
     fn rest(params: &PlantParams) -> PlantState {
         params.rest_state(JointState::new(0.1, 1.3, 0.22))
@@ -410,6 +451,46 @@ mod tests {
         batch.step_lanes();
         let expected = scalar.predict(&scalar.predict(&state, &dac), &dac);
         assert_eq!(batch.state(0), expected);
+    }
+
+    #[test]
+    fn position_step_matches_full_step_positions_bitwise() {
+        let base = PlantParams::raven_ii();
+        for method in Method::all() {
+            let config = RtModelConfig { method, step_size: 1e-3 };
+            for m in [1usize, 64] {
+                let params: Vec<PlantParams> =
+                    (0..m).map(|l| base.perturbed(l as u64 + 11, 0.03)).collect();
+                for prior in 0..=3 {
+                    let mut full = BatchModel::with_params(&params, config);
+                    for (l, p) in params.iter().enumerate() {
+                        let mut s = rest(p);
+                        // A moving start, so velocity rows are nonzero.
+                        s.x[3] = 0.4 - 0.01 * l as f64;
+                        s.x[10] = -0.2 + 0.005 * l as f64;
+                        full.load_state(l, &s);
+                        full.set_dac(l, &[900 - 20 * l as i16, -600, 300 + 5 * l as i16]);
+                    }
+                    for _ in 0..prior {
+                        full.step_lanes();
+                    }
+                    let mut positions = full.clone();
+                    full.step_lanes();
+                    positions.step_positions();
+                    for l in 0..m {
+                        let (want, got) = (full.state(l), positions.state(l));
+                        for d in (0..NUM_AXES).chain(2 * NUM_AXES..3 * NUM_AXES) {
+                            assert_eq!(
+                                got.x[d].to_bits(),
+                                want.x[d].to_bits(),
+                                "{method}, {m} lanes, {prior} prior steps: lane {l} row {d}"
+                            );
+                        }
+                        assert_eq!(positions.joint_pos(l), want.joint_pos());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
