@@ -9,17 +9,17 @@
 //!   zero assessments, so cost tracks the *active* minority — the
 //!   event-queue scaling claim, measured;
 //! * **rig plane** — 16 fully simulated mixed-scenario sessions
-//!   through `FleetEngine` (the bit-identical-to-scalar path), for a
-//!   full-fidelity reference point.
+//!   through `run_fleet` (one executor sweep of standalone sessions,
+//!   default worker count), for a full-fidelity reference point.
 //!
 //! ```sh
 //! cargo bench -p bench --bench fleet_throughput
 //! ```
 
+use raven_core::ExecutorConfig;
 use raven_detect::{DetectionThresholds, DetectorConfig};
 use raven_fleet::{
-    fleet_thresholds, standard_mix, FleetConfig, FleetEngine, FleetMonitor, MonitorConfig,
-    MonitorSession,
+    fleet_thresholds, run_fleet, standard_mix, FleetMonitor, MonitorConfig, MonitorSession,
 };
 use raven_kinematics::NUM_AXES;
 use serde::Serialize;
@@ -43,10 +43,9 @@ struct MonitorPoint {
 #[derive(Serialize)]
 struct RigPoint {
     sessions: usize,
-    shard_width: usize,
+    workers: usize,
     wall_ms: f64,
     sessions_per_sec: f64,
-    rounds: u64,
 }
 
 #[derive(Serialize)]
@@ -133,36 +132,30 @@ fn main() {
         });
     }
 
-    // Rig plane: 16 full simulations through the wake queue. Train the
+    // Rig plane: 16 full simulations as one executor sweep. Train the
     // shared thresholds outside the timed region (OnceLock, once per
     // process — a real fleet trains once at deployment, not per run).
     let _ = fleet_thresholds();
     let rig_n = 16usize;
+    let specs = standard_mix(rig_n, 9000);
+    let exec = ExecutorConfig::default();
     let mut wall_ms = Vec::new();
-    let mut rounds = 0u64;
     for _ in 0..repeats {
-        let mut fleet =
-            FleetEngine::new(FleetConfig { shard_width: 4, workers: None, burst_ms: 256 });
-        for spec in standard_mix(rig_n, 9000) {
-            fleet.admit(spec);
-        }
         let t0 = Instant::now();
-        let report = fleet.run();
+        let artifacts = run_fleet(&specs, &exec);
         wall_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        rounds = report.rounds;
-        assert_eq!(report.artifacts.len(), rig_n, "every rig session must retire");
+        assert_eq!(artifacts.len(), rig_n, "every rig session must finish");
     }
     let wall = median(&mut wall_ms);
     let rig = RigPoint {
         sessions: rig_n,
-        shard_width: 4,
+        workers: exec.resolved_workers(),
         wall_ms: wall,
         sessions_per_sec: rig_n as f64 / (wall / 1e3),
-        rounds,
     };
     println!(
-        "rig plane: {} full sessions in {:.1} ms ({:.1} sessions/sec, {} rounds)",
-        rig_n, rig.wall_ms, rig.sessions_per_sec, rig.rounds
+        "rig plane: {} full sessions in {:.1} ms ({:.1} sessions/sec, {} workers)",
+        rig_n, rig.wall_ms, rig.sessions_per_sec, rig.workers
     );
 
     // The scaling gate: 10k mostly-idle sessions must clear at a higher
@@ -186,7 +179,7 @@ fn main() {
         rig,
         note: "monitor plane: duty-cycled sessions over a 64-lane masked batch detector; \
                idle sessions park in the wake queue (zero assessments). rig plane: full \
-               Simulation sessions via FleetEngine (bit-identical to the scalar loop)"
+               Simulation sessions via run_fleet, one executor sweep of standalone sessions"
             .to_string(),
     };
     // Workspace root ONLY: results/ holds the manifest-pinned deterministic

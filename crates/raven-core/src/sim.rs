@@ -675,12 +675,13 @@ impl Simulation {
         self.outcome(ran)
     }
 
-    /// One bounded burst of the teleoperation session loop — the fleet
-    /// engine's unit of work. Steps until `cycles` have run or the rig
-    /// halts, returning the cycles actually stepped. [`run_session`] is
-    /// a single maximal burst, so a session advanced in several bursts
-    /// executes the *same* step sequence and is bit-identical to a
-    /// standalone run (pinned by `raven-fleet`'s equivalence suite).
+    /// One bounded burst of the teleoperation session loop (the pipeline
+    /// bench times sessions in bursts). Steps until `cycles` have run or
+    /// the rig halts, returning the cycles actually stepped.
+    /// [`run_session`] is a single maximal burst, so a session advanced
+    /// in several bursts executes the *same* step sequence and is
+    /// bit-identical to a single run (pinned by
+    /// `burst_stepping_matches_single_run_session` in this module).
     ///
     /// [`run_session`]: Simulation::run_session
     pub fn run_session_burst(&mut self, cycles: u64) -> u64 {
@@ -1096,7 +1097,7 @@ mod tests {
 
     #[test]
     fn simulation_is_send() {
-        // The fleet engine hands whole sessions to scoped worker threads;
+        // The campaign executor hands whole sessions to scoped worker threads;
         // every trait object inside the rig must therefore be `Send`.
         fn assert_send<T: Send>() {}
         assert_send::<Simulation>();

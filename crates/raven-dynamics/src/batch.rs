@@ -244,7 +244,7 @@ impl BatchModel {
     }
 
     /// Rebinds one lane to a new parameter set — the lane-recycling
-    /// primitive the fleet engine uses when a retired session's lane is
+    /// primitive the fleet monitor uses when a retired session's lane is
     /// re-admitted to a different rig. Updates the lane's SoA columns in
     /// place; the other lanes' columns are untouched, so (per the
     /// bit-identity contract) sibling trajectories are bitwise

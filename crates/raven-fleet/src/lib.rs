@@ -1,43 +1,40 @@
-//! Fleet engine: a virtual-time event-queue session multiplexer for the
-//! raven-guard reproduction.
+//! Fleet layer for the raven-guard reproduction: many teleoperation
+//! sessions at once, each with the semantics of the validated
+//! one-session loop.
 //!
 //! The paper validates its dynamic-model detector one teleoperation
 //! session at a time; a production deployment serves *fleets* of
-//! concurrent sessions. This crate scales the validated loop without
-//! changing its semantics, on two planes:
+//! concurrent sessions. This crate runs many sessions without changing
+//! what any one of them computes, on two planes:
 //!
-//! * **Rig plane** — [`FleetEngine`] admits N fully simulated sessions
+//! * **Rig plane** — [`run_fleet`] runs N fully simulated sessions
 //!   (each a [`raven_core::Simulation`] with its own seed, scenario,
-//!   attack, and chaos schedule), parks them in a virtual-time
-//!   [`WakeQueue`], and advances the ready frontier in bounded bursts,
-//!   sharded into groups and dispatched over the campaign executor's
-//!   deterministic run-order merge. Every session's artifact (outcome,
-//!   event log, metrics, incident report) is **bit-identical** to the
-//!   same spec run standalone through `Simulation::run_session`, for
-//!   any shard width or worker count — pinned by
+//!   attack, and chaos schedule) as one campaign-executor sweep of
+//!   [`run_standalone`]. Every session's artifact (outcome, event log,
+//!   metrics, incident report) is therefore **bit-identical** to the
+//!   same spec run standalone, for any worker count — pinned by
 //!   `tests/fleet_equiv.rs`.
 //! * **Monitor plane** — [`FleetMonitor`] multiplexes thousands of
 //!   telemetry streams over one M-lane
 //!   [`raven_detect::BatchDetector`], recycling lanes as sessions turn
 //!   active and idle. Idle (Pedal-Up) sessions hold no lane, schedule
-//!   their next wake instead of being polled, and consume **zero**
-//!   detector assessments — the scaling claim the 10k-session soak
-//!   test executes.
+//!   their next wake in a virtual-time [`WakeQueue`] instead of being
+//!   polled, and consume **zero** detector assessments — the scaling
+//!   claim the 10k-session soak test executes.
 //!
-//! Determinism doctrine: the wake queue orders strictly by
-//! `(wake_time_ns, session_id)`, fleet-level metrics are restricted to
-//! shard-invariant counters, and per-session work never reads sibling
-//! state — so the merged fleet output is a pure function of the
-//! admitted specs.
+//! Determinism doctrine: the executor merges rig sessions in run order,
+//! the wake queue orders strictly by `(wake_time_ns, session_id)`, and
+//! per-session work never reads sibling state — so fleet output is a
+//! pure function of the specs.
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod monitor;
 pub mod queue;
+pub mod rig;
 pub mod session;
 
-pub use engine::{FleetConfig, FleetEngine, FleetReport};
 pub use monitor::{FleetMonitor, MonitorConfig, MonitorReport, MonitorSession, SessionTotals};
 pub use queue::WakeQueue;
+pub use rig::run_fleet;
 pub use session::{fleet_thresholds, run_standalone, standard_mix, SessionArtifact, SessionSpec};

@@ -1,7 +1,7 @@
 //! The monitor-plane multiplexer: thousands of telemetry streams over
 //! one M-lane [`BatchDetector`].
 //!
-//! Where the rig-plane [`crate::FleetEngine`] simulates every session
+//! Where the rig plane ([`crate::run_fleet`]) simulates every session
 //! in full, the monitor models the deployment where per-rig telemetry
 //! arrives over the network and only the *detector* runs centrally.
 //! Sessions alternate active (Pedal-Down, assessed every cycle) and

@@ -4,8 +4,8 @@
 //! teleoperation session deterministically: the full
 //! [`SimConfig`] plus the attack and chaos schedules installed before
 //! boot. [`run_standalone`] executes a spec through the plain
-//! `Simulation::run_session` loop — the scalar reference the fleet
-//! engine's output is byte-compared against.
+//! `Simulation::run_session` loop; a rig-plane fleet
+//! ([`run_fleet`](crate::run_fleet)) is a sweep of it.
 
 use std::sync::OnceLock;
 
@@ -18,7 +18,7 @@ use serde::Serialize;
 use simbus::obs::{Event, Metrics};
 use simbus::ChaosConfig;
 
-/// One admitted session: the complete deterministic recipe.
+/// One fleet session: the complete deterministic recipe.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// Scenario name (recorded in the artifact).
@@ -29,10 +29,6 @@ pub struct SessionSpec {
     pub attack: AttackSetup,
     /// Chaos schedule installed before boot (off ⇒ nothing scheduled).
     pub chaos: ChaosConfig,
-    /// Virtual time (ms) at which the fleet engine first wakes the
-    /// session. Staggered admissions exercise the wake queue; the
-    /// session's own artifact is independent of this value.
-    pub start_ms: u64,
 }
 
 impl SessionSpec {
@@ -43,7 +39,6 @@ impl SessionSpec {
             config: SimConfig { session_ms: 1_200, ..SimConfig::standard(seed) },
             attack: AttackSetup::None,
             chaos: ChaosConfig::off(),
-            start_ms: 0,
         }
     }
 
@@ -84,13 +79,6 @@ impl SessionSpec {
     #[must_use]
     pub fn with_session_ms(mut self, session_ms: u64) -> Self {
         self.config.session_ms = session_ms;
-        self
-    }
-
-    /// Replaces the admission time (builder style).
-    #[must_use]
-    pub fn with_start_ms(mut self, start_ms: u64) -> Self {
-        self.start_ms = start_ms;
         self
     }
 
@@ -137,13 +125,13 @@ pub fn fleet_thresholds() -> DetectionThresholds {
 
 /// A deterministic mixed-scenario fleet: clean, guarded, attacked,
 /// defended, and block-and-hold sessions with distinct seeds and
-/// staggered horizons/admissions. Used by the `raven-sim fleet` CLI
+/// staggered horizons. Used by the `raven-sim fleet` CLI
 /// and the equivalence/soak suites.
 pub fn standard_mix(n: usize, base_seed: u64) -> Vec<SessionSpec> {
     (0..n)
         .map(|i| {
             // Plain arithmetic seed spread (no RNG stream involved):
-            // distinct, deterministic, admission-order independent.
+            // distinct, deterministic, order independent.
             let seed = base_seed.wrapping_add(7919 * i as u64 + 1);
             let spec = match i % 5 {
                 0 => SessionSpec::clean(seed),
@@ -152,17 +140,16 @@ pub fn standard_mix(n: usize, base_seed: u64) -> Vec<SessionSpec> {
                 3 => SessionSpec::defended(seed),
                 _ => SessionSpec::held(seed),
             };
-            spec.with_session_ms(800 + 400 * (i % 3) as u64).with_start_ms(3 * (i % 7) as u64)
+            spec.with_session_ms(800 + 400 * (i % 3) as u64)
         })
         .collect()
 }
 
 /// Everything one fleet session produced — serializable so equivalence
-/// is a byte comparison. Identical in content to running the spec
-/// standalone through [`run_standalone`] with the same `id`.
+/// is a byte comparison. Built only by [`run_standalone`].
 #[derive(Debug, Clone, Serialize)]
 pub struct SessionArtifact {
-    /// Fleet session id (admission order).
+    /// Fleet session id (spec order).
     pub id: u64,
     /// Spec name.
     pub name: String,
@@ -183,30 +170,6 @@ pub struct SessionArtifact {
 }
 
 impl SessionArtifact {
-    /// Snapshots a finished session. `outcome` is passed in (rather
-    /// than derived here) because the engine and the standalone path
-    /// produce it through different call sites that must agree.
-    pub fn collect(
-        id: u64,
-        spec: &SessionSpec,
-        booted: bool,
-        outcome: SessionOutcome,
-        sim: &Simulation,
-    ) -> Self {
-        let events = &sim.observer().events;
-        SessionArtifact {
-            id,
-            name: spec.name.clone(),
-            seed: spec.config.seed,
-            booted,
-            outcome,
-            events: events.snapshot(),
-            events_dropped: events.dropped(),
-            metrics: sim.metrics(),
-            incident: sim.incident().cloned(),
-        }
-    }
-
     /// Serializes the artifact (the byte-compare equivalence record).
     ///
     /// # Panics
@@ -218,10 +181,10 @@ impl SessionArtifact {
     }
 }
 
-/// Builds a session from its spec: construct, install the attack and
-/// the chaos schedule. Shared by the engine and the standalone path so
-/// both run literally the same setup sequence.
-pub(crate) fn build_session(spec: &SessionSpec) -> Simulation {
+/// Runs one spec standalone: construct, install the attack and the
+/// chaos schedule, boot, run `Simulation::run_session`, and snapshot
+/// the result as artifact `id`.
+pub fn run_standalone(spec: &SessionSpec, id: u64) -> SessionArtifact {
     let mut sim = Simulation::new(spec.config.clone());
     if spec.attack.is_attack() {
         sim.install_attack(&spec.attack);
@@ -229,14 +192,18 @@ pub(crate) fn build_session(spec: &SessionSpec) -> Simulation {
     if !spec.chaos.is_off() {
         sim.install_chaos(&spec.chaos);
     }
-    sim
-}
-
-/// Runs one spec standalone through `Simulation::run_session` — the
-/// scalar reference loop the fleet engine must reproduce bit for bit.
-pub fn run_standalone(spec: &SessionSpec, id: u64) -> SessionArtifact {
-    let mut sim = build_session(spec);
     let booted = sim.boot_expecting_failure();
     let outcome = sim.run_session();
-    SessionArtifact::collect(id, spec, booted, outcome, &sim)
+    let events = &sim.observer().events;
+    SessionArtifact {
+        id,
+        name: spec.name.clone(),
+        seed: spec.config.seed,
+        booted,
+        outcome,
+        events: events.snapshot(),
+        events_dropped: events.dropped(),
+        metrics: sim.metrics(),
+        incident: sim.incident().cloned(),
+    }
 }

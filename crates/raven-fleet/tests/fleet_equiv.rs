@@ -1,64 +1,41 @@
-//! Fleet ↔ scalar equivalence: every session admitted to a fleet of N
+//! Fleet ↔ scalar equivalence: every session of a fleet of N
 //! mixed-scenario sessions must produce a byte-identical artifact to
 //! the same spec run standalone through `Simulation::run_session` —
 //! verdict sequence, alarm/E-STOP timing, event log, metrics, incident
 //! report, everything `SessionArtifact` serializes.
 //!
-//! Pinned across shard widths {1, 4, 16}, single- and multi-worker
-//! dispatch, and both alarm fusion rules. The grouping sweep also
-//! cross-checks the fleets against *each other*: one scalar reference
-//! per spec, every (shard, workers) combination compared to it.
+//! Pinned for single- and multi-worker fleets and both alarm fusion
+//! rules: one scalar reference per spec, every fleet compared to it.
 
+use raven_core::ExecutorConfig;
 use raven_detect::FusionRule;
-use raven_fleet::{run_standalone, standard_mix, FleetConfig, FleetEngine, SessionSpec};
+use raven_fleet::{run_fleet, run_standalone, standard_mix, SessionSpec};
 
-/// Runs `specs` through a fleet with the given dispatch shape and
-/// returns each artifact's serialized bytes, id order.
-fn fleet_artifacts(specs: &[SessionSpec], config: FleetConfig) -> Vec<String> {
-    let mut fleet = FleetEngine::new(config);
-    for spec in specs {
-        fleet.admit(spec.clone());
-    }
-    let report = fleet.run();
-    assert_eq!(report.artifacts.len(), specs.len(), "every admitted session retires");
-    report.artifacts.iter().map(|a| a.to_json()).collect()
+/// Runs `specs` as a fleet on `workers` workers and returns each
+/// artifact's serialized bytes, id order.
+fn fleet_artifacts(specs: &[SessionSpec], workers: usize) -> Vec<String> {
+    let artifacts = run_fleet(specs, &ExecutorConfig::with_workers(workers));
+    assert_eq!(artifacts.len(), specs.len(), "every session yields an artifact");
+    artifacts.iter().map(|a| a.to_json()).collect()
+}
+
+/// The scalar reference: each spec standalone, id = spec index.
+fn standalone_artifacts(specs: &[SessionSpec]) -> Vec<String> {
+    specs.iter().enumerate().map(|(id, spec)| run_standalone(spec, id as u64).to_json()).collect()
 }
 
 #[test]
-fn mixed_fleet_matches_standalone_across_shard_widths_and_workers() {
-    // 10 sessions cover each scenario twice with distinct seeds,
-    // staggered horizons (800/1200/1600 ms) and admission offsets.
+fn mixed_fleet_matches_standalone_across_workers() {
+    // 10 sessions cover each scenario twice with distinct seeds and
+    // staggered horizons (800/1200/1600 ms).
     let specs = standard_mix(10, 3001);
-    let reference: Vec<String> = specs
-        .iter()
-        .enumerate()
-        .map(|(id, spec)| run_standalone(spec, id as u64).to_json())
-        .collect();
-
-    for shard_width in [1usize, 4, 16] {
-        for workers in [1usize, 4] {
-            let config = FleetConfig { shard_width, workers: Some(workers), burst_ms: 256 };
-            let got = fleet_artifacts(&specs, config);
-            for (id, (g, want)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    g, want,
-                    "session {id} diverged from standalone at shard_width={shard_width} workers={workers}"
-                );
-            }
+    let reference = standalone_artifacts(&specs);
+    for workers in [1usize, 2] {
+        let got = fleet_artifacts(&specs, workers);
+        for (id, (g, want)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(g, want, "session {id} diverged from standalone at workers={workers}");
         }
     }
-}
-
-#[test]
-fn burst_length_cannot_perturb_artifacts() {
-    // A session's step sequence is the same whether the engine wakes it
-    // in one maximal burst or many 64 ms slices.
-    let specs = standard_mix(5, 77);
-    let coarse =
-        fleet_artifacts(&specs, FleetConfig { shard_width: 4, workers: Some(1), burst_ms: 4096 });
-    let fine =
-        fleet_artifacts(&specs, FleetConfig { shard_width: 4, workers: Some(2), burst_ms: 64 });
-    assert_eq!(coarse, fine);
 }
 
 #[test]
@@ -73,45 +50,23 @@ fn both_fusion_rules_hold_the_equivalence() {
             let setup = spec.config.detector.as_mut().expect("guarded specs carry a detector");
             setup.config.fusion = fusion;
         }
-        let reference: Vec<String> = specs
-            .iter()
-            .enumerate()
-            .map(|(id, spec)| run_standalone(spec, id as u64).to_json())
-            .collect();
-        for shard_width in [1usize, 4] {
-            let got = fleet_artifacts(
-                &specs,
-                FleetConfig { shard_width, workers: Some(2), burst_ms: 200 },
-            );
-            assert_eq!(got, reference, "fusion {fusion:?} diverged at shard_width={shard_width}");
-        }
+        let got = fleet_artifacts(&specs, 2);
+        assert_eq!(got, standalone_artifacts(&specs), "fusion {fusion:?} diverged");
     }
 }
 
 #[test]
 fn artifacts_are_independent_of_cohabitants() {
-    // The same spec admitted into two very different fleets (different
-    // sizes, different neighbors) yields byte-identical artifacts: a
-    // session cannot observe who it is co-scheduled with.
-    let probe = SessionSpec::defended(9091).with_session_ms(900).with_start_ms(2);
-    let solo = fleet_artifacts(std::slice::from_ref(&probe), FleetConfig::default());
+    // The same spec run in two very different fleets (different sizes,
+    // different neighbors) yields byte-identical artifacts: a session
+    // cannot observe who it shares the worker pool with.
+    let probe = SessionSpec::defended(9091).with_session_ms(900);
+    let solo = fleet_artifacts(std::slice::from_ref(&probe), 1);
 
     let mut crowd = standard_mix(7, 60_000);
-    crowd.insert(3, probe.clone());
-    let mut fleet =
-        FleetEngine::new(FleetConfig { shard_width: 3, workers: Some(2), burst_ms: 128 });
-    let mut probe_id = None;
-    for (i, spec) in crowd.iter().enumerate() {
-        let id = fleet.admit(spec.clone());
-        if i == 3 {
-            probe_id = Some(id);
-        }
-    }
-    let report = fleet.run();
-    let probe_id = probe_id.expect("probe admitted");
-    let in_crowd =
-        report.artifacts.iter().find(|a| a.id == probe_id).expect("probe retired").to_json();
+    crowd.insert(3, probe);
+    let in_crowd = &fleet_artifacts(&crowd, 2)[3];
     // The artifact embeds the fleet id; rewrite the solo one to match.
-    let expected = solo[0].replacen("\"id\": 0", &format!("\"id\": {probe_id}"), 1);
-    assert_eq!(in_crowd, expected);
+    let expected = solo[0].replacen("\"id\": 0", "\"id\": 3", 1);
+    assert_eq!(*in_crowd, expected);
 }

@@ -139,27 +139,23 @@ fn chaos_runs_replay_byte_identically() {
 
 #[test]
 fn fleet_cohabitation_with_chaos_cannot_perturb_a_clean_session() {
-    // The fleet row of the matrix: a chaos-faulted defended session is
-    // co-scheduled with a clean guarded one on a multi-worker fleet.
-    // The clean session's serialized artifact must be byte-identical to
-    // running its spec standalone — judged by the fleet-isolation
-    // oracle, with evidence dumped like every other matrix row.
-    use raven_fleet::{run_standalone, FleetConfig, FleetEngine, SessionSpec};
+    // The fleet row of the matrix: a chaos-faulted defended session
+    // runs next to a clean guarded one in a 2-worker fleet. The clean
+    // session's serialized artifact must be byte-identical to running
+    // its spec standalone — judged by the fleet-isolation oracle, with
+    // evidence dumped like every other matrix row.
+    use raven_core::ExecutorConfig;
+    use raven_fleet::{run_fleet, run_standalone, SessionSpec};
     use raven_verify::fleet_isolation;
 
     let clean = SessionSpec::guarded(301).with_session_ms(900);
     let chaotic =
         SessionSpec::defended(302).with_session_ms(900).with_chaos(ChaosConfig::standard());
 
-    let mut fleet =
-        FleetEngine::new(FleetConfig { shard_width: 2, workers: Some(2), burst_ms: 128 });
-    let clean_id = fleet.admit(clean.clone());
-    fleet.admit(chaotic);
-    let report = fleet.run();
-    let in_fleet =
-        report.artifacts.iter().find(|a| a.id == clean_id).expect("clean session retired");
+    let fleet = run_fleet(&[clean.clone(), chaotic], &ExecutorConfig::with_workers(2));
+    let in_fleet = &fleet[0];
 
-    let standalone = run_standalone(&clean, clean_id);
+    let standalone = run_standalone(&clean, 0);
     let verdict = fleet_isolation(&standalone.to_json(), &in_fleet.to_json());
     if !verdict.passed {
         let dir = artifact_dir();

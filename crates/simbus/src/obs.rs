@@ -165,15 +165,11 @@ pub enum EventKind {
     /// An incident report was appended to the tamper-evident ledger
     /// (emitted by the forensics sink, never by the simulation itself).
     LedgerAppended,
-    /// The fleet engine admitted a session into its wake queue.
-    FleetAdmitted,
-    /// The fleet engine retired a session (horizon reached or halted).
-    FleetRetired,
 }
 
 impl EventKind {
     /// Every kind, for exhaustive iteration in tests and tooling.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 9] = [
         EventKind::AttackInstalled,
         EventKind::StateTransition,
         EventKind::ControlFault,
@@ -183,8 +179,6 @@ impl EventKind {
         EventKind::EstopCleared,
         EventKind::ChaosInjected,
         EventKind::LedgerAppended,
-        EventKind::FleetAdmitted,
-        EventKind::FleetRetired,
     ];
 
     /// The stable dotted identifier serialized into event logs.
@@ -199,8 +193,6 @@ impl EventKind {
             EventKind::EstopCleared => "estop.cleared",
             EventKind::ChaosInjected => "chaos.injected",
             EventKind::LedgerAppended => "ledger.appended",
-            EventKind::FleetAdmitted => "fleet.admitted",
-            EventKind::FleetRetired => "fleet.retired",
         }
     }
 }
@@ -252,20 +244,13 @@ pub mod names {
     /// kept in the forensics sink's registry — never the simulation's,
     /// so deterministic artifacts stay byte-identical).
     pub const LEDGER_RECORDS: &str = "ledger.records";
-    /// Sessions admitted to the fleet engine's wake queue (counter, kept
-    /// in the fleet's own registry; shard-width-invariant by design).
-    pub const FLEET_SESSIONS: &str = "fleet.sessions";
-    /// Session wakeups dispatched by the fleet scheduler (counter).
-    pub const FLEET_WAKEUPS: &str = "fleet.wakeups";
-    /// Sessions retired by the fleet engine (counter).
-    pub const FLEET_RETIREMENTS: &str = "fleet.retirements";
     /// Family: fault latches by `FaultReason` slug.
     pub const FAULT_COUNT_PREFIX: &str = "fault.count.";
     /// Family: PLC E-STOP latches by `EStopCause` slug.
     pub const ESTOP_COUNT_PREFIX: &str = "estop.count.";
 
     /// Every exact (non-family) metric name.
-    pub const ALL: [&str; 13] = [
+    pub const ALL: [&str; 10] = [
         DETECTOR_ASSESSMENTS,
         DETECTOR_ALARMS,
         DETECTOR_BLOCKED_COMMANDS,
@@ -276,9 +261,6 @@ pub mod names {
         CONTROL_TRANSITIONS,
         CHAOS_INJECTIONS,
         LEDGER_RECORDS,
-        FLEET_SESSIONS,
-        FLEET_WAKEUPS,
-        FLEET_RETIREMENTS,
     ];
 
     /// Every family prefix.
@@ -346,13 +328,12 @@ pub mod spans {
     pub const EXEC_RUN: &str = "span.exec.run";
     /// Executor: the run-order merge of worker results.
     pub const EXEC_MERGE: &str = "span.exec.merge";
-    /// Fleet: one scheduler round (drain frontier, dispatch, merge).
+    /// Fleet: one monitor-plane run (the pipeline bench's span around
+    /// `FleetMonitor::run`).
     pub const FLEET_ROUND: &str = "span.fleet.round";
-    /// Fleet: one shard of ready sessions stepped on a worker.
-    pub const FLEET_SHARD: &str = "span.fleet.shard";
 
     /// Every registered span name.
-    pub const ALL: [&str; 22] = [
+    pub const ALL: [&str; 21] = [
         CYCLE,
         STAGE_CONSOLE,
         STAGE_LINK,
@@ -374,7 +355,6 @@ pub mod spans {
         EXEC_RUN,
         EXEC_MERGE,
         FLEET_ROUND,
-        FLEET_SHARD,
     ];
 }
 

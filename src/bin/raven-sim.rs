@@ -8,7 +8,7 @@
 //! raven-sim table1|table2|fig5|fig6|fig8   regenerate an artifact (quick sizes)
 //! raven-sim table4|fig9|ablations  Monte-Carlo sweeps (parallel campaign engine)
 //! raven-sim chaos [seed]           accidental-fault study (guarded loop under chaos)
-//! raven-sim fleet [seed]           multiplex N mixed sessions over the wake queue
+//! raven-sim fleet [seed]           run N mixed sessions as one sweep
 //! ```
 //!
 //! Sweep commands accept `--workers N` (default: all cores, or
@@ -84,12 +84,7 @@ fn parse_sweep_opts(args: &[String]) -> SweepOpts {
     let mut rest = args[2..].iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--workers" => {
-                workers = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .or_else(|| die("--workers needs a positive integer"));
-            }
+            "--workers" => workers = workers_flag(rest.next()),
             "--paper" => paper = true,
             "--metrics-json" => {
                 metrics_json =
@@ -111,15 +106,7 @@ fn parse_sweep_opts(args: &[String]) -> SweepOpts {
             },
         }
     }
-    if workers.is_none() {
-        // Surface a bad $RAVEN_WORKERS as a CLI error up front rather than
-        // a panic mid-sweep.
-        if let Ok(raw) = std::env::var(raven_core::WORKERS_ENV) {
-            if let Err(e) = raven_core::parse_workers(&raw) {
-                die::<()>(&format!("invalid {}: {e}", raven_core::WORKERS_ENV));
-            }
-        }
-    }
+    check_workers_env(workers);
     // Only install a collector (and thus pay for timestamps) when a trace
     // consumer asked for one.
     let trace = (trace_out.is_some() || profile_json.is_some())
@@ -188,6 +175,28 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
         }
     }
     RunOpts { seed, metrics_json, trace_out, profile_json, incident_dir }
+}
+
+/// The value of `--workers`: a positive integer, parsed like
+/// `$RAVEN_WORKERS` (anything else exits 2).
+fn workers_flag(value: Option<&String>) -> Option<usize> {
+    match value.map(|v| raven_core::parse_workers(v)) {
+        Some(Ok(workers)) => Some(workers),
+        Some(Err(e)) => die(&format!("--workers: {e}")),
+        None => die("--workers needs a positive integer"),
+    }
+}
+
+/// Surfaces a bad `$RAVEN_WORKERS` as a CLI error up front rather than
+/// a panic mid-sweep (only consulted when `--workers` is absent).
+fn check_workers_env(workers: Option<usize>) {
+    if workers.is_none() {
+        if let Ok(raw) = std::env::var(raven_core::WORKERS_ENV) {
+            if let Err(e) = raven_core::parse_workers(&raw) {
+                die::<()>(&format!("invalid {}: {e}", raven_core::WORKERS_ENV));
+            }
+        }
+    }
 }
 
 fn write_json(path: &std::path::Path, json: &str, what: &str) {
@@ -270,15 +279,21 @@ fn flush_run_artifacts(sim: &Simulation, opts: &RunOpts) {
 fn flush_sweep_trace(opts: &SweepOpts) {
     let Some(collector) = &opts.exec.trace else { return };
     if let Some(path) = &opts.trace_out {
-        let mut trace = ChromeTraceBuilder::new();
-        collector.chrome_events(&mut trace);
-        write_json(path, &trace.build(), "trace written");
+        write_sweep_timeline(collector, path);
     }
     if let Some(path) = &opts.profile_json {
         let json = serde_json::to_string_pretty(&collector.stage_stats())
             .expect("sweep profile serialize");
         write_json(path, &json, "profile written");
     }
+}
+
+/// Writes a sweep's per-worker `queued → running → merged` timeline as
+/// a Chrome trace.
+fn write_sweep_timeline(collector: &SweepTraceCollector, path: &std::path::Path) {
+    let mut trace = ChromeTraceBuilder::new();
+    collector.chrome_events(&mut trace);
+    write_json(path, &trace.build(), "trace written");
 }
 
 fn die<T>(msg: &str) -> Option<T> {
@@ -447,7 +462,7 @@ fn main() {
                  fig5|fig6|fig8|fig9|ablations|chaos> [seed] [--workers N] [--paper]\n\
                  \x20      [--metrics-json <path>] [--trace-out <path>] [--profile-json <path>]\n\
                  \x20      [--incident-dir <dir>]   (RAVEN_LOG=<level>)\n\
-                 \x20      raven-sim fleet [seed] [--sessions N] [--shards W] [--duration MS]\n\
+                 \x20      raven-sim fleet [seed] [--sessions N] [--duration MS] [--workers N]\n\
                  \x20      raven-sim metrics export [seed] [--out <path>]\n\
                  \x20      raven-sim profile <fig9|table4|chaos> [seed] [--workers N] [--paper]\n\
                  \x20      raven-sim ledger verify <ledger.jsonl> [--sealed]\n\
@@ -458,24 +473,23 @@ fn main() {
     }
 }
 
-/// `raven-sim fleet [seed] [--sessions N] [--shards W] [--duration MS]
+/// `raven-sim fleet [seed] [--sessions N] [--duration MS]
 /// [--workers N] [--metrics-json <path>] [--trace-out <path>]
-/// [--incident-dir <dir>]`: run a mixed-scenario session fleet through
-/// the virtual-time multiplexer.
+/// [--incident-dir <dir>]`: run a mixed-scenario session fleet as one
+/// campaign-executor sweep of standalone sessions.
 ///
-/// Admits N `standard_mix` sessions (clean / guarded / attacked /
-/// defended / block-and-hold, staggered seeds and admissions) into a
-/// `FleetEngine` and runs the wake queue dry. Output is bit-identical
-/// for any `--shards`/`--workers` value; `--duration` overrides every
-/// session's teleoperation horizon. `--metrics-json` dumps the fleet
-/// counters merged with every session's registry; `--trace-out` writes
-/// the scheduler's round/shard span timeline as a Chrome trace;
+/// Runs N `standard_mix` sessions (clean / guarded / attacked /
+/// defended / block-and-hold, staggered seeds and horizons) through
+/// `raven_fleet::run_fleet`. Output is bit-identical for any
+/// `--workers` value; `--duration` overrides every session's
+/// teleoperation horizon. `--metrics-json` dumps every session's
+/// registry merged in session-id order; `--trace-out` writes the
+/// executor's per-worker sweep timeline as a Chrome trace;
 /// `--incident-dir` appends each tripped flight recorder to the
 /// hash-chained incident ledger, in session-id order.
 fn run_fleet_command(args: &[String]) {
     let mut seed = 42u64;
     let mut sessions = 16usize;
-    let mut shards = 4usize;
     let mut duration: Option<u64> = None;
     let mut workers: Option<usize> = None;
     let mut metrics_json: Option<PathBuf> = None;
@@ -492,14 +506,6 @@ fn run_fleet_command(args: &[String]) {
                     .or_else(|| die("--sessions needs a positive integer"))
                     .unwrap_or(sessions);
             }
-            "--shards" => {
-                shards = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .or_else(|| die("--shards needs a positive integer"))
-                    .unwrap_or(shards);
-            }
             "--duration" => {
                 duration = rest
                     .next()
@@ -507,12 +513,7 @@ fn run_fleet_command(args: &[String]) {
                     .filter(|&n: &u64| n > 0)
                     .or_else(|| die("--duration needs a positive ms count"));
             }
-            "--workers" => {
-                workers = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .or_else(|| die("--workers needs a positive integer"));
-            }
+            "--workers" => workers = workers_flag(rest.next()),
             "--metrics-json" => {
                 metrics_json =
                     rest.next().map(PathBuf::from).or_else(|| die("--metrics-json needs a path"));
@@ -535,50 +536,41 @@ fn run_fleet_command(args: &[String]) {
             },
         }
     }
+    check_workers_env(workers);
 
-    let mut fleet = raven_fleet::FleetEngine::new(raven_fleet::FleetConfig {
-        shard_width: shards,
-        workers,
-        burst_ms: 256,
-    });
-    for mut spec in raven_fleet::standard_mix(sessions, seed) {
-        if let Some(ms) = duration {
+    let mut specs = raven_fleet::standard_mix(sessions, seed);
+    if let Some(ms) = duration {
+        for spec in &mut specs {
             spec.config.session_ms = ms;
         }
-        fleet.admit(spec);
     }
-    if trace_out.is_some() {
-        fleet.enable_span_recorder();
-    }
-    let report = fleet.run();
+    let trace = trace_out.is_some().then(|| Arc::new(SweepTraceCollector::new()));
+    let exec = ExecutorConfig { workers, progress: false, trace };
+    let artifacts = raven_fleet::run_fleet(&specs, &exec);
 
-    let estops = report.artifacts.iter().filter(|a| a.outcome.estop.is_some()).count();
-    let detected = report.artifacts.iter().filter(|a| a.outcome.model_detected).count();
-    let adverse = report.artifacts.iter().filter(|a| a.outcome.adverse).count();
-    println!("fleet: {} sessions, shard width {}, {} rounds", sessions, shards, report.rounds);
+    let estops = artifacts.iter().filter(|a| a.outcome.estop.is_some()).count();
+    let detected = artifacts.iter().filter(|a| a.outcome.model_detected).count();
+    let adverse = artifacts.iter().filter(|a| a.outcome.adverse).count();
+    println!("fleet: {sessions} sessions");
     println!("  model detected   : {detected}");
     println!("  E-STOP latched   : {estops}");
     println!("  adverse impact   : {adverse}");
 
     if let Some(path) = &metrics_json {
-        // Fleet counters plus every session's registry, merged in
-        // session-id order — deterministic for any dispatch shape.
-        let mut merged = report.metrics.clone();
-        for artifact in &report.artifacts {
+        // Every session's registry, merged in session-id order —
+        // deterministic for any worker count.
+        let mut merged = Metrics::new();
+        for artifact in &artifacts {
             merged.merge(&artifact.metrics);
         }
         dump_metrics(Some(path), &merged);
     }
-    if let Some(path) = &trace_out {
-        let mut trace = ChromeTraceBuilder::new();
-        trace.set_process_name(1, "fleet");
-        trace.set_thread_name(1, 1, "scheduler");
-        fleet.spans().chrome_events(1, 1, &mut trace);
-        write_json(path, &trace.build(), "trace written");
+    if let (Some(path), Some(collector)) = (&trace_out, &exec.trace) {
+        write_sweep_timeline(collector, path);
     }
     if let Some(dir) = &incident_dir {
         let mut recorded = 0usize;
-        for artifact in &report.artifacts {
+        for artifact in &artifacts {
             let Some(incident) = &artifact.incident else { continue };
             let appended =
                 raven_core::IncidentSink::open(dir).and_then(|mut sink| sink.append(incident));

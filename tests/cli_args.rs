@@ -1,0 +1,36 @@
+//! `raven-sim` argument validation: invalid arguments exit 2 with a
+//! one-line `raven-sim:` error before any simulation runs.
+
+use std::process::Command;
+
+/// Runs `raven-sim` with `args` and asserts it is rejected with exit
+/// code 2 and a `raven-sim:` message naming `needle`.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_raven-sim"))
+        .args(args)
+        .env_remove("RAVEN_WORKERS")
+        .env("RAVEN_LOG", "off")
+        .output()
+        .expect("raven-sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "raven-sim {args:?}: stderr {stderr}");
+    assert!(
+        stderr.starts_with("raven-sim: ") && stderr.contains(needle),
+        "raven-sim {args:?}: stderr {stderr}"
+    );
+}
+
+#[test]
+fn zero_workers_is_rejected_like_the_env_override() {
+    assert_rejected(
+        &["fleet", "1", "--sessions", "1", "--duration", "1", "--workers", "0"],
+        "worker count must be at least 1",
+    );
+    assert_rejected(&["train", "--workers", "0"], "worker count must be at least 1");
+    assert_rejected(&["train", "--workers", "two"], "expected a positive integer");
+}
+
+#[test]
+fn removed_shards_flag_is_an_unrecognized_argument() {
+    assert_rejected(&["fleet", "--shards", "2"], "unrecognized argument `--shards`");
+}
