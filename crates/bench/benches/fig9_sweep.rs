@@ -6,6 +6,11 @@
 //! cargo bench -p bench --bench fig9_sweep
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches measure wall time by definition; bench JSON is a sidecar artifact, never merged into results byte-identity checks"
+)]
+
 use raven_core::experiments::{run_fig9, Fig9Config};
 
 fn main() {

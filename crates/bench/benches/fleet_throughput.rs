@@ -16,6 +16,11 @@
 //! cargo bench -p bench --bench fleet_throughput
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches measure wall time by definition; bench JSON is a sidecar artifact, never merged into results byte-identity checks"
+)]
+
 use raven_core::ExecutorConfig;
 use raven_detect::{DetectionThresholds, DetectorConfig};
 use raven_fleet::{

@@ -16,6 +16,11 @@
 //! cargo bench -p bench --bench micro_kernels
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches measure wall time by definition; bench JSON is a sidecar artifact, never merged into results byte-identity checks"
+)]
+
 use criterion::{criterion_group, Criterion};
 use raven_attack::{capture_log, ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper};
 use raven_detect::{BatchDetector, DetectorConfig, DynamicDetector, Mitigation};

@@ -4,6 +4,11 @@
 //! cargo bench -p bench --bench table1_variants
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches measure wall time by definition; bench JSON is a sidecar artifact, never merged into results byte-identity checks"
+)]
+
 use raven_core::experiments::run_table1;
 
 fn main() {

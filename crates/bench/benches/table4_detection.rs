@@ -7,6 +7,11 @@
 //! cargo bench -p bench --bench table4_detection
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benches measure wall time by definition; bench JSON is a sidecar artifact, never merged into results byte-identity checks"
+)]
+
 use raven_core::experiments::{run_table4, Table4Config};
 use raven_core::training::TrainingConfig;
 

@@ -63,7 +63,7 @@ pub fn byte_profiles(capture: &[LoggedPacket]) -> Vec<ByteProfile> {
 fn dominant_length(capture: &[LoggedPacket]) -> Option<usize> {
     // BTreeMap, not HashMap: `max_by_key` keeps the *last* maximum, so with
     // sorted keys a tie deterministically resolves to the largest length
-    // instead of whatever hash order produced (lint rule R2).
+    // instead of whatever hash order produced (clippy.toml bans HashMap).
     let mut counts = std::collections::BTreeMap::new();
     for p in capture {
         *counts.entry(p.bytes.len()).or_insert(0usize) += 1;

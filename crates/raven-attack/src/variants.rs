@@ -289,11 +289,11 @@ mod tests {
     fn catalog_covers_all_layers() {
         let cat = catalog();
         assert_eq!(cat.len(), 6);
-        let layers: std::collections::HashSet<_> =
+        let layers: std::collections::BTreeSet<_> =
             cat.iter().map(|v| format!("{:?}", v.layer)).collect();
         assert_eq!(layers.len(), 4, "all four layers of Table I present");
         // IDs unique.
-        let ids: std::collections::HashSet<_> = cat.iter().map(|v| v.id).collect();
+        let ids: std::collections::BTreeSet<_> = cat.iter().map(|v| v.id).collect();
         assert_eq!(ids.len(), cat.len());
     }
 

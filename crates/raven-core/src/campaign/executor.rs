@@ -22,6 +22,11 @@
 //!   runs/sec, ETA) plus a final [`SweepStats`] with wall-clock and
 //!   throughput, surfaced by the `raven-sim` CLI and the bench harnesses.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "sweep wall-time lands only in SweepStats.elapsed_s and stderr progress telemetry, never in merged per-run results"
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

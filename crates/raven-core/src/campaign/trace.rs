@@ -19,6 +19,11 @@
 //! (`trace: None`) takes no timestamps at all, so golden artifacts stay
 //! byte-identical.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "sweep lifecycle timestamps feed only sidecar surfaces (trace JSON, utilization report); merged run results never see them"
+)]
+
 use std::time::Instant;
 
 use parking_lot::Mutex;

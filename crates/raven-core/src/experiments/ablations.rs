@@ -10,6 +10,11 @@
 //!    lack (§III.B.3): packet checksum verification stops scenario B cold
 //!    but is blind to scenario A (which re-encodes well-formed packets).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock here only feeds the stderr progress line; ablation results are virtual-time-derived"
+)]
+
 use raven_detect::{DetectorConfig, DynamicDetector, FusionRule, Mitigation};
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};

@@ -10,6 +10,11 @@
 //! sessions, then replay the DAC stream open-loop through the real-time
 //! model with each integrator.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock here only feeds the stderr progress line for the long Fig. 8 sweep; the artifact itself is virtual-time-derived"
+)]
+
 use std::time::Instant;
 
 use raven_dynamics::estimator::RtModelConfig;

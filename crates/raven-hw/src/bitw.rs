@@ -179,7 +179,7 @@ mod tests {
     fn ciphertext_hides_the_state_byte() {
         // The whole point: Byte 0's small alphabet must vanish on the wire.
         let mut tx = BitwCodec::new(7);
-        let mut values = std::collections::HashSet::new();
+        let mut values = std::collections::BTreeSet::new();
         for i in 0..512u32 {
             let mut pkt = vec![0x1F; 18]; // constant Pedal-Down byte 0
             pkt[1] = (i % 251) as u8;

@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn byte0_has_eight_values_four_without_watchdog() {
-        let mut values = std::collections::HashSet::new();
+        let mut values = std::collections::BTreeSet::new();
         for s in RobotState::all() {
             for wd in [false, true] {
                 let pkt = UsbCommandPacket { state: s, watchdog: wd, dac: [0; 8] };
@@ -305,7 +305,7 @@ mod tests {
             }
         }
         assert_eq!(values.len(), 8);
-        let without_wd: std::collections::HashSet<u8> =
+        let without_wd: std::collections::BTreeSet<u8> =
             values.iter().map(|b| b & !WATCHDOG_BIT).collect();
         assert_eq!(without_wd.len(), 4);
     }

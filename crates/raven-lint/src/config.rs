@@ -6,6 +6,7 @@
 //! (single- or multi-line), and `#` comments. Anything fancier is a parse
 //! error — the config is meant to stay boring.
 
+use crate::sarif::catalog;
 use std::fmt;
 
 /// One intentional exception. Every entry must carry a `reason`; entries
@@ -13,7 +14,8 @@ use std::fmt;
 /// the allowlist cannot silently outlive the code it excuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule id: `R1`..`R11`, except the retired `R8`.
+    /// Rule id: any catalog rule except `CONFIG` (so not the retired
+    /// `R1`, `R2`, `R6` and `R8`).
     pub rule: String,
     /// Workspace-relative file path, or a directory prefix ending in `/`.
     pub path: String,
@@ -75,12 +77,6 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Path prefixes skipped entirely (fixtures, vendored stubs).
     pub exclude: Vec<String>,
-    /// R1: forbidden wall-clock tokens.
-    pub wall_clock_tokens: Vec<String>,
-    /// R2: crates whose outputs are serialized or merged.
-    pub unordered_crates: Vec<String>,
-    /// R2: forbidden unordered-collection tokens.
-    pub unordered_tokens: Vec<String>,
     /// R3: call-graph entry points (`Type::method` or free-fn names).
     pub hot_path_entry_points: Vec<String>,
     /// R3: forbidden panic tokens in the reachable set.
@@ -103,10 +99,8 @@ pub struct Config {
     pub doc_path: String,
     /// R5: additional prefix-scoped docs (`[[rules.doc_drift.scoped]]`).
     pub scoped_docs: Vec<ScopedDoc>,
-    /// R6: files allowed to contain `unsafe` (with `// SAFETY:`).
-    pub unsafe_files: Vec<String>,
     /// R7: crates where float `==`/`!=` against literals is forbidden
-    /// (the merged-artifact crates, same stakes as R2).
+    /// (the crates whose outputs are serialized or merged).
     pub float_cmp_crates: Vec<String>,
     /// The audited exception list.
     pub allows: Vec<AllowEntry>,
@@ -213,15 +207,6 @@ impl Config {
             match (&open, section.as_str(), key.as_str()) {
                 (Open::None, "scan", "roots") => cfg.roots = value.arr(lineno)?,
                 (Open::None, "scan", "exclude") => cfg.exclude = value.arr(lineno)?,
-                (Open::None, "rules.no_wall_clock", "tokens") => {
-                    cfg.wall_clock_tokens = value.arr(lineno)?
-                }
-                (Open::None, "rules.no_unordered_iteration", "crates") => {
-                    cfg.unordered_crates = value.arr(lineno)?
-                }
-                (Open::None, "rules.no_unordered_iteration", "tokens") => {
-                    cfg.unordered_tokens = value.arr(lineno)?
-                }
                 (Open::None, "rules.hot_path", "entry_points") => {
                     cfg.hot_path_entry_points = value.arr(lineno)?
                 }
@@ -239,9 +224,6 @@ impl Config {
                     cfg.registry_path = value.str(lineno)?
                 }
                 (Open::None, "rules.doc_drift", "doc") => cfg.doc_path = value.str(lineno)?,
-                (Open::None, "rules.unsafe_audit", "files") => {
-                    cfg.unsafe_files = value.arr(lineno)?
-                }
                 (Open::None, "rules.float_cmp", "crates") => {
                     cfg.float_cmp_crates = value.arr(lineno)?
                 }
@@ -291,13 +273,14 @@ impl Config {
     }
 
     fn validate(&self) -> Result<(), ConfigError> {
-        const RULES: [&str; 10] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R9", "R10", "R11"];
+        let rules: Vec<&str> =
+            catalog().iter().map(|r| r.id).filter(|&id| id != "CONFIG").collect();
         for (i, a) in self.allows.iter().enumerate() {
             let at = |msg: String| err(0, format!("[[allow]] entry #{}: {msg}", i + 1));
-            if !RULES.contains(&a.rule.as_str()) {
+            if !rules.contains(&a.rule.as_str()) {
                 return Err(at(format!(
                     "rule must be one of {}, got `{}`",
-                    RULES.join(", "),
+                    rules.join(", "),
                     a.rule
                 )));
             }
@@ -436,9 +419,6 @@ exclude = [
     "vendor/",
 ]
 
-[rules.no_wall_clock]
-tokens = ["Instant::now", "SystemTime"]
-
 [rules.doc_drift]
 registry = "crates/simbus/src/obs.rs"
 doc = "docs/OBSERVABILITY.md"
@@ -455,9 +435,10 @@ name = "RobotState"
 variants = ["Init", "EStop"]
 
 [[allow]]
-rule = "R1"
-path = "crates/simbus/src/span.rs"
-reason = "span wall durations are sidecar-only"
+rule = "R3"
+path = "crates/simbus/src/trace.rs"
+contains = "panic!"
+reason = "documented deliberate fail-fast"
 
 [[allow]]
 rule = "R4"
@@ -471,7 +452,6 @@ reason = "illegal events are ignored by design (paper Fig. 1c)"
         let cfg = Config::parse(SAMPLE).expect("parse");
         assert_eq!(cfg.roots, vec!["crates", "src"]);
         assert_eq!(cfg.exclude.len(), 2);
-        assert_eq!(cfg.wall_clock_tokens, vec!["Instant::now", "SystemTime"]);
         assert_eq!(cfg.registry_path, "crates/simbus/src/obs.rs");
         assert_eq!(
             cfg.scoped_docs,
@@ -486,7 +466,7 @@ reason = "illegal events are ignored by design (paper Fig. 1c)"
 
     #[test]
     fn rejects_missing_reason() {
-        let bad = "[[allow]]\nrule = \"R1\"\npath = \"x.rs\"\nreason = \"\"\n";
+        let bad = "[[allow]]\nrule = \"R3\"\npath = \"x.rs\"\nreason = \"\"\n";
         let e = Config::parse(bad).unwrap_err();
         assert!(e.message.contains("reason"), "{e}");
     }
@@ -500,10 +480,16 @@ reason = "illegal events are ignored by design (paper Fig. 1c)"
 
     #[test]
     fn rejects_unknown_rule_and_keys() {
-        let bad = "[[allow]]\nrule = \"R12\"\npath = \"x.rs\"\nreason = \"y\"\n";
-        assert!(Config::parse(bad).is_err());
+        // Retired ids (R1, R2 and R6 moved to clippy and rustc lints, R8
+        // to a test) are not reused, and CONFIG is not an allowable rule.
+        for rule in ["R12", "R1", "R2", "R6", "R8", "CONFIG"] {
+            let bad = format!("[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\nreason = \"y\"\n");
+            assert!(Config::parse(&bad).is_err(), "{rule}");
+        }
         let bad2 = "[scan]\nbogus = \"x\"\n";
         assert!(Config::parse(bad2).is_err());
+        // The deleted rules' sections are unknown keys now.
+        assert!(Config::parse("[rules.no_wall_clock]\ntokens = [\"x\"]\n").is_err());
     }
 
     #[test]
@@ -542,7 +528,7 @@ struct = "Table4Artifact"
     #[test]
     fn allow_entry_path_and_contains_matching() {
         let dir = AllowEntry {
-            rule: "R1".into(),
+            rule: "R3".into(),
             path: "crates/bench/".into(),
             contains: None,
             reason: "r".into(),

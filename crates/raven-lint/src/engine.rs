@@ -46,31 +46,11 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
 
     let mut raw = Vec::new();
     for file in &files {
-        let krate = crate_of(&file.path);
-        raw.extend(rules::token_rule(
-            file,
-            &cfg.wall_clock_tokens,
-            "R1",
-            "no-wall-clock",
-            "reads the wall clock; only virtual SimTime may influence artifacts — \
-             allowlist the module if this is a sanctioned timing surface",
-        ));
-        if cfg.unordered_crates.iter().any(|c| c == krate) {
-            raw.extend(rules::token_rule(
-                file,
-                &cfg.unordered_tokens,
-                "R2",
-                "no-unordered-iteration",
-                "iterates in hash order in a crate that serializes or merges results; \
-                 use BTreeMap/BTreeSet or sort before emitting",
-            ));
-        }
         if !cfg.stream_fns.is_empty() {
             raw.extend(rules::rng_stream_call_sites(file, &cfg.stream_fns));
         }
         raw.extend(rules::exhaustive_safety_match(file, &cfg.watched_enums));
-        raw.extend(rules::unsafe_audit(file, &cfg.unsafe_files));
-        if cfg.float_cmp_crates.iter().any(|c| c == krate) {
+        if cfg.float_cmp_crates.iter().any(|c| c == crate_of(&file.path)) {
             raw.extend(rules::float_cmp(file));
         }
     }

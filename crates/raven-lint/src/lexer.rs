@@ -402,7 +402,7 @@ mod tests {
     fn scrub_raw_string_trailing_backslash_is_not_an_escape() {
         // Raw strings have no escapes: the `"` after `\` closes the
         // literal. An escape-aware scanner would swallow the rest of the
-        // line and miss the R1 token.
+        // line and miss the token after it.
         let src = r#"let s = r"a\"; let x = Instant::now();"#;
         let s = scrub(src);
         assert_eq!(s.len(), src.len());

@@ -8,19 +8,20 @@
 //! them statically, the way the paper argues anomalies should be caught
 //! mechanically rather than by convention.
 //!
-//! The auditor is deliberately dependency-free (consistent with the
-//! offline vendored-stub policy, see `vendor/README.md`): a small lexer
-//! strips comments and string literals so rules never fire on prose, a
-//! region tracker excludes `#[cfg(test)]` modules where panics and hash
-//! collections are legitimate, an item/signature parser builds a symbol
-//! table and an approximate workspace call graph, and a rule engine
-//! applies ten rules (see `docs/STATIC_ANALYSIS.md`):
+//! The auditor keeps only the checks the compiler cannot make. The
+//! wall-clock and hash-collection bans (the retired R1 and R2) are
+//! `clippy::disallowed_methods`/`disallowed_types` over the root
+//! `clippy.toml`, and the unsafe audit (R6) is rustc's `unsafe_code` plus
+//! `clippy::undocumented_unsafe_blocks`, all denied in the root
+//! `[workspace.lints]`.
 //!
-//! * **R1 no-wall-clock** — `Instant::now`/`SystemTime` only in
-//!   allowlisted timing surfaces, so wall-clock can never leak into a
-//!   serialized artifact.
-//! * **R2 no-unordered-iteration** — `HashMap`/`HashSet` forbidden in
-//!   crates that produce serialized or merged results.
+//! The auditor needs no registry crate (only the vendored serde stubs, see
+//! `vendor/README.md`): a small lexer strips comments and string literals
+//! so rules never fire on prose, a region tracker excludes `#[cfg(test)]`
+//! modules where panics are legitimate, an item/signature parser builds a
+//! symbol table and an approximate workspace call graph, and a rule engine
+//! applies seven rules (see `docs/STATIC_ANALYSIS.md`):
+//!
 //! * **R3 no-panic-in-hot-path** — `unwrap`/`expect`/`panic!` forbidden in
 //!   every function *transitively reachable* from the hot-path entry
 //!   points (`Simulation::step`, the detector verdict path, the rig board
@@ -33,8 +34,6 @@
 //!   metrics, channels, spans, RNG streams) must agree with
 //!   `docs/OBSERVABILITY.md`, both directions, and emit sites must go
 //!   through the registry constants.
-//! * **R6 unsafe-audit** — `unsafe` only in allowlisted files, each block
-//!   carrying a `// SAFETY:` comment.
 //! * **R7 no-float-eq** — no `==`/`!=` against float literals in
 //!   merged-artifact crates.
 //! * **R9 rng-stream-discipline** — every `stream_rng`/`derive_seed`

@@ -6,17 +6,13 @@
 //!   for `--format json`; SARIF is the 2.1.0 document CI uploads).
 //! * `--rule <id>` — keep only this rule's findings (repeatable; an
 //!   unknown id is a hard error, not an empty filter).
-//! * `--baseline <file>` — suppress findings whose fingerprint the
-//!   baseline already records; only *new* findings fail the run.
-//! * `--update-baseline` — rewrite the `--baseline` file from the
-//!   current findings and exit 0.
 //! * `--list-rules` — print the rule catalog and exit.
 //! * `--root <dir>` — override workspace-root discovery (the nearest
 //!   ancestor containing `raven-lint.toml`).
 
 #![forbid(unsafe_code)]
 
-use raven_lint::sarif::{self, Baseline};
+use raven_lint::sarif;
 use raven_lint::{run, Config, Finding};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,8 +26,6 @@ enum Format {
 fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut root_override: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut rule_filter: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -52,11 +46,6 @@ fn main() -> ExitCode {
                 Some(id) => rule_filter.push(id),
                 None => return usage("--rule needs a rule id (e.g. R3)"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline needs a file path"),
-            },
-            "--update-baseline" => update_baseline = true,
             "--list-rules" => return list_rules(),
             "--root" => match args.next() {
                 Some(dir) => root_override = Some(PathBuf::from(dir)),
@@ -75,9 +64,6 @@ fn main() -> ExitCode {
                 "unknown rule `{id}`; run raven-lint --list-rules for the catalog"
             ));
         }
-    }
-    if update_baseline && baseline_path.is_none() {
-        return usage("--update-baseline needs --baseline <file>");
     }
 
     let root = match root_override.or_else(discover_root) {
@@ -113,43 +99,6 @@ fn main() -> ExitCode {
         findings.retain(|f| rule_filter.iter().any(|r| r == &f.rule));
     }
 
-    if update_baseline {
-        let path = baseline_path.expect("checked above");
-        let base = Baseline::capture(&findings);
-        if let Err(e) = std::fs::write(&path, base.render()) {
-            eprintln!("raven-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "raven-lint: baseline {} updated with {} fingerprint(s)",
-            path.display(),
-            base.fingerprints.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // With a baseline, only findings it does not record are failures.
-    let mut suppressed = 0usize;
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("raven-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let base = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("raven-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let (fresh, known) = base.partition(&findings);
-        suppressed = known;
-        findings = fresh.into_iter().cloned().collect();
-    }
-
     match format {
         Format::Json => match serde_json::to_string_pretty(&findings) {
             Ok(s) => println!("{s}"),
@@ -167,15 +116,10 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "raven-lint: {} file(s) scanned, {} finding(s), {} allowlisted exception(s){}",
+        "raven-lint: {} file(s) scanned, {} finding(s), {} allowlisted exception(s)",
         report.files_scanned,
         findings.len(),
-        report.allowed,
-        if baseline_path.is_some() {
-            format!(", {suppressed} baseline-suppressed")
-        } else {
-            String::new()
-        }
+        report.allowed
     );
     if findings.is_empty() {
         ExitCode::SUCCESS
@@ -193,8 +137,7 @@ fn list_rules() -> ExitCode {
 }
 
 const USAGE: &str = "usage: raven-lint [--format text|json|sarif] [--json] [--rule <id>]... \
-                     [--baseline <file>] [--update-baseline] [--list-rules] \
-                     [--root <workspace-dir>]";
+                     [--list-rules] [--root <workspace-dir>]";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("raven-lint: {msg}");

@@ -16,7 +16,8 @@ pub struct Finding {
     pub path: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule id (`R1`..`R11`, or `CONFIG` for configuration hygiene).
+    /// Rule id (a catalog id such as `R3`, or `CONFIG` for configuration
+    /// hygiene).
     pub rule: String,
     /// Short rule name.
     pub name: String,
@@ -38,27 +39,6 @@ impl Finding {
             hint,
         }
     }
-}
-
-/// R1/R2/R3 share a shape: a token list that must not appear outside test
-/// code. `crates` empty means "every crate".
-pub fn token_rule(
-    file: &SourceFile,
-    tokens: &[String],
-    rule: &str,
-    name: &str,
-    hint: &str,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for token in tokens {
-        for offset in find_token(&file.scrubbed, token) {
-            if file.is_test_line(file.line_of(offset)) {
-                continue;
-            }
-            out.push(Finding::at(file, offset, rule, name, format!("`{token}` {hint}")));
-        }
-    }
-    out
 }
 
 /// R4: wildcard `_` arms in `match`es that mention a watched enum.
@@ -928,42 +908,6 @@ fn is_float_literal(tok: &str) -> bool {
         && t.bytes().all(|c| c.is_ascii_digit() || matches!(c, b'.' | b'_' | b'e' | b'E'))
 }
 
-/// R6: `unsafe` requires an allowlisted file and a `// SAFETY:` comment in
-/// the three preceding lines.
-pub fn unsafe_audit(file: &SourceFile, unsafe_files: &[String]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for offset in find_token(&file.scrubbed, "unsafe") {
-        let line = file.line_of(offset);
-        if !unsafe_files.iter().any(|f| f == &file.path) {
-            out.push(Finding::at(
-                file,
-                offset,
-                "R6",
-                "unsafe-audit",
-                "this file is not allowlisted for `unsafe`; remove the block or add \
-                 the file to [rules.unsafe_audit] with a justification"
-                    .to_string(),
-            ));
-            continue;
-        }
-        let has_safety = (line.saturating_sub(3)..line)
-            .filter(|&l| l >= 1)
-            .any(|l| file.line_text(l).contains("SAFETY:"));
-        if !has_safety {
-            out.push(Finding::at(
-                file,
-                offset,
-                "R6",
-                "unsafe-audit",
-                "add a `// SAFETY:` comment immediately above explaining why the \
-                 invariants hold"
-                    .to_string(),
-            ));
-        }
-    }
-    out
-}
-
 /// R3: none of `tokens` (the panic forms) may appear in a function
 /// transitively reachable from the hot-path entry points. The hint carries
 /// the discovery chain so the report explains *why* a function is hot, not
@@ -1508,17 +1452,6 @@ mod tests {
     }
 
     #[test]
-    fn token_rule_skips_tests_and_strings() {
-        let src = "fn a() { let t = Instant::now(); }\n\
-                   fn b() { let s = \"Instant::now\"; }\n\
-                   #[cfg(test)]\nmod t { fn c() { let t = Instant::now(); } }\n";
-        let f = file(src);
-        let hits = token_rule(&f, &["Instant::now".into()], "R1", "no-wall-clock", "x");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].line, 1);
-    }
-
-    #[test]
     fn r4_flags_wildcard_in_watched_match() {
         let enums = vec![WatchedEnum {
             name: "RobotState".into(),
@@ -1785,25 +1718,6 @@ mod tests {
         for no in ["", "x", "3", "42u64", "0x1e", "0b10", "x.y", "0.5f64.to_bits", "1degree"] {
             assert!(!is_float_literal(no), "{no}");
         }
-    }
-
-    #[test]
-    fn unsafe_audit_requires_allowlist_and_safety_comment() {
-        let src = "fn f() { unsafe { core::hint::unreachable_unchecked() } }";
-        let hits = unsafe_audit(&file(src), &[]);
-        assert_eq!(hits.len(), 1);
-        let allowed_src =
-            "fn f() {\n    // SAFETY: guarded by the check above.\n    unsafe { x() }\n}";
-        let f2 = file(allowed_src);
-        assert!(unsafe_audit(&f2, &["x.rs".into()]).is_empty());
-        let no_comment = "fn f() { unsafe { x() } }";
-        assert_eq!(unsafe_audit(&file(no_comment), &["x.rs".into()]).len(), 1);
-    }
-
-    #[test]
-    fn forbid_attribute_is_not_an_unsafe_token() {
-        let src = "#![forbid(unsafe_code)]\nfn f() {}";
-        assert!(unsafe_audit(&file(src), &[]).is_empty());
     }
 
     fn graph_of(files: &[SourceFile]) -> CallGraph {

@@ -1,15 +1,12 @@
-//! SARIF 2.1.0 emission, the baseline file, and the rule catalog.
+//! SARIF 2.1.0 emission and the rule catalog.
 //!
 //! The workspace builds offline against a JSON stub, so — like
 //! `simbus::span::ChromeTraceBuilder` — the SARIF document is written by
 //! hand: one `run`, the full rule catalog under `tool.driver.rules`, and
-//! one `result` per finding with a stable `fingerprints` entry. The same
-//! fingerprint keys the `--baseline` file: CI records the accepted
-//! findings once and fails only on *new* ones, so a PR is annotated with
-//! what it introduced rather than everything the tree ever carried.
+//! one `result` per finding with a stable `fingerprints` entry, which
+//! code-scanning UIs use to track a finding across line-number churn.
 
 use crate::rules::Finding;
-use serde::{Deserialize, Serialize};
 
 /// One catalog entry, shown by `--list-rules` and embedded in SARIF.
 pub struct RuleInfo {
@@ -21,19 +18,7 @@ pub struct RuleInfo {
 
 /// The full rule catalog, in report order.
 pub fn catalog() -> &'static [RuleInfo] {
-    const CATALOG: [RuleInfo; 11] = [
-        RuleInfo {
-            id: "R1",
-            name: "no-wall-clock",
-            summary: "wall-clock reads only in allowlisted timing surfaces",
-            scope: "all crates",
-        },
-        RuleInfo {
-            id: "R2",
-            name: "no-unordered-iteration",
-            summary: "HashMap/HashSet forbidden where iteration order can reach an artifact",
-            scope: "serialized/merged-result crates",
-        },
+    const CATALOG: [RuleInfo; 8] = [
         RuleInfo {
             id: "R3",
             name: "no-panic-in-hot-path",
@@ -51,12 +36,6 @@ pub fn catalog() -> &'static [RuleInfo] {
             name: "doc-code-drift",
             summary: "obs registries and their docs must agree, both directions",
             scope: "simbus::obs vs docs/OBSERVABILITY.md + scoped docs",
-        },
-        RuleInfo {
-            id: "R6",
-            name: "unsafe-audit",
-            summary: "unsafe only in allowlisted files, each block with a SAFETY comment",
-            scope: "all crates",
         },
         RuleInfo {
             id: "R7",
@@ -98,7 +77,7 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 }
 
 /// Stable identity of a finding across line-number churn: rule, path, and
-/// the offending snippet. Used for SARIF `fingerprints` and the baseline.
+/// the offending snippet. Used for SARIF `fingerprints`.
 pub fn fingerprint(f: &Finding) -> String {
     format!("{}|{}|{}", f.rule, f.path, f.snippet)
 }
@@ -165,47 +144,6 @@ pub fn to_sarif(findings: &[Finding]) -> String {
     out
 }
 
-/// The `--baseline` file: accepted finding fingerprints.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Baseline {
-    pub version: u32,
-    pub fingerprints: Vec<String>,
-}
-
-impl Baseline {
-    /// Captures the given findings as a baseline (sorted, deduped).
-    pub fn capture(findings: &[Finding]) -> Baseline {
-        let mut fps: Vec<String> = findings.iter().map(fingerprint).collect();
-        fps.sort();
-        fps.dedup();
-        Baseline { version: 1, fingerprints: fps }
-    }
-
-    /// Parses a baseline file.
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid baseline: {e:?}"))
-    }
-
-    /// Renders the baseline as JSON.
-    pub fn render(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
-    }
-
-    /// Splits findings into `(new, suppressed)` relative to this baseline.
-    pub fn partition<'a>(&self, findings: &'a [Finding]) -> (Vec<&'a Finding>, usize) {
-        let mut fresh = Vec::new();
-        let mut suppressed = 0usize;
-        for f in findings {
-            if self.fingerprints.iter().any(|fp| *fp == fingerprint(f)) {
-                suppressed += 1;
-            } else {
-                fresh.push(f);
-            }
-        }
-        (fresh, suppressed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,32 +200,19 @@ mod tests {
 
     #[test]
     fn sarif_escapes_quotes_and_backslashes() {
-        let fs = vec![finding("R1", "a.rs", "let s = \"x\\\\y\";")];
+        let fs = vec![finding("R3", "a.rs", "let s = \"x\\\\y\";")];
         let doc = to_sarif(&fs);
         assert!(serde_json::value_from_str(&doc).is_ok(), "escaping broke JSON:\n{doc}");
     }
 
     #[test]
-    fn baseline_roundtrip_and_partition() {
-        let old = vec![finding("R1", "a.rs", "old line")];
-        let base = Baseline::capture(&old);
-        let parsed = Baseline::parse(&base.render()).unwrap();
-        assert_eq!(parsed.fingerprints, base.fingerprints);
-        let now = vec![finding("R1", "a.rs", "old line"), finding("R2", "b.rs", "new line")];
-        let (fresh, suppressed) = parsed.partition(&now);
-        assert_eq!(suppressed, 1);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].rule, "R2");
-    }
-
-    #[test]
-    fn catalog_ids_are_unique_and_cover_r1_to_r11() {
+    fn catalog_ids_are_unique_and_skip_the_retired() {
         let ids: Vec<&str> = catalog().iter().map(|r| r.id).collect();
-        // R8 is retired; the other ids keep their numbers, since baselines
-        // and SARIF consumers key on them.
+        // R1, R2 and R6 moved to clippy and rustc lints, R8 to a test; the
+        // other ids keep their numbers, since SARIF consumers key on them.
         for n in 1..=11 {
             let id = format!("R{n}");
-            assert_eq!(ids.contains(&id.as_str()), n != 8, "{id}");
+            assert_eq!(ids.contains(&id.as_str()), ![1, 2, 6, 8].contains(&n), "{id}");
         }
         let mut sorted = ids.clone();
         sorted.sort();

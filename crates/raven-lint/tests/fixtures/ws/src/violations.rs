@@ -1,18 +1,4 @@
 //! One seeded violation per rule, for the exit-code end-to-end test.
-use std::collections::HashMap; // R2
-use std::time::Instant;
-
-pub fn r1() -> std::time::Instant {
-    Instant::now() // R1
-}
-
-pub fn r2(xs: &[u32]) -> usize {
-    let mut m = HashMap::new(); // R2
-    for &x in xs {
-        m.insert(x, ());
-    }
-    m.len()
-}
 
 pub fn r3(buf: &[u8]) -> u8 {
     // Negative case since R3 went call-graph: this fn is unreachable from
@@ -33,10 +19,6 @@ pub fn r5(m: &mut Metrics) {
 
 pub fn r5_channel(t: &mut Trace) {
     t.record("ee_x_mm", 0, 0.0); // R5: registered channel as a raw literal
-}
-
-pub fn r6(x: &u32) -> u32 {
-    unsafe { *(x as *const u32) } // R6: file not allowlisted
 }
 
 pub fn r7(err: f64) -> bool {

@@ -60,7 +60,7 @@ mod tests {
     #[test]
     fn splitmix_is_bijective_on_samples() {
         // No collisions among a decent sample of consecutive inputs.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(splitmix64(i)));
         }

@@ -26,6 +26,11 @@
 //! Guards close their span on `Drop`, so the tree stays balanced even
 //! when an instrumented region returns early or unwinds.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "span wall durations are sidecar-only (Chrome traces, profile JSON, terminal reports); span boundaries and the deterministic view use virtual time exclusively"
+)]
+
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -318,7 +323,7 @@ impl SpanHandle {
         let rec = rec.lock();
         let paths = rec.paths();
         // Vec, not a hash map: first-opened order is the report order and
-        // must be deterministic (lint rule R2).
+        // must be deterministic (clippy.toml bans hash collections).
         let mut grouped: Vec<(String, Vec<u64>)> = Vec::new();
         for (span, path) in rec.spans().iter().zip(paths) {
             if !span.closed {

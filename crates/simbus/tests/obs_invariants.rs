@@ -1,7 +1,8 @@
-//! Runtime invariants of `simbus::obs` that the static rules (raven-lint
-//! R1/R2) protect from the outside: the event ring's bounded-eviction
-//! contract, and merge-order independence of the metrics registry — the
-//! property the campaign executor's bit-identical sweep merges rest on.
+//! Runtime invariants of `simbus::obs` that clippy.toml's wall-clock and
+//! hash-collection bans protect from the outside: the event ring's
+//! bounded-eviction contract, and merge-order independence of the
+//! metrics registry — the property the campaign executor's bit-identical
+//! sweep merges rest on.
 //!
 //! The histogram permutation tests use *exactly representable* values
 //! (integers and quarters): f64 addition is not associative in general, so

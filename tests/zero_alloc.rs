@@ -7,6 +7,11 @@
 //! armed Observe guard after a scenario-B attack has run its course, and
 //! both BITW placements.
 
+#![expect(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait; the counting allocator only delegates to `System`, and each unsafe item carries a SAFETY comment"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
