@@ -22,7 +22,7 @@
 )]
 
 use criterion::{criterion_group, Criterion};
-use raven_attack::{capture_log, ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper};
+use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper};
 use raven_detect::{BatchDetector, DetectorConfig, DynamicDetector, Mitigation};
 use raven_dynamics::estimator::RtModelConfig;
 use raven_dynamics::{PlantParams, RavenPlant, RtModel};
@@ -63,16 +63,16 @@ fn bench_channel_write(c: &mut Criterion) {
     });
 
     let mut logged = UsbChannel::new();
-    logged.install(Box::new(LoggingWrapper::new(capture_log())));
+    logged.install(LoggingWrapper::new());
     group.bench_function("logging_wrapper", |b| {
         b.iter(|| black_box(logged.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });
 
     let mut injected = UsbChannel::new();
-    injected.install(Box::new(InjectionWrapper::pedal_down_trigger(
+    injected.install(InjectionWrapper::pedal_down_trigger(
         Corruption::AddDacWord { channel: 0, delta: 50 },
         ActivationWindow::immediate_persistent(),
-    )));
+    ));
     group.bench_function("injection_wrapper", |b| {
         b.iter(|| black_box(injected.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs)))
     });

@@ -10,46 +10,43 @@
 //!   from raw feedback bytes, without knowing the packet layout (the
 //!   attacker hypothesizes 3-byte little-endian words and measures their
 //!   frame-to-frame deltas);
-//! * [`MotionSensor`] / [`GatedInjection`] — a sharper trigger than
-//!   Byte 0 alone: inject only when the robot is in Pedal Down *and the
-//!   encoders show active motion*, i.e. while the surgeon is actually
-//!   cutting — maximizing harm and minimizing the attacker's exposure
-//!   window.
+//! * [`GatedInjection`] — a sharper trigger than Byte 0 alone: inject only
+//!   when the robot is in Pedal Down *and the encoders show active motion*,
+//!   i.e. while the surgeon is actually cutting — maximizing harm and
+//!   minimizing the attacker's exposure window. Like the paper's one
+//!   preloaded library, it hooks both calls: it watches `read` and strikes
+//!   on `write`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use raven_hw::channel::{ReadInterceptor, WriteAction, WriteContext, WriteInterceptor};
+use raven_hw::channel::{Interceptor, WriteAction, WriteContext};
 use serde::{Deserialize, Serialize};
 
-use crate::wrappers::{CaptureLog, Corruption, InjectionWrapper, LoggedPacket};
+use crate::wrappers::{Corruption, InjectionWrapper, LoggedPacket};
 
-/// Read-path eavesdropper: records every feedback buffer.
-#[derive(Debug)]
+/// Read-path eavesdropper: records every feedback buffer into the capture
+/// it owns.
+#[derive(Debug, Default)]
 pub struct FeedbackLogger {
-    log: CaptureLog,
-    captured: u64,
+    log: Vec<LoggedPacket>,
 }
 
 impl FeedbackLogger {
     /// Interceptor name.
     pub const NAME: &'static str = "malicious-feedback-logger";
 
-    /// Creates a logger recording into `log`.
-    pub fn new(log: CaptureLog) -> Self {
-        FeedbackLogger { log, captured: 0 }
+    /// Creates a logger with an empty capture.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Packets captured.
-    pub fn captured(&self) -> u64 {
-        self.captured
+    /// The feedback packets captured so far, in read order.
+    pub fn capture(&self) -> &[LoggedPacket] {
+        &self.log
     }
 }
 
-impl ReadInterceptor for FeedbackLogger {
+impl Interceptor for FeedbackLogger {
     fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
-        self.log.lock().push(LoggedPacket { time: ctx.time, seq: ctx.seq, bytes: buf.clone() });
-        self.captured += 1;
+        self.log.push(LoggedPacket { time: ctx.time, seq: ctx.seq, bytes: buf.clone() });
     }
 
     fn name(&self) -> &str {
@@ -57,17 +54,23 @@ impl ReadInterceptor for FeedbackLogger {
     }
 }
 
-/// Decodes a feedback buffer the way the attacker hypothesizes it: byte 0 is
-/// status, the payload is consecutive 3-byte little-endian signed words.
-fn hypothesized_words(bytes: &[u8]) -> Vec<i32> {
+/// Decodes a feedback buffer the way the attacker hypothesizes it into
+/// `words`: byte 0 is status, the payload is consecutive 3-byte
+/// little-endian signed words.
+fn hypothesized_words(bytes: &[u8], words: &mut Vec<i32>) {
     let payload = &bytes[1..bytes.len().saturating_sub(1)];
-    payload
-        .chunks_exact(3)
-        .map(|c| {
-            let raw = u32::from(c[0]) | u32::from(c[1]) << 8 | u32::from(c[2]) << 16;
-            ((raw << 8) as i32) >> 8
-        })
-        .collect()
+    words.clear();
+    words.extend(payload.chunks_exact(3).map(|c| {
+        let raw = u32::from(c[0]) | u32::from(c[1]) << 8 | u32::from(c[2]) << 16;
+        ((raw << 8) as i32) >> 8
+    }));
+}
+
+/// Summed absolute word deltas between two frames (encoder counts per
+/// packet), or `None` when their layouts differ.
+fn activity(words: &[i32], prev: &[i32]) -> Option<f64> {
+    (words.len() == prev.len())
+        .then(|| words.iter().zip(prev).map(|(a, b)| f64::from((a - b).abs().min(1 << 20))).sum())
 }
 
 /// Per-packet motion activity: the summed absolute word deltas between
@@ -75,20 +78,15 @@ fn hypothesized_words(bytes: &[u8]) -> Vec<i32> {
 /// the robot is moving.
 pub fn encoder_activity(capture: &[LoggedPacket]) -> Vec<(simbus::SimTime, f64)> {
     let mut out = Vec::new();
-    let mut last: Option<Vec<i32>> = None;
-    for pkt in capture {
-        let words = hypothesized_words(&pkt.bytes);
-        if let Some(prev) = &last {
-            if prev.len() == words.len() {
-                let activity: f64 = words
-                    .iter()
-                    .zip(prev)
-                    .map(|(a, b)| f64::from((a - b).abs().min(1 << 20)))
-                    .sum();
-                out.push((pkt.time, activity));
+    let (mut words, mut last) = (Vec::new(), Vec::new());
+    for (i, pkt) in capture.iter().enumerate() {
+        hypothesized_words(&pkt.bytes, &mut words);
+        if i > 0 {
+            if let Some(a) = activity(&words, &last) {
+                out.push((pkt.time, a));
             }
         }
-        last = Some(words);
+        std::mem::swap(&mut words, &mut last);
     }
     out
 }
@@ -123,70 +121,21 @@ pub fn summarize_motion(capture: &[LoggedPacket], threshold: f64) -> MotionSumma
     }
 }
 
-/// Shared live motion estimate between the read-path sensor and the
-/// write-path gate.
-#[derive(Debug, Default)]
-pub struct MotionState {
-    /// Exponential moving average of per-packet activity.
-    pub activity_ema: f64,
-    last_words: Option<Vec<i32>>,
-}
-
-/// Shareable motion state.
-pub type SharedMotion = Arc<Mutex<MotionState>>;
-
-/// Creates a fresh shared motion state.
-pub fn shared_motion() -> SharedMotion {
-    Arc::new(Mutex::new(MotionState::default()))
-}
-
-/// The read-path half: watches feedback and maintains the activity EMA.
-#[derive(Debug)]
-pub struct MotionSensor {
-    state: SharedMotion,
-}
-
-impl MotionSensor {
-    /// Interceptor name.
-    pub const NAME: &'static str = "motion-sensor";
-
-    /// Creates a sensor updating `state`.
-    pub fn new(state: SharedMotion) -> Self {
-        MotionSensor { state }
-    }
-}
-
-impl ReadInterceptor for MotionSensor {
-    fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {
-        let words = hypothesized_words(buf);
-        let mut st = self.state.lock();
-        if let Some(prev) = &st.last_words {
-            if prev.len() == words.len() {
-                let activity: f64 = words
-                    .iter()
-                    .zip(prev)
-                    .map(|(a, b)| f64::from((a - b).abs().min(1 << 20)))
-                    .sum();
-                // ~30 ms EMA at the 1 kHz read rate.
-                st.activity_ema += (activity - st.activity_ema) / 30.0;
-            }
-        }
-        st.last_words = Some(words);
-    }
-
-    fn name(&self) -> &str {
-        Self::NAME
-    }
-}
-
-/// The write-path half: an [`InjectionWrapper`] that additionally requires
-/// live encoder activity above a threshold before corrupting.
+/// An [`InjectionWrapper`] that additionally requires live encoder
+/// activity above a threshold before corrupting. Its read hook keeps an
+/// exponential moving average of per-packet activity; its write hook
+/// gates on it.
 #[derive(Debug)]
 pub struct GatedInjection {
     inner: InjectionWrapper,
-    state: SharedMotion,
     /// Minimum activity EMA (counts/packet) to fire.
     pub activity_threshold: f64,
+    activity_ema: f64,
+    /// The latest read's hypothesized words, and the read's before; both
+    /// buffers are reused, so a steady-state read does not allocate.
+    words: Vec<i32>,
+    last_words: Vec<i32>,
+    reads: u64,
     gated_out: u64,
 }
 
@@ -195,8 +144,16 @@ impl GatedInjection {
     pub const NAME: &'static str = "motion-gated-injection";
 
     /// Wraps an injection wrapper with a motion gate.
-    pub fn new(inner: InjectionWrapper, state: SharedMotion, activity_threshold: f64) -> Self {
-        GatedInjection { inner, state, activity_threshold, gated_out: 0 }
+    pub fn new(inner: InjectionWrapper, activity_threshold: f64) -> Self {
+        GatedInjection {
+            inner,
+            activity_threshold,
+            activity_ema: 0.0,
+            words: Vec::new(),
+            last_words: Vec::new(),
+            reads: 0,
+            gated_out: 0,
+        }
     }
 
     /// Packets that matched the state trigger but were suppressed by the
@@ -211,14 +168,25 @@ impl GatedInjection {
     }
 }
 
-impl WriteInterceptor for GatedInjection {
+impl Interceptor for GatedInjection {
+    fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {
+        hypothesized_words(buf, &mut self.words);
+        if self.reads > 0 {
+            if let Some(a) = activity(&self.words, &self.last_words) {
+                // ~30 ms EMA at the 1 kHz read rate.
+                self.activity_ema += (a - self.activity_ema) / 30.0;
+            }
+        }
+        std::mem::swap(&mut self.words, &mut self.last_words);
+        self.reads += 1;
+    }
+
     fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
-        let moving = self.state.lock().activity_ema > self.activity_threshold;
-        if moving {
+        if self.activity_ema > self.activity_threshold {
             self.inner.on_write(buf, ctx)
         } else {
             // Count suppressions that *would* have matched the state trigger.
-            if buf.first().is_some_and(|b0| matches!(b0, 0x0F | 0x1F)) {
+            if self.inner.triggers_on(buf, ctx) {
                 self.gated_out += 1;
             }
             WriteAction::Forward
@@ -230,21 +198,17 @@ impl WriteInterceptor for GatedInjection {
     }
 }
 
-/// Convenience: builds the sensor/gate pair around a standard Pedal-Down
+/// Convenience: builds the motion gate around a standard Pedal-Down
 /// injection.
 pub fn motion_gated_attack(
     corruption: Corruption,
     window: crate::wrappers::ActivationWindow,
     activity_threshold: f64,
-) -> (MotionSensor, GatedInjection) {
-    let state = shared_motion();
-    let sensor = MotionSensor::new(Arc::clone(&state));
-    let gate = GatedInjection::new(
+) -> GatedInjection {
+    GatedInjection::new(
         InjectionWrapper::pedal_down_trigger(corruption, window),
-        state,
         activity_threshold,
-    );
-    (sensor, gate)
+    )
 }
 
 #[cfg(test)]
@@ -306,7 +270,7 @@ mod tests {
     #[test]
     fn gate_suppresses_injection_while_idle() {
         let mut obs = Observer::default();
-        let (mut sensor, mut gate) = motion_gated_attack(
+        let mut gate = motion_gated_attack(
             Corruption::AddDacWord { channel: 0, delta: 9000 },
             ActivationWindow::immediate_persistent(),
             50.0,
@@ -317,7 +281,7 @@ mod tests {
         // Idle feedback: the gate stays closed.
         for i in 0..40u64 {
             let mut fb = feedback([1000, 0, 0, 0, 0, 0, 0, 0]);
-            sensor.on_read(&mut fb, &mut ctx(i, &mut obs));
+            gate.on_read(&mut fb, &mut ctx(i, &mut obs));
         }
         let mut buf = pedal_down.encode().to_vec();
         gate.on_write(&mut buf, &mut ctx(100, &mut obs));
@@ -332,7 +296,7 @@ mod tests {
         // Moving feedback: the gate opens.
         for i in 0..60u64 {
             let mut fb = feedback([1000 + 400 * i as i32, 0, 0, 0, 0, 0, 0, 0]);
-            sensor.on_read(&mut fb, &mut ctx(200 + i, &mut obs));
+            gate.on_read(&mut fb, &mut ctx(200 + i, &mut obs));
         }
         let mut buf = pedal_down.encode().to_vec();
         gate.on_write(&mut buf, &mut ctx(300, &mut obs));
@@ -343,14 +307,14 @@ mod tests {
     #[test]
     fn gate_still_respects_state_trigger() {
         let mut obs = Observer::default();
-        let (mut sensor, mut gate) = motion_gated_attack(
+        let mut gate = motion_gated_attack(
             Corruption::SetByte { offset: 3, value: 9 },
             ActivationWindow::immediate_persistent(),
             10.0,
         );
         for i in 0..60u64 {
             let mut fb = feedback([1000 + 500 * i as i32, 0, 0, 0, 0, 0, 0, 0]);
-            sensor.on_read(&mut fb, &mut ctx(i, &mut obs));
+            gate.on_read(&mut fb, &mut ctx(i, &mut obs));
         }
         // Moving, but Pedal Up: inner trigger refuses.
         let pedal_up = UsbCommandPacket { state: RobotState::PedalUp, watchdog: true, dac: [0; 8] };
@@ -363,11 +327,34 @@ mod tests {
     #[test]
     fn feedback_logger_captures() {
         let mut obs = Observer::default();
-        let log = crate::wrappers::capture_log();
-        let mut logger = FeedbackLogger::new(Arc::clone(&log));
+        let mut logger = FeedbackLogger::new();
         let mut fb = feedback([1, 2, 3, 4, 5, 6, 7, 8]);
         logger.on_read(&mut fb, &mut ctx(0, &mut obs));
-        assert_eq!(logger.captured(), 1);
-        assert_eq!(log.lock().len(), 1);
+        assert_eq!(logger.capture().len(), 1);
+        assert_eq!(logger.capture()[0].bytes, fb);
+    }
+
+    #[test]
+    fn closed_gate_counts_only_the_inner_trigger_set() {
+        let mut obs = Observer::default();
+        let mut gate = GatedInjection::new(
+            InjectionWrapper::with_trigger(
+                vec![0x2F],
+                Corruption::SetByte { offset: 3, value: 9 },
+                ActivationWindow::immediate_persistent(),
+            ),
+            50.0,
+        );
+        let mut hot = vec![0x2F, 0, 0, 0];
+        gate.on_write(&mut hot, &mut ctx(0, &mut obs));
+        assert_eq!(gate.gated_out(), 1, "a closed gate suppressed a trigger packet");
+        let mut pedal_down = vec![0x0F, 0, 0, 0];
+        gate.on_write(&mut pedal_down, &mut ctx(1, &mut obs));
+        assert_eq!(gate.gated_out(), 1, "0x0F is not in this wrapper's trigger set");
+        // Another process's write is not a trigger either.
+        let mut other = WriteContext { process: "bash", ..ctx(2, &mut obs) };
+        gate.on_write(&mut hot, &mut other);
+        assert_eq!(gate.gated_out(), 1);
+        assert_eq!(gate.injections(), 0);
     }
 }

@@ -31,15 +31,12 @@ pub use analysis::{
 };
 pub use campaign::{CampaignConfig, CampaignPlan, InjectionSpec, RunDescriptor, Scenario};
 pub use feedback::{
-    encoder_activity, motion_gated_attack, shared_motion, summarize_motion, FeedbackLogger,
-    GatedInjection, MotionSensor, MotionSummary, SharedMotion,
+    encoder_activity, motion_gated_attack, summarize_motion, FeedbackLogger, GatedInjection,
+    MotionSummary,
 };
 pub use malware::{Malware, MalwarePhase};
 pub use variants::{
     catalog, EncoderCorruption, ItpMitm, ObservedImpact, StateNibbleRewrite, TargetLayer,
     VariantSpec,
 };
-pub use wrappers::{
-    capture_log, ActivationWindow, CaptureLog, Corruption, InjectionWrapper, LoggedPacket,
-    LoggingWrapper,
-};
+pub use wrappers::{ActivationWindow, Corruption, InjectionWrapper, LoggedPacket, LoggingWrapper};

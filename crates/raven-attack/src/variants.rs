@@ -7,7 +7,7 @@
 //! interceptor implementations for the variants that act on paths our
 //! simulation exposes (ITP network, USB write, USB read).
 
-use raven_hw::channel::{ReadInterceptor, WriteAction, WriteContext, WriteInterceptor};
+use raven_hw::channel::{Interceptor, WriteAction, WriteContext};
 use raven_teleop::{ItpPacket, ITP_PACKET_LEN};
 use serde::{Deserialize, Serialize};
 
@@ -190,7 +190,7 @@ impl StateNibbleRewrite {
     }
 }
 
-impl WriteInterceptor for StateNibbleRewrite {
+impl Interceptor for StateNibbleRewrite {
     fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
         if let Some(b0) = buf.first_mut() {
             *b0 = (*b0 & 0xF0) | self.forced_nibble;
@@ -241,7 +241,7 @@ impl EncoderCorruption {
     }
 }
 
-impl ReadInterceptor for EncoderCorruption {
+impl Interceptor for EncoderCorruption {
     fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {
         self.reads += 1;
         if self.reads <= self.activate_after_reads {

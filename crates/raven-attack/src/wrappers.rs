@@ -6,7 +6,7 @@
 //! * the **logging wrapper** (Attack-Preparation phase): "checking the
 //!   process name and the file descriptor and sending the UDP packets to the
 //!   remote attacker" — here [`LoggingWrapper`], which copies each USB buffer
-//!   into a shared capture log and exfiltrates it over a simulated UDP link;
+//!   into the capture it owns and exfiltrates it over a simulated UDP link;
 //! * the **injection wrapper** (Deployment phase): "checking for the process
 //!   name and file descriptor, checking the packet contents to determine if
 //!   the desired robot state is reached, and overwriting the malicious
@@ -17,10 +17,7 @@
 //! These run **research/defensive evaluation only** — they operate purely on
 //! the in-process simulated USB channel.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
+use raven_hw::channel::{Interceptor, WriteAction, WriteContext};
 use serde::{Deserialize, Serialize};
 use simbus::{SimLink, SimTime};
 
@@ -35,37 +32,29 @@ pub struct LoggedPacket {
     pub bytes: Vec<u8>,
 }
 
-/// Shared capture log (the attacker's collection server).
-pub type CaptureLog = Arc<Mutex<Vec<LoggedPacket>>>;
-
-/// Creates an empty capture log.
-pub fn capture_log() -> CaptureLog {
-    Arc::new(Mutex::new(Vec::new()))
+/// `true` when `ctx` is the robot's USB traffic. The wrappers shadow
+/// `write(2)` for *every* process and must act only on that (paper:
+/// "checking the process name and the file descriptor").
+fn is_robot_traffic(ctx: &WriteContext<'_>) -> bool {
+    ctx.process == raven_hw::UsbChannel::PROCESS && ctx.fd == raven_hw::UsbChannel::BOARD_FD
 }
 
-/// The eavesdropping wrapper of the Attack-Preparation phase.
-#[derive(Debug)]
+/// The eavesdropping wrapper of the Attack-Preparation phase. It owns its
+/// capture (the attacker's collection server view); read it back through
+/// [`raven_hw::UsbChannel::interceptor`] once installed.
+#[derive(Debug, Default)]
 pub struct LoggingWrapper {
-    log: CaptureLog,
+    log: Vec<LoggedPacket>,
     exfil: Option<SimLink<LoggedPacket>>,
-    expected_process: &'static str,
-    expected_fd: i32,
-    captured: u64,
 }
 
 impl LoggingWrapper {
     /// Name under which the wrapper installs (for `uninstall`).
     pub const NAME: &'static str = "malicious-logging-wrapper";
 
-    /// Creates a wrapper that records into `log`.
-    pub fn new(log: CaptureLog) -> Self {
-        LoggingWrapper {
-            log,
-            exfil: None,
-            expected_process: raven_hw::UsbChannel::PROCESS,
-            expected_fd: raven_hw::UsbChannel::BOARD_FD,
-            captured: 0,
-        }
+    /// Creates a wrapper with an empty capture.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Additionally exfiltrates captures over a simulated UDP link to the
@@ -75,24 +64,20 @@ impl LoggingWrapper {
         self
     }
 
-    /// Packets captured so far.
-    pub fn captured(&self) -> u64 {
-        self.captured
+    /// The packets captured so far, in write order.
+    pub fn capture(&self) -> &[LoggedPacket] {
+        &self.log
     }
 }
 
-impl WriteInterceptor for LoggingWrapper {
+impl Interceptor for LoggingWrapper {
     fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
-        // The wrapper shadows write(2) for *every* process; it must act only
-        // on the robot's USB traffic (paper: "checking the process name and
-        // the file descriptor").
-        if ctx.process == self.expected_process && ctx.fd == self.expected_fd {
+        if is_robot_traffic(ctx) {
             let pkt = LoggedPacket { time: ctx.time, seq: ctx.seq, bytes: buf.clone() };
             if let Some(link) = &mut self.exfil {
                 link.send(ctx.time, pkt.clone());
             }
-            self.log.lock().push(pkt);
-            self.captured += 1;
+            self.log.push(pkt);
         }
         WriteAction::Forward
     }
@@ -181,8 +166,6 @@ pub struct InjectionWrapper {
     trigger_values: Vec<u8>,
     corruption: Corruption,
     window: ActivationWindow,
-    expected_process: &'static str,
-    expected_fd: i32,
     triggers_seen: u64,
     injections: u64,
 }
@@ -209,15 +192,7 @@ impl InjectionWrapper {
         window: ActivationWindow,
     ) -> Self {
         assert!(!trigger_values.is_empty(), "trigger set must be non-empty");
-        InjectionWrapper {
-            trigger_values,
-            corruption,
-            window,
-            expected_process: raven_hw::UsbChannel::PROCESS,
-            expected_fd: raven_hw::UsbChannel::BOARD_FD,
-            triggers_seen: 0,
-            injections: 0,
-        }
+        InjectionWrapper { trigger_values, corruption, window, triggers_seen: 0, injections: 0 }
     }
 
     /// Packets that matched the trigger so far.
@@ -234,17 +209,17 @@ impl InjectionWrapper {
     pub fn exhausted(&self) -> bool {
         self.window.duration_packets != u64::MAX && self.injections >= self.window.duration_packets
     }
+
+    /// `true` when `buf` is robot traffic whose Byte 0 is in the trigger
+    /// set: the packet this wrapper would count as a trigger.
+    pub(crate) fn triggers_on(&self, buf: &[u8], ctx: &WriteContext<'_>) -> bool {
+        is_robot_traffic(ctx) && buf.first().is_some_and(|b0| self.trigger_values.contains(b0))
+    }
 }
 
-impl WriteInterceptor for InjectionWrapper {
+impl Interceptor for InjectionWrapper {
     fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
-        if ctx.process != self.expected_process || ctx.fd != self.expected_fd {
-            return WriteAction::Forward;
-        }
-        let Some(&byte0) = buf.first() else {
-            return WriteAction::Forward;
-        };
-        if !self.trigger_values.contains(&byte0) {
+        if !self.triggers_on(buf, ctx) {
             return WriteAction::Forward;
         }
         self.triggers_seen += 1;
@@ -286,8 +261,7 @@ mod tests {
     #[test]
     fn logging_wrapper_captures_robot_traffic_only() {
         let mut obs = Observer::default();
-        let log = capture_log();
-        let mut w = LoggingWrapper::new(Arc::clone(&log));
+        let mut w = LoggingWrapper::new();
         let mut buf = packet(RobotState::PedalDown, true);
         assert_eq!(w.on_write(&mut buf, &mut ctx(0, &mut obs)), WriteAction::Forward);
         // A write from a different process is ignored.
@@ -296,16 +270,14 @@ mod tests {
         // A write to a different fd is ignored.
         let mut other_fd = WriteContext { fd: 3, ..ctx(2, &mut obs) };
         w.on_write(&mut buf, &mut other_fd);
-        assert_eq!(w.captured(), 1);
-        assert_eq!(log.lock().len(), 1);
-        assert_eq!(log.lock()[0].bytes, buf);
+        assert_eq!(w.capture().len(), 1);
+        assert_eq!(w.capture()[0].bytes, buf);
     }
 
     #[test]
     fn logging_wrapper_never_mutates() {
         let mut obs = Observer::default();
-        let log = capture_log();
-        let mut w = LoggingWrapper::new(log);
+        let mut w = LoggingWrapper::new();
         let original = packet(RobotState::PedalDown, false);
         let mut buf = original.clone();
         w.on_write(&mut buf, &mut ctx(0, &mut obs));
@@ -315,12 +287,11 @@ mod tests {
     #[test]
     fn logging_wrapper_exfiltrates_over_udp() {
         let mut obs = Observer::default();
-        let log = capture_log();
         let link: SimLink<LoggedPacket> = SimLink::new(LinkConfig::ideal(), 1);
-        let mut w = LoggingWrapper::new(log).with_exfiltration(link);
+        let mut w = LoggingWrapper::new().with_exfiltration(link);
         let mut buf = packet(RobotState::Init, true);
         w.on_write(&mut buf, &mut ctx(0, &mut obs));
-        assert_eq!(w.captured(), 1);
+        assert_eq!(w.capture().len(), 1);
     }
 
     #[test]

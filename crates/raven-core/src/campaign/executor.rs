@@ -16,8 +16,6 @@
 //!   did.
 //! * **Panic isolation** — a panicking run is caught (`catch_unwind`) and
 //!   recorded as a [`RunError`] for its index; every other run completes.
-//!   (The vendored `parking_lot` ignores lock poisoning, so a panicked
-//!   run cannot poison shared state either.)
 //! * **Telemetry** — optional progress lines on stderr (runs completed,
 //!   runs/sec, ETA) plus a final [`SweepStats`] with wall-clock and
 //!   throughput, surfaced by the `raven-sim` CLI and the bench harnesses.
@@ -32,7 +30,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use simbus::obs::{log, Metrics, Severity};
 
@@ -263,25 +260,36 @@ where
     let slotted: Vec<RunSlot<T>> = if workers <= 1 {
         (0..n).map(|i| run_one(i, 0)).collect()
     } else {
-        let slots: Vec<Mutex<Option<RunSlot<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Each worker keeps the runs it claimed and hands them back when it
+        // joins; the merge scatters them into run order.
         let next = AtomicUsize::new(0);
-        let (slots_ref, next_ref, run_one_ref) = (&slots, &next, &run_one);
-        crossbeam::thread::scope(|scope| {
-            for worker in 0..workers {
-                scope.spawn(move |_| loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    *slots_ref[i].lock() = Some(run_one_ref(i, worker));
-                });
-            }
+        let (next_ref, run_one_ref) = (&next, &run_one);
+        let claimed: Vec<Vec<(usize, RunSlot<T>)>> = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    scope.spawn(move |_| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next_ref.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break done;
+                            }
+                            done.push((i, run_one_ref(i, worker)));
+                        }
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("campaign worker")).collect()
         })
         .expect("campaign worker pool");
+        let mut slots: Vec<Option<RunSlot<T>>> = (0..n).map(|_| None).collect();
+        for (i, slot) in claimed.into_iter().flatten() {
+            slots[i] = Some(slot);
+        }
         slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| slot.into_inner().unwrap_or_else(|| panic!("run {i} never ran")))
+            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("run {i} never ran")))
             .collect()
     };
 

@@ -522,7 +522,7 @@ pub fn run_bitw_study(seed: u64) -> BitwStudy {
 /// The crypto-overhead measurement is wall-clock and stays outside the
 /// sweep.
 pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
-    use raven_attack::{capture_log, find_state_byte, LoggingWrapper};
+    use raven_attack::{find_state_byte, LoggingWrapper};
     let configs: [(&str, Option<raven_hw::BitwPlacement>); 3] = [
         ("none", None),
         ("wire", Some(raven_hw::BitwPlacement::Wire)),
@@ -536,7 +536,6 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
         |i, _run_seed| {
             let (label, bitw) = configs[i];
             // Phase 1–2: eavesdrop + analyze.
-            let log = capture_log();
             let mut sim = Simulation::new(SimConfig {
                 session_ms: 3_000,
                 bitw,
@@ -545,13 +544,11 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
                     &format!("{}{label}", streams::BITW_RECON_PREFIX),
                 ))
             });
-            sim.rig_mut()
-                .channel
-                .install_first(Box::new(LoggingWrapper::new(std::sync::Arc::clone(&log))));
+            sim.rig_mut().channel.install_first(LoggingWrapper::new());
             sim.boot();
             let _ = sim.run_session();
-            let capture = log.lock().clone();
-            let recon = find_state_byte(&capture);
+            let logger = sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed");
+            let recon = find_state_byte(logger.capture());
             let recon_succeeded = recon
                 .as_ref()
                 .map(|h| h.trigger_values().contains(&0x0F) || h.trigger_values().contains(&0x1F))
@@ -572,11 +569,11 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
             });
             if bitw == Some(raven_hw::BitwPlacement::Host) {
                 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper};
-                sim.rig_mut().channel.install_first(Box::new(InjectionWrapper::with_trigger(
+                sim.rig_mut().channel.install_first(InjectionWrapper::with_trigger(
                     (0..=255).collect(), // fires on any packet: blind corruption
                     Corruption::SetByte { offset: 7, value: 0x55 },
                     ActivationWindow::delayed(1_800, 512),
-                )));
+                ));
             } else {
                 sim.install_attack(&AttackSetup::ScenarioB {
                     dac_delta: 30_000,

@@ -7,7 +7,7 @@
 //! boots the full system with the eavesdropping wrapper installed, captures
 //! a session, and reproduces those per-byte statistics.
 
-use raven_attack::{byte_profiles, capture_log, find_state_byte, LoggingWrapper};
+use raven_attack::{byte_profiles, find_state_byte, LoggingWrapper};
 use serde::{Deserialize, Serialize};
 
 use crate::sim::{PedalPattern, SimConfig, Simulation};
@@ -83,13 +83,12 @@ pub fn run_fig5(seed: u64, session_ms: u64) -> Fig5Result {
         ..SimConfig::standard(seed)
     });
     // Attacker installs the eavesdropping wrapper before the session.
-    let log = capture_log();
-    sim.rig_mut().channel.install_first(Box::new(LoggingWrapper::new(std::sync::Arc::clone(&log))));
+    sim.rig_mut().channel.install_first(LoggingWrapper::new());
     sim.boot();
     let _ = sim.run_session();
 
-    let capture = log.lock().clone();
-    let profiles = byte_profiles(&capture);
+    let capture = sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();
+    let profiles = byte_profiles(capture);
     let bytes = profiles
         .iter()
         .map(|p| ByteSummary {
@@ -100,7 +99,7 @@ pub fn run_fig5(seed: u64, session_ms: u64) -> Fig5Result {
         .collect();
     let byte0_values: Vec<u8> =
         profiles.first().map(|p| p.alphabet.iter().copied().collect()).unwrap_or_default();
-    let hypothesis = find_state_byte(&capture).ok();
+    let hypothesis = find_state_byte(capture).ok();
     let watchdog_mask = hypothesis.as_ref().and_then(|h| h.watchdog_mask);
     let mut byte0_values_masked: Vec<u8> =
         byte0_values.iter().map(|b| b & !watchdog_mask.unwrap_or(0)).collect();

@@ -6,7 +6,7 @@
 //! different pedal duty cycles, performs the offline analysis on each, and
 //! checks the inferred segment sequence against the ground truth.
 
-use raven_attack::{capture_log, find_state_byte, infer_state_segments, LoggingWrapper};
+use raven_attack::{find_state_byte, infer_state_segments, LoggingWrapper};
 use raven_hw::RobotState;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
@@ -76,17 +76,15 @@ pub fn run_fig6(seed: u64) -> Fig6Result {
             pedal: PedalPattern::DutyCycle { work_ms, rest_ms: 250, cycles },
             ..SimConfig::standard(run_seed)
         });
-        let log = capture_log();
-        sim.rig_mut()
-            .channel
-            .install_first(Box::new(LoggingWrapper::new(std::sync::Arc::clone(&log))));
+        sim.rig_mut().channel.install_first(LoggingWrapper::new());
         sim.boot();
         let _ = sim.run_session();
 
-        let capture = log.lock().clone();
-        let (inferred_states, trigger_values) = match find_state_byte(&capture) {
+        let capture =
+            sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();
+        let (inferred_states, trigger_values) = match find_state_byte(capture) {
             Ok(h) => {
-                let segments = infer_state_segments(&capture, &h);
+                let segments = infer_state_segments(capture, &h);
                 // Ignore micro-segments (single stray packets).
                 let staircase: Vec<u8> =
                     segments.iter().filter(|s| s.packets >= 3).map(|s| s.value).collect();

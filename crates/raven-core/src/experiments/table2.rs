@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use raven_attack::{capture_log, ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper};
+use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper};
 use raven_hw::{RobotState, UsbChannel, UsbCommandPacket};
 use raven_math::stats::RunningStats;
 use serde::{Deserialize, Serialize};
@@ -113,18 +113,17 @@ pub fn run_table2(iters: u64) -> Table2Result {
 
     // Logging wrapper: process/fd check + copy + UDP exfiltration.
     let mut channel = UsbChannel::new();
-    let log = capture_log();
     let link = SimLink::new(LinkConfig::lan(), 7);
-    channel.install(Box::new(LoggingWrapper::new(log).with_exfiltration(link)));
+    channel.install(LoggingWrapper::new().with_exfiltration(link));
     let stats = time_writes(&mut channel, iters);
     rows.push(row("With Malicious Wrapper: Logging", &stats));
 
     // Injection wrapper: process/fd check + trigger check + byte overwrite.
     let mut channel = UsbChannel::new();
-    channel.install(Box::new(InjectionWrapper::pedal_down_trigger(
+    channel.install(InjectionWrapper::pedal_down_trigger(
         Corruption::AddDacWord { channel: 0, delta: 50 },
         ActivationWindow::immediate_persistent(),
-    )));
+    ));
     let stats = time_writes(&mut channel, iters);
     rows.push(row("With Malicious Wrapper: Injection", &stats));
 

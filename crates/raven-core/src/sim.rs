@@ -14,7 +14,7 @@ use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor};
 use raven_dynamics::plant::PlantPrefix;
 use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::chaos::{ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder};
-use raven_hw::{EStopCause, FaultWindow, HardwareRig, RobotState, WriteInterceptor};
+use raven_hw::{EStopCause, FaultWindow, HardwareRig, Interceptor, RobotState};
 use raven_kinematics::ArmConfig;
 use raven_math::Vec3;
 use raven_teleop::{
@@ -352,7 +352,7 @@ impl Simulation {
             }
             det
         });
-        // The guard's slot closes the write chain as built here: closest to
+        // The guard's slot closes the chain as built here: closest to
         // the hardware, downstream of any malware installed later with
         // `install_first` (paper §IV.C).
         if detector.is_some() {
@@ -503,19 +503,19 @@ impl Simulation {
                 );
                 // The malware runs in the compromised control process —
                 // upstream of the hardware-side guard.
-                self.rig.channel.install_first(Box::new(wrapper));
+                self.rig.channel.install_first(wrapper);
             }
             AttackSetup::PlcStateRewrite { forced_nibble } => {
                 self.rig
                     .channel
-                    .install_first(Box::new(raven_attack::StateNibbleRewrite::new(*forced_nibble)));
+                    .install_first(raven_attack::StateNibbleRewrite::new(*forced_nibble));
             }
             AttackSetup::EncoderCorruption { channel, offset_counts, delay_reads } => {
-                self.rig.channel.install_read(Box::new(raven_attack::EncoderCorruption::delayed(
+                self.rig.channel.install(raven_attack::EncoderCorruption::delayed(
                     *channel,
                     *offset_counts,
                     *delay_reads,
-                )));
+                ));
             }
             AttackSetup::DropItp => {
                 // Port change: the control software never receives console
@@ -558,29 +558,29 @@ impl Simulation {
                 | ChaosFaultKind::CorruptPacket { .. }
                 | ChaosFaultKind::BurstLoss { .. } => link.push_back(*fault),
                 ChaosFaultKind::StuckEncoder { channel, ms } => {
-                    self.rig.channel.install_read(Box::new(ChaosStuckEncoder::new(
+                    self.rig.channel.install(ChaosStuckEncoder::new(
                         channel as usize,
                         FaultWindow::starting_at(fault.at, ms),
-                    )));
+                    ));
                 }
                 ChaosFaultKind::EncoderBitFlip { channel, bit, ms } => {
-                    self.rig.channel.install_read(Box::new(ChaosEncoderBitFlip::new(
+                    self.rig.channel.install(ChaosEncoderBitFlip::new(
                         channel as usize,
                         bit,
                         FaultWindow::starting_at(fault.at, ms),
-                    )));
+                    ));
                 }
                 ChaosFaultKind::DropUsbFrames { ms } => {
-                    self.rig.channel.install(Box::new(ChaosFrameDrop::usb_frames(
-                        FaultWindow::starting_at(fault.at, ms),
+                    self.rig.channel.install(ChaosFrameDrop::usb_frames(FaultWindow::starting_at(
+                        fault.at, ms,
                     )));
                 }
                 ChaosFaultKind::BoardSilence { ms } => {
                     let window = FaultWindow::starting_at(fault.at, ms);
                     // The write half announces; the read half is silent so
                     // the pair counts as one injected fault.
-                    self.rig.channel.install(Box::new(ChaosFrameDrop::board_silence(window)));
-                    self.rig.channel.install_read(Box::new(ChaosFeedbackHold::new(window)));
+                    self.rig.channel.install(ChaosFrameDrop::board_silence(window));
+                    self.rig.channel.install(ChaosFeedbackHold::new(window));
                 }
             }
         }
@@ -597,6 +597,12 @@ impl Simulation {
     /// mutant).
     pub fn detector_mut(&mut self) -> Option<&mut DynamicDetector> {
         self.detector.as_mut()
+    }
+
+    /// The hardware rig (reading back what an installed interceptor
+    /// observed).
+    pub fn rig(&self) -> &HardwareRig {
+        &self.rig
     }
 
     /// Mutable access to the hardware rig (installing bespoke interceptors
@@ -794,7 +800,7 @@ impl Simulation {
         drop(span_stage);
         let span_stage = self.spans.begin(spans::STAGE_INTERCEPTORS);
         let mut guard = self.detector.as_mut().map(GuardInterceptor::new);
-        let guard = guard.as_mut().map(|g| g as &mut dyn WriteInterceptor);
+        let guard = guard.as_mut().map(|g| g as &mut dyn Interceptor);
         self.rig.deliver_command(&cmd, now, guard, &mut self.observer);
         drop(span_stage);
 
@@ -1118,14 +1124,24 @@ mod tests {
         });
         sim.install_chaos(&ChaosConfig::standard());
         assert_eq!(
-            sim.rig.channel.write_chain_names(),
+            sim.rig.channel.chain_names(),
             [
                 InjectionWrapper::NAME,
                 GuardInterceptor::NAME,
+                "chaos.stuck_encoder",
+                "chaos.encoder_bitflip",
+                "chaos.stuck_encoder",
+                "chaos.stuck_encoder",
+                "chaos.encoder_bitflip",
                 "chaos.usb_frame_drop",
                 "chaos.usb_frame_drop",
+                "chaos.stuck_encoder",
+                "chaos.encoder_bitflip",
                 "chaos.board_silence.write",
+                "chaos.feedback_hold",
+                "chaos.stuck_encoder",
                 "chaos.board_silence.write",
+                "chaos.feedback_hold",
             ]
         );
     }

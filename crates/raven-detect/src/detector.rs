@@ -4,13 +4,13 @@
 //! Placement matters: the paper argues the detector belongs "at lower layers
 //! of control structure and just before the commands are going to be
 //! executed on the physical robot" (§IV.C), downstream of any compromised
-//! software. [`GuardInterceptor`] therefore runs at the write chain's guard
-//! slot, downstream of the malware: it sees exactly the bytes the board
+//! software. [`GuardInterceptor`] therefore runs at the interceptor chain's
+//! guard slot, downstream of the malware: it sees exactly the bytes the board
 //! would execute — including any malware mutations — and vets them against
 //! the model's one-step prediction *before* they reach the motors.
 
 use raven_dynamics::RtModel;
-use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
+use raven_hw::channel::{Interceptor, WriteAction, WriteContext};
 use raven_hw::{RobotState, UsbCommandPacket};
 use raven_kinematics::{ArmConfig, MotorState, NUM_AXES};
 use serde::{Deserialize, Serialize};
@@ -410,7 +410,7 @@ impl<'a> GuardInterceptor<'a> {
     }
 }
 
-impl WriteInterceptor for GuardInterceptor<'_> {
+impl Interceptor for GuardInterceptor<'_> {
     fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
         let Ok(pkt) = UsbCommandPacket::decode_unchecked(buf) else {
             // Undecodable buffers cannot be executed by the board anyway.

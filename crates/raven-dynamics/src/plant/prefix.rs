@@ -15,6 +15,11 @@
 //! input detaches for good and integrates as usual; so does a plant that
 //! reaches the cap.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "leaf lock: the table's Mutex is a private field, and whoever holds it only reads or writes Table entries and compares their bits, which lock nothing"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 

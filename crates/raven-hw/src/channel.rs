@@ -5,7 +5,7 @@
 //! In the paper, the malicious shared library wraps the `write(2)` system
 //! call: every buffer the control software sends to the USB boards first
 //! passes through the wrapper, which may log it, mutate bytes in place, or
-//! forward it unchanged (Fig. 4). [`WriteInterceptor`] captures exactly that
+//! forward it unchanged (Fig. 4). [`Interceptor`] captures exactly that
 //! contract: interceptors see the raw bytes *after* the software safety
 //! checks and *before* the board — the TOCTOU window of §III.
 //!
@@ -17,6 +17,8 @@
 //! its place in the chain, and [`UsbChannel::write`] runs the guard it is
 //! handed there — downstream of any malware installed with
 //! [`UsbChannel::install_first`].
+
+use std::any::Any;
 
 use simbus::{Observer, SimTime};
 
@@ -47,70 +49,76 @@ pub enum WriteAction {
     Drop,
 }
 
-/// A hook on the USB write path.
+/// A hook on the USB write and read paths.
 ///
-/// Implementations may mutate `buf` in place (the injection attack), copy it
-/// out (the eavesdropping attack), or veto delivery (the detector's
-/// mitigation). Returning [`WriteAction::Drop`] stops the chain: later
-/// interceptors do not run, matching a wrapper that never calls the real
-/// `write`.
+/// On the write path an interceptor may mutate `buf` in place (the
+/// injection attack), copy it out (the eavesdropping attack), or veto
+/// delivery (the detector's mitigation). Returning [`WriteAction::Drop`]
+/// stops the chain: later interceptors do not run, matching a wrapper that
+/// never calls the real `write`. On the read path it sees, and may mutate,
+/// each feedback buffer the control software reads. One object can hook
+/// both calls, as one preloaded library shadows both `write(2)` and
+/// `read(2)`; each hook it leaves alone is a pass-through.
 ///
 /// `Send` so a whole rig (and any `Simulation` owning one) can migrate
 /// between fleet worker threads.
-pub trait WriteInterceptor: std::fmt::Debug + Send {
+pub trait Interceptor: std::fmt::Debug + Send {
     /// Inspects and possibly mutates one outgoing buffer.
-    fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction;
+    fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
+        WriteAction::Forward
+    }
 
-    /// Human-readable name for diagnostics.
-    fn name(&self) -> &str;
-}
-
-/// A hook on the USB read (feedback) path. `Send` for the same reason as
-/// [`WriteInterceptor`]: fleet workers move rigs across threads.
-pub trait ReadInterceptor: std::fmt::Debug + Send {
     /// Inspects and possibly mutates one incoming buffer.
-    fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>);
+    fn on_read(&mut self, _buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {}
 
     /// Human-readable name for diagnostics.
     fn name(&self) -> &str;
 }
 
-/// One place in the write chain.
+/// An interceptor the channel owns: `Any` lets
+/// [`UsbChannel::interceptor`] hand it back by its concrete type.
+trait Installed: Interceptor + Any {}
+
+impl<T: Interceptor + Any> Installed for T {}
+
+/// One place in the chain.
 #[derive(Debug)]
-enum WriteStage {
+enum Stage {
     /// An interceptor the channel owns.
-    Installed(Box<dyn WriteInterceptor>),
+    Installed(Box<dyn Installed>),
     /// The reserved place of the borrowed guard, under its name.
     Guard(&'static str),
 }
 
-/// The USB write path: an ordered interceptor chain in front of the board.
+/// The USB write and read paths: one ordered interceptor chain in front of
+/// the board.
 ///
 /// # Example
 ///
 /// ```
-/// use raven_hw::channel::{UsbChannel, WriteAction, WriteContext, WriteInterceptor};
+/// use raven_hw::channel::{Interceptor, UsbChannel, WriteAction, WriteContext};
 /// use simbus::{Observer, SimTime};
 ///
-/// #[derive(Debug)]
-/// struct Nop;
-/// impl WriteInterceptor for Nop {
+/// #[derive(Debug, Default)]
+/// struct Counter(u64);
+/// impl Interceptor for Counter {
 ///     fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
+///         self.0 += 1;
 ///         WriteAction::Forward
 ///     }
-///     fn name(&self) -> &str { "nop" }
+///     fn name(&self) -> &str { "counter" }
 /// }
 ///
 /// let mut ch = UsbChannel::new();
-/// ch.install(Box::new(Nop));
+/// ch.install(Counter::default());
 /// let mut buf = vec![1, 2, 3];
 /// let action = ch.write(&mut buf, SimTime::ZERO, None, &mut Observer::default());
 /// assert_eq!((action, buf), (WriteAction::Forward, vec![1, 2, 3]));
+/// assert_eq!(ch.interceptor::<Counter>().map(|c| c.0), Some(1));
 /// ```
 #[derive(Debug, Default)]
 pub struct UsbChannel {
-    write_chain: Vec<WriteStage>,
-    read_chain: Vec<Box<dyn ReadInterceptor>>,
+    chain: Vec<Stage>,
     /// The caller's bytes as they entered the chain, refilled on every
     /// write: a mutation is a delivered or dropped buffer that differs.
     pristine: Vec<u8>,
@@ -131,60 +139,65 @@ impl UsbChannel {
         Self::default()
     }
 
-    /// Appends a write interceptor to the end of the chain (runs last).
-    pub fn install(&mut self, interceptor: Box<dyn WriteInterceptor>) {
-        self.write_chain.push(WriteStage::Installed(interceptor));
+    /// Appends an interceptor to the end of the chain (runs last).
+    pub fn install(&mut self, interceptor: impl Interceptor + 'static) {
+        self.chain.push(Stage::Installed(Box::new(interceptor)));
     }
 
-    /// Prepends a write interceptor (runs first — how `LD_PRELOAD` shadows
-    /// every later hook).
-    pub fn install_first(&mut self, interceptor: Box<dyn WriteInterceptor>) {
-        self.write_chain.insert(0, WriteStage::Installed(interceptor));
+    /// Prepends an interceptor (runs first — how `LD_PRELOAD` shadows every
+    /// later hook).
+    pub fn install_first(&mut self, interceptor: impl Interceptor + 'static) {
+        self.chain.insert(0, Stage::Installed(Box::new(interceptor)));
     }
 
     /// Appends the guard's place to the chain under `name`: the guard
     /// handed to [`UsbChannel::write`] runs here, after every interceptor
     /// installed so far or with [`UsbChannel::install_first`], and before
-    /// any appended later.
+    /// any appended later. Reads skip the slot.
     pub fn reserve_guard_slot(&mut self, name: &'static str) {
-        self.write_chain.push(WriteStage::Guard(name));
-    }
-
-    /// Appends a read interceptor.
-    pub fn install_read(&mut self, interceptor: Box<dyn ReadInterceptor>) {
-        self.read_chain.push(interceptor);
+        self.chain.push(Stage::Guard(name));
     }
 
     /// Removes every interceptor whose name matches (a reserved guard slot
     /// stays).
     pub fn uninstall(&mut self, name: &str) {
-        self.write_chain
-            .retain(|stage| !matches!(stage, WriteStage::Installed(i) if i.name() == name));
-        self.read_chain.retain(|i| i.name() != name);
+        self.chain.retain(|stage| !matches!(stage, Stage::Installed(i) if i.name() == name));
     }
 
-    /// Names of the write interceptors and the guard slot, in execution
-    /// order.
-    pub fn write_chain_names(&self) -> Vec<&str> {
-        self.write_chain
+    /// The first installed interceptor of type `T`, for reading back what
+    /// it observed.
+    pub fn interceptor<T: Interceptor + 'static>(&self) -> Option<&T> {
+        self.chain.iter().find_map(|stage| match stage {
+            Stage::Installed(i) => {
+                let any: &dyn Any = i.as_ref();
+                any.downcast_ref()
+            }
+            Stage::Guard(_) => None,
+        })
+    }
+
+    /// Names of the installed interceptors and the guard slot, in
+    /// execution order.
+    pub fn chain_names(&self) -> Vec<&str> {
+        self.chain
             .iter()
             .map(|stage| match stage {
-                WriteStage::Installed(i) => i.name(),
-                WriteStage::Guard(name) => name,
+                Stage::Installed(i) => i.name(),
+                Stage::Guard(name) => name,
             })
             .collect()
     }
 
-    /// Pushes `buf` through the write chain in place, running `guard` at the
-    /// reserved guard slot; `obs` is lent to every interceptor through the
-    /// [`WriteContext`]. On [`WriteAction::Forward`] `buf` holds the bytes
-    /// the board receives; on [`WriteAction::Drop`] an interceptor
-    /// suppressed the write and the later ones did not run.
+    /// Pushes `buf` through the chain's write hooks in place, running
+    /// `guard` at the reserved guard slot; `obs` is lent to every
+    /// interceptor through the [`WriteContext`]. On [`WriteAction::Forward`]
+    /// `buf` holds the bytes the board receives; on [`WriteAction::Drop`]
+    /// an interceptor suppressed the write and the later ones did not run.
     pub fn write(
         &mut self,
         buf: &mut Vec<u8>,
         time: SimTime,
-        mut guard: Option<&mut dyn WriteInterceptor>,
+        mut guard: Option<&mut dyn Interceptor>,
         obs: &mut Observer,
     ) -> WriteAction {
         let mut ctx =
@@ -195,10 +208,10 @@ impl UsbChannel {
         self.pristine.extend_from_slice(buf);
 
         let mut action = WriteAction::Forward;
-        for stage in &mut self.write_chain {
-            let interceptor: &mut dyn WriteInterceptor = match stage {
-                WriteStage::Installed(i) => i.as_mut(),
-                WriteStage::Guard(_) => match guard.as_deref_mut() {
+        for stage in &mut self.chain {
+            let interceptor: &mut dyn Interceptor = match stage {
+                Stage::Installed(i) => i.as_mut(),
+                Stage::Guard(_) => match guard.as_deref_mut() {
                     Some(g) => g,
                     None => continue,
                 },
@@ -215,14 +228,16 @@ impl UsbChannel {
         action
     }
 
-    /// Pushes a feedback buffer through the read chain, returning the bytes
-    /// the control software ultimately sees.
+    /// Pushes a feedback buffer through the chain's read hooks, returning
+    /// the bytes the control software ultimately sees.
     pub fn read(&mut self, buf: Vec<u8>, time: SimTime, obs: &mut Observer) -> Vec<u8> {
         let mut ctx =
             WriteContext { time, seq: self.seq, process: Self::PROCESS, fd: Self::BOARD_FD, obs };
         let mut current = buf;
-        for interceptor in &mut self.read_chain {
-            interceptor.on_read(&mut current, &mut ctx);
+        for stage in &mut self.chain {
+            if let Stage::Installed(i) = stage {
+                i.on_read(&mut current, &mut ctx);
+            }
         }
         current
     }
@@ -249,7 +264,7 @@ mod tests {
 
     #[derive(Debug)]
     struct AddOne;
-    impl WriteInterceptor for AddOne {
+    impl Interceptor for AddOne {
         fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
             for b in buf.iter_mut() {
                 *b = b.wrapping_add(1);
@@ -263,7 +278,7 @@ mod tests {
 
     #[derive(Debug)]
     struct DropAll;
-    impl WriteInterceptor for DropAll {
+    impl Interceptor for DropAll {
         fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
             WriteAction::Drop
         }
@@ -274,7 +289,7 @@ mod tests {
 
     #[derive(Debug)]
     struct SeqRecorder(Vec<u64>);
-    impl WriteInterceptor for SeqRecorder {
+    impl Interceptor for SeqRecorder {
         fn on_write(&mut self, _buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
             self.0.push(ctx.seq);
             WriteAction::Forward
@@ -289,7 +304,7 @@ mod tests {
     fn write(
         ch: &mut UsbChannel,
         bytes: &[u8],
-        guard: Option<&mut dyn WriteInterceptor>,
+        guard: Option<&mut dyn Interceptor>,
     ) -> (WriteAction, Vec<u8>) {
         let mut buf = bytes.to_vec();
         let action = ch.write(&mut buf, SimTime::ZERO, guard, &mut Observer::default());
@@ -308,8 +323,8 @@ mod tests {
     #[test]
     fn interceptors_run_in_order_and_compose() {
         let mut ch = UsbChannel::new();
-        ch.install(Box::new(AddOne));
-        ch.install(Box::new(AddOne));
+        ch.install(AddOne);
+        ch.install(AddOne);
         assert_eq!(write(&mut ch, &[10], None), (WriteAction::Forward, vec![12]));
         assert_eq!(ch.mutations(), 1);
     }
@@ -318,7 +333,7 @@ mod tests {
     fn install_first_runs_before_existing() {
         #[derive(Debug)]
         struct FailIfNotFirst;
-        impl WriteInterceptor for FailIfNotFirst {
+        impl Interceptor for FailIfNotFirst {
             fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
                 assert_eq!(buf[0], 10, "must see the original bytes");
                 WriteAction::Forward
@@ -328,17 +343,17 @@ mod tests {
             }
         }
         let mut ch = UsbChannel::new();
-        ch.install(Box::new(AddOne));
-        ch.install_first(Box::new(FailIfNotFirst));
-        assert_eq!(ch.write_chain_names(), vec!["first", "add-one"]);
+        ch.install(AddOne);
+        ch.install_first(FailIfNotFirst);
+        assert_eq!(ch.chain_names(), vec!["first", "add-one"]);
         assert_eq!(write(&mut ch, &[10], None), (WriteAction::Forward, vec![11]));
     }
 
     #[test]
     fn drop_stops_the_chain() {
         let mut ch = UsbChannel::new();
-        ch.install(Box::new(DropAll));
-        ch.install(Box::new(AddOne)); // must never run
+        ch.install(DropAll);
+        ch.install(AddOne); // must never run
         assert_eq!(write(&mut ch, &[1], None), (WriteAction::Drop, vec![1]));
         assert_eq!(ch.drops(), 1);
     }
@@ -347,7 +362,7 @@ mod tests {
     fn guard_runs_at_its_reserved_slot() {
         #[derive(Debug)]
         struct Double;
-        impl WriteInterceptor for Double {
+        impl Interceptor for Double {
             fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
                 buf[0] *= 2;
                 WriteAction::Forward
@@ -358,9 +373,9 @@ mod tests {
         }
         let mut ch = UsbChannel::new();
         ch.reserve_guard_slot("double");
-        ch.install_first(Box::new(AddOne));
-        ch.install(Box::new(DropAll));
-        assert_eq!(ch.write_chain_names(), vec!["add-one", "double", "drop-all"]);
+        ch.install_first(AddOne);
+        ch.install(DropAll);
+        assert_eq!(ch.chain_names(), vec!["add-one", "double", "drop-all"]);
         ch.uninstall("drop-all");
         // (10 + 1) * 2: the upstream interceptor runs before the guard.
         assert_eq!(write(&mut ch, &[10], Some(&mut Double)), (WriteAction::Forward, vec![22]));
@@ -371,29 +386,30 @@ mod tests {
     #[test]
     fn uninstall_by_name() {
         let mut ch = UsbChannel::new();
-        ch.install(Box::new(AddOne));
-        ch.install(Box::new(DropAll));
+        ch.install(AddOne);
+        ch.install(DropAll);
         ch.uninstall("drop-all");
-        assert_eq!(ch.write_chain_names(), vec!["add-one"]);
+        assert_eq!(ch.chain_names(), vec!["add-one"]);
         assert_eq!(write(&mut ch, &[0], None), (WriteAction::Forward, vec![1]));
     }
 
     #[test]
     fn sequence_numbers_increase() {
         let mut ch = UsbChannel::new();
-        ch.install(Box::new(SeqRecorder(Vec::new())));
+        ch.install(SeqRecorder(Vec::new()));
         for _ in 0..5 {
             write(&mut ch, &[0], None);
         }
-        // Recorder is boxed inside; verify indirectly via counters.
+        let recorder = ch.interceptor::<SeqRecorder>().expect("installed");
+        assert_eq!(recorder.0, vec![0, 1, 2, 3, 4]);
         assert_eq!(ch.writes(), 5);
     }
 
     #[test]
-    fn read_chain_mutates_feedback() {
+    fn read_hooks_mutate_feedback_and_skip_write_only_stages() {
         #[derive(Debug)]
         struct Zero;
-        impl ReadInterceptor for Zero {
+        impl Interceptor for Zero {
             fn on_read(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) {
                 buf.fill(0);
             }
@@ -402,9 +418,24 @@ mod tests {
             }
         }
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(Zero));
+        ch.install(AddOne);
+        ch.reserve_guard_slot("guard");
+        ch.install(Zero);
+        assert_eq!(ch.chain_names(), vec!["add-one", "guard", "zero"]);
         assert_eq!(ch.read(vec![1, 2, 3], SimTime::ZERO, &mut Observer::default()), vec![0, 0, 0]);
         ch.uninstall("zero");
         assert_eq!(ch.read(vec![1, 2, 3], SimTime::ZERO, &mut Observer::default()), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn interceptor_lookup_finds_the_first_of_its_type() {
+        let mut ch = UsbChannel::new();
+        assert!(ch.interceptor::<SeqRecorder>().is_none());
+        ch.install(AddOne);
+        ch.reserve_guard_slot("guard");
+        ch.install(SeqRecorder(vec![7]));
+        ch.install(SeqRecorder(vec![8]));
+        assert_eq!(ch.interceptor::<SeqRecorder>().map(|r| r.0.clone()), Some(vec![7]));
+        assert!(ch.interceptor::<DropAll>().is_none());
     }
 }

@@ -27,7 +27,7 @@
 use simbus::obs::{names, Event, EventKind, Severity};
 use simbus::{Observer, SimDuration, SimTime};
 
-use crate::channel::{ReadInterceptor, WriteAction, WriteContext, WriteInterceptor};
+use crate::channel::{Interceptor, WriteAction, WriteContext};
 use crate::packet::{checksum, FEEDBACK_PACKET_LEN};
 
 /// A half-open virtual-time window `[from, until)` during which a fault is
@@ -109,7 +109,7 @@ impl ChaosFrameDrop {
     }
 }
 
-impl WriteInterceptor for ChaosFrameDrop {
+impl Interceptor for ChaosFrameDrop {
     fn on_write(&mut self, _buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) -> WriteAction {
         if !self.window.contains(ctx.time) {
             return WriteAction::Forward;
@@ -156,7 +156,7 @@ impl ChaosStuckEncoder {
     }
 }
 
-impl ReadInterceptor for ChaosStuckEncoder {
+impl Interceptor for ChaosStuckEncoder {
     fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
         let off = encoder_offset(self.channel);
         if buf.len() != FEEDBACK_PACKET_LEN || off + 3 > buf.len() {
@@ -203,7 +203,7 @@ impl ChaosEncoderBitFlip {
     }
 }
 
-impl ReadInterceptor for ChaosEncoderBitFlip {
+impl Interceptor for ChaosEncoderBitFlip {
     fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
         let off = encoder_offset(self.channel) + usize::from(self.bit / 8);
         if buf.len() != FEEDBACK_PACKET_LEN || off >= buf.len() - 1 || self.bit >= 24 {
@@ -250,7 +250,7 @@ impl ChaosFeedbackHold {
     }
 }
 
-impl ReadInterceptor for ChaosFeedbackHold {
+impl Interceptor for ChaosFeedbackHold {
     fn on_read(&mut self, buf: &mut Vec<u8>, ctx: &mut WriteContext<'_>) {
         if buf.len() != FEEDBACK_PACKET_LEN {
             return;
@@ -294,7 +294,7 @@ mod tests {
     fn frame_drop_only_inside_window_and_never_mutates() {
         let mut obs = Observer::new(16);
         let mut ch = UsbChannel::new();
-        ch.install(Box::new(ChaosFrameDrop::usb_frames(FaultWindow::starting_at(at(10), 5))));
+        ch.install(ChaosFrameDrop::usb_frames(FaultWindow::starting_at(at(10), 5)));
         let pkt = UsbCommandPacket::default().encode().to_vec();
         let mut buf = pkt.clone();
         assert_eq!(ch.write(&mut buf, at(9), None, &mut obs), WriteAction::Forward);
@@ -315,7 +315,7 @@ mod tests {
     fn stuck_encoder_holds_window_entry_value() {
         let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosStuckEncoder::new(1, FaultWindow::starting_at(at(5), 3))));
+        ch.install(ChaosStuckEncoder::new(1, FaultWindow::starting_at(at(5), 3)));
         let decode = |b: &[u8]| UsbFeedbackPacket::decode_unchecked(b).map(|f| f.encoders);
         let before = ch.read(feedback([0, 100, 0, 0, 0, 0, 0, 0]), at(4), &mut obs);
         assert_eq!(decode(&before).map(|e| e[1]), Ok(100));
@@ -335,11 +335,7 @@ mod tests {
     fn bitflip_xors_exactly_one_bit() {
         let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosEncoderBitFlip::new(
-            0,
-            12,
-            FaultWindow::starting_at(at(1), 2),
-        )));
+        ch.install(ChaosEncoderBitFlip::new(0, 12, FaultWindow::starting_at(at(1), 2)));
         let clean = ch.read(feedback([1000, 0, 0, 0, 0, 0, 0, 0]), at(0), &mut obs);
         assert_eq!(UsbFeedbackPacket::decode_unchecked(&clean).unwrap().encoders[0], 1000);
         let flipped = ch.read(feedback([1000, 0, 0, 0, 0, 0, 0, 0]), at(1), &mut obs);
@@ -351,7 +347,7 @@ mod tests {
     fn feedback_hold_replays_last_pre_window_frame() {
         let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosFeedbackHold::new(FaultWindow::starting_at(at(3), 2))));
+        ch.install(ChaosFeedbackHold::new(FaultWindow::starting_at(at(3), 2)));
         let _ = ch.read(feedback([10, 0, 0, 0, 0, 0, 0, 0]), at(1), &mut obs);
         let last = ch.read(feedback([20, 0, 0, 0, 0, 0, 0, 0]), at(2), &mut obs);
         let silent = ch.read(feedback([999, 999, 0, 0, 0, 0, 0, 0]), at(3), &mut obs);
@@ -364,13 +360,9 @@ mod tests {
     fn malformed_buffers_pass_through_unchanged() {
         let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosStuckEncoder::new(0, FaultWindow::starting_at(at(0), 10))));
-        ch.install_read(Box::new(ChaosEncoderBitFlip::new(
-            0,
-            5,
-            FaultWindow::starting_at(at(0), 10),
-        )));
-        ch.install_read(Box::new(ChaosFeedbackHold::new(FaultWindow::starting_at(at(0), 10))));
+        ch.install(ChaosStuckEncoder::new(0, FaultWindow::starting_at(at(0), 10)));
+        ch.install(ChaosEncoderBitFlip::new(0, 5, FaultWindow::starting_at(at(0), 10)));
+        ch.install(ChaosFeedbackHold::new(FaultWindow::starting_at(at(0), 10)));
         let short = vec![1, 2, 3];
         assert_eq!(ch.read(short.clone(), at(1), &mut obs), short);
     }
@@ -379,11 +371,7 @@ mod tests {
     fn mutated_feedback_keeps_a_valid_checksum() {
         let mut obs = Observer::default();
         let mut ch = UsbChannel::new();
-        ch.install_read(Box::new(ChaosEncoderBitFlip::new(
-            2,
-            15,
-            FaultWindow::starting_at(at(0), 10),
-        )));
+        ch.install(ChaosEncoderBitFlip::new(2, 15, FaultWindow::starting_at(at(0), 10)));
         let out = ch.read(feedback([0, 0, 5000, 0, 0, 0, 0, 0]), at(1), &mut obs);
         assert_eq!(out[FEEDBACK_PACKET_LEN - 1], checksum(&out[..FEEDBACK_PACKET_LEN - 1]));
     }

@@ -31,7 +31,7 @@ pub mod rig;
 
 pub use bitw::{BitwCodec, BitwPlacement, BITW_OVERHEAD};
 pub use board::UsbBoard;
-pub use channel::{ReadInterceptor, UsbChannel, WriteAction, WriteContext, WriteInterceptor};
+pub use channel::{Interceptor, UsbChannel, WriteAction, WriteContext};
 pub use chaos::{
     ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder, FaultWindow,
 };

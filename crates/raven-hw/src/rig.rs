@@ -15,7 +15,7 @@ use simbus::{Observer, SimTime, SpanHandle};
 
 use crate::bitw::{BitwCodec, BitwPlacement};
 use crate::board::UsbBoard;
-use crate::channel::{UsbChannel, WriteAction, WriteInterceptor};
+use crate::channel::{Interceptor, UsbChannel, WriteAction};
 use crate::packet::{UsbCommandPacket, UsbFeedbackPacket, DAC_CHANNELS};
 use crate::plc::{EStopCause, Plc};
 
@@ -184,7 +184,7 @@ impl HardwareRig {
         &mut self,
         pkt: &UsbCommandPacket,
         now: SimTime,
-        guard: Option<&mut dyn WriteInterceptor>,
+        guard: Option<&mut dyn Interceptor>,
         obs: &mut Observer,
     ) {
         let encoded = pkt.encode();
@@ -295,7 +295,7 @@ impl HardwareRig {
             }
             _ => frame.extend_from_slice(&encoded),
         }
-        // The read chain returns the same storage it was handed (possibly
+        // The read hooks return the same storage they were handed (possibly
         // mutated in place), so the frame is reclaimed below.
         let bytes = self.channel.read(frame, now, obs);
         // A mangled feedback packet falls back to the unmodified reading —
@@ -475,10 +475,10 @@ mod tests {
 
     #[test]
     fn hardened_board_blocks_in_flight_corruption() {
-        use crate::channel::{WriteAction, WriteContext, WriteInterceptor};
+        use crate::channel::{Interceptor, WriteAction, WriteContext};
         #[derive(Debug)]
         struct Corruptor;
-        impl WriteInterceptor for Corruptor {
+        impl Interceptor for Corruptor {
             fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &mut WriteContext<'_>) -> WriteAction {
                 buf[2] = buf[2].wrapping_add(50);
                 WriteAction::Forward
@@ -490,7 +490,7 @@ mod tests {
         let mut obs = Observer::default();
         let mut rig = HardwareRig::new(PlantParams::raven_ii());
         rig.board = UsbBoard::hardened();
-        rig.channel.install(Box::new(Corruptor));
+        rig.channel.install(Corruptor);
         rig.press_start(at(0), &mut obs);
         rig.deliver_command(&pedal_down(0, true), at(0), None, &mut obs);
         assert_eq!(rig.board.integrity_rejects(), 1);

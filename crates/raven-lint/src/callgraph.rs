@@ -160,20 +160,18 @@ impl CallGraph {
     }
 
     /// Expands type aliases and peels wrappers until a core type name is
-    /// stable; returns the name and whether a lock wrapper was crossed.
-    pub fn resolve_core(&self, name: &str) -> (String, bool) {
+    /// stable.
+    pub fn resolve_core(&self, name: &str) -> String {
         let mut cur = name.to_string();
-        let mut locked = false;
         for _ in 0..8 {
             let Some(raw) = self.aliases.get(&cur) else { break };
-            let (next, lock) = core_type(raw);
-            locked |= lock;
+            let next = core_type(raw);
             if next == cur || next.is_empty() {
                 break;
             }
             cur = next;
         }
-        (cur, locked)
+        cur
     }
 
     /// All fns named `Type::name`, fanning `Type` out to its
@@ -196,7 +194,7 @@ impl CallGraph {
     fn resolve_targets(&self, caller: &FnDecl, recv: &Receiver, name: &str) -> Vec<usize> {
         let fallback = |g: &CallGraph| g.methods_by_name.get(name).cloned().unwrap_or_default();
         let via_type = |g: &CallGraph, ty: &str| -> Vec<usize> {
-            let (core, _) = g.resolve_core(ty);
+            let core = g.resolve_core(ty);
             let hits = g.lookup_method(&core, name);
             if !hits.is_empty() || g.known_types.contains(&core) {
                 hits // resolved — trust it, even when the method is absent
@@ -213,7 +211,7 @@ impl CallGraph {
                     seg.clone()
                 };
                 if seg.as_bytes().first().is_some_and(|b| b.is_ascii_uppercase()) {
-                    let (core, _) = self.resolve_core(&seg);
+                    let core = self.resolve_core(&seg);
                     self.lookup_method(&core, name)
                 } else {
                     // module-qualified free call
@@ -244,7 +242,7 @@ impl CallGraph {
                 }
             }
             Receiver::Ident(id) => {
-                match caller.params.iter().find(|(n, _, _)| n == id).map(|(_, t, _)| t.clone()) {
+                match caller.params.iter().find(|(n, _)| n == id).map(|(_, t)| t.clone()) {
                     Some(ty) if !ty.is_empty() => via_type(self, &ty),
                     _ => fallback(self), // local binding — type unknown
                 }
@@ -445,7 +443,7 @@ mod tests {
             "type Shared = Arc<Mutex<Det>>;\nstruct App { det: Shared }\nimpl App {\n  fn poll(&self) { self.det.assess(); }\n}\nstruct Det;\nimpl Det {\n  fn assess(&self) { }\n}\n",
         ]);
         // The field core type is the alias name; resolve_core expands it.
-        assert_eq!(g.resolve_core("Shared"), ("Det".to_string(), true));
+        assert_eq!(g.resolve_core("Shared"), "Det");
         let names = reachable_names(&g, &["App::poll"]);
         assert!(names.contains(&"Det::assess".to_string()), "{names:?}");
     }

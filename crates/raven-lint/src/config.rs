@@ -15,7 +15,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
     /// Rule id: any catalog rule except `CONFIG` (so not the retired
-    /// `R1`, `R2`, `R6` and `R8`).
+    /// `R1`, `R2`, `R6`, `R8` and `R10`).
     pub rule: String,
     /// Workspace-relative file path, or a directory prefix ending in `/`.
     pub path: String,
@@ -480,9 +480,9 @@ reason = "illegal events are ignored by design (paper Fig. 1c)"
 
     #[test]
     fn rejects_unknown_rule_and_keys() {
-        // Retired ids (R1, R2 and R6 moved to clippy and rustc lints, R8
-        // to a test) are not reused, and CONFIG is not an allowable rule.
-        for rule in ["R12", "R1", "R2", "R6", "R8", "CONFIG"] {
+        // Retired ids (R1, R2, R6 and R10 moved to clippy and rustc lints,
+        // R8 to a test) are not reused, and CONFIG is not an allowable rule.
+        for rule in ["R12", "R1", "R2", "R6", "R8", "R10", "CONFIG"] {
             let bad = format!("[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\nreason = \"y\"\n");
             assert!(Config::parse(&bad).is_err(), "{rule}");
         }

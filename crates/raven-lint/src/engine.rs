@@ -55,14 +55,13 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
         }
     }
 
-    // Call-graph rules: R3 over every fn reachable from the hot-path entry
-    // points, R10 everywhere.
+    // Call-graph rule: R3 over every fn reachable from the hot-path entry
+    // points.
     let graph = CallGraph::build(&files);
     if !cfg.hot_path_entry_points.is_empty() {
         let reach = graph.reachable_from(&cfg.hot_path_entry_points);
         raw.extend(rules::hot_path_rule(&files, &graph, &reach, &cfg.panic_tokens));
     }
-    raw.extend(rules::lock_discipline(&files, &graph));
 
     // R11: golden artifacts vs the structs that serialize them.
     if !cfg.artifact_globs.is_empty() || !cfg.artifact_roots.is_empty() {

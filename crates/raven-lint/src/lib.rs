@@ -9,8 +9,8 @@
 //! mechanically rather than by convention.
 //!
 //! The auditor keeps only the checks the compiler cannot make. The
-//! wall-clock and hash-collection bans (the retired R1 and R2) are
-//! `clippy::disallowed_methods`/`disallowed_types` over the root
+//! wall-clock, hash-collection and lock bans (the retired R1, R2 and R10)
+//! are `clippy::disallowed_methods`/`disallowed_types` over the root
 //! `clippy.toml`, and the unsafe audit (R6) is rustc's `unsafe_code` plus
 //! `clippy::undocumented_unsafe_blocks`, all denied in the root
 //! `[workspace.lints]`.
@@ -20,7 +20,7 @@
 //! so rules never fire on prose, a region tracker excludes `#[cfg(test)]`
 //! modules where panics are legitimate, an item/signature parser builds a
 //! symbol table and an approximate workspace call graph, and a rule engine
-//! applies seven rules (see `docs/STATIC_ANALYSIS.md`):
+//! applies six rules (see `docs/STATIC_ANALYSIS.md`):
 //!
 //! * **R3 no-panic-in-hot-path** — `unwrap`/`expect`/`panic!` forbidden in
 //!   every function *transitively reachable* from the hot-path entry
@@ -39,9 +39,6 @@
 //! * **R9 rng-stream-discipline** — every `stream_rng`/`derive_seed`
 //!   label comes from `simbus::obs::streams`, whose constants must be
 //!   unique workspace-wide.
-//! * **R10 lock-discipline** — Mutex/RwLock acquisition order must be
-//!   consistent, and no lock may be held across a call into another
-//!   locking function.
 //! * **R11 artifact-schema-drift** — fields of serialized structs backing
 //!   golden artifacts must match the keys actually present in
 //!   `results/*.json`, both directions.

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline — no syn, no proc-macro2 — so this module
 //! extracts just enough structure from [`crate::lexer::SourceFile`]s to
-//! power the hot-path rule (R3), lock discipline (R10), and
+//! power the hot-path rule (R3) and
 //! artifact-schema drift (R11): function items with their impl type and
 //! parameter types, struct declarations with field types and their
 //! `#[derive(Serialize)]` flag, and `type` aliases. It is an
@@ -27,9 +27,8 @@ pub struct FnDecl {
     /// Byte span of the `{ ... }` body, braces inclusive; `None` for
     /// bodiless trait signatures.
     pub body: Option<(usize, usize)>,
-    /// `(name, core type, crossed-a-lock-wrapper)` of each
-    /// identifier-pattern parameter.
-    pub params: Vec<(String, String, bool)>,
+    /// `(name, core type)` of each identifier-pattern parameter.
+    pub params: Vec<(String, String)>,
     /// Declared with a `self` receiver.
     pub has_self: bool,
     /// Lives in `#[cfg(test)]` code or a test file.
@@ -46,8 +45,7 @@ impl FnDecl {
     }
 }
 
-/// One struct field: name, core type (wrappers peeled), and whether any
-/// peeled wrapper was `Mutex`/`RwLock`.
+/// One struct field: name and core type (wrappers peeled).
 #[derive(Debug, Clone)]
 pub struct FieldDecl {
     pub name: String,
@@ -55,8 +53,6 @@ pub struct FieldDecl {
     pub core_type: String,
     /// The declared type verbatim (scrubbed text, trimmed).
     pub raw_type: String,
-    /// The declared type wraps a lock (`Mutex<...>` / `RwLock<...>`).
-    pub is_lock: bool,
 }
 
 /// One `struct` item with named fields (tuple/unit structs keep an empty
@@ -71,7 +67,7 @@ pub struct StructDecl {
     pub serialize: bool,
 }
 
-/// A `type Name = ...;` alias, used to see through lock aliases such as
+/// A `type Name = ...;` alias, used to see through aliases such as
 /// `type Shared = Arc<Mutex<Det>>`.
 #[derive(Debug, Clone)]
 pub struct TypeAlias {
@@ -162,12 +158,11 @@ pub fn close_delim(s: &str, open: usize) -> Option<usize> {
 
 /// Peels references, `mut`, lifetimes, and standard smart-pointer /
 /// container wrappers off a type, returning the core type's last path
-/// segment and whether a lock wrapper (`Mutex`/`RwLock`) was crossed.
-pub fn core_type(raw: &str) -> (String, bool) {
+/// segment.
+pub fn core_type(raw: &str) -> String {
     const WRAPPERS: [&str; 10] =
         ["Option", "Arc", "Rc", "Box", "RefCell", "Cell", "Mutex", "RwLock", "Vec", "VecDeque"];
     let mut t = raw.trim();
-    let mut is_lock = false;
     loop {
         t = t.trim_start_matches('&').trim();
         if let Some(rest) = t.strip_prefix('\'') {
@@ -188,17 +183,13 @@ pub fn core_type(raw: &str) -> (String, bool) {
         if !WRAPPERS.contains(&seg) {
             break;
         }
-        if seg == "Mutex" || seg == "RwLock" {
-            is_lock = true;
-        }
         let Some(gt) = t.rfind('>') else { break };
         t = t[lt + 1..gt].trim();
     }
     // Last path segment, generics stripped.
     let t = t.split('<').next().unwrap_or(t).trim();
     let seg = t.rsplit("::").next().unwrap_or(t).trim();
-    let seg: String = seg.bytes().take_while(|&b| is_ident(b)).map(|b| b as char).collect();
-    (seg, is_lock)
+    seg.bytes().take_while(|&b| is_ident(b)).map(|b| b as char).collect()
 }
 
 /// `(impl_or_trait_type, implemented_trait, body_span)` for each
@@ -258,9 +249,8 @@ fn impl_spans(s: &str) -> Vec<(String, Option<String>, (usize, usize))> {
                 Some(f) if f < head_end => (&s[f + 3..head_end], Some(&s[head_start..f])),
                 _ => (&s[head_start..head_end], None),
             };
-            let (ty, _) = core_type(ty_text);
-            let trait_name =
-                trait_text.map(|t| core_type(t).0).filter(|t| !t.is_empty() && kw == "impl");
+            let ty = core_type(ty_text);
+            let trait_name = trait_text.map(core_type).filter(|t| !t.is_empty() && kw == "impl");
             if !ty.is_empty() {
                 out.push((ty, trait_name, (open, close)));
             }
@@ -300,8 +290,8 @@ pub fn split_commas(s: &str, start: usize, end: usize) -> Vec<(usize, usize)> {
 
 /// Parses one parameter: `name: Type`, `&self`, `mut name: Type`, or a
 /// non-identifier pattern (returned as `None`). Returns
-/// `Some((name, core_type, is_lock))` with `name == "self"` for receivers.
-fn parse_param(text: &str) -> Option<(String, String, bool)> {
+/// `Some((name, core_type))` with `name == "self"` for receivers.
+fn parse_param(text: &str) -> Option<(String, String)> {
     let t = text.trim();
     if t.is_empty() {
         return None;
@@ -316,15 +306,14 @@ fn parse_param(text: &str) -> Option<(String, String, bool)> {
         None => bare,
     };
     if bare == "self" || bare.starts_with("self:") || bare.starts_with("self ") {
-        return Some(("self".to_string(), String::new(), false));
+        return Some(("self".to_string(), String::new()));
     }
     let colon = bare.find(':')?;
     let name = bare[..colon].trim();
     if name.is_empty() || !name.bytes().all(is_ident) {
         return None; // tuple/struct pattern parameter
     }
-    let (core, is_lock) = core_type(&bare[colon + 1..]);
-    Some((name.to_string(), core, is_lock))
+    Some((name.to_string(), core_type(&bare[colon + 1..])))
 }
 
 /// Is the attribute stack immediately above `at` (attributes, visibility,
@@ -428,11 +417,11 @@ pub fn parse_items(file: &SourceFile, file_idx: usize) -> FileItems {
         let mut params = Vec::new();
         let mut has_self = false;
         for (ps, pe) in split_commas(s, i + 1, params_close) {
-            if let Some((pname, pty, plock)) = parse_param(&s[ps..pe]) {
+            if let Some((pname, pty)) = parse_param(&s[ps..pe]) {
                 if pname == "self" {
                     has_self = true;
                 } else {
-                    params.push((pname, pty, plock));
+                    params.push((pname, pty));
                 }
             }
         }
@@ -508,8 +497,11 @@ pub fn parse_items(file: &SourceFile, file_idx: usize) -> FileItems {
                         continue;
                     }
                     let raw_type = text[colon + 1..].trim().to_string();
-                    let (core, is_lock) = core_type(&raw_type);
-                    fields.push(FieldDecl { name: fname, core_type: core, raw_type, is_lock });
+                    fields.push(FieldDecl {
+                        name: fname,
+                        core_type: core_type(&raw_type),
+                        raw_type,
+                    });
                 }
             }
         }
@@ -582,15 +574,10 @@ mod tests {
         let names: Vec<_> = it.fns.iter().map(|f| f.qualified()).collect();
         assert_eq!(names, vec!["free", "Sim::step", "Sim::drop"]);
         assert!(it.fns[1].has_self);
-        assert_eq!(
-            it.fns[0].params,
-            vec![("a".into(), "u8".into(), false), ("b".into(), "Foo".into(), false)]
-        );
+        assert_eq!(it.fns[0].params, vec![("a".into(), "u8".into()), ("b".into(), "Foo".into())]);
         let sim = &it.structs[0];
         assert_eq!(sim.fields[0].core_type, "Rig");
         assert_eq!(sim.fields[1].core_type, "Det");
-        assert!(sim.fields[1].is_lock);
-        assert!(!sim.fields[0].is_lock);
         assert_eq!(it.trait_impls, vec![("Drop".to_string(), "Sim".to_string())]);
     }
 
@@ -619,16 +606,13 @@ mod tests {
     }
 
     #[test]
-    fn core_type_peels_wrappers_and_flags_locks() {
-        assert_eq!(core_type("&mut Foo"), ("Foo".into(), false));
-        assert_eq!(
-            core_type("Option<Arc<Mutex<DynamicDetector>>>"),
-            ("DynamicDetector".into(), true)
-        );
-        assert_eq!(core_type("parking_lot::RwLock<State>"), ("State".into(), true));
-        assert_eq!(core_type("Vec<Finding>"), ("Finding".into(), false));
-        assert_eq!(core_type("&'a str"), ("str".into(), false));
-        assert_eq!(core_type("BTreeMap<String, u64>"), ("BTreeMap".into(), false));
+    fn core_type_peels_wrappers() {
+        assert_eq!(core_type("&mut Foo"), "Foo");
+        assert_eq!(core_type("Option<Arc<Mutex<DynamicDetector>>>"), "DynamicDetector");
+        assert_eq!(core_type("parking_lot::RwLock<State>"), "State");
+        assert_eq!(core_type("Vec<Finding>"), "Finding");
+        assert_eq!(core_type("&'a str"), "str");
+        assert_eq!(core_type("BTreeMap<String, u64>"), "BTreeMap");
     }
 
     #[test]

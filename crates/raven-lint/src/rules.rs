@@ -2,10 +2,10 @@
 //! allowlist afterwards so rules stay pure functions of the source (plus,
 //! for the call-graph rules, the workspace [`CallGraph`]).
 
-use crate::callgraph::{CallGraph, CallSite, Reachability, Receiver};
+use crate::callgraph::{CallGraph, Reachability};
 use crate::config::{Config, ScopedDoc, WatchedEnum};
 use crate::lexer::{find_token, SourceFile};
-use crate::parse::{self, FnDecl};
+use crate::parse;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1065,248 +1065,6 @@ pub fn stream_registry_drift(cfg: &Config, registry_src: &str, doc_src: &str) ->
     out
 }
 
-/// R10: lock discipline, two shapes. (a) Inconsistent acquisition order —
-/// lock `A` taken while holding `B` somewhere and `B` while holding `A`
-/// elsewhere is the classic ABBA deadlock. (b) A guard held across a call
-/// into another function that itself takes a lock — including re-acquiring
-/// the same lock, which `std::sync::Mutex` turns into a deadlock, not an
-/// error. Locks are identified structurally: `self.field.lock()` where the
-/// field's wrapper-peeled type crosses `Mutex`/`RwLock` gets the identity
-/// `Type.field`; `param.lock()` gets the protected type's name. Guard
-/// lifetime is approximated: let-bound → to `drop(guard)` or the enclosing
-/// block's close; temporary → to the end of the statement.
-pub fn lock_discipline(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
-    let lock_ids: Vec<Vec<Option<String>>> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .map(|(idx, f)| graph.sites[idx].iter().map(|s| lock_id(graph, f, s)).collect())
-        .collect();
-    let locking: BTreeSet<usize> =
-        (0..graph.fns.len()).filter(|&i| lock_ids[i].iter().any(Option::is_some)).collect();
-    // (held, acquired) -> where the nested acquisition happened.
-    let mut pairs: BTreeMap<(String, String), (String, usize, String)> = BTreeMap::new();
-    let mut out = Vec::new();
-    for (idx, f) in graph.fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        let Some((body_open, body_close)) = f.body else { continue };
-        let file = &files[f.file];
-        let s = &file.scrubbed;
-        for (si, site) in graph.sites[idx].iter().enumerate() {
-            let Some(id_a) = &lock_ids[idx][si] else { continue };
-            if file.is_test_line(file.line_of(site.offset)) {
-                continue;
-            }
-            let end = held_until(s, site.offset, body_open, body_close);
-            for (sj, other) in graph.sites[idx].iter().enumerate() {
-                if sj == si || other.offset <= site.offset || other.offset > end {
-                    continue;
-                }
-                if let Some(id_b) = &lock_ids[idx][sj] {
-                    if id_b == id_a {
-                        out.push(Finding::at(
-                            file,
-                            other.offset,
-                            "R10",
-                            "lock-discipline",
-                            format!(
-                                "re-acquires lock `{id_a}` while its guard from line \
-                                 {} is still alive; with std::sync that deadlocks \
-                                 rather than erroring — drop the first guard before \
-                                 taking the lock again",
-                                file.line_of(site.offset)
-                            ),
-                        ));
-                    } else {
-                        pairs.entry((id_a.clone(), id_b.clone())).or_insert_with(|| {
-                            let line = file.line_of(other.offset);
-                            (file.path.clone(), line, file.line_text(line).to_string())
-                        });
-                    }
-                } else if matches!(other.recv, Receiver::Chained) {
-                    // Chained receivers resolve by name only (low
-                    // confidence) and are usually methods on the guard
-                    // itself (`.lock().items.drain(..)`); not evidence of
-                    // a nested lock.
-                } else if let Some(&callee) = other.targets.iter().find(|t| locking.contains(t)) {
-                    out.push(Finding::at(
-                        file,
-                        other.offset,
-                        "R10",
-                        "lock-discipline",
-                        format!(
-                            "calls `{}` (which takes a lock) while holding `{id_a}` \
-                             (acquired line {}); drop the guard first so lock scopes \
-                             never nest across function boundaries",
-                            graph.fns[callee].qualified(),
-                            file.line_of(site.offset)
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    for ((a, b), (path, line, snippet)) in &pairs {
-        if a >= b {
-            continue;
-        }
-        if let Some((p2, l2, _)) = pairs.get(&(b.clone(), a.clone())) {
-            out.push(Finding {
-                path: path.clone(),
-                line: *line,
-                rule: "R10".to_string(),
-                name: "lock-discipline".to_string(),
-                snippet: snippet.clone(),
-                hint: format!(
-                    "inconsistent lock order: `{a}` is taken before `{b}` here, but \
-                     `{b}` before `{a}` at {p2}:{l2}; pick one global order for these \
-                     locks and stick to it"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// The identity of the lock a `lock()`/`read()`/`write()` call site takes,
-/// if its receiver resolves to a Mutex/RwLock. `None` for everything else
-/// (including io `read`/`write` on non-lock receivers).
-fn lock_id(graph: &CallGraph, f: &FnDecl, site: &CallSite) -> Option<String> {
-    if !matches!(site.name.as_str(), "lock" | "read" | "write") {
-        return None;
-    }
-    match &site.recv {
-        Receiver::SelfField(field) => {
-            let ty = f.self_type.as_deref()?;
-            let fd = graph.structs.get(ty)?.fields.iter().find(|fd| fd.name == *field)?;
-            let is_lock = fd.is_lock || graph.resolve_core(&fd.core_type).1;
-            is_lock.then(|| format!("{ty}.{field}"))
-        }
-        Receiver::Ident(name) => {
-            let (_, core, direct) = f.params.iter().find(|(p, _, _)| p == name)?;
-            let (resolved, aliased) = graph.resolve_core(core);
-            (*direct || aliased).then_some(resolved)
-        }
-        _ => None,
-    }
-}
-
-/// How long the guard produced at `site` stays alive (byte offset of the
-/// first point it is certainly gone).
-fn held_until(s: &str, site: usize, body_open: usize, body_close: usize) -> usize {
-    let Some(guard) = let_binding(s, site, body_open) else {
-        return stmt_end(s, site, body_close);
-    };
-    let close = enclosing_close(s, site, body_close);
-    let b = s.as_bytes();
-    for at in find_token(&s[site..close], "drop") {
-        let mut i = site + at + "drop".len();
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if b.get(i) != Some(&b'(') {
-            continue;
-        }
-        i += 1;
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let end = i + guard.len();
-        if s[i..].starts_with(guard.as_str()) && !b.get(end).copied().is_some_and(is_ident) {
-            return site + at;
-        }
-    }
-    close
-}
-
-/// The binding name if the statement containing `site` is
-/// `let [mut] guard [: Ty] = …`. Pattern bindings (`let Ok(g) = …`) return
-/// `None` and fall back to statement-scoped lifetime.
-fn let_binding(s: &str, site: usize, body_open: usize) -> Option<String> {
-    let b = s.as_bytes();
-    let mut i = site;
-    let mut depth = 0i32;
-    while i > body_open {
-        i -= 1;
-        match b[i] {
-            b')' | b']' => depth += 1,
-            b'(' | b'[' => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            b';' | b'{' | b'}' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    let stmt = &s[i + 1..site];
-    let at = find_token(stmt, "let").into_iter().next()?;
-    let rest = stmt[at + "let".len()..].trim_start();
-    let rest = rest.strip_prefix("mut ").map(str::trim_start).unwrap_or(rest);
-    let name: String =
-        rest.chars().take_while(|&c| c.is_ascii_alphanumeric() || c == '_').collect();
-    let after = rest[name.len()..].trim_start();
-    if name.is_empty() || !(after.starts_with('=') || after.starts_with(':')) {
-        return None;
-    }
-    // `let v = *guard_expr` copies out of the guard; the guard itself is a
-    // temporary that dies at the end of the statement.
-    if let Some(rhs) = after.split_once('=') {
-        if rhs.1.trim_start().starts_with('*') {
-            return None;
-        }
-    }
-    Some(name)
-}
-
-/// End of the statement containing `site`: the next `;` at depth 0, or the
-/// close of the surrounding block, whichever comes first.
-fn stmt_end(s: &str, site: usize, body_close: usize) -> usize {
-    let b = s.as_bytes();
-    let mut depth = 0i32;
-    let mut i = site;
-    while i < body_close {
-        match b[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return i;
-                }
-            }
-            b';' if depth == 0 => return i,
-            _ => {}
-        }
-        i += 1;
-    }
-    body_close
-}
-
-/// Close of the block enclosing `site` (first `}` that drops below the
-/// starting depth).
-fn enclosing_close(s: &str, site: usize, body_close: usize) -> usize {
-    let b = s.as_bytes();
-    let mut depth = 0i32;
-    let mut i = site;
-    while i < body_close {
-        match b[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    body_close
-}
-
 /// R11: golden artifacts and the structs that serialize them must agree.
 /// Direction one: every snake_case key in an artifact must be a field of
 /// *some* `#[derive(Serialize)]` struct (minus `ignore_keys` — map keys
@@ -1804,82 +1562,6 @@ mod tests {
         assert!(hits.iter().any(|h| h.hint.contains("`workload`") && h.path == "doc.md"));
         assert!(hits.iter().any(|h| h.hint.contains("`ghost`") && h.path == "obs.rs"));
         assert!(hits.iter().all(|h| h.rule == "R9"));
-    }
-
-    #[test]
-    fn lock_discipline_flags_abba_inversion() {
-        let src = "use std::sync::Mutex;\n\
-                   struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
-                   impl S {\n\
-                       fn fwd(&self) {\n\
-                           let ga = self.a.lock().unwrap();\n\
-                           let gb = self.b.lock().unwrap();\n\
-                       }\n\
-                       fn rev(&self) {\n\
-                           let gb = self.b.lock().unwrap();\n\
-                           let ga = self.a.lock().unwrap();\n\
-                       }\n\
-                   }\n";
-        let files = vec![file(src)];
-        let hits = lock_discipline(&files, &graph_of(&files));
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].hint.contains("inconsistent lock order"), "{}", hits[0].hint);
-    }
-
-    #[test]
-    fn lock_discipline_flags_held_across_locking_call_and_reacquire() {
-        let src = "use std::sync::Mutex;\n\
-                   struct S { a: Mutex<u8> }\n\
-                   impl S {\n\
-                       fn outer(&self) {\n\
-                           let g = self.a.lock().unwrap();\n\
-                           self.inner();\n\
-                       }\n\
-                       fn reenter(&self) {\n\
-                           let g = self.a.lock().unwrap();\n\
-                           let h = self.a.lock().unwrap();\n\
-                       }\n\
-                       fn inner(&self) { let g = self.a.lock().unwrap(); }\n\
-                   }\n";
-        let files = vec![file(src)];
-        let hits = lock_discipline(&files, &graph_of(&files));
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits.iter().any(|h| h.hint.contains("re-acquires lock `S.a`")), "{hits:?}");
-        assert!(hits.iter().any(|h| h.hint.contains("calls `S::inner`")), "{hits:?}");
-    }
-
-    #[test]
-    fn lock_discipline_respects_drop_and_statement_scope() {
-        let src = "use std::sync::Mutex;\n\
-                   struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
-                   impl S {\n\
-                       fn dropped(&self) {\n\
-                           let ga = self.a.lock().unwrap();\n\
-                           drop(ga);\n\
-                           self.locker();\n\
-                       }\n\
-                       fn temporary(&self) {\n\
-                           let v = *self.a.lock().unwrap();\n\
-                           self.locker();\n\
-                       }\n\
-                       fn locker(&self) { let g = self.b.lock().unwrap(); }\n\
-                   }\n";
-        let files = vec![file(src)];
-        let hits = lock_discipline(&files, &graph_of(&files));
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn lock_discipline_ignores_io_read_on_non_lock_receivers() {
-        let src = "struct S { rng: SmallRng }\n\
-                   impl S {\n\
-                       fn f(&mut self, file: &mut File) {\n\
-                           let n = file.read(&mut self.buf);\n\
-                       }\n\
-                   }\n";
-        let files = vec![file(src)];
-        let hits = lock_discipline(&files, &graph_of(&files));
-        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct RuleInfo {
 
 /// The full rule catalog, in report order.
 pub fn catalog() -> &'static [RuleInfo] {
-    const CATALOG: [RuleInfo; 8] = [
+    const CATALOG: [RuleInfo; 7] = [
         RuleInfo {
             id: "R3",
             name: "no-panic-in-hot-path",
@@ -47,12 +47,6 @@ pub fn catalog() -> &'static [RuleInfo] {
             id: "R9",
             name: "rng-stream-discipline",
             summary: "stream_rng/derive_seed labels come from simbus::obs::streams, unique",
-            scope: "all crates",
-        },
-        RuleInfo {
-            id: "R10",
-            name: "lock-discipline",
-            summary: "consistent lock order; no lock held across a call into locking code",
             scope: "all crates",
         },
         RuleInfo {
@@ -208,11 +202,11 @@ mod tests {
     #[test]
     fn catalog_ids_are_unique_and_skip_the_retired() {
         let ids: Vec<&str> = catalog().iter().map(|r| r.id).collect();
-        // R1, R2 and R6 moved to clippy and rustc lints, R8 to a test; the
-        // other ids keep their numbers, since SARIF consumers key on them.
+        // R1, R2, R6 and R10 moved to clippy and rustc lints, R8 to a test;
+        // the other ids keep their numbers, since SARIF consumers key on them.
         for n in 1..=11 {
             let id = format!("R{n}");
-            assert_eq!(ids.contains(&id.as_str()), ![1, 2, 6, 8].contains(&n), "{id}");
+            assert_eq!(ids.contains(&id.as_str()), ![1, 2, 6, 8, 10].contains(&n), "{id}");
         }
         let mut sorted = ids.clone();
         sorted.sort();

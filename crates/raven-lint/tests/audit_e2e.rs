@@ -37,7 +37,7 @@ fn run_lint(root: &Path) -> (bool, String) {
 fn seeded_violations_fail_with_every_rule_represented() {
     let (ok, output) = run_lint(&ws());
     assert!(!ok, "seeded workspace must fail the audit:\n{output}");
-    for rule in ["R3", "R4", "R5", "R7", "R9", "R10", "R11"] {
+    for rule in ["R3", "R4", "R5", "R7", "R9", "R11"] {
         assert!(
             output.contains(&format!("\"rule\": \"{rule}\"")),
             "rule {rule} missing from findings:\n{output}"
@@ -81,7 +81,7 @@ fn call_graph_rules_walk_the_chain_and_respect_cfg_test() {
 }
 
 #[test]
-fn r9_r10_r11_fire_on_their_seeds_only() {
+fn r9_r11_fire_on_their_seeds_only() {
     let (ok, output) = run_lint(&ws());
     assert!(!ok);
     // R9: the raw label fires; the streams:: constant site stays quiet;
@@ -90,9 +90,6 @@ fn r9_r10_r11_fire_on_their_seeds_only() {
     assert!(!output.contains("streams::TREMOR"), "constant-labelled site flagged:\n{output}");
     assert!(output.contains("undoc-stream"), "registered-but-undocumented missed:\n{output}");
     assert!(output.contains("phantom-stream"), "documented-but-unregistered missed:\n{output}");
-    // R10: the ABBA pair is reported once, naming both locks.
-    assert!(output.contains("Pair.a"), "{output}");
-    assert!(output.contains("Pair.b"), "{output}");
     // R11: drift both directions.
     assert!(output.contains("rogue_key"), "key without field missed:\n{output}");
     assert!(output.contains("missing_everywhere"), "field without key missed:\n{output}");
@@ -116,10 +113,12 @@ fn list_rules_prints_catalog_and_unknown_rule_is_an_error() {
     assert!(status.success());
     let ids: Vec<&str> =
         stdout.lines().skip(1).filter_map(|l| l.split_whitespace().next()).collect();
-    assert_eq!(ids, ["R3", "R4", "R5", "R7", "R9", "R10", "R11", "CONFIG"], "{stdout}");
+    assert_eq!(ids, ["R3", "R4", "R5", "R7", "R9", "R11", "CONFIG"], "{stdout}");
     // Unknown and retired rule ids, and the removed baseline flags, are
     // usage errors.
-    for args in [&["--rule", "R99"][..], &["--rule", "R1"], &["--baseline", "x"]] {
+    for args in
+        [&["--rule", "R99"][..], &["--rule", "R1"], &["--rule", "R10"], &["--baseline", "x"]]
+    {
         let (status, _, stderr) = run_args(args, Some(&ws()));
         assert_eq!(status.code(), Some(2), "{args:?} must be a usage error:\n{stderr}");
     }

@@ -93,18 +93,6 @@ fn r9_stream_call_sites_positive_and_negative() {
 }
 
 #[test]
-fn r10_lock_positive_and_negative() {
-    let bad_files = vec![fixture("r10_lock_bad.rs")];
-    let bad = rules::lock_discipline(&bad_files, &CallGraph::build(&bad_files));
-    assert_eq!(bad.len(), 2, "{bad:?}"); // one ABBA report + one held-across-call
-    assert!(bad.iter().any(|f| f.hint.contains("inconsistent lock order")), "{bad:?}");
-    assert!(bad.iter().any(|f| f.hint.contains("while holding")), "{bad:?}");
-    let ok_files = vec![fixture("r10_lock_ok.rs")];
-    let ok = rules::lock_discipline(&ok_files, &CallGraph::build(&ok_files));
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
 fn r11_schema_positive_and_negative() {
     let cfg = Config {
         artifact_roots: vec![ArtifactRoot {

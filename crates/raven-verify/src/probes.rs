@@ -23,7 +23,7 @@ use raven_detect::{
     DynamicDetector, GuardInterceptor, InstantFeatures, Mitigation,
 };
 use raven_dynamics::{PlantParams, RtModel};
-use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
+use raven_hw::channel::{Interceptor, WriteAction, WriteContext};
 use raven_hw::{RobotState, UsbChannel, UsbCommandPacket};
 use raven_kinematics::{ArmConfig, JointState, MotorState, NUM_AXES};
 use simbus::{Observer, SimTime};

@@ -30,6 +30,10 @@
     clippy::disallowed_methods,
     reason = "span wall durations are sidecar-only (Chrome traces, profile JSON, terminal reports); span boundaries and the deterministic view use virtual time exclusively"
 )]
+#![expect(
+    clippy::disallowed_types,
+    reason = "leaf lock: the recorder's Mutex is reachable only through the private fields of SpanHandle and SpanGuard, and whoever holds it calls only SpanRecorder methods, which lock nothing"
+)]
 
 use std::sync::Arc;
 use std::time::Instant;

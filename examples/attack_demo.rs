@@ -12,29 +12,28 @@
 //! ```
 
 use raven_attack::{
-    capture_log, find_state_byte, ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper,
+    find_state_byte, ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper,
 };
 use raven_core::{SimConfig, Simulation, Workload};
 
 fn main() {
     // ---- Phase 1: Preparation — capture a victim session. ----------------
     println!("[phase 1] installing logging wrapper; victim runs a session …");
-    let log = capture_log();
     let mut sim = Simulation::new(SimConfig {
         workload: Workload::Suturing,
         session_ms: 4_000,
         pedal: raven_core::sim::PedalPattern::DutyCycle { work_ms: 900, rest_ms: 300, cycles: 3 },
         ..SimConfig::standard(7)
     });
-    sim.rig_mut().channel.install_first(Box::new(LoggingWrapper::new(std::sync::Arc::clone(&log))));
+    sim.rig_mut().channel.install_first(LoggingWrapper::new());
     sim.boot();
     let _ = sim.run_session();
-    let capture = log.lock().clone();
+    let capture = sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();
     println!("          captured {} USB packets", capture.len());
 
     // ---- Phase 2: Offline analysis. ---------------------------------------
     println!("[phase 2] analyzing capture byte-by-byte …");
-    let hypothesis = find_state_byte(&capture).expect("state byte discoverable");
+    let hypothesis = find_state_byte(capture).expect("state byte discoverable");
     println!(
         "          state byte at offset {}, watchdog mask {:#04x}, states {:02X?}",
         hypothesis.offset,
@@ -51,11 +50,11 @@ fn main() {
         session_ms: 4_000,
         ..SimConfig::standard(8)
     });
-    victim.rig_mut().channel.install_first(Box::new(InjectionWrapper::with_trigger(
+    victim.rig_mut().channel.install_first(InjectionWrapper::with_trigger(
         triggers,
         Corruption::AddDacWord { channel: 0, delta: 30_000 },
         ActivationWindow::delayed(400, 256),
-    )));
+    ));
     victim.boot();
     let outcome = victim.run_session();
 

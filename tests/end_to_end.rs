@@ -117,21 +117,21 @@ fn guard_is_transparent_on_clean_runs() {
 /// logging wrapper → byte analysis → trigger derivation → injection.
 #[test]
 fn malware_lifecycle_discovers_trigger_from_live_traffic() {
-    use raven_attack::{capture_log, find_state_byte, LoggingWrapper};
+    use raven_attack::{find_state_byte, LoggingWrapper};
 
-    let log = capture_log();
     let mut sim = Simulation::new(SimConfig {
         workload: Workload::Suturing,
         session_ms: 3_500,
         pedal: raven_core::sim::PedalPattern::DutyCycle { work_ms: 700, rest_ms: 250, cycles: 3 },
         ..SimConfig::standard(17)
     });
-    sim.rig_mut().channel.install_first(Box::new(LoggingWrapper::new(std::sync::Arc::clone(&log))));
+    sim.rig_mut().channel.install_first(LoggingWrapper::new());
     sim.boot();
     let _ = sim.run_session();
 
-    let capture = log.lock().clone();
-    let hypothesis = find_state_byte(&capture).expect("live traffic must leak the state byte");
+    let logger = sim.rig().channel.interceptor::<LoggingWrapper>().expect("logger installed");
+    let hypothesis =
+        find_state_byte(logger.capture()).expect("live traffic must leak the state byte");
     assert_eq!(hypothesis.offset, 0);
     assert_eq!(hypothesis.watchdog_mask, Some(0x10));
     let mut triggers = hypothesis.trigger_values();
@@ -179,9 +179,7 @@ fn full_stack_determinism() {
 /// fires only while the robot is actually moving.
 #[test]
 fn motion_gated_attack_strikes_only_during_motion() {
-    use raven_attack::{
-        motion_gated_attack, ActivationWindow, Corruption, GatedInjection, MotionSensor,
-    };
+    use raven_attack::{motion_gated_attack, ActivationWindow, Corruption, GatedInjection};
 
     let run = |threshold: f64| {
         let mut sim = Simulation::new(SimConfig {
@@ -189,26 +187,28 @@ fn motion_gated_attack_strikes_only_during_motion() {
             session_ms: 5_000,
             ..SimConfig::standard(29)
         });
-        let (sensor, gate): (MotionSensor, GatedInjection) = motion_gated_attack(
+        sim.rig_mut().channel.install_first(motion_gated_attack(
             Corruption::AddDacWord { channel: 0, delta: 30_000 },
             ActivationWindow::delayed(200, 256),
             threshold,
-        );
-        sim.rig_mut().channel.install_read(Box::new(sensor));
-        sim.rig_mut().channel.install_first(Box::new(gate));
+        ));
         sim.boot();
-        sim.run_session()
+        let outcome = sim.run_session();
+        let gate = sim.rig().channel.interceptor::<GatedInjection>().expect("gate installed");
+        assert_eq!(gate.injections(), outcome.injections, "the gate made every injection");
+        (outcome, gate.gated_out())
     };
 
     // A realistic activity threshold (encoder counts/packet): the reach
     // produces ~10–15, tremor-only holding ~2–4.
-    let active = run(6.0);
+    let (active, _) = run(6.0);
     assert!(active.injections > 0, "gate must open during motion: {active:?}");
 
     // An absurd threshold: the robot never looks "active enough"; the
     // malware never corrupts a single packet and the session stays clean.
-    let idle = run(1e12);
+    let (idle, gated_out) = run(1e12);
     assert_eq!(idle.injections, 0, "{idle:?}");
+    assert!(gated_out > 0, "the closed gate suppressed Pedal-Down packets");
     assert!(!idle.adverse);
     assert!(idle.controller_fault.is_none());
 }

@@ -4,8 +4,9 @@
 //! current thread. Each input boots, runs a warm-up so every reusable
 //! buffer has reached its working size, and must then run 1 000 cycles
 //! without a single allocation. The inputs cover the stock robot, an
-//! armed Observe guard after a scenario-B attack has run its course, and
-//! both BITW placements.
+//! armed Observe guard after a scenario-B attack has run its course, a
+//! motion-gated attacker that keeps watching the encoders after its
+//! window has closed, and both BITW placements.
 
 #![expect(
     unsafe_code,
@@ -15,6 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use raven_attack::{motion_gated_attack, ActivationWindow, Corruption, GatedInjection};
 use raven_core::training::{train_thresholds_with, TrainingConfig};
 use raven_core::{AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation};
 use raven_detect::{DetectorConfig, Mitigation};
@@ -76,12 +78,23 @@ fn inputs() -> Vec<(&'static str, Simulation)> {
         duration_packets: 256,
     });
 
+    // The gate opens on the first moving Pedal-Down packets of the warm-up
+    // and spends its 64-packet window there; its read hook then keeps
+    // tracking encoder activity through the measured cycles.
+    let mut gated = Simulation::new(SimConfig::standard(SEED));
+    gated.rig_mut().channel.install_first(motion_gated_attack(
+        Corruption::AddDacWord { channel: 0, delta: 2_000 },
+        ActivationWindow::delayed(0, 64),
+        1.0,
+    ));
+
     let bitw = |placement| {
         Simulation::new(SimConfig { bitw: Some(placement), ..SimConfig::standard(SEED) })
     };
     vec![
         ("undefended", undefended),
         ("armed Observe guard", guarded),
+        ("motion-gated attacker", gated),
         ("BITW Host", bitw(BitwPlacement::Host)),
         ("BITW Wire", bitw(BitwPlacement::Wire)),
     ]
@@ -97,5 +110,8 @@ fn steady_state_cycles_never_allocate() {
         let allocated = allocations() - before;
         assert_eq!(ran, MEASURED_CYCLES, "{name}: halted");
         assert_eq!(allocated, 0, "{name}: {allocated} allocations over {ran} cycles");
+        if let Some(gate) = sim.rig().channel.interceptor::<GatedInjection>() {
+            assert!(gate.injections() > 0, "{name}: the gate never opened");
+        }
     }
 }
