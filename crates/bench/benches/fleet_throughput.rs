@@ -21,11 +21,9 @@
     reason = "benches measure wall time by definition; bench JSON is a sidecar artifact, never merged into results byte-identity checks"
 )]
 
-use raven_core::ExecutorConfig;
+use raven_core::{session_thresholds, ExecutorConfig};
 use raven_detect::{DetectionThresholds, DetectorConfig};
-use raven_fleet::{
-    fleet_thresholds, run_fleet, standard_mix, FleetMonitor, MonitorConfig, MonitorSession,
-};
+use raven_fleet::{run_fleet, standard_mix, FleetMonitor, MonitorConfig, MonitorSession};
 use raven_kinematics::NUM_AXES;
 use serde::Serialize;
 use std::time::Instant;
@@ -140,7 +138,7 @@ fn main() {
     // Rig plane: 16 full simulations as one executor sweep. Train the
     // shared thresholds outside the timed region (OnceLock, once per
     // process — a real fleet trains once at deployment, not per run).
-    let _ = fleet_thresholds();
+    let _ = session_thresholds();
     let rig_n = 16usize;
     let specs = standard_mix(rig_n, 9000);
     let exec = ExecutorConfig::default();

@@ -12,14 +12,11 @@
 //! * [`malware`] — the three-phase lifecycle coordinator of Fig. 3;
 //! * [`variants`] — the Table I attack-variant catalog plus concrete
 //!   implementations (ITP MITM for scenario A, PLC state rewrite, encoder
-//!   feedback corruption);
-//! * [`campaign`] — fault-injection campaign configuration (value ×
-//!   activation-period grids for Fig. 9, run counts for Table IV).
+//!   feedback corruption).
 
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod campaign;
 pub mod feedback;
 pub mod malware;
 pub mod variants;
@@ -29,7 +26,6 @@ pub use analysis::{
     byte_profiles, find_state_byte, infer_state_segments, AnalysisError, ByteProfile,
     StateByteHypothesis, StateSegment,
 };
-pub use campaign::{CampaignConfig, CampaignPlan, InjectionSpec, RunDescriptor, Scenario};
 pub use feedback::{
     encoder_activity, motion_gated_attack, summarize_motion, FeedbackLogger, GatedInjection,
     MotionSummary,

@@ -137,28 +137,25 @@ impl DualArmSession {
         self.green.boot();
     }
 
-    /// Runs both sessions in lockstep and returns both outcomes.
-    pub fn run_session(&mut self, session_ms: u64) -> DualOutcome {
-        let mut gold_done = None;
-        let mut green_done = None;
-        for _ in 0..session_ms {
-            if gold_done.is_none() {
-                self.gold.step();
-                if self.gold.controller().state_machine().is_estop() {
-                    gold_done = Some(());
-                }
-            }
-            if green_done.is_none() {
-                self.green.step();
-                if self.green.controller().state_machine().is_estop() {
-                    green_done = Some(());
+    /// Runs both sessions in lockstep for the configured `session_ms`
+    /// and returns both outcomes. An arm stops stepping once its
+    /// controller enters E-STOP; each outcome's `ticks` counts that
+    /// arm's stepped session cycles (boot excluded).
+    pub fn run_session(&mut self) -> DualOutcome {
+        let mut ran = [0u64; 2];
+        let mut done = [false; 2];
+        for _ in 0..self.gold.session_ms() {
+            for (i, sim) in [&mut self.gold, &mut self.green].into_iter().enumerate() {
+                if !done[i] {
+                    sim.step();
+                    ran[i] += 1;
+                    done[i] = sim.controller().state_machine().is_estop();
                 }
             }
         }
-        // Zero extra ticks: outcomes summarize what already ran.
         DualOutcome {
-            gold: self.gold.run_session_outcome_only(),
-            green: self.green.run_session_outcome_only(),
+            gold: self.gold.session_outcome(ran[0]),
+            green: self.green.session_outcome(ran[1]),
             gold_metrics: self.gold.metrics(),
             green_metrics: self.green.metrics(),
             gold_events: self.gold.events(),
@@ -185,7 +182,7 @@ mod tests {
         let mut dual =
             DualArmSession::new(SimConfig { session_ms: 1_500, ..SimConfig::standard(61) });
         dual.boot();
-        let out = dual.run_session(1_500);
+        let out = dual.run_session();
         assert!(!out.any_adverse(), "{out:?}");
         assert_eq!(out.gold.final_state, "Pedal Down");
         assert_eq!(out.green.final_state, "Pedal Down");
@@ -205,10 +202,20 @@ mod tests {
             },
         );
         dual.boot();
-        let out = dual.run_session(3_000);
+        let out = dual.run_session();
         assert!(out.arm(Arm::Gold).adverse, "attacked arm must jump: {out:?}");
         assert!(!out.arm(Arm::Green).adverse, "untouched arm must stay clean: {out:?}");
         assert_eq!(out.green.final_state, "Pedal Down");
+    }
+
+    #[test]
+    fn outcome_ticks_count_session_cycles_only() {
+        // The clean green arm steps the whole 3 000 ms session; boot's
+        // pre-start ticks and homing are not session cycles. The gold arm
+        // stops stepping at its E-STOP.
+        let out = attacked_dual_outcome(63);
+        assert_eq!(out.green.ticks, 3_000);
+        assert!(out.gold.ticks < 3_000, "gold ran {} session cycles", out.gold.ticks);
     }
 
     fn attacked_dual_outcome(seed: u64) -> DualOutcome {
@@ -224,7 +231,7 @@ mod tests {
             },
         );
         dual.boot();
-        dual.run_session(3_000)
+        dual.run_session()
     }
 
     #[test]

@@ -242,6 +242,7 @@ fn run_rep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbus::obs::names;
 
     #[test]
     fn corner_cells_show_the_paper_shape() {
@@ -261,5 +262,13 @@ mod tests {
         assert!(big_long.p_model > 0.5, "{big_long:?}");
         let render = r.render();
         assert!(render.contains("P(adverse impact)"));
+        // The merged sweep metrics carry one detection-latency
+        // observation per model-detected run.
+        let detected: f64 = r.cells.iter().map(|c| c.p_model * f64::from(c.repetitions)).sum();
+        let latency = r
+            .metrics
+            .histogram(names::DETECTOR_DETECTION_LATENCY_CYCLES)
+            .expect("fig9 metrics must aggregate detection latency");
+        assert_eq!(latency.count, detected.round() as u64);
     }
 }

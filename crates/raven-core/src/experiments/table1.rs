@@ -17,9 +17,11 @@ use raven_hw::RobotState;
 use serde::Serialize;
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
+use simbus::ChaosConfig;
 
 use crate::scenario::AttackSetup;
-use crate::sim::{SessionOutcome, SimConfig, Simulation};
+use crate::session::{run_standalone, SessionSpec};
+use crate::sim::{SessionOutcome, SimConfig};
 
 /// One executed variant.
 #[derive(Debug, Clone, Serialize)]
@@ -165,12 +167,16 @@ pub fn run_table1(seed: u64) -> Table1Result {
     let mut rows = Vec::new();
     for spec in catalog() {
         let run_seed = derive_seed(seed, &format!("{}{}", streams::TABLE1_PREFIX, spec.id));
-        let mut sim =
-            Simulation::new(SimConfig { session_ms: 4_000, ..SimConfig::standard(run_seed) });
-        sim.install_attack(&setup_for(&spec));
-        let booted = sim.boot_expecting_failure();
-        let outcome = booted.then(|| sim.run_session());
-        let observed = classify(&spec, booted, outcome.as_ref());
+        let session = SessionSpec {
+            name: spec.id.into(),
+            config: SimConfig { session_ms: 4_000, ..SimConfig::standard(run_seed) },
+            attack: setup_for(&spec),
+            chaos: ChaosConfig::off(),
+        };
+        let run = run_standalone(&session, 0, |_| {});
+        // A variant that breaks homing has no teleoperation session.
+        let outcome = run.booted.then_some(run.outcome);
+        let observed = classify(&spec, run.booted, outcome.as_ref());
         let matches = matches_paper(&spec, observed);
         rows.push(Table1Row { spec, observed, matches_paper: matches, outcome });
     }

@@ -6,6 +6,9 @@
 //!   interceptor chain (malware + dynamic-model guard) → USB board →
 //!   PLC/motors → plant → encoders, on a deterministic 1 ms virtual clock;
 //! * [`scenario`] — [`AttackSetup`]: the attacks a run can install;
+//! * [`session`] — [`SessionSpec`]: one session's recipe, its runner
+//!   [`run_standalone`], and its record [`SessionArtifact`] (the fleet's
+//!   unit and the safety oracles' evidence);
 //! * [`training`] — the fault-free threshold-learning protocol (§IV.C);
 //! * [`experiments`] — one module per paper artifact: Table I, Table II,
 //!   Table IV, Figures 5, 6, 8, 9;
@@ -19,6 +22,7 @@ pub mod dual;
 pub mod experiments;
 pub mod forensics;
 pub mod scenario;
+pub mod session;
 pub mod sim;
 pub mod training;
 pub mod viz;
@@ -28,10 +32,10 @@ pub use campaign::executor::{
     SweepStats, WORKERS_ENV,
 };
 pub use campaign::trace::{RunLifecycle, SegmentUtilization, SweepSegment, SweepTraceCollector};
-pub use campaign::{run_campaign, run_campaign_with, CampaignResult, CampaignRun, CampaignSummary};
 pub use dual::{Arm, DualArmSession, DualOutcome};
 pub use forensics::{
     incident_file_name, manifest_candidates, AppendReceipt, IncidentSink, MANIFEST_REL_PATH,
 };
 pub use scenario::AttackSetup;
+pub use session::{run_standalone, session_thresholds, SessionArtifact, SessionSpec};
 pub use sim::{DetectorSetup, IncidentReport, SessionOutcome, SimConfig, Simulation, Workload};

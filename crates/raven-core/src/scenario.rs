@@ -1,7 +1,6 @@
 //! Attack setups the simulation can install — the bridge between
 //! `raven-attack`'s mechanisms and the full-system loop.
 
-use raven_attack::{InjectionSpec, Scenario};
 use serde::{Deserialize, Serialize};
 
 /// An attack to install before a session.
@@ -50,43 +49,8 @@ pub enum AttackSetup {
 }
 
 impl AttackSetup {
-    /// Converts a campaign [`InjectionSpec`] into a setup.
-    pub fn from_spec(spec: &InjectionSpec) -> Self {
-        match spec.scenario {
-            Scenario::UserInput { magnitude } => AttackSetup::ScenarioA {
-                magnitude,
-                delay_packets: spec.delay_packets,
-                duration_packets: spec.duration_packets,
-            },
-            Scenario::TorqueCommand { dac_delta, channel } => AttackSetup::ScenarioB {
-                dac_delta,
-                channel,
-                delay_packets: spec.delay_packets,
-                duration_packets: spec.duration_packets,
-            },
-        }
-    }
-
     /// `true` when this setup is an actual attack.
     pub fn is_attack(&self) -> bool {
         !matches!(self, AttackSetup::None)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn from_spec_maps_scenarios() {
-        let a = AttackSetup::from_spec(&InjectionSpec::user_input(1e-3, 16));
-        assert!(matches!(a, AttackSetup::ScenarioA { duration_packets: 16, .. }));
-        assert!(a.is_attack());
-        let b = AttackSetup::from_spec(&InjectionSpec::torque(5000, 64));
-        assert!(matches!(
-            b,
-            AttackSetup::ScenarioB { dac_delta: 5000, channel: 0, duration_packets: 64, .. }
-        ));
-        assert!(!AttackSetup::None.is_attack());
     }
 }

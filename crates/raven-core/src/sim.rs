@@ -668,12 +668,6 @@ impl Simulation {
         false
     }
 
-    /// Summarizes the session so far without advancing it (used by callers
-    /// that drive [`Simulation::step`] themselves, e.g. dual-arm sessions).
-    pub fn run_session_outcome_only(&self) -> SessionOutcome {
-        self.outcome(self.clock.ticks())
-    }
-
     /// Runs the teleoperation session and returns the outcome.
     pub fn run_session(&mut self) -> SessionOutcome {
         let _session = self.spans.begin(spans::SESSION_RUN);
@@ -715,12 +709,10 @@ impl Simulation {
     }
 
     /// Summarizes a session that ran `session_ticks` cycles past boot —
-    /// what [`run_session`] returns, for callers that drive the bursts
-    /// themselves (`ticks` in the outcome counts session cycles only,
-    /// unlike [`run_session_outcome_only`] which counts every tick).
+    /// what [`run_session`] returns, for callers that drive the cycles
+    /// themselves (bursts, dual-arm lockstep).
     ///
     /// [`run_session`]: Simulation::run_session
-    /// [`run_session_outcome_only`]: Simulation::run_session_outcome_only
     pub fn session_outcome(&self, session_ticks: u64) -> SessionOutcome {
         self.outcome(session_ticks)
     }

@@ -13,7 +13,7 @@ use raven_core::{
 };
 use simbus::obs::spans;
 use simbus::rng::derive_seed;
-use simbus::ChromeTraceBuilder;
+use simbus::{ChromeTraceBuilder, SimTime};
 
 /// A guarded (learning-mode detector) session under a scenario-B attack —
 /// enough to exercise every instrumented surface: the seven pipeline
@@ -67,7 +67,7 @@ fn session_span_tree_is_balanced_and_covers_the_pipeline() {
     let _ = sim.run_session();
     sim.spans().finish();
     // Boot + session cycles, counted by the clock rather than the spans.
-    let cycles_stepped = sim.run_session_outcome_only().ticks;
+    let cycles_stepped = sim.now().saturating_since(SimTime::ZERO).as_control_ticks();
     let records = sim.spans().snapshot();
     assert!(sim.spans().dropped() == 0, "a 1.5 s session must fit the span arena");
     assert!(!records.is_empty());

@@ -8,11 +8,12 @@
 //! what any one of them computes, on two planes:
 //!
 //! * **Rig plane** — [`run_fleet`] runs N fully simulated sessions
-//!   (each a [`raven_core::Simulation`] with its own seed, scenario,
+//!   (each a [`raven_core::SessionSpec`] with its own seed, scenario,
 //!   attack, and chaos schedule) as one campaign-executor sweep of
-//!   [`run_standalone`]. Every session's artifact (outcome, event log,
-//!   metrics, incident report) is therefore **bit-identical** to the
-//!   same spec run standalone, for any worker count — pinned by
+//!   [`raven_core::run_standalone`]. Every session's
+//!   [`raven_core::SessionArtifact`] (outcome, event log, metrics,
+//!   incident report) is therefore **bit-identical** to the same spec
+//!   run standalone, for any worker count — pinned by
 //!   `tests/fleet_equiv.rs`.
 //! * **Monitor plane** — [`FleetMonitor`] multiplexes thousands of
 //!   telemetry streams over one M-lane
@@ -32,9 +33,7 @@
 pub mod monitor;
 pub mod queue;
 pub mod rig;
-pub mod session;
 
 pub use monitor::{FleetMonitor, MonitorConfig, MonitorReport, MonitorSession, SessionTotals};
 pub use queue::WakeQueue;
-pub use rig::run_fleet;
-pub use session::{fleet_thresholds, run_standalone, standard_mix, SessionArtifact, SessionSpec};
+pub use rig::{run_fleet, standard_mix};

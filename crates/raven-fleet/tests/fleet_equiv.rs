@@ -7,9 +7,9 @@
 //! Pinned for single- and multi-worker fleets and both alarm fusion
 //! rules: one scalar reference per spec, every fleet compared to it.
 
-use raven_core::ExecutorConfig;
+use raven_core::{run_standalone, ExecutorConfig, SessionSpec};
 use raven_detect::FusionRule;
-use raven_fleet::{run_fleet, run_standalone, standard_mix, SessionSpec};
+use raven_fleet::{run_fleet, standard_mix};
 
 /// Runs `specs` as a fleet on `workers` workers and returns each
 /// artifact's serialized bytes, id order.
@@ -21,7 +21,11 @@ fn fleet_artifacts(specs: &[SessionSpec], workers: usize) -> Vec<String> {
 
 /// The scalar reference: each spec standalone, id = spec index.
 fn standalone_artifacts(specs: &[SessionSpec]) -> Vec<String> {
-    specs.iter().enumerate().map(|(id, spec)| run_standalone(spec, id as u64).to_json()).collect()
+    specs
+        .iter()
+        .enumerate()
+        .map(|(id, spec)| run_standalone(spec, id as u64, |_| {}).to_json())
+        .collect()
 }
 
 #[test]

@@ -5,7 +5,7 @@ use simbus::obs::streams;
 
 pub fn seed(root: u64, idx: usize) -> (u64, u64, u64) {
     let a = stream_rng(root, streams::TREMOR);
-    let b = stream_rng(root, &format!("{}{idx}", streams::CAMPAIGN_PREFIX));
+    let b = stream_rng(root, &format!("{}{idx}", streams::TRAIN_PREFIX));
     let label = streams::SIMLINK;
     let c = stream_rng(root, label);
     (a, b, c)

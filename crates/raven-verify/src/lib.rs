@@ -4,14 +4,16 @@
 //! catches the paper's attacks, the campaigns reproduce Table IV and
 //! Fig. 9. This crate attacks the reproduction itself, three ways:
 //!
-//! * [`harness`] — runs full guarded sessions under a seed-driven
+//! * [`sessions`] — verification sessions: the fleet's
+//!   [`raven_core::SessionSpec`]s sized for the oracles and run by
+//!   [`raven_core::run_standalone`] under a seed-driven
 //!   [`simbus::ChaosSchedule`]: packet reorder/duplication/corruption and
 //!   loss bursts on the console link, stuck and bit-flipped encoders,
 //!   dropped USB frames and transient board silence at the hardware layer.
 //!   Every fault is virtual-time-scheduled from the run's root seed, so a
 //!   chaos run replays byte-identically.
 //! * [`oracles`] — cross-cutting safety invariants asserted over a
-//!   completed run: bounded end-effector motion while mitigation is
+//!   completed run's [`raven_core::SessionArtifact`]: bounded end-effector motion while mitigation is
 //!   active, E-STOP latched within the paper's one-cycle lookahead of an
 //!   unsafe verdict, verdict/bookkeeping consistency, chaos-fault
 //!   attribution, tamper-evident forensic export (`raven-ledger`
@@ -29,18 +31,17 @@
 //! `mutant-hooks` feature exposes [`raven_detect::DetectorMutation`] — a
 //! registry of deliberately-seeded defects — and every mutant must fail at
 //! least one oracle or probe, while the unmutated build passes all of them
-//! over the whole chaos matrix (`tests/chaos_matrix.rs`).
+//! over the whole chaos matrix (`tests/chaos_matrix.rs`). A mutant enters
+//! an end-to-end session through `run_standalone`'s pre-boot hook.
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
 pub mod oracles;
 pub mod probes;
+pub mod sessions;
 
-pub use harness::{
-    run_chaos_session, run_mutated_chaos_session, suite_thresholds, ChaosRunReport, VerifySpec,
-};
 pub use oracles::{
     fleet_isolation, run_ledger, run_oracles, Expectations, OracleReport, OracleVerdict,
 };
 pub use probes::{all_probes, lane_probes, ProbeResult};
+pub use sessions::{for_oracles, observed};

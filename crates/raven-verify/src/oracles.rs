@@ -1,7 +1,7 @@
-//! Safety-invariant oracles over completed chaos runs.
+//! Safety-invariant oracles over completed sessions.
 //!
 //! Each oracle asserts one cross-cutting invariant the paper's defense is
-//! supposed to guarantee, judged purely from a [`ChaosRunReport`] — the
+//! supposed to guarantee, judged purely from a [`SessionArtifact`] — the
 //! event log, the metrics registry, the signal trace, and the session
 //! outcome. The oracles are deliberately *redundant* with the scenario
 //! expectations: a seeded detector defect (see `raven_detect::mutants`)
@@ -37,12 +37,11 @@
 //!   with other sessions (including chaos-faulted ones) changes
 //!   nothing.
 
+use raven_core::SessionArtifact;
 use raven_detect::Mitigation;
 use serde::Serialize;
+use simbus::obs::{channels, names, Event, EventKind, FieldValue};
 use simbus::SimTime;
-
-use crate::harness::{field_bool, field_f64, field_str, field_u64, ChaosRunReport};
-use simbus::obs::{channels, names, EventKind};
 
 /// Event kinds the oracles key on, through the registered taxonomy so a
 /// rename cannot silently detach an oracle from its events.
@@ -132,8 +131,53 @@ pub struct Expectations {
     pub blocked_exceeds_alarms: bool,
 }
 
+/// Events of one kind, oldest first.
+fn events_of<'r>(report: &'r SessionArtifact, kind: &str) -> Vec<&'r Event> {
+    report.events.iter().filter(|e| e.kind == kind).collect()
+}
+
+/// The first event of one kind, if any.
+fn first_event<'r>(report: &'r SessionArtifact, kind: &str) -> Option<&'r Event> {
+    report.events.iter().find(|e| e.kind == kind)
+}
+
+/// Reads an event field as `u64`, if present.
+fn field_u64(event: &Event, key: &str) -> Option<u64> {
+    match event.field(key)? {
+        FieldValue::U64(v) => Some(*v),
+        FieldValue::I64(v) => u64::try_from(*v).ok(),
+        _ => None,
+    }
+}
+
+/// Reads an event field as `f64`, if present.
+fn field_f64(event: &Event, key: &str) -> Option<f64> {
+    match event.field(key)? {
+        FieldValue::F64(v) => Some(*v),
+        FieldValue::U64(v) => Some(*v as f64),
+        FieldValue::I64(v) => Some(*v as f64),
+        _ => None,
+    }
+}
+
+/// Reads an event field as `bool`, if present.
+fn field_bool(event: &Event, key: &str) -> Option<bool> {
+    match event.field(key)? {
+        FieldValue::Bool(v) => Some(*v),
+        _ => None,
+    }
+}
+
+/// Reads an event field as a string, if present.
+fn field_str<'e>(event: &'e Event, key: &str) -> Option<&'e str> {
+    match event.field(key)? {
+        FieldValue::Str(v) => Some(v.as_str()),
+        _ => None,
+    }
+}
+
 /// End-effector positions (mm) per 1 ms sample, from the signal trace.
-fn ee_track(report: &ChaosRunReport) -> Result<Vec<(SimTime, [f64; 3])>, String> {
+fn ee_track(report: &SessionArtifact) -> Result<Vec<(SimTime, [f64; 3])>, String> {
     let get = |name: &str| {
         report.signals.get(name).ok_or_else(|| format!("signal {name} missing from trace"))
     };
@@ -169,7 +213,7 @@ fn max_step_in(track: &[(SimTime, [f64; 3])], from: SimTime, until: SimTime, spa
 }
 
 /// Oracle: the event ring never overflowed (counting oracles are sound).
-fn event_ring_intact(report: &ChaosRunReport) -> OracleVerdict {
+fn event_ring_intact(report: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "event-ring-intact";
     if report.events_dropped == 0 {
         OracleVerdict::pass(NAME, format!("{} events, none dropped", report.events.len()))
@@ -180,15 +224,15 @@ fn event_ring_intact(report: &ChaosRunReport) -> OracleVerdict {
 
 /// Oracle: ≤1 mm end-effector motion within 1–2 ms while mitigation is
 /// active.
-fn motion_bound(report: &ChaosRunReport) -> OracleVerdict {
+fn motion_bound(report: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "motion-bound";
     let window = match report.mitigation {
-        Mitigation::Observe => None,
-        Mitigation::EStop => {
-            report.first_event(KIND_ESTOP_LATCHED).map(|e| (e.time, SimTime::from_nanos(u64::MAX)))
+        None | Some(Mitigation::Observe) => None,
+        Some(Mitigation::EStop) => {
+            first_event(report, KIND_ESTOP_LATCHED).map(|e| (e.time, SimTime::from_nanos(u64::MAX)))
         }
-        Mitigation::BlockAndHold => {
-            let verdicts = report.events_of(KIND_VERDICT);
+        Some(Mitigation::BlockAndHold) => {
+            let verdicts = events_of(report, KIND_VERDICT);
             match (verdicts.first(), verdicts.last()) {
                 (Some(first), Some(last)) => Some((
                     first.time,
@@ -226,17 +270,18 @@ fn motion_bound(report: &ChaosRunReport) -> OracleVerdict {
 
 /// Oracle: E-STOP latches within the one-cycle lookahead (≤ 2 ms) of the
 /// first unsafe verdict.
-fn estop_lookahead(report: &ChaosRunReport) -> OracleVerdict {
+fn estop_lookahead(report: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "estop-lookahead";
-    if report.mitigation != Mitigation::EStop {
+    if report.mitigation != Some(Mitigation::EStop) {
         return OracleVerdict::pass(NAME, "not in E-STOP mitigation (vacuous)");
     }
-    let first_drop =
-        report.events_of(KIND_VERDICT).into_iter().find(|e| field_str(e, "action") == Some("drop"));
+    let first_drop = events_of(report, KIND_VERDICT)
+        .into_iter()
+        .find(|e| field_str(e, "action") == Some("drop"));
     let Some(drop) = first_drop else {
         return OracleVerdict::pass(NAME, "no unsafe verdict raised (vacuous)");
     };
-    let Some(latch) = report.first_event(KIND_ESTOP_LATCHED) else {
+    let Some(latch) = first_event(report, KIND_ESTOP_LATCHED) else {
         return OracleVerdict::fail(
             NAME,
             format!("unsafe verdict at {} but the E-STOP never latched", drop.time),
@@ -261,9 +306,9 @@ fn estop_lookahead(report: &ChaosRunReport) -> OracleVerdict {
 
 /// Oracle: verdict bookkeeping is monotone and consistent with the
 /// session summary.
-fn verdict_monotonicity(report: &ChaosRunReport) -> OracleVerdict {
+fn verdict_monotonicity(report: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "verdict-monotonicity";
-    let verdicts = report.events_of(KIND_VERDICT);
+    let verdicts = events_of(report, KIND_VERDICT);
     let mut prev: Option<u64> = None;
     for v in &verdicts {
         let Some(idx) = field_u64(v, "assessment") else {
@@ -279,7 +324,7 @@ fn verdict_monotonicity(report: &ChaosRunReport) -> OracleVerdict {
         }
         prev = Some(idx);
     }
-    let alarms = report.counter(names::DETECTOR_ALARMS);
+    let alarms = report.metrics.counter(names::DETECTOR_ALARMS);
     if alarms != verdicts.len() as u64 {
         return OracleVerdict::fail(
             NAME,
@@ -320,9 +365,9 @@ fn verdict_monotonicity(report: &ChaosRunReport) -> OracleVerdict {
 
 /// Oracle: every verdict's fields are internally consistent and its
 /// action matches the mitigation policy.
-fn verdict_consistency(report: &ChaosRunReport) -> OracleVerdict {
+fn verdict_consistency(report: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "verdict-consistency";
-    for v in report.events_of(KIND_VERDICT) {
+    for v in events_of(report, KIND_VERDICT) {
         let threshold = field_bool(v, "threshold_alarm").unwrap_or(false);
         let ee = field_bool(v, "ee_alarm").unwrap_or(false);
         if !threshold && !ee {
@@ -346,9 +391,10 @@ fn verdict_consistency(report: &ChaosRunReport) -> OracleVerdict {
         }
         let action = field_str(v, "action").unwrap_or("");
         let ok = match report.mitigation {
-            Mitigation::EStop => action == "drop",
-            Mitigation::Observe => action == "observe",
-            Mitigation::BlockAndHold => action == "hold" || action == "drop",
+            Some(Mitigation::EStop) => action == "drop",
+            Some(Mitigation::Observe) => action == "observe",
+            Some(Mitigation::BlockAndHold) => action == "hold" || action == "drop",
+            None => false,
         };
         if !ok {
             return OracleVerdict::fail(
@@ -365,10 +411,10 @@ fn verdict_consistency(report: &ChaosRunReport) -> OracleVerdict {
 
 /// Oracle: chaos faults are fully attributed — counted, logged, bounded
 /// by the schedule, and absent when chaos is off.
-fn chaos_attribution(report: &ChaosRunReport) -> OracleVerdict {
+fn chaos_attribution(report: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "chaos-attribution";
-    let counter = report.counter(names::CHAOS_INJECTIONS);
-    let events = report.events_of(KIND_CHAOS_INJECTED).len() as u64;
+    let counter = report.metrics.counter(names::CHAOS_INJECTIONS);
+    let events = events_of(report, KIND_CHAOS_INJECTED).len() as u64;
     if report.chaos_scheduled == 0 {
         return if counter == 0 && events == 0 {
             OracleVerdict::pass(NAME, "chaos off: zero injections, zero events")
@@ -400,7 +446,7 @@ fn chaos_attribution(report: &ChaosRunReport) -> OracleVerdict {
 /// This is the in-memory analogue of the `IncidentSink` ledger the CLI
 /// writes — the oracle suite uses it to prove, for every chaos run,
 /// that the honest export verifies and that tampering is detected.
-pub fn run_ledger(report: &ChaosRunReport) -> raven_ledger::Ledger {
+pub fn run_ledger(report: &SessionArtifact) -> raven_ledger::Ledger {
     let mut ledger = raven_ledger::Ledger::new();
     for event in &report.events {
         let payload = serde_json::to_string(event).expect("event serializes");
@@ -415,7 +461,7 @@ pub fn run_ledger(report: &ChaosRunReport) -> raven_ledger::Ledger {
 
 /// Oracle: the run's forensic export is a valid sealed chain, and every
 /// tamper class is rejected with the correct first-bad-seq diagnosis.
-fn ledger_integrity(report: &ChaosRunReport) -> OracleVerdict {
+fn ledger_integrity(report: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "ledger-integrity";
     use raven_ledger::{verify_sealed, LedgerRecord, TamperKind};
 
@@ -487,7 +533,7 @@ fn ledger_integrity(report: &ChaosRunReport) -> OracleVerdict {
 }
 
 /// Oracle: per-scenario outcome expectations.
-fn expectations_hold(report: &ChaosRunReport, exp: &Expectations) -> OracleVerdict {
+fn expectations_hold(report: &SessionArtifact, exp: &Expectations) -> OracleVerdict {
     const NAME: &str = "expectations";
     let mut failures = Vec::new();
     if exp.must_boot && !report.booted {
@@ -497,7 +543,7 @@ fn expectations_hold(report: &ChaosRunReport, exp: &Expectations) -> OracleVerdi
         failures.push("detector raised no alarm".to_string());
     }
     if exp.no_false_alarms {
-        let alarms = report.counter(names::DETECTOR_ALARMS);
+        let alarms = report.metrics.counter(names::DETECTOR_ALARMS);
         if alarms > 0 || report.outcome.model_detected {
             failures.push(format!("{alarms} false alarm(s) on a clean run"));
         }
@@ -517,8 +563,8 @@ fn expectations_hold(report: &ChaosRunReport, exp: &Expectations) -> OracleVerdi
         }
     }
     if exp.blocked_exceeds_alarms {
-        let blocked = report.counter(names::DETECTOR_BLOCKED_COMMANDS);
-        let alarms = report.counter(names::DETECTOR_ALARMS);
+        let blocked = report.metrics.counter(names::DETECTOR_BLOCKED_COMMANDS);
+        let alarms = report.metrics.counter(names::DETECTOR_ALARMS);
         if blocked <= alarms {
             failures.push(format!(
                 "expected cooldown tail: blocked {blocked} must exceed alarms {alarms}"
@@ -533,7 +579,7 @@ fn expectations_hold(report: &ChaosRunReport, exp: &Expectations) -> OracleVerdi
 }
 
 /// Oracle: two runs of the same spec serialize byte-identically.
-pub fn replay_determinism(a: &ChaosRunReport, b: &ChaosRunReport) -> OracleVerdict {
+pub fn replay_determinism(a: &SessionArtifact, b: &SessionArtifact) -> OracleVerdict {
     const NAME: &str = "replay-determinism";
     let (ja, jb) = (a.to_json(), b.to_json());
     if ja == jb {
@@ -580,7 +626,7 @@ pub fn fleet_isolation(standalone_json: &str, fleet_json: &str) -> OracleVerdict
 }
 
 /// Runs the full oracle suite over one report.
-pub fn run_oracles(report: &ChaosRunReport, exp: &Expectations) -> OracleReport {
+pub fn run_oracles(report: &SessionArtifact, exp: &Expectations) -> OracleReport {
     OracleReport {
         run: format!("{}-seed{}", report.name, report.seed),
         verdicts: vec![

@@ -7,8 +7,9 @@
 //! root (uploaded by CI), so a red matrix entry arrives with its evidence
 //! attached.
 
+use raven_core::{run_standalone, SessionArtifact, SessionSpec};
 use raven_verify::oracles::replay_determinism;
-use raven_verify::{run_chaos_session, run_oracles, suite_thresholds, Expectations, VerifySpec};
+use raven_verify::{for_oracles, observed, run_oracles, Expectations};
 use simbus::ChaosConfig;
 
 /// The CI chaos matrix seeds (fixed: the runs are fully deterministic).
@@ -18,9 +19,14 @@ fn artifact_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../chaos-artifacts")
 }
 
+/// Runs one verification session.
+fn run(spec: &SessionSpec) -> SessionArtifact {
+    run_standalone(spec, 0, |_| {})
+}
+
 /// Judges one run; on failure, dumps evidence and panics.
-fn assert_oracles(spec: &VerifySpec, exp: &Expectations) {
-    let report = run_chaos_session(spec, suite_thresholds());
+fn assert_oracles(spec: &SessionSpec, exp: &Expectations) {
+    let report = run(spec);
     let oracles = run_oracles(&report, exp);
     if !oracles.passed() {
         let dir = artifact_dir();
@@ -42,7 +48,7 @@ fn assert_oracles(spec: &VerifySpec, exp: &Expectations) {
 #[test]
 fn clean_sessions_under_standard_chaos_satisfy_every_oracle() {
     for seed in MATRIX_SEEDS {
-        let spec = VerifySpec::clean(seed).with_chaos(ChaosConfig::standard());
+        let spec = for_oracles(SessionSpec::guarded(seed)).with_chaos(ChaosConfig::standard());
         assert_oracles(&spec, &Expectations { must_boot: true, ..Expectations::default() });
     }
 }
@@ -50,7 +56,7 @@ fn clean_sessions_under_standard_chaos_satisfy_every_oracle() {
 #[test]
 fn estop_defense_under_link_chaos_satisfies_every_oracle() {
     for seed in MATRIX_SEEDS {
-        let spec = VerifySpec::estop_attack(seed).with_chaos(ChaosConfig::link_only());
+        let spec = for_oracles(SessionSpec::defended(seed)).with_chaos(ChaosConfig::link_only());
         assert_oracles(
             &spec,
             &Expectations {
@@ -67,7 +73,7 @@ fn estop_defense_under_link_chaos_satisfies_every_oracle() {
 #[test]
 fn hold_defense_under_standard_chaos_satisfies_every_oracle() {
     for seed in MATRIX_SEEDS {
-        let spec = VerifySpec::hold_attack(seed).with_chaos(ChaosConfig::standard());
+        let spec = for_oracles(SessionSpec::held(seed)).with_chaos(ChaosConfig::standard());
         assert_oracles(
             &spec,
             &Expectations { must_boot: true, must_detect: true, ..Expectations::default() },
@@ -78,7 +84,7 @@ fn hold_defense_under_standard_chaos_satisfies_every_oracle() {
 #[test]
 fn chaos_free_guarded_sessions_stay_silent() {
     for seed in MATRIX_SEEDS {
-        let spec = VerifySpec::clean(seed);
+        let spec = for_oracles(SessionSpec::guarded(seed));
         assert_oracles(
             &spec,
             &Expectations {
@@ -97,13 +103,12 @@ fn chaos_free_guarded_sessions_stay_silent() {
 /// `raven-sim ledger verify --sealed`.
 #[test]
 fn matrix_runs_export_verifiable_sealed_ledgers() {
-    let thresholds = suite_thresholds();
     for seed in MATRIX_SEEDS {
         for spec in [
-            VerifySpec::clean(seed).with_chaos(ChaosConfig::standard()),
-            VerifySpec::estop_attack(seed).with_chaos(ChaosConfig::link_only()),
+            for_oracles(SessionSpec::guarded(seed)).with_chaos(ChaosConfig::standard()),
+            for_oracles(SessionSpec::defended(seed)).with_chaos(ChaosConfig::link_only()),
         ] {
-            let report = run_chaos_session(&spec, thresholds);
+            let report = run(&spec);
             let text = raven_verify::run_ledger(&report).to_jsonl();
             let summary = raven_ledger::verify_sealed(&text).unwrap_or_else(|e| {
                 panic!("{} seed {seed}: exported ledger rejected: {e}", spec.name)
@@ -123,17 +128,14 @@ fn matrix_runs_export_verifiable_sealed_ledgers() {
 
 #[test]
 fn chaos_runs_replay_byte_identically() {
-    let thresholds = suite_thresholds();
     for spec in [
-        VerifySpec::clean(101).with_chaos(ChaosConfig::standard()),
-        VerifySpec::estop_attack(102).with_chaos(ChaosConfig::standard()),
-        VerifySpec::hold_attack(103).with_chaos(ChaosConfig::link_only()),
-        VerifySpec::observe_attack(104).with_chaos(ChaosConfig::standard()),
+        for_oracles(SessionSpec::guarded(101)).with_chaos(ChaosConfig::standard()),
+        for_oracles(SessionSpec::defended(102)).with_chaos(ChaosConfig::standard()),
+        for_oracles(SessionSpec::held(103)).with_chaos(ChaosConfig::link_only()),
+        for_oracles(observed(104)).with_chaos(ChaosConfig::standard()),
     ] {
-        let a = run_chaos_session(&spec, thresholds);
-        let b = run_chaos_session(&spec, thresholds);
-        let verdict = replay_determinism(&a, &b);
-        assert!(verdict.passed, "{} seed {}: {}", spec.name, spec.seed, verdict.detail);
+        let verdict = replay_determinism(&run(&spec), &run(&spec));
+        assert!(verdict.passed, "{} seed {}: {}", spec.name, spec.config.seed, verdict.detail);
     }
 }
 
@@ -145,7 +147,7 @@ fn fleet_cohabitation_with_chaos_cannot_perturb_a_clean_session() {
     // its spec standalone — judged by the fleet-isolation oracle, with
     // evidence dumped like every other matrix row.
     use raven_core::ExecutorConfig;
-    use raven_fleet::{run_fleet, run_standalone, SessionSpec};
+    use raven_fleet::run_fleet;
     use raven_verify::fleet_isolation;
 
     let clean = SessionSpec::guarded(301).with_session_ms(900);
@@ -155,7 +157,7 @@ fn fleet_cohabitation_with_chaos_cannot_perturb_a_clean_session() {
     let fleet = run_fleet(&[clean.clone(), chaotic], &ExecutorConfig::with_workers(2));
     let in_fleet = &fleet[0];
 
-    let standalone = run_standalone(&clean, 0);
+    let standalone = run(&clean);
     let verdict = fleet_isolation(&standalone.to_json(), &in_fleet.to_json());
     if !verdict.passed {
         let dir = artifact_dir();

@@ -10,11 +10,19 @@
 //! Both verdict paths face the suite: the scalar detector behind the
 //! guard, and a fleet monitor lane of a batched detector.
 
+use raven_core::{run_standalone, SessionArtifact, SessionSpec};
 use raven_detect::DetectorMutation;
-use raven_verify::{
-    all_probes, lane_probes, run_mutated_chaos_session, run_oracles, suite_thresholds,
-    Expectations, ProbeResult, VerifySpec,
-};
+use raven_verify::{all_probes, for_oracles, lane_probes, run_oracles, Expectations, ProbeResult};
+
+/// Runs one verification session with `mutation` installed in the
+/// detector before boot (`None` ⇒ production behavior).
+fn run_mutated(spec: &SessionSpec, mutation: Option<DetectorMutation>) -> SessionArtifact {
+    run_standalone(spec, 0, |sim| {
+        if let Some(det) = sim.detector_mut() {
+            det.set_mutation(mutation);
+        }
+    })
+}
 
 /// The probes a mutant fails.
 fn failed(probes: &[ProbeResult]) -> Vec<&'static str> {
@@ -107,8 +115,7 @@ fn lane_kill_matrix_matches_the_seeded_defects() {
 /// the oracles do not need white-box access to notice these defects.
 #[test]
 fn mitigation_mutants_are_killed_end_to_end() {
-    let thresholds = suite_thresholds();
-    let spec = VerifySpec::estop_attack(41);
+    let spec = for_oracles(SessionSpec::defended(41));
     let exp = Expectations {
         must_boot: true,
         must_detect: true,
@@ -116,7 +123,7 @@ fn mitigation_mutants_are_killed_end_to_end() {
         ..Expectations::default()
     };
 
-    let control = run_oracles(&run_mutated_chaos_session(&spec, thresholds, None), &exp);
+    let control = run_oracles(&run_mutated(&spec, None), &exp);
     assert!(
         control.passed(),
         "unmutated control arm must pass every oracle:\n{}",
@@ -129,7 +136,7 @@ fn mitigation_mutants_are_killed_end_to_end() {
         DetectorMutation::FirstAlarmOffByOne,
         DetectorMutation::AlarmCounterStuck,
     ] {
-        let report = run_oracles(&run_mutated_chaos_session(&spec, thresholds, Some(mutant)), &exp);
+        let report = run_oracles(&run_mutated(&spec, Some(mutant)), &exp);
         assert!(!report.passed(), "mutant {} survived the end-to-end oracle suite", mutant.slug());
     }
 }

@@ -431,8 +431,6 @@ pub mod streams {
     pub const CHAOS_BOARD_SILENCE: &str = "chaos.board_silence";
     /// Plant perturbation inside the Fig. 8 robustness sweep.
     pub const FIG8_MODEL: &str = "fig8-model";
-    /// Family: per-run seeds of a campaign plan (`campaign-<spec>-<rep>`).
-    pub const CAMPAIGN_PREFIX: &str = "campaign-";
     /// Family: per-run seeds of the detector training sweep.
     pub const TRAIN_PREFIX: &str = "train-";
     /// Family: Table I scenario runs (`table1-<id>`).

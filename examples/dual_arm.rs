@@ -20,7 +20,7 @@ fn main() {
         },
     );
     dual.boot();
-    let out = dual.run_session(4_000);
+    let out = dual.run_session();
 
     for (name, arm) in [("gold (attacked)", &out.gold), ("green (clean)  ", &out.green)] {
         println!(

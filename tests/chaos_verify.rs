@@ -3,34 +3,38 @@
 //! of how many campaign workers run the jobs), and a disabled chaos
 //! schedule must consume no randomness at all.
 
-use raven_core::{run_sweep, ExecutorConfig, SimConfig, Simulation};
-use raven_verify::{run_chaos_session, run_oracles, suite_thresholds, Expectations, VerifySpec};
+use raven_core::{run_standalone, run_sweep, ExecutorConfig, SessionSpec, SimConfig, Simulation};
+use raven_verify::{for_oracles, observed, run_oracles, Expectations};
 use simbus::ChaosConfig;
 
 /// The short verification specs the worker-count sweep replays (sized
 /// for debug-mode tier-1 runtime).
-fn sweep_specs() -> Vec<VerifySpec> {
+fn sweep_specs() -> Vec<SessionSpec> {
     vec![
-        VerifySpec::clean(11).with_chaos(ChaosConfig::standard()).with_session_ms(1_500),
-        VerifySpec::estop_attack(12).with_chaos(ChaosConfig::link_only()).with_session_ms(1_500),
-        VerifySpec::observe_attack(13).with_chaos(ChaosConfig::standard()).with_session_ms(1_500),
-        VerifySpec::clean(14).with_chaos(ChaosConfig::link_only()).with_session_ms(1_500),
+        short_spec(SessionSpec::guarded(11), ChaosConfig::standard()),
+        short_spec(SessionSpec::defended(12), ChaosConfig::link_only()),
+        short_spec(observed(13), ChaosConfig::standard()),
+        short_spec(SessionSpec::guarded(14), ChaosConfig::link_only()),
     ]
+}
+
+/// A verification session cut to 1.5 s under `chaos`.
+fn short_spec(spec: SessionSpec, chaos: ChaosConfig) -> SessionSpec {
+    for_oracles(spec).with_chaos(chaos).with_session_ms(1_500)
 }
 
 /// Runs every sweep spec through the campaign executor and returns the
 /// concatenated serialized reports, in spec order.
 fn sweep_reports(workers: usize) -> String {
     let specs = sweep_specs();
-    let thresholds = suite_thresholds();
     let config =
         if workers == 1 { ExecutorConfig::serial() } else { ExecutorConfig::with_workers(workers) };
     let sweep = run_sweep(
         "chaos-verify",
         specs.len(),
         &config,
-        |i| specs[i].seed,
-        |i, _seed| run_chaos_session(&specs[i], thresholds).to_json(),
+        |i| specs[i].config.seed,
+        |i, _seed| run_standalone(&specs[i], i as u64, |_| {}).to_json(),
     );
     let mut joined = String::new();
     for outcome in sweep.outcomes {
@@ -59,9 +63,8 @@ fn chaos_replay_is_byte_identical_across_worker_counts() {
 /// under link chaos — a light oracle pass wired into tier-1.
 #[test]
 fn short_estop_spec_passes_light_oracles() {
-    let spec =
-        VerifySpec::estop_attack(12).with_chaos(ChaosConfig::link_only()).with_session_ms(1_500);
-    let report = run_chaos_session(&spec, suite_thresholds());
+    let spec = short_spec(SessionSpec::defended(12), ChaosConfig::link_only());
+    let report = run_standalone(&spec, 0, |_| {});
     let oracles = run_oracles(
         &report,
         &Expectations {

@@ -337,7 +337,7 @@ fn dual_arm_attack_isolation_and_run_order_merge() {
         },
     );
     dual.boot();
-    let out = dual.run_session(3_000);
+    let out = dual.run_session();
 
     // Per-arm independence: every injection the attack landed is in the
     // gold arm's registry, none in the green arm's.
