@@ -4,10 +4,10 @@
 //! Two planes:
 //!
 //! * **monitor plane** — N ∈ {16, 256, 1 000, 10 000} sessions (90 %
-//!   idle Pedal-Up, 10 % duty-cycled) multiplexed over a 64-lane
-//!   `BatchDetector`. Idle sessions park in the wake queue and consume
-//!   zero assessments, so cost tracks the *active* minority — the
-//!   event-queue scaling claim, measured;
+//!   idle Pedal-Up, 10 % duty-cycled) scheduled onto 64 detector lanes,
+//!   their phases assessed on the default executor. Idle sessions park
+//!   in the wake queue and consume zero assessments, so cost tracks the
+//!   *active* minority — the event-queue scaling claim, measured;
 //! * **rig plane** — 16 fully simulated mixed-scenario sessions
 //!   through `run_fleet` (one executor sweep of standalone sessions,
 //!   default worker count), for a full-fidelity reference point.
@@ -36,9 +36,10 @@ struct MonitorPoint {
     sessions: usize,
     active_sessions: usize,
     width: usize,
+    workers: usize,
     wall_ms: f64,
     sessions_per_sec: f64,
-    detector_cycles: u64,
+    active_cycles: u64,
     assessments: u64,
     deferrals: u64,
 }
@@ -113,7 +114,7 @@ fn main() {
         let mut wall_ms = Vec::new();
         let mut last = None;
         for _ in 0..repeats {
-            let mut monitor = FleetMonitor::new(monitor_config(), sessions.clone());
+            let monitor = FleetMonitor::new(monitor_config(), sessions.clone());
             let t0 = Instant::now();
             let report = monitor.run();
             wall_ms.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -127,9 +128,10 @@ fn main() {
             sessions: n,
             active_sessions: active,
             width: WIDTH,
+            workers: ExecutorConfig::default().resolved_workers(),
             wall_ms: wall,
             sessions_per_sec: rate,
-            detector_cycles: report.cycles,
+            active_cycles: report.cycles,
             assessments: report.totals.iter().map(|t| t.assessments).sum(),
             deferrals: report.deferrals,
         });
@@ -180,9 +182,11 @@ fn main() {
         idle_fraction: 1.0 - 1.0 / IDLE_EVERY as f64,
         monitor: monitor_points,
         rig,
-        note: "monitor plane: duty-cycled sessions over a 64-lane masked batch detector; \
-               idle sessions park in the wake queue (zero assessments). rig plane: full \
-               Simulation sessions via run_fleet, one executor sweep of standalone sessions"
+        note: "monitor plane: duty-cycled sessions scheduled onto 64 detector lanes, their \
+               phases assessed as one executor sweep on the default worker count; idle \
+               sessions park in the wake queue (zero assessments); active_cycles is \
+               virtual-time ms with an active session. rig plane: full Simulation sessions \
+               via run_fleet, one executor sweep of standalone sessions"
             .to_string(),
     };
     // Workspace root ONLY: results/ holds the manifest-pinned deterministic

@@ -16,15 +16,18 @@
 //!   run standalone, for any worker count — pinned by
 //!   `tests/fleet_equiv.rs`.
 //! * **Monitor plane** — [`FleetMonitor`] multiplexes thousands of
-//!   telemetry streams over one M-lane
+//!   telemetry streams over M lanes of a
 //!   [`raven_detect::BatchDetector`], recycling lanes as sessions turn
 //!   active and idle. Idle (Pedal-Up) sessions hold no lane, schedule
 //!   their next wake in a virtual-time [`WakeQueue`] instead of being
 //!   polled, and consume **zero** detector assessments — the scaling
-//!   claim the 10k-session soak test executes.
+//!   claim the 10k-session soak test executes. The lane schedule is
+//!   settled first; the scheduled phases are then assessed as one
+//!   campaign-executor sweep.
 //!
-//! Determinism doctrine: the executor merges rig sessions in run order,
-//! the wake queue orders strictly by `(wake_time_ns, session_id)`, and
+//! Determinism doctrine: the executor merges rig sessions and monitor
+//! chunks in run order, the wake queue orders strictly by
+//! `(wake_time_ns, session_id)`, and
 //! per-session work never reads sibling state — so fleet output is a
 //! pure function of the specs.
 

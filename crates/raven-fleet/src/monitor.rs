@@ -1,39 +1,56 @@
 //! The monitor-plane multiplexer: thousands of telemetry streams over
-//! one M-lane [`BatchDetector`].
+//! M-lane [`BatchDetector`]s.
 //!
 //! Where the rig plane ([`crate::run_fleet`]) simulates every session
 //! in full, the monitor models the deployment where per-rig telemetry
 //! arrives over the network and only the *detector* runs centrally.
 //! Sessions alternate active (Pedal-Down, assessed every cycle) and
-//! idle (Pedal-Up) phases:
+//! idle (Pedal-Up) phases. A run has two passes:
 //!
-//! * An **active** session holds one detector lane; each cycle it
-//!   syncs its measurement and is assessed through
-//!   [`BatchDetector::assess_lanes_masked`].
-//! * An **idle** session holds *no* lane and sits in the
-//!   [`WakeQueue`] until its next active phase — it is never polled
-//!   and consumes **zero** detector assessments. When every session is
-//!   idle, virtual time jumps straight to the next wake.
+//! 1. **Schedule** — no detector. An active session holds one of
+//!    `width` lanes; an idle one holds none and sits in the
+//!    [`WakeQueue`] until its next active phase, so it is never polled
+//!    and consumes **zero** assessments. Virtual time jumps from event
+//!    to event (a wake or a phase end). A woken session takes a free
+//!    lane, or re-arms one cycle later when none is free (a
+//!    *deferral*) — bounded, because active phases are finite, and
+//!    deterministic, because sessions wake in `(time, id)` order. The
+//!    pass yields the admitted phases in admission order and every
+//!    scheduling count of the [`MonitorReport`].
+//! 2. **Assess** — one [`raven_core::run_sweep`] over chunks of those
+//!    phases. Each chunk runs on a fresh `width`-lane detector: a phase
+//!    takes the lowest free lane ([`BatchDetector::admit_lane`], a
+//!    fresh detector epoch), is synced and assessed through
+//!    [`BatchDetector::assess_lanes_masked`] for its `active_ms`
+//!    cycles, and releases the lane ([`BatchDetector::retire_lane`]).
 //!
-//! Lane recycling: activation takes the lowest free lane
-//! ([`BatchDetector::admit_lane`] — a fresh detector epoch), phase end
-//! releases it ([`BatchDetector::retire_lane`]). If no lane is free,
-//! the activation re-arms one cycle later (a *deferral*) — bounded,
-//! because active phases are finite, and deterministic, because
-//! deferred sessions re-enter the queue in `(time, id)` order. Per
-//! the kernel's lane-isolation contract, admissions and retirements
-//! never perturb co-scheduled lanes — pinned by
+//! The split rests on two facts. A phase's length never depends on its
+//! verdicts, so the schedule is settled before any verdict exists. And
+//! batch lanes are arithmetically independent, so a phase's verdicts do
+//! not depend on its lane, its chunk or its neighbours — pinned by
 //! `tests/scheduler_props.rs` and the `fleet-isolation` chaos oracle.
+//! The report is therefore byte-identical for any worker count
+//! (`tests/monitor_workers.rs`). Were a phase ever to end on a verdict
+//! (an E-STOP cutting it short), the schedule would depend on the
+//! assessments and this split would no longer hold.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
+use raven_core::{run_sweep, ExecutorConfig};
 use raven_detect::{BatchDetector, DetectionThresholds, DetectorConfig};
 use raven_dynamics::{PlantParams, RtModel};
-use raven_kinematics::{ArmConfig, JointState, MotorState, NUM_AXES};
+use raven_kinematics::{ArmConfig, CouplingMatrix, JointState, MotorState, NUM_AXES};
 use serde::Serialize;
 use simbus::{SimDuration, SimTime};
 
 use crate::queue::WakeQueue;
+
+/// Lane fills per assessment chunk: a chunk holds this many times
+/// `width` phases, so its drain tail (lanes emptying with no phase left
+/// to admit) is a small share of its work, while a fleet still splits
+/// into enough chunks to keep every worker busy.
+const CHUNK_FILLS: usize = 8;
 
 /// One monitored session's duty schedule.
 #[derive(Debug, Clone, Copy)]
@@ -89,7 +106,7 @@ pub struct MonitorConfig {
 pub struct MonitorReport {
     /// Per-session totals, in session-id order.
     pub totals: Vec<SessionTotals>,
-    /// Detector cycles executed (masked batch calls).
+    /// Virtual-time cycles (ms) with at least one active session.
     pub cycles: u64,
     /// Peak concurrently active sessions.
     pub peak_active: usize,
@@ -97,22 +114,13 @@ pub struct MonitorReport {
     pub deferrals: u64,
 }
 
-/// A session currently holding a lane.
-#[derive(Debug)]
-struct ActivePhase {
-    lane: usize,
-    remaining_ms: u64,
-    /// Cycle index within the phase (drives the trajectory).
-    cycle: u64,
-}
-
 /// The monitor-plane multiplexer. See the module doc.
 #[derive(Debug)]
 pub struct FleetMonitor {
     config: MonitorConfig,
     sessions: Vec<MonitorSession>,
-    detector: BatchDetector,
     shared_params: PlantParams,
+    coupling: CouplingMatrix,
     arm: ArmConfig,
 }
 
@@ -126,12 +134,9 @@ impl FleetMonitor {
         assert!(config.width >= 1, "monitor needs at least one lane");
         assert!(!sessions.is_empty(), "monitor needs at least one session");
         let params = PlantParams::raven_ii();
-        let arm = ArmConfig::builder().coupling(params.coupling()).build();
-        let model = RtModel::new(params);
-        let arms: Vec<ArmConfig> = vec![arm.clone(); config.width];
-        let models: Vec<RtModel> = vec![model; config.width];
-        let detector = BatchDetector::from_models(&arms, &models, config.detector);
-        FleetMonitor { config, sessions, detector, shared_params: params, arm }
+        let coupling = params.coupling();
+        let arm = ArmConfig::builder().coupling(coupling).build();
+        FleetMonitor { config, sessions, shared_params: params, coupling, arm }
     }
 
     /// The estimator model a session's lane is admitted with.
@@ -147,7 +152,7 @@ impl FleetMonitor {
     /// The synthetic measurement stream: a smooth per-session sinusoid
     /// (phase-offset by seed) standing in for real rig telemetry.
     pub fn measurement(&self, session: &MonitorSession, cycle: u64) -> MotorState {
-        synth_measurement(&self.shared_params, session.seed, cycle)
+        synth_measurement(&self.coupling, session.seed, cycle)
     }
 
     /// The candidate DAC command the guard assesses each cycle.
@@ -155,133 +160,143 @@ impl FleetMonitor {
         synth_command(session.seed, cycle)
     }
 
-    /// Runs every session through its duty schedule; returns the
-    /// per-session totals (id order) and scheduling telemetry.
-    pub fn run(&mut self) -> MonitorReport {
+    /// [`run_with`](Self::run_with) on the default executor.
+    pub fn run(&self) -> MonitorReport {
+        self.run_with(&ExecutorConfig::default())
+    }
+
+    /// Runs every session through its duty schedule, assessing the
+    /// phases on `exec`'s workers; returns the per-session totals (id
+    /// order) and scheduling telemetry. The report is the same for any
+    /// worker count.
+    pub fn run_with(&self, exec: &ExecutorConfig) -> MonitorReport {
+        let (mut report, phases) = self.schedule();
+        let chunks: Vec<&[usize]> = phases.chunks(CHUNK_FILLS * self.config.width).collect();
+        let verdicts = run_sweep(
+            "fleet-monitor",
+            chunks.len(),
+            exec,
+            |i| i as u64,
+            |i, _| self.assess_chunk(chunks[i]),
+        )
+        .expect_all("fleet monitor");
+        for (&id, (assessments, alarms)) in phases.iter().zip(verdicts.into_iter().flatten()) {
+            let t = &mut report.totals[id];
+            t.assessments += assessments;
+            t.alarms += alarms;
+        }
+        report
+    }
+
+    /// The schedule pass: lane occupancy in virtual time, with no
+    /// detector. Returns the report with every count but the verdicts,
+    /// and the admitted phases (session ids) in admission order.
+    fn schedule(&self) -> (MonitorReport, Vec<usize>) {
+        let width = self.config.width;
         let mut queue = WakeQueue::new();
-        let mut totals = vec![SessionTotals::default(); self.sessions.len()];
-        let mut phases_left: Vec<u32> = self.sessions.iter().map(|s| s.phases).collect();
         for (id, s) in self.sessions.iter().enumerate() {
             if s.phases > 0 && s.active_ms > 0 {
                 queue.schedule(ms(s.start_ms), id as u64);
             }
         }
-
-        let mut free: BTreeSet<usize> = (0..self.config.width).collect();
-        let mut active: BTreeMap<u64, ActivePhase> = BTreeMap::new();
-        let mut dacs: Vec<Option<[i16; NUM_AXES]>> = vec![None; self.config.width];
+        let mut totals = vec![SessionTotals::default(); self.sessions.len()];
+        let mut phases = Vec::new();
+        // Active phases by end time: one lane each, so `width - ends.len()`
+        // lanes are free.
+        let mut ends: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut now = SimTime::ZERO;
-        let mut cycles = 0u64;
-        let mut peak_active = 0usize;
-        let mut deferrals = 0u64;
+        let (mut cycles, mut peak_active, mut deferrals) = (0u64, 0usize, 0u64);
 
         loop {
-            if active.is_empty() {
-                // Everything is idle: jump virtual time to the next
-                // wake — the queue replaces per-tick polling.
-                let Some((t, ids)) = queue.pop_frontier() else { break };
-                now = t;
-                self.admit_ready(
-                    ids,
-                    now,
-                    &mut queue,
-                    &mut free,
-                    &mut active,
-                    &mut totals,
-                    &mut deferrals,
-                );
-                continue;
+            // Jump to the next event; the span up to it counts toward
+            // `cycles` only when some session is active.
+            let next_end = ends.peek().map(|&Reverse((t, _))| t);
+            let Some(next) = queue.next_wake().into_iter().chain(next_end).min() else { break };
+            if !ends.is_empty() {
+                cycles += (next - now).as_nanos() / 1_000_000;
             }
-            // Admit any sessions due at the current instant.
-            while queue.next_wake() == Some(now) {
-                let (_, ids) = queue.pop_frontier().expect("peeked wake");
-                self.admit_ready(
-                    ids,
-                    now,
-                    &mut queue,
-                    &mut free,
-                    &mut active,
-                    &mut totals,
-                    &mut deferrals,
-                );
-            }
-            peak_active = peak_active.max(active.len());
-
-            // One detector cycle over the masked batch.
-            dacs.iter_mut().for_each(|d| *d = None);
-            for (&id, phase) in active.iter() {
-                let session = self.sessions[id as usize];
-                self.detector.sync_lane(
-                    phase.lane,
-                    synth_measurement(&self.shared_params, session.seed, phase.cycle),
-                );
-                dacs[phase.lane] = Some(synth_command(session.seed, phase.cycle));
-            }
-            self.detector.assess_lanes_masked(&dacs);
-            cycles += 1;
-            now += SimDuration::from_millis(1);
-
-            // Advance phases; release lanes that completed.
-            let mut finished: Vec<u64> = Vec::new();
-            for (&id, phase) in active.iter_mut() {
-                phase.cycle += 1;
-                phase.remaining_ms -= 1;
-                if phase.remaining_ms == 0 {
-                    finished.push(id);
+            now = next;
+            // Phases ending now free their lanes and re-arm the session.
+            while let Some(&Reverse((end, id))) = ends.peek() {
+                if end != now {
+                    break;
                 }
-            }
-            for id in finished {
-                let phase = active.remove(&id).expect("finishing session is active");
+                ends.pop();
+                let session = &self.sessions[id as usize];
                 let t = &mut totals[id as usize];
-                t.assessments += self.detector.lane_assessments(phase.lane);
-                t.alarms += self.detector.lane_alarms(phase.lane);
                 t.phases_run += 1;
-                self.detector.retire_lane(phase.lane);
-                free.insert(phase.lane);
-                let session = self.sessions[id as usize];
-                phases_left[id as usize] -= 1;
-                if phases_left[id as usize] > 0 {
+                if t.phases_run < session.phases {
                     queue.schedule(now + SimDuration::from_millis(session.idle_ms), id);
                 }
             }
+            // Sessions due now take a free lane each, in id order, or
+            // defer by one cycle.
+            if queue.next_wake() == Some(now) {
+                let (_, ids) = queue.pop_frontier().expect("peeked wake");
+                for id in ids {
+                    if ends.len() < width {
+                        let active = SimDuration::from_millis(self.sessions[id as usize].active_ms);
+                        ends.push(Reverse((now + active, id)));
+                        phases.push(id as usize);
+                    } else {
+                        totals[id as usize].deferrals += 1;
+                        deferrals += 1;
+                        queue.schedule(now + SimDuration::from_millis(1), id);
+                    }
+                }
+            }
+            peak_active = peak_active.max(ends.len());
         }
 
-        MonitorReport { totals, cycles, peak_active, deferrals }
+        (MonitorReport { totals, cycles, peak_active, deferrals }, phases)
     }
 
-    /// Activates woken sessions in `(time, id)` order, taking the
-    /// lowest free lane each; defers by one cycle when none is free.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_ready(
-        &mut self,
-        ids: Vec<u64>,
-        now: SimTime,
-        queue: &mut WakeQueue,
-        free: &mut BTreeSet<usize>,
-        active: &mut BTreeMap<u64, ActivePhase>,
-        totals: &mut [SessionTotals],
-        deferrals: &mut u64,
-    ) {
-        for id in ids {
-            let session = self.sessions[id as usize];
-            match free.iter().next().copied() {
-                Some(lane) => {
-                    free.remove(&lane);
-                    self.detector.admit_lane(
+    /// The assess pass for one chunk of phases on a fresh detector:
+    /// each phase takes the lowest free lane in order and is assessed
+    /// for its whole active span. Returns each phase's `(assessments,
+    /// alarms)`, in chunk order.
+    fn assess_chunk(&self, phases: &[usize]) -> Vec<(u64, u64)> {
+        let width = self.config.width;
+        let arms = vec![self.arm.clone(); width];
+        let models = vec![RtModel::new(self.shared_params); width];
+        let mut detector = BatchDetector::from_models(&arms, &models, self.config.detector);
+        let mut verdicts = vec![(0, 0); phases.len()];
+        // Per lane: the chunk index of its phase and the phase's cycle.
+        let mut lanes: Vec<Option<(usize, u64)>> = vec![None; width];
+        let mut dacs: Vec<Option<[i16; NUM_AXES]>> = vec![None; width];
+        let mut next = 0;
+        loop {
+            for (lane, slot) in lanes.iter_mut().enumerate() {
+                if slot.is_none() && next < phases.len() {
+                    let session = &self.sessions[phases[next]];
+                    detector.admit_lane(
                         lane,
                         self.shared_arm(),
-                        &self.session_model(&session),
+                        &self.session_model(session),
                         Some(self.config.thresholds),
                     );
-                    active.insert(
-                        id,
-                        ActivePhase { lane, remaining_ms: session.active_ms, cycle: 0 },
-                    );
+                    *slot = Some((next, 0));
+                    next += 1;
                 }
-                None => {
-                    totals[id as usize].deferrals += 1;
-                    *deferrals += 1;
-                    queue.schedule(now + SimDuration::from_millis(1), id);
+            }
+            if lanes.iter().all(Option::is_none) {
+                return verdicts;
+            }
+            for (lane, (slot, dac)) in lanes.iter().zip(dacs.iter_mut()).enumerate() {
+                *dac = slot.map(|(k, cycle)| {
+                    let session = &self.sessions[phases[k]];
+                    detector.sync_lane(lane, self.measurement(session, cycle));
+                    synth_command(session.seed, cycle)
+                });
+            }
+            detector.assess_lanes_masked(&dacs);
+            for (lane, slot) in lanes.iter_mut().enumerate() {
+                let Some((k, cycle)) = slot else { continue };
+                *cycle += 1;
+                if *cycle == self.sessions[phases[*k]].active_ms {
+                    verdicts[*k] = (detector.lane_assessments(lane), detector.lane_alarms(lane));
+                    detector.retire_lane(lane);
+                    *slot = None;
                 }
             }
         }
@@ -294,7 +309,7 @@ fn ms(v: u64) -> SimTime {
 
 /// Smooth seeded sinusoid measurement (the bench/session trajectory
 /// family), phase-offset per session via plain seed arithmetic.
-fn synth_measurement(params: &PlantParams, seed: u64, cycle: u64) -> MotorState {
+fn synth_measurement(coupling: &CouplingMatrix, seed: u64, cycle: u64) -> MotorState {
     let t = cycle as f64 * 1e-3;
     let phase = (seed % 628) as f64 * 0.01;
     let j = JointState::new(
@@ -302,7 +317,7 @@ fn synth_measurement(params: &PlantParams, seed: u64, cycle: u64) -> MotorState 
         1.4 + 0.08 * (1.5 * t + phase).cos(),
         0.25 + 0.01 * (t + phase).sin(),
     );
-    params.coupling().joints_to_motors(&j)
+    coupling.joints_to_motors(&j)
 }
 
 /// Seeded candidate command matched to the measurement's gentle pace.
@@ -336,7 +351,7 @@ mod tests {
         // a fresh detector epoch).
         let session =
             MonitorSession { seed: 42, start_ms: 5, active_ms: 40, idle_ms: 100, phases: 2 };
-        let mut monitor = FleetMonitor::new(config(3), vec![session]);
+        let monitor = FleetMonitor::new(config(3), vec![session]);
         let model = monitor.session_model(&session);
         let arm = monitor.shared_arm();
         let report = monitor.run();
@@ -368,7 +383,7 @@ mod tests {
             idle_ms: 0,
             phases: 1,
         });
-        let mut monitor = FleetMonitor::new(config(2), sessions);
+        let monitor = FleetMonitor::new(config(2), sessions);
         let report = monitor.run();
         for t in &report.totals[..50] {
             assert_eq!(t.assessments, 0);
@@ -386,7 +401,7 @@ mod tests {
         let sessions: Vec<MonitorSession> = (0..4)
             .map(|i| MonitorSession { seed: i, start_ms: 0, active_ms: 10, idle_ms: 5, phases: 3 })
             .collect();
-        let mut monitor = FleetMonitor::new(config(2), sessions);
+        let monitor = FleetMonitor::new(config(2), sessions);
         let report = monitor.run();
         assert!(report.deferrals > 0, "contention must actually occur");
         for t in &report.totals {

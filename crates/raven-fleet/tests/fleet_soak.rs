@@ -12,8 +12,10 @@
 //! * peak RSS stays bounded — the fleet's footprint is the detector
 //!   plus per-session descriptors, not 10,000 simulators.
 //!
-//! `#[ignore]`-gated: ~seconds of detector arithmetic, run in the CI
-//! bench-smoke job (`cargo test -q --release -p raven-fleet -- --ignored`).
+//! `#[ignore]`-gated: ~seconds of detector arithmetic. The monitor runs
+//! on the default executor, so CI soaks it under `RAVEN_WORKERS=1` (the
+//! inline path) and `RAVEN_WORKERS=2` (the threaded path):
+//! `RAVEN_WORKERS=2 cargo test -q --release -p raven-fleet --test fleet_soak -- --ignored`.
 
 use raven_detect::{DetectionThresholds, DetectorConfig};
 use raven_fleet::{FleetMonitor, MonitorConfig, MonitorSession};
@@ -61,7 +63,7 @@ fn ten_thousand_sessions_mostly_idle() {
         },
     };
 
-    let mut monitor = FleetMonitor::new(config, sessions.clone());
+    let monitor = FleetMonitor::new(config, sessions.clone());
     let report = monitor.run();
 
     assert_eq!(report.totals.len(), SESSIONS);

@@ -5,7 +5,8 @@
 //! * the pop sequence is invariant under permuted admission order —
 //!   execution order is a pure function of the scheduled set;
 //! * lane contention defers but never starves: every monitor session
-//!   completes every phase, with its exact assessment budget;
+//!   completes every phase, with its exact assessment budget and the
+//!   verdicts of its scalar twin;
 //! * mid-run retirement never perturbs siblings: with no contention,
 //!   each co-scheduled session's totals equal its scalar twin
 //!   (a fresh `DynamicDetector` per phase), regardless of who else is
@@ -132,7 +133,7 @@ proptest! {
                 phases,
             })
             .collect();
-        let mut monitor = FleetMonitor::new(monitor_config(width), specs.clone());
+        let monitor = FleetMonitor::new(monitor_config(width), specs.clone());
         let report = monitor.run();
         for (i, s) in specs.iter().enumerate() {
             let t = &report.totals[i];
@@ -140,6 +141,14 @@ proptest! {
             prop_assert!(
                 t.assessments == s.phases as u64 * s.active_ms,
                 "session {i} lost assessments to contention"
+            );
+            // Deferral shifts a phase in virtual time but never changes
+            // its verdicts: each session still matches its scalar twin.
+            let expected = scalar_totals(&monitor, s);
+            prop_assert!(
+                (t.assessments, t.alarms, t.phases_run)
+                    == (expected.assessments, expected.alarms, expected.phases_run),
+                "contention perturbed session {i}: {t:?} vs {expected:?}"
             );
         }
         prop_assert!(report.peak_active <= width);
@@ -167,7 +176,7 @@ proptest! {
                 phases,
             })
             .collect();
-        let mut monitor = FleetMonitor::new(monitor_config(specs.len()), specs.clone());
+        let monitor = FleetMonitor::new(monitor_config(specs.len()), specs.clone());
         let report = monitor.run();
         prop_assert!(report.deferrals == 0, "width >= n must never defer");
         for (i, s) in specs.iter().enumerate() {
@@ -175,4 +184,31 @@ proptest! {
             prop_assert!(report.totals[i] == expected, "sibling perturbed session {i}");
         }
     }
+}
+
+/// One fixed contended population: 12 sessions with staggered starts
+/// and mixed duty cycles over 3 lanes.
+fn contended_population() -> Vec<MonitorSession> {
+    (0..12u64)
+        .map(|i| MonitorSession {
+            seed: 1_000 + i * 37,
+            start_ms: (i * 7) % 23,
+            active_ms: 5 + (i % 4) * 6,
+            idle_ms: (i % 3) * 4,
+            phases: 1 + (i % 3) as u32,
+        })
+        .collect()
+}
+
+#[test]
+fn contended_schedule_numbers_are_pinned() {
+    // The lane schedule is a pure function of the population: these
+    // counts pin the wake-queue, free-lane and one-cycle-deferral rules.
+    let monitor = FleetMonitor::new(monitor_config(3), contended_population());
+    let report = monitor.run();
+    assert_eq!(report.cycles, 157);
+    assert_eq!(report.peak_active, 3);
+    assert_eq!(report.deferrals, 335);
+    let per_session: Vec<u64> = report.totals.iter().map(|t| t.deferrals).collect();
+    assert_eq!(per_session, [0, 4, 7, 0, 21, 27, 21, 18, 62, 49, 46, 80]);
 }
