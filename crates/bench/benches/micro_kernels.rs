@@ -243,7 +243,7 @@ fn bench_batch_scaling() {
     let mut points = Vec::new();
     for &m in &widths {
         let (mut scalars, mut batch, traj, dac) = fleet(m);
-        let dacs: Vec<[i16; 3]> = vec![dac; m];
+        let dacs: Vec<Option<[i16; 3]>> = vec![Some(dac); m];
 
         // Warm-up: touch every code path and let buffers reach steady state.
         for k in 0..8 {

@@ -1,13 +1,11 @@
 //! Fleet-scale detection: M detector sessions assessed per call over
-//! structure-of-arrays feature lanes.
+//! one structure-of-arrays estimator batch.
 //!
 //! The paper's detection budget is per control cycle per robot; a
 //! teleoperation fleet multiplies it by the number of concurrent
 //! sessions. [`BatchDetector`] amortizes that product: one
 //! [`BatchModel`] steps every session's estimator lane together, and
-//! the per-axis instant features land in dim-major parallel arrays
-//! (`row[axis * lanes + lane]`) with the threshold checks swept across
-//! lanes.
+//! the threshold checks are swept across the lanes' verdicts.
 //!
 //! This is the only implementation of the paper's verdict chain:
 //! model-predicted features, the three-way threshold fusion plus the
@@ -32,6 +30,7 @@ use raven_dynamics::PlantState;
 
 use crate::detector::{Assessment, DetectorConfig, DetectorMode, FusionRule, Mitigation};
 use crate::features::InstantFeatures;
+use crate::mutants::DetectorMutation;
 use crate::thresholds::DetectionThresholds;
 
 /// A lane's mode: armed *means* having thresholds, so the armed
@@ -94,23 +93,6 @@ struct SessionLane {
     estop_requested: bool,
 }
 
-/// Borrowed view of the batched feature lanes after an
-/// [`BatchDetector::assess_lanes`] call. The three per-axis rows are
-/// dim-major (`row[axis * lanes + lane]`); `ee_step` is one value per
-/// lane. Lanes that were skipped (no measurement synced) keep their
-/// previous values.
-#[derive(Debug, Clone, Copy)]
-pub struct SoaFeatures<'a> {
-    /// |Δ motor velocity| / dt rows (rad/s²).
-    pub motor_accel: &'a [f64],
-    /// |predicted motor velocity| rows (rad/s).
-    pub motor_vel: &'a [f64],
-    /// |predicted joint velocity| rows (rad/s, rad/s, m/s).
-    pub joint_vel: &'a [f64],
-    /// Predicted end-effector displacement per lane (meters).
-    pub ee_step: &'a [f64],
-}
-
 /// M detector sessions over one SoA estimator batch.
 ///
 /// # Example
@@ -130,7 +112,7 @@ pub struct SoaFeatures<'a> {
 /// let mpos = params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25));
 /// batch.sync_lane(0, mpos);
 /// batch.sync_lane(1, mpos);
-/// let verdicts = batch.assess_lanes(&[[200, 0, 0], [150, 0, 0]]);
+/// let verdicts = batch.assess_lanes(&[Some([200, 0, 0]), Some([150, 0, 0])]);
 /// assert!(verdicts.iter().all(|v| v.is_some()));
 /// ```
 #[derive(Debug)]
@@ -138,24 +120,14 @@ pub struct BatchDetector {
     config: DetectorConfig,
     model: BatchModel,
     lanes: Vec<SessionLane>,
-    /// SoA feature rows, dim-major (`NUM_AXES * lanes` each).
-    motor_accel: Vec<f64>,
-    motor_vel: Vec<f64>,
-    joint_vel: Vec<f64>,
-    /// End-effector step per lane.
-    ee_step: Vec<f64>,
     /// Current end-effector position per lane, stashed by the one-step
     /// pass so the lookahead pass reuses it (FK is pure, so sharing the
     /// evaluation is bit-identical to recomputing it).
     ee_now: Vec<Vec3>,
     /// Reused per-call verdict storage, one slot per lane.
     verdicts: Vec<Option<Assessment>>,
-    /// Reused per-call engagement mask: lanes with a command *and* a
-    /// synced measurement this cycle.
-    engaged: Vec<bool>,
     /// Installed kill-suite mutant, if any (`None` ⇒ production behavior).
-    #[cfg(feature = "mutant-hooks")]
-    mutation: Option<crate::mutants::DetectorMutation>,
+    mutation: Option<DetectorMutation>,
 }
 
 impl BatchDetector {
@@ -193,28 +165,21 @@ impl BatchDetector {
                     estop_requested: false,
                 })
                 .collect(),
-            motor_accel: vec![0.0; NUM_AXES * m],
-            motor_vel: vec![0.0; NUM_AXES * m],
-            joint_vel: vec![0.0; NUM_AXES * m],
-            ee_step: vec![0.0; m],
             ee_now: vec![Vec3::default(); m],
             verdicts: vec![None; m],
-            engaged: vec![false; m],
-            #[cfg(feature = "mutant-hooks")]
             mutation: None,
         }
     }
 
-    /// Installs (or clears) a kill-suite mutant on every lane. Test-only:
-    /// exists solely for the `raven-verify` mutation kill-suite.
-    #[cfg(feature = "mutant-hooks")]
-    pub fn set_mutation(&mut self, mutation: Option<crate::mutants::DetectorMutation>) {
+    /// Installs (or clears) a kill-suite mutant on every lane. Exists
+    /// for the `raven-verify` mutation kill-suite; `None`, the default,
+    /// is the production detector.
+    pub fn set_mutation(&mut self, mutation: Option<DetectorMutation>) {
         self.mutation = mutation;
     }
 
     /// The installed kill-suite mutant, if any.
-    #[cfg(feature = "mutant-hooks")]
-    pub fn mutation(&self) -> Option<crate::mutants::DetectorMutation> {
+    pub fn mutation(&self) -> Option<DetectorMutation> {
         self.mutation
     }
 
@@ -321,99 +286,57 @@ impl BatchDetector {
 
     /// Assesses one candidate DAC command per lane, stepping every
     /// session's estimator together. Returns one verdict slot per lane;
-    /// `None` where the lane has no synced measurement yet. Lanes in
-    /// learning mode return non-alarming assessments (observation
-    /// happens on the scalar trainer).
+    /// `None` where the lane is parked or has no synced measurement yet.
+    /// Lanes in learning mode return non-alarming assessments
+    /// (observation happens on the scalar trainer).
     ///
-    /// Allocation-free after construction: the SoA rows, integrator
-    /// scratch, and verdict storage are all reused across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dacs` does not supply exactly one command per lane.
-    pub fn assess_lanes(&mut self, dacs: &[[i16; NUM_AXES]]) -> &[Option<Assessment>] {
-        let m = self.lanes.len();
-        assert_eq!(dacs.len(), m, "one DAC command per lane");
-        self.assess_impl(&|l| Some(dacs[l]))
-    }
-
-    /// [`assess_lanes`](Self::assess_lanes) with per-lane participation:
-    /// `None` slots are *parked* this cycle — no assessment, no counter
-    /// movement, verdict `None` — which is how the fleet multiplexer
+    /// A `None` slot *parks* its lane this cycle: no assessment, no
+    /// counter movement, verdict `None`. That is how the fleet monitor
     /// runs a batch where only a subset of sessions is active. Parked
     /// (and unsynced) lanes still ride the batch's model steps (the
-    /// one-step prediction and the lookahead rollout), but are
-    /// re-loaded with the benign rest state and zero torque on every
-    /// call, so an idle lane can never drift toward non-finite values
-    /// over a long soak and never influences an engaged sibling (lanes
-    /// are arithmetically independent).
+    /// one-step prediction and the lookahead rollout), but are re-loaded
+    /// with the benign rest state and zero torque on every call, so an
+    /// idle lane can never drift toward non-finite values over a long
+    /// soak and never influences an engaged sibling (lanes are
+    /// arithmetically independent).
+    ///
+    /// Allocation-free after construction: the integrator scratch and
+    /// the verdict storage are reused across calls.
     ///
     /// # Panics
     ///
     /// Panics if `dacs` does not supply exactly one slot per lane.
-    pub fn assess_lanes_masked(
-        &mut self,
-        dacs: &[Option<[i16; NUM_AXES]>],
-    ) -> &[Option<Assessment>] {
+    pub fn assess_lanes(&mut self, dacs: &[Option<[i16; NUM_AXES]>]) -> &[Option<Assessment>] {
         let m = self.lanes.len();
         assert_eq!(dacs.len(), m, "one DAC slot per lane");
-        self.assess_impl(&|l| dacs[l])
-    }
-
-    /// Shared body of the two assessment entry points. `dyn Fn` keeps a
-    /// single monomorphization, so the masked path runs the *same*
-    /// machine code as the plain path — engaged lanes are bit-identical
-    /// between the two by construction.
-    fn assess_impl(
-        &mut self,
-        dac_of: &dyn Fn(usize) -> Option<[i16; NUM_AXES]>,
-    ) -> &[Option<Assessment>] {
-        let m = self.lanes.len();
-        for l in 0..m {
-            self.engaged[l] = match (dac_of(l), self.lanes[l].tracked) {
+        for (l, (dac, lane)) in dacs.iter().zip(&self.lanes).enumerate() {
+            match (dac, lane.tracked) {
                 (Some(dac), Some(current)) => {
                     self.model.load_state(l, &current);
-                    self.model.set_dac(l, &dac);
-                    true
+                    self.model.set_dac(l, dac);
                 }
                 _ => {
                     // Parked or unsynced: reload rest state + zero torque
                     // each call so the still-stepped lane stays finite.
                     self.model.load_state(l, &PlantState::default());
                     self.model.set_torque(l, &[0.0; NUM_AXES]);
-                    false
                 }
-            };
+            }
         }
         self.model.step_lanes();
-        // One-step features per lane, scattered into the SoA rows. The
-        // per-lane math is the scalar helper, so each lane is
-        // bit-identical to an independent detector.
-        for (l, lane) in self.lanes.iter().enumerate() {
-            if !self.engaged[l] {
-                self.verdicts[l] = None;
-                continue;
-            }
-            let Some(current) = lane.tracked else {
+        // One-step features per engaged lane (a command *and* a synced
+        // measurement). The per-lane math is the scalar helper, so each
+        // lane is bit-identical to an independent detector.
+        for (l, (dac, lane)) in dacs.iter().zip(&self.lanes).enumerate() {
+            let (Some(_), Some(current)) = (dac, lane.tracked) else {
                 self.verdicts[l] = None;
                 continue;
             };
             let predicted = self.model.state(l);
             let ee_now = lane.arm.position(&current.joint_pos());
             self.ee_now[l] = ee_now;
-            let features = InstantFeatures::compute_with_current_ee(
-                &lane.arm,
-                &current,
-                &predicted,
-                self.config.dt,
-                ee_now,
-            );
-            for i in 0..NUM_AXES {
-                self.motor_accel[i * m + l] = features.motor_accel[i];
-                self.motor_vel[i * m + l] = features.motor_vel[i];
-                self.joint_vel[i * m + l] = features.joint_vel[i];
-            }
-            self.ee_step[l] = features.ee_step;
+            let features =
+                InstantFeatures::compute(&lane.arm, &current, &predicted, self.config.dt, ee_now);
             // Stash the partial verdict; ee_step may still grow below.
             self.verdicts[l] =
                 Some(Assessment { features, threshold_alarm: false, ee_alarm: false });
@@ -429,14 +352,10 @@ impl BatchDetector {
             }
             self.model.step_positions();
             for (l, lane) in self.lanes.iter().enumerate() {
-                if !self.engaged[l] {
-                    continue;
-                }
                 let Some(assessment) = &mut self.verdicts[l] else { continue };
                 let ee_now = self.ee_now[l];
                 let end = lane.arm.position(&self.model.joint_pos(l));
                 assessment.features.ee_step = assessment.features.ee_step.max(ee_now.distance(end));
-                self.ee_step[l] = assessment.features.ee_step;
             }
         }
         // Threshold sweep + per-lane alarm accounting.
@@ -464,32 +383,17 @@ impl BatchDetector {
     // ---- kill-suite hook points -------------------------------------
     //
     // Each verdict decision the mutation kill-suite needs to sabotage
-    // routes through one of these `cfg`-paired helpers. The
-    // `not(mutant-hooks)` versions are the production logic, verbatim;
-    // the `mutant-hooks` versions reproduce it exactly when
-    // `self.mutation` is `None` and apply the seeded defect otherwise.
-    // See `crate::mutants`.
+    // routes through one of these helpers. With no mutation installed
+    // (the default) each returns the production value; otherwise it
+    // applies the seeded defect. See `crate::mutants`.
 
     /// Fused threshold-exceedance decision for one assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn threshold_alarm_for(
         &self,
         thresholds: &DetectionThresholds,
         features: &InstantFeatures,
     ) -> bool {
-        match self.config.fusion {
-            FusionRule::AllThree => thresholds.fused_alarm(features),
-            FusionRule::AnyOne => thresholds.any_alarm(features),
-        }
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn threshold_alarm_for(
-        &self,
-        thresholds: &DetectionThresholds,
-        features: &InstantFeatures,
-    ) -> bool {
-        use crate::mutants::DetectorMutation as M;
+        use DetectorMutation as M;
         let mut f = *features;
         match self.mutation {
             Some(M::ThresholdsIgnored) => return false,
@@ -510,14 +414,8 @@ impl BatchDetector {
     }
 
     /// Hard end-effector step-limit decision for one assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn ee_alarm_for(&self, features: &InstantFeatures) -> bool {
-        features.ee_step > self.config.ee_step_limit
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn ee_alarm_for(&self, features: &InstantFeatures) -> bool {
-        use crate::mutants::DetectorMutation as M;
+        use DetectorMutation as M;
         match self.mutation {
             Some(M::EeCheckDisabled) => false,
             Some(M::EeLimitTenfold) => features.ee_step > 10.0 * self.config.ee_step_limit,
@@ -526,27 +424,15 @@ impl BatchDetector {
     }
 
     /// Bumps a lane's alarm counter on an alarming assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn count_alarm(&mut self, lane: usize) {
-        self.lanes[lane].alarms += 1;
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn count_alarm(&mut self, lane: usize) {
-        if self.mutation != Some(crate::mutants::DetectorMutation::AlarmCounterStuck) {
+        if self.mutation != Some(DetectorMutation::AlarmCounterStuck) {
             self.lanes[lane].alarms += 1;
         }
     }
 
     /// The 1-based assessment index recorded for a lane's first alarm.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn first_alarm_index(&self, lane: usize) -> u64 {
-        self.lanes[lane].assessments
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn first_alarm_index(&self, lane: usize) -> u64 {
-        if self.mutation == Some(crate::mutants::DetectorMutation::FirstAlarmOffByOne) {
+        if self.mutation == Some(DetectorMutation::FirstAlarmOffByOne) {
             self.lanes[lane].assessments + 1
         } else {
             self.lanes[lane].assessments
@@ -554,24 +440,8 @@ impl BatchDetector {
     }
 
     /// Whether the E-STOP mitigation is allowed to request the stop.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn estop_request_enabled(&self) -> bool {
-        true
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn estop_request_enabled(&self) -> bool {
-        self.mutation != Some(crate::mutants::DetectorMutation::EstopRequestDropped)
-    }
-
-    /// The batched feature lanes from the most recent assessment.
-    pub fn soa_features(&self) -> SoaFeatures<'_> {
-        SoaFeatures {
-            motor_accel: &self.motor_accel,
-            motor_vel: &self.motor_vel,
-            joint_vel: &self.joint_vel,
-            ee_step: &self.ee_step,
-        }
+        self.mutation != Some(DetectorMutation::EstopRequestDropped)
     }
 
     /// Commands assessed while armed, per lane.
@@ -632,54 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_lanes_match_independent_scalar_detectors() {
-        let config = DetectorConfig::default();
-        let sessions: Vec<_> = (1..4).map(session).collect();
-        let thresholds: Vec<_> =
-            sessions.iter().map(|(a, m, p)| trained_thresholds(a, m, p)).collect();
-
-        let arms: Vec<_> = sessions.iter().map(|(a, _, _)| a.clone()).collect();
-        let models: Vec<_> = sessions.iter().map(|(_, m, _)| m.clone()).collect();
-        let mut batch = BatchDetector::from_models(&arms, &models, config);
-        let mut scalars: Vec<_> = sessions
-            .iter()
-            .map(|(a, m, _)| DynamicDetector::new(a.clone(), m.clone(), config))
-            .collect();
-        for (l, t) in thresholds.iter().enumerate() {
-            batch.arm_lane(l, *t);
-            scalars[l].arm_with(*t);
-            assert_eq!(batch.lane_mode(l), DetectorMode::Armed);
-        }
-
-        let coupling = sessions[0].2.coupling();
-        for k in 0..40u64 {
-            let t = k as f64 * 1e-3;
-            for (l, scalar) in scalars.iter_mut().enumerate() {
-                let j = JointState::new(
-                    0.1 * (2.0 * t).sin() + 0.01 * l as f64,
-                    1.4 + 0.05 * (3.0 * t).cos(),
-                    0.25,
-                );
-                let mpos = coupling.joints_to_motors(&j);
-                scalar.sync_measurement(mpos);
-                batch.sync_lane(l, mpos);
-            }
-            let dacs: Vec<[i16; NUM_AXES]> =
-                (0..scalars.len()).map(|l| [400 + 100 * l as i16, -200, 150]).collect();
-            let verdicts = batch.assess_lanes(&dacs).to_vec();
-            for (l, scalar) in scalars.iter_mut().enumerate() {
-                let expected = scalar.assess(&dacs[l]).expect("synced");
-                let got = verdicts[l].expect("synced lane");
-                assert_eq!(got, expected, "lane {l} diverged from scalar at cycle {k}");
-            }
-        }
-        for (l, scalar) in scalars.iter().enumerate() {
-            assert_eq!(batch.lane_assessments(l), scalar.assessments());
-            assert_eq!(batch.lane_alarms(l), scalar.alarms());
-        }
-    }
-
-    #[test]
     fn unsynced_lane_yields_none_and_does_not_count() {
         let (arm, model, params) = session(1);
         let config = DetectorConfig::default();
@@ -687,7 +509,7 @@ mod tests {
             BatchDetector::from_models(&[arm.clone(), arm], &[model.clone(), model], config);
         let mpos = params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25));
         batch.sync_lane(0, mpos);
-        let verdicts = batch.assess_lanes(&[[100, 0, 0], [100, 0, 0]]);
+        let verdicts = batch.assess_lanes(&[Some([100, 0, 0]), Some([100, 0, 0])]);
         assert!(verdicts[0].is_some());
         assert!(verdicts[1].is_none());
         assert_eq!(batch.lane_assessments(1), 0);
@@ -695,9 +517,9 @@ mod tests {
 
     #[test]
     fn masked_assessment_parks_lanes_without_perturbing_siblings() {
-        // An engaged lane in a masked batch is bit-identical to the same
-        // lane in a fully-engaged batch, regardless of what its siblings
-        // do; parked lanes don't assess, don't count, and resume cleanly.
+        // An engaged lane beside a parking sibling is bit-identical to the
+        // same lane in a batch of its own; parked lanes don't assess,
+        // don't count, and resume cleanly.
         let (arm, model, params) = session(3);
         let thresholds = trained_thresholds(&arm, &model, &params);
         let config = DetectorConfig::default();
@@ -730,8 +552,8 @@ mod tests {
             } else {
                 None
             };
-            let got = masked.assess_lanes_masked(&[Some(dac), lane1]).to_vec();
-            let expected = solo.assess_lanes(&[dac])[0];
+            let got = masked.assess_lanes(&[Some(dac), lane1]).to_vec();
+            let expected = solo.assess_lanes(&[Some(dac)])[0];
             assert_eq!(got[0], expected, "engaged lane diverged at cycle {k}");
             assert_eq!(got[1].is_some(), lane1.is_some());
         }
@@ -763,7 +585,7 @@ mod tests {
         let mpos = coupling.joints_to_motors(&JointState::new(0.0, 1.4, 0.25));
         batch.sync_lane(0, mpos);
         batch.sync_lane(1, mpos);
-        batch.assess_lanes(&[[300, 0, 0], [300, 0, 0]]);
+        batch.assess_lanes(&[Some([300, 0, 0]), Some([300, 0, 0])]);
         assert_eq!(batch.lane_assessments(1), 1);
 
         // Session on lane 1 leaves; a new session (different model) takes
@@ -782,8 +604,8 @@ mod tests {
             batch.sync_lane(0, mpos);
             batch.sync_lane(1, m);
             fresh.sync_lane(0, m);
-            let got = batch.assess_lanes(&[[200, 0, 0], [500, -100, 50]]).to_vec();
-            let expected = fresh.assess_lanes(&[[500, -100, 50]])[0];
+            let got = batch.assess_lanes(&[Some([200, 0, 0]), Some([500, -100, 50])]).to_vec();
+            let expected = fresh.assess_lanes(&[Some([500, -100, 50])])[0];
             assert_eq!(got[1], expected, "recycled lane diverged at cycle {k}");
         }
         assert_eq!(batch.lane_assessments(1), fresh.lane_assessments(0));
@@ -818,17 +640,95 @@ mod tests {
         let calm = coupling.joints_to_motors(&JointState::new(0.0, 1.4, 0.25));
         batch.sync_lane(0, calm);
         batch.sync_lane(1, calm);
-        batch.assess_lanes(&[[150, 0, 0], [150, 0, 0]]);
+        batch.assess_lanes(&[Some([150, 0, 0]), Some([150, 0, 0])]);
         // Lane 1 sees a runaway measurement + saturating command.
         let mut hot = calm;
         hot.angles[0] += 0.05;
         batch.sync_lane(0, calm);
         batch.sync_lane(1, hot);
-        let verdicts = batch.assess_lanes(&[[150, 0, 0], [32_000, 0, 0]]);
+        let verdicts = batch.assess_lanes(&[Some([150, 0, 0]), Some([32_000, 0, 0])]);
         assert!(!verdicts[0].expect("lane 0").alarm());
         assert!(verdicts[1].expect("lane 1").alarm());
         assert!(!batch.lane_estop_requested(0));
         assert!(batch.lane_estop_requested(1));
         assert_eq!(batch.lane_first_alarm_assessment(1), Some(2));
+    }
+
+    #[test]
+    fn clearing_a_mutant_restores_the_production_verdicts() {
+        // A mutant that has run and then been cleared leaves nothing
+        // behind: every later verdict and lane counter is bit-equal to a
+        // twin batch that was never mutated.
+        let sessions: Vec<_> = (7..10).map(session).collect();
+        let thresholds = trained_thresholds(&sessions[0].0, &sessions[0].1, &sessions[0].2);
+        let arms: Vec<_> = sessions.iter().map(|(a, _, _)| a.clone()).collect();
+        let models: Vec<_> = sessions.iter().map(|(_, m, _)| m.clone()).collect();
+        let coupling = sessions[0].2.coupling();
+        let calm = coupling.joints_to_motors(&JointState::new(0.0, 1.4, 0.25));
+        let mut hot = calm;
+        hot.angles[0] += 0.05;
+        // Per lane and cycle: calm or runaway measurement, gentle or
+        // saturating command, so both alarm outcomes occur.
+        let drive = |batch: &mut BatchDetector, k: usize| -> Vec<Option<Assessment>> {
+            let mut dacs = [None; 3];
+            for (l, dac) in dacs.iter_mut().enumerate() {
+                let violent = (k + l).is_multiple_of(3);
+                batch.sync_lane(l, if violent { hot } else { calm });
+                *dac = Some(if violent { [32_000, -300, 0] } else { [150 + 50 * l as i16, 0, 0] });
+            }
+            batch.assess_lanes(&dacs).to_vec()
+        };
+        let bits = |v: &[Option<Assessment>]| -> Vec<Option<(Vec<u64>, bool, bool)>> {
+            v.iter()
+                .map(|a| {
+                    a.map(|a| {
+                        let f = a.features;
+                        let raw = f.flattened().into_iter().chain([f.ee_step]).map(f64::to_bits);
+                        (raw.collect(), a.threshold_alarm, a.ee_alarm)
+                    })
+                })
+                .collect()
+        };
+        for mutant in DetectorMutation::ALL {
+            let mut mutated = BatchDetector::from_models(&arms, &models, DetectorConfig::default());
+            let mut twin = BatchDetector::from_models(&arms, &models, DetectorConfig::default());
+            for l in 0..3 {
+                mutated.arm_lane(l, thresholds);
+                twin.arm_lane(l, thresholds);
+            }
+            mutated.set_mutation(Some(mutant));
+            for k in 0..6 {
+                drive(&mut mutated, k);
+                drive(&mut twin, k);
+            }
+            mutated.set_mutation(None);
+            assert_eq!(mutated.mutation(), None);
+            // The mutant may have bent this session's bookkeeping; a new
+            // session on both batches starts the comparison clean.
+            for l in 0..3 {
+                mutated.reset_session(l);
+                twin.reset_session(l);
+            }
+            for k in 0..9 {
+                let got = drive(&mut mutated, k);
+                let want = drive(&mut twin, k);
+                assert_eq!(bits(&got), bits(&want), "{mutant}: verdicts diverged at cycle {k}");
+            }
+            for l in 0..3 {
+                assert_eq!(mutated.lane_assessments(l), twin.lane_assessments(l), "{mutant}");
+                assert_eq!(mutated.lane_alarms(l), twin.lane_alarms(l), "{mutant}");
+                assert_eq!(
+                    mutated.lane_first_alarm_assessment(l),
+                    twin.lane_first_alarm_assessment(l),
+                    "{mutant}"
+                );
+                assert_eq!(
+                    mutated.lane_estop_requested(l),
+                    twin.lane_estop_requested(l),
+                    "{mutant}"
+                );
+            }
+            assert!(twin.lane_alarms(0) > 0, "the drive must exercise the alarm path");
+        }
     }
 }

@@ -19,6 +19,7 @@ use simbus::{SpanGuard, SpanHandle};
 
 use crate::batch::BatchDetector;
 use crate::features::InstantFeatures;
+use crate::mutants::DetectorMutation;
 use crate::thresholds::{DetectionThresholds, ThresholdLearner};
 
 /// What to do when a command is judged unsafe (paper §IV.C: "either
@@ -195,20 +196,19 @@ impl DynamicDetector {
     }
 
     /// Closes the mitigation-window span, if one is open.
-    pub fn close_mitigation_window(&mut self) {
+    fn close_mitigation_window(&mut self) {
         self.mitigation_span = None;
     }
 
-    /// Installs (or clears) a kill-suite mutant. Test-only: exists solely
-    /// for the `raven-verify` mutation kill-suite.
-    #[cfg(feature = "mutant-hooks")]
-    pub fn set_mutation(&mut self, mutation: Option<crate::mutants::DetectorMutation>) {
+    /// Installs (or clears) a kill-suite mutant. Exists for the
+    /// `raven-verify` mutation kill-suite; `None`, the default, is the
+    /// production detector.
+    pub fn set_mutation(&mut self, mutation: Option<DetectorMutation>) {
         self.core.set_mutation(mutation);
     }
 
     /// The installed kill-suite mutant, if any.
-    #[cfg(feature = "mutant-hooks")]
-    pub fn mutation(&self) -> Option<crate::mutants::DetectorMutation> {
+    pub fn mutation(&self) -> Option<DetectorMutation> {
         self.core.mutation()
     }
 
@@ -284,7 +284,7 @@ impl DynamicDetector {
     /// features feed the threshold learner and never alarm.
     pub fn assess(&mut self, dac: &[i16; NUM_AXES]) -> Option<Assessment> {
         let _verdict = self.spans.begin(spans::DETECTOR_VERDICT);
-        let assessment = self.core.assess_lanes(std::slice::from_ref(dac))[0]?;
+        let assessment = self.core.assess_lanes(&[Some(*dac)])[0]?;
         if self.mode() == DetectorMode::Learning {
             self.learner.observe(&assessment.features);
         } else if assessment.alarm() && self.spans.is_enabled() && self.mitigation_span.is_none() {
@@ -344,29 +344,17 @@ impl DynamicDetector {
     // ---- guard-side kill-suite hook points --------------------------
     //
     // The verdict hooks live on `BatchDetector`; these three sabotage
-    // only the mitigation the guard actuates. The `not(mutant-hooks)`
-    // versions are the production logic, verbatim. See `crate::mutants`.
+    // only the mitigation the guard actuates. With no mutation installed
+    // each returns the production value. See `crate::mutants`.
 
     /// Whether the guard's block/substitute path is active at all.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn block_path_enabled(&self) -> bool {
-        true
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn block_path_enabled(&self) -> bool {
-        self.mutation() != Some(crate::mutants::DetectorMutation::BlockPathDisabled)
+        self.mutation() != Some(DetectorMutation::BlockPathDisabled)
     }
 
     /// Cooldown cycles loaded after an alarming block-and-hold cycle.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn cooldown_reload(&self) -> u32 {
-        self.config().hold_cooldown_cycles
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn cooldown_reload(&self) -> u32 {
-        if self.mutation() == Some(crate::mutants::DetectorMutation::CooldownIgnored) {
+        if self.mutation() == Some(DetectorMutation::CooldownIgnored) {
             0
         } else {
             self.config().hold_cooldown_cycles
@@ -374,14 +362,8 @@ impl DynamicDetector {
     }
 
     /// The remembered safe command that block-and-hold substitutes.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn substitution_source(&self) -> Option<[i16; raven_hw::DAC_CHANNELS]> {
-        self.held_safe()
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn substitution_source(&self) -> Option<[i16; raven_hw::DAC_CHANNELS]> {
-        if self.mutation() == Some(crate::mutants::DetectorMutation::HoldSubstitutesLatest) {
+        if self.mutation() == Some(DetectorMutation::HoldSubstitutesLatest) {
             self.safe_history.back().copied()
         } else {
             self.held_safe()

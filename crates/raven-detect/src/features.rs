@@ -31,30 +31,21 @@ pub struct InstantFeatures {
 
 impl InstantFeatures {
     /// Computes features from the current state and the model's one-step
-    /// prediction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not positive and finite.
-    pub fn compute(arm: &ArmConfig, current: &PlantState, predicted: &PlantState, dt: f64) -> Self {
-        let ee_now = arm.position(&current.joint_pos());
-        Self::compute_with_current_ee(arm, current, predicted, dt, ee_now)
-    }
-
-    /// [`InstantFeatures::compute`] with the current state's end-effector
-    /// position supplied by the caller.
+    /// prediction, given `ee_now`, the current state's end-effector
+    /// position (`arm.position(&current.joint_pos())`).
     ///
     /// The detector's assessment needs FK of the *current* state twice —
     /// once for the one-step `ee_step` feature and once as the start point
     /// of the lookahead rollout. FK is pure, so hoisting it to the caller
     /// and sharing the result is bit-identical to recomputing it (pinned
-    /// by a regression test in `tests/`), and saves one trig-heavy
-    /// evaluation per armed cycle.
+    /// by `verdict_features_match_the_iterated_scalar_model` in
+    /// `tests/batch_equiv.rs`), and saves one trig-heavy evaluation per
+    /// armed cycle.
     ///
     /// # Panics
     ///
     /// Panics if `dt` is not positive and finite.
-    pub fn compute_with_current_ee(
+    pub fn compute(
         arm: &ArmConfig,
         current: &PlantState,
         predicted: &PlantState,
@@ -100,19 +91,22 @@ mod tests {
     use raven_dynamics::{PlantParams, RtModel};
     use raven_kinematics::JointState;
 
-    fn setup() -> (ArmConfig, PlantParams, PlantState) {
+    /// The arm, its plant, a resting state and that state's end-effector
+    /// position.
+    fn setup() -> (ArmConfig, PlantParams, PlantState, Vec3) {
         let params = PlantParams::raven_ii();
         let arm = ArmConfig::builder().coupling(params.coupling()).build();
         let state = params.rest_state(JointState::new(0.0, 1.4, 0.25));
-        (arm, params, state)
+        let ee = arm.position(&state.joint_pos());
+        (arm, params, state, ee)
     }
 
     #[test]
     fn rest_prediction_has_small_features() {
-        let (arm, params, state) = setup();
+        let (arm, params, state, ee) = setup();
         let model = RtModel::new(params);
         let predicted = model.predict(&state, &[0, 0, 0]);
-        let f = InstantFeatures::compute(&arm, &state, &predicted, 1e-3);
+        let f = InstantFeatures::compute(&arm, &state, &predicted, 1e-3, ee);
         // Gravity sag only: everything small.
         for v in f.flattened() {
             assert!(v.is_finite());
@@ -122,22 +116,22 @@ mod tests {
 
     #[test]
     fn violent_command_produces_large_features() {
-        let (arm, params, state) = setup();
+        let (arm, params, state, ee) = setup();
         let model = RtModel::new(params);
         let quiet = model.predict(&state, &[100, 0, 0]);
         let violent = model.predict(&state, &[30_000, 0, 0]);
-        let fq = InstantFeatures::compute(&arm, &state, &quiet, 1e-3);
-        let fv = InstantFeatures::compute(&arm, &state, &violent, 1e-3);
+        let fq = InstantFeatures::compute(&arm, &state, &quiet, 1e-3, ee);
+        let fv = InstantFeatures::compute(&arm, &state, &violent, 1e-3, ee);
         assert!(fv.motor_accel[0] > 10.0 * fq.motor_accel[0].max(1.0));
         assert!(fv.motor_vel[0] > fq.motor_vel[0]);
     }
 
     #[test]
     fn features_are_absolute_values() {
-        let (arm, params, state) = setup();
+        let (arm, params, state, ee) = setup();
         let model = RtModel::new(params);
         let neg = model.predict(&state, &[-30_000, 0, 0]);
-        let f = InstantFeatures::compute(&arm, &state, &neg, 1e-3);
+        let f = InstantFeatures::compute(&arm, &state, &neg, 1e-3, ee);
         for v in f.flattened() {
             assert!(v >= 0.0);
         }
@@ -157,7 +151,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid feature dt")]
     fn zero_dt_panics() {
-        let (arm, _, state) = setup();
-        let _ = InstantFeatures::compute(&arm, &state, &state, 0.0);
+        let (arm, _, state, ee) = setup();
+        let _ = InstantFeatures::compute(&arm, &state, &state, 0.0, ee);
     }
 }

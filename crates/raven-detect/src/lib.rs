@@ -13,7 +13,12 @@
 //!   (99.8–99.9th percentile, §IV.C) and the three-way alarm fusion rule;
 //! * [`detector`] — [`DynamicDetector`] (model tracking + assessment) and
 //!   [`GuardInterceptor`] (the write-path guard), with the two mitigation
-//!   policies of §IV.C: block-and-hold and E-STOP.
+//!   policies of §IV.C: block-and-hold and E-STOP;
+//! * [`batch`] — [`BatchDetector`], the one verdict implementation: M
+//!   sessions over one SoA estimator batch, of which `DynamicDetector`
+//!   is a 1-lane view;
+//! * [`mutants`] — the seeded defects the `raven-verify` kill-suite must
+//!   kill, installed with `set_mutation` (none by default).
 //!
 //! The RAVEN *baseline* detector of Table IV is the stock software safety
 //! layer in `raven-control::safety` plus the PLC watchdog in
@@ -25,16 +30,14 @@
 pub mod batch;
 pub mod detector;
 pub mod features;
-#[cfg(feature = "mutant-hooks")]
 pub mod mutants;
 pub mod thresholds;
 
-pub use batch::{BatchDetector, SoaFeatures};
+pub use batch::BatchDetector;
 pub use detector::{
     Assessment, DetectorConfig, DetectorMode, DynamicDetector, FusionRule, GuardInterceptor,
     Mitigation, NoFaultFreeSamples,
 };
 pub use features::InstantFeatures;
-#[cfg(feature = "mutant-hooks")]
 pub use mutants::DetectorMutation;
 pub use thresholds::{DetectionThresholds, ThresholdLearner};

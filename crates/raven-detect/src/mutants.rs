@@ -1,27 +1,24 @@
 //! Deliberately-broken detector variants for the mutation kill-suite
 //! (`raven-verify`).
 //!
-//! Only compiled under the `mutant-hooks` cargo feature. Each
-//! [`DetectorMutation`] names one seeded defect in the detection or
+//! Each [`DetectorMutation`] names one seeded defect in the detection or
 //! mitigation path — an off-by-one, a dropped fusion term, a disabled
 //! block path — and the safety-oracle suite must *kill* every one of them
 //! (fail at least one oracle on at least one scenario). A mutant that
 //! survives means the oracles have a blind spot exactly where the defect
 //! lives.
 //!
-//! The hooks are wired through `cfg`-paired private helpers: the verdict
-//! and bookkeeping hooks on [`crate::BatchDetector`] (the one verdict
+//! The hooks are wired through private helpers: the verdict and
+//! bookkeeping hooks on [`crate::BatchDetector`] (the one verdict
 //! implementation, so they reach a fleet monitor lane and the scalar
 //! detector alike), and the three guard-only hooks (`BlockPathDisabled`,
 //! `CooldownIgnored`, `HoldSubstitutesLatest`) on
-//! [`crate::DynamicDetector`] for the [`crate::GuardInterceptor`]. With
-//! the feature off the helpers are trivial pass-throughs and the mutant code
-//! does not exist; with the feature on but no mutation installed
-//! (`set_mutation(None)`, the default) every helper returns the production
-//! value, so an unmutated `mutant-hooks` build behaves identically to a
-//! release build. That equivalence is what lets the kill-suite's control
-//! arm ("unmutated build passes every oracle") share a binary with the
-//! mutant arms.
+//! [`crate::DynamicDetector`] for the [`crate::GuardInterceptor`]. There
+//! is one build: each helper's no-mutation arm is the production
+//! expression, and no mutation is installed unless a test calls
+//! `set_mutation` (no config field, serde path or CLI flag reaches it).
+//! So the kill-suite's control arm ("unmutated detector passes every
+//! oracle") checks the detector that ships.
 
 use serde::{Deserialize, Serialize};
 

@@ -4,7 +4,8 @@
 //! Contract under test: every batched lane produces assessments (features,
 //! alarm bits, counters) *identical* to a standalone detector fed the same
 //! measurements and commands — across lookahead horizons, fusion rules,
-//! perturbed per-lane models, and `reset_session` on one lane mid-batch.
+//! perturbed per-lane models, distinct per-lane commands, and
+//! `reset_session` on one lane mid-batch.
 //! The standalone detector is itself a 1-lane batch, so this pins lane
 //! independence: an M-lane batch equals M one-lane batches. The rollout
 //! oracle at the end checks both against an independent reference built
@@ -48,8 +49,10 @@ fn config(lookahead_steps: u32, fusion: FusionRule) -> DetectorConfig {
     DetectorConfig { lookahead_steps, fusion, ..DetectorConfig::default() }
 }
 
-/// Drives `cycles` measurement+assessment rounds over `m` lanes and asserts
-/// every batched verdict equals its scalar twin's.
+/// Drives one measurement+assessment round per pose over `m` lanes and
+/// asserts every batched verdict equals its scalar twin's. Lane `l` reads
+/// the drawn command sequence rotated by `l`, so with `m` no larger than
+/// the sequence, sibling lanes assess different commands each cycle.
 fn assert_equivalent(
     m: usize,
     cfg: DetectorConfig,
@@ -67,9 +70,10 @@ fn assert_equivalent(
     for (l, scalar) in scalars.iter_mut().enumerate() {
         batch.arm_lane(l, t);
         scalar.arm_with(t);
+        prop_assert!(batch.lane_mode(l) == scalar.mode(), "mode lane {l}");
     }
     let coupling = PlantParams::raven_ii().coupling();
-    for (k, (pose, cmd)) in poses.iter().zip(dacs).enumerate() {
+    for (k, pose) in poses.iter().enumerate() {
         if let Some((lane, at)) = reset_lane_at {
             if k == at {
                 batch.reset_session(lane);
@@ -83,10 +87,11 @@ fn assert_equivalent(
             scalar.sync_measurement(mpos);
             batch.sync_lane(l, mpos);
         }
-        let cmds: Vec<[i16; 3]> = (0..m).map(|_| *cmd).collect();
-        let verdicts = batch.assess_lanes(&cmds).to_vec();
+        let cmds: Vec<[i16; 3]> = (0..m).map(|l| dacs[(k + l) % dacs.len()]).collect();
+        let slots: Vec<_> = cmds.iter().copied().map(Some).collect();
+        let verdicts = batch.assess_lanes(&slots).to_vec();
         for (l, scalar) in scalars.iter_mut().enumerate() {
-            let expected = scalar.assess(cmd);
+            let expected = scalar.assess(&cmds[l]);
             let got = verdicts[l];
             prop_assert!(
                 got == expected,
@@ -110,10 +115,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Batched lanes == scalar detectors across lookahead horizons 1/2/4
-    /// and both fusion rules.
+    /// and both fusion rules. At least two lanes: a 1-lane batch *is* the
+    /// scalar detector.
     #[test]
     fn batch_matches_scalar_detectors(
-        m in 1..5usize,
+        m in 2..5usize,
         lookahead in prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
         fusion in prop_oneof![Just(FusionRule::AllThree), Just(FusionRule::AnyOne)],
         t in thresholds(),
@@ -223,7 +229,7 @@ proptest! {
                         bits(&got) == bits(&want),
                         "{method} h={lookahead} cycle {k}: detector {got:?} != reference {want:?}"
                     );
-                    let got = fleet.assess_lanes_masked(&slots)[lane].expect("synced").features;
+                    let got = fleet.assess_lanes(&slots)[lane].expect("synced").features;
                     prop_assert!(
                         bits(&got) == bits(&want),
                         "{method} h={lookahead} cycle {k}: lane {lane} {got:?} != reference {want:?}"

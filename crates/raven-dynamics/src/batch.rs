@@ -238,11 +238,6 @@ impl BatchModel {
         self.config
     }
 
-    /// One lane's parameter set.
-    pub fn lane_params(&self, lane: usize) -> &PlantParams {
-        &self.params[lane]
-    }
-
     /// Rebinds one lane to a new parameter set — the lane-recycling
     /// primitive the fleet monitor uses when a retired session's lane is
     /// re-admitted to a different rig. Updates the lane's SoA columns in

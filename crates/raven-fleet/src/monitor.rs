@@ -21,8 +21,9 @@
 //!    phases. Each chunk runs on a fresh `width`-lane detector: a phase
 //!    takes the lowest free lane ([`BatchDetector::admit_lane`], a
 //!    fresh detector epoch), is synced and assessed through
-//!    [`BatchDetector::assess_lanes_masked`] for its `active_ms`
-//!    cycles, and releases the lane ([`BatchDetector::retire_lane`]).
+//!    [`BatchDetector::assess_lanes`] for its `active_ms` cycles (free
+//!    lanes ride along parked, as `None` slots), and releases the lane
+//!    ([`BatchDetector::retire_lane`]).
 //!
 //! The split rests on two facts. A phase's length never depends on its
 //! verdicts, so the schedule is settled before any verdict exists. And
@@ -289,7 +290,7 @@ impl FleetMonitor {
                     synth_command(session.seed, cycle)
                 });
             }
-            detector.assess_lanes_masked(&dacs);
+            detector.assess_lanes(&dacs);
             for (lane, slot) in lanes.iter_mut().enumerate() {
                 let Some((k, cycle)) = slot else { continue };
                 *cycle += 1;

@@ -27,10 +27,10 @@
 //!   [`raven_detect::BatchDetector`] lane, the fleet monitor's path.
 //!
 //! The oracle suite's teeth are proven by the **mutation kill-suite**
-//! (`tests/mutation_kill.rs`): `raven-detect` compiled with the
-//! `mutant-hooks` feature exposes [`raven_detect::DetectorMutation`] — a
-//! registry of deliberately-seeded defects — and every mutant must fail at
-//! least one oracle or probe, while the unmutated build passes all of them
+//! (`tests/mutation_kill.rs`): `raven-detect` exposes
+//! [`raven_detect::DetectorMutation`] — a registry of deliberately-seeded
+//! defects, installed with `set_mutation` — and every mutant must fail at
+//! least one oracle or probe, while the unmutated detector passes all of them
 //! over the whole chaos matrix (`tests/chaos_matrix.rs`). A mutant enters
 //! an end-to-end session through `run_standalone`'s pre-boot hook.
 

@@ -129,8 +129,8 @@ impl Subject {
             Subject::Lane(batch) => {
                 // The siblings assess the gentle command, so a verdict
                 // leaking across lanes shows up on the probed one.
-                let mut dacs = [GENTLE; MONITOR_LANES];
-                dacs[PROBE_LANE] = *dac;
+                let mut dacs = [Some(GENTLE); MONITOR_LANES];
+                dacs[PROBE_LANE] = Some(*dac);
                 batch.assess_lanes(&dacs)[PROBE_LANE]
             }
         }

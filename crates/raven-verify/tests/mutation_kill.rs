@@ -1,11 +1,11 @@
 //! The mutation kill-suite: proof the oracle/probe suite has teeth.
 //!
-//! `raven-detect` is compiled with the `mutant-hooks` feature, exposing
-//! twelve deliberately-seeded defects ([`DetectorMutation`]). The suite
-//! must *kill* every one of them — each mutant fails at least one
-//! conformance probe or end-to-end oracle — while the unmutated build
-//! passes everything. A surviving mutant means the oracles have a blind
-//! spot exactly where that defect lives.
+//! `raven-detect` exposes twelve deliberately-seeded defects
+//! ([`DetectorMutation`]), installed with `set_mutation`. The suite must
+//! *kill* every one of them — each mutant fails at least one conformance
+//! probe or end-to-end oracle — while the unmutated detector, the same
+//! build that ships, passes everything. A surviving mutant means the
+//! oracles have a blind spot exactly where that defect lives.
 //!
 //! Both verdict paths face the suite: the scalar detector behind the
 //! guard, and a fleet monitor lane of a batched detector.
