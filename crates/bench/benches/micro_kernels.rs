@@ -10,7 +10,8 @@
 //! * the scalar-vs-batched estimator+detector kernel at M ∈ {1, 8, 64, 256}
 //!   sessions (the SoA fleet kernel in `raven_dynamics::batch` /
 //!   `raven_detect::batch`), published as `BENCH_kernels.json` at the
-//!   workspace root.
+//!   workspace root beside the fastest-batch ns of the plant period and
+//!   the model steps, and the previous record's kernel numbers.
 //!
 //! ```sh
 //! cargo bench -p bench --bench micro_kernels
@@ -158,6 +159,14 @@ struct ScalingPoint {
     speedup: f64,
 }
 
+/// One single-kernel timing: the fastest of `repeats` batches, in
+/// nanoseconds per call.
+#[derive(Serialize)]
+struct KernelPoint {
+    name: &'static str,
+    min_ns: f64,
+}
+
 #[derive(Serialize)]
 struct KernelsBench {
     header: bench::BenchHeader,
@@ -165,7 +174,76 @@ struct KernelsBench {
     repeats: usize,
     lookahead_steps: u32,
     points: Vec<ScalingPoint>,
+    kernels: Vec<KernelPoint>,
+    /// The `header` and `kernels` of the record this one replaced, so a
+    /// committed file shows a kernel change's before and after numbers.
+    previous: serde_json::Value,
     note: String,
+}
+
+/// The fastest of `repeats` timed batches of `calls` calls to `batch`,
+/// in ns per call.
+fn min_ns_per_call(repeats: usize, calls: usize, mut batch: impl FnMut()) -> f64 {
+    (0..repeats)
+        .map(|_| {
+            let t0 = Instant::now();
+            batch();
+            t0.elapsed().as_nanos() as f64 / calls as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One plant control period and one dynamic-model step, Euler and RK4:
+/// the kernels a plant-physics change moves. The plant steps from a
+/// fresh release under a square-wave torque, so every batch integrates
+/// the same trajectory.
+fn kernel_points(quick: bool) -> Vec<KernelPoint> {
+    // Many short batches: on a shared host the fastest of them is the
+    // one least disturbed by other tenants.
+    let repeats = if quick { 20 } else { 200 };
+    let periods = if quick { 50 } else { 200 };
+    let params = PlantParams::raven_ii();
+    let mut released = RavenPlant::new(params);
+    released.release_brakes();
+    let plant_ns = min_ns_per_call(repeats, periods, || {
+        let mut plant = released.clone();
+        for k in 0..periods {
+            let sign = if (k / 50) % 2 == 0 { 1.0 } else { -1.0 };
+            plant.step_control_period(black_box(&[0.02 * sign, -0.01 * sign, 0.005 * sign]));
+        }
+        black_box(plant.state().joint_pos());
+    });
+    let mut points = vec![KernelPoint { name: "plant_control_period", min_ns: plant_ns }];
+    let state = params.rest_state(JointState::new(0.2, 1.3, 0.3));
+    for (name, method) in [("model_step/euler", Method::Euler), ("model_step/rk4", Method::Rk4)] {
+        let model = RtModel::with_config(params, RtModelConfig { method, step_size: 1e-3 });
+        let steps = 20 * periods;
+        let min_ns = min_ns_per_call(repeats, steps, || {
+            for _ in 0..steps {
+                black_box(model.predict(black_box(&state), &[1200, -800, 400]));
+            }
+        });
+        points.push(KernelPoint { name, min_ns });
+    }
+    println!("\n== single kernels (fastest of {repeats} batches) ==");
+    for p in &points {
+        println!("{:<24} {:>10.1} ns", p.name, p.min_ns);
+    }
+    points
+}
+
+/// The `header` and `kernels` of an earlier record at `path`, or null.
+fn previous_kernels(path: &std::path::Path) -> serde_json::Value {
+    let Some(old) =
+        std::fs::read_to_string(path).ok().and_then(|text| serde_json::value_from_str(&text).ok())
+    else {
+        return serde_json::Value::Null;
+    };
+    let field = |key| old.get(key).cloned().unwrap_or(serde_json::Value::Null);
+    serde_json::Value::Map(vec![
+        ("header".to_string(), field("header")),
+        ("kernels".to_string(), field("kernels")),
+    ])
 }
 
 /// Builds M detector sessions (perturbed per-lane models, shared learned
@@ -233,6 +311,7 @@ fn bench_batch_scaling() {
     let repeats = if quick { 3 } else { 7 };
     let widths = [1usize, 8, 64, 256];
     let lookahead = DetectorConfig::default().lookahead_steps;
+    let kernels = kernel_points(quick);
 
     println!("\n== estimator+detector kernel: scalar vs batched (SoA) ==");
     println!(
@@ -300,16 +379,6 @@ fn bench_batch_scaling() {
         scalar_m1
     );
 
-    let record = KernelsBench {
-        header: bench::BenchHeader::current(),
-        cycles_per_repeat: cycles,
-        repeats,
-        lookahead_steps: lookahead,
-        points,
-        note: "per-session-cycle cost of measurement sync + armed assessment (lookahead \
-               rollout included); batch lanes share one SoA integrator dispatch"
-            .to_string(),
-    };
     // Workspace root ONLY: results/ holds the manifest-pinned deterministic
     // artifacts, and wall-clock timings must never enter that set.
     let root = {
@@ -318,6 +387,19 @@ fn bench_batch_scaling() {
         d
     };
     let path = root.join("BENCH_kernels.json");
+    let record = KernelsBench {
+        header: bench::BenchHeader::current(),
+        cycles_per_repeat: cycles,
+        repeats,
+        lookahead_steps: lookahead,
+        points,
+        kernels,
+        previous: previous_kernels(&path),
+        note: "points: per-session-cycle cost of measurement sync + armed assessment \
+               (lookahead rollout included), batch lanes sharing one SoA integrator \
+               dispatch; kernels: ns per call, fastest of the timed batches"
+            .to_string(),
+    };
     std::fs::write(&path, serde_json::to_string_pretty(&record).expect("serialize record"))
         .expect("write BENCH_kernels.json");
     println!("[saved {}]", path.display());

@@ -23,7 +23,7 @@ use simbus::obs::{streams, Metrics};
 use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
 use crate::scenario::AttackSetup;
 use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
-use crate::training::{train_thresholds_with, TrainingConfig};
+use crate::training::{train_thresholds_on, TrainingConfig};
 
 /// One grid cell's estimated probabilities.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -148,16 +148,25 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
 /// The whole values × durations × repetitions grid is flattened into one
 /// sweep (cell-major, repetition-minor) so workers stay busy across cell
 /// boundaries; per-cell counts fold in repetition order, making the grid
-/// bit-identical for any worker count.
+/// bit-identical for any worker count. Training and the grid's runs share
+/// one plant prefix.
 pub fn run_fig9_with(config: &Fig9Config, exec: &ExecutorConfig) -> Fig9Result {
-    let thresholds = train_thresholds_with(&config.training, exec).thresholds;
+    run_fig9_on(config, exec, &Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize)))
+}
+
+/// [`run_fig9_with`] on a given plant prefix.
+fn run_fig9_on(
+    config: &Fig9Config,
+    exec: &ExecutorConfig,
+    prefix: &Arc<PlantPrefix>,
+) -> Fig9Result {
+    let thresholds = train_thresholds_on(&config.training, exec, prefix).thresholds;
     let grid: Vec<(i16, u64)> = config
         .values
         .iter()
         .flat_map(|&value| config.durations_ms.iter().map(move |&d| (value, d)))
         .collect();
     let reps = config.repetitions.max(1) as usize;
-    let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
     let sweep = run_sweep_observed(
         "fig9",
         grid.len() * config.repetitions as usize,
@@ -173,7 +182,7 @@ pub fn run_fig9_with(config: &Fig9Config, exec: &ExecutorConfig) -> Fig9Result {
         |i, seed, metrics| {
             let (value, duration_ms) = grid[i / reps];
             let rep = (i % reps) as u32;
-            run_rep(config, (value, duration_ms, rep), seed, thresholds, &prefix, metrics)
+            run_rep(config, (value, duration_ms, rep), seed, thresholds, prefix, metrics)
         },
     );
     let metrics = sweep.stats.metrics.clone();
@@ -270,5 +279,26 @@ mod tests {
             .histogram(names::DETECTOR_DETECTION_LATENCY_CYCLES)
             .expect("fig9 metrics must aggregate detection latency");
         assert_eq!(latency.count, detected.round() as u64);
+    }
+
+    #[test]
+    fn training_and_the_grid_replay_one_pre_pedal_prefix() {
+        let mut cfg = Fig9Config::quick(21);
+        cfg.repetitions = 2;
+        cfg.training.runs = 2;
+        let runs = (cfg.values.len() * cfg.durations_ms.len()) as u64 * u64::from(cfg.repetitions)
+            + u64::from(cfg.training.runs);
+        for workers in [1, 2] {
+            let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+            let _ = run_fig9_on(&cfg, &ExecutorConfig::with_workers(workers), &prefix);
+            assert_eq!(prefix.recorded_periods(), prefix.cap());
+            // Only the runs that started alongside the first one (one per
+            // worker) may have integrated any period.
+            let replays = prefix.full_replays();
+            assert!(
+                replays >= runs - workers as u64 && replays < runs,
+                "{workers} worker(s): {replays} of {runs} runs replayed"
+            );
+        }
     }
 }

@@ -23,7 +23,7 @@ use simbus::obs::{streams, Metrics};
 use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
 use crate::scenario::AttackSetup;
 use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
-use crate::training::{train_thresholds_with, TrainingConfig};
+use crate::training::{train_thresholds_on, TrainingConfig};
 
 /// One detector's scored row.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -284,13 +284,21 @@ pub fn run_table4(config: &Table4Config) -> Table4Result {
 }
 
 /// [`run_table4`] with explicit executor control; output is bit-identical
-/// for any worker count. Each scenario sweep shares one plant prefix.
+/// for any worker count. Training and both scenario sweeps share one
+/// plant prefix.
 pub fn run_table4_with(config: &Table4Config, exec: &ExecutorConfig) -> Table4Result {
-    let training = train_thresholds_with(&config.training, exec);
-    let scenario = |label, runs| {
-        let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
-        run_scenario(label, runs, config, training.thresholds, exec, &prefix)
-    };
+    run_table4_on(config, exec, &Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize)))
+}
+
+/// [`run_table4_with`] on a given plant prefix.
+fn run_table4_on(
+    config: &Table4Config,
+    exec: &ExecutorConfig,
+    prefix: &Arc<PlantPrefix>,
+) -> Table4Result {
+    let training = train_thresholds_on(&config.training, exec, prefix);
+    let scenario =
+        |label, runs| run_scenario(label, runs, config, training.thresholds, exec, prefix);
     let (scenario_a, metrics_a) = scenario('A', config.scenario_a_runs);
     let (scenario_b, metrics_b) = scenario('B', config.scenario_b_runs);
     let mut metrics = metrics_a;
@@ -342,27 +350,48 @@ mod tests {
     }
 
     #[test]
-    fn scenario_runs_replay_the_whole_pre_pedal_prefix() {
-        // Boot and the Pedal-Up wait must stay seed-independent: if they
-        // stop being so, the shared prefix silently stops saving anything.
+    fn training_and_scenarios_replay_one_pre_pedal_prefix() {
+        // Boot and the Pedal-Up wait must stay seed-independent, and
+        // training must boot the plant the scored runs boot: if either
+        // stops being so, the shared prefix silently stops saving anything.
         let mut cfg = Table4Config::quick(9);
         cfg.training.runs = 2;
-        let thresholds = train_thresholds_with(&cfg.training, &ExecutorConfig::serial()).thresholds;
-        let runs = 8;
+        cfg.scenario_a_runs = 4;
+        cfg.scenario_b_runs = 4;
+        let runs = u64::from(cfg.training.runs + cfg.scenario_a_runs + cfg.scenario_b_runs);
         for workers in [1, 2] {
-            for scenario in ['A', 'B'] {
-                let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
-                let exec = ExecutorConfig::with_workers(workers);
-                let _ = run_scenario(scenario, runs, &cfg, thresholds, &exec, &prefix);
-                assert_eq!(prefix.recorded_periods(), prefix.cap());
-                // Only the runs that started alongside the first one
-                // (one per worker) may have integrated any period.
-                let replays = prefix.full_replays();
-                assert!(
-                    replays >= u64::from(runs) - workers as u64 && replays < u64::from(runs),
-                    "{scenario} on {workers} worker(s): {replays} of {runs} runs replayed"
-                );
-            }
+            let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+            let _ = run_table4_on(&cfg, &ExecutorConfig::with_workers(workers), &prefix);
+            assert_eq!(prefix.recorded_periods(), prefix.cap());
+            // Only the runs that started alongside the first one (one per
+            // worker) may have integrated any period.
+            let replays = prefix.full_replays();
+            assert!(
+                replays >= runs - workers as u64 && replays < runs,
+                "{workers} worker(s): {replays} of {runs} runs replayed"
+            );
         }
+    }
+
+    #[test]
+    fn shared_prefix_thresholds_are_bit_equal_to_private_prefix_thresholds() {
+        let cfg = Table4Config::quick(9);
+        let training = TrainingConfig { runs: 2, ..cfg.training };
+        let exec = ExecutorConfig::serial();
+        let private = crate::training::train_thresholds_with(&training, &exec).thresholds;
+        // Scored attack runs record the prefix; training then replays it.
+        let shared = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+        let _ = run_scenario('B', 2, &cfg, private, &exec, &shared);
+        let before = shared.full_replays();
+        let replayed = train_thresholds_on(&training, &exec, &shared).thresholds;
+        assert_eq!(shared.full_replays(), before + u64::from(training.runs));
+        let bits = |t: &DetectionThresholds| {
+            [t.motor_accel, t.motor_vel, t.joint_vel]
+                .concat()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&replayed), bits(&private));
     }
 }

@@ -82,8 +82,19 @@ pub fn train_thresholds(config: &TrainingConfig) -> TrainingReport {
 /// Panics if `config.runs` is zero or a clean training run faults (each
 /// faulting run is reported with its index and seed).
 pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> TrainingReport {
-    assert!(config.runs > 0, "training needs at least one run");
     let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+    train_thresholds_on(config, exec, &prefix)
+}
+
+/// [`train_thresholds_with`] on a plant prefix the caller shares with
+/// the runs it scores next, so an experiment integrates its pre-pedal
+/// trajectory once.
+pub(crate) fn train_thresholds_on(
+    config: &TrainingConfig,
+    exec: &ExecutorConfig,
+    prefix: &Arc<PlantPrefix>,
+) -> TrainingReport {
+    assert!(config.runs > 0, "training needs at least one run");
     let learners = run_sweep(
         "training",
         config.runs as usize,
@@ -107,7 +118,7 @@ pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> 
                 ..SimConfig::standard(0)
             };
             let mut sim = Simulation::new(sim_config);
-            sim.share_plant_prefix(&prefix);
+            sim.share_plant_prefix(prefix);
             sim.boot();
             let outcome = sim.run_session();
             assert!(

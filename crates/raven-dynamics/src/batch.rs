@@ -6,10 +6,9 @@
 //! millisecond. [`BatchModel`] steps M sessions per call over
 //! cache-dense parallel arrays: the 12-dim ODE state, shaft torques,
 //! and the per-axis transmission constants are all stored dim-major
-//! (`x[dim * lanes + lane]`), so the cable-coupling and motor updates
-//! sweep contiguous lanes while the trig-heavy link dynamics are
-//! evaluated per lane through the *same* [`LinkParams::acceleration`]
-//! the scalar path uses.
+//! (`x[dim * lanes + lane]`). A derivative first makes every lane's
+//! libm calls in whole-row loops, then runs the cable, motor and link
+//! arithmetic through the *same* call-free core the scalar path uses.
 //!
 //! # Bit-identity contract
 //!
@@ -21,37 +20,32 @@
 //! property the scalar detector relies on when it delegates its own
 //! stepping to a 1-lane batch, and the one `tests/batch_equiv.rs` pins
 //! under proptest across perturbed parameter sets and both
-//! integrators. All scratch (RK4 stages, cable-force rows) is
+//! integrators. All scratch (RK4 stages, libm and cable-force rows) is
 //! allocated once at construction; stepping never allocates.
 
 use raven_kinematics::{JointState, NUM_AXES, WRIST_AXES};
 use raven_math::ode::{BatchScratch, Method};
 
 use crate::estimator::RtModelConfig;
-use crate::link::LinkParams;
+use crate::link::{self, LinkLibm, LinkParams};
+use crate::motor;
 use crate::params::PlantParams;
+use crate::plant::Axis;
 use crate::state::{PlantState, ODE_DIM};
 
-/// Per-axis transmission/motor constants, flattened dim-major
-/// (`row[axis * lanes + lane]`) so the derivative's lane-inner loops
-/// read every operand at stride 1.
+/// Per-lane parameters, flattened dim-major (`row[axis * lanes + lane]`)
+/// so the derivative's lane-inner loops read every operand in lane
+/// order.
 #[derive(Debug, Clone)]
 struct SoaParams {
     lanes: usize,
-    /// Cable transmission ratio, stiffness, damping (`NUM_AXES * lanes`).
-    ratio: Vec<f64>,
-    stiffness: Vec<f64>,
-    damping: Vec<f64>,
-    /// Motor viscous/Coulomb friction and rotor inertia (`NUM_AXES * lanes`).
-    viscous: Vec<f64>,
-    coulomb: Vec<f64>,
-    rotor_inertia: Vec<f64>,
+    /// Cable and motor constants per axis (`NUM_AXES * lanes`).
+    axes: Vec<Axis>,
     /// Cable-routing coefficients (`lanes` each).
     k21: Vec<f64>,
     k31: Vec<f64>,
     k32: Vec<f64>,
-    /// Link dynamics, evaluated per lane (trig-heavy, shared with the
-    /// scalar path for bit-identity).
+    /// Link dynamics, evaluated per lane.
     links: Vec<LinkParams>,
 }
 
@@ -60,57 +54,69 @@ impl SoaParams {
         let m = params.len();
         let mut soa = SoaParams {
             lanes: m,
-            ratio: vec![0.0; NUM_AXES * m],
-            stiffness: vec![0.0; NUM_AXES * m],
-            damping: vec![0.0; NUM_AXES * m],
-            viscous: vec![0.0; NUM_AXES * m],
-            coulomb: vec![0.0; NUM_AXES * m],
-            rotor_inertia: vec![0.0; NUM_AXES * m],
+            axes: vec![Axis::default(); NUM_AXES * m],
             k21: vec![0.0; m],
             k31: vec![0.0; m],
             k32: vec![0.0; m],
-            links: params.iter().map(|p| p.links).collect(),
+            links: vec![LinkParams::default(); m],
         };
         for (l, p) in params.iter().enumerate() {
-            for i in 0..NUM_AXES {
-                soa.ratio[i * m + l] = p.cables[i].ratio;
-                soa.stiffness[i * m + l] = p.cables[i].stiffness;
-                soa.damping[i * m + l] = p.cables[i].damping;
-                soa.viscous[i * m + l] = p.motors[i].viscous_friction;
-                soa.coulomb[i * m + l] = p.motors[i].coulomb_friction;
-                soa.rotor_inertia[i * m + l] = p.motors[i].rotor_inertia;
-            }
-            let (k21, k31, k32) = p.routing;
-            soa.k21[l] = k21;
-            soa.k31[l] = k31;
-            soa.k32[l] = k32;
+            soa.set_lane(l, p);
         }
         soa
     }
+
+    /// Writes one lane's columns; the other lanes' are untouched.
+    fn set_lane(&mut self, lane: usize, params: &PlantParams) {
+        let m = self.lanes;
+        for i in 0..NUM_AXES {
+            self.axes[i * m + lane] = Axis::of(params, i);
+        }
+        (self.k21[lane], self.k31[lane], self.k32[lane]) = params.routing;
+        self.links[lane] = params.links;
+    }
 }
 
-/// Flattened batch derivative: per-lane it is *exactly*
+/// Flattened batch derivative: per lane it is *exactly*
 /// [`crate::plant::derivative`] (same expressions, same evaluation
-/// order), restructured so the cable/motor arithmetic runs lane-inner
-/// over contiguous rows. `phys` is `3 * NUM_AXES * lanes` scratch for
-/// the `kq` / `kqd` / cable-force rows.
+/// order, through the same call-free core), restructured so each phase
+/// sweeps contiguous lanes. The libm calls come first, in whole-row
+/// loops; the arithmetic after them calls nothing. `phys` is
+/// `PHYS_ROWS * lanes` scratch for the libm rows and the
+/// `kq` / `kqd` / cable-force rows.
 fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], out: &mut [f64]) {
     let m = soa.lanes;
     debug_assert_eq!(x.len(), ODE_DIM * m);
     debug_assert_eq!(out.len(), ODE_DIM * m);
     debug_assert_eq!(tau.len(), NUM_AXES * m);
-    debug_assert_eq!(phys.len(), 3 * NUM_AXES * m);
+    debug_assert_eq!(phys.len(), PHYS_ROWS * m);
+
+    let (mv, jp, jv) = (NUM_AXES * m, 2 * NUM_AXES * m, 3 * NUM_AXES * m);
+    let (motor_sign, rest) = phys.split_at_mut(NUM_AXES * m);
+    let (joint_sign, rest) = rest.split_at_mut(NUM_AXES * m);
+    let (sin_elbow, rest) = rest.split_at_mut(m);
+    let (cos_elbow, rest) = rest.split_at_mut(m);
+    let (kq, rest) = rest.split_at_mut(NUM_AXES * m);
+    let (kqd, f) = rest.split_at_mut(NUM_AXES * m);
+
+    // Libm first: the motor and joint Coulomb signs and the elbow's sine
+    // and cosine, for every lane.
+    for (s, &w) in motor_sign.iter_mut().zip(&x[mv..jp]) {
+        *s = motor::coulomb_sign(w);
+    }
+    for (s, &v) in joint_sign.iter_mut().zip(&x[jv..]) {
+        *s = link::coulomb_sign(v);
+    }
+    for ((s, c), &e) in sin_elbow.iter_mut().zip(cos_elbow.iter_mut()).zip(&x[jp + m..jp + 2 * m]) {
+        (*s, *c) = (e.sin(), e.cos());
+    }
 
     // d mpos = mvel, d jpos = jvel: whole-row copies.
-    out[..NUM_AXES * m].copy_from_slice(&x[NUM_AXES * m..2 * NUM_AXES * m]);
-    out[2 * NUM_AXES * m..3 * NUM_AXES * m].copy_from_slice(&x[3 * NUM_AXES * m..ODE_DIM * m]);
-
-    let (kq, rest) = phys.split_at_mut(NUM_AXES * m);
-    let (kqd, f) = rest.split_at_mut(NUM_AXES * m);
+    out[..mv].copy_from_slice(&x[mv..jp]);
+    out[jp..jv].copy_from_slice(&x[jv..]);
 
     // Routing rows: kq = K·jpos, kqd = K·jvel (unit-lower-triangular K),
     // matching the scalar `kq` / `kqd` arrays element for element.
-    let (jp, jv) = (2 * NUM_AXES * m, 3 * NUM_AXES * m);
     kq[..m].copy_from_slice(&x[jp..jp + m]);
     kqd[..m].copy_from_slice(&x[jv..jv + m]);
     for l in 0..m {
@@ -120,26 +126,13 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
         kqd[2 * m + l] = soa.k31[l] * x[jv + l] + soa.k32[l] * x[jv + m + l] + x[jv + 2 * m + l];
     }
 
-    // Cable forces and motor accelerations, lane-inner per axis.
-    for i in 0..NUM_AXES {
-        let row = i * m;
-        for l in 0..m {
-            let ratio = soa.ratio[row + l];
-            let stretch = x[row + l] / ratio - kq[row + l];
-            let stretch_rate = x[NUM_AXES * m + row + l] / ratio - kqd[row + l];
-            let fv = soa.stiffness[row + l] * stretch + soa.damping[row + l] * stretch_rate;
-            f[row + l] = fv;
-            let reaction = fv / ratio;
-            let omega = x[NUM_AXES * m + row + l];
-            let friction =
-                soa.viscous[row + l] * omega + soa.coulomb[row + l] * (omega / 2.0).tanh();
-            out[NUM_AXES * m + row + l] =
-                (tau[row + l] - friction - reaction) / soa.rotor_inertia[row + l];
-        }
+    // Cable forces and motor accelerations, lane-inner over the rows.
+    for r in 0..NUM_AXES * m {
+        (f[r], out[mv + r]) =
+            soa.axes[r].rhs(x[r], x[mv + r], kq[r], kqd[r], tau[r], motor_sign[r]);
     }
 
-    // Joint torques Kᵀ·f and link accelerations, per lane (trig-heavy;
-    // shares the scalar `LinkParams::acceleration` for bit-identity).
+    // Joint torques Kᵀ·f and link accelerations, per lane.
     for l in 0..m {
         let tau_cable = [
             f[l] + soa.k21[l] * f[m + l] + soa.k31[l] * f[2 * m + l],
@@ -148,12 +141,22 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
         ];
         let jpos = [x[jp + l], x[jp + m + l], x[jp + 2 * m + l]];
         let jvel = [x[jv + l], x[jv + m + l], x[jv + 2 * m + l]];
-        let jdot = soa.links[l].acceleration(&jpos, &jvel, &tau_cable);
+        let libm = LinkLibm {
+            sin_elbow: sin_elbow[l],
+            cos_elbow: cos_elbow[l],
+            sign: [joint_sign[l], joint_sign[m + l], joint_sign[2 * m + l]],
+        };
+        let jdot = soa.links[l].acceleration(&jpos, &jvel, &tau_cable, &libm);
         out[jv + l] = jdot[0];
         out[jv + m + l] = jdot[1];
         out[jv + 2 * m + l] = jdot[2];
     }
 }
+
+/// Rows of derivative scratch per lane: motor and joint Coulomb signs
+/// (`NUM_AXES` each), the elbow's sine and cosine, and the `kq`, `kqd`
+/// and cable-force rows (`NUM_AXES` each).
+const PHYS_ROWS: usize = 5 * NUM_AXES + 2;
 
 /// M estimator sessions stepped together over structure-of-arrays
 /// storage.
@@ -193,7 +196,8 @@ pub struct BatchModel {
     next: Vec<f64>,
     /// Integrator scratch: k1..k4 + stage (`5 * ODE_DIM * lanes`).
     k: Vec<f64>,
-    /// Derivative scratch: kq/kqd/cable-force rows (`9 * lanes`).
+    /// Derivative scratch: libm and kq/kqd/cable-force rows
+    /// (`PHYS_ROWS * lanes`).
     phys: Vec<f64>,
 }
 
@@ -224,7 +228,7 @@ impl BatchModel {
             tau: vec![0.0; NUM_AXES * m],
             next: vec![0.0; ODE_DIM * m],
             k: vec![0.0; 5 * ODE_DIM * m],
-            phys: vec![0.0; 3 * NUM_AXES * m],
+            phys: vec![0.0; PHYS_ROWS * m],
         }
     }
 
@@ -249,19 +253,7 @@ impl BatchModel {
         let m = self.soa.lanes;
         assert!(lane < m, "lane {lane} out of {m}");
         self.params[lane] = params;
-        for i in 0..NUM_AXES {
-            self.soa.ratio[i * m + lane] = params.cables[i].ratio;
-            self.soa.stiffness[i * m + lane] = params.cables[i].stiffness;
-            self.soa.damping[i * m + lane] = params.cables[i].damping;
-            self.soa.viscous[i * m + lane] = params.motors[i].viscous_friction;
-            self.soa.coulomb[i * m + lane] = params.motors[i].coulomb_friction;
-            self.soa.rotor_inertia[i * m + lane] = params.motors[i].rotor_inertia;
-        }
-        let (k21, k31, k32) = params.routing;
-        self.soa.k21[lane] = k21;
-        self.soa.k31[lane] = k31;
-        self.soa.k32[lane] = k32;
-        self.soa.links[lane] = params.links;
+        self.soa.set_lane(lane, &params);
     }
 
     /// Scatters a session state into the lane's SoA columns.

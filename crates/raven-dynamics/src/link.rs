@@ -56,21 +56,22 @@ impl LinkParams {
         }
     }
 
-    /// Vertical component of the tool axis as a function of the elbow angle.
+    /// Vertical component of the tool axis, from the elbow's cosine.
     #[inline]
-    pub fn u_z(&self, elbow: f64) -> f64 {
-        -self.sin_a1_sin_a2 * elbow.cos() + self.cos_a1_cos_a2
+    fn u_z(&self, cos_elbow: f64) -> f64 {
+        -self.sin_a1_sin_a2 * cos_elbow + self.cos_a1_cos_a2
     }
 
-    /// `∂u_z/∂θ2`.
+    /// `∂u_z/∂θ2`, from the elbow's sine.
     #[inline]
-    pub fn du_z(&self, elbow: f64) -> f64 {
-        self.sin_a1_sin_a2 * elbow.sin()
+    fn du_z(&self, sin_elbow: f64) -> f64 {
+        self.sin_a1_sin_a2 * sin_elbow
     }
 
-    /// Diagonal of the inertia matrix at configuration `(θ2, d3)`.
-    pub fn inertia(&self, elbow: f64, insertion: f64) -> [f64; 3] {
-        let uz = self.u_z(elbow);
+    /// Diagonal of the inertia matrix at tool-axis height `uz` and
+    /// insertion `d3`.
+    #[inline]
+    fn inertia(&self, uz: f64, insertion: f64) -> [f64; 3] {
         let lever_sq = insertion * insertion * (1.0 - uz * uz).max(0.0);
         [
             self.shoulder_inertia + self.tool_mass * lever_sq,
@@ -79,36 +80,48 @@ impl LinkParams {
         ]
     }
 
-    /// Gravity load vector `G(q)` (N·m, N·m, N).
-    pub fn gravity_load(&self, elbow: f64, insertion: f64) -> [f64; 3] {
+    /// Gravity load vector `G(q)` (N·m, N·m, N) from `u_z` and `∂u_z/∂θ2`.
+    #[inline]
+    fn gravity_load(&self, uz: f64, duz: f64, insertion: f64) -> [f64; 3] {
         let g = self.gravity * self.tool_mass;
         [
             0.0, // the shoulder axis is vertical: rotation does not change height
-            g * insertion * self.du_z(elbow),
-            g * self.u_z(elbow),
+            g * insertion * duz,
+            g * uz,
         ]
     }
 
-    /// Joint friction opposing velocity `qd`.
-    pub fn friction(&self, qd: &[f64; 3]) -> [f64; 3] {
+    /// Joint friction opposing velocity `qd`, given each joint's smoothed
+    /// Coulomb sign `tanh(q̇ / 0.02)`.
+    #[inline]
+    fn friction(&self, qd: &[f64; 3], sign: &[f64; 3]) -> [f64; 3] {
         let mut f = [0.0; 3];
         for i in 0..3 {
-            f[i] = self.viscous[i] * qd[i] + self.coulomb[i] * (qd[i] / 0.02).tanh();
+            f[i] = self.viscous[i] * qd[i] + self.coulomb[i] * sign[i];
         }
         f
     }
 
     /// Joint accelerations for applied joint torques `tau`, including the
-    /// Christoffel velocity-product terms of the diagonal inertia.
-    pub fn acceleration(&self, q: &[f64; 3], qd: &[f64; 3], tau: &[f64; 3]) -> [f64; 3] {
-        let (elbow, insertion) = (q[1], q[2]);
-        let m = self.inertia(elbow, insertion);
-        let grav = self.gravity_load(elbow, insertion);
-        let fric = self.friction(qd);
+    /// Christoffel velocity-product terms of the diagonal inertia, from
+    /// the libm values at `(q, qd)`: the call-free core both right-hand
+    /// sides share.
+    #[inline]
+    pub(crate) fn acceleration(
+        &self,
+        q: &[f64; 3],
+        qd: &[f64; 3],
+        tau: &[f64; 3],
+        libm: &LinkLibm,
+    ) -> [f64; 3] {
+        let insertion = q[2];
+        let uz = self.u_z(libm.cos_elbow);
+        let duz = self.du_z(libm.sin_elbow);
+        let m = self.inertia(uz, insertion);
+        let grav = self.gravity_load(uz, duz, insertion);
+        let fric = self.friction(qd, &libm.sign);
 
         // Partial derivatives of the inertia diagonal.
-        let uz = self.u_z(elbow);
-        let duz = self.du_z(elbow);
         let dm11_dq2 = -2.0 * self.tool_mass * insertion * insertion * uz * duz;
         let dm11_dq3 = 2.0 * self.tool_mass * insertion * (1.0 - uz * uz).max(0.0);
         let dm22_dq3 = 2.0 * self.tool_mass * insertion;
@@ -128,6 +141,32 @@ impl LinkParams {
     }
 }
 
+/// Every libm value one evaluation of the link dynamics reads: the elbow
+/// angle's sine and cosine, and each joint's smoothed Coulomb sign
+/// `tanh(q̇ / 0.02)`. Computing them before any arithmetic is what keeps
+/// [`LinkParams::acceleration`] call-free (DESIGN.md §5).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkLibm {
+    pub(crate) sin_elbow: f64,
+    pub(crate) cos_elbow: f64,
+    pub(crate) sign: [f64; 3],
+}
+
+impl LinkLibm {
+    /// The libm values at elbow angle `elbow` and joint velocities `qd`.
+    #[inline]
+    pub(crate) fn at(elbow: f64, qd: &[f64; 3]) -> Self {
+        LinkLibm { sin_elbow: elbow.sin(), cos_elbow: elbow.cos(), sign: qd.map(coulomb_sign) }
+    }
+}
+
+/// The smoothed sign of joint velocity `qd` that scales the joint's
+/// Coulomb friction: `tanh(q̇ / 0.02)`.
+#[inline]
+pub(crate) fn coulomb_sign(qd: f64) -> f64 {
+    (qd / 0.02).tanh()
+}
+
 impl Default for LinkParams {
     fn default() -> Self {
         LinkParams::raven_ii()
@@ -138,11 +177,26 @@ impl Default for LinkParams {
 mod tests {
     use super::*;
 
+    /// The inertia diagonal at configuration `(θ2, d3)`.
+    fn inertia_at(p: &LinkParams, elbow: f64, insertion: f64) -> [f64; 3] {
+        p.inertia(p.u_z(elbow.cos()), insertion)
+    }
+
+    /// Joint accelerations at `(q, qd)` under joint torques `tau`.
+    fn acceleration_at(p: &LinkParams, q: &[f64; 3], qd: &[f64; 3], tau: &[f64; 3]) -> [f64; 3] {
+        p.acceleration(q, qd, tau, &LinkLibm::at(q[1], qd))
+    }
+
+    /// The gravity load at configuration `(θ2, d3)`.
+    fn gravity_at(p: &LinkParams, elbow: f64, insertion: f64) -> [f64; 3] {
+        p.gravity_load(p.u_z(elbow.cos()), p.du_z(elbow.sin()), insertion)
+    }
+
     #[test]
     fn inertia_is_positive_and_grows_with_insertion() {
         let p = LinkParams::raven_ii();
-        let m_short = p.inertia(1.2, 0.1);
-        let m_long = p.inertia(1.2, 0.4);
+        let m_short = inertia_at(&p, 1.2, 0.1);
+        let m_long = inertia_at(&p, 1.2, 0.4);
         for m in &m_short {
             assert!(*m > 0.0);
         }
@@ -154,7 +208,7 @@ mod tests {
     #[test]
     fn gravity_vanishes_on_shoulder() {
         let p = LinkParams::raven_ii();
-        let g = p.gravity_load(1.0, 0.3);
+        let g = gravity_at(&p, 1.0, 0.3);
         assert_eq!(g[0], 0.0);
         assert!(g[1].abs() > 0.0);
     }
@@ -165,31 +219,32 @@ mod tests {
         // Small elbow angle: tool points downward (u_z < 0) -> gravity pulls
         // the tool further in (negative restoring force on insertion axis
         // means the load G3 is negative, i.e. assists insertion).
-        let g_down = p.gravity_load(0.2, 0.3);
-        assert!(p.u_z(0.2) < 0.0);
+        let g_down = gravity_at(&p, 0.2, 0.3);
+        assert!(p.u_z(0.2_f64.cos()) < 0.0);
         assert!(g_down[2] < 0.0);
         // Large elbow angle: tool points upward, gravity opposes insertion.
-        let g_up = p.gravity_load(2.6, 0.3);
-        assert!(p.u_z(2.6) > 0.0);
+        let g_up = gravity_at(&p, 2.6, 0.3);
+        assert!(p.u_z(2.6_f64.cos()) > 0.0);
         assert!(g_up[2] > 0.0);
     }
 
     #[test]
     fn friction_opposes_motion() {
         let p = LinkParams::raven_ii();
-        let f = p.friction(&[0.5, -0.5, 0.1]);
+        let qd = [0.5, -0.5, 0.1];
+        let f = p.friction(&qd, &qd.map(coulomb_sign));
         assert!(f[0] > 0.0 && f[1] < 0.0 && f[2] > 0.0);
-        assert_eq!(p.friction(&[0.0; 3]), [0.0; 3]);
+        assert_eq!(p.friction(&[0.0; 3], &[0.0; 3].map(coulomb_sign)), [0.0; 3]);
     }
 
     #[test]
     fn acceleration_follows_torque_at_rest() {
         let p = LinkParams::raven_ii();
         let q = [0.0, 1.375, 0.25]; // near-horizontal tool: tiny gravity
-        let qdd = p.acceleration(&q, &[0.0; 3], &[1.0, 0.0, 0.0]);
+        let qdd = acceleration_at(&p, &q, &[0.0; 3], &[1.0, 0.0, 0.0]);
         assert!(qdd[0] > 0.0);
         // Inertia scales it: qdd ≈ τ / M11.
-        let m = p.inertia(q[1], q[2]);
+        let m = inertia_at(&p, q[1], q[2]);
         assert!((qdd[0] - 1.0 / m[0]).abs() / (1.0 / m[0]) < 0.05);
     }
 
@@ -203,12 +258,12 @@ mod tests {
         let mut qd = [0.8, -0.6, 0.15];
         let dt = 1e-4;
         let energy = |q: &[f64; 3], qd: &[f64; 3]| {
-            let m = p.inertia(q[1], q[2]);
+            let m = inertia_at(&p, q[1], q[2]);
             0.5 * (m[0] * qd[0] * qd[0] + m[1] * qd[1] * qd[1] + m[2] * qd[2] * qd[2])
         };
         let mut last = energy(&q, &qd);
         for step in 0..5000 {
-            let qdd = p.acceleration(&q, &qd, &[0.0; 3]);
+            let qdd = acceleration_at(&p, &q, &qd, &[0.0; 3]);
             for i in 0..3 {
                 qd[i] += dt * qdd[i];
                 q[i] += dt * qd[i];
@@ -227,9 +282,9 @@ mod tests {
         let p = LinkParams::raven_ii();
         // u_z at elbow=0 is cos(α1+α2) = cosα1cosα2 − sinα1sinα2.
         let expect = raven_math::angles::deg_to_rad(75.0 + 52.0).cos();
-        assert!((p.u_z(0.0) - expect).abs() < 1e-12);
+        assert!((p.u_z(0.0_f64.cos()) - expect).abs() < 1e-12);
         // And at elbow=π it is cos(α1−α2).
         let expect = raven_math::angles::deg_to_rad(75.0 - 52.0).cos();
-        assert!((p.u_z(std::f64::consts::PI) - expect).abs() < 1e-12);
+        assert!((p.u_z(std::f64::consts::PI.cos()) - expect).abs() < 1e-12);
     }
 }

@@ -53,20 +53,29 @@ impl MotorParams {
         self.torque_constant * current.clamp(-self.max_current, self.max_current)
     }
 
-    /// Total friction torque opposing shaft velocity `omega` (rad/s).
-    ///
-    /// Coulomb friction is smoothed with `tanh(ω / 2.0)` so the dynamics
-    /// stay integrable at the 1 ms Euler step the paper's real-time model
-    /// uses (motor shafts spin at hundreds of rad/s in operation, so the
-    /// 2 rad/s smoothing band is far below working speeds).
-    pub fn friction(&self, omega: f64) -> f64 {
-        self.viscous_friction * omega + self.coulomb_friction * (omega / 2.0).tanh()
-    }
-
     /// Stall torque at the amplifier's current limit.
     pub fn max_torque(&self) -> f64 {
         self.torque_constant * self.max_current
     }
+}
+
+/// The smoothed sign of shaft velocity `omega` (rad/s) that scales the
+/// Coulomb friction: `tanh(ω / 2.0)`, the motor's one libm call.
+///
+/// The smoothing keeps the dynamics integrable at the 1 ms Euler step the
+/// paper's real-time model uses (motor shafts spin at hundreds of rad/s in
+/// operation, so the 2 rad/s smoothing band is far below working speeds).
+#[inline]
+pub(crate) fn coulomb_sign(omega: f64) -> f64 {
+    (omega / 2.0).tanh()
+}
+
+/// Total friction torque opposing shaft velocity `omega`, given
+/// `sign = coulomb_sign(omega)`: viscous plus smoothed Coulomb friction.
+/// Call-free, so the right-hand side can run it after its libm calls.
+#[inline]
+pub(crate) fn friction(viscous: f64, coulomb: f64, omega: f64, sign: f64) -> f64 {
+    viscous * omega + coulomb * sign
 }
 
 #[cfg(test)]
@@ -87,22 +96,27 @@ mod tests {
         assert_eq!(m.torque_from_current(-100.0), -m.max_torque());
     }
 
+    /// Friction at `omega` on the motor's own constants.
+    fn friction_at(m: &MotorParams, omega: f64) -> f64 {
+        friction(m.viscous_friction, m.coulomb_friction, omega, coulomb_sign(omega))
+    }
+
     #[test]
     fn friction_opposes_motion_and_is_odd() {
         let m = MotorParams::maxon_re40();
         for w in [0.1, 1.0, 50.0, 400.0] {
-            assert!(m.friction(w) > 0.0);
-            assert!((m.friction(-w) + m.friction(w)).abs() < 1e-15);
+            assert!(friction_at(&m, w) > 0.0);
+            assert!((friction_at(&m, -w) + friction_at(&m, w)).abs() < 1e-15);
         }
-        assert_eq!(m.friction(0.0), 0.0);
+        assert_eq!(friction_at(&m, 0.0), 0.0);
     }
 
     #[test]
     fn coulomb_dominates_at_low_speed_viscous_at_high() {
         let m = MotorParams::maxon_re40();
-        let low = m.friction(0.5);
+        let low = friction_at(&m, 0.5);
         assert!((low - m.coulomb_friction * (0.5_f64 / 2.0).tanh()).abs() < 1e-5);
-        let high = m.friction(2000.0);
+        let high = friction_at(&m, 2000.0);
         assert!(high > m.viscous_friction * 2000.0);
         assert!(high < m.viscous_friction * 2000.0 + m.coulomb_friction * 1.01);
     }

@@ -12,9 +12,10 @@
 use std::sync::Arc;
 
 use raven_kinematics::{JointState, MotorState, NUM_AXES, WRIST_AXES};
-use raven_math::ode::{Integrator, Rk4};
 use serde::{Deserialize, Serialize};
 
+use crate::link::LinkLibm;
+use crate::motor;
 use crate::params::PlantParams;
 use crate::state::{PlantState, ODE_DIM};
 
@@ -26,7 +27,9 @@ use prefix::{Lookup, Origin, PeriodInputs};
 /// Derivative of the 12-dimensional plant state under shaft torques `tau_m`.
 ///
 /// Shared by the plant and the real-time estimator so both integrate the
-/// same physics (with their own parameter sets).
+/// same physics (with their own parameter sets). Every libm value comes
+/// first; the arithmetic after it calls nothing (DESIGN.md §5).
+#[inline(always)]
 pub fn derivative(
     params: &PlantParams,
     x: &[f64; ODE_DIM],
@@ -36,6 +39,8 @@ pub fn derivative(
     let mvel = [x[3], x[4], x[5]];
     let jpos = [x[6], x[7], x[8]];
     let jvel = [x[9], x[10], x[11]];
+    let motor_sign = mvel.map(motor::coulomb_sign);
+    let link = LinkLibm::at(jpos[1], &jvel);
 
     // Cable stretch in cable space: stretch = N⁻¹·mpos − K·jpos, where K is
     // the unit-lower-triangular routing matrix. The elastic energy
@@ -49,18 +54,13 @@ pub fn derivative(
     let mut f = [0.0; NUM_AXES]; // cable-space forces
     let mut mdot = [0.0; NUM_AXES];
     for i in 0..NUM_AXES {
-        let cable = &params.cables[i];
-        let stretch = mpos[i] / cable.ratio - kq[i];
-        let stretch_rate = mvel[i] / cable.ratio - kqd[i];
-        f[i] = cable.stiffness * stretch + cable.damping * stretch_rate;
-        let reaction = f[i] / cable.ratio;
-        let friction = params.motors[i].friction(mvel[i]);
-        mdot[i] = (tau_m[i] - friction - reaction) / params.motors[i].rotor_inertia;
+        let axis = Axis::of(params, i);
+        (f[i], mdot[i]) = axis.rhs(mpos[i], mvel[i], kq[i], kqd[i], tau_m[i], motor_sign[i]);
     }
     // Joint torques: Kᵀ · f.
     let tau_cable = [f[0] + k21 * f[1] + k31 * f[2], f[1] + k32 * f[2], f[2]];
 
-    let jdot = params.links.acceleration(&jpos, &jvel, &tau_cable);
+    let jdot = params.links.acceleration(&jpos, &jvel, &tau_cable, &link);
 
     [
         mvel[0], mvel[1], mvel[2], // d mpos
@@ -68,6 +68,57 @@ pub fn derivative(
         jvel[0], jvel[1], jvel[2], // d jpos
         jdot[0], jdot[1], jdot[2], // d jvel
     ]
+}
+
+/// The constants one transmission axis contributes to the right-hand
+/// side: its cable's ratio, stiffness and damping, and its motor's
+/// friction and rotor inertia.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Axis {
+    ratio: f64,
+    stiffness: f64,
+    damping: f64,
+    viscous: f64,
+    coulomb: f64,
+    rotor_inertia: f64,
+}
+
+impl Axis {
+    /// Axis `i` of `params`.
+    #[inline]
+    pub(crate) fn of(params: &PlantParams, i: usize) -> Self {
+        let (cable, motor) = (&params.cables[i], &params.motors[i]);
+        Axis {
+            ratio: cable.ratio,
+            stiffness: cable.stiffness,
+            damping: cable.damping,
+            viscous: motor.viscous_friction,
+            coulomb: motor.coulomb_friction,
+            rotor_inertia: motor.rotor_inertia,
+        }
+    }
+
+    /// The axis's cable-space force and shaft acceleration, given the
+    /// routed joint position `kq` and velocity `kqd` and the motor's
+    /// `sign = motor::coulomb_sign(mvel)`: the call-free cable and motor
+    /// arithmetic both right-hand sides share.
+    #[inline]
+    pub(crate) fn rhs(
+        &self,
+        mpos: f64,
+        mvel: f64,
+        kq: f64,
+        kqd: f64,
+        tau: f64,
+        sign: f64,
+    ) -> (f64, f64) {
+        let stretch = mpos / self.ratio - kq;
+        let stretch_rate = mvel / self.ratio - kqd;
+        let f = self.stiffness * stretch + self.damping * stretch_rate;
+        let reaction = f / self.ratio;
+        let friction = motor::friction(self.viscous, self.coulomb, mvel, sign);
+        (f, (tau - friction - reaction) / self.rotor_inertia)
+    }
 }
 
 /// Quantized encoder snapshot of the three positioning motors plus the wrist
@@ -300,29 +351,13 @@ impl RavenPlant {
 
     /// Runs RK4 over one step of `substeps × h` seconds.
     fn integrate(&mut self, torques: [f64; NUM_AXES], h: f64) {
-        let rk4 = Rk4;
         for _ in 0..self.substeps {
-            if self.brakes_engaged {
-                // Brakes clamp the motor shafts: hold mpos/mvel, let the
-                // joint side settle against the taut cable.
-                let frozen = self.state.x;
-                let deriv = |x: &[f64; ODE_DIM], _t: f64| {
-                    let mut x_clamped = *x;
-                    for i in 0..3 {
-                        x_clamped[i] = frozen[i]; // mpos held
-                        x_clamped[3 + i] = 0.0; // mvel zero
-                    }
-                    let mut d = derivative(&self.params, &x_clamped, &torques);
-                    d[..6].fill(0.0);
-                    d
-                };
-                self.state.x = rk4.step(&self.state.x, self.time, h, &deriv);
-                self.state.x[..3].copy_from_slice(&frozen[..3]);
-                self.state.x[3..6].fill(0.0);
+            let x = &self.state.x;
+            self.state.x = if self.brakes_engaged {
+                rk4_substep::<true>(&self.params, x, &torques, h)
             } else {
-                let deriv = |x: &[f64; ODE_DIM], _t: f64| derivative(&self.params, x, &torques);
-                self.state.x = rk4.step(&self.state.x, self.time, h, &deriv);
-            }
+                rk4_substep::<false>(&self.params, x, &torques, h)
+            };
             self.time += h;
         }
     }
@@ -356,6 +391,64 @@ impl RavenPlant {
     pub fn true_joints(&self) -> JointState {
         self.state.joint_pos()
     }
+}
+
+/// One RK4 substep from `x`: the stages and update of
+/// [`Rk4`](raven_math::ode::Rk4)'s step, written out so the right-hand
+/// side inlines into every stage instead of being called through a
+/// closure.
+///
+/// While `BRAKED`, the brakes clamp the motor shafts: every stage holds
+/// `mpos` at `x`'s and `mvel` at zero, and only the joint side settles
+/// against the taut cable.
+#[inline]
+fn rk4_substep<const BRAKED: bool>(
+    params: &PlantParams,
+    x: &[f64; ODE_DIM],
+    tau: &[f64; NUM_AXES],
+    h: f64,
+) -> [f64; ODE_DIM] {
+    let stage = |k: &[f64; ODE_DIM], step: f64| {
+        let mut out = *x;
+        for i in 0..ODE_DIM {
+            out[i] += step * k[i];
+        }
+        out
+    };
+    let half = h * 0.5;
+    let k1 = stage_derivative::<BRAKED>(params, x, x, tau);
+    let k2 = stage_derivative::<BRAKED>(params, x, &stage(&k1, half), tau);
+    let k3 = stage_derivative::<BRAKED>(params, x, &stage(&k2, half), tau);
+    let k4 = stage_derivative::<BRAKED>(params, x, &stage(&k3, h), tau);
+    let mut next = *x;
+    for i in 0..ODE_DIM {
+        next[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    }
+    if BRAKED {
+        next[..3].copy_from_slice(&x[..3]);
+        next[3..6].fill(0.0);
+    }
+    next
+}
+
+/// The derivative at RK4 stage state `s` of the substep from `x`, with
+/// the shafts clamped while `BRAKED`.
+#[inline(always)]
+fn stage_derivative<const BRAKED: bool>(
+    params: &PlantParams,
+    x: &[f64; ODE_DIM],
+    s: &[f64; ODE_DIM],
+    tau: &[f64; NUM_AXES],
+) -> [f64; ODE_DIM] {
+    if !BRAKED {
+        return derivative(params, s, tau);
+    }
+    let mut clamped = *s;
+    clamped[..3].copy_from_slice(&x[..3]); // mpos held
+    clamped[3..6].fill(0.0); // mvel zero
+    let mut d = derivative(params, &clamped, tau);
+    d[..6].fill(0.0);
+    d
 }
 
 #[cfg(test)]
