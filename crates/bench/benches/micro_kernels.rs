@@ -305,6 +305,42 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Per-session-cycle cost (ns) of `cycles` scalar sync + assess rounds
+/// over every session.
+fn time_scalar(
+    scalars: &mut [DynamicDetector],
+    traj: &[Vec<MotorState>],
+    dac: &[i16; 3],
+    cycles: usize,
+) -> f64 {
+    let t0 = Instant::now();
+    for k in 0..cycles {
+        for (l, s) in scalars.iter_mut().enumerate() {
+            s.sync_measurement(traj[l][k % 16]);
+            black_box(s.assess(dac));
+        }
+    }
+    t0.elapsed().as_nanos() as f64 / (cycles * scalars.len()) as f64
+}
+
+/// Per-session-cycle cost (ns) of `cycles` batched sync + assess rounds
+/// over every lane.
+fn time_batch(
+    batch: &mut BatchDetector,
+    traj: &[Vec<MotorState>],
+    dacs: &[Option<[i16; 3]>],
+    cycles: usize,
+) -> f64 {
+    let t0 = Instant::now();
+    for k in 0..cycles {
+        for (l, lane_traj) in traj.iter().enumerate() {
+            batch.sync_lane(l, lane_traj[k % 16]);
+        }
+        black_box(batch.assess_lanes(dacs));
+    }
+    t0.elapsed().as_nanos() as f64 / (cycles * traj.len()) as f64
+}
+
 fn bench_batch_scaling() {
     let quick = bench::quick_mode();
     let cycles = if quick { 64 } else { 512 };
@@ -325,37 +361,14 @@ fn bench_batch_scaling() {
         let dacs: Vec<Option<[i16; 3]>> = vec![Some(dac); m];
 
         // Warm-up: touch every code path and let buffers reach steady state.
-        for k in 0..8 {
-            for (l, s) in scalars.iter_mut().enumerate() {
-                s.sync_measurement(traj[l][k % traj[l].len()]);
-                black_box(s.assess(&dac));
-            }
-            for l in 0..m {
-                batch.sync_lane(l, traj[l][k % traj[l].len()]);
-            }
-            black_box(batch.assess_lanes(&dacs));
-        }
+        time_scalar(&mut scalars, &traj, &dac, 8);
+        time_batch(&mut batch, &traj, &dacs, 8);
 
         let mut scalar_ns = Vec::new();
         let mut batch_ns = Vec::new();
         for _ in 0..repeats {
-            let t0 = Instant::now();
-            for k in 0..cycles {
-                for (l, s) in scalars.iter_mut().enumerate() {
-                    s.sync_measurement(traj[l][k % 16]);
-                    black_box(s.assess(&dac));
-                }
-            }
-            scalar_ns.push(t0.elapsed().as_nanos() as f64 / (cycles * m) as f64);
-
-            let t0 = Instant::now();
-            for k in 0..cycles {
-                for (l, lane_traj) in traj.iter().enumerate() {
-                    batch.sync_lane(l, lane_traj[k % 16]);
-                }
-                black_box(batch.assess_lanes(&dacs));
-            }
-            batch_ns.push(t0.elapsed().as_nanos() as f64 / (cycles * m) as f64);
+            scalar_ns.push(time_scalar(&mut scalars, &traj, &dac, cycles));
+            batch_ns.push(time_batch(&mut batch, &traj, &dacs, cycles));
         }
         let scalar = median(&mut scalar_ns);
         let batched = median(&mut batch_ns);
@@ -369,14 +382,24 @@ fn bench_batch_scaling() {
     }
 
     // The tentpole's gate: amortizing M sessions over one SoA kernel must
-    // beat the single-session scalar path per session-cycle.
-    let scalar_m1 = points[0].scalar_ns_per_session;
-    let batch_m64 = points.iter().find(|p| p.sessions == 64).expect("M=64 point");
+    // beat the single-session scalar path per session-cycle. Its two
+    // operands alternate in one loop, so host drift over the seconds the
+    // table above takes cannot decide it.
+    let (mut scalar_1, _, traj_1, dac_1) = fleet(1);
+    let (_, mut batch_64, traj_64, dac_64) = fleet(64);
+    let dacs_64 = vec![Some(dac_64); 64];
+    time_scalar(&mut scalar_1, &traj_1, &dac_1, 8);
+    time_batch(&mut batch_64, &traj_64, &dacs_64, 8);
+    let (mut scalar_m1, mut batch_m64) = (Vec::new(), Vec::new());
+    for _ in 0..repeats {
+        scalar_m1.push(time_scalar(&mut scalar_1, &traj_1, &dac_1, cycles));
+        batch_m64.push(time_batch(&mut batch_64, &traj_64, &dacs_64, cycles));
+    }
+    let (scalar_m1, batch_m64) = (median(&mut scalar_m1), median(&mut batch_m64));
     assert!(
-        batch_m64.batch_ns_per_session < scalar_m1,
-        "batched M=64 per-session cost ({:.1} ns) must be strictly below scalar M=1 ({:.1} ns)",
-        batch_m64.batch_ns_per_session,
-        scalar_m1
+        batch_m64 < scalar_m1,
+        "batched M=64 per-session cost ({batch_m64:.1} ns) must be strictly below scalar M=1 \
+         ({scalar_m1:.1} ns)"
     );
 
     // Workspace root ONLY: results/ holds the manifest-pinned deterministic

@@ -71,28 +71,45 @@ pub struct BenchHeader {
     pub nproc: usize,
     /// Reduced sizes ([`quick_mode`]) rather than full ones.
     pub quick_mode: bool,
-    /// The checkout's commit (`git describe --always --dirty`: suffixed
-    /// `-dirty` when the work tree has uncommitted changes), or `unknown`
-    /// outside a git work tree.
+    /// The checkout's commit (`git describe --always --dirty`), or
+    /// `unknown` outside a git work tree. A tree with uncommitted changes
+    /// reads `<HEAD>-dirty-<12 hex>`, the hex a hash of `git diff HEAD`,
+    /// so records taken from two different uncommitted trees differ.
     pub commit: String,
+}
+
+/// The header's `commit` string from `git describe --always --dirty`
+/// output and the bytes of `git diff HEAD`: a dirty describe gains the
+/// first 12 hex digits of the diff's SHA-256.
+pub fn commit_label(describe: &str, diff: &[u8]) -> String {
+    if describe.ends_with("-dirty") {
+        format!("{describe}-{}", &raven_ledger::sha256_hex(diff)[..12])
+    } else {
+        describe.to_string()
+    }
 }
 
 impl BenchHeader {
     /// The header for a run on this host, in this mode, at this checkout.
     pub fn current() -> Self {
         let workspace = results_dir().parent().map(std::path::Path::to_path_buf);
-        let commit = workspace
-            .and_then(|root| {
-                std::process::Command::new("git")
-                    .args(["describe", "--always", "--dirty", "--abbrev=40"])
-                    .current_dir(&root)
-                    // Never pick up a repository above the workspace.
-                    .env("GIT_CEILING_DIRECTORIES", root.parent().unwrap_or(&root))
-                    .output()
-                    .ok()
+        let git = |args: &[&str]| {
+            let root = workspace.as_deref()?;
+            std::process::Command::new("git")
+                .args(args)
+                .current_dir(root)
+                // Never pick up a repository above the workspace.
+                .env("GIT_CEILING_DIRECTORIES", root.parent().unwrap_or(root))
+                .output()
+                .ok()
+                .filter(|out| out.status.success())
+                .map(|out| out.stdout)
+        };
+        let commit = git(&["describe", "--always", "--dirty", "--abbrev=40"])
+            .map(|out| {
+                let describe = String::from_utf8_lossy(&out).trim().to_string();
+                commit_label(&describe, &git(&["diff", "HEAD"]).unwrap_or_default())
             })
-            .filter(|out| out.status.success())
-            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
             .unwrap_or_else(|| "unknown".to_string());
         BenchHeader {
             nproc: std::thread::available_parallelism().map_or(1, usize::from),
@@ -129,6 +146,19 @@ mod tests {
         let h = BenchHeader::current();
         assert!(h.nproc >= 1);
         assert!(!h.commit.is_empty());
+    }
+
+    #[test]
+    fn dirty_commit_label_names_its_diff() {
+        let head = "b2165c4a3eac7db9c5f315e943e2523dc221b633";
+        assert_eq!(commit_label(head, b"ignored when clean"), head);
+        let dirty = format!("{head}-dirty");
+        let a = commit_label(&dirty, b"diff --git a/x b/x\n-1\n+2\n");
+        let b = commit_label(&dirty, b"diff --git a/x b/x\n-1\n+3\n");
+        assert_ne!(a, b, "two different diffs must give two labels");
+        assert_eq!(a, commit_label(&dirty, b"diff --git a/x b/x\n-1\n+2\n"));
+        let suffix = a.strip_prefix(&format!("{dirty}-")).expect("dirty label keeps its prefix");
+        assert!(suffix.len() == 12 && suffix.bytes().all(|c| c.is_ascii_hexdigit()), "{a}");
     }
 
     #[test]

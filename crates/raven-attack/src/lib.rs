@@ -15,6 +15,16 @@
 //!   feedback corruption).
 
 #![forbid(unsafe_code)]
+// The 1 ms safety cycle runs through this crate: no panic path outside
+// tests (each sanctioned site is an item-level `#[expect]` with its reason).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod analysis;
 pub mod feedback;

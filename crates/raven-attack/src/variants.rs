@@ -70,6 +70,21 @@ pub struct VariantSpec {
     pub paper_impact: ObservedImpact,
 }
 
+/// Reads a catalog entry back by its `id`. The other fields are the
+/// catalog's, so a record that disagrees with the catalog does not
+/// serialize back to itself.
+impl Deserialize for VariantSpec {
+    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
+        let id =
+            c.get("id").ok_or_else(|| serde::DeError::msg("missing field `id` in VariantSpec"))?;
+        let id = String::from_content(id)?;
+        catalog()
+            .into_iter()
+            .find(|v| v.id == id)
+            .ok_or_else(|| serde::DeError::msg(format!("no Table I variant `{id}`")))
+    }
+}
+
 /// The full Table I catalog.
 pub fn catalog() -> Vec<VariantSpec> {
     vec![

@@ -432,7 +432,7 @@ mod tests {
     use super::*;
 
     fn seeds(i: usize) -> u64 {
-        simbus::rng::derive_seed(99, &format!("exec-test-{i}"))
+        simbus::rng::splitmix64(99 ^ i as u64)
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn run_fusion_ablation_with(
             &format!("ablation-fusion-{label}"),
             runs_per_rule as usize,
             exec,
-            |i| derive_seed(seed, &format!("{}{label}-{i}", streams::FUSION_PREFIX)),
+            |i| derive_seed(seed, streams::FUSION.at(&format!("{label}-{i}"))),
             |i, run_seed| {
                 let run = i as u32;
                 let clean = run.is_multiple_of(2);
@@ -195,7 +195,7 @@ pub fn run_mitigation_ablation_with(
             &format!("ablation-mitigation-{label}"),
             runs_per_policy as usize,
             exec,
-            |i| derive_seed(seed, &format!("{}{i}", streams::MITIGATION_PREFIX)), // same per policy
+            |i| derive_seed(seed, streams::MITIGATION.at(&i.to_string())), // same per policy
             |i, run_seed| {
                 let run = i as u32;
                 let mut sim = Simulation::new(SimConfig {
@@ -287,7 +287,7 @@ pub fn run_hardened_board(seed: u64) -> HardenedBoardResult {
 /// checksum-verifying board) fan out as one sweep; seeds match the original
 /// serial protocol, so the result is identical for any worker count.
 pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> HardenedBoardResult {
-    let labels = ["hardened-b", "hardened-a"];
+    let labels = [streams::HARDENED_B, streams::HARDENED_A];
     let outcomes = run_sweep(
         "ablation-hardened",
         labels.len(),
@@ -386,7 +386,7 @@ pub fn run_lookahead_ablation_with(
             &format!("ablation-lookahead-{horizon}"),
             runs_per_horizon as usize,
             exec,
-            |i| derive_seed(seed, &format!("{}{i}", streams::LOOKAHEAD_PREFIX)), // shared per horizon
+            |i| derive_seed(seed, streams::LOOKAHEAD.at(&i.to_string())), // shared per horizon
             |i, run_seed| {
                 let run = i as u32;
                 let clean = run.is_multiple_of(3);
@@ -532,17 +532,14 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
         "bitw-study",
         configs.len(),
         exec,
-        |i| derive_seed(seed, &format!("{}{}", streams::BITW_RECON_PREFIX, configs[i].0)),
+        |i| derive_seed(seed, streams::BITW_RECON.at(configs[i].0)),
         |i, _run_seed| {
             let (label, bitw) = configs[i];
             // Phase 1–2: eavesdrop + analyze.
             let mut sim = Simulation::new(SimConfig {
                 session_ms: 3_000,
                 bitw,
-                ..SimConfig::standard(derive_seed(
-                    seed,
-                    &format!("{}{label}", streams::BITW_RECON_PREFIX),
-                ))
+                ..SimConfig::standard(derive_seed(seed, streams::BITW_RECON.at(label)))
             });
             sim.rig_mut().channel.install_first(LoggingWrapper::new());
             sim.boot();
@@ -562,10 +559,7 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
             let mut sim = Simulation::new(SimConfig {
                 session_ms: 3_000,
                 bitw,
-                ..SimConfig::standard(derive_seed(
-                    seed,
-                    &format!("{}{label}", streams::BITW_ATTACK_PREFIX),
-                ))
+                ..SimConfig::standard(derive_seed(seed, streams::BITW_ATTACK.at(label)))
             });
             if bitw == Some(raven_hw::BitwPlacement::Host) {
                 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper};

@@ -161,10 +161,7 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
         exec,
         |i| {
             let (label, _) = &presets[i / runs];
-            derive_seed(
-                config.seed,
-                &format!("{}{label}.{}", streams::CHAOS_STUDY_PREFIX, i % runs),
-            )
+            derive_seed(config.seed, streams::CHAOS_STUDY.at(&format!("{label}.{}", i % runs)))
         },
         |i, seed| {
             let (_, chaos) = &presets[i / runs];

@@ -65,7 +65,7 @@ impl Fig6Result {
 pub fn run_fig6(seed: u64) -> Fig6Result {
     let mut runs = Vec::new();
     for run in 0..9 {
-        let run_seed = derive_seed(seed, &format!("{}{run}", streams::FIG6_PREFIX));
+        let run_seed = derive_seed(seed, streams::FIG6.at(&run.to_string()));
         // Vary session structure run to run, as the paper's nine captures do.
         let cycles = 2 + (run % 3) as u32;
         let work_ms = 600 + 150 * (run as u64 % 4);

@@ -138,7 +138,7 @@ pub fn run_fig8(seed: u64, runs: u32, session_ms: u64, model_perturbation: f64) 
     let mut overlay: Vec<OverlayPoint> = Vec::new();
 
     for run in 0..runs {
-        let run_seed = derive_seed(seed, &format!("{}{run}", streams::FIG8_PREFIX));
+        let run_seed = derive_seed(seed, streams::FIG8.at(&run.to_string()));
         let workload = Workload::training_pair()[(run % 2) as usize];
         let mut sim = Simulation::new(SimConfig {
             workload,

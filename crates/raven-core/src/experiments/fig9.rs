@@ -174,10 +174,7 @@ fn run_fig9_on(
         |i| {
             let (value, duration_ms) = grid[i / reps];
             let rep = (i % reps) as u32;
-            derive_seed(
-                config.seed,
-                &format!("{}{value}-{duration_ms}-{rep}", streams::FIG9_PREFIX),
-            )
+            derive_seed(config.seed, streams::FIG9.at(&format!("{value}-{duration_ms}-{rep}")))
         },
         |i, seed, metrics| {
             let (value, duration_ms) = grid[i / reps];

@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 use simbus::obs::channels;
+use simbus::obs::streams::{self, Stream};
 use simbus::rng::derive_seed;
 use simbus::{LinkConfig, SimDuration};
 
@@ -84,7 +85,7 @@ impl NetworkStudy {
 
 fn run_condition(
     seed: u64,
-    label: &str,
+    label: Stream<'static>,
     link: LinkConfig,
     attack: Option<AttackSetup>,
 ) -> NetworkRow {
@@ -150,14 +151,14 @@ pub fn run_network_study(seed: u64) -> NetworkStudy {
         loss_probability: 0.0,
     };
     let rows = vec![
-        run_condition(seed, "ideal", LinkConfig::ideal(), None),
-        run_condition(seed, "lan", LinkConfig::lan(), None),
-        run_condition(seed, "loss-10%", lossy(0.10), None),
-        run_condition(seed, "loss-50%", lossy(0.50), None),
-        run_condition(seed, "delay-100ms", delayed(100), None),
+        run_condition(seed, streams::NET_IDEAL, LinkConfig::ideal(), None),
+        run_condition(seed, streams::NET_LAN, LinkConfig::lan(), None),
+        run_condition(seed, streams::NET_LOSS_10, lossy(0.10), None),
+        run_condition(seed, streams::NET_LOSS_50, lossy(0.50), None),
+        run_condition(seed, streams::NET_DELAY_100MS, delayed(100), None),
         run_condition(
             seed,
-            "host-injection",
+            streams::NET_HOST_INJECTION,
             LinkConfig::lan(),
             Some(AttackSetup::ScenarioB {
                 dac_delta: 30_000,

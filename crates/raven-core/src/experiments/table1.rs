@@ -14,7 +14,7 @@
 
 use raven_attack::variants::{catalog, ObservedImpact, VariantSpec};
 use raven_hw::RobotState;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 use simbus::ChaosConfig;
@@ -24,7 +24,7 @@ use crate::session::{run_standalone, SessionSpec};
 use crate::sim::{SessionOutcome, SimConfig};
 
 /// One executed variant.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table1Row {
     /// The catalog entry.
     pub spec: VariantSpec,
@@ -37,7 +37,7 @@ pub struct Table1Row {
 }
 
 /// The Table I reproduction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table1Result {
     /// One row per catalog variant.
     pub rows: Vec<Table1Row>,
@@ -166,7 +166,7 @@ fn matches_paper(spec: &VariantSpec, observed: ObservedImpact) -> bool {
 pub fn run_table1(seed: u64) -> Table1Result {
     let mut rows = Vec::new();
     for spec in catalog() {
-        let run_seed = derive_seed(seed, &format!("{}{}", streams::TABLE1_PREFIX, spec.id));
+        let run_seed = derive_seed(seed, streams::TABLE1.at(spec.id));
         let session = SessionSpec {
             name: spec.id.into(),
             config: SimConfig { session_ms: 4_000, ..SimConfig::standard(run_seed) },

@@ -171,7 +171,7 @@ impl Table4Result {
 /// periods drawn deterministically per run index, covering the Fig. 9
 /// ranges.
 fn scenario_attack(scenario: char, run: u32, seed: u64) -> AttackSetup {
-    let pick = derive_seed(seed, &format!("{}{scenario}-{run}", streams::T4_PICK_PREFIX));
+    let pick = derive_seed(seed, streams::T4_PICK.at(&format!("{scenario}-{run}")));
     // Skewed toward sustained activations, as effective campaigns are
     // (short injections are absorbed by the PID; paper §IV.B).
     let durations = [8u64, 16, 32, 64, 128, 128, 256, 256, 512];
@@ -237,7 +237,7 @@ fn run_scenario(
         &format!("table4-{scenario}"),
         runs as usize,
         exec,
-        |i| derive_seed(config.seed, &format!("{}{scenario}-{i}", streams::T4_RUN_PREFIX)),
+        |i| derive_seed(config.seed, streams::T4_RUN.at(&format!("{scenario}-{i}"))),
         |i, run_seed, metrics| {
             let run = i as u32;
             let clean = (run as f64 / runs.max(1) as f64) < config.clean_fraction;

@@ -6,6 +6,17 @@
 //! the physical system, advanced together on a 1 ms virtual clock. Every
 //! experiment in this reproduction is a configuration of this one loop.
 
+// `Simulation::step` is the 1 ms safety cycle: no panic path outside tests
+// (each sanctioned site is an item-level `#[expect]` with its reason).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::Arc;
 
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};

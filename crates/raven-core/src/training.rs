@@ -99,7 +99,7 @@ pub(crate) fn train_thresholds_on(
         "training",
         config.runs as usize,
         exec,
-        |run| derive_seed(config.seed, &format!("{}{run}", streams::TRAIN_PREFIX)),
+        |run| derive_seed(config.seed, streams::TRAIN.at(&run.to_string())),
         |run, seed| {
             let workload = Workload::training_pair()[run % 2];
             let sim_config = SimConfig {

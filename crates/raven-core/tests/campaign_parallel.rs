@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use raven_core::experiments::{run_fig9_with, run_table4_with, Fig9Config, Table4Config};
 use raven_core::training::TrainingConfig;
 use raven_core::{run_sweep, ExecutorConfig};
-use simbus::rng::derive_seed;
+use simbus::rng::splitmix64;
 
 /// A reduced-but-real Table IV protocol: small enough for CI, large enough
 /// that several workers actually interleave.
@@ -63,7 +63,7 @@ fn fig9_parallel_is_byte_identical_to_serial() {
 #[test]
 fn poisoned_seed_yields_one_error_and_full_results_elsewhere() {
     // Jobs heavy enough that workers genuinely interleave with the panic.
-    let seed_of = |i: usize| derive_seed(3, &format!("poison-{i}"));
+    let seed_of = |i: usize| splitmix64(3 ^ i as u64);
     let poisoned = seed_of(7);
     let result = run_sweep("poison", 24, &ExecutorConfig::with_workers(4), seed_of, |i, seed| {
         let mut acc = seed;
@@ -91,7 +91,7 @@ proptest! {
     /// run `i`'s result under run `i`'s seed — scheduling is unobservable.
     #[test]
     fn sweep_order_matches_seed_order(workers in 1usize..12, n in 0usize..48, root in any::<u64>()) {
-        let seed_of = |i: usize| derive_seed(root, &format!("prop-{i}"));
+        let seed_of = |i: usize| splitmix64(root ^ i as u64);
         let result = run_sweep(
             "prop",
             n,
@@ -126,7 +126,7 @@ fn minimizer_pins_the_smallest_failing_sweep() {
             "fixture",
             n,
             &ExecutorConfig::with_workers(workers),
-            |i| derive_seed(5, &format!("fixture-{i}")),
+            |i| splitmix64(5 ^ i as u64),
             |i, seed| (i, seed),
         );
         if result.stats.runs >= 10 {

@@ -12,7 +12,7 @@ use raven_core::{
     SweepTraceCollector,
 };
 use simbus::obs::spans;
-use simbus::rng::derive_seed;
+use simbus::rng::splitmix64;
 use simbus::{ChromeTraceBuilder, SimTime};
 
 /// A guarded (learning-mode detector) session under a scenario-B attack —
@@ -179,7 +179,7 @@ fn chrome_trace_export_is_schema_valid_json() {
 
 #[test]
 fn traced_sweep_merge_stays_deterministic_across_worker_counts() {
-    let seeds = |i: usize| derive_seed(7, &format!("tracing-test-{i}"));
+    let seeds = |i: usize| splitmix64(7 ^ i as u64);
     let run = |workers: usize| {
         let collector = Arc::new(SweepTraceCollector::new());
         let config = ExecutorConfig::with_workers(workers).traced(Arc::clone(&collector));

@@ -35,7 +35,7 @@ use crate::thresholds::DetectionThresholds;
 
 /// A lane's mode: armed *means* having thresholds, so the armed
 /// assessment path is infallible by construction (no `Option` to unwrap
-/// inside the control cycle — lint rule R3).
+/// inside the control cycle, where clippy's `unwrap_used` is denied).
 #[derive(Debug, Clone, Copy)]
 enum ModeState {
     Learning,

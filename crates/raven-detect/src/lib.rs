@@ -26,6 +26,16 @@
 //! against the same ground truth.
 
 #![forbid(unsafe_code)]
+// The 1 ms safety cycle runs through this crate: no panic path outside
+// tests (each sanctioned site is an item-level `#[expect]` with its reason).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod batch;
 pub mod detector;

@@ -33,7 +33,7 @@ impl DetectionThresholds {
     /// # Errors
     ///
     /// Propagates the serializer's error instead of panicking: this type
-    /// lives in a hot-path crate where lint rule R3 bans `expect`.
+    /// lives in a hot-path crate where clippy's `expect_used` is denied.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string_pretty(self)
     }

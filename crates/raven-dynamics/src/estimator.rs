@@ -110,6 +110,11 @@ impl RtModel {
     /// # Panics
     ///
     /// Panics if tracking was never started with [`RtModel::reset_tracking`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition of the offline Fig. 8 validation loop, which never \
+                  runs on the control cycle"
+    )]
     pub fn track_step(&mut self, dac: &[i16; NUM_AXES]) -> PlantState {
         let current = self.tracked.expect("call reset_tracking before track_step");
         let next = self.predict(&current, dac);

@@ -21,7 +21,7 @@
 //! `drops`, never as `mutations` — chaos is not mistaken for the paper's
 //! injection malware in `attack.injections`.
 //!
-//! Everything here is panic-free (lint rule R3): malformed buffers are
+//! Everything here is panic-free (the crate denies clippy's panic lints): malformed buffers are
 //! forwarded unchanged rather than unwrapped.
 
 use simbus::obs::{names, Event, EventKind, Severity};

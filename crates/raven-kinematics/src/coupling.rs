@@ -46,6 +46,11 @@ impl CouplingMatrix {
     ///
     /// Panics if any ratio is zero or non-finite (the map must be
     /// invertible).
+    #[expect(
+        clippy::expect_used,
+        reason = "a unit-triangular matrix times a diagonal one with the nonzero ratios \
+                  asserted above is invertible"
+    )]
     pub fn new(ratios: [f64; NUM_AXES], routing: (f64, f64, f64)) -> Self {
         for r in ratios {
             assert!(r.is_finite() && r != 0.0, "transmission ratio must be nonzero, got {r}");

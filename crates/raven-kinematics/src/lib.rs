@@ -38,6 +38,16 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The 1 ms safety cycle runs through this crate: no panic path outside
+// tests (each sanctioned site is an item-level `#[expect]` with its reason).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod config;
 pub mod coupling;

@@ -14,8 +14,8 @@ use std::fmt;
 /// the allowlist cannot silently outlive the code it excuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule id: any catalog rule except `CONFIG` (so not the retired
-    /// `R1`, `R2`, `R6`, `R8` and `R10`).
+    /// Rule id: any catalog rule except `CONFIG` (so none of the retired
+    /// `R1`–`R3`, `R6` and `R8`–`R11`).
     pub rule: String,
     /// Workspace-relative file path, or a directory prefix ending in `/`.
     pub path: String,
@@ -46,30 +46,6 @@ pub struct WatchedEnum {
     pub variants: Vec<String>,
 }
 
-/// An R5 scoped doc: a second human-facing document that must agree with
-/// the registry for every name under `prefix` (both directions). Lets a
-/// subsystem spec — e.g. `docs/FORENSICS.md` for `ledger.*` — carry its
-/// own kind/metric tables without duplicating the whole observability
-/// catalogue.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScopedDoc {
-    /// Workspace-relative markdown path.
-    pub doc: String,
-    /// Dotted-name prefix this doc owns, e.g. `ledger.`.
-    pub prefix: String,
-}
-
-/// One `[[rules.artifact_schema.roots]]` entry: a golden artifact and the
-/// struct that serializes it. R11 checks every direct field of the struct
-/// appears as a key in the JSON (the keys→fields direction is global).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArtifactRoot {
-    /// Workspace-relative JSON path.
-    pub json: String,
-    /// The `#[derive(Serialize)]` struct written to that file.
-    pub strukt: String,
-}
-
 /// Parsed `raven-lint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
@@ -77,28 +53,8 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Path prefixes skipped entirely (fixtures, vendored stubs).
     pub exclude: Vec<String>,
-    /// R3: call-graph entry points (`Type::method` or free-fn names).
-    pub hot_path_entry_points: Vec<String>,
-    /// R3: forbidden panic tokens in the reachable set.
-    pub panic_tokens: Vec<String>,
-    /// R9: seed-deriving functions whose stream argument is audited.
-    pub stream_fns: Vec<String>,
-    /// R11: glob patterns (`dir/prefix*.json`) naming the golden
-    /// artifacts whose keys are checked against serialized-struct fields.
-    pub artifact_globs: Vec<String>,
-    /// R11: JSON keys exempt from the keys→fields direction (data-driven
-    /// map keys that are not struct fields).
-    pub artifact_ignore_keys: Vec<String>,
-    /// R11: artifact → root-struct pairs for the fields→keys direction.
-    pub artifact_roots: Vec<ArtifactRoot>,
     /// R4: enums whose matches must be exhaustive.
     pub watched_enums: Vec<WatchedEnum>,
-    /// R5: the machine-readable registry source (`simbus::obs`).
-    pub registry_path: String,
-    /// R5: the human-facing doc the registry must agree with.
-    pub doc_path: String,
-    /// R5: additional prefix-scoped docs (`[[rules.doc_drift.scoped]]`).
-    pub scoped_docs: Vec<ScopedDoc>,
     /// R7: crates where float `==`/`!=` against literals is forbidden
     /// (the crates whose outputs are serialized or merged).
     pub float_cmp_crates: Vec<String>,
@@ -141,8 +97,6 @@ impl Config {
             None,
             Allow,
             Enum,
-            ScopedDoc,
-            ArtifactRoot,
         }
         let mut section = String::new();
         let mut open = Open::None;
@@ -171,16 +125,6 @@ impl Config {
                             .push(WatchedEnum { name: String::new(), variants: Vec::new() });
                         Open::Enum
                     }
-                    "rules.doc_drift.scoped" => {
-                        cfg.scoped_docs
-                            .push(ScopedDoc { doc: String::new(), prefix: String::new() });
-                        Open::ScopedDoc
-                    }
-                    "rules.artifact_schema.roots" => {
-                        cfg.artifact_roots
-                            .push(ArtifactRoot { json: String::new(), strukt: String::new() });
-                        Open::ArtifactRoot
-                    }
                     other => return Err(err(lineno, format!("unknown table array [[{other}]]"))),
                 };
                 continue;
@@ -207,23 +151,6 @@ impl Config {
             match (&open, section.as_str(), key.as_str()) {
                 (Open::None, "scan", "roots") => cfg.roots = value.arr(lineno)?,
                 (Open::None, "scan", "exclude") => cfg.exclude = value.arr(lineno)?,
-                (Open::None, "rules.hot_path", "entry_points") => {
-                    cfg.hot_path_entry_points = value.arr(lineno)?
-                }
-                (Open::None, "rules.no_panic_in_hot_path", "tokens") => {
-                    cfg.panic_tokens = value.arr(lineno)?
-                }
-                (Open::None, "rules.rng_stream", "fns") => cfg.stream_fns = value.arr(lineno)?,
-                (Open::None, "rules.artifact_schema", "globs") => {
-                    cfg.artifact_globs = value.arr(lineno)?
-                }
-                (Open::None, "rules.artifact_schema", "ignore_keys") => {
-                    cfg.artifact_ignore_keys = value.arr(lineno)?
-                }
-                (Open::None, "rules.doc_drift", "registry") => {
-                    cfg.registry_path = value.str(lineno)?
-                }
-                (Open::None, "rules.doc_drift", "doc") => cfg.doc_path = value.str(lineno)?,
                 (Open::None, "rules.float_cmp", "crates") => {
                     cfg.float_cmp_crates = value.arr(lineno)?
                 }
@@ -232,21 +159,6 @@ impl Config {
                 }
                 (Open::Enum, _, "variants") => {
                     cfg.watched_enums.last_mut().expect("open enum").variants = value.arr(lineno)?
-                }
-                (Open::ScopedDoc, _, "doc") => {
-                    cfg.scoped_docs.last_mut().expect("open scoped doc").doc = value.str(lineno)?
-                }
-                (Open::ScopedDoc, _, "prefix") => {
-                    cfg.scoped_docs.last_mut().expect("open scoped doc").prefix =
-                        value.str(lineno)?
-                }
-                (Open::ArtifactRoot, _, "json") => {
-                    cfg.artifact_roots.last_mut().expect("open artifact root").json =
-                        value.str(lineno)?
-                }
-                (Open::ArtifactRoot, _, "struct") => {
-                    cfg.artifact_roots.last_mut().expect("open artifact root").strukt =
-                        value.str(lineno)?
                 }
                 (Open::Allow, _, "rule") => {
                     cfg.allows.last_mut().expect("open allow").rule = value.str(lineno)?
@@ -297,16 +209,6 @@ impl Config {
         for e in &self.watched_enums {
             if e.name.is_empty() || e.variants.is_empty() {
                 return Err(err(0, "watched enum needs `name` and non-empty `variants`"));
-            }
-        }
-        for s in &self.scoped_docs {
-            if s.doc.is_empty() || s.prefix.is_empty() {
-                return Err(err(0, "[[rules.doc_drift.scoped]] needs `doc` and `prefix`"));
-            }
-        }
-        for r in &self.artifact_roots {
-            if r.json.is_empty() || r.strukt.is_empty() {
-                return Err(err(0, "[[rules.artifact_schema.roots]] needs `json` and `struct`"));
             }
         }
         Ok(())
@@ -419,14 +321,6 @@ exclude = [
     "vendor/",
 ]
 
-[rules.doc_drift]
-registry = "crates/simbus/src/obs.rs"
-doc = "docs/OBSERVABILITY.md"
-
-[[rules.doc_drift.scoped]]
-doc = "docs/FORENSICS.md"
-prefix = "ledger."
-
 [rules.float_cmp]
 crates = ["simbus", "raven-core"]
 
@@ -435,10 +329,10 @@ name = "RobotState"
 variants = ["Init", "EStop"]
 
 [[allow]]
-rule = "R3"
+rule = "R7"
 path = "crates/simbus/src/trace.rs"
-contains = "panic!"
-reason = "documented deliberate fail-fast"
+contains = "== 0.0"
+reason = "exact sentinel"
 
 [[allow]]
 rule = "R4"
@@ -452,11 +346,6 @@ reason = "illegal events are ignored by design (paper Fig. 1c)"
         let cfg = Config::parse(SAMPLE).expect("parse");
         assert_eq!(cfg.roots, vec!["crates", "src"]);
         assert_eq!(cfg.exclude.len(), 2);
-        assert_eq!(cfg.registry_path, "crates/simbus/src/obs.rs");
-        assert_eq!(
-            cfg.scoped_docs,
-            vec![ScopedDoc { doc: "docs/FORENSICS.md".into(), prefix: "ledger.".into() }]
-        );
         assert_eq!(cfg.float_cmp_crates, vec!["simbus", "raven-core"]);
         assert_eq!(cfg.watched_enums.len(), 1);
         assert_eq!(cfg.watched_enums[0].variants, vec!["Init", "EStop"]);
@@ -466,69 +355,40 @@ reason = "illegal events are ignored by design (paper Fig. 1c)"
 
     #[test]
     fn rejects_missing_reason() {
-        let bad = "[[allow]]\nrule = \"R3\"\npath = \"x.rs\"\nreason = \"\"\n";
+        let bad = "[[allow]]\nrule = \"R4\"\npath = \"x.rs\"\nreason = \"\"\n";
         let e = Config::parse(bad).unwrap_err();
         assert!(e.message.contains("reason"), "{e}");
     }
 
     #[test]
-    fn rejects_incomplete_scoped_doc() {
-        let bad = "[[rules.doc_drift.scoped]]\ndoc = \"docs/FORENSICS.md\"\n";
-        let e = Config::parse(bad).unwrap_err();
-        assert!(e.message.contains("prefix"), "{e}");
-    }
-
-    #[test]
     fn rejects_unknown_rule_and_keys() {
-        // Retired ids (R1, R2, R6 and R10 moved to clippy and rustc lints,
-        // R8 to a test) are not reused, and CONFIG is not an allowable rule.
-        for rule in ["R12", "R1", "R2", "R6", "R8", "R10", "CONFIG"] {
+        // Retired ids (R1, R2, R3, R6 and R10 moved to clippy and rustc
+        // lints, R9 to the `Stream` type, R8 and R11 to tests) are not
+        // reused, and CONFIG is not an allowable rule.
+        for rule in ["R12", "R1", "R2", "R3", "R6", "R8", "R9", "R10", "R11", "CONFIG"] {
             let bad = format!("[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\nreason = \"y\"\n");
             assert!(Config::parse(&bad).is_err(), "{rule}");
         }
         let bad2 = "[scan]\nbogus = \"x\"\n";
         assert!(Config::parse(bad2).is_err());
         // The deleted rules' sections are unknown keys now.
-        assert!(Config::parse("[rules.no_wall_clock]\ntokens = [\"x\"]\n").is_err());
-    }
-
-    #[test]
-    fn parses_hot_path_and_artifact_schema_sections() {
-        let text = r#"
-[rules.hot_path]
-entry_points = ["Simulation::step", "HardwareRig::step"]
-
-[rules.rng_stream]
-fns = ["stream_rng", "derive_seed"]
-
-[rules.artifact_schema]
-globs = ["results/*.json", "tests/fixtures/golden_*.json"]
-ignore_keys = ["traceEvents"]
-
-[[rules.artifact_schema.roots]]
-json = "results/table4_detection.json"
-struct = "Table4Artifact"
-"#;
-        let cfg = Config::parse(text).expect("parse");
-        assert_eq!(cfg.hot_path_entry_points, vec!["Simulation::step", "HardwareRig::step"]);
-        assert_eq!(cfg.stream_fns, vec!["stream_rng", "derive_seed"]);
-        assert_eq!(cfg.artifact_globs.len(), 2);
-        assert_eq!(cfg.artifact_ignore_keys, vec!["traceEvents"]);
-        assert_eq!(
-            cfg.artifact_roots,
-            vec![ArtifactRoot {
-                json: "results/table4_detection.json".into(),
-                strukt: "Table4Artifact".into()
-            }]
-        );
-        let bad = "[[rules.artifact_schema.roots]]\njson = \"results/x.json\"\n";
-        assert!(Config::parse(bad).is_err());
+        for section in [
+            "[rules.no_wall_clock]\ntokens = [\"x\"]\n",
+            "[rules.hot_path]\nentry_points = [\"Simulation::step\"]\n",
+            "[rules.no_panic_in_hot_path]\ntokens = [\".unwrap(\"]\n",
+            "[rules.rng_stream]\nfns = [\"derive_seed\"]\n",
+            "[rules.artifact_schema]\nglobs = [\"results/*.json\"]\n",
+            "[rules.doc_drift]\ndoc = \"docs/OBSERVABILITY.md\"\n",
+            "[[rules.doc_drift.scoped]]\n",
+        ] {
+            assert!(Config::parse(section).is_err(), "{section}");
+        }
     }
 
     #[test]
     fn allow_entry_path_and_contains_matching() {
         let dir = AllowEntry {
-            rule: "R3".into(),
+            rule: "R7".into(),
             path: "crates/bench/".into(),
             contains: None,
             reason: "r".into(),

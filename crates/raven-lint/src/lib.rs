@@ -8,51 +8,40 @@
 //! them statically, the way the paper argues anomalies should be caught
 //! mechanically rather than by convention.
 //!
-//! The auditor keeps only the checks the compiler cannot make. The
-//! wall-clock, hash-collection and lock bans (the retired R1, R2 and R10)
-//! are `clippy::disallowed_methods`/`disallowed_types` over the root
-//! `clippy.toml`, and the unsafe audit (R6) is rustc's `unsafe_code` plus
-//! `clippy::undocumented_unsafe_blocks`, all denied in the root
-//! `[workspace.lints]`.
+//! The auditor keeps only the checks the compiler and plain tests cannot
+//! make. The retired rules live on elsewhere (see
+//! `docs/STATIC_ANALYSIS.md`, "Checked by the toolchain and tests"): the
+//! wall-clock, hash-collection and lock bans (R1, R2, R10) are
+//! `clippy::disallowed_methods`/`disallowed_types` over the root
+//! `clippy.toml`; the unsafe audit (R6) is rustc's `unsafe_code` plus
+//! `clippy::undocumented_unsafe_blocks`; no-panic on the safety cycle (R3)
+//! is clippy's panic lints denied in the crates the cycle runs through; RNG
+//! stream discipline (R9) is the `simbus::obs::streams::Stream` type; the
+//! allocation-free cycle (R8), artifact schemas (R11) and the registry ↔
+//! doc tables are tier-1 tests.
 //!
-//! The auditor needs no registry crate (only the vendored serde stubs, see
-//! `vendor/README.md`): a small lexer strips comments and string literals
-//! so rules never fire on prose, a region tracker excludes `#[cfg(test)]`
-//! modules where panics are legitimate, an item/signature parser builds a
-//! symbol table and an approximate workspace call graph, and a rule engine
-//! applies six rules (see `docs/STATIC_ANALYSIS.md`):
+//! What is left needs no parser: a small lexer strips comments and string
+//! literals so rules never fire on prose, a region tracker excludes
+//! `#[cfg(test)]` modules, and three rules run over each file:
 //!
-//! * **R3 no-panic-in-hot-path** — `unwrap`/`expect`/`panic!` forbidden in
-//!   every function *transitively reachable* from the hot-path entry
-//!   points (`Simulation::step`, the detector verdict path, the rig board
-//!   cycle); panic isolation belongs to the campaign executor, not the
-//!   safety loop.
 //! * **R4 exhaustive-safety-match** — wildcard `_` arms forbidden in
 //!   `match`es over safety-critical enums, so adding a state forces every
-//!   handler to be revisited.
-//! * **R5 doc-code drift** — the `simbus::obs` registries (event kinds,
-//!   metrics, channels, spans, RNG streams) must agree with
-//!   `docs/OBSERVABILITY.md`, both directions, and emit sites must go
-//!   through the registry constants.
+//!   handler to be revisited (clippy cannot see a `(s, _) => s` tuple arm).
+//! * **R5 registry-name-literal** — a name registered in `simbus::obs`
+//!   (event kind, metric or metric family, channel, span) may not be
+//!   spelled as a raw string literal outside the registry; the names are
+//!   read from the registry's own `ALL`/`FAMILIES` arrays.
 //! * **R7 no-float-eq** — no `==`/`!=` against float literals in
 //!   merged-artifact crates.
-//! * **R9 rng-stream-discipline** — every `stream_rng`/`derive_seed`
-//!   label comes from `simbus::obs::streams`, whose constants must be
-//!   unique workspace-wide.
-//! * **R11 artifact-schema-drift** — fields of serialized structs backing
-//!   golden artifacts must match the keys actually present in
-//!   `results/*.json`, both directions.
 //!
 //! Intentional exceptions live in `raven-lint.toml`, each with a one-line
 //! justification; stale or unjustified entries are themselves findings.
 
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
 pub mod config;
 pub mod engine;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
 pub mod sarif;
 

@@ -44,7 +44,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 Some(id) => rule_filter.push(id),
-                None => return usage("--rule needs a rule id (e.g. R3)"),
+                None => return usage("--rule needs a rule id (e.g. R4)"),
             },
             "--list-rules" => return list_rules(),
             "--root" => match args.next() {

@@ -18,13 +18,7 @@ pub struct RuleInfo {
 
 /// The full rule catalog, in report order.
 pub fn catalog() -> &'static [RuleInfo] {
-    const CATALOG: [RuleInfo; 7] = [
-        RuleInfo {
-            id: "R3",
-            name: "no-panic-in-hot-path",
-            summary: "no unwrap/expect/panic! in any fn reachable from a hot-path entry point",
-            scope: "call graph from [rules.hot_path] entry points",
-        },
+    const CATALOG: [RuleInfo; 4] = [
         RuleInfo {
             id: "R4",
             name: "exhaustive-safety-match",
@@ -33,9 +27,9 @@ pub fn catalog() -> &'static [RuleInfo] {
         },
         RuleInfo {
             id: "R5",
-            name: "doc-code-drift",
-            summary: "obs registries and their docs must agree, both directions",
-            scope: "simbus::obs vs docs/OBSERVABILITY.md + scoped docs",
+            name: "registry-name-literal",
+            summary: "registered obs names go through simbus::obs, not raw literals",
+            scope: "all crates except the registry itself",
         },
         RuleInfo {
             id: "R7",
@@ -44,21 +38,9 @@ pub fn catalog() -> &'static [RuleInfo] {
             scope: "merged-artifact crates",
         },
         RuleInfo {
-            id: "R9",
-            name: "rng-stream-discipline",
-            summary: "stream_rng/derive_seed labels come from simbus::obs::streams, unique",
-            scope: "all crates",
-        },
-        RuleInfo {
-            id: "R11",
-            name: "artifact-schema-drift",
-            summary: "serialized-struct fields match golden artifact keys, both directions",
-            scope: "[rules.artifact_schema] roots vs results/*.json",
-        },
-        RuleInfo {
             id: "CONFIG",
             name: "stale-config",
-            summary: "every [[allow]] entry matches a finding; every entry point names a fn",
+            summary: "every [[allow]] entry matches a finding",
             scope: "raven-lint.toml",
         },
     ];
@@ -155,7 +137,7 @@ mod tests {
 
     #[test]
     fn sarif_is_valid_json_with_expected_shape() {
-        let fs = vec![finding("R3", "crates/a/src/lib.rs", "let x = v.unwrap();")];
+        let fs = vec![finding("R7", "crates/a/src/lib.rs", "x == 0.0")];
         let doc = to_sarif(&fs);
         let v = serde_json::value_from_str(&doc).expect("SARIF must parse as JSON");
         assert_eq!(
@@ -194,7 +176,7 @@ mod tests {
 
     #[test]
     fn sarif_escapes_quotes_and_backslashes() {
-        let fs = vec![finding("R3", "a.rs", "let s = \"x\\\\y\";")];
+        let fs = vec![finding("R5", "a.rs", "let s = \"x\\\\y\";")];
         let doc = to_sarif(&fs);
         assert!(serde_json::value_from_str(&doc).is_ok(), "escaping broke JSON:\n{doc}");
     }
@@ -202,11 +184,12 @@ mod tests {
     #[test]
     fn catalog_ids_are_unique_and_skip_the_retired() {
         let ids: Vec<&str> = catalog().iter().map(|r| r.id).collect();
-        // R1, R2, R6 and R10 moved to clippy and rustc lints, R8 to a test;
-        // the other ids keep their numbers, since SARIF consumers key on them.
+        // R1, R2, R3, R6 and R10 moved to clippy and rustc lints, R9 to
+        // the `Stream` type, R8 and R11 to tests; the other ids keep their
+        // numbers, since SARIF consumers key on them.
         for n in 1..=11 {
             let id = format!("R{n}");
-            assert_eq!(ids.contains(&id.as_str()), ![1, 2, 6, 8, 10].contains(&n), "{id}");
+            assert_eq!(ids.contains(&id.as_str()), [4, 5, 7].contains(&n), "{id}");
         }
         let mut sorted = ids.clone();
         sorted.sort();

@@ -160,6 +160,11 @@ impl std::fmt::Display for RunningStats {
 /// assert_eq!(percentile(&v, 50.0), Some(50.5));
 /// assert_eq!(percentile(&v, 100.0), Some(100.0));
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "percentile inputs are residuals and latencies already checked finite upstream; \
+              a NaN here is corrupted detector state and must fail loudly, not be ordered"
+)]
 pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
     if samples.is_empty() || !(0.0..=100.0).contains(&p) {
         return None;

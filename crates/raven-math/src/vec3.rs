@@ -145,6 +145,10 @@ impl Index<usize> for Vec3 {
     /// # Panics
     ///
     /// Panics if `i > 2`.
+    #[expect(
+        clippy::panic,
+        reason = "the Index contract: out-of-range indexing panics, as on a slice"
+    )]
     fn index(&self, i: usize) -> &f64 {
         match i {
             0 => &self.x,
@@ -156,6 +160,10 @@ impl Index<usize> for Vec3 {
 }
 
 impl IndexMut<usize> for Vec3 {
+    #[expect(
+        clippy::panic,
+        reason = "the IndexMut contract: out-of-range indexing panics, as on a slice"
+    )]
     fn index_mut(&mut self, i: usize) -> &mut f64 {
         match i {
             0 => &mut self.x,

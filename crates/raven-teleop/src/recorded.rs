@@ -72,7 +72,7 @@ impl Recording {
         let idx = pos.floor() as usize;
         let frac = pos - idx as f64;
         if idx + 1 >= self.samples.len() {
-            return *self.samples.last().expect("non-empty");
+            return self.samples[self.samples.len() - 1];
         }
         self.samples[idx].lerp(self.samples[idx + 1], frac)
     }

@@ -30,7 +30,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::obs::streams;
+use crate::obs::streams::{self, Stream};
 use crate::rng::stream_rng;
 use crate::time::{SimDuration, SimTime};
 
@@ -266,7 +266,7 @@ impl ChaosSchedule {
         // Class order is part of the determinism contract: ties at the
         // same tick resolve in this order.
         let mut class = 0u8;
-        let mut push_class = |name: &str, p: f64, mut draw: FaultDraw<'_>| {
+        let mut push_class = |name: Stream<'static>, p: f64, mut draw: FaultDraw<'_>| {
             let order = class;
             class += 1;
             if p <= 0.0 {

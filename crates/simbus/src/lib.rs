@@ -24,6 +24,16 @@
 //! property the detection-accuracy experiments (Table IV, Fig. 9) rely on.
 
 #![forbid(unsafe_code)]
+// The 1 ms safety cycle runs through this crate: no panic path outside
+// tests (each sanctioned site is an item-level `#[expect]` with its reason).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod chaos;
 pub mod net;

@@ -139,11 +139,11 @@ impl From<String> for FieldValue {
 /// The closed set of event kinds the workspace may emit.
 ///
 /// This enum — together with [`names`] — is the observability registry:
-/// `raven-lint` (rule R5) parses the `as_str` arms below and cross-checks
-/// them against the tables in `docs/OBSERVABILITY.md`, both directions, so
-/// the taxonomy cannot drift from its documentation. Emit sites must go
-/// through these variants rather than raw string literals (also enforced
-/// by R5): a rename then touches exactly one `match` arm and one doc row.
+/// `tests/registry_docs.rs` checks [`EventKind::ALL`]'s names against the
+/// kind tables in `docs/OBSERVABILITY.md`, both directions, so the
+/// taxonomy cannot drift from its documentation. Emit sites must go
+/// through these variants rather than raw string literals (`raven-lint`
+/// rule R5): a rename then touches exactly one `match` arm and one doc row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum EventKind {
     /// `install_attack` armed a malicious interceptor on a channel.
@@ -212,8 +212,9 @@ impl fmt::Display for EventKind {
 /// The metric-name registry: every counter/gauge/histogram name the
 /// workspace emits, as constants.
 ///
-/// Like [`EventKind`], this is machine-parsed by `raven-lint` R5 and
-/// cross-checked against `docs/OBSERVABILITY.md`. `*_PREFIX` constants
+/// Like [`EventKind`], [`names::ALL`] and [`names::FAMILIES`] are checked
+/// against `docs/OBSERVABILITY.md` by `tests/registry_docs.rs`, and read
+/// by `raven-lint` R5 to reject raw literals. `*_PREFIX` constants
 /// declare metric *families* — names completed with a slug at runtime
 /// (e.g. `fault.count.dac_limit`); use [`fault_count`]/[`estop_count`]
 /// to build them.
@@ -282,8 +283,8 @@ pub mod names {
 ///
 /// Span names key the [`crate::span::SpanRecorder`] tree and the Chrome
 /// Trace / profile exports built from it. Like [`names`] and
-/// [`channels`], this module is machine-parsed by `raven-lint` R5 and
-/// cross-checked against the span table in `docs/OBSERVABILITY.md`;
+/// [`channels`], this module's `ALL` is checked against the span table
+/// in `docs/OBSERVABILITY.md` by `tests/registry_docs.rs`;
 /// production begin sites must go through these constants, never raw
 /// string literals.
 pub mod spans {
@@ -362,8 +363,8 @@ pub mod spans {
 /// simulation records, as constants.
 ///
 /// Channel names key the `signals` map of an incident report and the
-/// in-memory trace buffer. Like [`names`], this module is machine-parsed
-/// by `raven-lint` R5 and cross-checked against the channel table in
+/// in-memory trace buffer. Like [`names`], this module's `ALL` is checked
+/// by `tests/registry_docs.rs` against the channel table in
 /// `docs/OBSERVABILITY.md`; production record/read sites must go through
 /// these constants, never raw string literals.
 pub mod channels {
@@ -385,81 +386,151 @@ pub mod channels {
 }
 
 /// The RNG-stream registry: every label passed to
-/// [`crate::rng::derive_seed`] / [`crate::rng::stream_rng`], as constants.
+/// [`crate::rng::derive_seed`] / [`crate::rng::stream_rng`].
 ///
 /// Stream labels are part of the determinism contract: two call sites
 /// using the same label draw *identical* sequences, so an accidental
 /// collision silently correlates components that the reproduction treats
-/// as independent. Like [`names`], [`channels`], and [`spans`], this
-/// module is machine-parsed by `raven-lint` (R9) and cross-checked
-/// against the stream table in `docs/OBSERVABILITY.md`: labels must be
-/// unique workspace-wide, and production call sites must go through
-/// these constants — `*_PREFIX` constants seed families of per-run
-/// streams (`fig6-<run>`, `campaign-<spec>-<rep>`, …).
+/// as independent. The seed functions take a [`streams::Stream`], which
+/// only this module can construct: an exact label is a `Stream` constant,
+/// and a [`streams::Family`] yields the stream of one instance
+/// (`fig6-<run>`, `t4-run-<scenario>-<i>`, …) for a given suffix. A raw
+/// string label does not compile. `tests/registry_docs.rs` checks
+/// [`streams::ALL`] and [`streams::FAMILIES`] against the stream table in
+/// `docs/OBSERVABILITY.md`, both directions, and that no label or prefix
+/// is registered twice.
 pub mod streams {
-    /// Operator-hand tremor noise on the console trajectory.
-    pub const TREMOR: &str = "tremor";
-    /// The ITP network link fault model (loss/delay/jitter draws).
-    pub const SIMLINK: &str = "simlink";
-    /// The dedicated green-arm link in the dual-arm configuration.
-    pub const GREEN_ARM: &str = "green-arm";
-    /// Workload selection and surgeme phase offsets.
-    pub const WORKLOAD: &str = "workload";
-    /// Key material for the bump-in-the-wire packet MAC.
-    pub const BITW_KEY: &str = "bitw-key";
-    /// Plant-model parameter perturbation (model-mismatch studies).
-    pub const MODEL: &str = "model";
-    /// The in-band teleoperation link instance owned by the simulation.
-    pub const ITP_LINK: &str = "itp-link";
-    /// Root of the chaos schedule (per-class streams derive from it).
-    pub const CHAOS_ROOT: &str = "chaos";
-    /// Chaos class: ITP packet reordering.
-    pub const CHAOS_REORDER: &str = "chaos.reorder";
-    /// Chaos class: ITP packet duplication.
-    pub const CHAOS_DUPLICATE: &str = "chaos.duplicate";
-    /// Chaos class: ITP packet corruption.
-    pub const CHAOS_CORRUPT: &str = "chaos.corrupt";
-    /// Chaos class: bursty packet loss.
-    pub const CHAOS_BURST_LOSS: &str = "chaos.burst_loss";
-    /// Chaos class: encoder stuck-at fault.
-    pub const CHAOS_STUCK_ENCODER: &str = "chaos.stuck_encoder";
-    /// Chaos class: encoder single-bit flip.
-    pub const CHAOS_ENCODER_BITFLIP: &str = "chaos.encoder_bitflip";
-    /// Chaos class: dropped USB frames.
-    pub const CHAOS_USB_FRAME_DROP: &str = "chaos.usb_frame_drop";
-    /// Chaos class: USB board silence window.
-    pub const CHAOS_BOARD_SILENCE: &str = "chaos.board_silence";
-    /// Plant perturbation inside the Fig. 8 robustness sweep.
-    pub const FIG8_MODEL: &str = "fig8-model";
-    /// Family: per-run seeds of the detector training sweep.
-    pub const TRAIN_PREFIX: &str = "train-";
-    /// Family: Table I scenario runs (`table1-<id>`).
-    pub const TABLE1_PREFIX: &str = "table1-";
-    /// Family: Table IV scenario draws (`t4-<scenario>-<run>`).
-    pub const T4_PICK_PREFIX: &str = "t4-";
-    /// Family: Table IV run seeds (`t4-run-<scenario>-<i>`).
-    pub const T4_RUN_PREFIX: &str = "t4-run-";
-    /// Family: Fig. 6 ROC repetition seeds (`fig6-<run>`).
-    pub const FIG6_PREFIX: &str = "fig6-";
-    /// Family: Fig. 8 robustness repetition seeds (`fig8-<run>`).
-    pub const FIG8_PREFIX: &str = "fig8-";
-    /// Family: Fig. 9 injection-sweep seeds (`fig9-<value>-<ms>-<rep>`).
-    pub const FIG9_PREFIX: &str = "fig9-";
-    /// Family: chaos-study repetition seeds (`chaos-study.<label>.<i>`).
-    pub const CHAOS_STUDY_PREFIX: &str = "chaos-study.";
-    /// Family: fusion-rule ablation seeds (`fusion-<label>-<i>`).
-    pub const FUSION_PREFIX: &str = "fusion-";
-    /// Family: mitigation-policy ablation seeds (`mitigation-<i>`).
-    pub const MITIGATION_PREFIX: &str = "mitigation-";
-    /// Family: detector look-ahead ablation seeds (`lookahead-<i>`).
-    pub const LOOKAHEAD_PREFIX: &str = "lookahead-";
-    /// Family: hardened-board reconnaissance seeds (`bitw-recon-<label>`).
-    pub const BITW_RECON_PREFIX: &str = "bitw-recon-";
-    /// Family: hardened-board attack seeds (`bitw-attack-<label>`).
-    pub const BITW_ATTACK_PREFIX: &str = "bitw-attack-";
+    use std::fmt;
 
-    /// Every registered exact stream label (families excluded).
-    pub const ALL: [&str; 17] = [
+    /// A registered RNG stream: a registered prefix (an exact label, or a
+    /// [`Family`]'s prefix) followed by a suffix (empty for an exact
+    /// label). Its label is the two concatenated.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Stream<'a> {
+        prefix: &'static str,
+        suffix: &'a str,
+    }
+
+    impl<'a> Stream<'a> {
+        /// The label as (registered prefix, suffix); the seed hash reads
+        /// the prefix's bytes and then the suffix's.
+        pub(crate) fn parts(self) -> (&'static str, &'a str) {
+            (self.prefix, self.suffix)
+        }
+    }
+
+    impl fmt::Display for Stream<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str(self.prefix)?;
+            f.write_str(self.suffix)
+        }
+    }
+
+    /// A registered family of per-instance streams sharing one prefix.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Family {
+        prefix: &'static str,
+    }
+
+    impl Family {
+        /// The stream of one instance: `<prefix><suffix>`.
+        pub fn at(self, suffix: &str) -> Stream<'_> {
+            Stream { prefix: self.prefix, suffix }
+        }
+
+        /// The family's registered prefix.
+        pub const fn prefix(self) -> &'static str {
+            self.prefix
+        }
+    }
+
+    const fn exact(label: &'static str) -> Stream<'static> {
+        Stream { prefix: label, suffix: "" }
+    }
+
+    const fn family(prefix: &'static str) -> Family {
+        Family { prefix }
+    }
+
+    /// Operator-hand tremor noise on the console trajectory.
+    pub const TREMOR: Stream<'static> = exact("tremor");
+    /// The ITP network link fault model (loss/delay/jitter draws).
+    pub const SIMLINK: Stream<'static> = exact("simlink");
+    /// The dedicated green-arm link in the dual-arm configuration.
+    pub const GREEN_ARM: Stream<'static> = exact("green-arm");
+    /// Workload selection and surgeme phase offsets.
+    pub const WORKLOAD: Stream<'static> = exact("workload");
+    /// Key material for the bump-in-the-wire packet MAC.
+    pub const BITW_KEY: Stream<'static> = exact("bitw-key");
+    /// Plant-model parameter perturbation (model-mismatch studies).
+    pub const MODEL: Stream<'static> = exact("model");
+    /// The in-band teleoperation link instance owned by the simulation.
+    pub const ITP_LINK: Stream<'static> = exact("itp-link");
+    /// Root of the chaos schedule (per-class streams derive from it).
+    pub const CHAOS_ROOT: Stream<'static> = exact("chaos");
+    /// Chaos class: ITP packet reordering.
+    pub const CHAOS_REORDER: Stream<'static> = exact("chaos.reorder");
+    /// Chaos class: ITP packet duplication.
+    pub const CHAOS_DUPLICATE: Stream<'static> = exact("chaos.duplicate");
+    /// Chaos class: ITP packet corruption.
+    pub const CHAOS_CORRUPT: Stream<'static> = exact("chaos.corrupt");
+    /// Chaos class: bursty packet loss.
+    pub const CHAOS_BURST_LOSS: Stream<'static> = exact("chaos.burst_loss");
+    /// Chaos class: encoder stuck-at fault.
+    pub const CHAOS_STUCK_ENCODER: Stream<'static> = exact("chaos.stuck_encoder");
+    /// Chaos class: encoder single-bit flip.
+    pub const CHAOS_ENCODER_BITFLIP: Stream<'static> = exact("chaos.encoder_bitflip");
+    /// Chaos class: dropped USB frames.
+    pub const CHAOS_USB_FRAME_DROP: Stream<'static> = exact("chaos.usb_frame_drop");
+    /// Chaos class: USB board silence window.
+    pub const CHAOS_BOARD_SILENCE: Stream<'static> = exact("chaos.board_silence");
+    /// Plant perturbation inside the Fig. 8 robustness sweep.
+    pub const FIG8_MODEL: Stream<'static> = exact("fig8-model");
+    /// Network study: ideal link.
+    pub const NET_IDEAL: Stream<'static> = exact("ideal");
+    /// Network study: LAN link.
+    pub const NET_LAN: Stream<'static> = exact("lan");
+    /// Network study: LAN link with 10% packet loss.
+    pub const NET_LOSS_10: Stream<'static> = exact("loss-10%");
+    /// Network study: LAN link with 50% packet loss.
+    pub const NET_LOSS_50: Stream<'static> = exact("loss-50%");
+    /// Network study: 100 ms one-way delay.
+    pub const NET_DELAY_100MS: Stream<'static> = exact("delay-100ms");
+    /// Network study: LAN link plus the host-level scenario-B injection.
+    pub const NET_HOST_INJECTION: Stream<'static> = exact("host-injection");
+    /// Hardened-board ablation: the scenario-B session.
+    pub const HARDENED_B: Stream<'static> = exact("hardened-b");
+    /// Hardened-board ablation: the scenario-A session.
+    pub const HARDENED_A: Stream<'static> = exact("hardened-a");
+    /// Family: per-run seeds of the detector training sweep.
+    pub const TRAIN: Family = family("train-");
+    /// Family: Table I scenario runs (`table1-<id>`).
+    pub const TABLE1: Family = family("table1-");
+    /// Family: Table IV scenario draws (`t4-<scenario>-<run>`).
+    pub const T4_PICK: Family = family("t4-");
+    /// Family: Table IV run seeds (`t4-run-<scenario>-<i>`).
+    pub const T4_RUN: Family = family("t4-run-");
+    /// Family: Fig. 6 ROC repetition seeds (`fig6-<run>`).
+    pub const FIG6: Family = family("fig6-");
+    /// Family: Fig. 8 robustness repetition seeds (`fig8-<run>`).
+    pub const FIG8: Family = family("fig8-");
+    /// Family: Fig. 9 injection-sweep seeds (`fig9-<value>-<ms>-<rep>`).
+    pub const FIG9: Family = family("fig9-");
+    /// Family: chaos-study repetition seeds (`chaos-study.<label>.<i>`).
+    pub const CHAOS_STUDY: Family = family("chaos-study.");
+    /// Family: fusion-rule ablation seeds (`fusion-<label>-<i>`).
+    pub const FUSION: Family = family("fusion-");
+    /// Family: mitigation-policy ablation seeds (`mitigation-<i>`).
+    pub const MITIGATION: Family = family("mitigation-");
+    /// Family: detector look-ahead ablation seeds (`lookahead-<i>`).
+    pub const LOOKAHEAD: Family = family("lookahead-");
+    /// Family: hardened-board reconnaissance seeds (`bitw-recon-<label>`).
+    pub const BITW_RECON: Family = family("bitw-recon-");
+    /// Family: hardened-board attack seeds (`bitw-attack-<label>`).
+    pub const BITW_ATTACK: Family = family("bitw-attack-");
+
+    /// Every registered exact stream (families excluded).
+    pub const ALL: [Stream<'static>; 25] = [
         TREMOR,
         SIMLINK,
         GREEN_ARM,
@@ -477,6 +548,31 @@ pub mod streams {
         CHAOS_USB_FRAME_DROP,
         CHAOS_BOARD_SILENCE,
         FIG8_MODEL,
+        NET_IDEAL,
+        NET_LAN,
+        NET_LOSS_10,
+        NET_LOSS_50,
+        NET_DELAY_100MS,
+        NET_HOST_INJECTION,
+        HARDENED_B,
+        HARDENED_A,
+    ];
+
+    /// Every registered family.
+    pub const FAMILIES: [Family; 13] = [
+        TRAIN,
+        TABLE1,
+        T4_PICK,
+        T4_RUN,
+        FIG6,
+        FIG8,
+        FIG9,
+        CHAOS_STUDY,
+        FUSION,
+        MITIGATION,
+        LOOKAHEAD,
+        BITW_RECON,
+        BITW_ATTACK,
     ];
 }
 

@@ -8,32 +8,46 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Derives a stream-specific seed from a root seed and a stream label.
+use crate::obs::streams::Stream;
+
+/// Derives a stream-specific seed from a root seed and a registered
+/// stream.
 ///
-/// Uses the SplitMix64 finalizer over the root seed XOR a label hash —
-/// cheap, stable across platforms, and well distributed.
+/// Uses the SplitMix64 finalizer over the root seed XOR an FNV-1a hash of
+/// the stream's label — cheap, stable across platforms, and well
+/// distributed. The hash reads the label's registered prefix and then its
+/// suffix, so a family instance seeds exactly as its concatenated label.
 ///
 /// # Example
 ///
 /// ```
+/// use simbus::obs::streams;
 /// use simbus::rng::derive_seed;
 ///
-/// let a = derive_seed(42, "tremor");
-/// let b = derive_seed(42, "sensor-noise");
+/// let a = derive_seed(42, streams::TREMOR);
+/// let b = derive_seed(42, streams::SIMLINK);
 /// assert_ne!(a, b);
-/// assert_eq!(a, derive_seed(42, "tremor"));
+/// assert_eq!(a, derive_seed(42, streams::TREMOR));
+/// assert_eq!(derive_seed(42, streams::FIG6.at("3")), derive_seed(42, streams::FIG6.at("3")));
 /// ```
-pub fn derive_seed(root: u64, stream: &str) -> u64 {
+///
+/// A raw string label is not a [`Stream`], so it does not compile:
+///
+/// ```compile_fail
+/// let _ = simbus::rng::derive_seed(1, "raw");
+/// ```
+pub fn derive_seed(root: u64, stream: Stream<'_>) -> u64 {
+    let (prefix, suffix) = stream.parts();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
-    for b in stream.as_bytes() {
-        h ^= u64::from(*b);
+    for b in prefix.bytes().chain(suffix.bytes()) {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3); // FNV prime
     }
     splitmix64(root ^ h)
 }
 
 /// Constructs a small, fast, seedable RNG for a component stream.
-pub fn stream_rng(root: u64, stream: &str) -> SmallRng {
+pub fn stream_rng(root: u64, stream: Stream<'_>) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(root, stream))
 }
 
@@ -48,13 +62,37 @@ pub fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::streams;
     use rand::Rng;
+
+    /// The FNV-1a label hash over one contiguous string: the seeds every
+    /// committed artifact was generated with.
+    fn seed_of_label(root: u64, label: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in label.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        splitmix64(root ^ h)
+    }
 
     #[test]
     fn derive_is_deterministic() {
-        assert_eq!(derive_seed(1, "a"), derive_seed(1, "a"));
-        assert_ne!(derive_seed(1, "a"), derive_seed(2, "a"));
-        assert_ne!(derive_seed(1, "a"), derive_seed(1, "b"));
+        assert_eq!(derive_seed(1, streams::TREMOR), derive_seed(1, streams::TREMOR));
+        assert_ne!(derive_seed(1, streams::TREMOR), derive_seed(2, streams::TREMOR));
+        assert_ne!(derive_seed(1, streams::TREMOR), derive_seed(1, streams::MODEL));
+    }
+
+    #[test]
+    fn seeds_match_the_concatenated_label() {
+        for s in streams::ALL {
+            assert_eq!(derive_seed(7, s), seed_of_label(7, &s.to_string()), "{s}");
+        }
+        for f in streams::FAMILIES {
+            let label = format!("{}A-12", f.prefix());
+            assert_eq!(derive_seed(7, f.at("A-12")), seed_of_label(7, &label), "{label}");
+        }
+        assert_eq!(derive_seed(53, streams::NET_LOSS_10), seed_of_label(53, "loss-10%"));
     }
 
     #[test]
@@ -68,8 +106,8 @@ mod tests {
 
     #[test]
     fn stream_rng_reproducible() {
-        let mut a = stream_rng(7, "x");
-        let mut b = stream_rng(7, "x");
+        let mut a = stream_rng(7, streams::TREMOR);
+        let mut b = stream_rng(7, streams::TREMOR);
         for _ in 0..16 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
@@ -77,8 +115,8 @@ mod tests {
 
     #[test]
     fn stream_rng_streams_differ() {
-        let mut a = stream_rng(7, "x");
-        let mut b = stream_rng(7, "y");
+        let mut a = stream_rng(7, streams::FIG6.at("1"));
+        let mut b = stream_rng(7, streams::FIG6.at("2"));
         let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(va, vb);

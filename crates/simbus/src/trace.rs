@@ -75,6 +75,11 @@ impl TraceRecorder {
     /// downstream statistic (`max_abs_step`, the detector thresholds, the
     /// flight-recorder window), so it is a hard error; use
     /// [`try_record`](Self::try_record) to handle it without panicking.
+    #[expect(
+        clippy::panic,
+        reason = "documented fail-fast: a time-reversed sample would corrupt every downstream \
+                  statistic; callers who want fallibility use try_record"
+    )]
     pub fn record(&mut self, signal: &str, time: SimTime, value: f64) {
         if let Err(e) = self.try_record(signal, time, value) {
             panic!("{e}");
