@@ -7,6 +7,8 @@
 //! * forward kinematics with and without the tool frame, and an FK + IK
 //!   round (the kinematic chain of Fig. 2);
 //! * one full plant control-period step (the simulation's hot loop);
+//! * compact JSON of a 10 000-session fleet-monitor report (the largest
+//!   artifact a benchmark workload serializes);
 //! * the scalar-vs-batched estimator+detector kernel at M ∈ {1, 8, 64, 256}
 //!   sessions (the SoA fleet kernel in `raven_dynamics::batch` /
 //!   `raven_detect::batch`), published as `BENCH_kernels.json` at the
@@ -27,6 +29,7 @@ use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, LoggingWrappe
 use raven_detect::{BatchDetector, DetectorConfig, DynamicDetector, Mitigation};
 use raven_dynamics::estimator::RtModelConfig;
 use raven_dynamics::{PlantParams, RavenPlant, RtModel};
+use raven_fleet::{MonitorReport, SessionTotals};
 use raven_hw::{RobotState, UsbChannel, UsbCommandPacket};
 use raven_kinematics::{ArmConfig, JointState, MotorState};
 use raven_math::ode::Method;
@@ -165,6 +168,8 @@ struct ScalingPoint {
 struct KernelPoint {
     name: &'static str,
     min_ns: f64,
+    /// Bytes one call writes, for the serializer point.
+    bytes_out: Option<usize>,
 }
 
 #[derive(Serialize)]
@@ -213,7 +218,8 @@ fn kernel_points(quick: bool) -> Vec<KernelPoint> {
         }
         black_box(plant.state().joint_pos());
     });
-    let mut points = vec![KernelPoint { name: "plant_control_period", min_ns: plant_ns }];
+    let mut points =
+        vec![KernelPoint { name: "plant_control_period", min_ns: plant_ns, bytes_out: None }];
     let state = params.rest_state(JointState::new(0.2, 1.3, 0.3));
     for (name, method) in [("model_step/euler", Method::Euler), ("model_step/rk4", Method::Rk4)] {
         let model = RtModel::with_config(params, RtModelConfig { method, step_size: 1e-3 });
@@ -223,13 +229,42 @@ fn kernel_points(quick: bool) -> Vec<KernelPoint> {
                 black_box(model.predict(black_box(&state), &[1200, -800, 400]));
             }
         });
-        points.push(KernelPoint { name, min_ns });
+        points.push(KernelPoint { name, min_ns, bytes_out: None });
     }
+    let report = fleet_report(10_000);
+    let mut bytes_out = 0;
+    let min_ns = min_ns_per_call(repeats, 1, || {
+        let json = serde_json::to_string(black_box(&report)).expect("report serializes");
+        bytes_out = json.len();
+        black_box(json);
+    });
+    points.push(KernelPoint { name: "serde/report_10k", min_ns, bytes_out: Some(bytes_out) });
     println!("\n== single kernels (fastest of {repeats} batches) ==");
     for p in &points {
         println!("{:<24} {:>10.1} ns", p.name, p.min_ns);
     }
     points
+}
+
+/// A fleet-monitor report over `sessions` sessions, filled like the
+/// pipeline bench's `fleet_monitor` population: every 100th session ran
+/// 40 phases, the rest stayed idle.
+fn fleet_report(sessions: u64) -> MonitorReport {
+    let totals = (0..sessions)
+        .map(|i| {
+            if i % 100 == 0 {
+                SessionTotals {
+                    assessments: 19_960 + i % 41,
+                    alarms: i % 3,
+                    phases_run: 40,
+                    deferrals: i % 5,
+                }
+            } else {
+                SessionTotals::default()
+            }
+        })
+        .collect();
+    MonitorReport { totals, cycles: 81_234, peak_active: 64, deferrals: 1_717 }
 }
 
 /// The `header` and `kernels` of an earlier record at `path`, or null.
