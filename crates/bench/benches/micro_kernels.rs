@@ -12,8 +12,10 @@
 //! * the scalar-vs-batched estimator+detector kernel at M ∈ {1, 8, 64, 256}
 //!   sessions (the SoA fleet kernel in `raven_dynamics::batch` /
 //!   `raven_detect::batch`), published as `BENCH_kernels.json` at the
-//!   workspace root beside the fastest-batch ns of the plant period and
-//!   the model steps, and the previous record's kernel numbers.
+//!   workspace root beside the fastest-batch ns of the plant period, the
+//!   model steps and one 64-lane verdict round, each also read against a
+//!   call-free calibration loop timed between its batches, and the
+//!   previous record's numbers.
 //!
 //! ```sh
 //! cargo bench -p bench --bench micro_kernels
@@ -168,6 +170,11 @@ struct ScalingPoint {
 struct KernelPoint {
     name: &'static str,
     min_ns: f64,
+    /// The median over batches of (ns per call) / (ns per calibration
+    /// step), each batch read against the calibration batch timed just
+    /// before it: the call's cost in steps of the reference loop, which
+    /// a slower or busier host stretches as much as the kernel.
+    per_ref: f64,
     /// Bytes one call writes, for the serializer point.
     bytes_out: Option<usize>,
 }
@@ -180,22 +187,45 @@ struct KernelsBench {
     lookahead_steps: u32,
     points: Vec<ScalingPoint>,
     kernels: Vec<KernelPoint>,
-    /// The `header` and `kernels` of the record this one replaced, so a
-    /// committed file shows a kernel change's before and after numbers.
+    /// The `header`, `points` and `kernels` of the record this one
+    /// replaced, so a committed file shows a kernel change's before and
+    /// after numbers.
     previous: serde_json::Value,
     note: String,
 }
 
-/// The fastest of `repeats` timed batches of `calls` calls to `batch`,
-/// in ns per call.
-fn min_ns_per_call(repeats: usize, calls: usize, mut batch: impl FnMut()) -> f64 {
-    (0..repeats)
-        .map(|_| {
-            let t0 = Instant::now();
-            batch();
-            t0.elapsed().as_nanos() as f64 / calls as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Steps of the calibration loop per calibration batch.
+const CALIBRATION_STEPS: u64 = 20_000;
+
+/// The calibration batch: a fixed chain of dependent floating-point
+/// multiply-adds with no call and no memory traffic, so its time tracks
+/// only how fast the host runs this thread at that moment.
+fn calibration_batch() {
+    let mut y = black_box(0.5f64);
+    let (a, b) = black_box((0.999_999_9f64, 1e-9f64));
+    for _ in 0..CALIBRATION_STEPS {
+        y = y * a + b;
+    }
+    black_box(y);
+}
+
+/// Times `repeats` batches of `calls` calls to `batch`, each right after
+/// a calibration batch: the fastest batch in ns per call, and the median
+/// per-batch ratio of ns per call to ns per calibration step.
+fn time_kernel(repeats: usize, calls: usize, mut batch: impl FnMut()) -> (f64, f64) {
+    let mut min_ns = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
+        let t0 = Instant::now();
+        calibration_batch();
+        let step_ns = t0.elapsed().as_nanos() as f64 / CALIBRATION_STEPS as f64;
+        let t1 = Instant::now();
+        batch();
+        let call_ns = t1.elapsed().as_nanos() as f64 / calls as f64;
+        min_ns = min_ns.min(call_ns);
+        ratios.push(call_ns / step_ns);
+    }
+    (min_ns, median(&mut ratios))
 }
 
 /// One plant control period and one dynamic-model step, Euler and RK4:
@@ -210,7 +240,7 @@ fn kernel_points(quick: bool) -> Vec<KernelPoint> {
     let params = PlantParams::raven_ii();
     let mut released = RavenPlant::new(params);
     released.release_brakes();
-    let plant_ns = min_ns_per_call(repeats, periods, || {
+    let (min_ns, per_ref) = time_kernel(repeats, periods, || {
         let mut plant = released.clone();
         for k in 0..periods {
             let sign = if (k / 50) % 2 == 0 { 1.0 } else { -1.0 };
@@ -219,29 +249,43 @@ fn kernel_points(quick: bool) -> Vec<KernelPoint> {
         black_box(plant.state().joint_pos());
     });
     let mut points =
-        vec![KernelPoint { name: "plant_control_period", min_ns: plant_ns, bytes_out: None }];
+        vec![KernelPoint { name: "plant_control_period", min_ns, per_ref, bytes_out: None }];
     let state = params.rest_state(JointState::new(0.2, 1.3, 0.3));
     for (name, method) in [("model_step/euler", Method::Euler), ("model_step/rk4", Method::Rk4)] {
         let model = RtModel::with_config(params, RtModelConfig { method, step_size: 1e-3 });
         let steps = 20 * periods;
-        let min_ns = min_ns_per_call(repeats, steps, || {
+        let (min_ns, per_ref) = time_kernel(repeats, steps, || {
             for _ in 0..steps {
                 black_box(model.predict(black_box(&state), &[1200, -800, 400]));
             }
         });
-        points.push(KernelPoint { name, min_ns, bytes_out: None });
+        points.push(KernelPoint { name, min_ns, per_ref, bytes_out: None });
     }
+    // One 64-lane verdict round (every lane synced and assessed), the
+    // kernel the fleet monitor repeats.
+    let (_, mut batch, traj, dac) = fleet(64);
+    let dacs = vec![Some(dac); 64];
+    let rounds = periods / 4;
+    let (min_ns, per_ref) = time_kernel(repeats, rounds, || {
+        black_box(time_batch(&mut batch, &traj, &dacs, rounds));
+    });
+    points.push(KernelPoint { name: "detect/assess_64", min_ns, per_ref, bytes_out: None });
     let report = fleet_report(10_000);
     let mut bytes_out = 0;
-    let min_ns = min_ns_per_call(repeats, 1, || {
+    let (min_ns, per_ref) = time_kernel(repeats, 1, || {
         let json = serde_json::to_string(black_box(&report)).expect("report serializes");
         bytes_out = json.len();
         black_box(json);
     });
-    points.push(KernelPoint { name: "serde/report_10k", min_ns, bytes_out: Some(bytes_out) });
-    println!("\n== single kernels (fastest of {repeats} batches) ==");
+    points.push(KernelPoint {
+        name: "serde/report_10k",
+        min_ns,
+        per_ref,
+        bytes_out: Some(bytes_out),
+    });
+    println!("\n== single kernels (fastest of {repeats} batches; per_ref in calibration steps) ==");
     for p in &points {
-        println!("{:<24} {:>10.1} ns", p.name, p.min_ns);
+        println!("{:<24} {:>12.1} ns {:>12.2} steps", p.name, p.min_ns, p.per_ref);
     }
     points
 }
@@ -267,7 +311,8 @@ fn fleet_report(sessions: u64) -> MonitorReport {
     MonitorReport { totals, cycles: 81_234, peak_active: 64, deferrals: 1_717 }
 }
 
-/// The `header` and `kernels` of an earlier record at `path`, or null.
+/// The `header`, `points` and `kernels` of an earlier record at `path`,
+/// or null.
 fn previous_kernels(path: &std::path::Path) -> serde_json::Value {
     let Some(old) =
         std::fs::read_to_string(path).ok().and_then(|text| serde_json::value_from_str(&text).ok())
@@ -277,6 +322,7 @@ fn previous_kernels(path: &std::path::Path) -> serde_json::Value {
     let field = |key| old.get(key).cloned().unwrap_or(serde_json::Value::Null);
     serde_json::Value::Map(vec![
         ("header".to_string(), field("header")),
+        ("points".to_string(), field("points")),
         ("kernels".to_string(), field("kernels")),
     ])
 }
@@ -455,7 +501,9 @@ fn bench_batch_scaling() {
         previous: previous_kernels(&path),
         note: "points: per-session-cycle cost of measurement sync + armed assessment \
                (lookahead rollout included), batch lanes sharing one SoA integrator \
-               dispatch; kernels: ns per call, fastest of the timed batches"
+               dispatch; kernels: ns per call, fastest of the timed batches, and \
+               per_ref, the median per-batch cost of a call in steps of a call-free \
+               calibration loop timed just before each batch"
             .to_string(),
     };
     std::fs::write(&path, serde_json::to_string_pretty(&record).expect("serialize record"))

@@ -22,11 +22,10 @@
 //! [`DynamicDetector`]: crate::detector::DynamicDetector
 
 use raven_dynamics::batch::BatchModel;
+use raven_dynamics::PlantState;
 use raven_dynamics::RtModel;
 use raven_kinematics::{ArmConfig, MotorState, NUM_AXES};
 use raven_math::Vec3;
-
-use raven_dynamics::PlantState;
 
 use crate::detector::{Assessment, DetectorConfig, DetectorMode, FusionRule, Mitigation};
 use crate::features::InstantFeatures;
@@ -124,6 +123,13 @@ pub struct BatchDetector {
     /// pass so the lookahead pass reuses it (FK is pure, so sharing the
     /// evaluation is bit-identical to recomputing it).
     ee_now: Vec<Vec3>,
+    /// `(sin, cos)` of each lane's measured shoulder angle, filled by the
+    /// verdict's libm loop.
+    now_shoulder: Vec<(f64, f64)>,
+    /// `(sin, cos)` of each lane's shoulder and elbow in the pose being
+    /// checked: the one-step prediction, later the rollout's end.
+    shoulder: Vec<(f64, f64)>,
+    elbow: Vec<(f64, f64)>,
     /// Reused per-call verdict storage, one slot per lane.
     verdicts: Vec<Option<Assessment>>,
     /// Installed kill-suite mutant, if any (`None` ⇒ production behavior).
@@ -166,6 +172,9 @@ impl BatchDetector {
                 })
                 .collect(),
             ee_now: vec![Vec3::default(); m],
+            now_shoulder: vec![(0.0, 0.0); m],
+            shoulder: vec![(0.0, 0.0); m],
+            elbow: vec![(0.0, 0.0); m],
             verdicts: vec![None; m],
             mutation: None,
         }
@@ -303,16 +312,28 @@ impl BatchDetector {
     /// Allocation-free after construction: the integrator scratch and
     /// the verdict storage are reused across calls.
     ///
+    /// After each model step the libm calls come first: one lane loop
+    /// makes every engaged lane's `sin_cos` calls, and call-free loops
+    /// then compute the tip positions and features through
+    /// [`ArmConfig::position_from_sin_cos`], the same FK core
+    /// [`ArmConfig::position`] ends in. The measured elbow's sine and
+    /// cosine are not computed here at all: the model step's first
+    /// derivative evaluation made them for the same angle
+    /// ([`BatchModel::first_elbow_sin_cos`]).
+    ///
     /// # Panics
     ///
-    /// Panics if `dacs` does not supply exactly one slot per lane.
+    /// Panics if `dacs` does not supply exactly one slot per lane, or if
+    /// the configured `dt` is not positive and finite.
     pub fn assess_lanes(&mut self, dacs: &[Option<[i16; NUM_AXES]>]) -> &[Option<Assessment>] {
         let m = self.lanes.len();
         assert_eq!(dacs.len(), m, "one DAC slot per lane");
+        let dt = self.config.dt;
+        assert!(dt.is_finite() && dt > 0.0, "invalid feature dt {dt}");
         for (l, (dac, lane)) in dacs.iter().zip(&self.lanes).enumerate() {
-            match (dac, lane.tracked) {
+            match (dac, &lane.tracked) {
                 (Some(dac), Some(current)) => {
-                    self.model.load_state(l, &current);
+                    self.model.load_state(l, current);
                     self.model.set_dac(l, dac);
                 }
                 _ => {
@@ -324,19 +345,42 @@ impl BatchDetector {
             }
         }
         self.model.step_lanes();
-        // One-step features per engaged lane (a command *and* a synced
-        // measurement). The per-lane math is the scalar helper, so each
-        // lane is bit-identical to an independent detector.
+        // State rows: motor velocity, joint position, joint velocity.
+        let (mv, jp, jv) = (NUM_AXES, 2 * NUM_AXES, 3 * NUM_AXES);
+        // Libm first: the measured shoulder and the predicted shoulder and
+        // elbow of every engaged lane (a command *and* a synced
+        // measurement).
+        let model = &self.model;
+        let (shoulder, elbow, insertion) = (model.row(jp), model.row(jp + 1), model.row(jp + 2));
         for (l, (dac, lane)) in dacs.iter().zip(&self.lanes).enumerate() {
-            let (Some(_), Some(current)) = (dac, lane.tracked) else {
+            let (Some(_), Some(current)) = (dac, &lane.tracked) else { continue };
+            self.now_shoulder[l] = current.x[jp].sin_cos();
+            self.shoulder[l] = shoulder[l].sin_cos();
+            self.elbow[l] = elbow[l].sin_cos();
+        }
+        // One-step features, call-free: the current and predicted tips,
+        // and the predicted velocities read from the model rows.
+        let (sin_elbow, cos_elbow) = model.first_elbow_sin_cos();
+        let mv_next = [model.row(mv), model.row(mv + 1), model.row(mv + 2)];
+        let jv_next = [model.row(jv), model.row(jv + 1), model.row(jv + 2)];
+        for (l, (dac, lane)) in dacs.iter().zip(&self.lanes).enumerate() {
+            let (Some(_), Some(current)) = (dac, &lane.tracked) else {
                 self.verdicts[l] = None;
                 continue;
             };
-            let predicted = self.model.state(l);
-            let ee_now = lane.arm.position(&current.joint_pos());
+            let now_elbow = (sin_elbow[l], cos_elbow[l]);
+            let ee_now =
+                lane.arm.position_from_sin_cos(self.now_shoulder[l], now_elbow, current.x[jp + 2]);
+            let ee_next =
+                lane.arm.position_from_sin_cos(self.shoulder[l], self.elbow[l], insertion[l]);
+            let mut features = InstantFeatures::default();
+            for i in 0..NUM_AXES {
+                features.motor_accel[i] = ((mv_next[i][l] - current.x[mv + i]) / dt).abs();
+                features.motor_vel[i] = mv_next[i][l].abs();
+                features.joint_vel[i] = jv_next[i][l].abs();
+            }
+            features.ee_step = ee_now.distance(ee_next);
             self.ee_now[l] = ee_now;
-            let features =
-                InstantFeatures::compute(&lane.arm, &current, &predicted, self.config.dt, ee_now);
             // Stash the partial verdict; ee_step may still grow below.
             self.verdicts[l] =
                 Some(Assessment { features, threshold_alarm: false, ee_alarm: false });
@@ -351,11 +395,21 @@ impl BatchDetector {
                 self.model.step_lanes();
             }
             self.model.step_positions();
-            for (l, lane) in self.lanes.iter().enumerate() {
-                let Some(assessment) = &mut self.verdicts[l] else { continue };
-                let ee_now = self.ee_now[l];
-                let end = lane.arm.position(&self.model.joint_pos(l));
-                assessment.features.ee_step = assessment.features.ee_step.max(ee_now.distance(end));
+            let model = &self.model;
+            let (shoulder, elbow, insertion) =
+                (model.row(jp), model.row(jp + 1), model.row(jp + 2));
+            for (l, verdict) in self.verdicts.iter().enumerate() {
+                if verdict.is_some() {
+                    self.shoulder[l] = shoulder[l].sin_cos();
+                    self.elbow[l] = elbow[l].sin_cos();
+                }
+            }
+            for (l, (verdict, lane)) in self.verdicts.iter_mut().zip(&self.lanes).enumerate() {
+                let Some(assessment) = verdict else { continue };
+                let end =
+                    lane.arm.position_from_sin_cos(self.shoulder[l], self.elbow[l], insertion[l]);
+                assessment.features.ee_step =
+                    assessment.features.ee_step.max(self.ee_now[l].distance(end));
             }
         }
         // Threshold sweep + per-lane alarm accounting.
@@ -499,6 +553,37 @@ mod tests {
         det.end_learning_run();
         det.arm().expect("fault-free samples observed");
         *det.thresholds().expect("armed")
+    }
+
+    /// One-step features of `dac` on a 1-lane learning batch synced at a
+    /// resting pose, with the configured `dt`.
+    fn one_step_features(dac: [i16; NUM_AXES], dt: f64) -> InstantFeatures {
+        let (arm, model, params) = session(1);
+        let config = DetectorConfig { lookahead_steps: 1, dt, ..DetectorConfig::default() };
+        let mut batch = BatchDetector::from_models(&[arm], &[model], config);
+        batch.sync_lane(0, params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
+        batch.assess_lanes(&[Some(dac)])[0].expect("synced").features
+    }
+
+    #[test]
+    fn features_are_magnitudes_that_grow_with_the_command() {
+        let rest = one_step_features([0, 0, 0], 1e-3);
+        assert!(rest.ee_step < 1e-4, "resting arm should not step {}", rest.ee_step);
+        let quiet = one_step_features([100, 0, 0], 1e-3);
+        let violent = one_step_features([30_000, 0, 0], 1e-3);
+        let reverse = one_step_features([-30_000, 0, 0], 1e-3);
+        for f in [rest, quiet, violent, reverse] {
+            assert!(f.flattened().iter().chain([&f.ee_step]).all(|v| v.is_finite() && *v >= 0.0));
+        }
+        assert!(violent.motor_accel[0] > 10.0 * quiet.motor_accel[0].max(1.0));
+        assert!(violent.motor_vel[0] > quiet.motor_vel[0]);
+        assert!(reverse.motor_vel[0] > quiet.motor_vel[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid feature dt")]
+    fn zero_dt_panics() {
+        let _ = one_step_features([100, 0, 0], 0.0);
     }
 
     #[test]

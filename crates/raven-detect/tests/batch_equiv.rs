@@ -19,6 +19,7 @@ use raven_detect::{
 use raven_dynamics::{PlantParams, PlantState, RtModel, RtModelConfig};
 use raven_kinematics::{ArmConfig, JointState, MotorState, NUM_AXES};
 use raven_math::ode::Method;
+use raven_math::Vec3;
 
 fn workspace_joints() -> impl Strategy<Value = JointState> {
     (-1.0..1.0f64, 0.5..2.2f64, 0.12..0.40f64).prop_map(|(s, e, i)| JointState::new(s, e, i))
@@ -189,52 +190,83 @@ fn bits(f: &InstantFeatures) -> Vec<u64> {
     f.flattened().iter().chain([&f.ee_step]).map(|v| v.to_bits()).collect()
 }
 
+/// Lanes of the widened oracle: one fleet batch's width.
+const ORACLE_LANES: usize = 64;
+
+/// Lane `l`'s arm: its own port position, so a lane that borrowed a
+/// sibling's arm moves its tips.
+fn oracle_arm(l: usize) -> ArmConfig {
+    let coupling = PlantParams::raven_ii().coupling();
+    let port = Vec3::new(0.002 * l as f64, -0.001 * l as f64, 0.0005 * l as f64);
+    ArmConfig::builder().coupling(coupling).remote_center(port).build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Non-circular rollout oracle: for both integrators and horizons
-    /// 1/2/3/8, a 1-lane `DynamicDetector` and one lane of a 64-lane
-    /// `BatchDetector` (every sibling parked) produce features bit-equal
-    /// to [`reference_features`] on every cycle.
+    /// 1/2/3/8, every lane of a 64-lane `BatchDetector`, and a 1-lane
+    /// `DynamicDetector` per lane, produce features bit-equal to
+    /// [`reference_features`] on every cycle. Every lane is engaged, each
+    /// with its own arm, model, pose and command: lane `l` reads the drawn
+    /// poses and commands rotated by `l`, its shoulder offset by `l` mrad,
+    /// so a lane-index slip in the batch's row loops reads a sibling's
+    /// different values.
     #[test]
     fn verdict_features_match_the_iterated_scalar_model(
         seed in 0..64u64,
-        lane in 0..64usize,
         poses in prop::collection::vec(workspace_joints(), 4..5),
         dacs in prop::collection::vec(dac(), 4..5),
     ) {
-        let (arm, base) = session(seed);
         let coupling = PlantParams::raven_ii().coupling();
+        let arms: Vec<ArmConfig> = (0..ORACLE_LANES).map(oracle_arm).collect();
         for method in Method::all() {
             let model_config = RtModelConfig { method, ..RtModelConfig::default() };
-            let model = RtModel::with_config(*base.params(), model_config);
-            let mut models: Vec<RtModel> = (0..64u64)
-                .map(|l| RtModel::with_config(*session(l + 100).1.params(), model_config))
+            let models: Vec<RtModel> = (0..ORACLE_LANES as u64)
+                .map(|l| RtModel::with_config(*session(seed + l).1.params(), model_config))
                 .collect();
-            models[lane] = model.clone();
             for lookahead in [1u32, 2, 3, 8] {
                 let cfg = config(lookahead, FusionRule::AllThree);
-                let mut solo = DynamicDetector::new(arm.clone(), model.clone(), cfg);
-                let mut fleet = BatchDetector::from_models(&vec![arm.clone(); 64], &models, cfg);
-                let mut slots = vec![None; 64];
-                let mut prev = None;
-                for (k, (pose, cmd)) in poses.iter().zip(&dacs).enumerate() {
-                    let mpos = coupling.joints_to_motors(pose);
-                    solo.sync_measurement(mpos);
-                    fleet.sync_lane(lane, mpos);
-                    slots[lane] = Some(*cmd);
-                    let want = reference_features(&arm, &model, &cfg, prev, mpos, cmd);
-                    let got = solo.assess(cmd).expect("synced").features;
-                    prop_assert!(
-                        bits(&got) == bits(&want),
-                        "{method} h={lookahead} cycle {k}: detector {got:?} != reference {want:?}"
-                    );
-                    let got = fleet.assess_lanes(&slots)[lane].expect("synced").features;
-                    prop_assert!(
-                        bits(&got) == bits(&want),
-                        "{method} h={lookahead} cycle {k}: lane {lane} {got:?} != reference {want:?}"
-                    );
-                    prev = Some(mpos);
+                let mut solos: Vec<DynamicDetector> = arms
+                    .iter()
+                    .zip(&models)
+                    .map(|(a, mo)| DynamicDetector::new(a.clone(), mo.clone(), cfg))
+                    .collect();
+                let mut fleet = BatchDetector::from_models(&arms, &models, cfg);
+                let mut prev = vec![None; ORACLE_LANES];
+                for k in 0..poses.len() {
+                    let mut slots = vec![None; ORACLE_LANES];
+                    let mut now = Vec::with_capacity(ORACLE_LANES);
+                    for (l, slot) in slots.iter_mut().enumerate() {
+                        let pose = poses[(k + l) % poses.len()];
+                        let j = JointState::new(
+                            pose.shoulder + 1e-3 * l as f64,
+                            pose.elbow,
+                            pose.insertion,
+                        );
+                        let mpos = coupling.joints_to_motors(&j);
+                        fleet.sync_lane(l, mpos);
+                        *slot = Some(dacs[(k + l) % dacs.len()]);
+                        now.push(mpos);
+                    }
+                    let verdicts = fleet.assess_lanes(&slots).to_vec();
+                    for (l, solo) in solos.iter_mut().enumerate() {
+                        let cmd = dacs[(k + l) % dacs.len()];
+                        let want =
+                            reference_features(&arms[l], &models[l], &cfg, prev[l], now[l], &cmd);
+                        solo.sync_measurement(now[l]);
+                        let got = solo.assess(&cmd).expect("synced").features;
+                        prop_assert!(
+                            bits(&got) == bits(&want),
+                            "{method} h={lookahead} cycle {k}: detector {l} {got:?} != reference {want:?}"
+                        );
+                        let got = verdicts[l].expect("synced").features;
+                        prop_assert!(
+                            bits(&got) == bits(&want),
+                            "{method} h={lookahead} cycle {k}: lane {l} {got:?} != reference {want:?}"
+                        );
+                        prev[l] = Some(now[l]);
+                    }
                 }
             }
         }

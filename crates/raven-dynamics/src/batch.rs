@@ -23,7 +23,7 @@
 //! integrators. All scratch (RK4 stages, libm and cable-force rows) is
 //! allocated once at construction; stepping never allocates.
 
-use raven_kinematics::{JointState, NUM_AXES, WRIST_AXES};
+use raven_kinematics::{NUM_AXES, WRIST_AXES};
 use raven_math::ode::{BatchScratch, Method};
 
 use crate::estimator::RtModelConfig;
@@ -81,21 +81,29 @@ impl SoaParams {
 /// [`crate::plant::derivative`] (same expressions, same evaluation
 /// order, through the same call-free core), restructured so each phase
 /// sweeps contiguous lanes. The libm calls come first, in whole-row
-/// loops; the arithmetic after them calls nothing. `phys` is
-/// `PHYS_ROWS * lanes` scratch for the libm rows and the
+/// loops; the arithmetic after them calls nothing. `elbow` receives the
+/// elbow's sine row then its cosine row (`2 * lanes`); `phys` is
+/// `PHYS_ROWS * lanes` scratch for the Coulomb-sign rows and the
 /// `kq` / `kqd` / cable-force rows.
-fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], out: &mut [f64]) {
+fn derivative_lanes(
+    soa: &SoaParams,
+    x: &[f64],
+    tau: &[f64],
+    elbow: &mut [f64],
+    phys: &mut [f64],
+    out: &mut [f64],
+) {
     let m = soa.lanes;
     debug_assert_eq!(x.len(), ODE_DIM * m);
     debug_assert_eq!(out.len(), ODE_DIM * m);
     debug_assert_eq!(tau.len(), NUM_AXES * m);
+    debug_assert_eq!(elbow.len(), 2 * m);
     debug_assert_eq!(phys.len(), PHYS_ROWS * m);
 
     let (mv, jp, jv) = (NUM_AXES * m, 2 * NUM_AXES * m, 3 * NUM_AXES * m);
+    let (sin_elbow, cos_elbow) = elbow.split_at_mut(m);
     let (motor_sign, rest) = phys.split_at_mut(NUM_AXES * m);
     let (joint_sign, rest) = rest.split_at_mut(NUM_AXES * m);
-    let (sin_elbow, rest) = rest.split_at_mut(m);
-    let (cos_elbow, rest) = rest.split_at_mut(m);
     let (kq, rest) = rest.split_at_mut(NUM_AXES * m);
     let (kqd, f) = rest.split_at_mut(NUM_AXES * m);
 
@@ -154,9 +162,8 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
 }
 
 /// Rows of derivative scratch per lane: motor and joint Coulomb signs
-/// (`NUM_AXES` each), the elbow's sine and cosine, and the `kq`, `kqd`
-/// and cable-force rows (`NUM_AXES` each).
-const PHYS_ROWS: usize = 5 * NUM_AXES + 2;
+/// and the `kq`, `kqd` and cable-force rows (`NUM_AXES` each).
+const PHYS_ROWS: usize = 5 * NUM_AXES;
 
 /// M estimator sessions stepped together over structure-of-arrays
 /// storage.
@@ -196,9 +203,16 @@ pub struct BatchModel {
     next: Vec<f64>,
     /// Integrator scratch: k1..k4 + stage (`5 * ODE_DIM * lanes`).
     k: Vec<f64>,
-    /// Derivative scratch: libm and kq/kqd/cable-force rows
+    /// Derivative scratch: Coulomb-sign and kq/kqd/cable-force rows
     /// (`PHYS_ROWS * lanes`).
     phys: Vec<f64>,
+    /// The elbow's sine and cosine rows (`2 * lanes`) of each step's
+    /// first derivative evaluation, kept for
+    /// [`first_elbow_sin_cos`](Self::first_elbow_sin_cos).
+    first_elbow: Vec<f64>,
+    /// The same rows for RK4's later stages (`2 * lanes`), overwritten
+    /// by each stage.
+    stage_elbow: Vec<f64>,
 }
 
 impl BatchModel {
@@ -229,6 +243,8 @@ impl BatchModel {
             next: vec![0.0; ODE_DIM * m],
             k: vec![0.0; 5 * ODE_DIM * m],
             phys: vec![0.0; PHYS_ROWS * m],
+            first_elbow: vec![0.0; 2 * m],
+            stage_elbow: vec![0.0; 2 * m],
         }
     }
 
@@ -302,8 +318,14 @@ impl BatchModel {
     /// Advances every lane by one integration step under its latched
     /// torques. Allocation-free: all stage storage was reserved at
     /// construction.
+    ///
+    /// The step's first derivative evaluation (Euler's only one, RK4's
+    /// `k1`) is at the state the step starts from; its elbow sine and
+    /// cosine rows stay readable through
+    /// [`first_elbow_sin_cos`](Self::first_elbow_sin_cos) until the next
+    /// step.
     pub fn step_lanes(&mut self) {
-        let BatchModel { config, soa, x, tau, next, k, phys, .. } = self;
+        let BatchModel { config, soa, x, tau, next, k, phys, first_elbow, stage_elbow, .. } = self;
         let n = x.len();
         let (k1, rest) = k.split_at_mut(n);
         let (k2, rest) = rest.split_at_mut(n);
@@ -313,8 +335,12 @@ impl BatchModel {
         let soa: &SoaParams = soa;
         let tau: &[f64] = tau;
         let phys: &mut [f64] = phys;
-        let mut deriv =
-            |xs: &[f64], _t: f64, dxs: &mut [f64]| derivative_lanes(soa, xs, tau, phys, dxs);
+        let mut first = true;
+        let mut deriv = |xs: &[f64], _t: f64, dxs: &mut [f64]| {
+            let elbow =
+                if std::mem::take(&mut first) { &mut *first_elbow } else { &mut *stage_elbow };
+            derivative_lanes(soa, xs, tau, elbow, phys, dxs)
+        };
         config.method.step_batch(x, 0.0, config.step_size, &mut deriv, &mut scratch, next);
         std::mem::swap(x, next);
     }
@@ -322,8 +348,8 @@ impl BatchModel {
     /// Advances every lane's motor and joint *positions* by one
     /// integration step, bit-identical to the position rows
     /// [`step_lanes`](Self::step_lanes) would produce — the final step
-    /// of a rollout whose result is read only through
-    /// [`joint_pos`](Self::joint_pos).
+    /// of a rollout whose result is read only through the position
+    /// [`row`](Self::row)s.
     ///
     /// Under [`Method::Euler`] the
     /// derivative of a position row is a copy of its velocity row, so
@@ -353,13 +379,29 @@ impl BatchModel {
         }
     }
 
-    /// One lane's joint positions — the three values a rollout reads,
-    /// without gathering the whole state.
-    pub fn joint_pos(&self, lane: usize) -> JointState {
+    /// One state dimension across every lane: `row(d)[lane]` is
+    /// `state(lane).x[d]`, read in place with no gather.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim >= ODE_DIM`.
+    pub fn row(&self, dim: usize) -> &[f64] {
+        assert!(dim < ODE_DIM, "state dimension {dim} out of {ODE_DIM}");
         let m = self.soa.lanes;
-        assert!(lane < m, "lane {lane} out of {m}");
-        let jp = 2 * NUM_AXES * m;
-        JointState::new(self.x[jp + lane], self.x[jp + m + lane], self.x[jp + 2 * m + lane])
+        &self.x[dim * m..(dim + 1) * m]
+    }
+
+    /// The elbow's sine row and cosine row from the first derivative
+    /// evaluation of the last [`step_lanes`](Self::step_lanes): for each
+    /// lane, `elbow.sin()` and `elbow.cos()` of the elbow angle that step
+    /// started from (the loaded one, for a step right after
+    /// [`load_state`](Self::load_state)), under either integrator. They
+    /// have the bits of `elbow.sin_cos()`, so forward kinematics of that
+    /// pose can reuse them instead of calling libm again. An Euler
+    /// [`step_positions`](Self::step_positions) evaluates no derivative
+    /// and leaves them as they were.
+    pub fn first_elbow_sin_cos(&self) -> (&[f64], &[f64]) {
+        self.first_elbow.split_at(self.soa.lanes)
     }
 }
 
@@ -367,6 +409,7 @@ impl BatchModel {
 mod tests {
     use super::*;
     use crate::estimator::RtModel;
+    use raven_kinematics::JointState;
 
     fn rest(params: &PlantParams) -> PlantState {
         params.rest_state(JointState::new(0.1, 1.3, 0.22))
@@ -473,7 +516,43 @@ mod tests {
                                 "{method}, {m} lanes, {prior} prior steps: lane {l} row {d}"
                             );
                         }
-                        assert_eq!(positions.joint_pos(l), want.joint_pos());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_elbow_rows_have_the_bits_of_the_loaded_elbow_sin_cos() {
+        let base = PlantParams::raven_ii();
+        let m = 64;
+        let params: Vec<PlantParams> =
+            (0..m).map(|l| base.perturbed(l as u64 + 21, 0.03)).collect();
+        for method in Method::all() {
+            let config = RtModelConfig { method, step_size: 1e-3 };
+            let mut batch = BatchModel::with_params(&params, config);
+            for step in 0..3 {
+                let mut elbows = Vec::with_capacity(m);
+                for (l, p) in params.iter().enumerate() {
+                    // A distinct, moving elbow per lane, so a lane slip or a
+                    // later stage's rows fail the comparison.
+                    let elbow = 0.4 + 0.029 * l as f64 + 0.1 * step as f64;
+                    let mut s = p.rest_state(JointState::new(0.1, elbow, 0.22));
+                    s.x[10] = 0.5 - 0.013 * l as f64;
+                    batch.load_state(l, &s);
+                    batch.set_dac(l, &[900, -600 + 10 * l as i16, 300]);
+                    elbows.push(elbow);
+                }
+                batch.step_lanes();
+                let (sin, cos) = batch.first_elbow_sin_cos();
+                for (l, elbow) in elbows.iter().enumerate() {
+                    let (s, c) = elbow.sin_cos();
+                    assert_eq!(sin[l].to_bits(), s.to_bits(), "{method} step {step} lane {l} sin");
+                    assert_eq!(cos[l].to_bits(), c.to_bits(), "{method} step {step} lane {l} cos");
+                }
+                for (d, row) in (0..ODE_DIM).map(|d| (d, batch.row(d))) {
+                    for (l, v) in row.iter().enumerate() {
+                        assert_eq!(v.to_bits(), batch.state(l).x[d].to_bits(), "row {d} lane {l}");
                     }
                 }
             }

@@ -89,6 +89,30 @@ impl ArmConfig {
         spherical::position(self, joints)
     }
 
+    /// [`ArmConfig::position`] from the shoulder's and elbow's
+    /// `(sin, cos)` and the insertion depth: the call-free FK core that
+    /// `position` itself ends in, so it returns the same bits as
+    /// `position(&JointState::new(shoulder, elbow, insertion))` when given
+    /// `shoulder.sin_cos()` and `elbow.sin_cos()`. For callers that make
+    /// their libm calls for many poses first, in whole-row loops.
+    ///
+    /// ```
+    /// use raven_kinematics::{ArmConfig, JointState};
+    ///
+    /// let arm = ArmConfig::raven_ii_left();
+    /// let (shoulder, elbow, insertion) = (0.3_f64, 1.4_f64, 0.28);
+    /// let tip = arm.position_from_sin_cos(shoulder.sin_cos(), elbow.sin_cos(), insertion);
+    /// assert_eq!(tip, arm.position(&JointState::new(shoulder, elbow, insertion)));
+    /// ```
+    pub fn position_from_sin_cos(
+        &self,
+        shoulder: (f64, f64),
+        elbow: (f64, f64),
+        insertion: f64,
+    ) -> Vec3 {
+        spherical::position_from_sin_cos(self, shoulder, elbow, insertion)
+    }
+
     /// Inverse kinematics for an end-effector position.
     ///
     /// # Errors

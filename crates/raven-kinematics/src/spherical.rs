@@ -73,9 +73,15 @@ impl std::error::Error for IkError {}
 /// Tool-axis direction for given shoulder/elbow angles, in the arm frame
 /// (before the base transform).
 pub(crate) fn tool_direction(config: &ArmConfig, shoulder: f64, elbow: f64) -> Vec3 {
-    let (s1, c1) = shoulder.sin_cos();
-    let (s2, c2) = elbow.sin_cos();
-    let LinkTrig { sa1, ca1, sa2, ca2 } = config.link_trig();
+    direction_from_sin_cos(config.link_trig(), shoulder.sin_cos(), elbow.sin_cos())
+}
+
+/// The call-free core of [`tool_direction`]: the tool axis from the
+/// shoulder's and elbow's `(sin, cos)`. Every FK evaluation ends here, so
+/// a caller that makes its own `sin_cos` calls (the batched verdict) gets
+/// the same bits as [`ArmConfig::position`].
+fn direction_from_sin_cos(trig: LinkTrig, (s1, c1): (f64, f64), (s2, c2): (f64, f64)) -> Vec3 {
+    let LinkTrig { sa1, ca1, sa2, ca2 } = trig;
 
     // v = Rx(α1) · Rz(θ2) · Rx(α2) · ẑ, expanded by hand (cheaper than
     // building quaternions in the hot loop).
@@ -95,7 +101,23 @@ fn tip(config: &ArmConfig, axis: Vec3, insertion: f64) -> Vec3 {
 /// Forward kinematics to the end-effector position only: the per-cycle
 /// form, which skips the tool frame that [`forward`] builds.
 pub(crate) fn position(config: &ArmConfig, joints: &JointState) -> Vec3 {
-    tip(config, tool_direction(config, joints.shoulder, joints.elbow), joints.insertion)
+    position_from_sin_cos(
+        config,
+        joints.shoulder.sin_cos(),
+        joints.elbow.sin_cos(),
+        joints.insertion,
+    )
+}
+
+/// The call-free core of [`position`], from the shoulder's and elbow's
+/// `(sin, cos)`.
+pub(crate) fn position_from_sin_cos(
+    config: &ArmConfig,
+    shoulder: (f64, f64),
+    elbow: (f64, f64),
+    insertion: f64,
+) -> Vec3 {
+    tip(config, direction_from_sin_cos(config.link_trig(), shoulder, elbow), insertion)
 }
 
 /// Forward kinematics: joints to end-effector pose.

@@ -37,12 +37,17 @@ fn mat_bits(m: &Mat3) -> [[u64; 3]; 3] {
     [0, 1, 2].map(|c| vec_bits(m.column(c)))
 }
 
-/// The IK and Jacobian formulas as they were before the arm cached its
-/// link-arc trig: `sin_cos` of both link angles on every call. The cached
-/// forms must reproduce them bit for bit.
+/// The FK, IK and Jacobian formulas as they were before the arm cached its
+/// link-arc trig and FK split its `sin_cos` calls from a call-free core:
+/// `sin_cos` of every angle inside one function on every call. The
+/// current forms must reproduce them bit for bit.
 mod uncached {
     use raven_kinematics::{ArmConfig, IkError, JointState};
     use raven_math::{Mat3, Vec3};
+
+    pub fn position(arm: &ArmConfig, j: &JointState) -> Vec3 {
+        arm.remote_center + tool_direction(arm, j.shoulder, j.elbow) * j.insertion
+    }
 
     fn tool_direction(arm: &ArmConfig, shoulder: f64, elbow: f64) -> Vec3 {
         let (s1, c1) = shoulder.sin_cos();
@@ -133,6 +138,16 @@ proptest! {
     #[test]
     fn position_has_the_bits_of_the_fk_position(arm in arms(), j in in_limit_joints()) {
         prop_assert_eq!(vec_bits(arm.position(&j)), vec_bits(arm.forward(&j).position));
+    }
+
+    /// `position` and its call-free core, fed `sin_cos` of the joints,
+    /// both give the bits of the one-function formula.
+    #[test]
+    fn position_core_has_the_bits_of_the_unsplit_fk(arm in arms(), j in in_limit_joints()) {
+        let want = vec_bits(uncached::position(&arm, &j));
+        prop_assert_eq!(vec_bits(arm.position(&j)), want);
+        let core = arm.position_from_sin_cos(j.shoulder.sin_cos(), j.elbow.sin_cos(), j.insertion);
+        prop_assert_eq!(vec_bits(core), want);
     }
 
     #[test]

@@ -209,6 +209,24 @@ impl fmt::Display for EventKind {
     }
 }
 
+/// Declares a registry's constants and the array that lists them from one
+/// list, so no constant can exist outside its array (the registry tests
+/// and `raven-lint` read the arrays). Each entry keeps its doc comment;
+/// the array lists the constants in declaration order.
+macro_rules! registry {
+    (
+        $(#[$array_doc:meta])*
+        $array:ident: $ty:ty {
+            $($(#[$doc:meta])* $name:ident = $value:expr,)*
+        }
+    ) => {
+        $($(#[$doc])* pub const $name: $ty = $value;)*
+
+        $(#[$array_doc])*
+        pub const $array: [$ty; [$(stringify!($name)),*].len()] = [$($name),*];
+    };
+}
+
 /// The metric-name registry: every counter/gauge/histogram name the
 /// workspace emits, as constants.
 ///
@@ -222,50 +240,44 @@ impl fmt::Display for EventKind {
 /// [`fault_count`]: names::fault_count
 /// [`estop_count`]: names::estop_count
 pub mod names {
-    /// Armed per-packet assessments performed by the guard (counter).
-    pub const DETECTOR_ASSESSMENTS: &str = "detector.assessments";
-    /// Alarm edges raised by the guard (counter).
-    pub const DETECTOR_ALARMS: &str = "detector.alarms";
-    /// Commands dropped or substituted by the mitigation policy (counter).
-    pub const DETECTOR_BLOCKED_COMMANDS: &str = "detector.blocked_commands";
-    /// Assessment index of the first alarm (gauge).
-    pub const DETECTOR_FIRST_ALARM_ASSESSMENT: &str = "detector.first_alarm_assessment";
-    /// Armed assessments between injection onset and first alarm
-    /// (histogram).
-    pub const DETECTOR_DETECTION_LATENCY_CYCLES: &str = "detector.detection_latency_cycles";
-    /// Packets actually mutated — USB wrapper + ITP MITM (counter).
-    pub const ATTACK_INJECTIONS: &str = "attack.injections";
-    /// ITP link losses (counter).
-    pub const NET_PACKETS_DROPPED: &str = "net.packets_dropped";
-    /// Software state-machine transitions (counter).
-    pub const CONTROL_TRANSITIONS: &str = "control.transitions";
-    /// Chaos faults applied by the schedule (counter).
-    pub const CHAOS_INJECTIONS: &str = "chaos.injections";
-    /// Incident records appended to the tamper-evident ledger (counter,
-    /// kept in the forensics sink's registry — never the simulation's,
-    /// so deterministic artifacts stay byte-identical).
-    pub const LEDGER_RECORDS: &str = "ledger.records";
-    /// Family: fault latches by `FaultReason` slug.
-    pub const FAULT_COUNT_PREFIX: &str = "fault.count.";
-    /// Family: PLC E-STOP latches by `EStopCause` slug.
-    pub const ESTOP_COUNT_PREFIX: &str = "estop.count.";
+    registry! {
+        /// Every exact (non-family) metric name.
+        ALL: &str {
+            /// Armed per-packet assessments performed by the guard (counter).
+            DETECTOR_ASSESSMENTS = "detector.assessments",
+            /// Alarm edges raised by the guard (counter).
+            DETECTOR_ALARMS = "detector.alarms",
+            /// Commands dropped or substituted by the mitigation policy (counter).
+            DETECTOR_BLOCKED_COMMANDS = "detector.blocked_commands",
+            /// Assessment index of the first alarm (gauge).
+            DETECTOR_FIRST_ALARM_ASSESSMENT = "detector.first_alarm_assessment",
+            /// Armed assessments between injection onset and first alarm
+            /// (histogram).
+            DETECTOR_DETECTION_LATENCY_CYCLES = "detector.detection_latency_cycles",
+            /// Packets actually mutated — USB wrapper + ITP MITM (counter).
+            ATTACK_INJECTIONS = "attack.injections",
+            /// ITP link losses (counter).
+            NET_PACKETS_DROPPED = "net.packets_dropped",
+            /// Software state-machine transitions (counter).
+            CONTROL_TRANSITIONS = "control.transitions",
+            /// Chaos faults applied by the schedule (counter).
+            CHAOS_INJECTIONS = "chaos.injections",
+            /// Incident records appended to the tamper-evident ledger (counter,
+            /// kept in the forensics sink's registry — never the simulation's,
+            /// so deterministic artifacts stay byte-identical).
+            LEDGER_RECORDS = "ledger.records",
+        }
+    }
 
-    /// Every exact (non-family) metric name.
-    pub const ALL: [&str; 10] = [
-        DETECTOR_ASSESSMENTS,
-        DETECTOR_ALARMS,
-        DETECTOR_BLOCKED_COMMANDS,
-        DETECTOR_FIRST_ALARM_ASSESSMENT,
-        DETECTOR_DETECTION_LATENCY_CYCLES,
-        ATTACK_INJECTIONS,
-        NET_PACKETS_DROPPED,
-        CONTROL_TRANSITIONS,
-        CHAOS_INJECTIONS,
-        LEDGER_RECORDS,
-    ];
-
-    /// Every family prefix.
-    pub const FAMILIES: [&str; 2] = [FAULT_COUNT_PREFIX, ESTOP_COUNT_PREFIX];
+    registry! {
+        /// Every family prefix.
+        FAMILIES: &str {
+            /// Family: fault latches by `FaultReason` slug.
+            FAULT_COUNT_PREFIX = "fault.count.",
+            /// Family: PLC E-STOP latches by `EStopCause` slug.
+            ESTOP_COUNT_PREFIX = "estop.count.",
+        }
+    }
 
     /// `fault.count.<slug>` for a `FaultReason` slug.
     pub fn fault_count(slug: &str) -> String {
@@ -288,75 +300,55 @@ pub mod names {
 /// production begin sites must go through these constants, never raw
 /// string literals.
 pub mod spans {
-    /// One full `Simulation::step` control cycle.
-    pub const CYCLE: &str = "span.cycle";
-    /// Pipeline stage: console emit + ITP encode + MITM + send.
-    pub const STAGE_CONSOLE: &str = "span.stage.console";
-    /// Pipeline stage: ITP link poll + decode.
-    pub const STAGE_LINK: &str = "span.stage.link";
-    /// Pipeline stage: feedback read + detector measurement sync.
-    pub const STAGE_FEEDBACK: &str = "span.stage.feedback";
-    /// Pipeline stage: controller cycle + telemetry.
-    pub const STAGE_CONTROLLER: &str = "span.stage.controller";
-    /// Pipeline stage: interceptor-chain command delivery.
-    pub const STAGE_INTERCEPTORS: &str = "span.stage.interceptors";
-    /// Pipeline stage: guard-driven E-STOP check.
-    pub const STAGE_DETECTOR: &str = "span.stage.detector";
-    /// Pipeline stage: plant step + trace recording.
-    pub const STAGE_PLANT: &str = "span.stage.plant";
-    /// ITP packet encode (console side).
-    pub const TELEOP_ENCODE: &str = "span.teleop.encode";
-    /// ITP packet decode (control side).
-    pub const TELEOP_DECODE: &str = "span.teleop.decode";
-    /// One armed (or learning) detector assessment.
-    pub const DETECTOR_VERDICT: &str = "span.detector.verdict";
-    /// Open from the first alarm edge until the session ends (the window
-    /// in which the mitigation policy is active).
-    pub const MITIGATION_WINDOW: &str = "span.mitigation.window";
-    /// Flight-recorder incident capture (event ring + trace window).
-    pub const FLIGHT_RECORDER_CAPTURE: &str = "span.flight_recorder.capture";
-    /// Boot sequence: idle cycles, start press, homing to Pedal Up.
-    pub const SESSION_BOOT: &str = "span.session.boot";
-    /// The teleoperation session proper (Pedal-Down cycles).
-    pub const SESSION_RUN: &str = "span.session.run";
-    /// USB board + PLC + plant hardware cycle inside the plant stage.
-    pub const HW_BOARD_CYCLE: &str = "span.hw.board_cycle";
-    /// Executor: one whole sweep on the campaign executor.
-    pub const EXEC_SWEEP: &str = "span.exec.sweep";
-    /// Executor: a run waiting for a worker slot.
-    pub const EXEC_QUEUED: &str = "span.exec.queued";
-    /// Executor: a run executing on its worker.
-    pub const EXEC_RUN: &str = "span.exec.run";
-    /// Executor: the run-order merge of worker results.
-    pub const EXEC_MERGE: &str = "span.exec.merge";
-    /// Fleet: one monitor-plane run (the pipeline bench's span around
-    /// `FleetMonitor::run`).
-    pub const FLEET_ROUND: &str = "span.fleet.round";
-
-    /// Every registered span name.
-    pub const ALL: [&str; 21] = [
-        CYCLE,
-        STAGE_CONSOLE,
-        STAGE_LINK,
-        STAGE_FEEDBACK,
-        STAGE_CONTROLLER,
-        STAGE_INTERCEPTORS,
-        STAGE_DETECTOR,
-        STAGE_PLANT,
-        TELEOP_ENCODE,
-        TELEOP_DECODE,
-        DETECTOR_VERDICT,
-        MITIGATION_WINDOW,
-        FLIGHT_RECORDER_CAPTURE,
-        SESSION_BOOT,
-        SESSION_RUN,
-        HW_BOARD_CYCLE,
-        EXEC_SWEEP,
-        EXEC_QUEUED,
-        EXEC_RUN,
-        EXEC_MERGE,
-        FLEET_ROUND,
-    ];
+    registry! {
+        /// Every registered span name.
+        ALL: &str {
+            /// One full `Simulation::step` control cycle.
+            CYCLE = "span.cycle",
+            /// Pipeline stage: console emit + ITP encode + MITM + send.
+            STAGE_CONSOLE = "span.stage.console",
+            /// Pipeline stage: ITP link poll + decode.
+            STAGE_LINK = "span.stage.link",
+            /// Pipeline stage: feedback read + detector measurement sync.
+            STAGE_FEEDBACK = "span.stage.feedback",
+            /// Pipeline stage: controller cycle + telemetry.
+            STAGE_CONTROLLER = "span.stage.controller",
+            /// Pipeline stage: interceptor-chain command delivery.
+            STAGE_INTERCEPTORS = "span.stage.interceptors",
+            /// Pipeline stage: guard-driven E-STOP check.
+            STAGE_DETECTOR = "span.stage.detector",
+            /// Pipeline stage: plant step + trace recording.
+            STAGE_PLANT = "span.stage.plant",
+            /// ITP packet encode (console side).
+            TELEOP_ENCODE = "span.teleop.encode",
+            /// ITP packet decode (control side).
+            TELEOP_DECODE = "span.teleop.decode",
+            /// One armed (or learning) detector assessment.
+            DETECTOR_VERDICT = "span.detector.verdict",
+            /// Open from the first alarm edge until the session ends (the window
+            /// in which the mitigation policy is active).
+            MITIGATION_WINDOW = "span.mitigation.window",
+            /// Flight-recorder incident capture (event ring + trace window).
+            FLIGHT_RECORDER_CAPTURE = "span.flight_recorder.capture",
+            /// Boot sequence: idle cycles, start press, homing to Pedal Up.
+            SESSION_BOOT = "span.session.boot",
+            /// The teleoperation session proper (Pedal-Down cycles).
+            SESSION_RUN = "span.session.run",
+            /// USB board + PLC + plant hardware cycle inside the plant stage.
+            HW_BOARD_CYCLE = "span.hw.board_cycle",
+            /// Executor: one whole sweep on the campaign executor.
+            EXEC_SWEEP = "span.exec.sweep",
+            /// Executor: a run waiting for a worker slot.
+            EXEC_QUEUED = "span.exec.queued",
+            /// Executor: a run executing on its worker.
+            EXEC_RUN = "span.exec.run",
+            /// Executor: the run-order merge of worker results.
+            EXEC_MERGE = "span.exec.merge",
+            /// Fleet: one monitor-plane run (the pipeline bench's span around
+            /// `FleetMonitor::run`).
+            FLEET_ROUND = "span.fleet.round",
+        }
+    }
 }
 
 /// The flight-recorder channel registry: every trace-signal name the
@@ -368,21 +360,23 @@ pub mod spans {
 /// `docs/OBSERVABILITY.md`; production record/read sites must go through
 /// these constants, never raw string literals.
 pub mod channels {
-    /// End-effector X position (millimetres).
-    pub const EE_X_MM: &str = "ee_x_mm";
-    /// End-effector Y position (millimetres).
-    pub const EE_Y_MM: &str = "ee_y_mm";
-    /// End-effector Z position (millimetres).
-    pub const EE_Z_MM: &str = "ee_z_mm";
-    /// Joint 1 (shoulder) position (radians).
-    pub const JPOS1: &str = "jpos1";
-    /// Joint 2 (elbow) position (radians).
-    pub const JPOS2: &str = "jpos2";
-    /// Joint 3 (insertion) position (metres).
-    pub const JPOS3: &str = "jpos3";
-
-    /// Every registered channel name.
-    pub const ALL: [&str; 6] = [EE_X_MM, EE_Y_MM, EE_Z_MM, JPOS1, JPOS2, JPOS3];
+    registry! {
+        /// Every registered channel name.
+        ALL: &str {
+            /// End-effector X position (millimetres).
+            EE_X_MM = "ee_x_mm",
+            /// End-effector Y position (millimetres).
+            EE_Y_MM = "ee_y_mm",
+            /// End-effector Z position (millimetres).
+            EE_Z_MM = "ee_z_mm",
+            /// Joint 1 (shoulder) position (radians).
+            JPOS1 = "jpos1",
+            /// Joint 2 (elbow) position (radians).
+            JPOS2 = "jpos2",
+            /// Joint 3 (insertion) position (metres).
+            JPOS3 = "jpos3",
+        }
+    }
 }
 
 /// The RNG-stream registry: every label passed to
@@ -452,128 +446,93 @@ pub mod streams {
         Family { prefix }
     }
 
-    /// Operator-hand tremor noise on the console trajectory.
-    pub const TREMOR: Stream<'static> = exact("tremor");
-    /// The ITP network link fault model (loss/delay/jitter draws).
-    pub const SIMLINK: Stream<'static> = exact("simlink");
-    /// The dedicated green-arm link in the dual-arm configuration.
-    pub const GREEN_ARM: Stream<'static> = exact("green-arm");
-    /// Workload selection and surgeme phase offsets.
-    pub const WORKLOAD: Stream<'static> = exact("workload");
-    /// Key material for the bump-in-the-wire packet MAC.
-    pub const BITW_KEY: Stream<'static> = exact("bitw-key");
-    /// Plant-model parameter perturbation (model-mismatch studies).
-    pub const MODEL: Stream<'static> = exact("model");
-    /// The in-band teleoperation link instance owned by the simulation.
-    pub const ITP_LINK: Stream<'static> = exact("itp-link");
-    /// Root of the chaos schedule (per-class streams derive from it).
-    pub const CHAOS_ROOT: Stream<'static> = exact("chaos");
-    /// Chaos class: ITP packet reordering.
-    pub const CHAOS_REORDER: Stream<'static> = exact("chaos.reorder");
-    /// Chaos class: ITP packet duplication.
-    pub const CHAOS_DUPLICATE: Stream<'static> = exact("chaos.duplicate");
-    /// Chaos class: ITP packet corruption.
-    pub const CHAOS_CORRUPT: Stream<'static> = exact("chaos.corrupt");
-    /// Chaos class: bursty packet loss.
-    pub const CHAOS_BURST_LOSS: Stream<'static> = exact("chaos.burst_loss");
-    /// Chaos class: encoder stuck-at fault.
-    pub const CHAOS_STUCK_ENCODER: Stream<'static> = exact("chaos.stuck_encoder");
-    /// Chaos class: encoder single-bit flip.
-    pub const CHAOS_ENCODER_BITFLIP: Stream<'static> = exact("chaos.encoder_bitflip");
-    /// Chaos class: dropped USB frames.
-    pub const CHAOS_USB_FRAME_DROP: Stream<'static> = exact("chaos.usb_frame_drop");
-    /// Chaos class: USB board silence window.
-    pub const CHAOS_BOARD_SILENCE: Stream<'static> = exact("chaos.board_silence");
-    /// Plant perturbation inside the Fig. 8 robustness sweep.
-    pub const FIG8_MODEL: Stream<'static> = exact("fig8-model");
-    /// Network study: ideal link.
-    pub const NET_IDEAL: Stream<'static> = exact("ideal");
-    /// Network study: LAN link.
-    pub const NET_LAN: Stream<'static> = exact("lan");
-    /// Network study: LAN link with 10% packet loss.
-    pub const NET_LOSS_10: Stream<'static> = exact("loss-10%");
-    /// Network study: LAN link with 50% packet loss.
-    pub const NET_LOSS_50: Stream<'static> = exact("loss-50%");
-    /// Network study: 100 ms one-way delay.
-    pub const NET_DELAY_100MS: Stream<'static> = exact("delay-100ms");
-    /// Network study: LAN link plus the host-level scenario-B injection.
-    pub const NET_HOST_INJECTION: Stream<'static> = exact("host-injection");
-    /// Hardened-board ablation: the scenario-B session.
-    pub const HARDENED_B: Stream<'static> = exact("hardened-b");
-    /// Hardened-board ablation: the scenario-A session.
-    pub const HARDENED_A: Stream<'static> = exact("hardened-a");
-    /// Family: per-run seeds of the detector training sweep.
-    pub const TRAIN: Family = family("train-");
-    /// Family: Table I scenario runs (`table1-<id>`).
-    pub const TABLE1: Family = family("table1-");
-    /// Family: Table IV scenario draws (`t4-<scenario>-<run>`).
-    pub const T4_PICK: Family = family("t4-");
-    /// Family: Table IV run seeds (`t4-run-<scenario>-<i>`).
-    pub const T4_RUN: Family = family("t4-run-");
-    /// Family: Fig. 6 ROC repetition seeds (`fig6-<run>`).
-    pub const FIG6: Family = family("fig6-");
-    /// Family: Fig. 8 robustness repetition seeds (`fig8-<run>`).
-    pub const FIG8: Family = family("fig8-");
-    /// Family: Fig. 9 injection-sweep seeds (`fig9-<value>-<ms>-<rep>`).
-    pub const FIG9: Family = family("fig9-");
-    /// Family: chaos-study repetition seeds (`chaos-study.<label>.<i>`).
-    pub const CHAOS_STUDY: Family = family("chaos-study.");
-    /// Family: fusion-rule ablation seeds (`fusion-<label>-<i>`).
-    pub const FUSION: Family = family("fusion-");
-    /// Family: mitigation-policy ablation seeds (`mitigation-<i>`).
-    pub const MITIGATION: Family = family("mitigation-");
-    /// Family: detector look-ahead ablation seeds (`lookahead-<i>`).
-    pub const LOOKAHEAD: Family = family("lookahead-");
-    /// Family: hardened-board reconnaissance seeds (`bitw-recon-<label>`).
-    pub const BITW_RECON: Family = family("bitw-recon-");
-    /// Family: hardened-board attack seeds (`bitw-attack-<label>`).
-    pub const BITW_ATTACK: Family = family("bitw-attack-");
+    registry! {
+        /// Every registered exact stream (families excluded).
+        ALL: Stream<'static> {
+            /// Operator-hand tremor noise on the console trajectory.
+            TREMOR = exact("tremor"),
+            /// The ITP network link fault model (loss/delay/jitter draws).
+            SIMLINK = exact("simlink"),
+            /// The dedicated green-arm link in the dual-arm configuration.
+            GREEN_ARM = exact("green-arm"),
+            /// Workload selection and surgeme phase offsets.
+            WORKLOAD = exact("workload"),
+            /// Key material for the bump-in-the-wire packet MAC.
+            BITW_KEY = exact("bitw-key"),
+            /// Plant-model parameter perturbation (model-mismatch studies).
+            MODEL = exact("model"),
+            /// The in-band teleoperation link instance owned by the simulation.
+            ITP_LINK = exact("itp-link"),
+            /// Root of the chaos schedule (per-class streams derive from it).
+            CHAOS_ROOT = exact("chaos"),
+            /// Chaos class: ITP packet reordering.
+            CHAOS_REORDER = exact("chaos.reorder"),
+            /// Chaos class: ITP packet duplication.
+            CHAOS_DUPLICATE = exact("chaos.duplicate"),
+            /// Chaos class: ITP packet corruption.
+            CHAOS_CORRUPT = exact("chaos.corrupt"),
+            /// Chaos class: bursty packet loss.
+            CHAOS_BURST_LOSS = exact("chaos.burst_loss"),
+            /// Chaos class: encoder stuck-at fault.
+            CHAOS_STUCK_ENCODER = exact("chaos.stuck_encoder"),
+            /// Chaos class: encoder single-bit flip.
+            CHAOS_ENCODER_BITFLIP = exact("chaos.encoder_bitflip"),
+            /// Chaos class: dropped USB frames.
+            CHAOS_USB_FRAME_DROP = exact("chaos.usb_frame_drop"),
+            /// Chaos class: USB board silence window.
+            CHAOS_BOARD_SILENCE = exact("chaos.board_silence"),
+            /// Plant perturbation inside the Fig. 8 robustness sweep.
+            FIG8_MODEL = exact("fig8-model"),
+            /// Network study: ideal link.
+            NET_IDEAL = exact("ideal"),
+            /// Network study: LAN link.
+            NET_LAN = exact("lan"),
+            /// Network study: LAN link with 10% packet loss.
+            NET_LOSS_10 = exact("loss-10%"),
+            /// Network study: LAN link with 50% packet loss.
+            NET_LOSS_50 = exact("loss-50%"),
+            /// Network study: 100 ms one-way delay.
+            NET_DELAY_100MS = exact("delay-100ms"),
+            /// Network study: LAN link plus the host-level scenario-B injection.
+            NET_HOST_INJECTION = exact("host-injection"),
+            /// Hardened-board ablation: the scenario-B session.
+            HARDENED_B = exact("hardened-b"),
+            /// Hardened-board ablation: the scenario-A session.
+            HARDENED_A = exact("hardened-a"),
+        }
+    }
 
-    /// Every registered exact stream (families excluded).
-    pub const ALL: [Stream<'static>; 25] = [
-        TREMOR,
-        SIMLINK,
-        GREEN_ARM,
-        WORKLOAD,
-        BITW_KEY,
-        MODEL,
-        ITP_LINK,
-        CHAOS_ROOT,
-        CHAOS_REORDER,
-        CHAOS_DUPLICATE,
-        CHAOS_CORRUPT,
-        CHAOS_BURST_LOSS,
-        CHAOS_STUCK_ENCODER,
-        CHAOS_ENCODER_BITFLIP,
-        CHAOS_USB_FRAME_DROP,
-        CHAOS_BOARD_SILENCE,
-        FIG8_MODEL,
-        NET_IDEAL,
-        NET_LAN,
-        NET_LOSS_10,
-        NET_LOSS_50,
-        NET_DELAY_100MS,
-        NET_HOST_INJECTION,
-        HARDENED_B,
-        HARDENED_A,
-    ];
-
-    /// Every registered family.
-    pub const FAMILIES: [Family; 13] = [
-        TRAIN,
-        TABLE1,
-        T4_PICK,
-        T4_RUN,
-        FIG6,
-        FIG8,
-        FIG9,
-        CHAOS_STUDY,
-        FUSION,
-        MITIGATION,
-        LOOKAHEAD,
-        BITW_RECON,
-        BITW_ATTACK,
-    ];
+    registry! {
+        /// Every registered family.
+        FAMILIES: Family {
+            /// Family: per-run seeds of the detector training sweep.
+            TRAIN = family("train-"),
+            /// Family: Table I scenario runs (`table1-<id>`).
+            TABLE1 = family("table1-"),
+            /// Family: Table IV scenario draws (`t4-<scenario>-<run>`).
+            T4_PICK = family("t4-"),
+            /// Family: Table IV run seeds (`t4-run-<scenario>-<i>`).
+            T4_RUN = family("t4-run-"),
+            /// Family: Fig. 6 ROC repetition seeds (`fig6-<run>`).
+            FIG6 = family("fig6-"),
+            /// Family: Fig. 8 robustness repetition seeds (`fig8-<run>`).
+            FIG8 = family("fig8-"),
+            /// Family: Fig. 9 injection-sweep seeds (`fig9-<value>-<ms>-<rep>`).
+            FIG9 = family("fig9-"),
+            /// Family: chaos-study repetition seeds (`chaos-study.<label>.<i>`).
+            CHAOS_STUDY = family("chaos-study."),
+            /// Family: fusion-rule ablation seeds (`fusion-<label>-<i>`).
+            FUSION = family("fusion-"),
+            /// Family: mitigation-policy ablation seeds (`mitigation-<i>`).
+            MITIGATION = family("mitigation-"),
+            /// Family: detector look-ahead ablation seeds (`lookahead-<i>`).
+            LOOKAHEAD = family("lookahead-"),
+            /// Family: hardened-board reconnaissance seeds (`bitw-recon-<label>`).
+            BITW_RECON = family("bitw-recon-"),
+            /// Family: hardened-board attack seeds (`bitw-attack-<label>`).
+            BITW_ATTACK = family("bitw-attack-"),
+        }
+    }
 }
 
 /// One structured event: something that happened at a virtual instant.
