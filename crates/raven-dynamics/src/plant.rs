@@ -394,7 +394,7 @@ impl RavenPlant {
 }
 
 /// One RK4 substep from `x`: the stages and update of
-/// [`Rk4`](raven_math::ode::Rk4)'s step, written out so the right-hand
+/// [`Method::Rk4`](raven_math::ode::Method::Rk4)'s step, written out so the right-hand
 /// side inlines into every stage instead of being called through a
 /// closure.
 ///

@@ -17,7 +17,7 @@ use raven_dynamics::{
     RtModelConfig,
 };
 use raven_kinematics::{JointState, NUM_AXES};
-use raven_math::ode::{Integrator, Method, Rk4};
+use raven_math::ode::Method;
 
 /// The call-interleaved right-hand side, copied verbatim from
 /// `plant::derivative`, `MotorParams::friction` and the `LinkParams`
@@ -142,11 +142,12 @@ mod reference {
                     d[..6].fill(0.0);
                     d
                 };
-                x = Rk4.step(&x, 0.0, h, &deriv);
+                x = Method::Rk4.step(&x, 0.0, h, &deriv);
                 x[..3].copy_from_slice(&frozen[..3]);
                 x[3..6].fill(0.0);
             } else {
-                x = Rk4.step(&x, 0.0, h, &|x: &[f64; 12], _t: f64| derivative(params, x, &torques));
+                x = Method::Rk4
+                    .step(&x, 0.0, h, &|x: &[f64; 12], _t: f64| derivative(params, x, &torques));
             }
         }
         x

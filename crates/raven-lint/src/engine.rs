@@ -23,7 +23,7 @@ pub struct AuditReport {
 /// Runs every rule over the workspace rooted at `root`.
 pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
     let mut paths = Vec::new();
-    for dir in &cfg.roots {
+    for dir in cfg.roots {
         collect_rs(&root.join(dir), &mut paths)?;
     }
     // Deterministic order: findings and stale-entry reports must not
@@ -45,9 +45,9 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
 
     let mut raw = Vec::new();
     for file in &files {
-        raw.extend(rules::exhaustive_safety_match(file, &cfg.watched_enums));
+        raw.extend(rules::exhaustive_safety_match(file, cfg.watched_enums));
         raw.extend(rules::registry_literals(file));
-        if cfg.float_cmp_crates.iter().any(|c| c == crate_of(&file.path)) {
+        if cfg.float_cmp_crates.contains(&crate_of(&file.path)) {
             raw.extend(rules::float_cmp(file));
         }
     }
@@ -68,17 +68,18 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
         }
     }
     // A stale exception is itself a finding: the allowlist must shrink
-    // when the code it excuses goes away.
+    // when the code it excuses goes away. It is reported against the
+    // config, at the entry's 1-based index in `Config::allows`.
     for (i, a) in cfg.allows.iter().enumerate() {
         if !used[i] {
             findings.push(Finding {
-                path: "raven-lint.toml".to_string(),
-                line: 1,
+                path: "Config::allows".to_string(),
+                line: i + 1,
                 rule: "CONFIG".to_string(),
                 name: "stale-allowlist-entry".to_string(),
-                snippet: format!("rule = \"{}\", path = \"{}\"", a.rule, a.path),
-                hint: "this [[allow]] entry matched no finding; delete it (or fix its \
-                       `path`/`contains`) so the exception list stays honest"
+                snippet: format!("rule: \"{}\", path: \"{}\"", a.rule, a.path),
+                hint: "this AllowEntry matched no finding; delete it (or fix its \
+                       `rule`/`path`/`contains`) so the exception list stays honest"
                     .to_string(),
             });
         }

@@ -34,8 +34,12 @@
 //! * **R7 no-float-eq** — no `==`/`!=` against float literals in
 //!   merged-artifact crates.
 //!
-//! Intentional exceptions live in `raven-lint.toml`, each with a one-line
-//! justification; stale or unjustified entries are themselves findings.
+//! The crate is a library with no options of its own: the caller hands
+//! [`run`] a workspace root and a `'static` [`Config`]. The workspace's
+//! policy (roots, watched enums, R7 crates and the audited exceptions,
+//! each with a one-line justification) is one constant in the tier-1 test
+//! `tests/lint_audit.rs`, so `cargo test` runs the audit; an exception that
+//! matches no finding is itself a finding.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +47,6 @@ pub mod config;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 
 pub use config::{AllowEntry, Config, WatchedEnum};
 pub use engine::{run, AuditReport};

@@ -3,18 +3,17 @@
 
 use crate::config::WatchedEnum;
 use crate::lexer::{find_token, SourceFile};
-use serde::Serialize;
 use simbus::obs::{channels, names, spans, EventKind};
 
-/// One rule violation, serializable for `--json` consumers.
-#[derive(Debug, Clone, Serialize, PartialEq, Eq, PartialOrd, Ord)]
+/// One rule violation.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule id (a catalog id such as `R3`, or `CONFIG` for configuration
-    /// hygiene).
+    /// Rule id (`R4`, `R5`, `R7`, or `CONFIG` for a stale allowlist
+    /// entry).
     pub rule: String,
     /// Short rule name.
     pub name: String,
@@ -453,10 +452,7 @@ mod tests {
 
     #[test]
     fn r4_flags_wildcard_in_watched_match() {
-        let enums = vec![WatchedEnum {
-            name: "RobotState".into(),
-            variants: vec!["Init".into(), "EStop".into()],
-        }];
+        let enums = [WatchedEnum { name: "RobotState", variants: &["Init", "EStop"] }];
         let src = "fn f(s: RobotState) -> u8 { match s { RobotState::Init => 0, _ => 1 } }";
         let hits = exhaustive_safety_match(&file(src), &enums);
         assert_eq!(hits.len(), 1, "{hits:?}");
@@ -468,10 +464,7 @@ mod tests {
 
     #[test]
     fn r4_sees_bare_variants_under_glob_import_and_strips_guards() {
-        let enums = vec![WatchedEnum {
-            name: "ControlEvent".into(),
-            variants: vec!["Start".into(), "Fault".into()],
-        }];
+        let enums = [WatchedEnum { name: "ControlEvent", variants: &["Start", "Fault"] }];
         let src = "use ControlEvent::*;\n\
                    fn f(e: ControlEvent, n: u8) -> u8 {\n\
                    match (e, n) { (Start, k) if k > 0 => k, (_, _) => 0 } }";
@@ -482,7 +475,7 @@ mod tests {
 
     #[test]
     fn r4_ignores_matches_macro_and_test_code() {
-        let enums = vec![WatchedEnum { name: "RobotState".into(), variants: vec!["Init".into()] }];
+        let enums = [WatchedEnum { name: "RobotState", variants: &["Init"] }];
         let src = "fn f(s: RobotState) -> bool { matches!(s, RobotState::Init) }\n\
                    #[cfg(test)]\nmod t { fn g(s: RobotState) -> u8 { match s { _ => 0 } } }";
         assert!(exhaustive_safety_match(&file(src), &enums).is_empty());

@@ -13,31 +13,19 @@ fn fixture(name: &str) -> SourceFile {
     SourceFile::parse(name, &src, false)
 }
 
-fn watched() -> Vec<WatchedEnum> {
-    vec![
-        WatchedEnum {
-            name: "RobotState".into(),
-            variants: vec!["EStop".into(), "Init".into(), "PedalUp".into(), "PedalDown".into()],
-        },
-        WatchedEnum {
-            name: "ControlEvent".into(),
-            variants: vec![
-                "StartPressed".into(),
-                "HomingComplete".into(),
-                "PedalPressed".into(),
-                "PedalReleased".into(),
-                "Fault".into(),
-            ],
-        },
-    ]
-}
+const WATCHED: [WatchedEnum; 2] = [
+    WatchedEnum { name: "RobotState", variants: &["EStop", "Init", "PedalUp", "PedalDown"] },
+    WatchedEnum {
+        name: "ControlEvent",
+        variants: &["StartPressed", "HomingComplete", "PedalPressed", "PedalReleased", "Fault"],
+    },
+];
 
 #[test]
 fn r4_match_positive_and_negative() {
-    let enums = watched();
-    let bad = rules::exhaustive_safety_match(&fixture("r4_match_bad.rs"), &enums);
+    let bad = rules::exhaustive_safety_match(&fixture("r4_match_bad.rs"), &WATCHED);
     assert_eq!(bad.len(), 2, "{bad:?}"); // `_ => true` and `(s, _) => s`
-    let ok = rules::exhaustive_safety_match(&fixture("r4_match_ok.rs"), &enums);
+    let ok = rules::exhaustive_safety_match(&fixture("r4_match_ok.rs"), &WATCHED);
     assert!(ok.is_empty(), "{ok:?}");
 }
 

@@ -1,4 +1,5 @@
-//! One seeded violation per rule, for the exit-code end-to-end test.
+//! One seeded violation per rule, for the seeded audit in the root
+//! `tests/lint_audit.rs`.
 
 pub fn r4(s: RobotState) -> bool {
     match s {

@@ -10,8 +10,8 @@
 //!
 //! * [`vec3::Vec3`], [`mat3::Mat3`], [`quat::Quat`], [`se3::Pose`] — 3-D
 //!   geometry used by the kinematic chain (Fig. 2 of the paper);
-//! * [`ode`] — generic fixed-step integrators ([`ode::Euler`], [`ode::Rk4`])
-//!   over user-defined state vectors;
+//! * [`ode`] — generic fixed-step integrators ([`ode::Method::Euler`],
+//!   [`ode::Method::Rk4`]) over user-defined state vectors;
 //! * [`stats`] — running summary statistics, percentile estimation for
 //!   threshold learning, and the confusion-matrix metrics (ACC/TPR/FPR/F1)
 //!   reported in Table IV;
@@ -20,13 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use raven_math::ode::{Euler, Integrator};
+//! use raven_math::ode::Method;
 //!
 //! // Integrate a unit-gain first-order lag: x' = -x, x(0) = 1.
-//! let euler = Euler;
 //! let mut x = [1.0_f64];
 //! for _ in 0..1000 {
-//!     x = euler.step(&x, 0.0, 1e-3, &|s: &[f64; 1], _t| [-s[0]]);
+//!     x = Method::Euler.step(&x, 0.0, 1e-3, &|s: &[f64; 1], _t| [-s[0]]);
 //! }
 //! assert!((x[0] - (-1.0_f64).exp()).abs() < 1e-3);
 //! ```

@@ -3,103 +3,74 @@
 //! The paper (§IV.A.1) solves the robot's motor and link dynamics — two sets
 //! of second-order ODEs rewritten in first-order form — with the explicit
 //! Euler and classical 4th-order Runge–Kutta methods at a 1 ms step, and
-//! reports their accuracy/time trade-off in Fig. 8. [`Euler`] and [`Rk4`]
-//! are those two methods; [`Method`] selects between them at runtime, which
-//! is how the Fig. 8 validation harness sweeps integrators.
+//! reports their accuracy/time trade-off in Fig. 8. [`Method::Euler`] and
+//! [`Method::Rk4`] are those two methods; [`Method::step`] advances a state
+//! with either, which is how the Fig. 8 validation harness sweeps
+//! integrators.
 //!
 //! States are fixed-size arrays `[f64; N]`; the derivative is any
 //! `Fn(&[f64; N], f64) -> [f64; N]`.
 
 use serde::{Deserialize, Serialize};
 
-/// A fixed-step ODE integrator over `[f64; N]` states.
-///
-/// # Example
-///
-/// ```
-/// use raven_math::ode::{Integrator, Rk4};
-///
-/// // Harmonic oscillator: x'' = -x, as first-order system [x, v].
-/// let f = |s: &[f64; 2], _t: f64| [s[1], -s[0]];
-/// let mut s = [1.0, 0.0];
-/// let rk4 = Rk4;
-/// for _ in 0..1000 {
-///     s = rk4.step(&s, 0.0, std::f64::consts::TAU / 1000.0, &f);
-/// }
-/// // One full period returns to the initial state.
-/// assert!((s[0] - 1.0).abs() < 1e-9 && s[1].abs() < 1e-9);
-/// ```
-pub trait Integrator {
-    /// Advances `state` from time `t` by `dt` under the derivative field
-    /// `deriv`, returning the next state.
-    fn step<const N: usize, F>(&self, state: &[f64; N], t: f64, dt: f64, deriv: &F) -> [f64; N]
-    where
-        F: Fn(&[f64; N], f64) -> [f64; N];
-}
-
-/// The explicit (forward) Euler method. First-order accurate; the cheapest
-/// option and, per the paper's Fig. 8, the best time/accuracy trade-off for
-/// the RAVEN model at a 1 ms step (0.011 ms/step on their testbed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Euler;
-
-impl Integrator for Euler {
-    fn step<const N: usize, F>(&self, state: &[f64; N], t: f64, dt: f64, deriv: &F) -> [f64; N]
-    where
-        F: Fn(&[f64; N], f64) -> [f64; N],
-    {
-        let d = deriv(state, t);
-        let mut next = *state;
-        for i in 0..N {
-            next[i] += dt * d[i];
-        }
-        next
-    }
-}
-
-/// The classical 4th-order Runge–Kutta method. Fourth-order accurate at four
-/// derivative evaluations per step (paper: 0.032 ms/step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Rk4;
-
-impl Integrator for Rk4 {
-    fn step<const N: usize, F>(&self, state: &[f64; N], t: f64, dt: f64, deriv: &F) -> [f64; N]
-    where
-        F: Fn(&[f64; N], f64) -> [f64; N],
-    {
-        let half = dt * 0.5;
-        let k1 = deriv(state, t);
-        let k2 = deriv(&offset(state, &k1, half), t + half);
-        let k3 = deriv(&offset(state, &k2, half), t + half);
-        let k4 = deriv(&offset(state, &k3, dt), t + dt);
-        let mut next = *state;
-        for i in 0..N {
-            next[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        next
-    }
-}
-
-/// Runtime-selectable integration method, used by the Fig. 8 model-validation
-/// sweep and by the real-time estimator configuration.
+/// A fixed-step integration method, selected at runtime by the Fig. 8
+/// model-validation sweep and by the real-time estimator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Method {
-    /// Explicit Euler (the paper's production choice).
+    /// The explicit (forward) Euler method. First-order accurate; the
+    /// cheapest option and, per the paper's Fig. 8, the best time/accuracy
+    /// trade-off for the RAVEN model at a 1 ms step (0.011 ms/step on
+    /// their testbed). The paper's production choice.
     #[default]
     Euler,
-    /// Classical 4th-order Runge–Kutta.
+    /// The classical 4th-order Runge–Kutta method. Fourth-order accurate at
+    /// four derivative evaluations per step (paper: 0.032 ms/step).
     Rk4,
 }
 
 impl Method {
-    /// Advances `state` with the selected method.
+    /// Advances `state` from time `t` by `dt` under the derivative field
+    /// `deriv`, returning the next state.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use raven_math::ode::Method;
+    ///
+    /// // Harmonic oscillator: x'' = -x, as first-order system [x, v].
+    /// let f = |s: &[f64; 2], _t: f64| [s[1], -s[0]];
+    /// let mut s = [1.0, 0.0];
+    /// for _ in 0..1000 {
+    ///     s = Method::Rk4.step(&s, 0.0, std::f64::consts::TAU / 1000.0, &f);
+    /// }
+    /// // One full period returns to the initial state.
+    /// assert!((s[0] - 1.0).abs() < 1e-9 && s[1].abs() < 1e-9);
+    /// ```
     pub fn step<const N: usize, F>(self, state: &[f64; N], t: f64, dt: f64, deriv: &F) -> [f64; N]
     where
         F: Fn(&[f64; N], f64) -> [f64; N],
     {
         match self {
-            Method::Euler => Euler.step(state, t, dt, deriv),
-            Method::Rk4 => Rk4.step(state, t, dt, deriv),
+            Method::Euler => {
+                let d = deriv(state, t);
+                let mut next = *state;
+                for i in 0..N {
+                    next[i] += dt * d[i];
+                }
+                next
+            }
+            Method::Rk4 => {
+                let half = dt * 0.5;
+                let k1 = deriv(state, t);
+                let k2 = deriv(&offset(state, &k1, half), t + half);
+                let k3 = deriv(&offset(state, &k2, half), t + half);
+                let k4 = deriv(&offset(state, &k3, dt), t + dt);
+                let mut next = *state;
+                for i in 0..N {
+                    next[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+                }
+                next
+            }
         }
     }
 
@@ -231,7 +202,7 @@ mod tests {
         [-s[0]]
     }
 
-    fn integrate<I: Integrator>(method: &I, dt: f64, t_end: f64) -> f64 {
+    fn integrate(method: Method, dt: f64, t_end: f64) -> f64 {
         let mut s = [1.0];
         let steps = (t_end / dt).round() as usize;
         let mut t = 0.0;
@@ -245,8 +216,8 @@ mod tests {
     #[test]
     fn euler_converges_first_order() {
         let exact = (-1.0_f64).exp();
-        let e1 = (integrate(&Euler, 1e-2, 1.0) - exact).abs();
-        let e2 = (integrate(&Euler, 5e-3, 1.0) - exact).abs();
+        let e1 = (integrate(Method::Euler, 1e-2, 1.0) - exact).abs();
+        let e2 = (integrate(Method::Euler, 5e-3, 1.0) - exact).abs();
         let order = (e1 / e2).log2();
         assert!((order - 1.0).abs() < 0.1, "euler observed order {order}");
     }
@@ -254,8 +225,8 @@ mod tests {
     #[test]
     fn rk4_converges_fourth_order() {
         let exact = (-1.0_f64).exp();
-        let e1 = (integrate(&Rk4, 1e-1, 1.0) - exact).abs();
-        let e2 = (integrate(&Rk4, 5e-2, 1.0) - exact).abs();
+        let e1 = (integrate(Method::Rk4, 1e-1, 1.0) - exact).abs();
+        let e2 = (integrate(Method::Rk4, 5e-2, 1.0) - exact).abs();
         let order = (e1 / e2).log2();
         assert!((order - 4.0).abs() < 0.3, "rk4 observed order {order}");
     }
@@ -263,8 +234,8 @@ mod tests {
     #[test]
     fn rk4_is_much_more_accurate_than_euler_at_same_step() {
         let exact = (-1.0_f64).exp();
-        let ee = (integrate(&Euler, 1e-2, 1.0) - exact).abs();
-        let er = (integrate(&Rk4, 1e-2, 1.0) - exact).abs();
+        let ee = (integrate(Method::Euler, 1e-2, 1.0) - exact).abs();
+        let er = (integrate(Method::Rk4, 1e-2, 1.0) - exact).abs();
         assert!(er < ee * 1e-3);
     }
 
@@ -279,18 +250,14 @@ mod tests {
         let dt = 1e-3;
         let mut t = 0.0;
         for _ in 0..1000 {
-            s = Rk4.step(&s, t, dt, &f);
+            s = Method::Rk4.step(&s, t, dt, &f);
             t += dt;
         }
         assert!((s[0] - 0.5).abs() < 1e-9);
     }
 
     #[test]
-    fn method_dispatch_matches_direct_calls() {
-        let s = [0.7, -0.2];
-        let f = |s: &[f64; 2], _t: f64| [s[1], -s[0] - 0.1 * s[1]];
-        assert_eq!(Method::Euler.step(&s, 0.0, 1e-3, &f), Euler.step(&s, 0.0, 1e-3, &f));
-        assert_eq!(Method::Rk4.step(&s, 0.0, 1e-3, &f), Rk4.step(&s, 0.0, 1e-3, &f));
+    fn evals_per_step() {
         assert_eq!(Method::Euler.evals_per_step(), 1);
         assert_eq!(Method::Rk4.evals_per_step(), 4);
     }
@@ -375,7 +342,7 @@ mod tests {
         let f = |s: &[f64; 2], _t: f64| [s[1], -s[0]];
         let mut s = [1.0, 0.0];
         for _ in 0..10_000 {
-            s = Rk4.step(&s, 0.0, 1e-2, &f);
+            s = Method::Rk4.step(&s, 0.0, 1e-2, &f);
         }
         let energy = 0.5 * (s[0] * s[0] + s[1] * s[1]);
         assert!((energy - 0.5).abs() < 1e-6, "energy drifted to {energy}");

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use raven_math::angles::{shortest_delta, wrap_to_pi};
-use raven_math::ode::{Euler, Integrator, Rk4};
+use raven_math::ode::Method;
 use raven_math::stats::{percentile, ConfusionMatrix, RunningStats};
 use raven_math::{Mat3, Pose, Quat, Vec3};
 
@@ -137,8 +137,8 @@ proptest! {
         let mut se = [x0];
         let mut sr = [x0];
         for _ in 0..steps {
-            se = Euler.step(&se, 0.0, dt, &f);
-            sr = Rk4.step(&sr, 0.0, dt, &f);
+            se = Method::Euler.step(&se, 0.0, dt, &f);
+            sr = Method::Rk4.step(&sr, 0.0, dt, &f);
         }
         let exact = x0 * (-(steps as f64) * dt).exp();
         prop_assert!((sr[0] - exact).abs() <= (se[0] - exact).abs() + 1e-12);

@@ -143,7 +143,8 @@ impl From<String> for FieldValue {
 /// kind tables in `docs/OBSERVABILITY.md`, both directions, so the
 /// taxonomy cannot drift from its documentation. Emit sites must go
 /// through these variants rather than raw string literals (`raven-lint`
-/// rule R5): a rename then touches exactly one `match` arm and one doc row.
+/// rule R5, run by the tier-1 `tests/lint_audit.rs`): a rename then
+/// touches exactly one `match` arm and one doc row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum EventKind {
     /// `install_attack` armed a malicious interceptor on a channel.
@@ -232,7 +233,8 @@ macro_rules! registry {
 ///
 /// Like [`EventKind`], [`names::ALL`] and [`names::FAMILIES`] are checked
 /// against `docs/OBSERVABILITY.md` by `tests/registry_docs.rs`, and read
-/// by `raven-lint` R5 to reject raw literals. `*_PREFIX` constants
+/// by `raven-lint` R5 (run by `tests/lint_audit.rs`) to reject raw
+/// literals. `*_PREFIX` constants
 /// declare metric *families* — names completed with a slug at runtime
 /// (e.g. `fault.count.dac_limit`); use [`fault_count`]/[`estop_count`]
 /// to build them.

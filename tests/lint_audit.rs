@@ -1,74 +1,195 @@
-//! Tier-1 guard for the static audit: the workspace must pass
-//! `cargo run -p raven-lint` with pinned scan/finding/exception counts,
-//! and the seeded fixture workspace must fail it with every rule
-//! represented. This keeps the audit inside the plain `cargo test -q`
-//! gate (the per-rule fixture suite lives in `crates/raven-lint/tests/`
-//! and runs with the workspace tests). The rules the toolchain checks
-//! (clippy.toml and `[workspace.lints]`) are gated by CI's clippy step;
-//! the last test here pins their configuration and their exception sites.
+//! Tier-1 guard for the static audit. The workspace must pass raven-lint
+//! (run in-process on the policy below) with pinned scan, finding and
+//! exception counts, and the seeded fixture workspace must fail it with
+//! every rule represented, so the audit is part of the plain `cargo test -q`
+//! gate (the per-rule fixture suite lives in `crates/raven-lint/tests/`).
+//! The rules the toolchain checks (clippy.toml and `[workspace.lints]`)
+//! are gated by CI's clippy step; the last test here pins their
+//! configuration and their exception sites.
 
+use raven_lint::{AllowEntry, AuditReport, Config, WatchedEnum};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
-use std::process::Command;
 
-fn run_lint(root: &Path) -> (bool, String, String) {
-    let out = Command::new(env!("CARGO"))
-        .args(["run", "-q", "-p", "raven-lint", "--", "--json", "--root"])
-        .arg(root)
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("spawn cargo run -p raven-lint");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+/// The workspace's audit policy. See docs/STATIC_ANALYSIS.md.
+const WORKSPACE: Config = Config {
+    roots: &["crates", "src", "tests", "examples"],
+    exclude: &[
+        // The linter's own fixture corpus intentionally violates every rule.
+        "crates/raven-lint/tests/fixtures/",
+        // Vendored offline stubs are third-party API surface, not our code.
+        "vendor/",
+    ],
+    // R4: matches over these enums must spell out every variant; a wildcard
+    // would let a newly added state slip through a safety handler silently
+    // (the paper's TOCTOU lesson: trust nothing implicit on the safety path).
+    watched_enums: &[
+        WatchedEnum { name: "RobotState", variants: &["EStop", "Init", "PedalUp", "PedalDown"] },
+        WatchedEnum {
+            name: "ControlEvent",
+            variants: &["StartPressed", "HomingComplete", "PedalPressed", "PedalReleased", "Fault"],
+        },
+        WatchedEnum {
+            name: "FaultReason",
+            variants: &[
+                "DacLimit",
+                "JointLimit",
+                "IkFailure",
+                "HomingFailure",
+                "OperatorStop",
+                "GuardStop",
+                "PlcStop",
+            ],
+        },
+        WatchedEnum {
+            name: "EStopCause",
+            variants: &["WatchdogTimeout", "SoftwareCommand", "PhysicalButton", "HardwareFault"],
+        },
+        WatchedEnum { name: "Mitigation", variants: &["Observe", "BlockAndHold", "EStop"] },
+        WatchedEnum { name: "FusionRule", variants: &["AllThree", "AnyOne"] },
+        WatchedEnum { name: "DetectorMode", variants: &["Learning", "Armed"] },
+        WatchedEnum { name: "WriteAction", variants: &["Forward", "Drop"] },
+        WatchedEnum {
+            name: "EventKind",
+            variants: &[
+                "AttackInstalled",
+                "StateTransition",
+                "ControlFault",
+                "AttackInjection",
+                "DetectorVerdict",
+                "EstopLatched",
+                "EstopCleared",
+                "ChaosInjected",
+                "LedgerAppended",
+            ],
+        },
+        WatchedEnum {
+            name: "ChaosFaultKind",
+            variants: &[
+                "ReorderNext",
+                "DuplicateNext",
+                "CorruptPacket",
+                "BurstLoss",
+                "StuckEncoder",
+                "EncoderBitFlip",
+                "DropUsbFrames",
+                "BoardSilence",
+            ],
+        },
+    ],
+    // R7: exact float equality in the crates whose outputs are serialized
+    // or merged: one reordered FMA flips `==` without failing any test.
+    // Bit-exact checks go through f64::to_bits, tolerances through an
+    // epsilon helper.
+    float_cmp_crates: &[
+        "simbus",
+        "raven-core",
+        "raven-attack",
+        "raven-ledger",
+        "raven-fleet",
+        "bench",
+        "raven-repro",
+    ],
+    allows: &[
+        AllowEntry {
+            rule: "R4",
+            path: "crates/raven-control/src/state_machine.rs",
+            contains: Some("(_, Fault(reason))"),
+            reason: "faults preempt from *every* state by design (paper Fig. 1c); enumerating \
+                     states here would weaken the guarantee",
+        },
+        AllowEntry {
+            rule: "R4",
+            path: "crates/raven-control/src/state_machine.rs",
+            contains: Some("(s, _) => s"),
+            reason: "terminal rule: events illegal in a state are ignored, holding the state \
+                     (paper Fig. 1c); all legal pairs are enumerated above it",
+        },
+    ],
+};
+
+/// The seeded fixture workspace's policy: one violation per rule under
+/// `src/`, plus two entries that must surface as stale (`CONFIG`): one
+/// excusing a file that does not exist, one naming a rule id no rule emits.
+const SEEDED: Config = Config {
+    roots: &["src"],
+    exclude: &[],
+    watched_enums: &[WatchedEnum {
+        name: "RobotState",
+        variants: &["EStop", "Init", "PedalUp", "PedalDown"],
+    }],
+    float_cmp_crates: &["raven-repro"],
+    allows: &[
+        AllowEntry {
+            rule: "R7",
+            path: "src/stale_never_matches.rs",
+            contains: None,
+            reason: "deliberately stale: the engine must report this entry as CONFIG",
+        },
+        AllowEntry {
+            rule: "R9",
+            path: "src/violations.rs",
+            contains: Some("err == 0.0"),
+            reason: "a retired rule id covers nothing, not even the R7 finding on its line",
+        },
+    ],
+};
+
+fn audit(root: &Path, cfg: &Config) -> AuditReport {
+    raven_lint::run(root, cfg).unwrap_or_else(|e| panic!("audit of {}: {e}", root.display()))
 }
 
 #[test]
 fn workspace_passes_its_own_audit_with_pinned_counts() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    assert!(root.join("raven-lint.toml").is_file());
-    let (ok, stdout, stderr) = run_lint(root);
-    assert!(ok, "the workspace must pass its own static audit:\n{stdout}\n{stderr}");
-
-    // The summary line pins the audit's shape: zero findings, and the
-    // audited-exception count must move deliberately — an exception that
-    // appears (or vanishes) without this number being updated is exactly
-    // the drift the allowlist is supposed to make loud.
-    let summary = stderr
-        .lines()
-        .find(|l| l.contains("file(s) scanned"))
-        .unwrap_or_else(|| panic!("no summary line in stderr:\n{stderr}"));
-    let grab = |marker: &str| -> usize {
-        let end = summary.find(marker).unwrap_or_else(|| panic!("`{marker}` in: {summary}"));
-        summary[..end]
-            .rsplit(|c: char| !c.is_ascii_digit())
-            .find(|s| !s.is_empty())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("no count before `{marker}` in: {summary}"))
-    };
-    assert_eq!(grab(" finding(s)"), 0, "{summary}");
-    assert_eq!(grab(" allowlisted exception(s)"), 2, "{summary}");
-    let scanned = grab(" file(s) scanned");
+    let report = audit(Path::new(env!("CARGO_MANIFEST_DIR")), &WORKSPACE);
     assert!(
-        (140..=220).contains(&scanned),
-        "scanned file count drifted out of the expected band: {summary}"
+        report.findings.is_empty(),
+        "the workspace must pass its own static audit:\n{:#?}",
+        report.findings
     );
+    // The audited-exception count must move deliberately: an exception
+    // that appears (or vanishes) without this number being updated is
+    // exactly the drift the allowlist is supposed to make loud.
+    assert_eq!(report.allowed, 2, "{report:?}");
+    assert!(
+        (140..=220).contains(&report.files_scanned),
+        "scanned file count drifted out of the expected band: {}",
+        report.files_scanned
+    );
+}
+
+#[test]
+fn every_allowlist_entry_has_a_reason() {
+    for a in WORKSPACE.allows {
+        assert!(!a.reason.trim().is_empty(), "{a:?} needs a one-line reason");
+        assert!(["R4", "R5", "R7"].contains(&a.rule), "{a:?} names no live rule");
+    }
 }
 
 #[test]
 fn seeded_violations_fail_the_audit() {
     let ws = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/raven-lint/tests/fixtures/ws");
-    let (ok, stdout, stderr) = run_lint(&ws);
-    assert!(!ok, "the seeded fixture workspace must fail the audit:\n{stdout}\n{stderr}");
+    let report = audit(&ws, &SEEDED);
+    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
     for rule in ["R4", "R5", "R7", "CONFIG"] {
-        assert!(
-            stdout.contains(&format!("\"rule\": \"{rule}\"")),
-            "rule {rule} missing from findings:\n{stdout}"
-        );
+        assert!(rules.contains(&rule), "rule {rule} missing from findings:\n{report:#?}");
     }
+    // R5's names come from simbus::obs itself: a registered metric and a
+    // registered channel fire, an unregistered dotted name does not.
+    let r5: Vec<&str> =
+        report.findings.iter().filter(|f| f.rule == "R5").map(|f| f.snippet.as_str()).collect();
+    assert!(r5.iter().any(|s| s.contains("m.inc(\"detector.alarms")), "{r5:?}");
+    assert!(r5.iter().any(|s| s.contains("t.record(\"ee_x_mm")), "{r5:?}");
+    assert!(!r5.iter().any(|s| s.contains("unregistered.metric")), "{r5:?}");
+    // Both seeded entries are stale, the one naming a retired rule id
+    // included, and neither suppressed anything.
+    let stale: Vec<&str> =
+        report.findings.iter().filter(|f| f.rule == "CONFIG").map(|f| f.snippet.as_str()).collect();
+    assert_eq!(stale.len(), 2, "{stale:?}");
+    assert!(stale.iter().any(|s| s.contains("src/stale_never_matches.rs")), "{stale:?}");
+    assert!(stale.iter().any(|s| s.contains("\"R9\"")), "{stale:?}");
+    assert_eq!(report.allowed, 0, "{report:?}");
 }
 
 /// The `key = value` lines of one `[header]` table of a TOML file.
