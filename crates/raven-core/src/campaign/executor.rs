@@ -5,15 +5,19 @@
 //! shape: `n` independent runs, each a pure function of a seed derived
 //! from `(root seed, run index)`, merged **in run order**. That makes the
 //! sweeps embarrassingly parallel *without* giving up determinism: this
-//! executor fans runs over a scoped worker pool and slots each result by
-//! its run index, so the merged output is bit-identical to a serial
-//! execution regardless of worker count or scheduling.
+//! executor fans runs over a scoped worker pool and folds each finished
+//! run into the result in run index order, so the merged output is
+//! bit-identical to a serial execution regardless of worker count or
+//! scheduling.
 //!
 //! Guarantees:
 //!
-//! * **Deterministic ordering** — `SweepResult::outcomes[i]` is run `i`'s
-//!   result; consumers fold in index order, exactly as the serial loops
-//!   did.
+//! * **Deterministic ordering** — the executor hands runs to its fold
+//!   in index order, exactly as the serial loops did, and
+//!   `SweepResult::outcomes[i]` is run `i`'s result.
+//! * **Streaming** — a run is folded and dropped as soon as its
+//!   predecessors are in, and no run starts more than a few runs per
+//!   worker ahead of the fold, so memory does not grow with the run count.
 //! * **Panic isolation** — a panicking run is caught (`catch_unwind`) and
 //!   recorded as a [`RunError`] for its index; every other run completes.
 //! * **Telemetry** — optional progress lines on stderr (runs completed,
@@ -25,9 +29,10 @@
     reason = "sweep wall-time lands only in SweepStats.elapsed_s and stderr progress telemetry, never in merged per-run results"
 )]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -174,15 +179,37 @@ impl<T> SweepResult<T> {
     /// anyway (e.g. training asserts fault-free runs).
     pub fn expect_all(self, what: &str) -> Vec<T> {
         let (ok, errors) = self.split();
-        assert!(
-            errors.is_empty(),
-            "{what}: {} of {} runs failed:\n{}",
-            errors.len(),
-            errors.len() + ok.len(),
-            errors.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
-        );
+        assert_all_ran(what, &errors, errors.len() + ok.len());
         ok
     }
+}
+
+/// What a [`run_sweep_fold`] returns beside its fold: the runs that
+/// panicked, in run order, and the stats.
+#[derive(Debug)]
+pub(crate) struct FoldedSweep {
+    /// Every run that panicked instead of reaching the fold.
+    pub(crate) errors: Vec<RunError>,
+    /// Execution telemetry.
+    pub(crate) stats: SweepStats,
+}
+
+impl FoldedSweep {
+    /// The stats; panics listing every failed run if any run panicked, as
+    /// [`SweepResult::expect_all`] does.
+    pub(crate) fn expect_all(self, what: &str) -> SweepStats {
+        assert_all_ran(what, &self.errors, self.stats.runs);
+        self.stats
+    }
+}
+
+fn assert_all_ran(what: &str, errors: &[RunError], runs: usize) {
+    assert!(
+        errors.is_empty(),
+        "{what}: {} of {runs} runs failed:\n{}",
+        errors.len(),
+        errors.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
+    );
 }
 
 /// Runs `n` independent jobs over a scoped worker pool and returns their
@@ -226,14 +253,53 @@ where
     S: Fn(usize) -> u64 + Sync,
     F: Fn(usize, u64, &mut Metrics) -> T + Sync,
 {
+    let mut outcomes = Vec::with_capacity(n);
+    let FoldedSweep { errors, stats } =
+        run_sweep_fold(label, n, config, seed_of, job, |_, value| outcomes.push(Ok(value)));
+    // Errors come in run order, so each one's earlier slots are all filled.
+    for error in errors {
+        outcomes.insert(error.index, Err(error));
+    }
+    SweepResult { outcomes, stats }
+}
+
+/// The executor itself: [`run_sweep_observed`]'s runs, folded **in run
+/// order** as they finish instead of collected.
+///
+/// Workers hand each finished run to the calling thread, which calls
+/// `fold(i, result)` for runs `0, 1, 2, …` as soon as every earlier run is
+/// in, and merges the run's [`Metrics`] into [`SweepStats::metrics`] at the
+/// same point. Only runs that finish ahead of a predecessor still running
+/// wait in a buffer; every other run's result and registry are folded and
+/// dropped at once. A worker starts run `i` only once run `i − 4·workers`
+/// is folded, so at most `4·workers` runs are running or waiting at any
+/// time, however slow one of them is: a sweep's memory does not grow with
+/// its run count unless `fold` keeps what it is given. A panicked run is
+/// kept out of the fold and returned as a [`RunError`] in
+/// [`FoldedSweep::errors`].
+pub(crate) fn run_sweep_fold<T, S, F, G>(
+    label: &str,
+    n: usize,
+    config: &ExecutorConfig,
+    seed_of: S,
+    job: F,
+    mut fold: G,
+) -> FoldedSweep
+where
+    T: Send,
+    S: Fn(usize) -> u64 + Sync,
+    F: Fn(usize, u64, &mut Metrics) -> T + Sync,
+    G: FnMut(usize, T),
+{
     // One run's wall-clock lifecycle stamp (all zeros when untraced).
     struct RunStamp {
+        index: usize,
         seed: u64,
         worker: usize,
         started_ns: u64,
         finished_ns: u64,
     }
-    // One run's slot: its outcome, private metrics registry, and stamp.
+    // One finished run: its outcome, private metrics registry, and stamp.
     type RunSlot<T> = (Result<T, RunError>, Metrics, RunStamp);
 
     let workers = config.resolved_workers().min(n.max(1));
@@ -249,70 +315,100 @@ where
         let mut metrics = Metrics::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| job(i, seed, &mut metrics)))
             .map_err(|payload| RunError { index: i, seed, message: panic_text(&*payload) });
-        if outcome.is_err() {
-            metrics = Metrics::new();
-        }
         let finished_ns = now_ns(&trace);
         progress.completed();
-        (outcome, metrics, RunStamp { seed, worker, started_ns, finished_ns })
+        (outcome, metrics, RunStamp { index: i, seed, worker, started_ns, finished_ns })
     };
 
-    let slotted: Vec<RunSlot<T>> = if workers <= 1 {
-        (0..n).map(|i| run_one(i, 0)).collect()
-    } else {
-        // Each worker keeps the runs it claimed and hands them back when it
-        // joins; the merge scatters them into run order.
-        let next = AtomicUsize::new(0);
-        let (next_ref, run_one_ref) = (&next, &run_one);
-        let claimed: Vec<Vec<(usize, RunSlot<T>)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    scope.spawn(move |_| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break done;
-                            }
-                            done.push((i, run_one_ref(i, worker)));
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("campaign worker")).collect()
-        })
-        .expect("campaign worker pool");
-        let mut slots: Vec<Option<RunSlot<T>>> = (0..n).map(|_| None).collect();
-        for (i, slot) in claimed.into_iter().flatten() {
-            slots[i] = Some(slot);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("run {i} never ran")))
-            .collect()
-    };
-
-    let merge_begin_ns = now_ns(&trace);
     let mut metrics = Metrics::new();
-    let mut outcomes = Vec::with_capacity(n);
+    let mut errors = Vec::new();
     let mut lifecycles = Vec::with_capacity(if trace.is_some() { n } else { 0 });
-    for (outcome, run_metrics, stamp) in slotted {
-        metrics.merge(&run_metrics);
+    let mut merge_begin_ns = None;
+    // Folds the next run in run order.
+    let mut merge = |(outcome, run_metrics, stamp): RunSlot<T>| {
+        let ok = outcome.is_ok();
+        match outcome {
+            Ok(value) => {
+                metrics.merge(&run_metrics);
+                fold(stamp.index, value);
+            }
+            Err(error) => errors.push(error),
+        }
         if let Some(collector) = &trace {
+            let merged_ns = collector.now_ns();
+            merge_begin_ns.get_or_insert(merged_ns);
             lifecycles.push(RunLifecycle {
-                index: lifecycles.len(),
+                index: stamp.index,
                 seed: stamp.seed,
                 worker: stamp.worker,
                 queued_ns: sweep_begin_ns,
                 started_ns: stamp.started_ns,
                 finished_ns: stamp.finished_ns,
-                merged_ns: collector.now_ns(),
-                ok: outcome.is_ok(),
+                merged_ns,
+                ok,
             });
         }
-        outcomes.push(outcome);
+    };
+
+    if workers <= 1 {
+        for i in 0..n {
+            merge(run_one(i, 0));
+        }
+    } else {
+        // Runs started but not yet folded, at most.
+        let window = 4 * workers;
+        let next = AtomicUsize::new(0);
+        // Runs folded so far. It publishes no other data, so every access
+        // is `Relaxed`.
+        let folded = AtomicUsize::new(0);
+        let (next_ref, folded_ref, run_one_ref) = (&next, &folded, &run_one);
+        let (sender, finished) = mpsc::channel::<RunSlot<T>>();
+        crossbeam::thread::scope(|scope| {
+            for worker in 0..workers {
+                let sender = sender.clone();
+                scope.spawn(move |_| loop {
+                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    // Wait while run `i` is `window` or more past the fold:
+                    // only a run slower than the `window` after it makes a
+                    // worker wait.
+                    while i >= folded_ref.load(Ordering::Relaxed).saturating_add(window) {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                    }
+                    // A closed channel means the merge unwound: stop claiming.
+                    if sender.send(run_one_ref(i, worker)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(sender);
+            // Frees every waiting worker once the merge ends, also when it
+            // unwinds, so the scope can join them.
+            let _release = ReleaseOnDrop(folded_ref);
+            // `early[k]` holds run `merged + k` once it is in; the front is
+            // folded as soon as it arrives.
+            let mut early: VecDeque<Option<RunSlot<T>>> = VecDeque::new();
+            let mut merged = 0;
+            for slot in finished {
+                let offset = slot.2.index - merged;
+                if early.len() <= offset {
+                    early.resize_with(offset + 1, || None);
+                }
+                early[offset] = Some(slot);
+                while let Some(slot) = early.front_mut().and_then(Option::take) {
+                    early.pop_front();
+                    merge(slot);
+                    merged += 1;
+                }
+                folded_ref.store(merged, Ordering::Relaxed);
+            }
+            assert_eq!(merged, n, "run {merged} never ran");
+        })
+        .unwrap_or_else(|payload| resume_unwind(payload));
     }
+
     if let Some(collector) = &trace {
         let end_ns = collector.now_ns();
         collector.record_segment(SweepSegment {
@@ -320,24 +416,32 @@ where
             workers,
             begin_ns: sweep_begin_ns,
             end_ns,
-            merge_begin_ns,
+            merge_begin_ns: merge_begin_ns.unwrap_or(end_ns),
             merge_end_ns: end_ns,
             runs: lifecycles,
         });
     }
 
     let elapsed_s = started.elapsed().as_secs_f64();
-    let errors = outcomes.iter().filter(|o| o.is_err()).count();
     let stats = SweepStats {
         runs: n,
-        errors,
+        errors: errors.len(),
         workers,
         elapsed_s,
         runs_per_sec: if elapsed_s > 0.0 { n as f64 / elapsed_s } else { f64::INFINITY },
         metrics,
     };
     progress.finish(&stats);
-    SweepResult { outcomes, stats }
+    FoldedSweep { errors, stats }
+}
+
+/// Sets the fold count a waiting worker compares against past every run.
+struct ReleaseOnDrop<'a>(&'a AtomicUsize);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(usize::MAX, Ordering::Relaxed);
+    }
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -444,6 +548,105 @@ mod tests {
                 .expect_all("parallel");
             assert_eq!(par, serial, "workers={workers}");
         }
+    }
+
+    /// Every fourth run sleeps, so later runs finish first and wait in the
+    /// merge buffer; run 9 panics after writing to its registry. The float
+    /// sum and the last-write-wins gauge read the merge order.
+    fn uneven_job(i: usize, seed: u64, m: &mut Metrics) -> usize {
+        if i.is_multiple_of(4) {
+            std::thread::sleep(std::time::Duration::from_millis(4));
+        }
+        m.inc("runs.completed");
+        m.observe("run.index", i as f64 / 7.0);
+        m.set_gauge("run.seed_low_bits", (seed & 0xffff) as f64);
+        assert!(i != 9, "poisoned run");
+        i
+    }
+
+    /// `uneven_job`'s 24-run `SweepStats::metrics`, as the executor that
+    /// collected every run before merging serialized it on 1, 2 and 3
+    /// workers.
+    const UNEVEN_METRICS: &str = concat!(
+        r#"{"counters":{"runs.completed":23},"gauges":{"run.seed_low_bits":65393.0},"#,
+        r#""histograms":{"run.index":{"bounds":[1.0,2.0,5.0,10.0,20.0,50.0,100.0,200.0,500.0,1000.0],"#,
+        r#""counts":[8,6,9,0,0,0,0,0,0,0,0],"count":23,"sum":38.142857142857146,"#,
+        r#""min":0.0,"max":3.2857142857142856,"nonfinite":0}}}"#
+    );
+
+    #[test]
+    fn fold_sees_runs_in_order_whatever_their_lengths() {
+        let expected: Vec<usize> = (0..24).filter(|&i| i != 9).collect();
+        for workers in [1, 2, 3] {
+            let config = ExecutorConfig::with_workers(workers);
+            let mut seen = Vec::new();
+            let swept = run_sweep_fold("t", 24, &config, seeds, uneven_job, |i, value| {
+                assert_eq!(i, value);
+                seen.push(i);
+            });
+            assert_eq!(seen, expected, "workers={workers}");
+            assert_eq!(swept.stats.errors, 1);
+            assert_eq!(swept.errors.len(), 1);
+            assert_eq!((swept.errors[0].index, swept.errors[0].seed), (9, seeds(9)));
+            assert!(swept.errors[0].message.contains("poisoned run"));
+            let metrics = serde_json::to_string(&swept.stats.metrics).expect("serialize metrics");
+            assert_eq!(metrics, UNEVEN_METRICS, "workers={workers}");
+
+            // The collecting form slots the error back at its index.
+            let collected = run_sweep_observed("t", 24, &config, seeds, uneven_job);
+            for (i, outcome) in collected.outcomes.iter().enumerate() {
+                match outcome {
+                    Ok(value) => assert_eq!(*value, i),
+                    Err(error) => assert_eq!(error.index, 9),
+                }
+            }
+            let metrics = serde_json::to_string(&collected.stats.metrics).expect("serialize");
+            assert_eq!(metrics, UNEVEN_METRICS, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn no_run_starts_more_than_the_window_ahead_of_the_fold() {
+        for workers in [2, 3] {
+            let window = 4 * workers;
+            // The highest run index started so far.
+            let highest = AtomicUsize::new(0);
+            let mut folded = 0;
+            run_sweep_fold(
+                "t",
+                10 * window,
+                &ExecutorConfig::with_workers(workers),
+                seeds,
+                |i, _seed, _m| {
+                    highest.fetch_max(i, Ordering::SeqCst);
+                    if i % window == 0 {
+                        // Time for the other workers to reach the window;
+                        // the fold's check holds for any timing.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                },
+                |i, ()| {
+                    let started = highest.load(Ordering::SeqCst);
+                    assert!(started < i + window, "run {started} started before run {i} folded");
+                    folded += 1;
+                },
+            )
+            .expect_all("window");
+            assert_eq!(folded, 10 * window);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the fold refused run 5")]
+    fn a_panicking_fold_unwinds_with_its_own_message() {
+        let _ = run_sweep_fold(
+            "t",
+            16,
+            &ExecutorConfig::with_workers(2),
+            seeds,
+            |i, _seed, _m| i,
+            |i, _| assert!(i != 5, "the fold refused run {i}"),
+        );
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub struct RunLifecycle {
     pub started_ns: u64,
     /// When the run's job returned (or panicked).
     pub finished_ns: u64,
-    /// When the run-order merge consumed the run's slot.
+    /// When the run-order merge consumed the run's slot: as soon as every
+    /// earlier run was in, so `merged_ns − finished_ns` is the wait for a
+    /// slower predecessor.
     pub merged_ns: u64,
     /// Whether the run completed without panicking.
     pub ok: bool,
@@ -66,9 +68,10 @@ pub struct SweepSegment {
     pub begin_ns: u64,
     /// Sweep end, after the merge.
     pub end_ns: u64,
-    /// Start of the run-order merge phase.
+    /// The first fold of the run-order merge, which then runs alongside
+    /// the workers.
     pub merge_begin_ns: u64,
-    /// End of the run-order merge phase.
+    /// End of the run-order merge.
     pub merge_end_ns: u64,
     /// Per-run lifecycles, in run order.
     pub runs: Vec<RunLifecycle>,

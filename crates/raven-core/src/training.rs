@@ -5,13 +5,13 @@
 
 use std::sync::Arc;
 
-use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation, ThresholdLearner};
+use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation, ThresholdTails};
 use raven_dynamics::plant::PlantPrefix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
-use crate::campaign::executor::{run_sweep, ExecutorConfig};
+use crate::campaign::executor::{run_sweep_fold, ExecutorConfig};
 use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
 
 /// Configuration of a training campaign.
@@ -74,8 +74,11 @@ pub fn train_thresholds(config: &TrainingConfig) -> TrainingReport {
 /// [`train_thresholds`] with explicit executor control.
 ///
 /// Each run owns its simulation and returns its run-local
-/// [`ThresholdLearner`]; the master learner merges them **in run order**,
-/// so the learned thresholds are bit-identical for any worker count.
+/// [`ThresholdLearner`](raven_detect::ThresholdLearner); the calling
+/// thread folds each one into [`ThresholdTails`] as it finishes and drops
+/// it. The tails keep only the top values the percentile band reads, so
+/// the learned thresholds are bit-identical to learning over every sample
+/// of every run, for any worker count.
 ///
 /// # Panics
 ///
@@ -95,12 +98,16 @@ pub(crate) fn train_thresholds_on(
     prefix: &Arc<PlantPrefix>,
 ) -> TrainingReport {
     assert!(config.runs > 0, "training needs at least one run");
-    let learners = run_sweep(
+    // A run steps `session_ms` cycles and assesses at most one command in
+    // each.
+    let max_samples = config.runs as usize * config.session_ms as usize;
+    let mut tails = ThresholdTails::new(config.percentile_band, max_samples);
+    run_sweep_fold(
         "training",
         config.runs as usize,
         exec,
         |run| derive_seed(config.seed, streams::TRAIN.at(&run.to_string())),
-        |run, seed| {
+        |run, seed, _metrics| {
             let workload = Workload::training_pair()[run % 2];
             let sim_config = SimConfig {
                 seed,
@@ -127,17 +134,18 @@ pub(crate) fn train_thresholds_on(
             );
             let det = sim.detector_mut().expect("training sim must have a detector");
             det.end_learning_run();
-            det.learner().clone()
+            det.take_learner()
         },
+        |_, learner| tails.fold(&learner),
     )
     .expect_all("threshold training");
-    let mut master = ThresholdLearner::new();
-    for learner in &learners {
-        master.merge(learner);
-    }
-    let (lo, hi) = config.percentile_band;
-    let thresholds = master.learn(lo, hi).expect("training produced no samples");
-    TrainingReport { thresholds, samples: master.samples(), runs: config.runs }
+    assert!(
+        tails.samples() <= max_samples as u64,
+        "{} training samples exceed the {max_samples} the tails were sized for",
+        tails.samples()
+    );
+    let thresholds = tails.learn().expect("training produced no samples");
+    TrainingReport { thresholds, samples: tails.samples(), runs: config.runs }
 }
 
 #[cfg(test)]

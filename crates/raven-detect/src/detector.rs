@@ -227,9 +227,10 @@ impl DynamicDetector {
         self.core.lane_thresholds(0)
     }
 
-    /// The threshold learner (for inspection and the 600-run protocol).
-    pub fn learner(&self) -> &ThresholdLearner {
-        &self.learner
+    /// Takes the threshold learner, leaving an empty one: a training run
+    /// hands its samples to the campaign's fold without copying them.
+    pub fn take_learner(&mut self) -> ThresholdLearner {
+        std::mem::take(&mut self.learner)
     }
 
     /// The real-time model the assessment path is configured from. The

@@ -50,4 +50,4 @@ pub use detector::{
 };
 pub use features::InstantFeatures;
 pub use mutants::DetectorMutation;
-pub use thresholds::{DetectionThresholds, ThresholdLearner};
+pub use thresholds::{DetectionThresholds, ThresholdLearner, ThresholdTails};

@@ -6,10 +6,12 @@
 //! chose values between the 99.8–99.9th percentiles of instant velocity as
 //! the threshold for each variable" (paper §IV.C). [`ThresholdLearner`]
 //! accumulates the nine per-axis feature magnitudes over fault-free cycles
-//! and emits [`DetectionThresholds`].
+//! and emits [`DetectionThresholds`]; a training campaign folds each run's
+//! learner into [`ThresholdTails`], which keeps only the top values the
+//! thresholds read.
 
 use raven_kinematics::NUM_AXES;
-use raven_math::stats::PercentileEstimator;
+use raven_math::stats::{PercentileEstimator, TopTail};
 use serde::{Deserialize, Serialize};
 
 use crate::features::InstantFeatures;
@@ -128,31 +130,85 @@ impl ThresholdLearner {
     ///
     /// Returns `None` when no samples were observed.
     pub fn learn(&self, p_lo: f64, p_hi: f64) -> Option<DetectionThresholds> {
-        let mut values = [0.0; 3 * NUM_AXES];
-        for (i, est) in self.estimators.iter().enumerate() {
-            values[i] = est.percentile_band(p_lo, p_hi)?;
-        }
-        Some(DetectionThresholds {
-            motor_accel: [values[0], values[1], values[2]],
-            motor_vel: [values[3], values[4], values[5]],
-            joint_vel: [values[6], values[7], values[8]],
-        })
+        thresholds_from(|i| self.estimators[i].percentile_band(p_lo, p_hi))
     }
 
     /// Learns at the paper's default band (99.8–99.9th percentile).
     pub fn learn_default(&self) -> Option<DetectionThresholds> {
         self.learn(99.8, 99.9)
     }
+}
 
-    /// Merges another learner's samples and run counts into this one —
-    /// used to aggregate the paper's 600-run training protocol across
-    /// per-run detector instances.
-    pub fn merge(&mut self, other: &ThresholdLearner) {
-        for (mine, theirs) in self.estimators.iter_mut().zip(&other.estimators) {
-            mine.merge(theirs);
+/// The nine thresholds, feature `i` (in [`InstantFeatures::flattened`]
+/// order) learned as `learn(i)`; `None` when any is.
+fn thresholds_from(learn: impl Fn(usize) -> Option<f64>) -> Option<DetectionThresholds> {
+    let mut values = [0.0; 3 * NUM_AXES];
+    for (i, value) in values.iter_mut().enumerate() {
+        *value = learn(i)?;
+    }
+    Some(DetectionThresholds {
+        motor_accel: [values[0], values[1], values[2]],
+        motor_vel: [values[3], values[4], values[5]],
+        joint_vel: [values[6], values[7], values[8]],
+    })
+}
+
+/// A training campaign's fold of its per-run [`ThresholdLearner`]s: one
+/// [`TopTail`] per feature, sized so the band's lower percentile over at
+/// most `max_samples` cycles reads only kept values.
+///
+/// The thresholds equal, bit for bit, those of one learner that observed
+/// every run's cycles, in any fold order: a tail holds exactly the top of
+/// its feature's samples, and a percentile reads only ranks inside it.
+/// (A tail ranks `-0.0` below `+0.0`; the features are magnitudes, so no
+/// sample is `-0.0`.)
+/// The paper's 600 runs of up to 2 000 cycles keep about 2 400 values per
+/// feature instead of 1.2 million.
+#[derive(Debug, Clone)]
+pub struct ThresholdTails {
+    tails: [TopTail; 3 * NUM_AXES],
+    band: (f64, f64),
+    samples: u64,
+}
+
+impl ThresholdTails {
+    /// Empty tails that will learn at `band`, as
+    /// [`ThresholdLearner::learn`] does, from at most `max_samples` cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_samples` is zero or the band leaves `[0, 100]`.
+    pub fn new(band: (f64, f64), max_samples: usize) -> Self {
+        let p_min = band.0.min(band.1);
+        ThresholdTails {
+            tails: std::array::from_fn(|_| TopTail::new(p_min, max_samples)),
+            band,
+            samples: 0,
         }
-        self.samples += other.samples;
-        self.runs += other.runs;
+    }
+
+    /// Folds one run's learner in.
+    pub fn fold(&mut self, run: &ThresholdLearner) {
+        for (tail, est) in self.tails.iter_mut().zip(&run.estimators) {
+            tail.extend(est.samples().iter().copied());
+        }
+        self.samples += run.samples;
+    }
+
+    /// Cycles folded in.
+    pub fn samples(&self) -> u64 {
+        self.samples
+    }
+
+    /// Learns thresholds at the band; `None` when no samples were folded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `max_samples` cycles were folded in: the tails
+    /// may then lack ranks the band reads.
+    pub fn learn(&self) -> Option<DetectionThresholds> {
+        let (p_lo, p_hi) = self.band;
+        thresholds_from(|i| self.tails[i].percentile_band(p_lo, p_hi))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the detection stack.
 
 use proptest::prelude::*;
-use raven_detect::{DetectionThresholds, InstantFeatures, ThresholdLearner};
+use raven_detect::{DetectionThresholds, InstantFeatures, ThresholdLearner, ThresholdTails};
 
 fn features() -> impl Strategy<Value = InstantFeatures> {
     (
@@ -101,7 +101,7 @@ proptest! {
     }
 
     #[test]
-    fn merged_learner_equals_sequential(
+    fn folded_tails_equal_one_sequential_learner(
         a in prop::collection::vec(features(), 4..32),
         b in prop::collection::vec(features(), 4..32),
     ) {
@@ -109,22 +109,16 @@ proptest! {
         for s in a.iter().chain(&b) {
             combined.observe(s);
         }
-        let mut la = ThresholdLearner::new();
-        for s in &a {
-            la.observe(s);
+        let mut tails = ThresholdTails::new((99.8, 99.9), a.len() + b.len());
+        for run in [&b, &a] {
+            let mut learner = ThresholdLearner::new();
+            for s in run {
+                learner.observe(s);
+            }
+            tails.fold(&learner);
         }
-        let mut lb = ThresholdLearner::new();
-        for s in &b {
-            lb.observe(s);
-        }
-        la.merge(&lb);
-        prop_assert_eq!(la.samples(), combined.samples());
-        let t1 = la.learn_default().unwrap();
-        let t2 = combined.learn_default().unwrap();
-        for i in 0..3 {
-            prop_assert!((t1.motor_accel[i] - t2.motor_accel[i]).abs() < 1e-9);
-            prop_assert!((t1.joint_vel[i] - t2.joint_vel[i]).abs() < 1e-9);
-        }
+        prop_assert_eq!(tails.samples(), combined.samples());
+        prop_assert_eq!(tails.learn(), combined.learn_default());
     }
 }
 

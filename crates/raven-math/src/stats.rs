@@ -5,6 +5,8 @@
 //! * [`percentile`] / [`PercentileEstimator`] — high-percentile threshold
 //!   learning for the anomaly detector (§IV.C: thresholds are the
 //!   99.8–99.9th percentile of instant velocities over 600 fault-free runs);
+//! * [`TopTail`] — the same percentiles from only the top values of a
+//!   stream, so training over many runs keeps `O(T)` values, not every one;
 //! * [`ConfusionMatrix`] — ACC/TPR/FPR/precision/F1, the metrics of Table IV.
 
 use serde::{Deserialize, Serialize};
@@ -181,19 +183,24 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
 /// Panics if `sorted` is empty.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty sample set");
-    let n = sorted.len();
+    interpolate(sorted.len(), p, |rank| sorted[rank])
+}
+
+/// [`percentile_sorted`]'s interpolation over `n ≥ 1` ascending samples,
+/// reading the value of rank `r` (0 = smallest) as `at(r)`.
+fn interpolate(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
     if n == 1 {
-        return sorted[0];
+        return at(0);
     }
     let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi.min(n - 1)] - sorted[lo]) * frac
+    at(lo) + (at(hi.min(n - 1)) - at(lo)) * frac
 }
 
-/// Accumulates samples and answers percentile queries; used by the threshold
-/// learner over fault-free runs.
+/// Accumulates samples and answers percentile queries; a detector's
+/// per-session threshold learner keeps one per feature.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PercentileEstimator {
     samples: Vec<f64>,
@@ -238,10 +245,117 @@ impl PercentileEstimator {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+}
 
-    /// Merges another estimator's samples into this one.
-    pub fn merge(&mut self, other: &PercentileEstimator) {
-        self.samples.extend_from_slice(&other.samples);
+/// The largest values of a sample stream: exactly the ones every
+/// percentile at or above `p_min` reads, for a stream of at most `max_len`
+/// samples.
+///
+/// The `p`-th percentile of `n` samples reads ranks `⌊p/100·(n−1)⌋` and
+/// up, so it needs the top `T(n) = n − ⌊p/100·(n−1)⌋` values. `T` never
+/// decreases as `n` grows (the floor rises by at most one per sample), so
+/// the top `T(max_len)` cover `p_min` — and any `p ≥ p_min` — at every
+/// `n ≤ max_len`. A tail keeps at least those values and drops the rest as
+/// they arrive; memory is `O(T)`, not `O(n)`. The kept values sit at
+/// their ranks of the whole stream, so a band read from the tail is
+/// [`PercentileEstimator::percentile_band`] of the whole stream, bit for
+/// bit — except that the tail ranks `-0.0` below `+0.0`, where the
+/// estimator keeps their arrival order.
+///
+/// # Example
+///
+/// ```
+/// use raven_math::stats::{PercentileEstimator, TopTail};
+///
+/// let stream: Vec<f64> = (0..1000).map(|i| f64::from((i * 7919) % 1009)).collect();
+/// let mut tail = TopTail::new(99.0, stream.len());
+/// tail.extend(stream.iter().copied());
+/// let all: PercentileEstimator = stream.iter().copied().collect();
+/// assert_eq!(tail.percentile_band(99.0, 99.5), all.percentile_band(99.0, 99.5));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopTail {
+    /// The largest values seen, in no order: at least the top `capacity`
+    /// (all of them while fewer have arrived), at most twice that.
+    kept: Vec<f64>,
+    /// `T(max_len)`.
+    capacity: usize,
+    /// The smallest kept value after the last trim: a later value at or
+    /// below it cannot enter the top `capacity`.
+    floor: f64,
+    /// Finite samples accepted: the `n` the percentile ranks count.
+    len: usize,
+}
+
+impl TopTail {
+    /// A tail for percentiles at or above `p_min` of at most `max_len`
+    /// samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_len` is zero or `p_min ∉ [0, 100]`.
+    pub fn new(p_min: f64, max_len: usize) -> Self {
+        assert!(max_len > 0, "a tail needs room for one sample");
+        assert!((0.0..=100.0).contains(&p_min), "percentile {p_min} outside [0, 100]");
+        // The lowest rank `p_min` reads at `max_len` samples, as in `interpolate`.
+        let capacity = max_len - (p_min / 100.0 * (max_len - 1) as f64).floor() as usize;
+        TopTail { kept: Vec::new(), capacity, floor: f64::NEG_INFINITY, len: 0 }
+    }
+
+    /// Adds one sample. Non-finite samples are ignored, as by
+    /// [`PercentileEstimator::push`].
+    pub fn push(&mut self, x: f64) {
+        if !x.is_finite() {
+            return;
+        }
+        self.len += 1;
+        if x <= self.floor {
+            return;
+        }
+        self.kept.push(x);
+        if self.kept.len() == 2 * self.capacity {
+            // Keep the top `capacity`, largest first.
+            let last = self.capacity - 1;
+            self.kept.select_nth_unstable_by(last, |a, b| b.total_cmp(a));
+            self.kept.truncate(self.capacity);
+            self.floor = self.kept[last];
+        }
+    }
+
+    /// Midpoint of the band `[p_lo, p_hi]` of every accepted sample, as
+    /// [`PercentileEstimator::percentile_band`] computes it; `None` when
+    /// empty or either end leaves `[0, 100]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the band reads below the kept values: an end is under
+    /// the tail's `p_min`, or more than `max_len` samples arrived.
+    pub fn percentile_band(&self, p_lo: f64, p_hi: f64) -> Option<f64> {
+        let valid = |p: f64| (0.0..=100.0).contains(&p);
+        if self.len == 0 || !valid(p_lo) || !valid(p_hi) {
+            return None;
+        }
+        let mut top = self.kept.clone();
+        top.sort_unstable_by(f64::total_cmp);
+        let offset = self.len - top.len();
+        let at = |rank: usize| {
+            assert!(
+                rank >= offset,
+                "percentile reads rank {rank} of {}, but only the top {} values are kept",
+                self.len,
+                top.len()
+            );
+            top[rank - offset]
+        };
+        Some(0.5 * (interpolate(self.len, p_lo, at) + interpolate(self.len, p_hi, at)))
+    }
+}
+
+impl Extend<f64> for TopTail {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
+        for x in iter {
+            self.push(x);
+        }
     }
 }
 
@@ -471,6 +585,55 @@ mod tests {
             assert!(v >= last, "percentile not monotone at p={p}");
             last = v;
         }
+    }
+
+    #[test]
+    fn top_tail_matches_the_whole_stream() {
+        let stream: Vec<f64> = (0..5_000).map(|i| f64::from((i * 7919) % 503)).collect();
+        for (p_min, max_len) in [(99.8, 5_000), (95.0, 5_000), (99.8, 20_000), (0.0, 5_000)] {
+            let mut tail = TopTail::new(p_min, max_len);
+            for (n, &x) in stream.iter().enumerate() {
+                tail.push(x);
+                assert_eq!(tail.len, n + 1);
+                assert!(tail.kept.len() < 2 * tail.capacity);
+            }
+            for p in [p_min, 0.5 * (p_min + 100.0), 100.0] {
+                let want = percentile(&stream, p).unwrap();
+                assert_eq!(tail.percentile_band(p, p).unwrap().to_bits(), want.to_bits(), "p={p}");
+            }
+            let band = PercentileEstimator::from_iter(stream.iter().copied())
+                .percentile_band(p_min, 100.0)
+                .unwrap();
+            assert_eq!(tail.percentile_band(p_min, 100.0).unwrap().to_bits(), band.to_bits());
+        }
+    }
+
+    #[test]
+    fn top_tail_capacity_is_the_top_ranks_of_max_len() {
+        // 5 000 − ⌊0.998 · 4 999⌋ = 5 000 − 4 989.
+        assert_eq!(TopTail::new(99.8, 5_000).capacity, 11);
+        assert_eq!(TopTail::new(100.0, 5_000).capacity, 1);
+        assert_eq!(TopTail::new(0.0, 5_000).capacity, 5_000);
+        assert_eq!(TopTail::new(50.0, 1).capacity, 1);
+    }
+
+    #[test]
+    fn top_tail_edges() {
+        let mut tail = TopTail::new(99.0, 10);
+        assert_eq!(tail.percentile_band(99.0, 99.0), None);
+        tail.extend([f64::NAN, 3.0, f64::INFINITY]);
+        assert_eq!(tail.len, 1);
+        assert_eq!(tail.percentile_band(99.0, 100.0), Some(3.0));
+        assert_eq!(tail.percentile_band(99.0, 101.0), None);
+        assert_eq!(tail.percentile_band(99.0, -1.0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "only the top")]
+    fn top_tail_refuses_a_rank_it_dropped() {
+        let mut tail = TopTail::new(99.0, 1_000);
+        tail.extend((0..1_000).map(f64::from));
+        let _ = tail.percentile_band(50.0, 99.0);
     }
 
     #[test]

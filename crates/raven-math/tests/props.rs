@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use raven_math::angles::{shortest_delta, wrap_to_pi};
 use raven_math::ode::Method;
-use raven_math::stats::{percentile, ConfusionMatrix, RunningStats};
+use raven_math::stats::{percentile, ConfusionMatrix, PercentileEstimator, RunningStats, TopTail};
 use raven_math::{Mat3, Pose, Quat, Vec3};
 
 const PI: f64 = std::f64::consts::PI;
@@ -22,7 +22,35 @@ fn unit_quat() -> impl Strategy<Value = Quat> {
         .prop_map(|(axis, angle)| Quat::from_axis_angle(axis, angle).unwrap())
 }
 
+/// Quarter steps in [-25, 25): many duplicates, no `-0.0`.
+fn tied_samples() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((-100i32..100).prop_map(|k| f64::from(k) / 4.0), 1..160)
+}
+
 proptest! {
+    #[test]
+    fn top_tail_band_matches_the_estimator(
+        xs in tied_samples(),
+        p_a in 0.0f64..100.0,
+        p_b in 0.0f64..100.0,
+        spare in 0usize..50,
+    ) {
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        let (lo, hi) = (p_a.min(p_b), p_a.max(p_b));
+        for samples in [&xs[..1], &xs[..xs.len().min(2)], &xs[..]] {
+            let estimator: PercentileEstimator = samples.iter().copied().collect();
+            // A tail sized for more samples than arrive still covers them.
+            let mut tail = TopTail::new(lo, samples.len() + spare);
+            tail.extend(samples.iter().copied());
+            for (x, y) in [(lo, hi), (hi, lo), (lo, lo), (hi, 100.0), (100.0, 100.0)] {
+                prop_assert_eq!(bits(tail.percentile_band(x, y)), bits(estimator.percentile_band(x, y)));
+            }
+            let mut whole = TopTail::new(0.0, samples.len());
+            whole.extend(samples.iter().copied());
+            prop_assert_eq!(bits(whole.percentile_band(0.0, 100.0)), bits(estimator.percentile_band(0.0, 100.0)));
+        }
+    }
+
     #[test]
     fn cross_product_orthogonality(a in vec3(100.0), b in vec3(100.0)) {
         let c = a.cross(b);

@@ -256,19 +256,22 @@ impl SpanHandle {
     }
 
     /// Advances the recorder's virtual clock (no-op when disabled).
+    ///
+    /// Inlined so a disabled handle costs its callers one branch; the
+    /// recording path stays out of line, as in [`begin`](Self::begin) and
+    /// [`SpanGuard`]'s `drop`.
+    #[inline]
     pub fn set_time(&self, vt: SimTime) {
         if let Some(rec) = &self.inner {
-            rec.lock().set_time(vt);
+            set_time_recording(rec, vt);
         }
     }
 
     /// Opens a span; the returned guard closes it on drop.
+    #[inline]
     pub fn begin(&self, name: &'static str) -> SpanGuard {
         match &self.inner {
-            Some(rec) => {
-                let index = rec.lock().begin(name);
-                SpanGuard { rec: index.map(|i| (Arc::clone(rec), i)) }
-            }
+            Some(rec) => begin_recording(rec, name),
             None => SpanGuard { rec: None },
         }
     }
@@ -385,11 +388,28 @@ impl SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         if let Some((rec, index)) = self.rec.take() {
-            rec.lock().close(index);
+            close_recording(rec, index);
         }
     }
+}
+
+#[inline(never)]
+fn set_time_recording(rec: &Mutex<SpanRecorder>, vt: SimTime) {
+    rec.lock().set_time(vt);
+}
+
+#[inline(never)]
+fn begin_recording(rec: &Arc<Mutex<SpanRecorder>>, name: &'static str) -> SpanGuard {
+    let index = rec.lock().begin(name);
+    SpanGuard { rec: index.map(|i| (Arc::clone(rec), i)) }
+}
+
+#[inline(never)]
+fn close_recording(rec: Arc<Mutex<SpanRecorder>>, index: usize) {
+    rec.lock().close(index);
 }
 
 /// Incremental builder for Chrome Trace Event Format JSON

@@ -383,6 +383,7 @@ fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
         ("crates/raven-core/src/experiments/ablations.rs", "clippy::disallowed_methods"),
         ("crates/raven-core/src/experiments/fig8.rs", "clippy::disallowed_methods"),
         ("crates/raven-core/src/experiments/table2.rs", "clippy::disallowed_methods"),
+        ("crates/raven-detect/tests/tail_memory.rs", "unsafe_code"),
         ("crates/raven-dynamics/src/estimator.rs", "clippy::expect_used"),
         ("crates/raven-dynamics/src/plant/prefix.rs", "clippy::disallowed_types"),
         ("crates/raven-kinematics/src/coupling.rs", "clippy::expect_used"),
