@@ -6,30 +6,33 @@
 //! ```
 
 use raven_core::experiments::{
-    run_bitw_study, run_fusion_ablation, run_hardened_board, run_lookahead_ablation,
-    run_mitigation_ablation, run_network_study,
+    run_bitw_study_with, run_fusion_ablation_with, run_hardened_board_with,
+    run_lookahead_ablation_with, run_mitigation_ablation_with, run_network_study,
 };
+use raven_core::ExecutorConfig;
 
 fn main() {
     let (fusion_runs, mitigation_runs) = if bench::quick_mode() { (12, 6) } else { (80, 20) };
+    let exec = ExecutorConfig::default();
 
-    let fusion = run_fusion_ablation(41, fusion_runs);
+    let fusion = run_fusion_ablation_with(41, fusion_runs, &exec);
     print!("{}", fusion.render());
     bench::save_json("ablation_fusion", &fusion);
 
-    let mitigation = run_mitigation_ablation(43, mitigation_runs);
+    let mitigation = run_mitigation_ablation_with(43, mitigation_runs, &exec);
     print!("\n{}", mitigation.render());
     bench::save_json("ablation_mitigation", &mitigation);
 
-    let hardened = run_hardened_board(45);
+    let hardened = run_hardened_board_with(45, &exec);
     print!("\n{}", hardened.render());
     bench::save_json("ablation_hardened_board", &hardened);
 
-    let bitw = run_bitw_study(47);
+    let bitw = run_bitw_study_with(47, &exec);
     print!("\n{}", bitw.render());
     bench::save_json("ablation_bitw", &bitw);
 
-    let lookahead = run_lookahead_ablation(49, if bench::quick_mode() { 9 } else { 30 });
+    let lookahead =
+        run_lookahead_ablation_with(49, if bench::quick_mode() { 9 } else { 30 }, &exec);
     print!("\n{}", lookahead.render());
     bench::save_json("ablation_lookahead", &lookahead);
 

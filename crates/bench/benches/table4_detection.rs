@@ -14,6 +14,7 @@
 
 use raven_core::experiments::{run_table4, Table4Config};
 use raven_core::training::TrainingConfig;
+use raven_core::{plant_prefix, run_spec, SessionSpec, SimConfig, Simulation};
 
 fn main() {
     let started = std::time::Instant::now();
@@ -66,10 +67,9 @@ fn main() {
     // Stage-timing sidecar: one representative full session, traced.
     // Wall-clock output, so it goes through save_profile_stats (gitignored),
     // never into the deterministic table4_detection.json record above.
-    let mut sim = raven_core::Simulation::new(raven_core::SimConfig::standard(9));
-    sim.enable_span_recorder();
-    sim.boot();
-    let _ = sim.run_session();
+    let spec = SessionSpec::new(SimConfig::standard(9));
+    let sim =
+        run_spec(&spec, &plant_prefix(), Simulation::enable_span_recorder).expect_booted().sim;
     sim.spans().finish();
     assert_eq!(sim.spans().dropped(), 0, "span cap hit: the profile would be partial");
     bench::save_profile_stats("table4_detection", &sim.spans().stage_stats());

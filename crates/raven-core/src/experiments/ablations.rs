@@ -12,10 +12,13 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "wall-clock here only feeds the stderr progress line; ablation results are virtual-time-derived"
+    reason = "the wall clock feeds only BitwStudy::crypto_overhead_us, the measured per-packet crypto cost in the sealed results/ablation_bitw.json; every other field is virtual-time-derived"
 )]
 
-use raven_detect::{DetectorConfig, DynamicDetector, FusionRule, Mitigation};
+use std::sync::Arc;
+
+use raven_detect::{DetectionThresholds, DynamicDetector, FusionRule, Mitigation};
+use raven_dynamics::plant::PlantPrefix;
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
@@ -23,8 +26,22 @@ use simbus::rng::derive_seed;
 
 use crate::campaign::executor::{run_sweep, ExecutorConfig};
 use crate::scenario::AttackSetup;
+use crate::session::{plant_prefix, run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
-use crate::training::{train_thresholds_with, TrainingConfig};
+use crate::training::{train_thresholds_on, TrainingConfig};
+
+use super::fig5::eavesdrop;
+
+/// The ablations' shared training: 24 fault-free runs of the reduced
+/// protocol, on the plant prefix the ablation's scored runs share.
+fn ablation_thresholds(
+    seed: u64,
+    exec: &ExecutorConfig,
+    prefix: &Arc<PlantPrefix>,
+) -> DetectionThresholds {
+    train_thresholds_on(&TrainingConfig { runs: 24, ..TrainingConfig::quick(seed) }, exec, prefix)
+        .thresholds
+}
 
 /// One fusion-rule row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -60,19 +77,13 @@ impl FusionAblation {
 
 /// Runs the fusion ablation: the same mixed attack/clean campaign under both
 /// fusion rules, reusing one set of learned thresholds.
-pub fn run_fusion_ablation(seed: u64, runs_per_rule: u32) -> FusionAblation {
-    run_fusion_ablation_with(seed, runs_per_rule, &ExecutorConfig::default())
-}
-
-/// [`run_fusion_ablation`] with explicit executor control.
 pub fn run_fusion_ablation_with(
     seed: u64,
     runs_per_rule: u32,
     exec: &ExecutorConfig,
 ) -> FusionAblation {
-    let thresholds =
-        train_thresholds_with(&TrainingConfig { runs: 24, ..TrainingConfig::quick(seed) }, exec)
-            .thresholds;
+    let prefix = plant_prefix();
+    let thresholds = ablation_thresholds(seed, exec, &prefix);
     let mut rows = Vec::new();
     for (label, fusion) in [("all-three", FusionRule::AllThree), ("any-one", FusionRule::AnyOne)] {
         let records = run_sweep(
@@ -93,23 +104,16 @@ pub fn run_fusion_ablation_with(
                         duration_packets: [8, 32, 128, 512][(run % 4) as usize],
                     }
                 };
-                let mut sim = Simulation::new(SimConfig {
+                let mut detector = DetectorSetup::new(Mitigation::Observe, Some(thresholds));
+                detector.config.fusion = fusion;
+                let spec = SessionSpec::new(SimConfig {
                     workload: Workload::training_pair()[(run % 2) as usize],
                     session_ms: 2_200,
-                    detector: Some(DetectorSetup {
-                        config: DetectorConfig {
-                            mitigation: Mitigation::Observe,
-                            fusion,
-                            ..DetectorConfig::default()
-                        },
-                        model_perturbation: 0.02,
-                        thresholds: Some(thresholds),
-                    }),
+                    detector: Some(detector),
                     ..SimConfig::standard(run_seed)
-                });
-                sim.install_attack(&attack);
-                sim.boot();
-                let out = sim.run_session();
+                })
+                .with_attack(attack);
+                let out = run_spec(&spec, &prefix, |_| {}).expect_booted().outcome;
                 (attack.is_attack(), out.model_detected)
             },
         )
@@ -172,19 +176,13 @@ impl MitigationAblation {
 }
 
 /// Runs the mitigation ablation: identical attacks under the three policies.
-pub fn run_mitigation_ablation(seed: u64, runs_per_policy: u32) -> MitigationAblation {
-    run_mitigation_ablation_with(seed, runs_per_policy, &ExecutorConfig::default())
-}
-
-/// [`run_mitigation_ablation`] with explicit executor control.
 pub fn run_mitigation_ablation_with(
     seed: u64,
     runs_per_policy: u32,
     exec: &ExecutorConfig,
 ) -> MitigationAblation {
-    let thresholds =
-        train_thresholds_with(&TrainingConfig { runs: 24, ..TrainingConfig::quick(seed) }, exec)
-            .thresholds;
+    let prefix = plant_prefix();
+    let thresholds = ablation_thresholds(seed, exec, &prefix);
     let mut rows = Vec::new();
     for (label, mitigation) in [
         ("observe", Mitigation::Observe),
@@ -198,24 +196,19 @@ pub fn run_mitigation_ablation_with(
             |i| derive_seed(seed, streams::MITIGATION.at(&i.to_string())), // same per policy
             |i, run_seed| {
                 let run = i as u32;
-                let mut sim = Simulation::new(SimConfig {
+                let spec = SessionSpec::new(SimConfig {
                     workload: Workload::Circle,
                     session_ms: 2_500,
-                    detector: Some(DetectorSetup {
-                        config: DetectorConfig { mitigation, ..DetectorConfig::default() },
-                        model_perturbation: 0.02,
-                        thresholds: Some(thresholds),
-                    }),
+                    detector: Some(DetectorSetup::new(mitigation, Some(thresholds))),
                     ..SimConfig::standard(run_seed)
-                });
-                sim.install_attack(&AttackSetup::ScenarioB {
+                })
+                .with_attack(AttackSetup::ScenarioB {
                     dac_delta: 28_000,
                     channel: (run % 3) as usize,
                     delay_packets: 300 + u64::from(run) * 41,
                     duration_packets: 256,
                 });
-                sim.boot();
-                let out = sim.run_session();
+                let out = run_spec(&spec, &prefix, |_| {}).expect_booted().outcome;
                 (out.max_ee_step_2ms, out.adverse, out.final_state == "Pedal Down")
             },
         )
@@ -268,50 +261,44 @@ impl HardenedBoardResult {
     }
 }
 
-/// A 3 s session on the checksum-verifying board: the stock simulation
-/// with only its board swapped, so the plant boots from the same stowed
-/// pose and the rig keeps its span handle.
-fn hardened_board_sim(run_seed: u64) -> Simulation {
-    let mut sim = Simulation::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(run_seed) });
+/// The pre-boot hook of a session on the checksum-verifying board: only
+/// the board is swapped, so the plant boots from the same stowed pose and
+/// the rig keeps its span handle.
+fn harden(sim: &mut Simulation) {
     sim.rig_mut().board = raven_hw::UsbBoard::hardened();
-    sim
 }
 
-/// Runs the hardened-board counterfactual with the default executor.
-pub fn run_hardened_board(seed: u64) -> HardenedBoardResult {
-    run_hardened_board_with(seed, &ExecutorConfig::default())
-}
-
-/// [`run_hardened_board`] with explicit executor control: the two
-/// counterfactual sessions (scenario B, then scenario A, both against the
+/// Runs the hardened-board counterfactual: the two counterfactual sessions (scenario B, then scenario A, both against the
 /// checksum-verifying board) fan out as one sweep; seeds match the original
 /// serial protocol, so the result is identical for any worker count.
 pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> HardenedBoardResult {
     let labels = [streams::HARDENED_B, streams::HARDENED_A];
+    let prefix = plant_prefix();
     let outcomes = run_sweep(
         "ablation-hardened",
         labels.len(),
         exec,
         |i| derive_seed(seed, labels[i]),
         |i, run_seed| {
-            let mut sim = hardened_board_sim(run_seed);
-            if i == 0 {
-                sim.install_attack(&AttackSetup::ScenarioB {
+            let attack = if i == 0 {
+                AttackSetup::ScenarioB {
                     dac_delta: 30_000,
                     channel: 0,
                     delay_packets: 300,
                     duration_packets: 256,
-                });
+                }
             } else {
-                sim.install_attack(&AttackSetup::ScenarioA {
+                AttackSetup::ScenarioA {
                     magnitude: 4.0e-3,
                     delay_packets: 300,
                     duration_packets: 512,
-                });
-            }
-            sim.boot();
-            let out = sim.run_session();
-            (sim.rig_mut().board.integrity_rejects(), out)
+                }
+            };
+            let spec =
+                SessionSpec::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(run_seed) })
+                    .with_attack(attack);
+            let run = run_spec(&spec, &prefix, harden).expect_booted();
+            (run.sim.rig().board.integrity_rejects(), run.outcome)
         },
     )
     .expect_all("hardened-board ablation");
@@ -367,19 +354,13 @@ impl LookaheadAblation {
 }
 
 /// Runs the lookahead ablation: the same campaign with horizons 1–8.
-pub fn run_lookahead_ablation(seed: u64, runs_per_horizon: u32) -> LookaheadAblation {
-    run_lookahead_ablation_with(seed, runs_per_horizon, &ExecutorConfig::default())
-}
-
-/// [`run_lookahead_ablation`] with explicit executor control.
 pub fn run_lookahead_ablation_with(
     seed: u64,
     runs_per_horizon: u32,
     exec: &ExecutorConfig,
 ) -> LookaheadAblation {
-    let thresholds =
-        train_thresholds_with(&TrainingConfig { runs: 24, ..TrainingConfig::quick(seed) }, exec)
-            .thresholds;
+    let prefix = plant_prefix();
+    let thresholds = ablation_thresholds(seed, exec, &prefix);
     let mut rows = Vec::new();
     for horizon in [1u32, 2, 4, 8] {
         let records = run_sweep(
@@ -401,25 +382,20 @@ pub fn run_lookahead_ablation_with(
                         duration_packets: 512,
                     }
                 };
-                let mut sim = Simulation::new(SimConfig {
+                let mut detector = DetectorSetup::new(Mitigation::Observe, Some(thresholds));
+                detector.config.lookahead_steps = horizon;
+                let spec = SessionSpec::new(SimConfig {
                     workload: Workload::training_pair()[(run % 2) as usize],
                     session_ms: 2_500,
-                    detector: Some(DetectorSetup {
-                        config: DetectorConfig {
-                            mitigation: Mitigation::Observe,
-                            lookahead_steps: horizon,
-                            ..DetectorConfig::default()
-                        },
-                        model_perturbation: 0.02,
-                        thresholds: Some(thresholds),
-                    }),
+                    detector: Some(detector),
                     ..SimConfig::standard(run_seed)
-                });
-                sim.install_attack(&attack);
-                sim.boot();
-                let out = sim.run_session();
+                })
+                .with_attack(attack);
+                let run = run_spec(&spec, &prefix, |_| {}).expect_booted();
+                let out = &run.outcome;
                 let latency = if attack.is_attack() && out.model_detected {
-                    sim.detector()
+                    run.sim
+                        .detector()
                         .and_then(DynamicDetector::first_alarm_assessment)
                         // Assessments count Pedal-Down packets; injection
                         // starts after `delay` of them.
@@ -510,13 +486,7 @@ impl BitwStudy {
 
 /// Runs the BITW study: for each placement, (1) eavesdrop a session and try
 /// the offline analysis, (2) deploy a Pedal-Down-triggered torque injection
-/// and measure the physical outcome.
-pub fn run_bitw_study(seed: u64) -> BitwStudy {
-    run_bitw_study_with(seed, &ExecutorConfig::default())
-}
-
-/// [`run_bitw_study`] with explicit executor control: the three placements
-/// run as one sweep (each placement's eavesdrop + attack phases stay
+/// and measure the physical outcome. The three placements run as one sweep (each placement's eavesdrop + attack phases stay
 /// serial inside its run). Per-placement seeds are unchanged from the
 /// original serial protocol, so rows are identical for any worker count.
 /// The crypto-overhead measurement is wall-clock and stays outside the
@@ -528,23 +498,22 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
         ("wire", Some(raven_hw::BitwPlacement::Wire)),
         ("host", Some(raven_hw::BitwPlacement::Host)),
     ];
+    let prefix = plant_prefix();
     let rows = run_sweep(
         "bitw-study",
         configs.len(),
         exec,
         |i| derive_seed(seed, streams::BITW_RECON.at(configs[i].0)),
-        |i, _run_seed| {
+        |i, recon_seed| {
             let (label, bitw) = configs[i];
             // Phase 1–2: eavesdrop + analyze.
-            let mut sim = Simulation::new(SimConfig {
+            let capture = SessionSpec::new(SimConfig {
                 session_ms: 3_000,
                 bitw,
-                ..SimConfig::standard(derive_seed(seed, streams::BITW_RECON.at(label)))
+                ..SimConfig::standard(recon_seed)
             });
-            sim.rig_mut().channel.install_first(LoggingWrapper::new());
-            sim.boot();
-            let _ = sim.run_session();
-            let logger = sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed");
+            let run = run_spec(&capture, &prefix, eavesdrop).expect_booted();
+            let logger = run.sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed");
             let recon = find_state_byte(logger.capture());
             let recon_succeeded = recon
                 .as_ref()
@@ -556,32 +525,38 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
             // the trigger byte is gone, so the best remaining move is
             // *blind* corruption of the opaque stream — which the
             // authenticator turns into a denial of service.
-            let mut sim = Simulation::new(SimConfig {
+            let host = bitw == Some(raven_hw::BitwPlacement::Host);
+            let attack = SessionSpec::new(SimConfig {
                 session_ms: 3_000,
                 bitw,
                 ..SimConfig::standard(derive_seed(seed, streams::BITW_ATTACK.at(label)))
-            });
-            if bitw == Some(raven_hw::BitwPlacement::Host) {
-                use raven_attack::{ActivationWindow, Corruption, InjectionWrapper};
-                sim.rig_mut().channel.install_first(InjectionWrapper::with_trigger(
-                    (0..=255).collect(), // fires on any packet: blind corruption
-                    Corruption::SetByte { offset: 7, value: 0x55 },
-                    ActivationWindow::delayed(1_800, 512),
-                ));
+            })
+            .with_attack(if host {
+                AttackSetup::None
             } else {
-                sim.install_attack(&AttackSetup::ScenarioB {
+                AttackSetup::ScenarioB {
                     dac_delta: 30_000,
                     channel: 0,
                     delay_packets: 300,
                     duration_packets: 256,
-                });
-            }
-            sim.boot();
-            let out = sim.run_session();
+                }
+            });
+            let run = run_spec(&attack, &prefix, |sim| {
+                if host {
+                    use raven_attack::{ActivationWindow, Corruption, InjectionWrapper};
+                    sim.rig_mut().channel.install_first(InjectionWrapper::with_trigger(
+                        (0..=255).collect(), // fires on any packet: blind corruption
+                        Corruption::SetByte { offset: 7, value: 0x55 },
+                        ActivationWindow::delayed(1_800, 512),
+                    ));
+                }
+            })
+            .expect_booted();
+            let out = run.outcome;
             BitwRow {
                 config: label.to_string(),
                 recon_succeeded,
-                rejected_packets: sim.rig_mut().bitw_rejects(),
+                rejected_packets: run.sim.rig().bitw_rejects(),
                 adverse: out.adverse,
                 // Available = still teleoperating AND the PLC has not
                 // braked the arm (a PLC E-STOP stops the robot even if the
@@ -613,14 +588,16 @@ mod tests {
 
     #[test]
     fn hardened_board_session_starts_from_the_stock_plant_state() {
-        let mut hardened = hardened_board_sim(45);
-        let mut stock = Simulation::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(45) });
+        let config = SimConfig { session_ms: 3_000, ..SimConfig::standard(45) };
+        let mut hardened = Simulation::new(config.clone());
+        harden(&mut hardened);
+        let mut stock = Simulation::new(config);
         assert_eq!(hardened.rig_mut().plant.state(), stock.rig_mut().plant.state());
     }
 
     #[test]
     fn fusion_reduces_false_positives() {
-        let r = run_fusion_ablation(41, 12);
+        let r = run_fusion_ablation_with(41, 12, &ExecutorConfig::default());
         let all = &r.rows[0];
         let any = &r.rows[1];
         // The paper's justification for fusion: fewer false alarms at
@@ -637,7 +614,7 @@ mod tests {
 
     #[test]
     fn mitigations_trade_safety_for_availability() {
-        let r = run_mitigation_ablation(43, 6);
+        let r = run_mitigation_ablation_with(43, 6, &ExecutorConfig::default());
         let observe = &r.rows[0];
         let hold = &r.rows[1];
         let estop = &r.rows[2];
@@ -654,7 +631,7 @@ mod tests {
 
     #[test]
     fn longer_horizons_do_not_hurt_detection() {
-        let r = run_lookahead_ablation(49, 9);
+        let r = run_lookahead_ablation_with(49, 9, &ExecutorConfig::default());
         let h1 = &r.rows[0];
         let h8 = r.rows.last().unwrap();
         // Deeper rollouts can only strengthen the EE rule: TPR monotone
@@ -667,7 +644,7 @@ mod tests {
 
     #[test]
     fn bitw_wire_placement_is_useless_host_placement_degrades_to_dos() {
-        let r = run_bitw_study(47);
+        let r = run_bitw_study_with(47, &ExecutorConfig::default());
         let by = |label: &str| r.rows.iter().find(|row| row.config == label).unwrap();
         // Unprotected: recon works, attack jumps the arm.
         assert!(by("none").recon_succeeded, "{}", r.render());
@@ -689,7 +666,7 @@ mod tests {
 
     #[test]
     fn hardened_board_stops_b_not_a() {
-        let r = run_hardened_board(45);
+        let r = run_hardened_board_with(45, &ExecutorConfig::default());
         assert!(r.b_integrity_rejects > 0, "{}", r.render());
         assert!(!r.b_adverse, "checksums must stop byte-level corruption\n{}", r.render());
         assert!(r.a_still_effective, "integrity checks cannot stop scenario A\n{}", r.render());

@@ -19,9 +19,10 @@ use simbus::rng::derive_seed;
 use simbus::ChaosConfig;
 
 use crate::campaign::executor::{run_sweep, ExecutorConfig};
-use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
-use crate::training::{train_thresholds, TrainingConfig};
-use raven_detect::{DetectorConfig, Mitigation};
+use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::sim::{DetectorSetup, SimConfig, Workload};
+use crate::training::{train_thresholds_on, TrainingConfig};
+use raven_detect::Mitigation;
 
 /// Sizing of the chaos study.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -140,17 +141,13 @@ fn chaos_presets() -> [(&'static str, ChaosConfig); 3] {
     ]
 }
 
-/// Runs the study serially.
-pub fn run_chaos_study(config: &ChaosStudyConfig) -> ChaosStudy {
-    run_chaos_study_with(config, &ExecutorConfig::serial())
-}
-
 /// Runs the study on the campaign executor.
 pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) -> ChaosStudy {
     // Reduced training leaves the extreme percentiles noisy; a 25 % margin
     // keeps the chaos-off baseline quiet so the rows isolate what the
     // *faults* cost rather than threshold-training variance.
-    let thresholds = train_thresholds(&config.training).thresholds.scaled(1.25);
+    let prefix = plant_prefix();
+    let thresholds = train_thresholds_on(&config.training, exec, &prefix).thresholds.scaled(1.25);
     let presets = chaos_presets();
     let runs = config.runs_per_preset as usize;
     let total = presets.len() * runs;
@@ -165,25 +162,18 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
         },
         |i, seed| {
             let (_, chaos) = &presets[i / runs];
-            let mut sim = Simulation::new(SimConfig {
+            let spec = SessionSpec::new(SimConfig {
                 workload: Workload::Circle,
                 session_ms: config.session_ms,
-                detector: Some(DetectorSetup {
-                    config: DetectorConfig {
-                        mitigation: Mitigation::EStop,
-                        ..DetectorConfig::default()
-                    },
-                    model_perturbation: 0.02,
-                    thresholds: Some(thresholds),
-                }),
+                detector: Some(DetectorSetup::new(Mitigation::EStop, Some(thresholds))),
                 ..SimConfig::standard(seed)
-            });
-            let scheduled = if chaos.is_off() { 0 } else { sim.install_chaos(chaos) };
-            sim.boot();
-            let out = sim.run_session();
-            let metrics = sim.metrics();
+            })
+            .with_chaos(chaos.clone());
+            let run = run_spec(&spec, &prefix, |_| {}).expect_booted();
+            let out = run.outcome;
+            let metrics = run.sim.metrics();
             RunTally {
-                scheduled: scheduled as u64,
+                scheduled: run.chaos_scheduled as u64,
                 injected: metrics.counter(names::CHAOS_INJECTIONS),
                 alarmed: out.model_detected,
                 estop: out.estop.is_some(),
@@ -237,7 +227,7 @@ mod tests {
 
     #[test]
     fn off_preset_schedules_and_injects_nothing() {
-        let study = run_chaos_study(&tiny());
+        let study = run_chaos_study_with(&tiny(), &ExecutorConfig::serial());
         let off = study.row("off").expect("off row");
         assert_eq!(off.faults_scheduled, 0, "{}", study.render());
         assert_eq!(off.faults_injected, 0, "{}", study.render());
@@ -248,7 +238,9 @@ mod tests {
     #[test]
     fn study_is_byte_identical_for_any_worker_count() {
         let config = tiny();
-        let serial = serde_json::to_string(&run_chaos_study(&config)).expect("serialize");
+        let serial =
+            serde_json::to_string(&run_chaos_study_with(&config, &ExecutorConfig::serial()))
+                .expect("serialize");
         let parallel =
             serde_json::to_string(&run_chaos_study_with(&config, &ExecutorConfig::with_workers(3)))
                 .expect("serialize");

@@ -10,6 +10,7 @@
 use raven_attack::{byte_profiles, find_state_byte, LoggingWrapper};
 use serde::{Deserialize, Serialize};
 
+use crate::session::{plant_prefix, run_spec, SessionSpec};
 use crate::sim::{PedalPattern, SimConfig, Simulation};
 
 /// Per-byte summary of the captured traffic (one subplot of Fig. 5(a)).
@@ -70,9 +71,15 @@ impl Fig5Result {
     }
 }
 
+/// The attacker's pre-boot hook: an eavesdropping wrapper that logs
+/// every USB command packet of the session.
+pub(crate) fn eavesdrop(sim: &mut Simulation) {
+    sim.rig_mut().channel.install_first(LoggingWrapper::new());
+}
+
 /// Captures one full session and analyzes it byte-by-byte.
 pub fn run_fig5(seed: u64, session_ms: u64) -> Fig5Result {
-    let mut sim = Simulation::new(SimConfig {
+    let spec = SessionSpec::new(SimConfig {
         session_ms,
         // Pedal cycling so the capture contains the full state alphabet.
         pedal: PedalPattern::DutyCycle {
@@ -83,11 +90,10 @@ pub fn run_fig5(seed: u64, session_ms: u64) -> Fig5Result {
         ..SimConfig::standard(seed)
     });
     // Attacker installs the eavesdropping wrapper before the session.
-    sim.rig_mut().channel.install_first(LoggingWrapper::new());
-    sim.boot();
-    let _ = sim.run_session();
+    let run = run_spec(&spec, &plant_prefix(), eavesdrop).expect_booted();
 
-    let capture = sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();
+    let capture =
+        run.sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();
     let profiles = byte_profiles(capture);
     let bytes = profiles
         .iter()

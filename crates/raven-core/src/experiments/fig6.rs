@@ -12,7 +12,10 @@ use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
-use crate::sim::{PedalPattern, SimConfig, Simulation, Workload};
+use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::sim::{PedalPattern, SimConfig, Workload};
+
+use super::fig5::eavesdrop;
 
 /// One run's inference outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -63,6 +66,7 @@ impl Fig6Result {
 
 /// Runs nine randomized sessions and infers the state machine from each.
 pub fn run_fig6(seed: u64) -> Fig6Result {
+    let prefix = plant_prefix();
     let mut runs = Vec::new();
     for run in 0..9 {
         let run_seed = derive_seed(seed, streams::FIG6.at(&run.to_string()));
@@ -70,18 +74,16 @@ pub fn run_fig6(seed: u64) -> Fig6Result {
         let cycles = 2 + (run % 3) as u32;
         let work_ms = 600 + 150 * (run as u64 % 4);
         let workload = if run % 2 == 0 { Workload::Circle } else { Workload::Suturing };
-        let mut sim = Simulation::new(SimConfig {
+        let spec = SessionSpec::new(SimConfig {
             workload,
             session_ms: (work_ms + 250) * u64::from(cycles) + 1_800,
             pedal: PedalPattern::DutyCycle { work_ms, rest_ms: 250, cycles },
             ..SimConfig::standard(run_seed)
         });
-        sim.rig_mut().channel.install_first(LoggingWrapper::new());
-        sim.boot();
-        let _ = sim.run_session();
+        let session = run_spec(&spec, &prefix, eavesdrop).expect_booted();
 
         let capture =
-            sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();
+            session.sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();
         let (inferred_states, trigger_values) = match find_state_byte(capture) {
             Ok(h) => {
                 let segments = infer_state_segments(capture, &h);

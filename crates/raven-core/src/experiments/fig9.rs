@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation};
+use raven_detect::{DetectionThresholds, Mitigation};
 use raven_dynamics::plant::PlantPrefix;
 use serde::{Deserialize, Serialize};
 use simbus::rng::derive_seed;
@@ -22,7 +22,8 @@ use simbus::obs::{streams, Metrics};
 
 use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
 use crate::scenario::AttackSetup;
-use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
+use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::sim::{DetectorSetup, SessionOutcome, SimConfig, Workload};
 use crate::training::{train_thresholds_on, TrainingConfig};
 
 /// One grid cell's estimated probabilities.
@@ -151,7 +152,69 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
 /// bit-identical for any worker count. Training and the grid's runs share
 /// one plant prefix.
 pub fn run_fig9_with(config: &Fig9Config, exec: &ExecutorConfig) -> Fig9Result {
-    run_fig9_on(config, exec, &Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize)))
+    run_fig9_on(config, exec, &plant_prefix())
+}
+
+/// Run `i` of the flattened grid (cell-major, repetition-minor): its
+/// (value, duration, repetition).
+fn grid_run(config: &Fig9Config, i: usize) -> (i16, u64, u32) {
+    let reps = config.repetitions.max(1) as usize;
+    let (cell, rep) = (i / reps, i % reps);
+    let durations = config.durations_ms.len();
+    (config.values[cell / durations], config.durations_ms[cell % durations], rep as u32)
+}
+
+/// Run `i`'s seed.
+fn seed(config: &Fig9Config, i: usize) -> u64 {
+    let (value, duration_ms, rep) = grid_run(config, i);
+    derive_seed(config.seed, streams::FIG9.at(&format!("{value}-{duration_ms}-{rep}")))
+}
+
+/// Run `i` of the flattened grid: its cell's scenario-B injection, with
+/// the detector in shadow mode on `thresholds`.
+pub fn spec(config: &Fig9Config, thresholds: DetectionThresholds, i: usize) -> SessionSpec {
+    let (value, duration_ms, rep) = grid_run(config, i);
+    SessionSpec::new(SimConfig {
+        workload: Workload::training_pair()[(rep % 2) as usize],
+        session_ms: config.session_ms,
+        detector: Some(DetectorSetup::new(Mitigation::Observe, Some(thresholds))),
+        ..SimConfig::standard(seed(config, i))
+    })
+    .with_attack(AttackSetup::ScenarioB {
+        dac_delta: value,
+        channel: (rep % 3) as usize,
+        delay_packets: 250 + u64::from(rep) * 37,
+        duration_packets: duration_ms,
+    })
+}
+
+/// A run's row: (adverse, model detected, RAVEN detected).
+fn row(outcome: &SessionOutcome) -> (bool, bool, bool) {
+    (outcome.adverse, outcome.model_detected, outcome.raven_detected)
+}
+
+/// Every grid run's row in run order, each run on the sweep's shared
+/// plant prefix, and their metrics merged in run order.
+fn grid_rows(
+    config: &Fig9Config,
+    thresholds: DetectionThresholds,
+    exec: &ExecutorConfig,
+    prefix: &Arc<PlantPrefix>,
+) -> (Vec<(bool, bool, bool)>, Metrics) {
+    let cells = config.values.len() * config.durations_ms.len();
+    let sweep = run_sweep_observed(
+        "fig9",
+        cells * config.repetitions as usize,
+        exec,
+        |i| seed(config, i),
+        |i, _seed, metrics| {
+            let run = run_spec(&spec(config, thresholds, i), prefix, |_| {}).expect_booted();
+            metrics.merge(&run.sim.observer().metrics);
+            row(&run.outcome)
+        },
+    );
+    let metrics = sweep.stats.metrics.clone();
+    (sweep.expect_all("fig9 sweep"), metrics)
 }
 
 /// [`run_fig9_with`] on a given plant prefix.
@@ -161,88 +224,29 @@ fn run_fig9_on(
     prefix: &Arc<PlantPrefix>,
 ) -> Fig9Result {
     let thresholds = train_thresholds_on(&config.training, exec, prefix).thresholds;
-    let grid: Vec<(i16, u64)> = config
-        .values
-        .iter()
-        .flat_map(|&value| config.durations_ms.iter().map(move |&d| (value, d)))
-        .collect();
+    let (outcomes, metrics) = grid_rows(config, thresholds, exec, prefix);
+    // Per-cell counts fold in repetition order.
     let reps = config.repetitions.max(1) as usize;
-    let sweep = run_sweep_observed(
-        "fig9",
-        grid.len() * config.repetitions as usize,
-        exec,
-        |i| {
-            let (value, duration_ms) = grid[i / reps];
-            let rep = (i % reps) as u32;
-            derive_seed(config.seed, streams::FIG9.at(&format!("{value}-{duration_ms}-{rep}")))
-        },
-        |i, seed, metrics| {
-            let (value, duration_ms) = grid[i / reps];
-            let rep = (i % reps) as u32;
-            run_rep(config, (value, duration_ms, rep), seed, thresholds, prefix, metrics)
-        },
-    );
-    let metrics = sweep.stats.metrics.clone();
-    let outcomes = sweep.expect_all("fig9 sweep");
-    let cells = grid
-        .iter()
+    let cells = outcomes
+        .chunks(reps)
         .enumerate()
-        .map(|(cell_idx, &(value, duration_ms))| {
-            let mut adverse = 0u32;
-            let mut model = 0u32;
-            let mut raven = 0u32;
-            for (was_adverse, was_model, was_raven) in
-                outcomes[cell_idx * reps..(cell_idx + 1) * reps].iter().copied()
-            {
-                adverse += u32::from(was_adverse);
-                model += u32::from(was_model);
-                raven += u32::from(was_raven);
-            }
+        .map(|(cell, runs)| {
+            let (value, duration_ms, _) = grid_run(config, cell * reps);
+            let count = |pick: fn(&(bool, bool, bool)) -> bool| {
+                runs.iter().filter(|r| pick(r)).count() as f64
+            };
             let n = f64::from(config.repetitions.max(1));
             Fig9Cell {
                 value,
                 duration_ms,
-                p_adverse: f64::from(adverse) / n,
-                p_model: f64::from(model) / n,
-                p_raven: f64::from(raven) / n,
+                p_adverse: count(|r| r.0) / n,
+                p_model: count(|r| r.1) / n,
+                p_raven: count(|r| r.2) / n,
                 repetitions: config.repetitions,
             }
         })
         .collect();
     Fig9Result { cells, metrics }
-}
-
-/// One repetition of one grid cell, on the sweep's shared plant prefix:
-/// (adverse, model_detected, raven_detected).
-fn run_rep(
-    config: &Fig9Config,
-    (value, duration_ms, rep): (i16, u64, u32),
-    seed: u64,
-    thresholds: DetectionThresholds,
-    prefix: &Arc<PlantPrefix>,
-    metrics: &mut Metrics,
-) -> (bool, bool, bool) {
-    let mut sim = Simulation::new(SimConfig {
-        workload: Workload::training_pair()[(rep % 2) as usize],
-        session_ms: config.session_ms,
-        detector: Some(DetectorSetup {
-            config: DetectorConfig { mitigation: Mitigation::Observe, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
-            thresholds: Some(thresholds),
-        }),
-        ..SimConfig::standard(seed)
-    });
-    sim.install_attack(&AttackSetup::ScenarioB {
-        dac_delta: value,
-        channel: (rep % 3) as usize,
-        delay_packets: 250 + u64::from(rep) * 37,
-        duration_packets: duration_ms,
-    });
-    sim.share_plant_prefix(prefix);
-    sim.boot();
-    let out = sim.run_session();
-    metrics.merge(&sim.metrics());
-    (out.adverse, out.model_detected, out.raven_detected)
 }
 
 #[cfg(test)]
@@ -286,7 +290,7 @@ mod tests {
         let runs = (cfg.values.len() * cfg.durations_ms.len()) as u64 * u64::from(cfg.repetitions)
             + u64::from(cfg.training.runs);
         for workers in [1, 2] {
-            let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+            let prefix = plant_prefix();
             let _ = run_fig9_on(&cfg, &ExecutorConfig::with_workers(workers), &prefix);
             assert_eq!(prefix.recorded_periods(), prefix.cap());
             // Only the runs that started alongside the first one (one per
@@ -296,6 +300,34 @@ mod tests {
                 replays >= runs - workers as u64 && replays < runs,
                 "{workers} worker(s): {replays} of {runs} runs replayed"
             );
+        }
+    }
+
+    #[test]
+    fn golden_rows_replay_alone_from_config_and_index() {
+        // The reduced sweep of tests/golden_artifacts.rs.
+        let cfg = Fig9Config {
+            values: vec![30_000],
+            durations_ms: vec![4, 128],
+            repetitions: 2,
+            session_ms: 1_500,
+            training: TrainingConfig { runs: 4, ..TrainingConfig::quick(5) },
+            seed: 5,
+        };
+        let exec = ExecutorConfig::with_workers(2);
+        let prefix = plant_prefix();
+        let thresholds = train_thresholds_on(&cfg.training, &exec, &prefix).thresholds;
+        let (rows, _) = grid_rows(&cfg, thresholds, &exec, &prefix);
+        // A replay knows only the config: it retrains on a prefix of its own.
+        let replayed =
+            crate::training::train_thresholds_with(&cfg.training, &ExecutorConfig::serial())
+                .thresholds;
+        let reps = cfg.repetitions as usize;
+        // One run from each cell, a different repetition in each.
+        for cell in 0..rows.len() / reps {
+            let i = cell * reps + cell % reps;
+            let alone = run_spec(&spec(&cfg, replayed, i), &plant_prefix(), |_| {}).expect_booted();
+            assert_eq!(row(&alone.outcome), rows[i], "grid run {i}");
         }
     }
 }

@@ -19,12 +19,11 @@ pub mod table2;
 pub mod table4;
 
 pub use ablations::{
-    run_bitw_study, run_fusion_ablation, run_fusion_ablation_with, run_hardened_board,
-    run_lookahead_ablation, run_lookahead_ablation_with, run_mitigation_ablation,
-    run_mitigation_ablation_with, BitwStudy, FusionAblation, HardenedBoardResult,
-    LookaheadAblation, MitigationAblation,
+    run_bitw_study_with, run_fusion_ablation_with, run_hardened_board_with,
+    run_lookahead_ablation_with, run_mitigation_ablation_with, BitwStudy, FusionAblation,
+    HardenedBoardResult, LookaheadAblation, MitigationAblation,
 };
-pub use chaos::{run_chaos_study, run_chaos_study_with, ChaosStudy, ChaosStudyConfig};
+pub use chaos::{run_chaos_study_with, ChaosStudy, ChaosStudyConfig};
 pub use fig5::{run_fig5, Fig5Result};
 pub use fig6::{run_fig6, Fig6Result};
 pub use fig8::{run_fig8, Fig8Result};

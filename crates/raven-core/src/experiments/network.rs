@@ -17,8 +17,13 @@ use simbus::obs::streams::{self, Stream};
 use simbus::rng::derive_seed;
 use simbus::{LinkConfig, SimDuration};
 
+use std::sync::Arc;
+
+use raven_dynamics::plant::PlantPrefix;
+
 use crate::scenario::AttackSetup;
-use crate::sim::{SimConfig, Simulation, Workload};
+use crate::session::{hot_attack, plant_prefix, run_spec, SessionSpec};
+use crate::sim::{SimConfig, Workload};
 
 /// One network condition's measured effect.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,36 +92,28 @@ fn run_condition(
     seed: u64,
     label: Stream<'static>,
     link: LinkConfig,
-    attack: Option<AttackSetup>,
+    attack: AttackSetup,
+    prefix: &Arc<PlantPrefix>,
 ) -> NetworkRow {
-    let mut sim = Simulation::new(SimConfig {
-        workload: Workload::Circle,
-        session_ms: 4_000,
-        link,
-        record_cycles: true,
-        ..SimConfig::standard(derive_seed(seed, label))
-    });
-    if let Some(a) = &attack {
-        sim.install_attack(a);
-    }
-    sim.boot();
-    let out = sim.run_session();
+    let spec = |link| {
+        SessionSpec::new(SimConfig {
+            workload: Workload::Circle,
+            session_ms: 4_000,
+            link,
+            record_cycles: true,
+            ..SimConfig::standard(derive_seed(seed, label))
+        })
+    };
+    let run = run_spec(&spec(link).with_attack(attack), prefix, |_| {}).expect_booted();
+    let out = &run.outcome;
 
     // RMS tracking error against an ideal-link replica of the same session.
     // (With no reference available in-band, compare against the clean
     // ideal-network run of the same seed and workload.)
-    let mut reference = Simulation::new(SimConfig {
-        workload: Workload::Circle,
-        session_ms: 4_000,
-        link: LinkConfig::ideal(),
-        record_cycles: true,
-        ..SimConfig::standard(derive_seed(seed, label))
-    });
-    reference.boot();
-    let _ = reference.run_session();
+    let reference = run_spec(&spec(LinkConfig::ideal()), prefix, |_| {}).expect_booted();
 
-    let a = sim.trace();
-    let b = reference.trace();
+    let a = run.sim.trace();
+    let b = reference.sim.trace();
     let mut sum_sq = 0.0;
     let mut n = 0u64;
     for (sa, sb) in a.samples(channels::EE_X_MM).iter().zip(b.samples(channels::EE_X_MM)) {
@@ -150,23 +147,15 @@ pub fn run_network_study(seed: u64) -> NetworkStudy {
         jitter: SimDuration::from_millis(ms / 4),
         loss_probability: 0.0,
     };
+    let prefix = plant_prefix();
+    let clean = |label, link| run_condition(seed, label, link, AttackSetup::None, &prefix);
     let rows = vec![
-        run_condition(seed, streams::NET_IDEAL, LinkConfig::ideal(), None),
-        run_condition(seed, streams::NET_LAN, LinkConfig::lan(), None),
-        run_condition(seed, streams::NET_LOSS_10, lossy(0.10), None),
-        run_condition(seed, streams::NET_LOSS_50, lossy(0.50), None),
-        run_condition(seed, streams::NET_DELAY_100MS, delayed(100), None),
-        run_condition(
-            seed,
-            streams::NET_HOST_INJECTION,
-            LinkConfig::lan(),
-            Some(AttackSetup::ScenarioB {
-                dac_delta: 30_000,
-                channel: 0,
-                delay_packets: 400,
-                duration_packets: 256,
-            }),
-        ),
+        clean(streams::NET_IDEAL, LinkConfig::ideal()),
+        clean(streams::NET_LAN, LinkConfig::lan()),
+        clean(streams::NET_LOSS_10, lossy(0.10)),
+        clean(streams::NET_LOSS_50, lossy(0.50)),
+        clean(streams::NET_DELAY_100MS, delayed(100)),
+        run_condition(seed, streams::NET_HOST_INJECTION, LinkConfig::lan(), hot_attack(), &prefix),
     ];
     NetworkStudy { rows }
 }

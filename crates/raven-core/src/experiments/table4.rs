@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation};
+use raven_detect::{DetectionThresholds, Mitigation};
 use raven_dynamics::plant::PlantPrefix;
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
@@ -22,7 +22,8 @@ use simbus::obs::{streams, Metrics};
 
 use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
 use crate::scenario::AttackSetup;
-use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
+use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::sim::{DetectorSetup, SessionOutcome, SimConfig, Workload};
 use crate::training::{train_thresholds_on, TrainingConfig};
 
 /// One detector's scored row.
@@ -192,63 +193,67 @@ fn scenario_attack(scenario: char, run: u32, seed: u64) -> AttackSetup {
     }
 }
 
-/// Runs one scored evaluation run on the scenario sweep's shared plant
-/// prefix; returns (attack_present, model, raven).
-fn evaluate_run(
-    seed: u64,
-    session_ms: u64,
-    workload: Workload,
-    attack: AttackSetup,
-    thresholds: DetectionThresholds,
-    prefix: &Arc<PlantPrefix>,
-    metrics: &mut Metrics,
-) -> (bool, bool, bool) {
-    let mut sim = Simulation::new(SimConfig {
-        workload,
-        session_ms,
-        detector: Some(DetectorSetup {
-            config: DetectorConfig { mitigation: Mitigation::Observe, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
-            thresholds: Some(thresholds),
-        }),
-        ..SimConfig::standard(seed)
-    });
-    sim.install_attack(&attack);
-    sim.share_plant_prefix(prefix);
-    sim.boot();
-    let out = sim.run_session();
-    metrics.merge(&sim.metrics());
-    (attack.is_attack(), out.model_detected, out.raven_detected)
+/// Scored run `run` of `scenario`'s seed.
+fn seed(config: &Table4Config, scenario: char, run: u32) -> u64 {
+    derive_seed(config.seed, streams::T4_RUN.at(&format!("{scenario}-{run}")))
 }
 
-fn run_scenario(
+/// Scored run `run` of `scenario` (`'A'` or `'B'`): fault-free for the
+/// first `clean_fraction` of the scenario's runs, attacked after, with
+/// the detector in shadow mode on `thresholds`.
+pub fn spec(
+    config: &Table4Config,
+    thresholds: DetectionThresholds,
     scenario: char,
-    runs: u32,
+    run: u32,
+) -> SessionSpec {
+    let runs = if scenario == 'A' { config.scenario_a_runs } else { config.scenario_b_runs };
+    let clean = (run as f64 / runs.max(1) as f64) < config.clean_fraction;
+    let attack =
+        if clean { AttackSetup::None } else { scenario_attack(scenario, run, config.seed) };
+    SessionSpec::new(SimConfig {
+        workload: Workload::training_pair()[(run % 2) as usize],
+        session_ms: config.session_ms,
+        detector: Some(DetectorSetup::new(Mitigation::Observe, Some(thresholds))),
+        ..SimConfig::standard(seed(config, scenario, run))
+    })
+    .with_attack(attack)
+}
+
+/// A scored run's row: (attack present, model detected, RAVEN detected).
+fn row(spec: &SessionSpec, outcome: &SessionOutcome) -> (bool, bool, bool) {
+    (spec.attack.is_attack(), outcome.model_detected, outcome.raven_detected)
+}
+
+/// One scenario's rows in run order, each run on the sweep's shared
+/// plant prefix, and their metrics merged in run order.
+fn scenario_rows(
+    scenario: char,
     config: &Table4Config,
     thresholds: DetectionThresholds,
     exec: &ExecutorConfig,
     prefix: &Arc<PlantPrefix>,
-) -> (ScenarioComparison, Metrics) {
-    // Fan the scored runs over the executor; each returns its
-    // (attacked, model, raven) triple and the confusion matrices fold in
-    // run order, exactly as the serial loop did. Per-run metrics merge the
-    // same way into the sweep stats.
+) -> (Vec<(bool, bool, bool)>, Metrics) {
+    let runs = if scenario == 'A' { config.scenario_a_runs } else { config.scenario_b_runs };
     let sweep = run_sweep_observed(
         &format!("table4-{scenario}"),
         runs as usize,
         exec,
-        |i| derive_seed(config.seed, streams::T4_RUN.at(&format!("{scenario}-{i}"))),
-        |i, run_seed, metrics| {
-            let run = i as u32;
-            let clean = (run as f64 / runs.max(1) as f64) < config.clean_fraction;
-            let attack =
-                if clean { AttackSetup::None } else { scenario_attack(scenario, run, config.seed) };
-            let workload = Workload::training_pair()[(run % 2) as usize];
-            evaluate_run(run_seed, config.session_ms, workload, attack, thresholds, prefix, metrics)
+        |i| seed(config, scenario, i as u32),
+        |i, _seed, metrics| {
+            let spec = spec(config, thresholds, scenario, i as u32);
+            let run = run_spec(&spec, prefix, |_| {}).expect_booted();
+            metrics.merge(&run.sim.observer().metrics);
+            row(&spec, &run.outcome)
         },
     );
     let metrics = sweep.stats.metrics.clone();
-    let triples = sweep.expect_all("table4 scenario");
+    (sweep.expect_all("table4 scenario"), metrics)
+}
+
+/// One scenario's comparison: its rows folded in run order.
+fn compare(scenario: char, triples: Vec<(bool, bool, bool)>) -> ScenarioComparison {
+    let runs = triples.len() as u32;
     let mut model_cm = ConfusionMatrix::new();
     let mut raven_cm = ConfusionMatrix::new();
     let mut model_only = 0;
@@ -264,7 +269,7 @@ fn run_scenario(
             }
         }
     }
-    let comparison = ScenarioComparison {
+    ScenarioComparison {
         scenario: match scenario {
             'A' => "A (User inputs)".to_string(),
             _ => "B (Torque commands)".to_string(),
@@ -274,8 +279,7 @@ fn run_scenario(
         raven: DetectorScore::from_matrix(raven_cm),
         model_only_detections: model_only,
         raven_only_detections: raven_only,
-    };
-    (comparison, metrics)
+    }
 }
 
 /// Runs the full Table IV protocol with the default executor (all cores).
@@ -287,7 +291,7 @@ pub fn run_table4(config: &Table4Config) -> Table4Result {
 /// for any worker count. Training and both scenario sweeps share one
 /// plant prefix.
 pub fn run_table4_with(config: &Table4Config, exec: &ExecutorConfig) -> Table4Result {
-    run_table4_on(config, exec, &Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize)))
+    run_table4_on(config, exec, &plant_prefix())
 }
 
 /// [`run_table4_with`] on a given plant prefix.
@@ -297,10 +301,12 @@ fn run_table4_on(
     prefix: &Arc<PlantPrefix>,
 ) -> Table4Result {
     let training = train_thresholds_on(&config.training, exec, prefix);
-    let scenario =
-        |label, runs| run_scenario(label, runs, config, training.thresholds, exec, prefix);
-    let (scenario_a, metrics_a) = scenario('A', config.scenario_a_runs);
-    let (scenario_b, metrics_b) = scenario('B', config.scenario_b_runs);
+    let scenario = |label| {
+        let (rows, metrics) = scenario_rows(label, config, training.thresholds, exec, prefix);
+        (compare(label, rows), metrics)
+    };
+    let (scenario_a, metrics_a) = scenario('A');
+    let (scenario_b, metrics_b) = scenario('B');
     let mut metrics = metrics_a;
     metrics.merge(&metrics_b);
     Table4Result {
@@ -360,7 +366,7 @@ mod tests {
         cfg.scenario_b_runs = 4;
         let runs = u64::from(cfg.training.runs + cfg.scenario_a_runs + cfg.scenario_b_runs);
         for workers in [1, 2] {
-            let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
+            let prefix = plant_prefix();
             let _ = run_table4_on(&cfg, &ExecutorConfig::with_workers(workers), &prefix);
             assert_eq!(prefix.recorded_periods(), prefix.cap());
             // Only the runs that started alongside the first one (one per
@@ -375,13 +381,13 @@ mod tests {
 
     #[test]
     fn shared_prefix_thresholds_are_bit_equal_to_private_prefix_thresholds() {
-        let cfg = Table4Config::quick(9);
+        let cfg = Table4Config { scenario_b_runs: 2, ..Table4Config::quick(9) };
         let training = TrainingConfig { runs: 2, ..cfg.training };
         let exec = ExecutorConfig::serial();
         let private = crate::training::train_thresholds_with(&training, &exec).thresholds;
         // Scored attack runs record the prefix; training then replays it.
-        let shared = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
-        let _ = run_scenario('B', 2, &cfg, private, &exec, &shared);
+        let shared = plant_prefix();
+        let _ = scenario_rows('B', &cfg, private, &exec, &shared);
         let before = shared.full_replays();
         let replayed = train_thresholds_on(&training, &exec, &shared).thresholds;
         assert_eq!(shared.full_replays(), before + u64::from(training.runs));
@@ -393,5 +399,34 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(bits(&replayed), bits(&private));
+    }
+
+    #[test]
+    fn golden_rows_replay_alone_from_config_and_index() {
+        // The reduced protocol of tests/golden_artifacts.rs.
+        let cfg = Table4Config {
+            scenario_a_runs: 6,
+            scenario_b_runs: 6,
+            session_ms: 1_500,
+            training: TrainingConfig { runs: 4, ..TrainingConfig::quick(5) },
+            ..Table4Config::quick(5)
+        };
+        let exec = ExecutorConfig::with_workers(2);
+        let prefix = plant_prefix();
+        let thresholds = train_thresholds_on(&cfg.training, &exec, &prefix).thresholds;
+        // A replay knows only the config: it retrains on a prefix of its own.
+        let replayed =
+            crate::training::train_thresholds_with(&cfg.training, &ExecutorConfig::serial())
+                .thresholds;
+        for scenario in ['A', 'B'] {
+            let (rows, _) = scenario_rows(scenario, &cfg, thresholds, &exec, &prefix);
+            let clean = rows.iter().position(|r| !r.0).expect("a clean run");
+            let attacked = rows.iter().position(|r| r.0).expect("an attacked run");
+            for run in [clean, attacked] {
+                let spec = spec(&cfg, replayed, scenario, run as u32);
+                let alone = run_spec(&spec, &plant_prefix(), |_| {}).expect_booted();
+                assert_eq!(row(&spec, &alone.outcome), rows[run], "{scenario} run {run}");
+            }
+        }
     }
 }

@@ -7,8 +7,9 @@
 //!   PLC/motors → plant → encoders, on a deterministic 1 ms virtual clock;
 //! * [`scenario`] — [`AttackSetup`]: the attacks a run can install;
 //! * [`session`] — [`SessionSpec`]: one session's recipe, its runner
-//!   [`run_standalone`], and its record [`SessionArtifact`] (the fleet's
-//!   unit and the safety oracles' evidence);
+//!   [`run_spec`] (the only way the crate starts a session), and its
+//!   record [`SessionArtifact`] (the fleet's unit and the safety oracles'
+//!   evidence);
 //! * [`training`] — the fault-free threshold-learning protocol (§IV.C);
 //! * [`experiments`] — one module per paper artifact: Table I, Table II,
 //!   Table IV, Figures 5, 6, 8, 9;
@@ -37,5 +38,8 @@ pub use forensics::{
     incident_file_name, manifest_candidates, AppendReceipt, IncidentSink, MANIFEST_REL_PATH,
 };
 pub use scenario::AttackSetup;
-pub use session::{run_standalone, session_thresholds, SessionArtifact, SessionSpec};
+pub use session::{
+    plant_prefix, run_spec, run_standalone, session_thresholds, SessionArtifact, SessionRun,
+    SessionSpec,
+};
 pub use sim::{DetectorSetup, IncidentReport, SessionOutcome, SimConfig, Simulation, Workload};

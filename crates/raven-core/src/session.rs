@@ -2,16 +2,18 @@
 //!
 //! A [`SessionSpec`] is everything needed to reconstruct one session
 //! deterministically: the full [`SimConfig`] plus the attack and chaos
-//! schedules installed before boot. [`run_standalone`] executes a spec
-//! through the plain [`Simulation::run_session`] loop and snapshots a
-//! [`SessionArtifact`]. A rig-plane fleet (`raven_fleet::run_fleet`) is
-//! a sweep of it, and the `raven-verify` safety oracles judge its
-//! artifacts.
+//! schedules installed before boot. [`run_spec`], the only way the crate
+//! starts a session, runs a spec on a shared [`PlantPrefix`];
+//! [`run_standalone`] runs one alone and snapshots a [`SessionArtifact`].
+//! Every experiment run is a spec, a rig-plane fleet
+//! (`raven_fleet::run_fleet`) is a sweep of specs, and the `raven-verify`
+//! safety oracles judge their artifacts.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation};
+use raven_detect::{DetectionThresholds, Mitigation};
+use raven_dynamics::plant::PlantPrefix;
 use serde::Serialize;
 use simbus::obs::{Event, Metrics};
 use simbus::trace::Sample;
@@ -35,21 +37,31 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
-    /// A clean undefended session.
-    pub fn clean(seed: u64) -> Self {
+    /// A session on `config` with no attack and no chaos, named
+    /// `"session"`.
+    pub fn new(config: SimConfig) -> Self {
         SessionSpec {
-            name: "clean".into(),
-            config: SimConfig { session_ms: 1_200, ..SimConfig::standard(seed) },
+            name: "session".into(),
+            config,
             attack: AttackSetup::None,
             chaos: ChaosConfig::off(),
         }
+    }
+
+    /// A clean undefended session.
+    pub fn clean(seed: u64) -> Self {
+        let mut spec =
+            SessionSpec::new(SimConfig { session_ms: 1_200, ..SimConfig::standard(seed) });
+        spec.name = "clean".into();
+        spec
     }
 
     /// A clean session guarded by the armed detector.
     pub fn guarded(seed: u64) -> Self {
         let mut spec = SessionSpec::clean(seed);
         spec.name = "guarded".into();
-        spec.config.detector = Some(armed_setup(Mitigation::EStop));
+        spec.config.detector =
+            Some(DetectorSetup::new(Mitigation::EStop, Some(session_thresholds())));
         spec
     }
 
@@ -66,7 +78,8 @@ impl SessionSpec {
     pub fn defended(seed: u64) -> Self {
         let mut spec = SessionSpec::attacked(seed);
         spec.name = "defended".into();
-        spec.config.detector = Some(armed_setup(Mitigation::EStop));
+        spec.config.detector =
+            Some(DetectorSetup::new(Mitigation::EStop, Some(session_thresholds())));
         spec
     }
 
@@ -74,7 +87,8 @@ impl SessionSpec {
     pub fn held(seed: u64) -> Self {
         let mut spec = SessionSpec::attacked(seed);
         spec.name = "held".into();
-        spec.config.detector = Some(armed_setup(Mitigation::BlockAndHold));
+        spec.config.detector =
+            Some(DetectorSetup::new(Mitigation::BlockAndHold, Some(session_thresholds())));
         spec
     }
 
@@ -91,24 +105,23 @@ impl SessionSpec {
         self.chaos = chaos;
         self
     }
+
+    /// Replaces the attack (builder style).
+    #[must_use]
+    pub fn with_attack(mut self, attack: AttackSetup) -> Self {
+        self.attack = attack;
+        self
+    }
 }
 
 /// The paper's standard hot torque injection (Scenario B, 30 000 DAC
 /// counts on the shoulder channel).
-fn hot_attack() -> AttackSetup {
+pub fn hot_attack() -> AttackSetup {
     AttackSetup::ScenarioB {
         dac_delta: 30_000,
         channel: 0,
         delay_packets: 400,
         duration_packets: 256,
-    }
-}
-
-fn armed_setup(mitigation: Mitigation) -> DetectorSetup {
-    DetectorSetup {
-        config: DetectorConfig { mitigation, ..DetectorConfig::default() },
-        model_perturbation: 0.02,
-        thresholds: Some(session_thresholds()),
     }
 }
 
@@ -131,7 +144,7 @@ pub fn session_thresholds() -> DetectionThresholds {
 }
 
 /// Everything one session produced — serializable so equivalence and
-/// replay are byte comparisons. Built only by [`run_standalone`].
+/// replay are byte comparisons. Built only by [`SessionRun::artifact`].
 #[derive(Debug, Clone, Serialize)]
 pub struct SessionArtifact {
     /// Session id (spec order in a fleet).
@@ -173,36 +186,118 @@ impl SessionArtifact {
     }
 }
 
-/// Runs one spec standalone: construct, install the attack and the
-/// chaos schedule, apply `prepare` (a pre-boot hook, such as a detector
-/// mutant), boot, run [`Simulation::run_session`], and snapshot the
-/// result as artifact `id`.
-pub fn run_standalone(
+/// A plant prefix for the runs of one sweep, up to the pedal press.
+pub fn plant_prefix() -> Arc<PlantPrefix> {
+    Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize))
+}
+
+/// What [`run_spec`] hands back.
+pub struct SessionRun {
+    /// The simulation at session end.
+    pub sim: Simulation,
+    /// Session ground truth.
+    pub outcome: SessionOutcome,
+    /// Whether boot reached Pedal Up.
+    pub booted: bool,
+    /// Faults the chaos schedule planned (0 when chaos is off).
+    pub chaos_scheduled: usize,
+}
+
+impl SessionRun {
+    /// The run itself, for a caller whose session must boot clean.
+    ///
+    /// # Panics
+    ///
+    /// Panics if boot did not reach Pedal Up.
+    #[must_use]
+    pub fn expect_booted(self) -> Self {
+        assert!(self.booted, "clean boot failed: {:?}", self.outcome);
+        self
+    }
+
+    /// Snapshots the run of `spec` as artifact `id`.
+    pub fn artifact(&self, spec: &SessionSpec, id: u64) -> SessionArtifact {
+        let events = &self.sim.observer().events;
+        SessionArtifact {
+            id,
+            name: spec.name.clone(),
+            seed: spec.config.seed,
+            booted: self.booted,
+            outcome: self.outcome.clone(),
+            events: events.snapshot(),
+            events_dropped: events.dropped(),
+            metrics: self.sim.metrics(),
+            incident: self.sim.incident().cloned(),
+            chaos_scheduled: self.chaos_scheduled,
+            mitigation: spec.config.detector.as_ref().map(|d| d.config.mitigation),
+            signals: self.sim.trace().window_from(SimTime::ZERO),
+        }
+    }
+}
+
+/// Runs one spec: construct, install the attack and the chaos schedule,
+/// attach the sweep's shared plant `prefix` (it cannot change a byte: a
+/// plant detaches at the first period whose state or inputs differ),
+/// apply `prepare` (a pre-boot hook: an interceptor, a board swap, span
+/// recording, a detector mutant), boot, and run the session.
+pub fn run_spec(
     spec: &SessionSpec,
-    id: u64,
+    prefix: &Arc<PlantPrefix>,
     prepare: impl FnOnce(&mut Simulation),
-) -> SessionArtifact {
+) -> SessionRun {
     let mut sim = Simulation::new(spec.config.clone());
     if spec.attack.is_attack() {
         sim.install_attack(&spec.attack);
     }
     let chaos_scheduled = if spec.chaos.is_off() { 0 } else { sim.install_chaos(&spec.chaos) };
+    sim.rig_mut().plant.share_prefix(Arc::clone(prefix));
     prepare(&mut sim);
     let booted = sim.boot_expecting_failure();
     let outcome = sim.run_session();
-    let events = &sim.observer().events;
-    SessionArtifact {
-        id,
-        name: spec.name.clone(),
-        seed: spec.config.seed,
-        booted,
-        outcome,
-        events: events.snapshot(),
-        events_dropped: events.dropped(),
-        metrics: sim.metrics(),
-        incident: sim.incident().cloned(),
-        chaos_scheduled,
-        mitigation: spec.config.detector.as_ref().map(|d| d.config.mitigation),
-        signals: sim.trace().window_from(SimTime::ZERO),
+    SessionRun { sim, outcome, booted, chaos_scheduled }
+}
+
+/// Runs one spec alone, on a prefix of its own, and snapshots the result
+/// as artifact `id` (see [`run_spec`] for `prepare`).
+pub fn run_standalone(
+    spec: &SessionSpec,
+    id: u64,
+    prepare: impl FnOnce(&mut Simulation),
+) -> SessionArtifact {
+    run_spec(spec, &plant_prefix(), prepare).artifact(spec, id)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::Workload;
+
+    #[test]
+    fn a_run_on_a_siblings_prefix_is_byte_identical_to_a_standalone_run() {
+        let spec = |seed: u64, workload| {
+            SessionSpec::new(SimConfig {
+                workload,
+                session_ms: 2_500,
+                detector: Some(DetectorSetup::default()),
+                ..SimConfig::standard(seed)
+            })
+            .with_attack(AttackSetup::ScenarioB {
+                dac_delta: 24_000,
+                channel: (seed % 3) as usize,
+                delay_packets: 300,
+                duration_packets: 128,
+            })
+        };
+        let prefix = plant_prefix();
+        let run = |spec: &SessionSpec, prefix: &Arc<PlantPrefix>| {
+            run_spec(spec, prefix, |_| {}).expect_booted().artifact(spec, 0).to_json()
+        };
+        let _ = run(&spec(31, Workload::Circle), &prefix);
+        assert_eq!(prefix.recorded_periods(), prefix.cap());
+
+        let shared = spec(37, Workload::Suturing);
+        let replayed = run(&shared, &prefix);
+        assert_eq!(prefix.full_replays(), 1, "the second run replays every pre-pedal period");
+        assert_eq!(replayed, run(&shared, &plant_prefix()));
     }
 }

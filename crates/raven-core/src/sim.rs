@@ -17,12 +17,11 @@
     clippy::unimplemented
 )]
 
-use std::sync::Arc;
-
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};
 use raven_control::{ControllerConfig, FaultReason, OperatorInput, RavenController};
-use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor};
-use raven_dynamics::plant::PlantPrefix;
+use raven_detect::{
+    DetectionThresholds, DetectorConfig, DynamicDetector, GuardInterceptor, Mitigation,
+};
 use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::chaos::{ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder};
 use raven_hw::{EStopCause, FaultWindow, HardwareRig, Interceptor, RobotState};
@@ -105,16 +104,21 @@ pub struct DetectorSetup {
     /// plant (the Fig. 8 model/robot mismatch). `0.0` = perfect model.
     pub model_perturbation: f64,
     /// Pre-learned thresholds; `None` leaves the detector in learning mode.
-    pub thresholds: Option<raven_detect::DetectionThresholds>,
+    pub thresholds: Option<DetectionThresholds>,
+}
+
+impl DetectorSetup {
+    /// The default detector in `mitigation` mode, on the deployed model
+    /// (2 % off the plant), with `thresholds` (`None` = learning mode).
+    pub fn new(mitigation: Mitigation, thresholds: Option<DetectionThresholds>) -> Self {
+        let config = DetectorConfig { mitigation, ..DetectorConfig::default() };
+        DetectorSetup { config, model_perturbation: 0.02, thresholds }
+    }
 }
 
 impl Default for DetectorSetup {
     fn default() -> Self {
-        DetectorSetup {
-            config: DetectorConfig::default(),
-            model_perturbation: 0.02,
-            thresholds: None,
-        }
+        DetectorSetup::new(DetectorConfig::default().mitigation, None)
     }
 }
 
@@ -317,7 +321,8 @@ impl Simulation {
     /// Virtual time (ms after power-up) of the operator's first pedal
     /// press. Boot (idle, start button, homing) ends well before it, about
     /// 1 594 ms in; until this press nothing seed-dependent reaches the
-    /// plant, so it is also the cap of a shared [`PlantPrefix`].
+    /// plant, so it is also the cap of a shared
+    /// [`PlantPrefix`](raven_dynamics::plant::PlantPrefix).
     pub const PEDAL_PRESS_MS: u64 = 2_500;
 
     /// Virtual start of the chaos-fault window: 300 ms after the pedal
@@ -472,20 +477,6 @@ impl Simulation {
         if let Some(det) = &mut self.detector {
             det.set_span_handle(self.spans.clone());
         }
-    }
-
-    /// Shares the plant's pre-pedal trajectory with the sibling runs of a
-    /// sweep: periods a sibling already integrated from the same state
-    /// under the same inputs are copied, not re-integrated. Every artifact
-    /// stays byte-identical; only the plant is shared — the console, link,
-    /// detector and BITW keep their own seeded state.
-    ///
-    /// Takes effect only before the first step; returns whether the plant
-    /// attached (see [`RavenPlant::share_prefix`]).
-    ///
-    /// [`RavenPlant::share_prefix`]: raven_dynamics::RavenPlant::share_prefix
-    pub fn share_plant_prefix(&mut self, prefix: &Arc<PlantPrefix>) -> bool {
-        self.clock.ticks() == 0 && self.rig.plant.share_prefix(Arc::clone(prefix))
     }
 
     /// Installs an attack before the session starts.
@@ -1176,50 +1167,6 @@ mod tests {
             serde_json::to_string(&burst_out).unwrap()
         );
         assert_eq!(solo.events().len(), burst.events().len());
-    }
-
-    #[test]
-    fn a_run_on_a_siblings_prefix_is_byte_identical_to_a_standalone_run() {
-        let build = |seed: u64, workload: Workload| {
-            let mut sim = Simulation::new(SimConfig {
-                workload,
-                session_ms: 2_500,
-                detector: Some(DetectorSetup::default()),
-                ..SimConfig::standard(seed)
-            });
-            sim.install_attack(&AttackSetup::ScenarioB {
-                dac_delta: 24_000,
-                channel: (seed % 3) as usize,
-                delay_packets: 300,
-                duration_packets: 128,
-            });
-            sim
-        };
-        let run = |mut sim: Simulation| {
-            sim.boot();
-            let out = sim.run_session();
-            [
-                serde_json::to_string(&out).unwrap(),
-                serde_json::to_string(&sim.metrics()).unwrap(),
-                serde_json::to_string(&sim.events()).unwrap(),
-            ]
-        };
-        let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
-        let mut sibling = build(31, Workload::Circle);
-        assert!(sibling.share_plant_prefix(&prefix));
-        let _ = run(sibling);
-        assert_eq!(prefix.recorded_periods(), prefix.cap());
-
-        let mut shared = build(37, Workload::Suturing);
-        assert!(shared.share_plant_prefix(&prefix));
-        let shared = run(shared);
-        assert_eq!(prefix.full_replays(), 1, "the second run replays every pre-pedal period");
-        assert_eq!(shared, run(build(37, Workload::Suturing)));
-
-        // Attaching after the first step is a no-op.
-        let mut late = build(41, Workload::Circle);
-        late.step();
-        assert!(!late.share_plant_prefix(&prefix));
     }
 
     #[test]

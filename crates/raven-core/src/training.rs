@@ -5,14 +5,15 @@
 
 use std::sync::Arc;
 
-use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation, ThresholdTails};
+use raven_detect::{DetectionThresholds, Mitigation, ThresholdTails};
 use raven_dynamics::plant::PlantPrefix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
 use crate::campaign::executor::{run_sweep_fold, ExecutorConfig};
-use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
+use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::sim::{DetectorSetup, SimConfig, Workload};
 
 /// Configuration of a training campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,8 +86,26 @@ pub fn train_thresholds(config: &TrainingConfig) -> TrainingReport {
 /// Panics if `config.runs` is zero or a clean training run faults (each
 /// faulting run is reported with its index and seed).
 pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> TrainingReport {
-    let prefix = Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize));
-    train_thresholds_on(config, exec, &prefix)
+    train_thresholds_on(config, exec, &plant_prefix())
+}
+
+/// Training run `run`'s seed.
+fn seed(config: &TrainingConfig, run: usize) -> u64 {
+    derive_seed(config.seed, streams::TRAIN.at(&run.to_string()))
+}
+
+/// Training run `run`: a fault-free session on one of the two training
+/// workloads, with the detector in learning mode.
+fn spec(config: &TrainingConfig, run: usize) -> SessionSpec {
+    let mut detector = DetectorSetup::new(Mitigation::Observe, None);
+    detector.config.percentile_band = config.percentile_band;
+    detector.model_perturbation = config.model_perturbation;
+    SessionSpec::new(SimConfig {
+        workload: Workload::training_pair()[run % 2],
+        session_ms: config.session_ms,
+        detector: Some(detector),
+        ..SimConfig::standard(seed(config, run))
+    })
 }
 
 /// [`train_thresholds_with`] on a plant prefix the caller shares with
@@ -106,33 +125,15 @@ pub(crate) fn train_thresholds_on(
         "training",
         config.runs as usize,
         exec,
-        |run| derive_seed(config.seed, streams::TRAIN.at(&run.to_string())),
-        |run, seed, _metrics| {
-            let workload = Workload::training_pair()[run % 2];
-            let sim_config = SimConfig {
-                seed,
-                workload,
-                session_ms: config.session_ms,
-                detector: Some(DetectorSetup {
-                    config: DetectorConfig {
-                        mitigation: Mitigation::Observe,
-                        percentile_band: config.percentile_band,
-                        ..DetectorConfig::default()
-                    },
-                    model_perturbation: config.model_perturbation,
-                    thresholds: None, // learning mode
-                }),
-                ..SimConfig::standard(0)
-            };
-            let mut sim = Simulation::new(sim_config);
-            sim.share_plant_prefix(prefix);
-            sim.boot();
-            let outcome = sim.run_session();
+        |run| seed(config, run),
+        |run, _seed, _metrics| {
+            let mut session = run_spec(&spec(config, run), prefix, |_| {}).expect_booted();
             assert!(
-                outcome.controller_fault.is_none(),
-                "fault-free training run {run} faulted: {outcome:?}"
+                session.outcome.controller_fault.is_none(),
+                "fault-free training run {run} faulted: {:?}",
+                session.outcome
             );
-            let det = sim.detector_mut().expect("training sim must have a detector");
+            let det = session.sim.detector_mut().expect("training sim must have a detector");
             det.end_learning_run();
             det.take_learner()
         },

@@ -6,11 +6,12 @@
 //! cargo run --release --example bitw_defense
 //! ```
 
-use raven_core::experiments::run_bitw_study;
+use raven_core::experiments::run_bitw_study_with;
+use raven_core::ExecutorConfig;
 
 fn main() {
     println!("running the BITW study: recon + injection vs three placements …\n");
-    let study = run_bitw_study(47);
+    let study = run_bitw_study_with(47, &ExecutorConfig::default());
     print!("{}", study.render());
     println!(
         "\nthe paper's §III.D argument, executed: the wire retrofit encrypts *downstream* \

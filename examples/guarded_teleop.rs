@@ -7,28 +7,15 @@
 //! ```
 
 use raven_core::training::{train_thresholds, TrainingConfig};
-use raven_core::{AttackSetup, DetectorSetup, SimConfig, Simulation, Workload};
-use raven_detect::{DetectorConfig, Mitigation};
+use raven_core::{plant_prefix, run_spec, DetectorSetup, SessionSpec};
+use raven_detect::{DetectionThresholds, Mitigation};
 
-fn attacked_session(mitigation: Mitigation, thresholds: raven_detect::DetectionThresholds) {
-    let mut sim = Simulation::new(SimConfig {
-        workload: Workload::Circle,
-        session_ms: 4_000,
-        detector: Some(DetectorSetup {
-            config: DetectorConfig { mitigation, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
-            thresholds: Some(thresholds),
-        }),
-        ..SimConfig::standard(8)
-    });
-    sim.install_attack(&AttackSetup::ScenarioB {
-        dac_delta: 30_000,
-        channel: 0,
-        delay_packets: 400,
-        duration_packets: 256,
-    });
-    sim.boot();
-    let outcome = sim.run_session();
+fn attacked_session(mitigation: Mitigation, thresholds: DetectionThresholds) {
+    // The paper's hot scenario-B injection (+30 000 DAC counts on the
+    // shoulder for 256 ms) during a 4 s circle scan.
+    let mut spec = SessionSpec::attacked(8).with_session_ms(4_000);
+    spec.config.detector = Some(DetectorSetup::new(mitigation, Some(thresholds)));
+    let outcome = run_spec(&spec, &plant_prefix(), |_| {}).expect_booted().outcome;
     println!("\nmitigation = {mitigation:?}:");
     println!("  model detected      : {}", outcome.model_detected);
     println!("  adverse impact      : {}", outcome.adverse);

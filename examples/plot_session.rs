@@ -9,36 +9,29 @@
 //! ```
 
 use raven_core::viz::{line_chart, trace_chart, Series};
-use raven_core::{AttackSetup, SimConfig, Simulation, Workload};
+use raven_core::{plant_prefix, run_spec, AttackSetup, SessionSpec, SimConfig, Simulation};
 use simbus::obs::channels;
 
-fn run(attack: Option<AttackSetup>, seed: u64) -> Simulation {
-    let mut sim = Simulation::new(SimConfig {
-        workload: Workload::Circle,
-        session_ms: 4_000,
-        record_cycles: true,
-        ..SimConfig::standard(seed)
-    });
-    if let Some(a) = attack {
-        sim.install_attack(&a);
-    }
-    sim.boot();
-    let _ = sim.run_session();
-    sim
+/// A recorded 4 s circle-scan session under `attack`.
+fn run(attack: AttackSetup, seed: u64) -> Simulation {
+    let config = SimConfig { session_ms: 4_000, record_cycles: true, ..SimConfig::standard(seed) };
+    run_spec(&SessionSpec::new(config).with_attack(attack), &plant_prefix(), |_| {})
+        .expect_booted()
+        .sim
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_dir = std::path::Path::new("results");
     std::fs::create_dir_all(out_dir)?;
 
-    let clean = run(None, 42);
+    let clean = run(AttackSetup::None, 42);
     let attacked = run(
-        Some(AttackSetup::ScenarioB {
+        AttackSetup::ScenarioB {
             dac_delta: 30_000,
             channel: 0,
             delay_packets: 600,
             duration_packets: 256,
-        }),
+        },
         42,
     );
 

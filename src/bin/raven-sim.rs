@@ -54,9 +54,10 @@ use raven_core::experiments::{
 };
 use raven_core::training::{train_thresholds, train_thresholds_with, TrainingConfig};
 use raven_core::{
-    AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation, SweepTraceCollector,
+    plant_prefix, run_spec, DetectorSetup, ExecutorConfig, SessionSpec, SimConfig, Simulation,
+    SweepTraceCollector,
 };
-use raven_detect::{DetectorConfig, Mitigation};
+use raven_detect::Mitigation;
 use simbus::obs::{log, registry_template, Metrics, Severity};
 use simbus::ChromeTraceBuilder;
 use std::path::PathBuf;
@@ -301,13 +302,19 @@ fn die<T>(msg: &str) -> Option<T> {
     std::process::exit(2);
 }
 
-fn attack() -> AttackSetup {
-    AttackSetup::ScenarioB {
-        dac_delta: 30_000,
-        channel: 0,
-        delay_packets: 400,
-        duration_packets: 256,
-    }
+/// Runs a single-run command's session (recording spans when the
+/// options ask for a trace or a profile), prints its outcome under
+/// `label`, and writes the artifacts the options ask for.
+fn run_single(label: &str, mut spec: SessionSpec, opts: &RunOpts) {
+    spec.config.record_cycles = opts.incident_dir.is_some();
+    let run = run_spec(&spec, &plant_prefix(), |sim| {
+        if opts.wants_tracing() {
+            sim.enable_span_recorder();
+        }
+    })
+    .expect_booted();
+    print_outcome(label, &run.outcome);
+    flush_run_artifacts(&run.sim, opts);
 }
 
 fn print_outcome(label: &str, out: &raven_core::SessionOutcome) {
@@ -330,31 +337,12 @@ fn main() {
     match command {
         "session" => {
             let opts = parse_run_opts(&args);
-            let mut sim = Simulation::new(SimConfig {
-                record_cycles: opts.incident_dir.is_some(),
-                ..SimConfig::standard(opts.seed)
-            });
-            if opts.wants_tracing() {
-                sim.enable_span_recorder();
-            }
-            sim.boot();
-            print_outcome("clean session", &sim.run_session());
-            flush_run_artifacts(&sim, &opts);
+            run_single("clean session", SessionSpec::new(SimConfig::standard(opts.seed)), &opts);
         }
         "attack" => {
             let opts = parse_run_opts(&args);
-            let mut sim = Simulation::new(SimConfig {
-                session_ms: 4_000,
-                record_cycles: opts.incident_dir.is_some(),
-                ..SimConfig::standard(opts.seed)
-            });
-            if opts.wants_tracing() {
-                sim.enable_span_recorder();
-            }
-            sim.install_attack(&attack());
-            sim.boot();
-            print_outcome("undefended under scenario-B injection", &sim.run_session());
-            flush_run_artifacts(&sim, &opts);
+            let spec = SessionSpec::attacked(opts.seed).with_session_ms(4_000);
+            run_single("undefended under scenario-B injection", spec, &opts);
         }
         "defend" => {
             let opts = parse_run_opts(&args);
@@ -364,26 +352,10 @@ fn main() {
                 "training thresholds (reduced 20-run protocol) …",
             );
             let report = train_thresholds(&TrainingConfig { runs: 20, ..TrainingConfig::quick(3) });
-            let mut sim = Simulation::new(SimConfig {
-                session_ms: 4_000,
-                record_cycles: opts.incident_dir.is_some(),
-                detector: Some(DetectorSetup {
-                    config: DetectorConfig {
-                        mitigation: Mitigation::EStop,
-                        ..DetectorConfig::default()
-                    },
-                    model_perturbation: 0.02,
-                    thresholds: Some(report.thresholds),
-                }),
-                ..SimConfig::standard(opts.seed)
-            });
-            if opts.wants_tracing() {
-                sim.enable_span_recorder();
-            }
-            sim.install_attack(&attack());
-            sim.boot();
-            print_outcome("guarded under scenario-B injection", &sim.run_session());
-            flush_run_artifacts(&sim, &opts);
+            let mut spec = SessionSpec::attacked(opts.seed).with_session_ms(4_000);
+            spec.config.detector =
+                Some(DetectorSetup::new(Mitigation::EStop, Some(report.thresholds)));
+            run_single("guarded under scenario-B injection", spec, &opts);
         }
         "train" => {
             let opts = parse_sweep_opts(&args);
@@ -624,14 +596,13 @@ fn run_metrics_command(args: &[String]) {
                     },
                 }
             }
-            let mut sim = Simulation::new(SimConfig {
+            let spec = SessionSpec::new(SimConfig {
                 detector: Some(DetectorSetup::default()),
                 ..SimConfig::standard(seed)
             });
-            sim.boot();
-            sim.run_session();
+            let run = run_spec(&spec, &plant_prefix(), |_| {}).expect_booted();
             let mut metrics = registry_template();
-            metrics.merge(&sim.metrics());
+            metrics.merge(&run.sim.observer().metrics);
             let text = metrics.to_openmetrics();
             match &out {
                 Some(path) => write_json(path, &text, "openmetrics written"),
@@ -700,13 +671,12 @@ fn run_profile_command(args: &[String]) {
     // One traced session for the span-path percentiles (the sweep's runs
     // stay untraced — per-run span recording would serialize the pool on
     // one shared recorder).
-    let mut sim = Simulation::new(SimConfig {
+    let spec = SessionSpec::new(SimConfig {
         detector: Some(DetectorSetup::default()),
         ..SimConfig::standard(opts.seed)
     });
-    sim.enable_span_recorder();
-    sim.boot();
-    sim.run_session();
+    let sim =
+        run_spec(&spec, &plant_prefix(), Simulation::enable_span_recorder).expect_booted().sim;
     sim.spans().finish();
     println!("span paths (representative guarded session, seed {}):", opts.seed);
     println!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");

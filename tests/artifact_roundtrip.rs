@@ -1,11 +1,12 @@
 //! Artifact-schema guard: every committed `results/*.json` (the signed
-//! `MANIFEST.json` included) and both golden fixtures parse into the
+//! `MANIFEST.json` included) and every golden fixture parse into the
 //! record type that wrote them, and `to_string_pretty` of the parsed
 //! record reproduces the file byte for byte. A key the type no longer has
 //! is dropped on the way through, and a field the file lacks fails to
 //! parse, so either drift fails here. A new artifact must be added to
 //! `ARTIFACTS` with its type.
 
+use raven_core::experiments::ablations::BitwRow;
 use raven_core::experiments::{
     BitwStudy, Fig5Result, Fig6Result, Fig8Result, Fig9Result, FusionAblation, HardenedBoardResult,
     LookaheadAblation, MitigationAblation, NetworkStudy, Table1Result, Table2Result, Table4Result,
@@ -23,7 +24,7 @@ fn reserialize<T: Serialize + Deserialize>(text: &str) -> Result<String, String>
 type Roundtrip = fn(&str) -> Result<String, String>;
 
 /// Every pinned artifact and the record type its writer serializes.
-const ARTIFACTS: [(&str, Roundtrip); 16] = [
+const ARTIFACTS: [(&str, Roundtrip); 25] = [
     // The manifest's writer appends a newline to the pretty JSON.
     ("results/MANIFEST.json", |text| Manifest::from_json(text).map(|m| m.to_json_pretty())),
     ("results/ablation_bitw.json", reserialize::<BitwStudy>),
@@ -39,7 +40,16 @@ const ARTIFACTS: [(&str, Roundtrip); 16] = [
     ("results/table1_variants.json", reserialize::<Table1Result>),
     ("results/table2_overhead.json", reserialize::<Table2Result>),
     ("results/table4_detection.json", reserialize::<Table4Result>),
+    ("tests/fixtures/golden_bitw.json", reserialize::<Vec<BitwRow>>),
+    ("tests/fixtures/golden_fig5.json", reserialize::<Fig5Result>),
+    ("tests/fixtures/golden_fig6.json", reserialize::<Fig6Result>),
+    ("tests/fixtures/golden_fig8.json", reserialize::<Fig8Result>),
     ("tests/fixtures/golden_fig9.json", reserialize::<Fig9Result>),
+    ("tests/fixtures/golden_fusion.json", reserialize::<FusionAblation>),
+    ("tests/fixtures/golden_hardened.json", reserialize::<HardenedBoardResult>),
+    ("tests/fixtures/golden_lookahead.json", reserialize::<LookaheadAblation>),
+    ("tests/fixtures/golden_mitigation.json", reserialize::<MitigationAblation>),
+    ("tests/fixtures/golden_network.json", reserialize::<NetworkStudy>),
     ("tests/fixtures/golden_table4.json", reserialize::<Table4Result>),
 ];
 

@@ -1,6 +1,7 @@
-//! Golden-artifact guard: reduced-scale Table IV and Fig. 9 runs must
-//! serialize byte-identically to the checked-in fixtures under
-//! `tests/fixtures/`. Any change to the simulation, the detector, the
+//! Golden-artifact guard: reduced-scale runs of every experiment that
+//! drives full sessions (Table IV, Fig. 9, the ablations, the BITW and
+//! network studies, Figs. 5, 6 and 8) must serialize byte-identically to
+//! the checked-in fixtures under `tests/fixtures/`. Any change to the simulation, the detector, the
 //! training protocol, or the campaign merge order shows up here as a
 //! fixture diff — reviewed deliberately, never silently.
 //!
@@ -10,9 +11,15 @@
 //! RAVEN_UPDATE_GOLDEN=1 cargo test --test golden_artifacts
 //! ```
 
-use raven_core::experiments::{run_fig9_with, run_table4_with, Fig9Config, Table4Config};
-use raven_core::training::TrainingConfig;
-use raven_core::ExecutorConfig;
+use raven_core::experiments::{
+    run_bitw_study_with, run_fig5, run_fig6, run_fig8, run_fig9_with, run_fusion_ablation_with,
+    run_hardened_board_with, run_lookahead_ablation_with, run_mitigation_ablation_with,
+    run_network_study, run_table4_with, table4, Fig9Config, Table4Config,
+};
+use raven_core::training::{train_thresholds_with, TrainingConfig};
+use raven_core::{run_standalone, ExecutorConfig};
+use raven_verify::{for_oracles, run_oracles, Expectations};
+use serde::Serialize;
 use std::path::PathBuf;
 
 /// Reduced Table IV protocol: small enough for tier-1, real enough to
@@ -65,6 +72,11 @@ fn assert_golden(name: &str, actual: &str) {
     );
 }
 
+/// Pretty JSON of an experiment result (the fixture format).
+fn pretty(result: &impl Serialize) -> String {
+    serde_json::to_string_pretty(result).expect("serialize experiment result")
+}
+
 #[test]
 fn table4_matches_golden_fixture() {
     let result = run_table4_with(&golden_table4(), &ExecutorConfig::serial());
@@ -87,4 +99,46 @@ fn fig9_matches_golden_fixture() {
     let parallel = run_fig9_with(&golden_fig9(), &ExecutorConfig::with_workers(2));
     let parallel_json = serde_json::to_string_pretty(&parallel).expect("serialize fig9");
     assert_eq!(json, parallel_json, "fig9 golden run diverged at workers=2");
+}
+
+#[test]
+fn ablations_match_golden_fixtures() {
+    let exec = ExecutorConfig::with_workers(2);
+    assert_golden("golden_fusion.json", &pretty(&run_fusion_ablation_with(5, 4, &exec)));
+    assert_golden("golden_mitigation.json", &pretty(&run_mitigation_ablation_with(5, 2, &exec)));
+    assert_golden("golden_lookahead.json", &pretty(&run_lookahead_ablation_with(5, 3, &exec)));
+    assert_golden("golden_hardened.json", &pretty(&run_hardened_board_with(5, &exec)));
+    // The per-packet crypto cost is wall clock; only the rows are pinned.
+    assert_golden("golden_bitw.json", &pretty(&run_bitw_study_with(5, &exec).rows));
+}
+
+#[test]
+fn studies_and_capture_figures_match_golden_fixtures() {
+    assert_golden("golden_network.json", &pretty(&run_network_study(5)));
+    assert_golden("golden_fig5.json", &pretty(&run_fig5(5, 1_500)));
+    assert_golden("golden_fig6.json", &pretty(&run_fig6(5)));
+    // Fig. 8's per-step timings are wall clock; zero them before pinning.
+    let mut fig8 = run_fig8(5, 2, 600, 0.02);
+    for method in &mut fig8.methods {
+        method.avg_time_ms_per_step = 0.0;
+    }
+    assert_golden("golden_fig8.json", &pretty(&fig8));
+}
+
+#[test]
+fn safety_oracles_judge_every_golden_table4_run() {
+    let config = golden_table4();
+    let thresholds = train_thresholds_with(&config.training, &ExecutorConfig::serial()).thresholds;
+    // Every run of both scenarios, clean and attacked.
+    for (scenario, runs) in [('A', config.scenario_a_runs), ('B', config.scenario_b_runs)] {
+        for run in 0..runs {
+            let spec = for_oracles(table4::spec(&config, thresholds, scenario, run));
+            let report = run_oracles(&run_standalone(&spec, 0, |_| {}), &Expectations::default());
+            assert!(
+                report.passed(),
+                "Table IV {scenario} run {run}:\n{}",
+                report.failure_summary()
+            );
+        }
+    }
 }
