@@ -14,7 +14,7 @@
 
 use raven_core::experiments::{run_table4, Table4Config};
 use raven_core::training::TrainingConfig;
-use raven_core::{plant_prefix, run_spec, SessionSpec, SimConfig, Simulation};
+use raven_core::{run_spec, SessionSpec, SimConfig, Simulation};
 
 fn main() {
     let started = std::time::Instant::now();
@@ -68,8 +68,7 @@ fn main() {
     // Wall-clock output, so it goes through save_profile_stats (gitignored),
     // never into the deterministic table4_detection.json record above.
     let spec = SessionSpec::new(SimConfig::standard(9));
-    let sim =
-        run_spec(&spec, &plant_prefix(), Simulation::enable_span_recorder).expect_booted().sim;
+    let sim = run_spec(&spec, Simulation::enable_span_recorder).expect_booted().sim;
     sim.spans().finish();
     assert_eq!(sim.spans().dropped(), 0, "span cap hit: the profile would be partial");
     bench::save_profile_stats("table4_detection", &sim.spans().stage_stats());

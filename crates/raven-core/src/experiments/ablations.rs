@@ -15,10 +15,7 @@
     reason = "the wall clock feeds only BitwStudy::crypto_overhead_us, the measured per-packet crypto cost in the sealed results/ablation_bitw.json; every other field is virtual-time-derived"
 )]
 
-use std::sync::Arc;
-
 use raven_detect::{DetectionThresholds, DynamicDetector, FusionRule, Mitigation};
-use raven_dynamics::plant::PlantPrefix;
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
@@ -26,20 +23,16 @@ use simbus::rng::derive_seed;
 
 use crate::campaign::executor::{run_sweep, ExecutorConfig};
 use crate::scenario::AttackSetup;
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
-use crate::training::{train_thresholds_on, TrainingConfig};
+use crate::training::{train_thresholds_with, TrainingConfig};
 
 use super::fig5::eavesdrop;
 
 /// The ablations' shared training: 24 fault-free runs of the reduced
-/// protocol, on the plant prefix the ablation's scored runs share.
-fn ablation_thresholds(
-    seed: u64,
-    exec: &ExecutorConfig,
-    prefix: &Arc<PlantPrefix>,
-) -> DetectionThresholds {
-    train_thresholds_on(&TrainingConfig { runs: 24, ..TrainingConfig::quick(seed) }, exec, prefix)
+/// protocol.
+fn ablation_thresholds(seed: u64, exec: &ExecutorConfig) -> DetectionThresholds {
+    train_thresholds_with(&TrainingConfig { runs: 24, ..TrainingConfig::quick(seed) }, exec)
         .thresholds
 }
 
@@ -82,8 +75,7 @@ pub fn run_fusion_ablation_with(
     runs_per_rule: u32,
     exec: &ExecutorConfig,
 ) -> FusionAblation {
-    let prefix = plant_prefix();
-    let thresholds = ablation_thresholds(seed, exec, &prefix);
+    let thresholds = ablation_thresholds(seed, exec);
     let mut rows = Vec::new();
     for (label, fusion) in [("all-three", FusionRule::AllThree), ("any-one", FusionRule::AnyOne)] {
         let records = run_sweep(
@@ -113,7 +105,7 @@ pub fn run_fusion_ablation_with(
                     ..SimConfig::standard(run_seed)
                 })
                 .with_attack(attack);
-                let out = run_spec(&spec, &prefix, |_| {}).expect_booted().outcome;
+                let out = run_spec(&spec, |_| {}).expect_booted().outcome;
                 (attack.is_attack(), out.model_detected)
             },
         )
@@ -181,8 +173,7 @@ pub fn run_mitigation_ablation_with(
     runs_per_policy: u32,
     exec: &ExecutorConfig,
 ) -> MitigationAblation {
-    let prefix = plant_prefix();
-    let thresholds = ablation_thresholds(seed, exec, &prefix);
+    let thresholds = ablation_thresholds(seed, exec);
     let mut rows = Vec::new();
     for (label, mitigation) in [
         ("observe", Mitigation::Observe),
@@ -208,7 +199,7 @@ pub fn run_mitigation_ablation_with(
                     delay_packets: 300 + u64::from(run) * 41,
                     duration_packets: 256,
                 });
-                let out = run_spec(&spec, &prefix, |_| {}).expect_booted().outcome;
+                let out = run_spec(&spec, |_| {}).expect_booted().outcome;
                 (out.max_ee_step_2ms, out.adverse, out.final_state == "Pedal Down")
             },
         )
@@ -273,7 +264,6 @@ fn harden(sim: &mut Simulation) {
 /// serial protocol, so the result is identical for any worker count.
 pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> HardenedBoardResult {
     let labels = [streams::HARDENED_B, streams::HARDENED_A];
-    let prefix = plant_prefix();
     let outcomes = run_sweep(
         "ablation-hardened",
         labels.len(),
@@ -297,7 +287,7 @@ pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> HardenedBoar
             let spec =
                 SessionSpec::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(run_seed) })
                     .with_attack(attack);
-            let run = run_spec(&spec, &prefix, harden).expect_booted();
+            let run = run_spec(&spec, harden).expect_booted();
             (run.sim.rig().board.integrity_rejects(), run.outcome)
         },
     )
@@ -359,8 +349,7 @@ pub fn run_lookahead_ablation_with(
     runs_per_horizon: u32,
     exec: &ExecutorConfig,
 ) -> LookaheadAblation {
-    let prefix = plant_prefix();
-    let thresholds = ablation_thresholds(seed, exec, &prefix);
+    let thresholds = ablation_thresholds(seed, exec);
     let mut rows = Vec::new();
     for horizon in [1u32, 2, 4, 8] {
         let records = run_sweep(
@@ -391,7 +380,7 @@ pub fn run_lookahead_ablation_with(
                     ..SimConfig::standard(run_seed)
                 })
                 .with_attack(attack);
-                let run = run_spec(&spec, &prefix, |_| {}).expect_booted();
+                let run = run_spec(&spec, |_| {}).expect_booted();
                 let out = &run.outcome;
                 let latency = if attack.is_attack() && out.model_detected {
                     run.sim
@@ -498,7 +487,6 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
         ("wire", Some(raven_hw::BitwPlacement::Wire)),
         ("host", Some(raven_hw::BitwPlacement::Host)),
     ];
-    let prefix = plant_prefix();
     let rows = run_sweep(
         "bitw-study",
         configs.len(),
@@ -512,7 +500,7 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
                 bitw,
                 ..SimConfig::standard(recon_seed)
             });
-            let run = run_spec(&capture, &prefix, eavesdrop).expect_booted();
+            let run = run_spec(&capture, eavesdrop).expect_booted();
             let logger = run.sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed");
             let recon = find_state_byte(logger.capture());
             let recon_succeeded = recon
@@ -541,7 +529,7 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
                     duration_packets: 256,
                 }
             });
-            let run = run_spec(&attack, &prefix, |sim| {
+            let run = run_spec(&attack, |sim| {
                 if host {
                     use raven_attack::{ActivationWindow, Corruption, InjectionWrapper};
                     sim.rig_mut().channel.install_first(InjectionWrapper::with_trigger(

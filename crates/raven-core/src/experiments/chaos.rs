@@ -19,9 +19,9 @@ use simbus::rng::derive_seed;
 use simbus::ChaosConfig;
 
 use crate::campaign::executor::{run_sweep, ExecutorConfig};
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SimConfig, Workload};
-use crate::training::{train_thresholds_on, TrainingConfig};
+use crate::training::{train_thresholds_with, TrainingConfig};
 use raven_detect::Mitigation;
 
 /// Sizing of the chaos study.
@@ -146,8 +146,7 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
     // Reduced training leaves the extreme percentiles noisy; a 25 % margin
     // keeps the chaos-off baseline quiet so the rows isolate what the
     // *faults* cost rather than threshold-training variance.
-    let prefix = plant_prefix();
-    let thresholds = train_thresholds_on(&config.training, exec, &prefix).thresholds.scaled(1.25);
+    let thresholds = train_thresholds_with(&config.training, exec).thresholds.scaled(1.25);
     let presets = chaos_presets();
     let runs = config.runs_per_preset as usize;
     let total = presets.len() * runs;
@@ -169,7 +168,7 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
                 ..SimConfig::standard(seed)
             })
             .with_chaos(chaos.clone());
-            let run = run_spec(&spec, &prefix, |_| {}).expect_booted();
+            let run = run_spec(&spec, |_| {}).expect_booted();
             let out = run.outcome;
             let metrics = run.sim.metrics();
             RunTally {

@@ -10,7 +10,7 @@
 use raven_attack::{byte_profiles, find_state_byte, LoggingWrapper};
 use serde::{Deserialize, Serialize};
 
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{PedalPattern, SimConfig, Simulation};
 
 /// Per-byte summary of the captured traffic (one subplot of Fig. 5(a)).
@@ -90,7 +90,7 @@ pub fn run_fig5(seed: u64, session_ms: u64) -> Fig5Result {
         ..SimConfig::standard(seed)
     });
     // Attacker installs the eavesdropping wrapper before the session.
-    let run = run_spec(&spec, &plant_prefix(), eavesdrop).expect_booted();
+    let run = run_spec(&spec, eavesdrop).expect_booted();
 
     let capture =
         run.sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{PedalPattern, SimConfig, Workload};
 
 use super::fig5::eavesdrop;
@@ -66,7 +66,6 @@ impl Fig6Result {
 
 /// Runs nine randomized sessions and infers the state machine from each.
 pub fn run_fig6(seed: u64) -> Fig6Result {
-    let prefix = plant_prefix();
     let mut runs = Vec::new();
     for run in 0..9 {
         let run_seed = derive_seed(seed, streams::FIG6.at(&run.to_string()));
@@ -80,7 +79,7 @@ pub fn run_fig6(seed: u64) -> Fig6Result {
             pedal: PedalPattern::DutyCycle { work_ms, rest_ms: 250, cycles },
             ..SimConfig::standard(run_seed)
         });
-        let session = run_spec(&spec, &prefix, eavesdrop).expect_booted();
+        let session = run_spec(&spec, eavesdrop).expect_booted();
 
         let capture =
             session.sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed").capture();

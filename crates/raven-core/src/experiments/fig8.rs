@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{SimConfig, Simulation, Workload};
 
 /// Per-joint average absolute error of one integrator.
@@ -138,7 +138,6 @@ pub fn run_fig8(seed: u64, runs: u32, session_ms: u64, model_perturbation: f64) 
     let mut time_total = [0.0f64; 2];
     let mut overlay: Vec<OverlayPoint> = Vec::new();
 
-    let prefix = plant_prefix();
     for run in 0..runs {
         let run_seed = derive_seed(seed, streams::FIG8.at(&run.to_string()));
         let workload = Workload::training_pair()[(run % 2) as usize];
@@ -148,7 +147,7 @@ pub fn run_fig8(seed: u64, runs: u32, session_ms: u64, model_perturbation: f64) 
             record_cycles: true,
             ..SimConfig::standard(run_seed)
         });
-        let sim = run_spec(&spec, &prefix, |_| {}).expect_booted().sim;
+        let sim = run_spec(&spec, |_| {}).expect_booted().sim;
         let log = sim.cycle_log();
 
         // Replay only the engaged (Pedal Down) portion: the model estimates

@@ -11,10 +11,7 @@
 //! and RAVEN's detection probability sits below the adverse-impact
 //! probability (it cannot catch everything that hurts).
 
-use std::sync::Arc;
-
 use raven_detect::{DetectionThresholds, Mitigation};
-use raven_dynamics::plant::PlantPrefix;
 use serde::{Deserialize, Serialize};
 use simbus::rng::derive_seed;
 
@@ -22,9 +19,9 @@ use simbus::obs::{streams, Metrics};
 
 use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
 use crate::scenario::AttackSetup;
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SessionOutcome, SimConfig, Workload};
-use crate::training::{train_thresholds_on, TrainingConfig};
+use crate::training::{train_thresholds_with, TrainingConfig};
 
 /// One grid cell's estimated probabilities.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -149,10 +146,32 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
 /// The whole values × durations × repetitions grid is flattened into one
 /// sweep (cell-major, repetition-minor) so workers stay busy across cell
 /// boundaries; per-cell counts fold in repetition order, making the grid
-/// bit-identical for any worker count. Training and the grid's runs share
-/// one plant prefix.
+/// bit-identical for any worker count.
 pub fn run_fig9_with(config: &Fig9Config, exec: &ExecutorConfig) -> Fig9Result {
-    run_fig9_on(config, exec, &plant_prefix())
+    let thresholds = train_thresholds_with(&config.training, exec).thresholds;
+    let (outcomes, metrics) = grid_rows(config, thresholds, exec);
+    // Per-cell counts fold in repetition order.
+    let reps = config.repetitions.max(1) as usize;
+    let cells = outcomes
+        .chunks(reps)
+        .enumerate()
+        .map(|(cell, runs)| {
+            let (value, duration_ms, _) = grid_run(config, cell * reps);
+            let count = |pick: fn(&(bool, bool, bool)) -> bool| {
+                runs.iter().filter(|r| pick(r)).count() as f64
+            };
+            let n = f64::from(config.repetitions.max(1));
+            Fig9Cell {
+                value,
+                duration_ms,
+                p_adverse: count(|r| r.0) / n,
+                p_model: count(|r| r.1) / n,
+                p_raven: count(|r| r.2) / n,
+                repetitions: config.repetitions,
+            }
+        })
+        .collect();
+    Fig9Result { cells, metrics }
 }
 
 /// Run `i` of the flattened grid (cell-major, repetition-minor): its
@@ -193,13 +212,12 @@ fn row(outcome: &SessionOutcome) -> (bool, bool, bool) {
     (outcome.adverse, outcome.model_detected, outcome.raven_detected)
 }
 
-/// Every grid run's row in run order, each run on the sweep's shared
-/// plant prefix, and their metrics merged in run order.
+/// Every grid run's row in run order, and their metrics merged in run
+/// order.
 fn grid_rows(
     config: &Fig9Config,
     thresholds: DetectionThresholds,
     exec: &ExecutorConfig,
-    prefix: &Arc<PlantPrefix>,
 ) -> (Vec<(bool, bool, bool)>, Metrics) {
     let cells = config.values.len() * config.durations_ms.len();
     let sweep = run_sweep_observed(
@@ -208,45 +226,13 @@ fn grid_rows(
         exec,
         |i| seed(config, i),
         |i, _seed, metrics| {
-            let run = run_spec(&spec(config, thresholds, i), prefix, |_| {}).expect_booted();
+            let run = run_spec(&spec(config, thresholds, i), |_| {}).expect_booted();
             metrics.merge(&run.sim.observer().metrics);
             row(&run.outcome)
         },
     );
     let metrics = sweep.stats.metrics.clone();
     (sweep.expect_all("fig9 sweep"), metrics)
-}
-
-/// [`run_fig9_with`] on a given plant prefix.
-fn run_fig9_on(
-    config: &Fig9Config,
-    exec: &ExecutorConfig,
-    prefix: &Arc<PlantPrefix>,
-) -> Fig9Result {
-    let thresholds = train_thresholds_on(&config.training, exec, prefix).thresholds;
-    let (outcomes, metrics) = grid_rows(config, thresholds, exec, prefix);
-    // Per-cell counts fold in repetition order.
-    let reps = config.repetitions.max(1) as usize;
-    let cells = outcomes
-        .chunks(reps)
-        .enumerate()
-        .map(|(cell, runs)| {
-            let (value, duration_ms, _) = grid_run(config, cell * reps);
-            let count = |pick: fn(&(bool, bool, bool)) -> bool| {
-                runs.iter().filter(|r| pick(r)).count() as f64
-            };
-            let n = f64::from(config.repetitions.max(1));
-            Fig9Cell {
-                value,
-                duration_ms,
-                p_adverse: count(|r| r.0) / n,
-                p_model: count(|r| r.1) / n,
-                p_raven: count(|r| r.2) / n,
-                repetitions: config.repetitions,
-            }
-        })
-        .collect();
-    Fig9Result { cells, metrics }
 }
 
 #[cfg(test)]
@@ -283,27 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn training_and_the_grid_replay_one_pre_pedal_prefix() {
-        let mut cfg = Fig9Config::quick(21);
-        cfg.repetitions = 2;
-        cfg.training.runs = 2;
-        let runs = (cfg.values.len() * cfg.durations_ms.len()) as u64 * u64::from(cfg.repetitions)
-            + u64::from(cfg.training.runs);
-        for workers in [1, 2] {
-            let prefix = plant_prefix();
-            let _ = run_fig9_on(&cfg, &ExecutorConfig::with_workers(workers), &prefix);
-            assert_eq!(prefix.recorded_periods(), prefix.cap());
-            // Only the runs that started alongside the first one (one per
-            // worker) may have integrated any period.
-            let replays = prefix.full_replays();
-            assert!(
-                replays >= runs - workers as u64 && replays < runs,
-                "{workers} worker(s): {replays} of {runs} runs replayed"
-            );
-        }
-    }
-
-    #[test]
     fn golden_rows_replay_alone_from_config_and_index() {
         // The reduced sweep of tests/golden_artifacts.rs.
         let cfg = Fig9Config {
@@ -315,18 +280,15 @@ mod tests {
             seed: 5,
         };
         let exec = ExecutorConfig::with_workers(2);
-        let prefix = plant_prefix();
-        let thresholds = train_thresholds_on(&cfg.training, &exec, &prefix).thresholds;
-        let (rows, _) = grid_rows(&cfg, thresholds, &exec, &prefix);
-        // A replay knows only the config: it retrains on a prefix of its own.
-        let replayed =
-            crate::training::train_thresholds_with(&cfg.training, &ExecutorConfig::serial())
-                .thresholds;
+        let thresholds = train_thresholds_with(&cfg.training, &exec).thresholds;
+        let (rows, _) = grid_rows(&cfg, thresholds, &exec);
+        // A replay knows only the config: it retrains, serially.
+        let replayed = train_thresholds_with(&cfg.training, &ExecutorConfig::serial()).thresholds;
         let reps = cfg.repetitions as usize;
         // One run from each cell, a different repetition in each.
         for cell in 0..rows.len() / reps {
             let i = cell * reps + cell % reps;
-            let alone = run_spec(&spec(&cfg, replayed, i), &plant_prefix(), |_| {}).expect_booted();
+            let alone = run_spec(&spec(&cfg, replayed, i), |_| {}).expect_booted();
             assert_eq!(row(&alone.outcome), rows[i], "grid run {i}");
         }
     }

@@ -17,12 +17,8 @@ use simbus::obs::streams::{self, Stream};
 use simbus::rng::derive_seed;
 use simbus::{LinkConfig, SimDuration};
 
-use std::sync::Arc;
-
-use raven_dynamics::plant::PlantPrefix;
-
 use crate::scenario::AttackSetup;
-use crate::session::{hot_attack, plant_prefix, run_spec, SessionSpec};
+use crate::session::{hot_attack, run_spec, SessionSpec};
 use crate::sim::{SimConfig, Workload};
 
 /// One network condition's measured effect.
@@ -93,7 +89,6 @@ fn run_condition(
     label: Stream<'static>,
     link: LinkConfig,
     attack: AttackSetup,
-    prefix: &Arc<PlantPrefix>,
 ) -> NetworkRow {
     let spec = |link| {
         SessionSpec::new(SimConfig {
@@ -104,13 +99,13 @@ fn run_condition(
             ..SimConfig::standard(derive_seed(seed, label))
         })
     };
-    let run = run_spec(&spec(link).with_attack(attack), prefix, |_| {}).expect_booted();
+    let run = run_spec(&spec(link).with_attack(attack), |_| {}).expect_booted();
     let out = &run.outcome;
 
     // RMS tracking error against an ideal-link replica of the same session.
     // (With no reference available in-band, compare against the clean
     // ideal-network run of the same seed and workload.)
-    let reference = run_spec(&spec(LinkConfig::ideal()), prefix, |_| {}).expect_booted();
+    let reference = run_spec(&spec(LinkConfig::ideal()), |_| {}).expect_booted();
 
     let a = run.sim.trace();
     let b = reference.sim.trace();
@@ -147,15 +142,14 @@ pub fn run_network_study(seed: u64) -> NetworkStudy {
         jitter: SimDuration::from_millis(ms / 4),
         loss_probability: 0.0,
     };
-    let prefix = plant_prefix();
-    let clean = |label, link| run_condition(seed, label, link, AttackSetup::None, &prefix);
+    let clean = |label, link| run_condition(seed, label, link, AttackSetup::None);
     let rows = vec![
         clean(streams::NET_IDEAL, LinkConfig::ideal()),
         clean(streams::NET_LAN, LinkConfig::lan()),
         clean(streams::NET_LOSS_10, lossy(0.10)),
         clean(streams::NET_LOSS_50, lossy(0.50)),
         clean(streams::NET_DELAY_100MS, delayed(100)),
-        run_condition(seed, streams::NET_HOST_INJECTION, LinkConfig::lan(), hot_attack(), &prefix),
+        run_condition(seed, streams::NET_HOST_INJECTION, LinkConfig::lan(), hot_attack()),
     ];
     NetworkStudy { rows }
 }

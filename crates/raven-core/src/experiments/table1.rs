@@ -19,7 +19,7 @@ use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
 use crate::scenario::AttackSetup;
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{SessionOutcome, SimConfig};
 
 /// One executed variant.
@@ -163,14 +163,13 @@ fn matches_paper(spec: &VariantSpec, observed: ObservedImpact) -> bool {
 
 /// Executes every Table I variant.
 pub fn run_table1(seed: u64) -> Table1Result {
-    let prefix = plant_prefix();
     let mut rows = Vec::new();
     for spec in catalog() {
         let run_seed = derive_seed(seed, streams::TABLE1.at(spec.id));
         let session =
             SessionSpec::new(SimConfig { session_ms: 4_000, ..SimConfig::standard(run_seed) })
                 .with_attack(setup_for(&spec));
-        let run = run_spec(&session, &prefix, |_| {});
+        let run = run_spec(&session, |_| {});
         // A variant that breaks homing has no teleoperation session.
         let outcome = run.booted.then_some(run.outcome);
         let observed = classify(&spec, run.booted, outcome.as_ref());

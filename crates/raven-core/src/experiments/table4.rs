@@ -10,10 +10,7 @@
 //! in shadow (Observe) mode so detection is measured without altering the
 //! physical outcome.
 
-use std::sync::Arc;
-
 use raven_detect::{DetectionThresholds, Mitigation};
-use raven_dynamics::plant::PlantPrefix;
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 use simbus::rng::derive_seed;
@@ -22,9 +19,9 @@ use simbus::obs::{streams, Metrics};
 
 use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
 use crate::scenario::AttackSetup;
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SessionOutcome, SimConfig, Workload};
-use crate::training::{train_thresholds_on, TrainingConfig};
+use crate::training::{train_thresholds_with, TrainingConfig};
 
 /// One detector's scored row.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -225,14 +222,13 @@ fn row(spec: &SessionSpec, outcome: &SessionOutcome) -> (bool, bool, bool) {
     (spec.attack.is_attack(), outcome.model_detected, outcome.raven_detected)
 }
 
-/// One scenario's rows in run order, each run on the sweep's shared
-/// plant prefix, and their metrics merged in run order.
+/// One scenario's rows in run order, and their metrics merged in run
+/// order.
 fn scenario_rows(
     scenario: char,
     config: &Table4Config,
     thresholds: DetectionThresholds,
     exec: &ExecutorConfig,
-    prefix: &Arc<PlantPrefix>,
 ) -> (Vec<(bool, bool, bool)>, Metrics) {
     let runs = if scenario == 'A' { config.scenario_a_runs } else { config.scenario_b_runs };
     let sweep = run_sweep_observed(
@@ -242,7 +238,7 @@ fn scenario_rows(
         |i| seed(config, scenario, i as u32),
         |i, _seed, metrics| {
             let spec = spec(config, thresholds, scenario, i as u32);
-            let run = run_spec(&spec, prefix, |_| {}).expect_booted();
+            let run = run_spec(&spec, |_| {}).expect_booted();
             metrics.merge(&run.sim.observer().metrics);
             row(&spec, &run.outcome)
         },
@@ -288,21 +284,11 @@ pub fn run_table4(config: &Table4Config) -> Table4Result {
 }
 
 /// [`run_table4`] with explicit executor control; output is bit-identical
-/// for any worker count. Training and both scenario sweeps share one
-/// plant prefix.
+/// for any worker count.
 pub fn run_table4_with(config: &Table4Config, exec: &ExecutorConfig) -> Table4Result {
-    run_table4_on(config, exec, &plant_prefix())
-}
-
-/// [`run_table4_with`] on a given plant prefix.
-fn run_table4_on(
-    config: &Table4Config,
-    exec: &ExecutorConfig,
-    prefix: &Arc<PlantPrefix>,
-) -> Table4Result {
-    let training = train_thresholds_on(&config.training, exec, prefix);
+    let training = train_thresholds_with(&config.training, exec);
     let scenario = |label| {
-        let (rows, metrics) = scenario_rows(label, config, training.thresholds, exec, prefix);
+        let (rows, metrics) = scenario_rows(label, config, training.thresholds, exec);
         (compare(label, rows), metrics)
     };
     let (scenario_a, metrics_a) = scenario('A');
@@ -356,52 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn training_and_scenarios_replay_one_pre_pedal_prefix() {
-        // Boot and the Pedal-Up wait must stay seed-independent, and
-        // training must boot the plant the scored runs boot: if either
-        // stops being so, the shared prefix silently stops saving anything.
-        let mut cfg = Table4Config::quick(9);
-        cfg.training.runs = 2;
-        cfg.scenario_a_runs = 4;
-        cfg.scenario_b_runs = 4;
-        let runs = u64::from(cfg.training.runs + cfg.scenario_a_runs + cfg.scenario_b_runs);
-        for workers in [1, 2] {
-            let prefix = plant_prefix();
-            let _ = run_table4_on(&cfg, &ExecutorConfig::with_workers(workers), &prefix);
-            assert_eq!(prefix.recorded_periods(), prefix.cap());
-            // Only the runs that started alongside the first one (one per
-            // worker) may have integrated any period.
-            let replays = prefix.full_replays();
-            assert!(
-                replays >= runs - workers as u64 && replays < runs,
-                "{workers} worker(s): {replays} of {runs} runs replayed"
-            );
-        }
-    }
-
-    #[test]
-    fn shared_prefix_thresholds_are_bit_equal_to_private_prefix_thresholds() {
-        let cfg = Table4Config { scenario_b_runs: 2, ..Table4Config::quick(9) };
-        let training = TrainingConfig { runs: 2, ..cfg.training };
-        let exec = ExecutorConfig::serial();
-        let private = crate::training::train_thresholds_with(&training, &exec).thresholds;
-        // Scored attack runs record the prefix; training then replays it.
-        let shared = plant_prefix();
-        let _ = scenario_rows('B', &cfg, private, &exec, &shared);
-        let before = shared.full_replays();
-        let replayed = train_thresholds_on(&training, &exec, &shared).thresholds;
-        assert_eq!(shared.full_replays(), before + u64::from(training.runs));
-        let bits = |t: &DetectionThresholds| {
-            [t.motor_accel, t.motor_vel, t.joint_vel]
-                .concat()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&replayed), bits(&private));
-    }
-
-    #[test]
     fn golden_rows_replay_alone_from_config_and_index() {
         // The reduced protocol of tests/golden_artifacts.rs.
         let cfg = Table4Config {
@@ -412,19 +352,16 @@ mod tests {
             ..Table4Config::quick(5)
         };
         let exec = ExecutorConfig::with_workers(2);
-        let prefix = plant_prefix();
-        let thresholds = train_thresholds_on(&cfg.training, &exec, &prefix).thresholds;
-        // A replay knows only the config: it retrains on a prefix of its own.
-        let replayed =
-            crate::training::train_thresholds_with(&cfg.training, &ExecutorConfig::serial())
-                .thresholds;
+        let thresholds = train_thresholds_with(&cfg.training, &exec).thresholds;
+        // A replay knows only the config: it retrains, serially.
+        let replayed = train_thresholds_with(&cfg.training, &ExecutorConfig::serial()).thresholds;
         for scenario in ['A', 'B'] {
-            let (rows, _) = scenario_rows(scenario, &cfg, thresholds, &exec, &prefix);
+            let (rows, _) = scenario_rows(scenario, &cfg, thresholds, &exec);
             let clean = rows.iter().position(|r| !r.0).expect("a clean run");
             let attacked = rows.iter().position(|r| r.0).expect("an attacked run");
             for run in [clean, attacked] {
                 let spec = spec(&cfg, replayed, scenario, run as u32);
-                let alone = run_spec(&spec, &plant_prefix(), |_| {}).expect_booted();
+                let alone = run_spec(&spec, |_| {}).expect_booted();
                 assert_eq!(row(&spec, &alone.outcome), rows[run], "{scenario} run {run}");
             }
         }

@@ -39,7 +39,6 @@ pub use forensics::{
 };
 pub use scenario::AttackSetup;
 pub use session::{
-    plant_prefix, run_spec, run_standalone, session_thresholds, SessionArtifact, SessionRun,
-    SessionSpec,
+    run_spec, run_standalone, session_thresholds, SessionArtifact, SessionRun, SessionSpec,
 };
 pub use sim::{DetectorSetup, IncidentReport, SessionOutcome, SimConfig, Simulation, Workload};

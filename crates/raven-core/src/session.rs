@@ -3,17 +3,16 @@
 //! A [`SessionSpec`] is everything needed to reconstruct one session
 //! deterministically: the full [`SimConfig`] plus the attack and chaos
 //! schedules installed before boot. [`run_spec`], the only way the crate
-//! starts a session, runs a spec on a shared [`PlantPrefix`];
-//! [`run_standalone`] runs one alone and snapshots a [`SessionArtifact`].
+//! starts a session, runs a spec; [`run_standalone`] runs one and
+//! snapshots a [`SessionArtifact`].
 //! Every experiment run is a spec, a rig-plane fleet
 //! (`raven_fleet::run_fleet`) is a sweep of specs, and the `raven-verify`
 //! safety oracles judge their artifacts.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use raven_detect::{DetectionThresholds, Mitigation};
-use raven_dynamics::plant::PlantPrefix;
 use serde::Serialize;
 use simbus::obs::{Event, Metrics};
 use simbus::trace::Sample;
@@ -186,11 +185,6 @@ impl SessionArtifact {
     }
 }
 
-/// A plant prefix for the runs of one sweep, up to the pedal press.
-pub fn plant_prefix() -> Arc<PlantPrefix> {
-    Arc::new(PlantPrefix::new(Simulation::PEDAL_PRESS_MS as usize))
-}
-
 /// What [`run_spec`] hands back.
 pub struct SessionRun {
     /// The simulation at session end.
@@ -235,69 +229,28 @@ impl SessionRun {
     }
 }
 
-/// Runs one spec: construct, install the attack and the chaos schedule,
-/// attach the sweep's shared plant `prefix` (it cannot change a byte: a
-/// plant detaches at the first period whose state or inputs differ),
+/// Runs one spec: construct (the plant replays the process's shared boot,
+/// see [`Simulation::new`]), install the attack and the chaos schedule,
 /// apply `prepare` (a pre-boot hook: an interceptor, a board swap, span
 /// recording, a detector mutant), boot, and run the session.
-pub fn run_spec(
-    spec: &SessionSpec,
-    prefix: &Arc<PlantPrefix>,
-    prepare: impl FnOnce(&mut Simulation),
-) -> SessionRun {
+pub fn run_spec(spec: &SessionSpec, prepare: impl FnOnce(&mut Simulation)) -> SessionRun {
     let mut sim = Simulation::new(spec.config.clone());
     if spec.attack.is_attack() {
         sim.install_attack(&spec.attack);
     }
     let chaos_scheduled = if spec.chaos.is_off() { 0 } else { sim.install_chaos(&spec.chaos) };
-    sim.rig_mut().plant.share_prefix(Arc::clone(prefix));
     prepare(&mut sim);
     let booted = sim.boot_expecting_failure();
     let outcome = sim.run_session();
     SessionRun { sim, outcome, booted, chaos_scheduled }
 }
 
-/// Runs one spec alone, on a prefix of its own, and snapshots the result
-/// as artifact `id` (see [`run_spec`] for `prepare`).
+/// Runs one spec and snapshots the result as artifact `id` (see
+/// [`run_spec`] for `prepare`).
 pub fn run_standalone(
     spec: &SessionSpec,
     id: u64,
     prepare: impl FnOnce(&mut Simulation),
 ) -> SessionArtifact {
-    run_spec(spec, &plant_prefix(), prepare).artifact(spec, id)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sim::Workload;
-
-    #[test]
-    fn a_run_on_a_siblings_prefix_is_byte_identical_to_a_standalone_run() {
-        let spec = |seed: u64, workload| {
-            SessionSpec::new(SimConfig {
-                workload,
-                session_ms: 2_500,
-                detector: Some(DetectorSetup::default()),
-                ..SimConfig::standard(seed)
-            })
-            .with_attack(AttackSetup::ScenarioB {
-                dac_delta: 24_000,
-                channel: (seed % 3) as usize,
-                delay_packets: 300,
-                duration_packets: 128,
-            })
-        };
-        let prefix = plant_prefix();
-        let run = |spec: &SessionSpec, prefix: &Arc<PlantPrefix>| {
-            run_spec(spec, prefix, |_| {}).expect_booted().artifact(spec, 0).to_json()
-        };
-        let _ = run(&spec(31, Workload::Circle), &prefix);
-        assert_eq!(prefix.recorded_periods(), prefix.cap());
-
-        let shared = spec(37, Workload::Suturing);
-        let replayed = run(&shared, &prefix);
-        assert_eq!(prefix.full_replays(), 1, "the second run replays every pre-pedal period");
-        assert_eq!(replayed, run(&shared, &plant_prefix()));
-    }
+    run_spec(spec, prepare).artifact(spec, id)
 }

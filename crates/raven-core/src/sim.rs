@@ -321,8 +321,10 @@ impl Simulation {
     /// Virtual time (ms after power-up) of the operator's first pedal
     /// press. Boot (idle, start button, homing) ends well before it, about
     /// 1 594 ms in; until this press nothing seed-dependent reaches the
-    /// plant, so it is also the cap of a shared
-    /// [`PlantPrefix`](raven_dynamics::plant::PlantPrefix).
+    /// plant, so it is also the cap of the boot every simulation of the
+    /// process shares: the first to integrate a pre-pedal period records
+    /// it, and later ones copy it
+    /// ([`RavenPlant::attach_shared_prefix`](raven_dynamics::RavenPlant::attach_shared_prefix)).
     pub const PEDAL_PRESS_MS: u64 = 2_500;
 
     /// Virtual start of the chaos-fault window: 300 ms after the pedal
@@ -331,6 +333,9 @@ impl Simulation {
     const CHAOS_START_MS: u64 = Self::PEDAL_PRESS_MS + 300;
 
     /// Builds the clean system for a configuration (no attack installed).
+    /// Its plant replays the pre-pedal periods an earlier simulation of
+    /// the process already integrated (see [`Simulation::PEDAL_PRESS_MS`]);
+    /// that changes no bit.
     pub fn new(config: SimConfig) -> Self {
         let arm = ArmConfig::builder().coupling(config.plant.coupling()).build();
         let controller = RavenController::new(arm.clone(), config.controller);
@@ -349,6 +354,7 @@ impl Simulation {
         };
         rig.plant =
             raven_dynamics::RavenPlant::with_state(config.plant, config.plant.rest_state(stowed));
+        rig.plant.attach_shared_prefix(Self::PEDAL_PRESS_MS as usize);
         if let Some(placement) = config.bitw {
             rig.enable_bitw(placement, derive_seed(config.seed, streams::BITW_KEY));
         }

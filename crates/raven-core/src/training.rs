@@ -3,16 +3,13 @@
 //! velocities of each of the variables over 600 fault-free runs of the model
 //! with two different trajectories containing sufficient variability".
 
-use std::sync::Arc;
-
 use raven_detect::{DetectionThresholds, Mitigation, ThresholdTails};
-use raven_dynamics::plant::PlantPrefix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
 use crate::campaign::executor::{run_sweep_fold, ExecutorConfig};
-use crate::session::{plant_prefix, run_spec, SessionSpec};
+use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SimConfig, Workload};
 
 /// Configuration of a training campaign.
@@ -86,36 +83,6 @@ pub fn train_thresholds(config: &TrainingConfig) -> TrainingReport {
 /// Panics if `config.runs` is zero or a clean training run faults (each
 /// faulting run is reported with its index and seed).
 pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> TrainingReport {
-    train_thresholds_on(config, exec, &plant_prefix())
-}
-
-/// Training run `run`'s seed.
-fn seed(config: &TrainingConfig, run: usize) -> u64 {
-    derive_seed(config.seed, streams::TRAIN.at(&run.to_string()))
-}
-
-/// Training run `run`: a fault-free session on one of the two training
-/// workloads, with the detector in learning mode.
-fn spec(config: &TrainingConfig, run: usize) -> SessionSpec {
-    let mut detector = DetectorSetup::new(Mitigation::Observe, None);
-    detector.config.percentile_band = config.percentile_band;
-    detector.model_perturbation = config.model_perturbation;
-    SessionSpec::new(SimConfig {
-        workload: Workload::training_pair()[run % 2],
-        session_ms: config.session_ms,
-        detector: Some(detector),
-        ..SimConfig::standard(seed(config, run))
-    })
-}
-
-/// [`train_thresholds_with`] on a plant prefix the caller shares with
-/// the runs it scores next, so an experiment integrates its pre-pedal
-/// trajectory once.
-pub(crate) fn train_thresholds_on(
-    config: &TrainingConfig,
-    exec: &ExecutorConfig,
-    prefix: &Arc<PlantPrefix>,
-) -> TrainingReport {
     assert!(config.runs > 0, "training needs at least one run");
     // A run steps `session_ms` cycles and assesses at most one command in
     // each.
@@ -127,7 +94,7 @@ pub(crate) fn train_thresholds_on(
         exec,
         |run| seed(config, run),
         |run, _seed, _metrics| {
-            let mut session = run_spec(&spec(config, run), prefix, |_| {}).expect_booted();
+            let mut session = run_spec(&spec(config, run), |_| {}).expect_booted();
             assert!(
                 session.outcome.controller_fault.is_none(),
                 "fault-free training run {run} faulted: {:?}",
@@ -147,6 +114,25 @@ pub(crate) fn train_thresholds_on(
     );
     let thresholds = tails.learn().expect("training produced no samples");
     TrainingReport { thresholds, samples: tails.samples(), runs: config.runs }
+}
+
+/// Training run `run`'s seed.
+fn seed(config: &TrainingConfig, run: usize) -> u64 {
+    derive_seed(config.seed, streams::TRAIN.at(&run.to_string()))
+}
+
+/// Training run `run`: a fault-free session on one of the two training
+/// workloads, with the detector in learning mode.
+pub fn spec(config: &TrainingConfig, run: usize) -> SessionSpec {
+    let mut detector = DetectorSetup::new(Mitigation::Observe, None);
+    detector.config.percentile_band = config.percentile_band;
+    detector.model_perturbation = config.model_perturbation;
+    SessionSpec::new(SimConfig {
+        workload: Workload::training_pair()[run % 2],
+        session_ms: config.session_ms,
+        detector: Some(detector),
+        ..SimConfig::standard(seed(config, run))
+    })
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! attacking outside Pedal Down "may not have the desired malicious effect"
 //! (§III.B.3).
 
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use raven_kinematics::{JointState, MotorState, NUM_AXES, WRIST_AXES};
 use serde::{Deserialize, Serialize};
@@ -21,8 +21,7 @@ use crate::state::{PlantState, ODE_DIM};
 
 mod prefix;
 
-pub use prefix::PlantPrefix;
-use prefix::{Lookup, Origin, PeriodInputs};
+use prefix::{Lookup, Origin, PeriodInputs, PlantPrefix};
 
 /// Derivative of the 12-dimensional plant state under shaft torques `tau_m`.
 ///
@@ -153,19 +152,18 @@ pub struct RavenPlant {
     time: f64,
     wrist_target: [f64; WRIST_AXES],
     prefix: Option<PrefixCursor>,
+    replayed: usize,
 }
 
-/// A plant's place on a shared [`PlantPrefix`] while it stays attached.
+/// A plant's place on its shared prefix while it stays attached.
 #[derive(Debug, Clone)]
 struct PrefixCursor {
-    prefix: Arc<PlantPrefix>,
+    prefix: &'static PlantPrefix,
     /// The next control period.
     period: usize,
     /// The ODE state the next period must start from: the origin, then
     /// each period's output.
     expected: [f64; ODE_DIM],
-    /// Whether this plant integrated any period it was attached for.
-    recorded: bool,
 }
 
 impl PrefixCursor {
@@ -187,7 +185,7 @@ impl RavenPlant {
     pub const DEFAULT_SUBSTEPS: u32 = 10;
 
     /// The control period (seconds) [`RavenPlant::step_control_period`]
-    /// advances by; the only period a [`PlantPrefix`] records.
+    /// advances by; the only period a shared prefix records.
     pub const CONTROL_PERIOD: f64 = 1e-3;
 
     /// Creates a plant at the mid-workspace rest configuration with brakes
@@ -207,24 +205,64 @@ impl RavenPlant {
             time: 0.0,
             wrist_target: state.wrist,
             prefix: None,
+            replayed: 0,
         }
     }
 
-    /// Attaches the plant to a trajectory prefix shared with the sibling
-    /// runs of a sweep, from its current state on (see [`PlantPrefix`]).
-    /// Returns `false`, leaving the plant detached, unless its parameters,
-    /// ODE state and substeps are bit-equal to the prefix's origin (the
-    /// first plant offered fixes it).
-    pub fn share_prefix(&mut self, prefix: Arc<PlantPrefix>) -> bool {
-        let origin = Origin { params: self.params, x0: self.state.x, substeps: self.substeps };
-        let attached = prefix.admits(&origin);
-        self.prefix = attached.then_some(PrefixCursor {
+    /// Attaches the plant, from its current state on, to the process's
+    /// shared trajectory for its origin: its parameters, ODE state and
+    /// substeps, bit for bit. The first `cap` control periods a plant of
+    /// that origin integrates are recorded once; a later plant that starts
+    /// a period in the recorded state under the recorded brake flag and
+    /// torques copies the recorded result instead of integrating, and
+    /// detaches for good at its first other period or at the cap. The
+    /// copy is the step's exact output, so attaching never changes a bit.
+    ///
+    /// The process keeps one trajectory, for the origin and cap of the
+    /// first plant that attaches (memory stays bounded by `cap` × 136 B).
+    /// Returns `false`, leaving the plant detached, for any other origin
+    /// or cap.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use raven_dynamics::{PlantParams, RavenPlant};
+    ///
+    /// let run = || {
+    ///     let mut plant = RavenPlant::new(PlantParams::raven_ii());
+    ///     assert!(plant.attach_shared_prefix(100));
+    ///     for _ in 0..100 {
+    ///         plant.step_control_period(&[0.0; 3]);
+    ///     }
+    ///     plant
+    /// };
+    /// let recorded = run();
+    /// let replayed = run();
+    /// assert_eq!(replayed.state(), recorded.state());
+    /// assert_eq!(replayed.replayed_periods(), 100);
+    /// ```
+    pub fn attach_shared_prefix(&mut self, cap: usize) -> bool {
+        self.attach_to(&prefix::SHARED, cap)
+    }
+
+    /// [`RavenPlant::attach_shared_prefix`] on the prefix in `slot`.
+    fn attach_to(&mut self, slot: &'static OnceLock<PlantPrefix>, cap: usize) -> bool {
+        self.prefix = PlantPrefix::claim(slot, &self.origin(), cap).map(|prefix| PrefixCursor {
             prefix,
             period: 0,
             expected: self.state.x,
-            recorded: false,
         });
-        attached
+        self.prefix.is_some()
+    }
+
+    fn origin(&self) -> Origin {
+        Origin { params: self.params, x0: self.state.x, substeps: self.substeps }
+    }
+
+    /// Control periods this plant copied from its shared prefix instead
+    /// of integrating (see [`RavenPlant::attach_shared_prefix`]).
+    pub fn replayed_periods(&self) -> usize {
+        self.replayed
     }
 
     /// Overrides the number of RK4 substeps per control period.
@@ -289,8 +327,8 @@ impl RavenPlant {
 
     /// Advances the plant by `dt` seconds under constant shaft torques.
     ///
-    /// An attached [`PlantPrefix`] replays the ODE step when a sibling run
-    /// already integrated it from the same state under the same inputs.
+    /// An attached plant replays the ODE step when an earlier plant already
+    /// integrated it from the same state under the same inputs.
     ///
     /// # Panics
     ///
@@ -308,6 +346,7 @@ impl RavenPlant {
         };
         if let Lookup::Hit(out) = lookup {
             self.state.x = out;
+            self.replayed += 1;
             for _ in 0..self.substeps {
                 self.time += h;
             }
@@ -315,12 +354,12 @@ impl RavenPlant {
             self.integrate(torques, h);
         }
         self.advance_prefix(lookup, &inputs);
-        // Wrist servos: exact first-order lag toward their targets.
-        let lag = (-dt / self.params.wrist_time_constant).exp();
-        for i in 0..WRIST_AXES {
-            if !self.brakes_engaged {
-                self.state.wrist[i] =
-                    self.wrist_target[i] + (self.state.wrist[i] - self.wrist_target[i]) * lag;
+        // Wrist servos: exact first-order lag toward their targets; the
+        // brakes hold them.
+        if !self.brakes_engaged {
+            let lag = (-dt / self.params.wrist_time_constant).exp();
+            for (wrist, target) in self.state.wrist.iter_mut().zip(self.wrist_target) {
+                *wrist = target + (*wrist - target) * lag;
             }
         }
     }
@@ -332,21 +371,14 @@ impl RavenPlant {
         let Some(cursor) = &mut self.prefix else { return };
         let on_path = match lookup {
             Lookup::Hit(_) => true,
-            Lookup::Frontier => {
-                cursor.recorded = true;
-                cursor.prefix.record_period(cursor.period, inputs, &self.state.x)
-            }
+            Lookup::Frontier => cursor.prefix.record_period(cursor.period, inputs, &self.state.x),
             Lookup::Miss => false,
         };
         cursor.period += 1;
         cursor.expected = self.state.x;
-        if on_path && cursor.period < cursor.prefix.cap() {
-            return;
+        if !on_path || cursor.period >= cursor.prefix.cap() {
+            self.prefix = None;
         }
-        if on_path && !cursor.recorded {
-            cursor.prefix.note_full_replay();
-        }
-        self.prefix = None;
     }
 
     /// Runs RK4 over one step of `substeps × h` seconds.

@@ -1,39 +1,39 @@
-//! A plant trajectory shared by the runs of one sweep.
+//! A plant trajectory shared by every session of the process.
 //!
-//! Every run of a Monte-Carlo sweep powers up the same robot in the same
-//! pose, homes it, and holds it on the brakes until the operator's pedal
-//! press; nothing seed-dependent reaches the plant before then. The first
-//! plant to reach a control period records the bits that decide that
-//! period's 12-dim ODE step — the brake flag and the three effective shaft
-//! torques — together with the state the step produced. A later plant that
-//! starts the period in the same state with the same inputs copies that
-//! state instead of running RK4.
+//! Every session powers up the same robot in the same pose, homes it, and
+//! holds it on the brakes until the operator's pedal press; nothing
+//! seed-dependent reaches the plant before then. The first plant to reach
+//! a control period records the bits that decide that period's 12-dim ODE
+//! step — the brake flag and the three effective shaft torques — together
+//! with the state the step produced. A later plant that starts the period
+//! in the same state with the same inputs copies that state instead of
+//! running RK4.
 //!
 //! The copy is exact by construction: the step is a pure function of its
 //! start state and those inputs (plus the parameters, substeps and period
 //! length the origin check pins). A plant that meets any other state or
 //! input detaches for good and integrates as usual; so does a plant that
-//! reaches the cap.
+//! reaches the cap. A first plant that diverged (a boot-breaking attack)
+//! records its own periods; later plants replay the periods before its
+//! divergence and integrate the rest, byte for byte as if alone.
+//!
+//! The process holds one prefix, for the origin and cap of the first
+//! plant that attaches; a plant of any other origin or cap runs detached.
+//! Each entry is written once, so a replay reads without a lock.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "leaf lock: the table's Mutex is a private field, and whoever holds it only reads or writes Table entries and compares their bits, which lock nothing"
-)]
-
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use parking_lot::Mutex;
 use raven_kinematics::NUM_AXES;
 use serde::{Content, Serialize};
 
 use crate::params::PlantParams;
 use crate::state::ODE_DIM;
 
-/// Entries per storage chunk: 256 × 128 B = 32 KiB, below glibc's mmap
-/// threshold, so a prefix never maps (and returns) a fresh region of its
-/// own.
-const CHUNK: usize = 256;
+/// The process's prefix [`RavenPlant::attach_shared_prefix`] attaches to.
+/// Its memory is bounded by `cap × 136 B`.
+///
+/// [`RavenPlant::attach_shared_prefix`]: crate::RavenPlant::attach_shared_prefix
+pub(super) static SHARED: OnceLock<PlantPrefix> = OnceLock::new();
 
 /// What a plant must match to attach: the same parameters, initial ODE
 /// state and substeps, all bit-equal. (The period length is pinned per
@@ -78,7 +78,7 @@ pub(super) fn same_bits(a: &[f64], b: &[f64]) -> bool {
 /// The inputs of one control period's ODE step besides its start state:
 /// the brake flag and the effective shaft torques (zero while braked), as
 /// bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct PeriodInputs {
     braked: bool,
     tau: [u64; NUM_AXES],
@@ -94,27 +94,11 @@ impl PeriodInputs {
     }
 }
 
-/// One recorded period: 128 B.
-#[derive(Debug, Clone, Copy, Default)]
+/// One recorded period: 128 B, 136 B in its `OnceLock`.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     inputs: PeriodInputs,
     out: [f64; ODE_DIM],
-}
-
-/// The recorded periods, in preallocated chunks.
-struct Table {
-    chunks: Vec<Box<[Entry]>>,
-    len: usize,
-}
-
-impl Table {
-    fn slot(&self, period: usize) -> Option<&Entry> {
-        self.chunks.get(period / CHUNK)?.get(period % CHUNK)
-    }
-
-    fn slot_mut(&mut self, period: usize) -> Option<&mut Entry> {
-        self.chunks.get_mut(period / CHUNK)?.get_mut(period % CHUNK)
-    }
 }
 
 /// What the table holds for a plant's next period.
@@ -129,92 +113,52 @@ pub(super) enum Lookup {
     Miss,
 }
 
-/// A capped, append-only record of the control periods every run of a
-/// sweep integrates identically, shared through an `Arc`.
-///
-/// Attach it with [`RavenPlant::share_prefix`](crate::RavenPlant::share_prefix)
-/// before the first step. Storage (`cap` × 128 B) is allocated here, up
-/// front; stepping never allocates, and the lock is held only to copy one
-/// entry in or out, never while integrating.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use raven_dynamics::plant::PlantPrefix;
-/// use raven_dynamics::{PlantParams, RavenPlant};
-///
-/// let prefix = Arc::new(PlantPrefix::new(100));
-/// let run = || {
-///     let mut plant = RavenPlant::new(PlantParams::raven_ii());
-///     assert!(plant.share_prefix(Arc::clone(&prefix)));
-///     for _ in 0..100 {
-///         plant.step_control_period(&[0.0; 3]);
-///     }
-///     *plant.state()
-/// };
-/// let recorded = run();
-/// assert_eq!(run(), recorded);
-/// assert_eq!(prefix.full_replays(), 1);
-/// ```
-pub struct PlantPrefix {
-    cap: usize,
-    origin: OnceLock<Origin>,
-    table: Mutex<Table>,
-    full_replays: AtomicU64,
+/// A capped record of the control periods every plant of one origin
+/// integrates identically. Entries are written once, in period order, so
+/// the recorded periods always form a prefix of the table.
+pub(super) struct PlantPrefix {
+    origin: Origin,
+    entries: Box<[OnceLock<Entry>]>,
 }
 
 impl PlantPrefix {
-    /// An empty prefix that records at most `cap` control periods. The
-    /// first plant to attach fixes its origin.
-    pub fn new(cap: usize) -> Self {
-        let chunks = (0..cap.div_ceil(CHUNK))
-            .map(|i| vec![Entry::default(); CHUNK.min(cap - i * CHUNK)].into_boxed_slice())
-            .collect();
-        PlantPrefix {
-            cap,
-            origin: OnceLock::new(),
-            table: Mutex::new(Table { chunks, len: 0 }),
-            full_replays: AtomicU64::new(0),
-        }
+    /// An empty prefix for `origin` that records at most `cap` control
+    /// periods; its storage is allocated here, so stepping never
+    /// allocates.
+    pub(super) fn new(origin: Origin, cap: usize) -> Self {
+        PlantPrefix { origin, entries: (0..cap).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// The prefix in `slot`, created for `origin` and `cap` if the slot
+    /// is empty; `None` if it holds another origin or cap.
+    pub(super) fn claim(
+        slot: &'static OnceLock<PlantPrefix>,
+        origin: &Origin,
+        cap: usize,
+    ) -> Option<&'static PlantPrefix> {
+        let prefix = slot.get_or_init(|| PlantPrefix::new(*origin, cap));
+        (prefix.cap() == cap && prefix.origin.matches(origin)).then_some(prefix)
     }
 
     /// The most control periods the prefix records.
-    pub fn cap(&self) -> usize {
-        self.cap
+    pub(super) fn cap(&self) -> usize {
+        self.entries.len()
     }
 
     /// Control periods recorded so far (never more than [`cap`]).
     ///
     /// [`cap`]: PlantPrefix::cap
-    pub fn recorded_periods(&self) -> usize {
-        self.table.lock().len
-    }
-
-    /// Plants that reached the cap having replayed every period, none
-    /// integrated: the runs the prefix saved a full boot for.
-    pub fn full_replays(&self) -> u64 {
-        self.full_replays.load(Ordering::Relaxed)
-    }
-
-    /// Whether a plant starting from `origin` may attach: the first
-    /// origin offered wins, later ones must be bit-equal to it.
-    pub(super) fn admits(&self, origin: &Origin) -> bool {
-        self.origin.get_or_init(|| *origin).matches(origin)
+    pub(super) fn recorded_periods(&self) -> usize {
+        self.entries.partition_point(|entry| entry.get().is_some())
     }
 
     /// The table's answer for `period` under `inputs`. The caller has
-    /// already checked that it starts the period on the shared trajectory.
+    /// already checked that it starts the period on the shared trajectory,
+    /// so every earlier period is recorded.
     pub(super) fn replay_period(&self, period: usize, inputs: &PeriodInputs) -> Lookup {
-        let table = self.table.lock();
-        if period >= self.cap {
-            return Lookup::Miss;
-        }
-        if period == table.len {
-            return Lookup::Frontier;
-        }
-        match table.slot(period) {
-            Some(entry) if period < table.len && entry.inputs == *inputs => Lookup::Hit(entry.out),
+        match self.entries.get(period).map(OnceLock::get) {
+            Some(None) => Lookup::Frontier,
+            Some(Some(entry)) if entry.inputs == *inputs => Lookup::Hit(entry.out),
             _ => Lookup::Miss,
         }
     }
@@ -228,55 +172,46 @@ impl PlantPrefix {
         inputs: &PeriodInputs,
         out: &[f64; ODE_DIM],
     ) -> bool {
-        let mut table = self.table.lock();
-        if period < table.len {
-            return table
-                .slot(period)
-                .is_some_and(|entry| entry.inputs == *inputs && same_bits(&entry.out, out));
-        }
-        if period != table.len {
-            return false;
-        }
-        match table.slot_mut(period) {
-            Some(entry) => {
-                *entry = Entry { inputs: *inputs, out: *out };
-                table.len += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Counts a plant that reached the cap without integrating a period.
-    pub(super) fn note_full_replay(&self) {
-        self.full_replays.fetch_add(1, Ordering::Relaxed);
+        let in_order =
+            period == 0 || self.entries.get(period - 1).is_some_and(|e| e.get().is_some());
+        let Some(slot) = self.entries.get(period).filter(|_| in_order) else { return false };
+        let entry = slot.get_or_init(|| Entry { inputs: *inputs, out: *out });
+        entry.inputs == *inputs && same_bits(&entry.out, out)
     }
 }
 
 impl std::fmt::Debug for PlantPrefix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlantPrefix")
-            .field("cap", &self.cap)
-            .field("full_replays", &self.full_replays())
+            .field("cap", &self.cap())
+            .field("recorded_periods", &self.recorded_periods())
             .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use std::sync::Barrier;
 
     use super::*;
     use crate::RavenPlant;
 
-    /// Spans two storage chunks.
-    const CAP: usize = CHUNK + 44;
+    const CAP: usize = 300;
 
     /// Torques of period `k` of a boot-like schedule: braked for the first
     /// 40 periods, then a smooth drive.
     fn torques(k: usize) -> [f64; NUM_AXES] {
         let t = k as f64 * 1e-3;
         [0.03 * (7.0 * t).sin(), -0.02 * (5.0 * t).cos(), 0.01 * (3.0 * t).sin()]
+    }
+
+    /// [`torques`] with one bit flipped from period 90 on.
+    fn diverged(k: usize) -> [f64; NUM_AXES] {
+        let mut tau = torques(k);
+        if k >= 90 {
+            tau[1] = f64::from_bits(tau[1].to_bits() ^ 1);
+        }
+        tau
     }
 
     /// One rig-like period: brake actuation, wrist targets, the step.
@@ -290,10 +225,19 @@ mod tests {
         plant.step_control_period(&tau);
     }
 
-    fn attached(prefix: &Arc<PlantPrefix>) -> RavenPlant {
+    /// A slot of its own, so no other test shares its prefix.
+    fn slot() -> &'static OnceLock<PlantPrefix> {
+        Box::leak(Box::new(OnceLock::new()))
+    }
+
+    fn attached(slot: &'static OnceLock<PlantPrefix>, cap: usize) -> RavenPlant {
         let mut plant = RavenPlant::new(PlantParams::raven_ii());
-        assert!(plant.share_prefix(Arc::clone(prefix)));
+        assert!(plant.attach_to(slot, cap));
         plant
+    }
+
+    fn prefix(slot: &'static OnceLock<PlantPrefix>) -> &'static PlantPrefix {
+        slot.get().expect("a plant created the prefix")
     }
 
     fn assert_bit_identical(a: &RavenPlant, b: &RavenPlant, k: usize) {
@@ -307,14 +251,29 @@ mod tests {
         );
     }
 
+    /// Drives `plant` and a detached reference through `periods` periods
+    /// of `schedule`, asserting bit identity after each.
+    fn drive_against_reference(
+        plant: &mut RavenPlant,
+        periods: usize,
+        schedule: fn(usize) -> [f64; NUM_AXES],
+    ) {
+        let mut reference = RavenPlant::new(PlantParams::raven_ii());
+        for k in 0..periods {
+            drive(plant, k, schedule(k));
+            drive(&mut reference, k, schedule(k));
+            assert_bit_identical(plant, &reference, k);
+        }
+    }
+
     #[test]
     fn sharing_plants_stay_bit_identical_to_a_detached_plant() {
-        let prefix = Arc::new(PlantPrefix::new(CAP));
+        let slot = slot();
         let mut reference = RavenPlant::new(PlantParams::raven_ii());
         // Two plants in lockstep: the first records each period, the
         // second replays it at once. A third starts once the table is
         // complete and replays all of it.
-        let mut lockstep = [attached(&prefix), attached(&prefix)];
+        let mut lockstep = [attached(slot, CAP), attached(slot, CAP)];
         for k in 0..CAP + 20 {
             drive(&mut reference, k, torques(k));
             for plant in &mut lockstep {
@@ -322,24 +281,21 @@ mod tests {
                 assert_bit_identical(plant, &reference, k);
             }
         }
-        assert_eq!(prefix.recorded_periods(), CAP);
-        assert_eq!(prefix.full_replays(), 1);
+        assert_eq!(prefix(slot).recorded_periods(), CAP);
+        assert_eq!(lockstep.map(|p| p.replayed_periods()), [0, CAP]);
 
-        let mut late = attached(&prefix);
-        let mut reference = RavenPlant::new(PlantParams::raven_ii());
-        for k in 0..CAP + 20 {
-            drive(&mut reference, k, torques(k));
-            drive(&mut late, k, torques(k));
-            assert_bit_identical(&late, &reference, k);
-        }
-        assert_eq!(prefix.full_replays(), 2);
+        let mut late = attached(slot, CAP);
+        drive_against_reference(&mut late, CAP + 20, torques);
+        assert_eq!(late.replayed_periods(), CAP);
+        assert!(late.prefix.is_none(), "a plant detaches at the cap");
     }
 
     #[test]
     fn a_frontier_race_keeps_only_an_identical_step_on_the_path() {
         // Two plants that both integrated the frontier period: the second
         // to offer it stays attached only if it produced the same step.
-        let prefix = PlantPrefix::new(CAP);
+        let origin = RavenPlant::new(PlantParams::raven_ii()).origin();
+        let prefix = PlantPrefix::new(origin, CAP);
         let inputs = PeriodInputs::new(false, &torques(0));
         let out = [0.5; ODE_DIM];
         assert!(matches!(prefix.replay_period(0, &inputs), Lookup::Frontier));
@@ -353,68 +309,113 @@ mod tests {
         assert!(!prefix.record_period(2, &inputs, &out), "periods are recorded in order");
         assert_eq!(prefix.recorded_periods(), 1);
         assert!(matches!(prefix.replay_period(0, &inputs), Lookup::Hit(x) if same_bits(&x, &out)));
+        assert!(matches!(prefix.replay_period(CAP, &inputs), Lookup::Miss), "past the cap");
+    }
+
+    #[test]
+    fn two_threads_racing_on_the_frontier_stay_bit_identical() {
+        // Both threads reach every period together, so each frontier is
+        // integrated twice and offered twice. One thread diverges at
+        // period 90: whichever records a period first, both match their
+        // detached references, and a late clean plant still does.
+        for second in [torques, diverged] {
+            let slot = slot();
+            let barrier = Barrier::new(2);
+            let replayed = std::thread::scope(|scope| {
+                let racers = [torques, second].map(|schedule| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let mut plant = attached(slot, CAP);
+                        let mut reference = RavenPlant::new(PlantParams::raven_ii());
+                        for k in 0..CAP + 20 {
+                            barrier.wait();
+                            drive(&mut plant, k, schedule(k));
+                            drive(&mut reference, k, schedule(k));
+                            assert_bit_identical(&plant, &reference, k);
+                        }
+                        plant.replayed_periods()
+                    })
+                });
+                racers.map(|racer| racer.join().expect("racer finished"))
+            });
+            assert!(replayed.iter().all(|&n| n <= CAP), "{replayed:?}");
+            assert_eq!(prefix(slot).recorded_periods(), CAP);
+
+            let mut late = attached(slot, CAP);
+            drive_against_reference(&mut late, CAP + 20, torques);
+        }
     }
 
     #[test]
     fn diverging_torques_detach_and_match_a_detached_plant() {
-        let prefix = Arc::new(PlantPrefix::new(CAP));
-        let mut recorder = attached(&prefix);
+        let slot = slot();
+        let mut recorder = attached(slot, CAP);
         for k in 0..CAP {
             drive(&mut recorder, k, torques(k));
         }
-        let diverged = |k: usize| {
-            let mut tau = torques(k);
-            if k >= 90 {
-                tau[1] = f64::from_bits(tau[1].to_bits() ^ 1);
-            }
-            tau
-        };
-        let mut plant = attached(&prefix);
-        let mut reference = RavenPlant::new(PlantParams::raven_ii());
-        for k in 0..CAP + 20 {
-            drive(&mut plant, k, diverged(k));
-            drive(&mut reference, k, diverged(k));
-            assert_bit_identical(&plant, &reference, k);
-        }
+        let mut plant = attached(slot, CAP);
+        drive_against_reference(&mut plant, CAP + 20, diverged);
         assert!(plant.prefix.is_none(), "a diverged plant stays detached");
-        assert_eq!(prefix.full_replays(), 0);
-        assert_eq!(prefix.recorded_periods(), CAP);
+        assert_eq!(plant.replayed_periods(), 90, "it replays every period before the divergence");
+        assert_eq!(prefix(slot).recorded_periods(), CAP);
     }
 
     #[test]
-    fn a_different_origin_never_attaches() {
-        let params = PlantParams::raven_ii();
-        let prefix = Arc::new(PlantPrefix::new(CAP));
-        assert!(RavenPlant::new(params).share_prefix(Arc::clone(&prefix)));
+    fn a_diverged_first_plant_costs_later_plants_only_their_sharing() {
+        // The first plant records a trajectory that leaves the clean one
+        // at period 90; clean plants after it replay up to there and
+        // integrate the rest as if alone.
+        let slot = slot();
+        let mut poisoner = attached(slot, CAP);
+        drive_against_reference(&mut poisoner, CAP, diverged);
+        for _ in 0..2 {
+            let mut plant = attached(slot, CAP);
+            drive_against_reference(&mut plant, CAP + 20, torques);
+            assert_eq!(plant.replayed_periods(), 90);
+        }
+    }
 
-        let mut perturbed = RavenPlant::new(params.perturbed(3, 0.02));
-        assert!(!perturbed.share_prefix(Arc::clone(&prefix)));
+    #[test]
+    fn only_the_first_origin_and_cap_attach() {
+        let params = PlantParams::raven_ii();
+        let slot = slot();
+        assert!(attached(slot, CAP).prefix.is_some());
+
+        // Any other origin or cap runs detached, down to one bit.
         let mut tiny = params;
         tiny.links.gravity = f64::from_bits(tiny.links.gravity.to_bits() + 1);
-        assert!(!RavenPlant::new(tiny).share_prefix(Arc::clone(&prefix)));
-
+        assert!(!RavenPlant::new(tiny).attach_to(slot, CAP));
         let mut moved = *RavenPlant::new(params).state();
         moved.x[7] += 1e-9;
-        assert!(!RavenPlant::with_state(params, moved).share_prefix(Arc::clone(&prefix)));
-
+        assert!(!RavenPlant::with_state(params, moved).attach_to(slot, CAP));
+        assert!(!RavenPlant::new(params).attach_to(slot, CAP + 1));
         let mut coarse = RavenPlant::new(params);
         coarse.set_substeps(5);
-        assert!(!coarse.share_prefix(Arc::clone(&prefix)));
+        assert!(!coarse.attach_to(slot, CAP));
 
-        // The same origin still attaches.
-        assert!(RavenPlant::new(params).share_prefix(prefix));
+        // The first origin still attaches, to the one prefix.
+        assert!(std::ptr::eq(prefix(slot), attached(slot, CAP).prefix.unwrap().prefix));
+        assert_eq!(prefix(slot).cap(), CAP);
+    }
+
+    #[test]
+    fn set_substeps_detaches() {
+        let slot = slot();
+        let mut plant = attached(slot, CAP);
+        plant.set_substeps(RavenPlant::DEFAULT_SUBSTEPS);
+        assert!(plant.prefix.is_none());
     }
 
     #[test]
     fn an_engage_brakes_write_between_steps_is_caught() {
-        let prefix = Arc::new(PlantPrefix::new(CAP));
-        let mut recorder = attached(&prefix);
+        let slot = slot();
+        let mut recorder = attached(slot, CAP);
         for k in 0..CAP {
             drive(&mut recorder, k, torques(k));
         }
         // Stopping the shafts between two released periods changes the
         // state the next period starts from, though not its inputs.
-        let mut plant = attached(&prefix);
+        let mut plant = attached(slot, CAP);
         let mut reference = RavenPlant::new(PlantParams::raven_ii());
         for k in 0..CAP {
             if k == 120 {
@@ -428,25 +429,24 @@ mod tests {
             assert_bit_identical(&plant, &reference, k);
         }
         assert!(plant.prefix.is_none());
-        assert_eq!(prefix.full_replays(), 0);
+        assert_eq!(plant.replayed_periods(), 120);
     }
 
     #[test]
     fn the_table_never_exceeds_its_cap() {
         for cap in [0, 1, 64, CAP] {
-            let prefix = Arc::new(PlantPrefix::new(cap));
-            for _ in 0..2 {
-                let mut plant = attached(&prefix);
+            let slot = slot();
+            for run in 0..2 {
+                let mut plant = attached(slot, cap);
                 for k in 0..CAP + 50 {
                     drive(&mut plant, k, torques(k));
-                    assert!(prefix.recorded_periods() <= cap);
+                    assert!(prefix(slot).recorded_periods() <= cap);
                 }
                 assert!(plant.prefix.is_none(), "a plant detaches at the cap");
+                assert_eq!(plant.replayed_periods(), run * cap);
             }
-            assert_eq!(prefix.recorded_periods(), cap);
-            let storage: usize = prefix.table.lock().chunks.iter().map(|c| c.len()).sum();
-            assert_eq!(storage, cap);
-            assert_eq!(prefix.full_replays(), u64::from(cap > 0));
+            assert_eq!(prefix(slot).recorded_periods(), cap);
+            assert_eq!(prefix(slot).cap(), cap);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! * **Rig plane** — [`run_fleet`] runs N fully simulated sessions
 //!   (each a [`raven_core::SessionSpec`] with its own seed, scenario,
 //!   attack, and chaos schedule) as one campaign-executor sweep of
-//!   [`raven_core::run_spec`] on a shared plant prefix. Every session's
+//!   [`raven_core::run_spec`]. Every session's
 //!   [`raven_core::SessionArtifact`] (outcome, event log, metrics,
 //!   incident report) is therefore **bit-identical** to the same spec
 //!   run standalone, for any worker count — pinned by

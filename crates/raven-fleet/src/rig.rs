@@ -1,14 +1,13 @@
 //! The rig plane: a fleet of full sessions is one campaign-executor
 //! sweep of the session runner.
 //!
-//! Run `i` of the sweep is [`run_spec`]`(&specs[i], &prefix, |_| {})` on
-//! the fleet's shared plant prefix, snapshotted as artifact `i`, and the
-//! executor merges results in run order for any worker count. A shared
-//! prefix cannot change a byte, so each artifact is the standalone
-//! artifact of its spec — the contract `tests/fleet_equiv.rs` pins. Only
-//! the sessions in flight (one per worker) are alive at a time.
+//! Run `i` of the sweep is [`run_spec`]`(&specs[i], |_| {})`, snapshotted
+//! as artifact `i`, and the executor merges results in run order for any
+//! worker count. Each artifact is therefore the standalone artifact of its
+//! spec — the contract `tests/fleet_equiv.rs` pins. Only the sessions in
+//! flight (one per worker) are alive at a time.
 
-use raven_core::{plant_prefix, run_spec, run_sweep, ExecutorConfig, SessionArtifact, SessionSpec};
+use raven_core::{run_spec, run_sweep, ExecutorConfig, SessionArtifact, SessionSpec};
 
 /// A deterministic mixed-scenario fleet: clean, guarded, attacked,
 /// defended, and block-and-hold sessions with distinct seeds and
@@ -54,13 +53,12 @@ pub fn standard_mix(n: usize, base_seed: u64) -> Vec<SessionSpec> {
 /// assert!(artifacts.iter().all(|a| a.booted));
 /// ```
 pub fn run_fleet(specs: &[SessionSpec], exec: &ExecutorConfig) -> Vec<SessionArtifact> {
-    let prefix = plant_prefix();
     run_sweep(
         "fleet",
         specs.len(),
         exec,
         |i| specs[i].config.seed,
-        |i, _| run_spec(&specs[i], &prefix, |_| {}).artifact(&specs[i], i as u64),
+        |i, _| run_spec(&specs[i], |_| {}).artifact(&specs[i], i as u64),
     )
     .expect_all("fleet")
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use raven_core::training::{train_thresholds, TrainingConfig};
-use raven_core::{plant_prefix, run_spec, DetectorSetup, SessionSpec};
+use raven_core::{run_spec, DetectorSetup, SessionSpec};
 use raven_detect::{DetectionThresholds, Mitigation};
 
 fn attacked_session(mitigation: Mitigation, thresholds: DetectionThresholds) {
@@ -15,7 +15,7 @@ fn attacked_session(mitigation: Mitigation, thresholds: DetectionThresholds) {
     // shoulder for 256 ms) during a 4 s circle scan.
     let mut spec = SessionSpec::attacked(8).with_session_ms(4_000);
     spec.config.detector = Some(DetectorSetup::new(mitigation, Some(thresholds)));
-    let outcome = run_spec(&spec, &plant_prefix(), |_| {}).expect_booted().outcome;
+    let outcome = run_spec(&spec, |_| {}).expect_booted().outcome;
     println!("\nmitigation = {mitigation:?}:");
     println!("  model detected      : {}", outcome.model_detected);
     println!("  adverse impact      : {}", outcome.adverse);

@@ -9,15 +9,13 @@
 //! ```
 
 use raven_core::viz::{line_chart, trace_chart, Series};
-use raven_core::{plant_prefix, run_spec, AttackSetup, SessionSpec, SimConfig, Simulation};
+use raven_core::{run_spec, AttackSetup, SessionSpec, SimConfig, Simulation};
 use simbus::obs::channels;
 
 /// A recorded 4 s circle-scan session under `attack`.
 fn run(attack: AttackSetup, seed: u64) -> Simulation {
     let config = SimConfig { session_ms: 4_000, record_cycles: true, ..SimConfig::standard(seed) };
-    run_spec(&SessionSpec::new(config).with_attack(attack), &plant_prefix(), |_| {})
-        .expect_booted()
-        .sim
+    run_spec(&SessionSpec::new(config).with_attack(attack), |_| {}).expect_booted().sim
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -54,7 +54,7 @@ use raven_core::experiments::{
 };
 use raven_core::training::{train_thresholds, train_thresholds_with, TrainingConfig};
 use raven_core::{
-    plant_prefix, run_spec, DetectorSetup, ExecutorConfig, SessionSpec, SimConfig, Simulation,
+    run_spec, DetectorSetup, ExecutorConfig, SessionSpec, SimConfig, Simulation,
     SweepTraceCollector,
 };
 use raven_detect::Mitigation;
@@ -307,7 +307,7 @@ fn die<T>(msg: &str) -> Option<T> {
 /// `label`, and writes the artifacts the options ask for.
 fn run_single(label: &str, mut spec: SessionSpec, opts: &RunOpts) {
     spec.config.record_cycles = opts.incident_dir.is_some();
-    let run = run_spec(&spec, &plant_prefix(), |sim| {
+    let run = run_spec(&spec, |sim| {
         if opts.wants_tracing() {
             sim.enable_span_recorder();
         }
@@ -600,7 +600,7 @@ fn run_metrics_command(args: &[String]) {
                 detector: Some(DetectorSetup::default()),
                 ..SimConfig::standard(seed)
             });
-            let run = run_spec(&spec, &plant_prefix(), |_| {}).expect_booted();
+            let run = run_spec(&spec, |_| {}).expect_booted();
             let mut metrics = registry_template();
             metrics.merge(&run.sim.observer().metrics);
             let text = metrics.to_openmetrics();
@@ -675,8 +675,7 @@ fn run_profile_command(args: &[String]) {
         detector: Some(DetectorSetup::default()),
         ..SimConfig::standard(opts.seed)
     });
-    let sim =
-        run_spec(&spec, &plant_prefix(), Simulation::enable_span_recorder).expect_booted().sim;
+    let sim = run_spec(&spec, Simulation::enable_span_recorder).expect_booted().sim;
     sim.spans().finish();
     println!("span paths (representative guarded session, seed {}):", opts.seed);
     println!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");

@@ -346,8 +346,8 @@ fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
     // Every exception is an `expect` with a reason (stale ones fail clippy
     // with unfulfilled_lint_expectations), one lint per attribute, and the
     // set of (file, lint) pairs is pinned: a new exception must edit this
-    // list. The three `disallowed_types` sites in span.rs, prefix.rs and
-    // trace.rs are the workspace's only locks, each a leaf lock. The panic
+    // list. The two `disallowed_types` sites in span.rs and trace.rs are
+    // the workspace's only locks, each a leaf lock. The panic
     // exceptions are item-level: each excuses one documented fail-fast.
     let lints: Vec<&str> =
         ["clippy::disallowed_methods", "clippy::disallowed_types", "unsafe_code"]
@@ -385,7 +385,6 @@ fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
         ("crates/raven-core/src/experiments/table2.rs", "clippy::disallowed_methods"),
         ("crates/raven-detect/tests/tail_memory.rs", "unsafe_code"),
         ("crates/raven-dynamics/src/estimator.rs", "clippy::expect_used"),
-        ("crates/raven-dynamics/src/plant/prefix.rs", "clippy::disallowed_types"),
         ("crates/raven-kinematics/src/coupling.rs", "clippy::expect_used"),
         ("crates/raven-math/src/stats.rs", "clippy::expect_used"),
         ("crates/raven-math/src/vec3.rs", "clippy::panic"),
