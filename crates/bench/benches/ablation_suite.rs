@@ -5,6 +5,8 @@
 //! cargo bench -p bench --bench ablation_suite
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::{
     run_bitw_study_with, run_fusion_ablation_with, run_hardened_board_with,
     run_lookahead_ablation_with, run_mitigation_ablation_with, run_network_study,

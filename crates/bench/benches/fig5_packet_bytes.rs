@@ -4,6 +4,8 @@
 //! cargo bench -p bench --bench fig5_packet_bytes
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::run_fig5;
 
 fn main() {

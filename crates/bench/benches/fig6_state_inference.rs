@@ -4,6 +4,8 @@
 //! cargo bench -p bench --bench fig6_state_inference
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::run_fig6;
 
 fn main() {

@@ -5,6 +5,8 @@
 //! cargo bench -p bench --bench fig8_model_validation
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::run_fig8;
 
 fn main() {

@@ -4,6 +4,7 @@
 //! cargo bench -p bench --bench table1_variants
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![expect(
     clippy::disallowed_methods,
     reason = "benches measure wall time by definition; bench JSON is a sidecar artifact, never merged into results byte-identity checks"

@@ -5,6 +5,8 @@
 //! cargo bench -p bench --bench table2_overhead
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::run_table2;
 
 fn main() {

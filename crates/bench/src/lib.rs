@@ -5,6 +5,9 @@
 //! under `results/` at the workspace root (consumed by EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
+// Outputs of this crate are serialized or merged: an exact float `==`
+// flips when one FMA is reordered, so compare bits or use a tolerance.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::path::PathBuf;
 

@@ -15,6 +15,9 @@
 //!   feedback corruption).
 
 #![forbid(unsafe_code)]
+// Outputs of this crate are serialized or merged: an exact float `==`
+// flips when one FMA is reordered, so compare bits or use a tolerance.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 // The 1 ms safety cycle runs through this crate: no panic path outside
 // tests (each sanctioned site is an item-level `#[expect]` with its reason).
 #![deny(

@@ -100,22 +100,40 @@ impl StateMachine {
     /// Applies an event; returns the new state. Illegal events in a state
     /// are ignored (the RAVEN software discards, e.g., pedal presses during
     /// homing).
+    ///
+    /// Each event's handler names every state, with no `_` arm: adding a
+    /// state or an event fails to compile until every handler decides
+    /// what it does there.
     pub fn apply(&mut self, event: ControlEvent) -> RobotState {
         use ControlEvent::*;
         use RobotState::*;
-        self.state = match (self.state, event) {
-            (_, Fault(reason)) => {
+        self.state = match event {
+            // Faults preempt from every state.
+            Fault(reason) => {
                 self.fault = Some(reason);
-                EStop
+                match self.state {
+                    EStop | Init | PedalUp | PedalDown => EStop,
+                }
             }
-            (EStop, StartPressed) => {
-                self.fault = None;
-                Init
-            }
-            (Init, HomingComplete) => PedalUp,
-            (PedalUp, PedalPressed) => PedalDown,
-            (PedalDown, PedalReleased) => PedalUp,
-            (s, _) => s, // ignored event
+            StartPressed => match self.state {
+                EStop => {
+                    self.fault = None;
+                    Init
+                }
+                s @ (Init | PedalUp | PedalDown) => s,
+            },
+            HomingComplete => match self.state {
+                Init => PedalUp,
+                s @ (EStop | PedalUp | PedalDown) => s,
+            },
+            PedalPressed => match self.state {
+                PedalUp => PedalDown,
+                s @ (EStop | Init | PedalDown) => s,
+            },
+            PedalReleased => match self.state {
+                PedalDown => PedalUp,
+                s @ (EStop | Init | PedalUp) => s,
+            },
         };
         self.state
     }
@@ -155,41 +173,82 @@ mod tests {
         assert_eq!(sm.apply(PedalPressed), RobotState::PedalDown);
     }
 
-    #[test]
-    fn fault_from_any_state_goes_to_estop() {
-        for setup in 0..4usize {
-            let mut sm = StateMachine::new();
-            let events = [StartPressed, HomingComplete, PedalPressed];
-            for e in events.iter().take(setup) {
-                sm.apply(*e);
-            }
-            sm.apply(Fault(FaultReason::DacLimit));
-            assert!(sm.is_estop());
-            assert_eq!(sm.fault(), Some(FaultReason::DacLimit));
+    /// Paper Fig. 1(c): the start button takes E-STOP to Init, homing
+    /// takes Init to Pedal Up, and the pedal toggles Pedal Up and Pedal
+    /// Down. Every other non-fault event holds the state.
+    const TABLE: [(RobotState, ControlEvent, RobotState); 16] = {
+        use RobotState::*;
+        [
+            (EStop, StartPressed, Init),
+            (EStop, HomingComplete, EStop),
+            (EStop, PedalPressed, EStop),
+            (EStop, PedalReleased, EStop),
+            (Init, StartPressed, Init),
+            (Init, HomingComplete, PedalUp),
+            (Init, PedalPressed, Init),
+            (Init, PedalReleased, Init),
+            (PedalUp, StartPressed, PedalUp),
+            (PedalUp, HomingComplete, PedalUp),
+            (PedalUp, PedalPressed, PedalDown),
+            (PedalUp, PedalReleased, PedalUp),
+            (PedalDown, StartPressed, PedalDown),
+            (PedalDown, HomingComplete, PedalDown),
+            (PedalDown, PedalPressed, PedalDown),
+            (PedalDown, PedalReleased, PedalUp),
+        ]
+    };
+
+    const STATES: [RobotState; 4] =
+        [RobotState::EStop, RobotState::Init, RobotState::PedalUp, RobotState::PedalDown];
+
+    const REASONS: [FaultReason; 7] = [
+        FaultReason::DacLimit,
+        FaultReason::JointLimit,
+        FaultReason::IkFailure,
+        FaultReason::HomingFailure,
+        FaultReason::OperatorStop,
+        FaultReason::GuardStop,
+        FaultReason::PlcStop,
+    ];
+
+    /// Every reachable machine in `state`: only E-STOP can hold a latched
+    /// fault.
+    fn machines(state: RobotState) -> Vec<StateMachine> {
+        let mut out = vec![StateMachine { state, fault: None }];
+        if state == RobotState::EStop {
+            out.push(StateMachine { state, fault: Some(FaultReason::PlcStop) });
         }
+        out
     }
 
     #[test]
-    fn start_clears_fault() {
-        let mut sm = StateMachine::new();
-        sm.apply(Fault(FaultReason::IkFailure));
-        assert!(sm.fault().is_some());
-        sm.apply(StartPressed);
-        assert_eq!(sm.fault(), None);
-        assert_eq!(sm.state(), RobotState::Init);
-    }
-
-    #[test]
-    fn illegal_events_are_ignored() {
-        let mut sm = StateMachine::new();
-        // Pedal press in E-STOP does nothing.
-        assert_eq!(sm.apply(PedalPressed), RobotState::EStop);
-        sm.apply(StartPressed);
-        // Pedal press during homing does nothing.
-        assert_eq!(sm.apply(PedalPressed), RobotState::Init);
-        // Homing-complete in Pedal Up does nothing.
-        sm.apply(HomingComplete);
-        assert_eq!(sm.apply(HomingComplete), RobotState::PedalUp);
+    fn every_state_event_pair_follows_fig_1c() {
+        for from in STATES {
+            for event in [StartPressed, HomingComplete, PedalPressed, PedalReleased] {
+                let rows = TABLE.iter().filter(|r| r.0 == from && r.1 == event).count();
+                assert_eq!(rows, 1, "one row for {from:?} + {event:?}");
+            }
+        }
+        for (from, event, to) in TABLE {
+            for mut sm in machines(from) {
+                let prior = sm.fault();
+                assert_eq!(sm.apply(event), to, "{from:?} + {event:?}");
+                assert_eq!(sm.state(), to);
+                // Only the start button clears a latched fault.
+                let fault =
+                    if event == StartPressed && from == RobotState::EStop { None } else { prior };
+                assert_eq!(sm.fault(), fault, "{from:?} + {event:?}");
+            }
+        }
+        // A fault preempts from every state and records its reason.
+        for from in STATES {
+            for reason in REASONS {
+                for mut sm in machines(from) {
+                    assert_eq!(sm.apply(Fault(reason)), RobotState::EStop, "{from:?} + {reason:?}");
+                    assert_eq!(sm.fault(), Some(reason), "{from:?} + {reason:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 )]
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -363,10 +363,10 @@ where
         let folded = AtomicUsize::new(0);
         let (next_ref, folded_ref, run_one_ref) = (&next, &folded, &run_one);
         let (sender, finished) = mpsc::channel::<RunSlot<T>>();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for worker in 0..workers {
                 let sender = sender.clone();
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = next_ref.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
@@ -405,8 +405,7 @@ where
                 folded_ref.store(merged, Ordering::Relaxed);
             }
             assert_eq!(merged, n, "run {merged} never ran");
-        })
-        .unwrap_or_else(|payload| resume_unwind(payload));
+        });
     }
 
     if let Some(collector) = &trace {

@@ -17,6 +17,9 @@
 //!   incident files pinned by a hash-chained ledger (`raven-ledger`).
 
 #![forbid(unsafe_code)]
+// Outputs of this crate are serialized or merged: an exact float `==`
+// flips when one FMA is reordered, so compare bits or use a tolerance.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod campaign;
 pub mod dual;

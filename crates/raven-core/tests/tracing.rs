@@ -157,7 +157,13 @@ fn chrome_trace_export_is_schema_valid_json() {
     for event in events {
         let ph = match event.get("ph").expect("ph") {
             serde_json::Value::Str(s) => s.clone(),
-            other => panic!("ph must be a string, got {other:?}"),
+            other @ (serde_json::Value::Null
+            | serde_json::Value::Bool(_)
+            | serde_json::Value::I64(_)
+            | serde_json::Value::U64(_)
+            | serde_json::Value::F64(_)
+            | serde_json::Value::Seq(_)
+            | serde_json::Value::Map(_)) => panic!("ph must be a string, got {other:?}"),
         };
         assert!(event.get("pid").is_some(), "every event carries a pid");
         assert!(event.get("name").is_some(), "every event carries a name");

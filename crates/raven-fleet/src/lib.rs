@@ -32,6 +32,9 @@
 //! pure function of the specs.
 
 #![forbid(unsafe_code)]
+// Outputs of this crate are serialized or merged: an exact float `==`
+// flips when one FMA is reordered, so compare bits or use a tolerance.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod monitor;
 pub mod queue;

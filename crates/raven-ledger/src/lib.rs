@@ -17,7 +17,8 @@
 //! * [`manifest`] — content-addressed signed manifests pinning
 //!   `results/*.json` and the golden fixtures ([`Manifest`]);
 //! * [`mod@sha256`] — the hand-rolled SHA-256/HMAC core everything above
-//!   rides on (dependency-free, same spirit as `raven-lint`).
+//!   rides on (dependency-free, so the verifier is auditable from the
+//!   repo alone).
 //!
 //! Everything here is derived from **virtual time** and canonical
 //! serialization only, so ledgers and manifests are byte-identical
@@ -25,6 +26,9 @@
 //! threat model live in `docs/FORENSICS.md`.
 
 #![forbid(unsafe_code)]
+// Outputs of this crate are serialized or merged: an exact float `==`
+// flips when one FMA is reordered, so compare bits or use a tolerance.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod ledger;
 pub mod manifest;

@@ -1,10 +1,10 @@
 //! Hand-rolled SHA-256 and HMAC-SHA256 (FIPS 180-4 / RFC 2104).
 //!
-//! The forensics layer must stay dependency-free (same spirit as
-//! `raven-lint`): this environment has no registry access, and the
-//! verifier has to be auditable end-to-end from the repo alone. SHA-256
-//! is small enough to carry in one file; the implementation is checked
-//! against the NIST and RFC 4231 test vectors below.
+//! The forensics layer must stay dependency-free: the workspace builds
+//! offline, and the verifier has to be auditable end-to-end from the
+//! repo alone. SHA-256 is small enough to carry in one file; the
+//! implementation is checked against the NIST and RFC 4231 test vectors
+//! below.
 
 /// First 32 bits of the fractional parts of the cube roots of the first
 /// 64 primes (FIPS 180-4 §4.2.2).

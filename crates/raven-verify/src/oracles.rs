@@ -146,7 +146,7 @@ fn field_u64(event: &Event, key: &str) -> Option<u64> {
     match event.field(key)? {
         FieldValue::U64(v) => Some(*v),
         FieldValue::I64(v) => u64::try_from(*v).ok(),
-        _ => None,
+        FieldValue::Bool(_) | FieldValue::F64(_) | FieldValue::Str(_) => None,
     }
 }
 
@@ -156,7 +156,7 @@ fn field_f64(event: &Event, key: &str) -> Option<f64> {
         FieldValue::F64(v) => Some(*v),
         FieldValue::U64(v) => Some(*v as f64),
         FieldValue::I64(v) => Some(*v as f64),
-        _ => None,
+        FieldValue::Bool(_) | FieldValue::Str(_) => None,
     }
 }
 
@@ -164,7 +164,7 @@ fn field_f64(event: &Event, key: &str) -> Option<f64> {
 fn field_bool(event: &Event, key: &str) -> Option<bool> {
     match event.field(key)? {
         FieldValue::Bool(v) => Some(*v),
-        _ => None,
+        FieldValue::U64(_) | FieldValue::I64(_) | FieldValue::F64(_) | FieldValue::Str(_) => None,
     }
 }
 
@@ -172,7 +172,7 @@ fn field_bool(event: &Event, key: &str) -> Option<bool> {
 fn field_str<'e>(event: &'e Event, key: &str) -> Option<&'e str> {
     match event.field(key)? {
         FieldValue::Str(v) => Some(v.as_str()),
-        _ => None,
+        FieldValue::Bool(_) | FieldValue::U64(_) | FieldValue::I64(_) | FieldValue::F64(_) => None,
     }
 }
 

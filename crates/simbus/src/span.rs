@@ -747,14 +747,24 @@ mod tests {
             serde_json::Value::I64(i) => *i as f64,
             serde_json::Value::U64(u) => *u as f64,
             serde_json::Value::F64(f) => *f,
-            other => panic!("not a number: {other:?}"),
+            other @ (serde_json::Value::Null
+            | serde_json::Value::Bool(_)
+            | serde_json::Value::Str(_)
+            | serde_json::Value::Seq(_)
+            | serde_json::Value::Map(_)) => panic!("not a number: {other:?}"),
         }
     }
 
     fn as_str(v: &serde_json::Value) -> &str {
         match v {
             serde_json::Value::Str(s) => s,
-            other => panic!("not a string: {other:?}"),
+            other @ (serde_json::Value::Null
+            | serde_json::Value::Bool(_)
+            | serde_json::Value::I64(_)
+            | serde_json::Value::U64(_)
+            | serde_json::Value::F64(_)
+            | serde_json::Value::Seq(_)
+            | serde_json::Value::Map(_)) => panic!("not a string: {other:?}"),
         }
     }
 

@@ -11,6 +11,8 @@
 //! cargo run --release --example attack_demo
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_attack::{
     find_state_byte, ActivationWindow, Corruption, InjectionWrapper, LoggingWrapper,
 };

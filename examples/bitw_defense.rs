@@ -6,6 +6,8 @@
 //! cargo run --release --example bitw_defense
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::run_bitw_study_with;
 use raven_core::ExecutorConfig;
 

@@ -5,6 +5,8 @@
 //! cargo run --release --example dual_arm
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::{Arm, AttackSetup, DualArmSession, SimConfig};
 
 fn main() {

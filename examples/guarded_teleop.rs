@@ -6,6 +6,8 @@
 //! cargo run --release --example guarded_teleop
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::training::{train_thresholds, TrainingConfig};
 use raven_core::{run_spec, DetectorSetup, SessionSpec};
 use raven_detect::{DetectionThresholds, Mitigation};

@@ -6,6 +6,8 @@
 //! cargo run --release --example model_validation
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::run_fig8;
 
 fn main() {

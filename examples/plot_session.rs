@@ -8,6 +8,8 @@
 //! #   results/ee_path.svg
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::viz::{line_chart, trace_chart, Series};
 use raven_core::{run_spec, AttackSetup, SessionSpec, SimConfig, Simulation};
 use simbus::obs::channels;

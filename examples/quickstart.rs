@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::{SimConfig, Simulation, Workload};
 
 fn main() {

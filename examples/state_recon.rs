@@ -5,6 +5,8 @@
 //! cargo run --release --example state_recon
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use raven_core::experiments::{run_fig5, run_fig6};
 
 fn main() {

@@ -46,6 +46,7 @@
 //! byte-identical either way.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use raven_core::experiments::{
     run_chaos_study_with, run_fig5, run_fig6, run_fig8, run_fig9_with, run_fusion_ablation_with,

@@ -5,4 +5,7 @@
 //! in [`raven_core`] and the per-subsystem crates it re-exports.
 
 #![forbid(unsafe_code)]
+// Outputs of this crate are serialized or merged: an exact float `==`
+// flips when one FMA is reordered, so compare bits or use a tolerance.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 pub use raven_core as core;

@@ -1,195 +1,22 @@
-//! Tier-1 guard for the static audit. The workspace must pass raven-lint
-//! (run in-process on the policy below) with pinned scan, finding and
-//! exception counts, and the seeded fixture workspace must fail it with
-//! every rule represented, so the audit is part of the plain `cargo test -q`
-//! gate (the per-rule fixture suite lives in `crates/raven-lint/tests/`).
-//! The rules the toolchain checks (clippy.toml and `[workspace.lints]`)
-//! are gated by CI's clippy step; the last test here pins their
-//! configuration and their exception sites.
+//! Tier-1 guard for the static checks. The rules the toolchain enforces
+//! (clippy.toml and `[workspace.lints]`, the panic and `float_cmp` denials
+//! at target roots) are gated by CI's clippy step; the last test here pins
+//! their configuration and their exception sites. The one rule no lint
+//! covers, that registered observability names are spelled only in
+//! `simbus::obs`, is checked here. See docs/STATIC_ANALYSIS.md.
 
-use raven_lint::{AllowEntry, AuditReport, Config, WatchedEnum};
+use simbus::obs::{channels, names, spans, EventKind};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-/// The workspace's audit policy. See docs/STATIC_ANALYSIS.md.
-const WORKSPACE: Config = Config {
-    roots: &["crates", "src", "tests", "examples"],
-    exclude: &[
-        // The linter's own fixture corpus intentionally violates every rule.
-        "crates/raven-lint/tests/fixtures/",
-        // Vendored offline stubs are third-party API surface, not our code.
-        "vendor/",
-    ],
-    // R4: matches over these enums must spell out every variant; a wildcard
-    // would let a newly added state slip through a safety handler silently
-    // (the paper's TOCTOU lesson: trust nothing implicit on the safety path).
-    watched_enums: &[
-        WatchedEnum { name: "RobotState", variants: &["EStop", "Init", "PedalUp", "PedalDown"] },
-        WatchedEnum {
-            name: "ControlEvent",
-            variants: &["StartPressed", "HomingComplete", "PedalPressed", "PedalReleased", "Fault"],
-        },
-        WatchedEnum {
-            name: "FaultReason",
-            variants: &[
-                "DacLimit",
-                "JointLimit",
-                "IkFailure",
-                "HomingFailure",
-                "OperatorStop",
-                "GuardStop",
-                "PlcStop",
-            ],
-        },
-        WatchedEnum {
-            name: "EStopCause",
-            variants: &["WatchdogTimeout", "SoftwareCommand", "PhysicalButton", "HardwareFault"],
-        },
-        WatchedEnum { name: "Mitigation", variants: &["Observe", "BlockAndHold", "EStop"] },
-        WatchedEnum { name: "FusionRule", variants: &["AllThree", "AnyOne"] },
-        WatchedEnum { name: "DetectorMode", variants: &["Learning", "Armed"] },
-        WatchedEnum { name: "WriteAction", variants: &["Forward", "Drop"] },
-        WatchedEnum {
-            name: "EventKind",
-            variants: &[
-                "AttackInstalled",
-                "StateTransition",
-                "ControlFault",
-                "AttackInjection",
-                "DetectorVerdict",
-                "EstopLatched",
-                "EstopCleared",
-                "ChaosInjected",
-                "LedgerAppended",
-            ],
-        },
-        WatchedEnum {
-            name: "ChaosFaultKind",
-            variants: &[
-                "ReorderNext",
-                "DuplicateNext",
-                "CorruptPacket",
-                "BurstLoss",
-                "StuckEncoder",
-                "EncoderBitFlip",
-                "DropUsbFrames",
-                "BoardSilence",
-            ],
-        },
-    ],
-    // R7: exact float equality in the crates whose outputs are serialized
-    // or merged: one reordered FMA flips `==` without failing any test.
-    // Bit-exact checks go through f64::to_bits, tolerances through an
-    // epsilon helper.
-    float_cmp_crates: &[
-        "simbus",
-        "raven-core",
-        "raven-attack",
-        "raven-ledger",
-        "raven-fleet",
-        "bench",
-        "raven-repro",
-    ],
-    allows: &[
-        AllowEntry {
-            rule: "R4",
-            path: "crates/raven-control/src/state_machine.rs",
-            contains: Some("(_, Fault(reason))"),
-            reason: "faults preempt from *every* state by design (paper Fig. 1c); enumerating \
-                     states here would weaken the guarantee",
-        },
-        AllowEntry {
-            rule: "R4",
-            path: "crates/raven-control/src/state_machine.rs",
-            contains: Some("(s, _) => s"),
-            reason: "terminal rule: events illegal in a state are ignored, holding the state \
-                     (paper Fig. 1c); all legal pairs are enumerated above it",
-        },
-    ],
-};
-
-/// The seeded fixture workspace's policy: one violation per rule under
-/// `src/`, plus two entries that must surface as stale (`CONFIG`): one
-/// excusing a file that does not exist, one naming a rule id no rule emits.
-const SEEDED: Config = Config {
-    roots: &["src"],
-    exclude: &[],
-    watched_enums: &[WatchedEnum {
-        name: "RobotState",
-        variants: &["EStop", "Init", "PedalUp", "PedalDown"],
-    }],
-    float_cmp_crates: &["raven-repro"],
-    allows: &[
-        AllowEntry {
-            rule: "R7",
-            path: "src/stale_never_matches.rs",
-            contains: None,
-            reason: "deliberately stale: the engine must report this entry as CONFIG",
-        },
-        AllowEntry {
-            rule: "R9",
-            path: "src/violations.rs",
-            contains: Some("err == 0.0"),
-            reason: "a retired rule id covers nothing, not even the R7 finding on its line",
-        },
-    ],
-};
-
-fn audit(root: &Path, cfg: &Config) -> AuditReport {
-    raven_lint::run(root, cfg).unwrap_or_else(|e| panic!("audit of {}: {e}", root.display()))
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-#[test]
-fn workspace_passes_its_own_audit_with_pinned_counts() {
-    let report = audit(Path::new(env!("CARGO_MANIFEST_DIR")), &WORKSPACE);
-    assert!(
-        report.findings.is_empty(),
-        "the workspace must pass its own static audit:\n{:#?}",
-        report.findings
-    );
-    // The audited-exception count must move deliberately: an exception
-    // that appears (or vanishes) without this number being updated is
-    // exactly the drift the allowlist is supposed to make loud.
-    assert_eq!(report.allowed, 2, "{report:?}");
-    assert!(
-        (140..=220).contains(&report.files_scanned),
-        "scanned file count drifted out of the expected band: {}",
-        report.files_scanned
-    );
-}
-
-#[test]
-fn every_allowlist_entry_has_a_reason() {
-    for a in WORKSPACE.allows {
-        assert!(!a.reason.trim().is_empty(), "{a:?} needs a one-line reason");
-        assert!(["R4", "R5", "R7"].contains(&a.rule), "{a:?} names no live rule");
-    }
-}
-
-#[test]
-fn seeded_violations_fail_the_audit() {
-    let ws = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/raven-lint/tests/fixtures/ws");
-    let report = audit(&ws, &SEEDED);
-    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-    for rule in ["R4", "R5", "R7", "CONFIG"] {
-        assert!(rules.contains(&rule), "rule {rule} missing from findings:\n{report:#?}");
-    }
-    // R5's names come from simbus::obs itself: a registered metric and a
-    // registered channel fire, an unregistered dotted name does not.
-    let r5: Vec<&str> =
-        report.findings.iter().filter(|f| f.rule == "R5").map(|f| f.snippet.as_str()).collect();
-    assert!(r5.iter().any(|s| s.contains("m.inc(\"detector.alarms")), "{r5:?}");
-    assert!(r5.iter().any(|s| s.contains("t.record(\"ee_x_mm")), "{r5:?}");
-    assert!(!r5.iter().any(|s| s.contains("unregistered.metric")), "{r5:?}");
-    // Both seeded entries are stale, the one naming a retired rule id
-    // included, and neither suppressed anything.
-    let stale: Vec<&str> =
-        report.findings.iter().filter(|f| f.rule == "CONFIG").map(|f| f.snippet.as_str()).collect();
-    assert_eq!(stale.len(), 2, "{stale:?}");
-    assert!(stale.iter().any(|s| s.contains("src/stale_never_matches.rs")), "{stale:?}");
-    assert!(stale.iter().any(|s| s.contains("\"R9\"")), "{stale:?}");
-    assert_eq!(report.allowed, 0, "{report:?}");
+/// A workspace file's text.
+fn read(p: &str) -> String {
+    fs::read_to_string(root().join(p)).unwrap_or_else(|e| panic!("{p}: {e}"))
 }
 
 /// The `key = value` lines of one `[header]` table of a TOML file.
@@ -246,14 +73,16 @@ fn denied(src: &str) -> Vec<&str> {
         .collect()
 }
 
-fn walk_rs(dir: &Path, root: &Path, out: &mut Vec<String>) {
+/// Workspace-relative paths of the `.rs` files under `dir`, skipping
+/// build output.
+fn walk_rs(dir: &Path, out: &mut Vec<String>) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     for entry in entries.flatten() {
         let path = entry.path();
-        let rel = path.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/");
+        let rel = path.strip_prefix(root()).unwrap().to_string_lossy().replace('\\', "/");
         if path.is_dir() {
-            if entry.file_name() != "target" && rel != "crates/raven-lint/tests/fixtures" {
-                walk_rs(&path, root, out);
+            if entry.file_name() != "target" {
+                walk_rs(&path, out);
             }
         } else if rel.ends_with(".rs") {
             out.push(rel);
@@ -261,11 +90,79 @@ fn walk_rs(dir: &Path, root: &Path, out: &mut Vec<String>) {
     }
 }
 
+fn rs_files(dirs: &[&str]) -> Vec<String> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        walk_rs(&root().join(dir), &mut files);
+    }
+    files.sort();
+    files
+}
+
+/// Registered observability names (event kinds, metrics, channels, spans)
+/// are spelled only in `simbus::obs`: a literal elsewhere would keep the
+/// old name through a rename there. The names and family prefixes come
+/// from the registry's own arrays. Test code is exempt: everything from a
+/// file's one `#[cfg(test)]` on, which must open the file's trailing
+/// module, so no production item can sit behind it.
+#[test]
+fn registered_names_are_spelled_only_in_the_registry() {
+    let kinds = EventKind::ALL.map(EventKind::as_str);
+    let mut literals: Vec<String> = [&kinds[..], &names::ALL, &channels::ALL, &spans::ALL]
+        .concat()
+        .iter()
+        .map(|name| format!("\"{name}\""))
+        .collect();
+    literals.extend(names::FAMILIES.iter().map(|prefix| format!("\"{prefix}")));
+
+    let mut findings = Vec::new();
+    let mut scanned = 0;
+    for f in rs_files(&["crates", "src", "examples"]) {
+        if f == "crates/simbus/src/obs.rs" || f.split('/').any(|d| d == "tests" || d == "vendor") {
+            continue;
+        }
+        scanned += 1;
+        let src = read(&f);
+        let lines: Vec<&str> = src.lines().collect();
+        let cut = lines.iter().position(|l| l.contains("#[cfg(test)]"));
+        if let Some(at) = cut {
+            assert_eq!(src.matches("#[cfg(test)]").count(), 1, "{f}: one `#[cfg(test)]` at most");
+            assert_eq!(lines[at], "#[cfg(test)]", "{f}:{}: gates a top-level item", at + 1);
+            let opener = lines.get(at + 1).copied().unwrap_or_default();
+            assert!(
+                opener.starts_with("mod ") && opener.ends_with(" {"),
+                "{f}:{}: `#[cfg(test)]` must open a module",
+                at + 2
+            );
+            // rustfmt indents a module's body, so its `}` is the only
+            // unindented line left if the module ends the file.
+            let top_level: Vec<&str> = lines[at + 2..]
+                .iter()
+                .copied()
+                .filter(|l| !l.is_empty() && !l.starts_with(char::is_whitespace))
+                .collect();
+            assert_eq!(top_level, ["}"], "{f}: the `#[cfg(test)]` module must end the file");
+        }
+        for (i, line) in lines[..cut.unwrap_or(lines.len())].iter().enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            for literal in literals.iter().filter(|l| line.contains(l.as_str())) {
+                findings.push(format!("{f}:{}: {literal}", i + 1));
+            }
+        }
+    }
+    assert!(scanned > 100, "only {scanned} files scanned");
+    assert!(
+        findings.is_empty(),
+        "registered names spelled as literals; use simbus::obs \
+         (EventKind, names::*, channels::*, spans::*):\n{}",
+        findings.join("\n")
+    );
+}
+
 #[test]
 fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
     // clippy.toml bans the wall clock (R1), hash collections (R2) and
     // locks (R10), each entry with the reason clippy prints.
     let clippy = read("clippy.toml");
@@ -293,11 +190,17 @@ fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
     }
 
     // The root [workspace.lints] denies the lints those bans and the
-    // unsafe audit (R6) rely on.
+    // unsafe audit (R6) rely on, and `_` arms over enums (R4): a new state,
+    // event or fault reason must be handled wherever it is matched.
     let cargo = read("Cargo.toml");
     assert_eq!(toml_table(&cargo, "[workspace.lints.rust]").get("unsafe_code"), Some(&"\"deny\""));
     let clippy_lints = toml_table(&cargo, "[workspace.lints.clippy]");
-    for lint in ["undocumented_unsafe_blocks", "disallowed_methods", "disallowed_types"] {
+    for lint in [
+        "undocumented_unsafe_blocks",
+        "disallowed_methods",
+        "disallowed_types",
+        "wildcard_enum_match_arm",
+    ] {
         assert_eq!(clippy_lints.get(lint), Some(&"\"deny\""), "{lint}");
     }
 
@@ -331,14 +234,30 @@ fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
         assert!(clippy.lines().any(|l| l == format!("{key} = true")), "clippy.toml: {key}");
     }
 
+    // Exact float equality (R7) is denied outside tests at the root of
+    // every non-test target of the crates whose outputs are serialized or
+    // merged.
+    let mut float_roots: Vec<String> =
+        ["simbus", "raven-core", "raven-attack", "raven-ledger", "raven-fleet", "bench"]
+            .iter()
+            .map(|krate| format!("crates/{krate}/src/lib.rs"))
+            .collect();
+    float_roots.extend(["src/lib.rs".to_string(), "src/bin/raven-sim.rs".to_string()]);
+    float_roots.extend(rs_files(&["crates/bench/benches", "examples"]));
+    assert!(float_roots.len() >= 26, "{float_roots:?}");
+    for f in &float_roots {
+        let attr = "#![cfg_attr(not(test), deny(clippy::float_cmp))]";
+        assert!(read(f).lines().any(|l| l == attr), "{f} needs `{attr}`");
+    }
+
     // The root package and every crate opt in.
     let mut manifests = vec!["Cargo.toml".to_string()];
-    for entry in fs::read_dir(root.join("crates")).unwrap().flatten() {
+    for entry in fs::read_dir(root().join("crates")).unwrap().flatten() {
         if entry.path().join("Cargo.toml").is_file() {
             manifests.push(format!("crates/{}/Cargo.toml", entry.file_name().to_string_lossy()));
         }
     }
-    assert!(manifests.len() >= 16, "{manifests:?}");
+    assert!(manifests.len() >= 15, "{manifests:?}");
     for m in &manifests {
         assert_eq!(toml_table(&read(m), "[lints]").get("workspace"), Some(&"true"), "{m}");
     }
@@ -349,17 +268,18 @@ fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
     // list. The two `disallowed_types` sites in span.rs and trace.rs are
     // the workspace's only locks, each a leaf lock. The panic
     // exceptions are item-level: each excuses one documented fail-fast.
-    let lints: Vec<&str> =
-        ["clippy::disallowed_methods", "clippy::disallowed_types", "unsafe_code"]
-            .into_iter()
-            .chain(panic_lints)
-            .collect();
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        walk_rs(&root.join(dir), root, &mut files);
-    }
+    let lints: Vec<&str> = [
+        "clippy::disallowed_methods",
+        "clippy::disallowed_types",
+        "clippy::wildcard_enum_match_arm",
+        "clippy::float_cmp",
+        "unsafe_code",
+    ]
+    .into_iter()
+    .chain(panic_lints)
+    .collect();
     let mut found = Vec::new();
-    for f in &files {
+    for f in &rs_files(&["crates", "src", "tests", "examples"]) {
         let src = read(f);
         for (kind, list, reasoned) in exceptions(&src, &lints) {
             assert_eq!(kind, "expect", "{f}: `{kind}({list})` must be an expect");
