@@ -190,14 +190,7 @@ fn main() {
                via run_fleet, one executor sweep of standalone sessions"
             .to_string(),
     };
-    // Workspace root ONLY: results/ holds the manifest-pinned deterministic
-    // artifacts, and wall-clock timings must never enter that set.
-    let root = {
-        let mut d = bench::results_dir();
-        d.pop();
-        d
-    };
-    let path = root.join("BENCH_fleet.json");
+    let path = bench::workspace_root().join("BENCH_fleet.json");
     std::fs::write(&path, serde_json::to_string_pretty(&record).expect("serialize record"))
         .expect("write BENCH_fleet.json");
     println!("[saved {}]", path.display());

@@ -484,14 +484,7 @@ fn bench_batch_scaling() {
          ({scalar_m1:.1} ns)"
     );
 
-    // Workspace root ONLY: results/ holds the manifest-pinned deterministic
-    // artifacts, and wall-clock timings must never enter that set.
-    let root = {
-        let mut d = bench::results_dir();
-        d.pop();
-        d
-    };
-    let path = root.join("BENCH_kernels.json");
+    let path = bench::workspace_root().join("BENCH_kernels.json");
     let record = KernelsBench {
         header: bench::BenchHeader::current(),
         cycles_per_repeat: cycles,

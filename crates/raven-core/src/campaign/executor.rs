@@ -22,7 +22,7 @@
 //!   recorded as a [`RunError`] for its index; every other run completes.
 //! * **Telemetry** — optional progress lines on stderr (runs completed,
 //!   runs/sec, ETA) plus a final [`SweepStats`] with wall-clock and
-//!   throughput, surfaced by the `raven-sim` CLI and the bench harnesses.
+//!   throughput, surfaced by the `raven-sim` CLI and the benches.
 
 #![expect(
     clippy::disallowed_methods,

@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn euler_is_faster_with_comparable_error() {
-        // Reduced protocol for test speed; the bench runs the 10-run
+        // Reduced protocol for test speed; `raven-sim artifacts` runs the 10-run
         // paper-scale version.
         let r = run_fig8(4, 2, 2_000, 0.02);
         assert_eq!(r.methods.len(), 2);

@@ -4,8 +4,10 @@
 //! Each runner takes a size/seed configuration, executes full-system
 //! simulations, and returns a serde-serializable result struct with a
 //! `render()` method that prints the same rows/series the paper reports.
-//! The `bench` crate's harnesses call these at paper scale; unit tests run
-//! reduced sizes.
+//! [`index`] holds every sealed artifact's seed, quick and paper sizes,
+//! files and shape checks in one table: `raven-sim artifacts`,
+//! `raven-sim <command>` and `raven-sim profile` all run from it. Unit
+//! tests and the golden fixtures run reduced sizes.
 
 pub mod ablations;
 pub mod chaos;
@@ -13,6 +15,7 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig8;
 pub mod fig9;
+pub mod index;
 pub mod network;
 pub mod table1;
 pub mod table2;

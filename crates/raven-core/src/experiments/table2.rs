@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn overhead_ordering_matches_paper() {
-        // Small sample for test speed; the bench uses 50,000.
+        // Small sample for test speed; the sealed run uses 50,000.
         let result = run_table2(3_000);
         assert_eq!(result.rows.len(), 3);
         let base = result.rows[0].mean_us;

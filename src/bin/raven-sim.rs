@@ -5,17 +5,21 @@
 //! raven-sim attack [seed]          run the scenario-B attack, undefended
 //! raven-sim defend [seed]          train the guard and run the same attack
 //! raven-sim train [seed]           learn detection thresholds (parallel)
-//! raven-sim table1|table2|fig5|fig6|fig8   regenerate an artifact (quick sizes)
-//! raven-sim table4|fig9|ablations  Monte-Carlo sweeps (parallel campaign engine)
-//! raven-sim chaos [seed]           accidental-fault study (guarded loop under chaos)
+//! raven-sim table1|table2|table4|fig5|fig6|fig8|fig9|ablations|chaos [seed]
+//!                                  run one group of the experiment index
+//! raven-sim artifacts              regenerate the sealed results/ set
 //! raven-sim fleet [seed]           run N mixed sessions as one sweep
 //! ```
 //!
-//! Sweep commands accept `--workers N` (default: all cores, or
-//! `$RAVEN_WORKERS`) and `--paper` (paper-scale sizes instead of the quick
-//! protocol). Progress and throughput (runs completed, runs/sec, ETA) are
-//! reported on stderr while a sweep runs. Results are bit-identical for
-//! any `--workers` value.
+//! The experiment commands run the rows of
+//! `raven_core::experiments::index`: the default seed is each row's
+//! sealed seed, a positional seed overrides every row of the group, and
+//! `--paper` switches from the quick sizes to the paper sizes of the
+//! sealed set. Commands whose rows run on the campaign executor (and
+//! `train`) accept `--workers N` (default: all cores, or
+//! `$RAVEN_WORKERS`). Progress and throughput (runs completed, runs/sec,
+//! ETA) are reported on stderr while a sweep runs. Results are
+//! bit-identical for any `--workers` value.
 //!
 //! Observability:
 //!
@@ -25,17 +29,17 @@
 //!   (loadable in Perfetto / `chrome://tracing`): pipeline-stage spans
 //!   for single-run commands, the per-worker `queued → running → merged`
 //!   sweep timeline for sweep commands;
-//! * `--profile-json <path>` — write span/sweep timing statistics in the
-//!   `bench::save_profile_stats` sidecar schema (`Vec<StageStats>`, one
-//!   row per span path or sweep segment);
+//! * `--profile-json <path>` — write span/sweep timing statistics as a
+//!   `Vec<StageStats>` sidecar (one row per span path or sweep segment),
+//!   the schema of `raven-sim artifacts`' `results/profile_*.json`;
 //! * `--incident-dir <dir>` — when a single-run command trips the flight
 //!   recorder (fault, detector alarm, or E-STOP), write the incident
 //!   report (event ring + last 250 ms of every trace signal) as JSON
 //!   into `<dir>`;
 //! * `raven-sim metrics export [seed] [--out <path>]` — OpenMetrics text
 //!   snapshot of every metric in the `names::` registry;
-//! * `raven-sim profile <fig9|table4|chaos>` — terminal report with
-//!   nearest-rank p50/p99 per span path plus a worker-utilization
+//! * `raven-sim profile <table4|fig9|ablations|chaos>` — terminal report
+//!   with nearest-rank p50/p99 per span path plus a worker-utilization
 //!   summary (busy%, merge stall);
 //! * `RAVEN_LOG=<debug|info|warn|error|off>` — stderr log threshold
 //!   (the CLI defaults to `info`; library callers default to `warn`).
@@ -48,10 +52,8 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use raven_core::experiments::{
-    run_chaos_study_with, run_fig5, run_fig6, run_fig8, run_fig9_with, run_fusion_ablation_with,
-    run_lookahead_ablation_with, run_mitigation_ablation_with, run_table1, run_table2,
-    run_table4_with, ChaosStudyConfig, Fig9Config, Table4Config,
+use raven_core::experiments::index::{
+    group, representative_session, Experiment, Produced, Scale, EXPERIMENTS,
 };
 use raven_core::training::{train_thresholds, train_thresholds_with, TrainingConfig};
 use raven_core::{
@@ -61,122 +63,91 @@ use raven_core::{
 use raven_detect::Mitigation;
 use simbus::obs::{log, registry_template, Metrics, Severity};
 use simbus::ChromeTraceBuilder;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Options for the sweep commands:
-/// `[seed] [--workers N] [--paper] [--metrics-json <path>]
-/// [--trace-out <path>] [--profile-json <path>]`.
-struct SweepOpts {
-    seed: u64,
+/// The positional root seed, as an entry of a command's accepted flags.
+const SEED: &str = "<seed>";
+
+/// The single-run commands: `session`, `attack`, `defend`.
+const RUN: &[&str] = &[SEED, "--metrics-json", "--trace-out", "--profile-json", "--incident-dir"];
+
+/// The commands that run on the campaign executor.
+const SWEEP: &[&str] =
+    &[SEED, "--workers", "--paper", "--metrics-json", "--trace-out", "--profile-json"];
+
+/// `train`: a sweep that records no metrics registry.
+const TRAIN: &[&str] = &[SEED, "--workers", "--paper", "--trace-out", "--profile-json"];
+
+/// Parsed options; a field stays at its default unless its flag was given.
+#[derive(Default)]
+struct Opts {
+    seed: Option<u64>,
+    workers: Option<usize>,
     paper: bool,
-    exec: ExecutorConfig,
-    metrics_json: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    profile_json: Option<PathBuf>,
-}
-
-fn parse_sweep_opts(args: &[String]) -> SweepOpts {
-    let mut seed = 42u64;
-    let mut workers = None;
-    let mut paper = false;
-    let mut metrics_json = None;
-    let mut trace_out = None;
-    let mut profile_json = None;
-    let mut rest = args[2..].iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--workers" => workers = workers_flag(rest.next()),
-            "--paper" => paper = true,
-            "--metrics-json" => {
-                metrics_json =
-                    rest.next().map(PathBuf::from).or_else(|| die("--metrics-json needs a path"));
-            }
-            "--trace-out" => {
-                trace_out =
-                    rest.next().map(PathBuf::from).or_else(|| die("--trace-out needs a path"));
-            }
-            "--profile-json" => {
-                profile_json =
-                    rest.next().map(PathBuf::from).or_else(|| die("--profile-json needs a path"));
-            }
-            other => match other.parse() {
-                Ok(s) => seed = s,
-                Err(_) => {
-                    die::<u64>(&format!("unrecognized argument `{other}`"));
-                }
-            },
-        }
-    }
-    check_workers_env(workers);
-    // Only install a collector (and thus pay for timestamps) when a trace
-    // consumer asked for one.
-    let trace = (trace_out.is_some() || profile_json.is_some())
-        .then(|| Arc::new(SweepTraceCollector::new()));
-    SweepOpts {
-        seed,
-        paper,
-        exec: ExecutorConfig { workers, progress: true, trace },
-        metrics_json,
-        trace_out,
-        profile_json,
-    }
-}
-
-/// Options for the single-run commands:
-/// `[seed] [--metrics-json <path>] [--trace-out <path>]
-/// [--profile-json <path>] [--incident-dir <dir>]`.
-struct RunOpts {
-    seed: u64,
     metrics_json: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     profile_json: Option<PathBuf>,
     incident_dir: Option<PathBuf>,
+    out: Option<PathBuf>,
+    sessions: Option<u64>,
+    duration: Option<u64>,
 }
 
-impl RunOpts {
-    /// Whether any consumer needs the span recorder turned on.
+impl Opts {
+    /// Whether any consumer needs timestamps: a span recorder for a
+    /// single run, a sweep-trace collector for a sweep.
     fn wants_tracing(&self) -> bool {
         self.trace_out.is_some() || self.profile_json.is_some()
     }
+
+    /// The executor for a sweep: the requested workers, progress on
+    /// stderr, and a trace collector only when a trace consumer asked for
+    /// one (so an untraced sweep pays for no timestamps).
+    fn executor(&self) -> ExecutorConfig {
+        let trace = self.wants_tracing().then(|| Arc::new(SweepTraceCollector::new()));
+        ExecutorConfig { workers: self.workers, progress: true, trace }
+    }
 }
 
-fn parse_run_opts(args: &[String]) -> RunOpts {
-    let mut seed = 42u64;
-    let mut metrics_json = None;
-    let mut trace_out = None;
-    let mut profile_json = None;
-    let mut incident_dir = None;
-    let mut rest = args[2..].iter();
+/// Parses `args` (everything after the command) into [`Opts`], accepting
+/// only the flags in `accepts` ([`SEED`] for a positional seed). Exits 2
+/// on any other argument or a bad value.
+fn parse_opts(args: &[String], accepts: &[&str]) -> Opts {
+    let mut opts = Opts::default();
+    let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--metrics-json" => {
-                metrics_json =
-                    rest.next().map(PathBuf::from).or_else(|| die("--metrics-json needs a path"));
-            }
-            "--trace-out" => {
-                trace_out =
-                    rest.next().map(PathBuf::from).or_else(|| die("--trace-out needs a path"));
-            }
-            "--profile-json" => {
-                profile_json =
-                    rest.next().map(PathBuf::from).or_else(|| die("--profile-json needs a path"));
-            }
-            "--incident-dir" => {
-                incident_dir = rest
-                    .next()
-                    .map(PathBuf::from)
-                    .or_else(|| die("--incident-dir needs a directory"));
-            }
-            other => match other.parse() {
-                Ok(s) => seed = s,
-                Err(_) => {
-                    die::<u64>(&format!("unrecognized argument `{other}`"));
-                }
-            },
+        let seed = arg.parse().ok();
+        let flag = if seed.is_some() { SEED } else { arg.as_str() };
+        if !accepts.contains(&flag) || (flag == SEED && seed.is_none()) {
+            die::<()>(&format!("unrecognized argument `{arg}`"));
+        }
+        let path = |value: Option<&String>, what: &str| {
+            value.map(PathBuf::from).or_else(|| die(&format!("{arg} needs {what}")))
+        };
+        let positive = |value: Option<&String>, what: &str| {
+            value
+                .and_then(|v| v.parse().ok())
+                .filter(|&n: &u64| n > 0)
+                .or_else(|| die(&format!("{arg} needs {what}")))
+        };
+        match flag {
+            "--workers" => opts.workers = workers_flag(rest.next()),
+            "--paper" => opts.paper = true,
+            "--metrics-json" => opts.metrics_json = path(rest.next(), "a path"),
+            "--trace-out" => opts.trace_out = path(rest.next(), "a path"),
+            "--profile-json" => opts.profile_json = path(rest.next(), "a path"),
+            "--out" => opts.out = path(rest.next(), "a path"),
+            "--incident-dir" => opts.incident_dir = path(rest.next(), "a directory"),
+            "--sessions" => opts.sessions = positive(rest.next(), "a positive integer"),
+            "--duration" => opts.duration = positive(rest.next(), "a positive ms count"),
+            _ => opts.seed = seed,
         }
     }
-    RunOpts { seed, metrics_json, trace_out, profile_json, incident_dir }
+    if accepts.contains(&"--workers") {
+        check_workers_env(opts.workers);
+    }
+    opts
 }
 
 /// The value of `--workers`: a positive integer, parsed like
@@ -201,13 +172,14 @@ fn check_workers_env(workers: Option<usize>) {
     }
 }
 
-fn write_json(path: &std::path::Path, json: &str, what: &str) {
+/// Writes `text` to `path`, creating its directory; exits 2 on failure.
+fn write_file(path: &Path, text: &str, what: &str) {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         if let Err(e) = std::fs::create_dir_all(parent) {
             die::<()>(&format!("cannot create {}: {e}", parent.display()));
         }
     }
-    match std::fs::write(path, json) {
+    match std::fs::write(path, text) {
         Ok(()) => log::emit(Severity::Info, "raven-sim", &format!("{what}: {}", path.display())),
         Err(e) => {
             die::<()>(&format!("cannot write {}: {e}", path.display()));
@@ -218,7 +190,7 @@ fn write_json(path: &std::path::Path, json: &str, what: &str) {
 fn dump_metrics(path: Option<&PathBuf>, metrics: &Metrics) {
     if let Some(path) = path {
         let json = serde_json::to_string_pretty(metrics).expect("metrics serialize");
-        write_json(path, &json, "metrics written");
+        write_file(path, &json, "metrics written");
     }
 }
 
@@ -229,7 +201,7 @@ fn dump_metrics(path: Option<&PathBuf>, metrics: &Metrics) {
 /// Metrics are dumped *before* the incident sink runs: the sink's
 /// ledger bookkeeping must never leak into the run's deterministic
 /// metrics artifact.
-fn flush_run_artifacts(sim: &Simulation, opts: &RunOpts) {
+fn flush_run_artifacts(sim: &Simulation, opts: &Opts) {
     dump_metrics(opts.metrics_json.as_ref(), &sim.metrics());
     if opts.wants_tracing() {
         sim.spans().finish();
@@ -238,64 +210,60 @@ fn flush_run_artifacts(sim: &Simulation, opts: &RunOpts) {
             trace.set_process_name(1, "session");
             trace.set_thread_name(1, 1, "pipeline");
             sim.spans().chrome_events(1, 1, &mut trace);
-            write_json(path, &trace.build(), "trace written");
+            write_file(path, &trace.build(), "trace written");
         }
         if let Some(path) = &opts.profile_json {
             let json = serde_json::to_string_pretty(&sim.spans().stage_stats())
                 .expect("span profile serialize");
-            write_json(path, &json, "profile written");
+            write_file(path, &json, "profile written");
         }
     }
     if let Some(dir) = &opts.incident_dir {
-        if let Some(incident) = sim.incident() {
-            // The sink writes a seq-suffixed file (unique across runs —
-            // a fixed name silently overwrote earlier incidents of the
-            // same seed) and appends its content address to the
-            // hash-chained ledger in the same directory.
-            let appended =
-                raven_core::IncidentSink::open(dir).and_then(|mut sink| sink.append(incident));
-            let receipt = match appended {
-                Ok(r) => r,
-                Err(e) => {
-                    die::<()>(&format!("cannot record incident in {}: {e}", dir.display()));
-                    return;
-                }
-            };
-            log::emit(
-                Severity::Info,
-                "raven-sim",
-                &format!(
-                    "incident written: {} (ledger seq {})",
-                    receipt.path.display(),
-                    receipt.record.seq
-                ),
-            );
-        } else {
-            log::emit(Severity::Info, "raven-sim", "no incident: flight recorder never tripped");
+        match sim.incident() {
+            Some(incident) => record_incident(dir, incident),
+            None => {
+                log::emit(Severity::Info, "raven-sim", "no incident: flight recorder never tripped")
+            }
         }
     }
 }
 
-/// Flushes a sweep's trace artifacts from the collector installed by
-/// `parse_sweep_opts` (a no-op when tracing was not requested).
-fn flush_sweep_trace(opts: &SweepOpts) {
-    let Some(collector) = &opts.exec.trace else { return };
+/// Appends an incident to the hash-chained ledger in `dir`. The sink
+/// writes a seq-suffixed file (unique across runs — a fixed name silently
+/// overwrote earlier incidents of the same seed) and appends its content
+/// address to the ledger. Exits 2 when the directory cannot take it.
+fn record_incident(dir: &Path, incident: &raven_core::IncidentReport) {
+    match raven_core::IncidentSink::open(dir).and_then(|mut sink| sink.append(incident)) {
+        Ok(receipt) => log::emit(
+            Severity::Info,
+            "raven-sim",
+            &format!(
+                "incident written: {} (ledger seq {})",
+                receipt.path.display(),
+                receipt.record.seq
+            ),
+        ),
+        Err(e) => {
+            die::<()>(&format!("cannot record incident in {}: {e}", dir.display()));
+        }
+    }
+}
+
+/// Flushes a sweep's trace artifacts from the collector `exec` carries
+/// (a no-op when tracing was not requested).
+fn flush_sweep_trace(opts: &Opts, exec: &ExecutorConfig) {
+    let Some(collector) = &exec.trace else { return };
     if let Some(path) = &opts.trace_out {
-        write_sweep_timeline(collector, path);
+        // The per-worker `queued → running → merged` timeline.
+        let mut trace = ChromeTraceBuilder::new();
+        collector.chrome_events(&mut trace);
+        write_file(path, &trace.build(), "trace written");
     }
     if let Some(path) = &opts.profile_json {
         let json = serde_json::to_string_pretty(&collector.stage_stats())
             .expect("sweep profile serialize");
-        write_json(path, &json, "profile written");
+        write_file(path, &json, "profile written");
     }
-}
-
-/// Writes a sweep's per-worker `queued → running → merged` timeline as
-/// a Chrome trace.
-fn write_sweep_timeline(collector: &SweepTraceCollector, path: &std::path::Path) {
-    let mut trace = ChromeTraceBuilder::new();
-    collector.chrome_events(&mut trace);
-    write_json(path, &trace.build(), "trace written");
 }
 
 fn die<T>(msg: &str) -> Option<T> {
@@ -306,7 +274,7 @@ fn die<T>(msg: &str) -> Option<T> {
 /// Runs a single-run command's session (recording spans when the
 /// options ask for a trace or a profile), prints its outcome under
 /// `label`, and writes the artifacts the options ask for.
-fn run_single(label: &str, mut spec: SessionSpec, opts: &RunOpts) {
+fn run_single(label: &str, mut spec: SessionSpec, opts: &Opts) {
     spec.config.record_cycles = opts.incident_dir.is_some();
     let run = run_spec(&spec, |sim| {
         if opts.wants_tracing() {
@@ -335,114 +303,179 @@ fn main() {
     log::set_default_level(Severity::Info);
     let args: Vec<String> = std::env::args().collect();
     let command = args.get(1).map(String::as_str).unwrap_or("help");
+    let rest = args.get(2..).unwrap_or_default();
     match command {
         "session" => {
-            let opts = parse_run_opts(&args);
-            run_single("clean session", SessionSpec::new(SimConfig::standard(opts.seed)), &opts);
+            let opts = parse_opts(rest, RUN);
+            let spec = SessionSpec::new(SimConfig::standard(opts.seed.unwrap_or(42)));
+            run_single("clean session", spec, &opts);
         }
         "attack" => {
-            let opts = parse_run_opts(&args);
-            let spec = SessionSpec::attacked(opts.seed).with_session_ms(4_000);
+            let opts = parse_opts(rest, RUN);
+            let spec = SessionSpec::attacked(opts.seed.unwrap_or(42)).with_session_ms(4_000);
             run_single("undefended under scenario-B injection", spec, &opts);
         }
         "defend" => {
-            let opts = parse_run_opts(&args);
+            let opts = parse_opts(rest, RUN);
             log::emit(
                 Severity::Info,
                 "raven-sim",
                 "training thresholds (reduced 20-run protocol) …",
             );
             let report = train_thresholds(&TrainingConfig { runs: 20, ..TrainingConfig::quick(3) });
-            let mut spec = SessionSpec::attacked(opts.seed).with_session_ms(4_000);
+            let mut spec = SessionSpec::attacked(opts.seed.unwrap_or(42)).with_session_ms(4_000);
             spec.config.detector =
                 Some(DetectorSetup::new(Mitigation::EStop, Some(report.thresholds)));
             run_single("guarded under scenario-B injection", spec, &opts);
         }
         "train" => {
-            let opts = parse_sweep_opts(&args);
+            let opts = parse_opts(rest, TRAIN);
+            let seed = opts.seed.unwrap_or(42);
             let config = if opts.paper {
-                TrainingConfig::paper_scale(opts.seed)
+                TrainingConfig::paper_scale(seed)
             } else {
-                TrainingConfig::quick(opts.seed)
+                TrainingConfig::quick(seed)
             };
-            let report = train_thresholds_with(&config, &opts.exec);
+            let exec = opts.executor();
+            let report = train_thresholds_with(&config, &exec);
             println!(
                 "thresholds from {} runs ({} samples):\n{}",
                 report.runs,
                 report.samples,
                 report.thresholds.to_json().expect("thresholds serialize")
             );
-            flush_sweep_trace(&opts);
+            flush_sweep_trace(&opts, &exec);
         }
-        "table4" => {
-            let opts = parse_sweep_opts(&args);
-            let config = if opts.paper {
-                Table4Config::paper_scale(opts.seed)
-            } else {
-                Table4Config::quick(opts.seed)
-            };
-            let result = run_table4_with(&config, &opts.exec);
-            print!("{}", result.render());
-            dump_metrics(opts.metrics_json.as_ref(), &result.metrics);
-            flush_sweep_trace(&opts);
-        }
-        "fig9" => {
-            let opts = parse_sweep_opts(&args);
-            let config = if opts.paper {
-                Fig9Config::paper_scale(opts.seed)
-            } else {
-                Fig9Config::quick(opts.seed)
-            };
-            let result = run_fig9_with(&config, &opts.exec);
-            print!("{}", result.render());
-            dump_metrics(opts.metrics_json.as_ref(), &result.metrics);
-            flush_sweep_trace(&opts);
-        }
-        "chaos" => {
-            let opts = parse_sweep_opts(&args);
-            let config = if opts.paper {
-                ChaosStudyConfig::paper_scale(opts.seed)
-            } else {
-                ChaosStudyConfig::quick(opts.seed)
-            };
-            let result = run_chaos_study_with(&config, &opts.exec);
-            print!("{}", result.render());
-            dump_metrics(opts.metrics_json.as_ref(), &result.metrics);
-            flush_sweep_trace(&opts);
-        }
-        "ablations" => {
-            let opts = parse_sweep_opts(&args);
-            let runs = if opts.paper { 60 } else { 12 };
-            print!("{}", run_fusion_ablation_with(opts.seed, runs, &opts.exec).render());
-            println!();
-            print!("{}", run_mitigation_ablation_with(opts.seed, runs / 2, &opts.exec).render());
-            println!();
-            print!("{}", run_lookahead_ablation_with(opts.seed, runs, &opts.exec).render());
-            flush_sweep_trace(&opts);
-        }
-        "fleet" => run_fleet_command(&args),
+        "artifacts" => run_artifacts_command(rest),
+        "fleet" => run_fleet_command(rest),
         "ledger" => run_ledger_command(&args),
         "metrics" => run_metrics_command(&args),
-        "profile" => run_profile_command(&args),
-        "table1" => print!("{}", run_table1(31).render()),
-        "table2" => print!("{}", run_table2(10_000).render()),
-        "fig5" => print!("{}", run_fig5(3, 4_000).render()),
-        "fig6" => print!("{}", run_fig6(5).render()),
-        "fig8" => print!("{}", run_fig8(42, 3, 2_500, 0.02).render()),
-        _ => {
-            eprintln!(
-                "usage: raven-sim <session|attack|defend|train|table1|table2|table4|\
-                 fig5|fig6|fig8|fig9|ablations|chaos> [seed] [--workers N] [--paper]\n\
-                 \x20      [--metrics-json <path>] [--trace-out <path>] [--profile-json <path>]\n\
-                 \x20      [--incident-dir <dir>]   (RAVEN_LOG=<level>)\n\
-                 \x20      raven-sim fleet [seed] [--sessions N] [--duration MS] [--workers N]\n\
-                 \x20      raven-sim metrics export [seed] [--out <path>]\n\
-                 \x20      raven-sim profile <fig9|table4|chaos> [seed] [--workers N] [--paper]\n\
-                 \x20      raven-sim ledger verify <ledger.jsonl> [--sealed]\n\
-                 \x20      raven-sim ledger manifest [--root <dir>] [--update]"
-            );
-            std::process::exit(2);
+        "profile" => run_profile_command(rest),
+        other => match group(other).as_slice() {
+            [] => {
+                eprintln!(
+                    "usage: raven-sim <session|attack|defend> [seed] [--metrics-json <path>]\n\
+                     \x20      [--trace-out <path>] [--profile-json <path>] [--incident-dir <dir>]\n\
+                     \x20      raven-sim train [seed] [--workers N] [--paper] [--trace-out <path>]\n\
+                     \x20      [--profile-json <path>]\n\
+                     \x20      raven-sim <table4|fig9|ablations|chaos> [seed] [--workers N]\n\
+                     \x20      [--paper] [--metrics-json <path>] [--trace-out <path>] [--profile-json <path>]\n\
+                     \x20      raven-sim <table1|fig5|fig6|fig8> [seed] [--paper]\n\
+                     \x20      raven-sim table2 [--paper]\n\
+                     \x20      raven-sim artifacts [--workers N]\n\
+                     \x20      raven-sim fleet [seed] [--sessions N] [--duration MS] [--workers N]\n\
+                     \x20      raven-sim metrics export [seed] [--out <path>]\n\
+                     \x20      raven-sim profile <table4|fig9|ablations|chaos> [seed] [--workers N] [--paper]\n\
+                     \x20      raven-sim ledger verify <ledger.jsonl> [--sealed]\n\
+                     \x20      raven-sim ledger manifest [--root <dir>] [--update]\n\
+                     \x20      (RAVEN_LOG=<level>)"
+                );
+                std::process::exit(2);
+            }
+            rows => run_experiment_command(rows, rest),
+        },
+    }
+}
+
+/// The options a group of index rows takes: a seed when a row has one,
+/// `--paper`, and the sweep options when a row runs on the executor.
+fn group_flags(rows: &[&Experiment]) -> Vec<&'static str> {
+    let mut flags =
+        if rows.iter().any(|r| r.sweep) { SWEEP.to_vec() } else { vec![SEED, "--paper"] };
+    if rows.iter().all(|r| r.seed.is_none()) {
+        flags.retain(|&f| f != SEED);
+    }
+    flags
+}
+
+/// Runs every row of a group at the options' seed and scale: the given
+/// seed overrides each row's sealed seed.
+fn run_group(rows: &[&Experiment], opts: &Opts, exec: &ExecutorConfig) -> Vec<Produced> {
+    let scale = if opts.paper { Scale::Paper } else { Scale::Quick };
+    rows.iter()
+        .map(|row| (row.run)(opts.seed.or(row.seed).unwrap_or_default(), scale, exec))
+        .collect()
+}
+
+/// Writes the group's sweep metrics merged in row order when
+/// `--metrics-json` asked for them, then its sweep trace artifacts.
+fn flush_group(produced: &[Produced], opts: &Opts, exec: &ExecutorConfig) {
+    if let Some(path) = &opts.metrics_json {
+        let mut merged = Metrics::new();
+        for p in produced {
+            merged.merge(&p.metrics);
         }
+        dump_metrics(Some(path), &merged);
+    }
+    flush_sweep_trace(opts, exec);
+}
+
+/// `raven-sim <command> [seed] [--paper] …`: runs one group of the
+/// experiment index and prints each row's text. A failed shape check is
+/// a warning here; the sealed set's checks gate `raven-sim artifacts`.
+fn run_experiment_command(rows: &[&Experiment], args: &[String]) {
+    let opts = parse_opts(args, &group_flags(rows));
+    let exec = opts.executor();
+    let produced = run_group(rows, &opts, &exec);
+    for (i, (row, p)) in rows.iter().zip(&produced).enumerate() {
+        if i > 0 {
+            println!();
+        }
+        print!("{}", p.text);
+        for failure in &p.failures {
+            log::emit(
+                Severity::Warn,
+                "raven-sim",
+                &format!("check failed: {}: {failure}", row.name),
+            );
+        }
+    }
+    flush_group(&produced, &opts, &exec);
+}
+
+/// `raven-sim artifacts [--workers N]`: regenerates the sealed set.
+///
+/// Runs every sealed row of the index at paper scale and its sealed seed,
+/// prints its text and writes its files under `./results/`, plus the
+/// wall-clock `results/profile_*.json` sidecars (gitignored) of the rows
+/// that have one. Exits 1 naming every failed shape check. There is no
+/// scale flag: a quick run would overwrite sealed files with numbers
+/// nobody seals.
+fn run_artifacts_command(args: &[String]) {
+    let opts = parse_opts(args, &["--workers"]);
+    let exec = opts.executor();
+    let results = Path::new("results");
+    let mut failed = Vec::new();
+    for (i, row) in EXPERIMENTS.iter().filter(|r| r.sealed).enumerate() {
+        if i > 0 {
+            println!();
+        }
+        let seed = row.seed.unwrap_or_default();
+        let produced = (row.run)(seed, Scale::Paper, &exec);
+        print!("{}", produced.text);
+        for (name, contents) in row.files(&produced) {
+            write_file(&results.join(name), contents, "saved");
+        }
+        failed.extend(produced.failures.iter().map(|f| format!("{}: {f}", row.name)));
+        if row.profile_sidecar {
+            let sim = representative_session(seed);
+            if sim.spans().dropped() > 0 {
+                failed.push(format!("{}: span cap hit: the profile would be partial", row.name));
+            }
+            let json = serde_json::to_string_pretty(&sim.spans().stage_stats())
+                .expect("span profile serialize");
+            write_file(
+                &results.join(format!("profile_{}.json", row.name)),
+                &json,
+                "profile sidecar",
+            );
+        }
+    }
+    if !failed.is_empty() {
+        for f in &failed {
+            eprintln!("raven-sim: check failed: {f}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -461,64 +494,26 @@ fn main() {
 /// `--incident-dir` appends each tripped flight recorder to the
 /// hash-chained incident ledger, in session-id order.
 fn run_fleet_command(args: &[String]) {
-    let mut seed = 42u64;
-    let mut sessions = 16usize;
-    let mut duration: Option<u64> = None;
-    let mut workers: Option<usize> = None;
-    let mut metrics_json: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut incident_dir: Option<PathBuf> = None;
-    let mut rest = args[2..].iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--sessions" => {
-                sessions = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .or_else(|| die("--sessions needs a positive integer"))
-                    .unwrap_or(sessions);
-            }
-            "--duration" => {
-                duration = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u64| n > 0)
-                    .or_else(|| die("--duration needs a positive ms count"));
-            }
-            "--workers" => workers = workers_flag(rest.next()),
-            "--metrics-json" => {
-                metrics_json =
-                    rest.next().map(PathBuf::from).or_else(|| die("--metrics-json needs a path"));
-            }
-            "--trace-out" => {
-                trace_out =
-                    rest.next().map(PathBuf::from).or_else(|| die("--trace-out needs a path"));
-            }
-            "--incident-dir" => {
-                incident_dir = rest
-                    .next()
-                    .map(PathBuf::from)
-                    .or_else(|| die("--incident-dir needs a directory"));
-            }
-            other => match other.parse() {
-                Ok(s) => seed = s,
-                Err(_) => {
-                    die::<u64>(&format!("unrecognized argument `{other}`"));
-                }
-            },
-        }
-    }
-    check_workers_env(workers);
-
-    let mut specs = raven_fleet::standard_mix(sessions, seed);
-    if let Some(ms) = duration {
+    let opts = parse_opts(
+        args,
+        &[
+            SEED,
+            "--sessions",
+            "--duration",
+            "--workers",
+            "--metrics-json",
+            "--trace-out",
+            "--incident-dir",
+        ],
+    );
+    let sessions = opts.sessions.unwrap_or(16) as usize;
+    let mut specs = raven_fleet::standard_mix(sessions, opts.seed.unwrap_or(42));
+    if let Some(ms) = opts.duration {
         for spec in &mut specs {
             spec.config.session_ms = ms;
         }
     }
-    let trace = trace_out.is_some().then(|| Arc::new(SweepTraceCollector::new()));
-    let exec = ExecutorConfig { workers, progress: false, trace };
+    let exec = ExecutorConfig { progress: false, ..opts.executor() };
     let artifacts = raven_fleet::run_fleet(&specs, &exec);
 
     let estops = artifacts.iter().filter(|a| a.outcome.estop.is_some()).count();
@@ -529,7 +524,7 @@ fn run_fleet_command(args: &[String]) {
     println!("  E-STOP latched   : {estops}");
     println!("  adverse impact   : {adverse}");
 
-    if let Some(path) = &metrics_json {
+    if let Some(path) = &opts.metrics_json {
         // Every session's registry, merged in session-id order —
         // deterministic for any worker count.
         let mut merged = Metrics::new();
@@ -538,37 +533,52 @@ fn run_fleet_command(args: &[String]) {
         }
         dump_metrics(Some(path), &merged);
     }
-    if let (Some(path), Some(collector)) = (&trace_out, &exec.trace) {
-        write_sweep_timeline(collector, path);
-    }
-    if let Some(dir) = &incident_dir {
-        let mut recorded = 0usize;
-        for artifact in &artifacts {
-            let Some(incident) = &artifact.incident else { continue };
-            let appended =
-                raven_core::IncidentSink::open(dir).and_then(|mut sink| sink.append(incident));
-            match appended {
-                Ok(receipt) => {
-                    recorded += 1;
-                    log::emit(
-                        Severity::Info,
-                        "raven-sim",
-                        &format!(
-                            "incident written: {} (ledger seq {})",
-                            receipt.path.display(),
-                            receipt.record.seq
-                        ),
-                    );
-                }
-                Err(e) => {
-                    die::<()>(&format!("cannot record incident in {}: {e}", dir.display()));
-                }
-            }
+    flush_sweep_trace(&opts, &exec);
+    if let Some(dir) = &opts.incident_dir {
+        let incidents: Vec<_> = artifacts.iter().filter_map(|a| a.incident.as_ref()).collect();
+        for incident in &incidents {
+            record_incident(dir, incident);
         }
-        if recorded == 0 {
+        if incidents.is_empty() {
             log::emit(Severity::Info, "raven-sim", "no incidents: no flight recorder tripped");
         }
     }
+}
+
+/// `raven-sim profile <command> …`: span + executor profiling.
+///
+/// Runs a group of the experiment index that has sweep rows under a
+/// [`SweepTraceCollector`], and one [`representative_session`] at the
+/// group's seed, then prints nearest-rank p50/p99 per span path followed
+/// by the per-worker utilization summary. Takes the sweep options;
+/// `--trace-out`/`--profile-json` additionally export the sweep timeline.
+fn run_profile_command(args: &[String]) {
+    let mut profiled: Vec<&str> =
+        EXPERIMENTS.iter().filter(|r| r.sweep).map(|r| r.command).collect();
+    profiled.dedup();
+    let choices = profiled.join(" | ");
+    let Some(command) = args.first() else {
+        die::<()>(&format!("profile needs an experiment: {choices}"));
+        return;
+    };
+    if !profiled.contains(&command.as_str()) {
+        die::<()>(&format!("unknown profile experiment `{command}` ({choices})"));
+    }
+    let rows = group(command);
+    let opts = parse_opts(&args[1..], SWEEP);
+    let collector = Arc::new(SweepTraceCollector::new());
+    let exec = ExecutorConfig { trace: Some(Arc::clone(&collector)), ..opts.executor() };
+    let produced = run_group(&rows, &opts, &exec);
+    let seed = opts.seed.or(rows[0].seed).unwrap_or_default();
+    let sim = representative_session(seed);
+    println!("span paths (representative guarded session, seed {seed}):");
+    println!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");
+    for s in sim.spans().stage_stats() {
+        println!("  {:<52} {:>7} {:>10.1} {:>10.1}", s.name, s.count, s.p50_us, s.p99_us);
+    }
+    println!();
+    print!("{}", collector.render());
+    flush_group(&produced, &opts, &exec);
 }
 
 /// `raven-sim metrics export [seed] [--out <path>]`: OpenMetrics snapshot.
@@ -581,22 +591,8 @@ fn run_fleet_command(args: &[String]) {
 fn run_metrics_command(args: &[String]) {
     match args.get(2).map(String::as_str) {
         Some("export") => {
-            let mut seed = 42u64;
-            let mut out: Option<PathBuf> = None;
-            let mut rest = args[3..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--out" => {
-                        out = rest.next().map(PathBuf::from).or_else(|| die("--out needs a path"));
-                    }
-                    other => match other.parse() {
-                        Ok(s) => seed = s,
-                        Err(_) => {
-                            die::<u64>(&format!("unrecognized argument `{other}`"));
-                        }
-                    },
-                }
-            }
+            let opts = parse_opts(&args[3..], &[SEED, "--out"]);
+            let seed = opts.seed.unwrap_or(42);
             let spec = SessionSpec::new(SimConfig {
                 detector: Some(DetectorSetup::default()),
                 ..SimConfig::standard(seed)
@@ -605,8 +601,8 @@ fn run_metrics_command(args: &[String]) {
             let mut metrics = registry_template();
             metrics.merge(&run.sim.observer().metrics);
             let text = metrics.to_openmetrics();
-            match &out {
-                Some(path) => write_json(path, &text, "openmetrics written"),
+            match &opts.out {
+                Some(path) => write_file(path, &text, "openmetrics written"),
                 None => print!("{text}"),
             }
         }
@@ -614,78 +610,6 @@ fn run_metrics_command(args: &[String]) {
             die::<()>("usage: raven-sim metrics export [seed] [--out <path>]");
         }
     }
-}
-
-/// `raven-sim profile <fig9|table4|chaos> …`: span + executor profiling.
-///
-/// Runs the named sweep under a [`SweepTraceCollector`] and one traced
-/// representative guarded session, then prints nearest-rank p50/p99 per
-/// span path followed by the per-worker utilization summary. Accepts the
-/// usual sweep options; `--trace-out`/`--profile-json` additionally
-/// export the sweep timeline.
-fn run_profile_command(args: &[String]) {
-    let Some(exp) = args.get(2).cloned() else {
-        die::<()>("profile needs an experiment: fig9 | table4 | chaos");
-        return;
-    };
-    // Re-use the sweep option grammar for everything after the experiment.
-    let mut shifted = args.to_vec();
-    shifted.remove(2);
-    let mut opts = parse_sweep_opts(&shifted);
-    let collector = match &opts.exec.trace {
-        Some(c) => Arc::clone(c),
-        None => {
-            let c = Arc::new(SweepTraceCollector::new());
-            opts.exec.trace = Some(Arc::clone(&c));
-            c
-        }
-    };
-    match exp.as_str() {
-        "fig9" => {
-            let config = if opts.paper {
-                Fig9Config::paper_scale(opts.seed)
-            } else {
-                Fig9Config::quick(opts.seed)
-            };
-            run_fig9_with(&config, &opts.exec);
-        }
-        "table4" => {
-            let config = if opts.paper {
-                Table4Config::paper_scale(opts.seed)
-            } else {
-                Table4Config::quick(opts.seed)
-            };
-            run_table4_with(&config, &opts.exec);
-        }
-        "chaos" => {
-            let config = if opts.paper {
-                ChaosStudyConfig::paper_scale(opts.seed)
-            } else {
-                ChaosStudyConfig::quick(opts.seed)
-            };
-            run_chaos_study_with(&config, &opts.exec);
-        }
-        other => {
-            die::<()>(&format!("unknown profile experiment `{other}` (fig9 | table4 | chaos)"));
-        }
-    }
-    // One traced session for the span-path percentiles (the sweep's runs
-    // stay untraced — per-run span recording would serialize the pool on
-    // one shared recorder).
-    let spec = SessionSpec::new(SimConfig {
-        detector: Some(DetectorSetup::default()),
-        ..SimConfig::standard(opts.seed)
-    });
-    let sim = run_spec(&spec, Simulation::enable_span_recorder).expect_booted().sim;
-    sim.spans().finish();
-    println!("span paths (representative guarded session, seed {}):", opts.seed);
-    println!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");
-    for s in sim.spans().stage_stats() {
-        println!("  {:<52} {:>7} {:>10.1} {:>10.1}", s.name, s.count, s.p50_us, s.p99_us);
-    }
-    println!();
-    print!("{}", collector.render());
-    flush_sweep_trace(&opts);
 }
 
 /// `raven-sim ledger …`: the offline forensics verifier.
@@ -802,7 +726,7 @@ fn run_ledger_command(args: &[String]) {
                         return;
                     }
                 };
-                write_json(&manifest_path, &manifest.to_json_pretty(), "manifest written");
+                write_file(&manifest_path, &manifest.to_json_pretty(), "manifest written");
                 return;
             }
             let text = match std::fs::read_to_string(&manifest_path) {

@@ -24,7 +24,7 @@ fn reserialize<T: Serialize + Deserialize>(text: &str) -> Result<String, String>
 type Roundtrip = fn(&str) -> Result<String, String>;
 
 /// Every pinned artifact and the record type its writer serializes.
-const ARTIFACTS: [(&str, Roundtrip); 25] = [
+const ARTIFACTS: [(&str, Roundtrip); 26] = [
     // The manifest's writer appends a newline to the pretty JSON.
     ("results/MANIFEST.json", |text| Manifest::from_json(text).map(|m| m.to_json_pretty())),
     ("results/ablation_bitw.json", reserialize::<BitwStudy>),
@@ -50,6 +50,7 @@ const ARTIFACTS: [(&str, Roundtrip); 25] = [
     ("tests/fixtures/golden_lookahead.json", reserialize::<LookaheadAblation>),
     ("tests/fixtures/golden_mitigation.json", reserialize::<MitigationAblation>),
     ("tests/fixtures/golden_network.json", reserialize::<NetworkStudy>),
+    ("tests/fixtures/golden_table1.json", reserialize::<Table1Result>),
     ("tests/fixtures/golden_table4.json", reserialize::<Table4Result>),
 ];
 

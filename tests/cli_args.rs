@@ -34,3 +34,10 @@ fn zero_workers_is_rejected_like_the_env_override() {
 fn removed_shards_flag_is_an_unrecognized_argument() {
     assert_rejected(&["fleet", "--shards", "2"], "unrecognized argument `--shards`");
 }
+
+#[test]
+fn commands_reject_the_flags_they_do_not_take() {
+    assert_rejected(&["table1", "--bogus"], "unrecognized argument `--bogus`");
+    assert_rejected(&["fig8", "--bogus"], "unrecognized argument `--bogus`");
+    assert_rejected(&["session", "--workers", "2"], "unrecognized argument `--workers`");
+}

@@ -1,6 +1,6 @@
 //! Golden-artifact guard: reduced-scale runs of every experiment that
-//! drives full sessions (Table IV, Fig. 9, the ablations, the BITW and
-//! network studies, Figs. 5, 6 and 8) must serialize byte-identically to
+//! drives full sessions (Tables I and IV, Fig. 9, the ablations, the BITW
+//! and network studies, Figs. 5, 6 and 8) must serialize byte-identically to
 //! the checked-in fixtures under `tests/fixtures/`. Any change to the simulation, the detector, the
 //! training protocol, or the campaign merge order shows up here as a
 //! fixture diff — reviewed deliberately, never silently.
@@ -14,7 +14,7 @@
 use raven_core::experiments::{
     run_bitw_study_with, run_fig5, run_fig6, run_fig8, run_fig9_with, run_fusion_ablation_with,
     run_hardened_board_with, run_lookahead_ablation_with, run_mitigation_ablation_with,
-    run_network_study, run_table4_with, table4, Fig9Config, Table4Config,
+    run_network_study, run_table1, run_table4_with, table4, Fig9Config, Table4Config,
 };
 use raven_core::training::{train_thresholds_with, TrainingConfig};
 use raven_core::{run_standalone, ExecutorConfig};
@@ -75,6 +75,11 @@ fn assert_golden(name: &str, actual: &str) {
 /// Pretty JSON of an experiment result (the fixture format).
 fn pretty(result: &impl Serialize) -> String {
     serde_json::to_string_pretty(result).expect("serialize experiment result")
+}
+
+#[test]
+fn table1_matches_golden_fixture() {
+    assert_golden("golden_table1.json", &pretty(&run_table1(5)));
 }
 
 #[test]
