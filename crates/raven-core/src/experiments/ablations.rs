@@ -12,7 +12,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the wall clock feeds only BitwStudy::crypto_overhead_us, the measured per-packet crypto cost in the sealed results/ablation_bitw.json; every other field is virtual-time-derived"
+    reason = "the wall clock feeds only CryptoCost, the measured per-packet crypto cost that goes to the unsealed profile sidecar; every record here is virtual-time-derived"
 )]
 
 use raven_detect::{DetectionThresholds, DynamicDetector, FusionRule, Mitigation};
@@ -440,14 +440,19 @@ pub struct BitwRow {
 pub struct BitwStudy {
     /// none / wire / host rows.
     pub rows: Vec<BitwRow>,
+}
+
+/// The BITW study's wall-clock half, kept out of the [`BitwStudy`] record.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct CryptoCost {
     /// Mean seal+open cost per packet (µs) — the overhead the paper warns
     /// about, measured.
     pub crypto_overhead_us: f64,
 }
 
 impl BitwStudy {
-    /// Renders as text.
-    pub fn render(&self) -> String {
+    /// Renders as text, with the measured crypto `cost`.
+    pub fn render(&self, cost: CryptoCost) -> String {
         let mut out = String::from(
             "STUDY: bump-in-the-wire encryption vs the in-host malware (paper §III.D)\n",
         );
@@ -467,7 +472,7 @@ impl BitwStudy {
         }
         out.push_str(&format!(
             "crypto cost: {:.3} µs per packet (budget: 1000 µs per cycle)\n",
-            self.crypto_overhead_us
+            cost.crypto_overhead_us
         ));
         out
     }
@@ -478,9 +483,9 @@ impl BitwStudy {
 /// and measure the physical outcome. The three placements run as one sweep (each placement's eavesdrop + attack phases stay
 /// serial inside its run). Per-placement seeds are unchanged from the
 /// original serial protocol, so rows are identical for any worker count.
-/// The crypto-overhead measurement is wall-clock and stays outside the
-/// sweep.
-pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
+/// The crypto-overhead measurement is wall-clock: it stays outside the
+/// sweep and is returned beside the record.
+pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> (BitwStudy, CryptoCost) {
     use raven_attack::{find_state_byte, LoggingWrapper};
     let configs: [(&str, Option<raven_hw::BitwPlacement>); 3] = [
         ("none", None),
@@ -567,7 +572,7 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> BitwStudy {
     }
     let crypto_overhead_us = started.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
 
-    BitwStudy { rows, crypto_overhead_us }
+    (BitwStudy { rows }, CryptoCost { crypto_overhead_us })
 }
 
 #[cfg(test)]
@@ -632,24 +637,25 @@ mod tests {
 
     #[test]
     fn bitw_wire_placement_is_useless_host_placement_degrades_to_dos() {
-        let r = run_bitw_study_with(47, &ExecutorConfig::default());
+        let (r, cost) = run_bitw_study_with(47, &ExecutorConfig::default());
         let by = |label: &str| r.rows.iter().find(|row| row.config == label).unwrap();
+        let text = r.render(cost);
         // Unprotected: recon works, attack jumps the arm.
-        assert!(by("none").recon_succeeded, "{}", r.render());
-        assert!(by("none").adverse, "{}", r.render());
+        assert!(by("none").recon_succeeded, "{text}");
+        assert!(by("none").adverse, "{text}");
         // Wire placement: the in-host malware still sees plaintext — recon
         // and injection both unaffected (the paper's TOCTOU argument).
-        assert!(by("wire").recon_succeeded, "{}", r.render());
-        assert!(by("wire").adverse, "{}", r.render());
-        assert_eq!(by("wire").rejected_packets, 0, "{}", r.render());
+        assert!(by("wire").recon_succeeded, "{text}");
+        assert!(by("wire").adverse, "{text}");
+        assert_eq!(by("wire").rejected_packets, 0, "{text}");
         // Host placement: recon fails (ciphertext); the targeted trigger is
         // dead, and the blind-corruption fallback degrades to rejected
         // packets — no jump, but availability is lost (watchdog starvation
         // E-STOP): encryption does not buy graceful survival.
-        assert!(!by("host").recon_succeeded, "{}", r.render());
-        assert!(!by("host").adverse, "{}", r.render());
-        assert!(by("host").rejected_packets > 0, "{}", r.render());
-        assert!(!by("host").available, "blind corruption is still a DoS\n{}", r.render());
+        assert!(!by("host").recon_succeeded, "{text}");
+        assert!(!by("host").adverse, "{text}");
+        assert!(by("host").rejected_packets > 0, "{text}");
+        assert!(!by("host").available, "blind corruption is still a DoS\n{text}");
     }
 
     #[test]

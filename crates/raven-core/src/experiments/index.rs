@@ -6,6 +6,12 @@
 //! `raven-sim artifacts` regenerates `results/` from every sealed row at
 //! paper scale, `raven-sim <command>` runs one group, and
 //! `raven-sim profile <command>` runs a group under the sweep tracer.
+//!
+//! A sealed record is a pure function of the code and its seed. Every
+//! wall-clock number a row reads (Table II's write times, Fig. 8's step
+//! times, the BITW crypto cost, and the Table IV and Fig. 9 stage
+//! profiles) goes to the row's sidecar, `results/profile_<name>.json`,
+//! which `.gitignore` and the manifest leave unsealed.
 
 use serde::Serialize;
 use simbus::obs::Metrics;
@@ -16,6 +22,7 @@ use crate::sim::{DetectorSetup, SimConfig, Simulation};
 use crate::training::TrainingConfig;
 use crate::viz;
 
+use super::fig8::ms_per_step;
 use super::{
     run_bitw_study_with, run_chaos_study_with, run_fig5, run_fig6, run_fig8, run_fig9_with,
     run_fusion_ablation_with, run_hardened_board_with, run_lookahead_ablation_with,
@@ -49,8 +56,13 @@ pub struct Produced {
     /// reference numbers and the computed cross-checks the sealed record
     /// is read against.
     pub text: String,
-    /// The record as pretty JSON, sealed as `results/<name>.json`.
-    pub record: String,
+    /// The deterministic record as pretty JSON, sealed as
+    /// `results/<name>.json` (`None` for a row that measures only wall
+    /// time).
+    pub record: Option<String>,
+    /// The run's wall-clock readings as pretty JSON, written beside the
+    /// record as the unsealed `results/profile_<name>.json`.
+    pub sidecar: Option<String>,
     /// Figures sealed beside the record, as (file name, SVG).
     pub figures: Vec<(String, String)>,
     /// The shape checks that failed, by name (empty when all hold).
@@ -60,15 +72,45 @@ pub struct Produced {
     pub metrics: Metrics,
 }
 
+/// Pretty JSON of a record or of wall-clock readings.
+fn pretty(value: &impl Serialize) -> String {
+    serde_json::to_string_pretty(value).expect("serialize experiment output")
+}
+
 impl Produced {
+    /// A run's text and sealed record.
     fn new(text: String, record: &impl Serialize) -> Self {
+        Produced { record: Some(pretty(record)), ..Produced::unrecorded(text) }
+    }
+
+    /// A run's text with no sealed record.
+    fn unrecorded(text: String) -> Self {
         Produced {
             text,
-            record: serde_json::to_string_pretty(record).expect("serialize experiment record"),
+            record: None,
+            sidecar: None,
             figures: Vec::new(),
             failures: Vec::new(),
             metrics: Metrics::new(),
         }
+    }
+
+    /// Sets the run's wall-clock readings, its sidecar.
+    fn sidecar(mut self, readings: &impl Serialize) -> Self {
+        self.sidecar = Some(pretty(readings));
+        self
+    }
+
+    /// At paper scale, makes the wall-clock stage profile of one
+    /// [`representative_session`] the sidecar, failing a check when the
+    /// span cap cut it short.
+    fn stage_profile(self, scale: Scale, seed: u64) -> Self {
+        if scale == Scale::Quick {
+            return self;
+        }
+        let sim = representative_session(seed);
+        self.sidecar(&sim.spans().stage_stats())
+            .check(sim.spans().dropped() == 0, "span cap hit: the stage profile would be partial")
     }
 
     /// Records `name` as failed unless `holds`.
@@ -94,17 +136,15 @@ pub struct Experiment {
     /// The `raven-sim` command whose group holds this row.
     pub command: &'static str,
     /// The record's stem: the row's sealed files are `results/<name>.json`
-    /// plus its figures.
+    /// plus its figures, and its sidecar is `results/profile_<name>.json`.
     pub name: &'static str,
-    /// Whether `results/` seals this row's files.
+    /// Whether `raven-sim artifacts` regenerates this row: `results/` seals
+    /// its record and figures, and its shape checks gate the set.
     pub sealed: bool,
     /// The sealed root seed; `None` for a row that takes no seed.
     pub seed: Option<u64>,
     /// Whether the row runs its sessions on the campaign executor.
     pub sweep: bool,
-    /// Whether `raven-sim artifacts` writes a wall-clock stage profile of
-    /// the row's [`representative_session`] beside its sealed files.
-    pub profile_sidecar: bool,
     /// Runs the row at a seed (0 for a row that takes none) and a scale.
     pub run: Run,
 }
@@ -112,9 +152,9 @@ pub struct Experiment {
 /// A row's run: seed, scale and executor in, [`Produced`] out.
 pub type Run = fn(u64, Scale, &ExecutorConfig) -> Produced;
 
-/// A sealed row that runs outside the executor and has no sidecar.
+/// A sealed row that runs outside the executor.
 const fn row(command: &'static str, name: &'static str, seed: Option<u64>, run: Run) -> Experiment {
-    Experiment { command, name, sealed: true, seed, sweep: false, profile_sidecar: false, run }
+    Experiment { command, name, sealed: true, seed, sweep: false, run }
 }
 
 impl Experiment {
@@ -122,19 +162,18 @@ impl Experiment {
         Experiment { sweep: true, ..self }
     }
 
-    const fn profiled(self) -> Self {
-        Experiment { profile_sidecar: true, ..self }
-    }
-
     const fn unsealed(self) -> Self {
         Experiment { sealed: false, ..self }
     }
 
-    /// The row's files for `results/`: its record, then its figures.
+    /// The row's files for `results/`: its record and figures, then its
+    /// sidecar, the one file named `profile_*`.
     pub fn files<'a>(&self, produced: &'a Produced) -> Vec<(String, &'a str)> {
-        let mut files = vec![(format!("{}.json", self.name), produced.record.as_str())];
-        files.extend(produced.figures.iter().map(|(name, svg)| (name.clone(), svg.as_str())));
-        files
+        let record = produced.record.iter().map(|r| (format!("{}.json", self.name), r.as_str()));
+        let figures = produced.figures.iter().map(|(name, svg)| (name.clone(), svg.as_str()));
+        let sidecar =
+            produced.sidecar.iter().map(|s| (format!("profile_{}.json", self.name), s.as_str()));
+        record.chain(figures).chain(sidecar).collect()
     }
 }
 
@@ -142,11 +181,11 @@ impl Experiment {
 pub const EXPERIMENTS: &[Experiment] = &[
     row("table1", "table1_variants", Some(31), table1),
     row("table2", "table2_overhead", None, table2),
-    row("table4", "table4_detection", Some(9), table4).sweep().profiled(),
+    row("table4", "table4_detection", Some(9), table4).sweep(),
     row("fig5", "fig5_packet_bytes", Some(3), fig5),
     row("fig6", "fig6_state_inference", Some(5), fig6),
     row("fig8", "fig8_model_validation", Some(42), fig8),
-    row("fig9", "fig9_sweep", Some(21), fig9).sweep().profiled(),
+    row("fig9", "fig9_sweep", Some(21), fig9).sweep(),
     row("ablations", "ablation_fusion", Some(41), fusion).sweep(),
     row("ablations", "ablation_mitigation", Some(43), mitigation).sweep(),
     row("ablations", "ablation_hardened_board", Some(45), hardened_board).sweep(),
@@ -165,9 +204,9 @@ pub fn group(command: &str) -> Vec<&'static Experiment> {
 /// The session whose spans stand for a sweep's per-stage cost: one full
 /// guarded session (learning-mode detector), recorded by the span
 /// recorder, which is finished on return. `raven-sim profile` prints its
-/// stage percentiles and `raven-sim artifacts` writes them as the
-/// `results/profile_*.json` sidecars; the sweeps' own runs stay untraced,
-/// since per-run span recording would serialize the pool on one recorder.
+/// stage percentiles, and at paper scale the Table IV and Fig. 9 rows make
+/// them their sidecars; the sweeps' own runs stay untraced, since per-run
+/// span recording would serialize the pool on one recorder.
 pub fn representative_session(seed: u64) -> Simulation {
     let spec = SessionSpec::new(SimConfig {
         detector: Some(DetectorSetup::default()),
@@ -194,7 +233,8 @@ fn table1(seed: u64, scale: Scale, _exec: &ExecutorConfig) -> Produced {
 fn table2(_seed: u64, scale: Scale, _exec: &ExecutorConfig) -> Produced {
     let result = run_table2(scale.pick(10_000, 50_000));
     let [base, logging, injection] = [0, 1, 2].map(|i| result.rows[i].mean_us);
-    Produced::new(result.render(), &result)
+    Produced::unrecorded(result.render())
+        .sidecar(&result)
         .paper_notes(scale, || {
             "paper (µs, on real hardware): baseline 1.3 | logging 20.0 | injection 3.6 — \
              absolute values differ (no kernel crossing here)\n"
@@ -215,6 +255,7 @@ fn table4(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
             .to_string()
             + &threshold_bands(seed, exec)
     });
+    produced = produced.stage_profile(scale, seed);
     for s in &result.scenarios {
         produced = produced.check(
             s.dynamic_model.tpr >= s.raven.tpr,
@@ -266,7 +307,7 @@ fn fig6(seed: u64, _scale: Scale, _exec: &ExecutorConfig) -> Produced {
 
 fn fig8(seed: u64, scale: Scale, _exec: &ExecutorConfig) -> Produced {
     let (runs, session_ms) = scale.pick((3, 2_500), (10, 5_000));
-    let result = run_fig8(seed, runs, session_ms, 0.02);
+    let (result, times) = run_fig8(seed, runs, session_ms, 0.02);
     // The plotted half of Fig. 8: model vs robot joint trajectories.
     let series = |label, color, pick: fn(&super::fig8::OverlayPoint) -> (f64, f64)| viz::Series {
         label,
@@ -282,9 +323,9 @@ fn fig8(seed: u64, scale: Scale, _exec: &ExecutorConfig) -> Produced {
             series("model (Euler)", "#2980b9", |p| (p.t_ms, p.model_jpos[1])),
         ],
     );
-    let step_ms = |fragment| result.row(fragment).map(|r| r.avg_time_ms_per_step);
-    let (euler, rk4) = (step_ms("Euler"), step_ms("Runge"));
-    let mut produced = Produced::new(result.render(), &result)
+    let (euler, rk4) = (ms_per_step(&times, "Euler"), ms_per_step(&times, "Runge"));
+    let mut produced = Produced::new(result.render(&times), &result)
+        .sidecar(&times)
         .paper_notes(scale, || {
             "paper: RK4 0.032 ms/step, Euler 0.011 ms/step; jpos errors ~1–2% of motion\n"
                 .to_string()
@@ -319,6 +360,7 @@ fn fig9(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
         }
         notes
     });
+    produced = produced.stage_profile(scale, seed);
 
     // One heatmap per panel: a row per value, a column per duration.
     let cols: Vec<String> = durations.iter().map(|d| format!("{d}ms")).collect();
@@ -372,8 +414,8 @@ fn hardened_board(seed: u64, _scale: Scale, exec: &ExecutorConfig) -> Produced {
 }
 
 fn bitw(seed: u64, _scale: Scale, exec: &ExecutorConfig) -> Produced {
-    let result = run_bitw_study_with(seed, exec);
-    Produced::new(result.render(), &result).check(
+    let (result, cost) = run_bitw_study_with(seed, exec);
+    Produced::new(result.render(cost), &result).sidecar(&cost).check(
         result.rows[1].adverse && !result.rows[2].adverse,
         "wire placement useless, host placement degrades the attack to DoS",
     )

@@ -63,6 +63,7 @@ use raven_core::{
 use raven_detect::Mitigation;
 use simbus::obs::{log, registry_template, Metrics, Severity};
 use simbus::ChromeTraceBuilder;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -266,6 +267,29 @@ fn flush_sweep_trace(opts: &Opts, exec: &ExecutorConfig) {
     }
 }
 
+/// `println!` through [`say`].
+macro_rules! sayln {
+    () => {
+        say("\n")
+    };
+    ($($arg:tt)*) => {
+        say(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes `text` to stdout, the one path every command prints through.
+/// A closed stdout (a reader such as `head` that has seen enough) ends the
+/// process quietly with status 0; any other write error exits 2.
+fn say(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die::<()>(&format!("cannot write to stdout: {e}"));
+    }
+}
+
 fn die<T>(msg: &str) -> Option<T> {
     eprintln!("raven-sim: {msg}");
     std::process::exit(2);
@@ -287,13 +311,13 @@ fn run_single(label: &str, mut spec: SessionSpec, opts: &Opts) {
 }
 
 fn print_outcome(label: &str, out: &raven_core::SessionOutcome) {
-    println!("{label}:");
-    println!("  final state      : {}", out.final_state);
-    println!("  max 2 ms EE step : {:.3} mm", out.max_ee_step_2ms * 1e3);
-    println!("  adverse impact   : {}", out.adverse);
-    println!("  model detected   : {}", out.model_detected);
-    println!("  RAVEN detected   : {}", out.raven_detected);
-    println!("  E-STOP           : {:?}", out.estop);
+    sayln!("{label}:");
+    sayln!("  final state      : {}", out.final_state);
+    sayln!("  max 2 ms EE step : {:.3} mm", out.max_ee_step_2ms * 1e3);
+    sayln!("  adverse impact   : {}", out.adverse);
+    sayln!("  model detected   : {}", out.model_detected);
+    sayln!("  RAVEN detected   : {}", out.raven_detected);
+    sayln!("  E-STOP           : {:?}", out.estop);
 }
 
 fn main() {
@@ -338,7 +362,7 @@ fn main() {
             };
             let exec = opts.executor();
             let report = train_thresholds_with(&config, &exec);
-            println!(
+            sayln!(
                 "thresholds from {} runs ({} samples):\n{}",
                 report.runs,
                 report.samples,
@@ -419,9 +443,9 @@ fn run_experiment_command(rows: &[&Experiment], args: &[String]) {
     let produced = run_group(rows, &opts, &exec);
     for (i, (row, p)) in rows.iter().zip(&produced).enumerate() {
         if i > 0 {
-            println!();
+            sayln!();
         }
-        print!("{}", p.text);
+        say(&p.text);
         for failure in &p.failures {
             log::emit(
                 Severity::Warn,
@@ -436,9 +460,9 @@ fn run_experiment_command(rows: &[&Experiment], args: &[String]) {
 /// `raven-sim artifacts [--workers N]`: regenerates the sealed set.
 ///
 /// Runs every sealed row of the index at paper scale and its sealed seed,
-/// prints its text and writes its files under `./results/`, plus the
-/// wall-clock `results/profile_*.json` sidecars (gitignored) of the rows
-/// that have one. Exits 1 naming every failed shape check. There is no
+/// prints its text and writes its files under `./results/`: the sealed
+/// records and figures, and the wall-clock `profile_*.json` sidecars
+/// (gitignored). Exits 1 naming every failed shape check. There is no
 /// scale flag: a quick run would overwrite sealed files with numbers
 /// nobody seals.
 fn run_artifacts_command(args: &[String]) {
@@ -448,28 +472,14 @@ fn run_artifacts_command(args: &[String]) {
     let mut failed = Vec::new();
     for (i, row) in EXPERIMENTS.iter().filter(|r| r.sealed).enumerate() {
         if i > 0 {
-            println!();
+            sayln!();
         }
-        let seed = row.seed.unwrap_or_default();
-        let produced = (row.run)(seed, Scale::Paper, &exec);
-        print!("{}", produced.text);
+        let produced = (row.run)(row.seed.unwrap_or_default(), Scale::Paper, &exec);
+        say(&produced.text);
         for (name, contents) in row.files(&produced) {
             write_file(&results.join(name), contents, "saved");
         }
         failed.extend(produced.failures.iter().map(|f| format!("{}: {f}", row.name)));
-        if row.profile_sidecar {
-            let sim = representative_session(seed);
-            if sim.spans().dropped() > 0 {
-                failed.push(format!("{}: span cap hit: the profile would be partial", row.name));
-            }
-            let json = serde_json::to_string_pretty(&sim.spans().stage_stats())
-                .expect("span profile serialize");
-            write_file(
-                &results.join(format!("profile_{}.json", row.name)),
-                &json,
-                "profile sidecar",
-            );
-        }
     }
     if !failed.is_empty() {
         for f in &failed {
@@ -519,10 +529,10 @@ fn run_fleet_command(args: &[String]) {
     let estops = artifacts.iter().filter(|a| a.outcome.estop.is_some()).count();
     let detected = artifacts.iter().filter(|a| a.outcome.model_detected).count();
     let adverse = artifacts.iter().filter(|a| a.outcome.adverse).count();
-    println!("fleet: {sessions} sessions");
-    println!("  model detected   : {detected}");
-    println!("  E-STOP latched   : {estops}");
-    println!("  adverse impact   : {adverse}");
+    sayln!("fleet: {sessions} sessions");
+    sayln!("  model detected   : {detected}");
+    sayln!("  E-STOP latched   : {estops}");
+    sayln!("  adverse impact   : {adverse}");
 
     if let Some(path) = &opts.metrics_json {
         // Every session's registry, merged in session-id order —
@@ -571,13 +581,13 @@ fn run_profile_command(args: &[String]) {
     let produced = run_group(&rows, &opts, &exec);
     let seed = opts.seed.or(rows[0].seed).unwrap_or_default();
     let sim = representative_session(seed);
-    println!("span paths (representative guarded session, seed {seed}):");
-    println!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");
+    sayln!("span paths (representative guarded session, seed {seed}):");
+    sayln!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");
     for s in sim.spans().stage_stats() {
-        println!("  {:<52} {:>7} {:>10.1} {:>10.1}", s.name, s.count, s.p50_us, s.p99_us);
+        sayln!("  {:<52} {:>7} {:>10.1} {:>10.1}", s.name, s.count, s.p50_us, s.p99_us);
     }
-    println!();
-    print!("{}", collector.render());
+    sayln!();
+    say(&collector.render());
     flush_group(&produced, &opts, &exec);
 }
 
@@ -603,7 +613,7 @@ fn run_metrics_command(args: &[String]) {
             let text = metrics.to_openmetrics();
             match &opts.out {
                 Some(path) => write_file(path, &text, "openmetrics written"),
-                None => print!("{text}"),
+                None => say(&text),
             }
         }
         _ => {
@@ -679,7 +689,7 @@ fn run_ledger_command(args: &[String]) {
             };
             match verified {
                 Ok(summary) => {
-                    println!(
+                    sayln!(
                         "ledger OK: {} records, head {}, {}",
                         summary.records,
                         summary.head_hash,
@@ -768,7 +778,7 @@ fn run_ledger_command(args: &[String]) {
             if failed {
                 std::process::exit(1);
             }
-            println!("manifest OK: {} artifacts pinned, signature valid", manifest.entries.len());
+            sayln!("manifest OK: {} artifacts pinned, signature valid", manifest.entries.len());
         }
         _ => {
             die::<()>("usage: raven-sim ledger <verify <file> [--sealed] | manifest [--root <dir>] [--update]>");

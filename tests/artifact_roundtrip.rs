@@ -6,10 +6,9 @@
 //! parse, so either drift fails here. A new artifact must be added to
 //! `ARTIFACTS` with its type.
 
-use raven_core::experiments::ablations::BitwRow;
 use raven_core::experiments::{
     BitwStudy, Fig5Result, Fig6Result, Fig8Result, Fig9Result, FusionAblation, HardenedBoardResult,
-    LookaheadAblation, MitigationAblation, NetworkStudy, Table1Result, Table2Result, Table4Result,
+    LookaheadAblation, MitigationAblation, NetworkStudy, Table1Result, Table4Result,
 };
 use raven_ledger::Manifest;
 use serde::{Deserialize, Serialize};
@@ -24,7 +23,7 @@ fn reserialize<T: Serialize + Deserialize>(text: &str) -> Result<String, String>
 type Roundtrip = fn(&str) -> Result<String, String>;
 
 /// Every pinned artifact and the record type its writer serializes.
-const ARTIFACTS: [(&str, Roundtrip); 26] = [
+const ARTIFACTS: [(&str, Roundtrip); 25] = [
     // The manifest's writer appends a newline to the pretty JSON.
     ("results/MANIFEST.json", |text| Manifest::from_json(text).map(|m| m.to_json_pretty())),
     ("results/ablation_bitw.json", reserialize::<BitwStudy>),
@@ -38,9 +37,8 @@ const ARTIFACTS: [(&str, Roundtrip); 26] = [
     ("results/fig9_sweep.json", reserialize::<Fig9Result>),
     ("results/study_network.json", reserialize::<NetworkStudy>),
     ("results/table1_variants.json", reserialize::<Table1Result>),
-    ("results/table2_overhead.json", reserialize::<Table2Result>),
     ("results/table4_detection.json", reserialize::<Table4Result>),
-    ("tests/fixtures/golden_bitw.json", reserialize::<Vec<BitwRow>>),
+    ("tests/fixtures/golden_bitw.json", reserialize::<BitwStudy>),
     ("tests/fixtures/golden_fig5.json", reserialize::<Fig5Result>),
     ("tests/fixtures/golden_fig6.json", reserialize::<Fig6Result>),
     ("tests/fixtures/golden_fig8.json", reserialize::<Fig8Result>),

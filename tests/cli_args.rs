@@ -1,7 +1,7 @@
 //! `raven-sim` argument validation: invalid arguments exit 2 with a
 //! one-line `raven-sim:` error before any simulation runs.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs `raven-sim` with `args` and asserts it is rejected with exit
 /// code 2 and a `raven-sim:` message naming `needle`.
@@ -40,4 +40,21 @@ fn commands_reject_the_flags_they_do_not_take() {
     assert_rejected(&["table1", "--bogus"], "unrecognized argument `--bogus`");
     assert_rejected(&["fig8", "--bogus"], "unrecognized argument `--bogus`");
     assert_rejected(&["session", "--workers", "2"], "unrecognized argument `--workers`");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_raven-sim"))
+        .arg("table2")
+        .env("RAVEN_LOG", "off")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("raven-sim runs");
+    // Close the read end before the command prints its table.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("raven-sim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr {stderr}");
 }

@@ -113,8 +113,7 @@ fn ablations_match_golden_fixtures() {
     assert_golden("golden_mitigation.json", &pretty(&run_mitigation_ablation_with(5, 2, &exec)));
     assert_golden("golden_lookahead.json", &pretty(&run_lookahead_ablation_with(5, 3, &exec)));
     assert_golden("golden_hardened.json", &pretty(&run_hardened_board_with(5, &exec)));
-    // The per-packet crypto cost is wall clock; only the rows are pinned.
-    assert_golden("golden_bitw.json", &pretty(&run_bitw_study_with(5, &exec).rows));
+    assert_golden("golden_bitw.json", &pretty(&run_bitw_study_with(5, &exec).0));
 }
 
 #[test]
@@ -122,12 +121,7 @@ fn studies_and_capture_figures_match_golden_fixtures() {
     assert_golden("golden_network.json", &pretty(&run_network_study(5)));
     assert_golden("golden_fig5.json", &pretty(&run_fig5(5, 1_500)));
     assert_golden("golden_fig6.json", &pretty(&run_fig6(5)));
-    // Fig. 8's per-step timings are wall clock; zero them before pinning.
-    let mut fig8 = run_fig8(5, 2, 600, 0.02);
-    for method in &mut fig8.methods {
-        method.avg_time_ms_per_step = 0.0;
-    }
-    assert_golden("golden_fig8.json", &pretty(&fig8));
+    assert_golden("golden_fig8.json", &pretty(&run_fig8(5, 2, 600, 0.02).0));
 }
 
 #[test]
