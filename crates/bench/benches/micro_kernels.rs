@@ -4,8 +4,8 @@
 //! * one dynamic-model step, Euler and RK4 (Fig. 8: 0.011 / 0.032 ms on the
 //!   authors' testbed);
 //! * one bare/logged/injected channel write (Table II);
-//! * forward kinematics with and without the tool frame, and an FK + IK
-//!   round (the kinematic chain of Fig. 2);
+//! * forward kinematics to the tip, and an FK + IK round (the kinematic
+//!   chain of Fig. 2);
 //! * one full plant control-period step (the simulation's hot loop);
 //! * compact JSON of a 10 000-session fleet-monitor report (the largest
 //!   artifact a benchmark workload serializes);
@@ -93,13 +93,11 @@ fn bench_kinematics(c: &mut Criterion) {
     let mut group = c.benchmark_group("kinematics");
     group.bench_function("fk_ik_round", |b| {
         b.iter(|| {
-            let fk = arm.forward(black_box(&joints));
+            let fk = arm.position(black_box(&joints));
             let ik = arm.inverse(black_box(pos)).expect("reachable");
             black_box((fk, ik))
         })
     });
-    // The full pose beside the per-cycle form, which builds no tool frame.
-    group.bench_function("forward", |b| b.iter(|| black_box(arm.forward(black_box(&joints)))));
     group.bench_function("position", |b| b.iter(|| black_box(arm.position(black_box(&joints)))));
     group.finish();
 }

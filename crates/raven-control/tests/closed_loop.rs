@@ -77,7 +77,7 @@ fn pedal_down_releases_brakes_and_tracks_motion() {
 
     // The physical end-effector followed the command.
     let arm = ArmConfig::raven_ii_left();
-    let end_pos = arm.forward(&rig.plant.true_joints()).position;
+    let end_pos = arm.position(&rig.plant.true_joints());
     let commanded = start_pos + Vec3::new(0.0, -0.1, 0.0);
     let tracking_err = (end_pos - commanded).norm();
     assert!(
@@ -130,7 +130,7 @@ fn smooth_circle_trajectory_runs_clean() {
         assert_ne!(ctl.state_machine().state(), RobotState::EStop);
         // A clean run must never jump ~1 mm in a millisecond — the paper's
         // attack-impact criterion would otherwise false-alarm constantly.
-        let pos = arm.forward(&rig.plant.true_joints()).position;
+        let pos = arm.position(&rig.plant.true_joints());
         if let Some(prev) = last_phys {
             max_step = max_step.max((pos - prev).norm());
         }

@@ -197,22 +197,24 @@ pub fn run_fig8(
                 let predicted = model.track_step(&prev.dac);
                 let pm = predicted.motor_pos().to_array();
                 let pj = predicted.joint_pos().to_array();
+                let tm = truth.state.motor_pos().to_array();
+                let tj = truth.state.joint_pos().to_array();
                 // Overlay: first run, Euler row, every 10th step.
                 if run == 0 && *method == Method::Euler && step % 10 == 0 {
                     overlay.push(OverlayPoint {
                         t_ms: step as f64,
-                        truth_jpos: truth.jpos,
+                        truth_jpos: tj,
                         model_jpos: pj,
                     });
                 }
                 for i in 0..3 {
-                    err_mpos[mi][i] += rad_to_deg((pm[i] - truth.mpos[i]).abs());
-                    let je = (pj[i] - truth.jpos[i]).abs();
+                    err_mpos[mi][i] += rad_to_deg((pm[i] - tm[i]).abs());
+                    let je = (pj[i] - tj[i]).abs();
                     err_jpos[mi][i] += if i == 2 { je * 1000.0 } else { rad_to_deg(je) };
-                    min_m[i] = min_m[i].min(truth.mpos[i]);
-                    max_m[i] = max_m[i].max(truth.mpos[i]);
-                    min_j[i] = min_j[i].min(truth.jpos[i]);
-                    max_j[i] = max_j[i].max(truth.jpos[i]);
+                    min_m[i] = min_m[i].min(tm[i]);
+                    max_m[i] = max_m[i].max(tm[i]);
+                    min_j[i] = min_j[i].min(tj[i]);
+                    max_j[i] = max_j[i].max(tj[i]);
                 }
                 steps_total[mi] += 1;
             }

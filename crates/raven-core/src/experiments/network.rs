@@ -12,7 +12,6 @@
 //! can do.
 
 use serde::{Deserialize, Serialize};
-use simbus::obs::channels;
 use simbus::obs::streams::{self, Stream};
 use simbus::rng::derive_seed;
 use simbus::{LinkConfig, SimDuration};
@@ -107,16 +106,12 @@ fn run_condition(
     // ideal-network run of the same seed and workload.)
     let reference = run_spec(&spec(LinkConfig::ideal()), |_| {}).expect_booted();
 
-    let a = run.sim.trace();
-    let b = reference.sim.trace();
     let mut sum_sq = 0.0;
     let mut n = 0u64;
-    for (sa, sb) in a.samples(channels::EE_X_MM).iter().zip(b.samples(channels::EE_X_MM)) {
-        let dy = a.samples(channels::EE_Y_MM)[n as usize].value
-            - b.samples(channels::EE_Y_MM)[n as usize].value;
-        let dz = a.samples(channels::EE_Z_MM)[n as usize].value
-            - b.samples(channels::EE_Z_MM)[n as usize].value;
-        let dx = sa.value - sb.value;
+    for (a, b) in run.sim.cycle_log().iter().zip(reference.sim.cycle_log()) {
+        let dx = a.ee.x * 1e3 - b.ee.x * 1e3;
+        let dy = a.ee.y * 1e3 - b.ee.y * 1e3;
+        let dz = a.ee.z * 1e3 - b.ee.z * 1e3;
         sum_sq += dx * dx + dy * dy + dz * dz;
         n += 1;
     }

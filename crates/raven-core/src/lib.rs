@@ -44,4 +44,7 @@ pub use scenario::AttackSetup;
 pub use session::{
     run_spec, run_standalone, session_thresholds, SessionArtifact, SessionRun, SessionSpec,
 };
-pub use sim::{DetectorSetup, IncidentReport, SessionOutcome, SimConfig, Simulation, Workload};
+pub use sim::{
+    cycle_signals, CycleRecord, DetectorSetup, IncidentReport, Sample, SessionOutcome, SimConfig,
+    Simulation, Workload,
+};

@@ -15,11 +15,12 @@ use std::sync::OnceLock;
 use raven_detect::{DetectionThresholds, Mitigation};
 use serde::Serialize;
 use simbus::obs::{Event, Metrics};
-use simbus::trace::Sample;
-use simbus::{ChaosConfig, SimTime};
+use simbus::ChaosConfig;
 
 use crate::scenario::AttackSetup;
-use crate::sim::{DetectorSetup, IncidentReport, SessionOutcome, SimConfig, Simulation};
+use crate::sim::{
+    cycle_signals, DetectorSetup, IncidentReport, Sample, SessionOutcome, SimConfig, Simulation,
+};
 use crate::training::{train_thresholds, TrainingConfig};
 
 /// One session: the complete deterministic recipe.
@@ -168,8 +169,8 @@ pub struct SessionArtifact {
     pub chaos_scheduled: usize,
     /// The detector's mitigation policy (`None` when undefended).
     pub mitigation: Option<Mitigation>,
-    /// Every recorded trace signal over the whole run (1 ms samples;
-    /// empty unless the config sets `record_cycles`).
+    /// [`cycle_signals`] of the whole cycle log (1 ms samples; empty
+    /// unless the config sets `record_cycles`).
     pub signals: BTreeMap<String, Vec<Sample>>,
 }
 
@@ -224,7 +225,7 @@ impl SessionRun {
             incident: self.sim.incident().cloned(),
             chaos_scheduled: self.chaos_scheduled,
             mitigation: spec.config.detector.as_ref().map(|d| d.config.mitigation),
-            signals: self.sim.trace().window_from(SimTime::ZERO),
+            signals: cycle_signals(self.sim.cycle_log()),
         }
     }
 }

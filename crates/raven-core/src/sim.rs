@@ -17,6 +17,8 @@
     clippy::unimplemented
 )]
 
+use std::collections::BTreeMap;
+
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};
 use raven_control::{ControllerConfig, FaultReason, OperatorInput, RavenController};
 use raven_detect::{
@@ -139,19 +141,50 @@ pub enum PedalPattern {
     },
 }
 
-/// One recorded cycle for offline analysis (Fig. 8 model validation).
+/// One recorded cycle: the per-cycle truth that Fig. 8's model
+/// validation replays and that [`cycle_signals`] views as signals.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CycleRecord {
+    /// Virtual time of the cycle.
+    pub time: SimTime,
     /// DAC words latched on the board this cycle (what executed).
     pub dac: [i16; 3],
-    /// Ground-truth motor positions after the cycle.
-    pub mpos: [f64; 3],
-    /// Ground-truth joint positions after the cycle.
-    pub jpos: [f64; 3],
     /// Full ground-truth plant state after the cycle.
     pub state: raven_dynamics::PlantState,
+    /// Ground-truth end-effector position after the cycle (metres).
+    pub ee: Vec3,
     /// Whether the brakes were released (Pedal Down physics).
     pub engaged: bool,
+}
+
+/// One sample of a recorded signal.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Sample {
+    /// Virtual timestamp.
+    pub time: SimTime,
+    /// Signal value.
+    pub value: f64,
+}
+
+/// The recorded signals of `log`, keyed by [`channels::ALL`]: the
+/// end-effector track in millimetres and the three joint positions, one
+/// sample per record, so each is time-ordered because the log is. An
+/// empty log has no signals.
+pub fn cycle_signals(log: &[CycleRecord]) -> BTreeMap<String, Vec<Sample>> {
+    if log.is_empty() {
+        return BTreeMap::new();
+    }
+    let column = |name: &str, value: fn(&CycleRecord) -> f64| -> (String, Vec<Sample>) {
+        (name.to_string(), log.iter().map(|c| Sample { time: c.time, value: value(c) }).collect())
+    };
+    BTreeMap::from([
+        column(channels::EE_X_MM, |c| c.ee.x * 1e3),
+        column(channels::EE_Y_MM, |c| c.ee.y * 1e3),
+        column(channels::EE_Z_MM, |c| c.ee.z * 1e3),
+        column(channels::JPOS1, |c| c.state.joint_pos().shoulder),
+        column(channels::JPOS2, |c| c.state.joint_pos().elbow),
+        column(channels::JPOS3, |c| c.state.joint_pos().insertion),
+    ])
 }
 
 /// Full configuration of one simulated session.
@@ -255,9 +288,9 @@ pub struct IncidentReport {
     pub window_ms: u64,
     /// The event ring at capture time, oldest first.
     pub events: Vec<Event>,
-    /// Per-signal trace samples inside the window (requires
+    /// [`cycle_signals`] of the cycles inside the window (requires
     /// `record_cycles`; empty otherwise).
-    pub signals: std::collections::BTreeMap<String, Vec<simbus::trace::Sample>>,
+    pub signals: BTreeMap<String, Vec<Sample>>,
 }
 
 /// Runtime state of an installed chaos schedule's link-level faults (the
@@ -293,7 +326,6 @@ pub struct Simulation {
     max_ee_step_1ms: f64,
     max_ee_step_2ms: f64,
     cycle_log: Vec<CycleRecord>,
-    trace: simbus::TraceRecorder,
     /// The one owner of the event ring and metrics: the rig and the
     /// interceptors borrow it for each call.
     observer: Observer,
@@ -414,7 +446,6 @@ impl Simulation {
             max_ee_step_1ms: 0.0,
             max_ee_step_2ms: 0.0,
             cycle_log: Vec::new(),
-            trace: simbus::TraceRecorder::new(),
             observer,
             spans: SpanHandle::default(),
             incident: None,
@@ -430,13 +461,6 @@ impl Simulation {
             prev_corrupted: 0,
             prev_lost: 0,
         }
-    }
-
-    /// Recorded time-series trace (populated when `record_cycles` is set):
-    /// ground-truth end-effector coordinates (`ee_{x,y,z}_mm`) and joint
-    /// positions (`jpos{1,2,3}`).
-    pub fn trace(&self) -> &simbus::TraceRecorder {
-        &self.trace
     }
 
     /// Recorded cycles (empty unless `record_cycles` was set).
@@ -823,21 +847,13 @@ impl Simulation {
         self.rig.step(now, &mut self.observer);
         let ee = self.record_ee();
         if self.config.record_cycles {
-            let state = *self.rig.plant.state();
             self.cycle_log.push(CycleRecord {
+                time: now,
                 dac: self.rig.board.positioning_dac(),
-                mpos: state.motor_pos().to_array(),
-                jpos: state.joint_pos().to_array(),
-                state,
+                state: *self.rig.plant.state(),
+                ee,
                 engaged: !self.rig.plant.brakes_engaged(),
             });
-            let j = state.joint_pos().to_array();
-            self.trace.record(channels::EE_X_MM, now, ee.x * 1e3);
-            self.trace.record(channels::EE_Y_MM, now, ee.y * 1e3);
-            self.trace.record(channels::EE_Z_MM, now, ee.z * 1e3);
-            self.trace.record(channels::JPOS1, now, j[0]);
-            self.trace.record(channels::JPOS2, now, j[1]);
-            self.trace.record(channels::JPOS3, now, j[2]);
         }
         drop(span_stage);
 
@@ -1013,13 +1029,14 @@ impl Simulation {
                 let _capture = self.spans.begin(spans::FLIGHT_RECORDER_CAPTURE);
                 let window = SimDuration::from_millis(Self::INCIDENT_WINDOW_MS);
                 let from = SimTime::from_nanos(now.as_nanos().saturating_sub(window.as_nanos()));
+                let start = self.cycle_log.partition_point(|c| c.time < from);
                 self.incident = Some(IncidentReport {
                     time: now,
                     cause,
                     seed: self.config.seed,
                     window_ms: Self::INCIDENT_WINDOW_MS,
                     events: self.observer.events.snapshot(),
-                    signals: self.trace.window_from(from),
+                    signals: cycle_signals(&self.cycle_log[start..]),
                 });
             }
         }

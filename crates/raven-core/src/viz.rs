@@ -6,8 +6,6 @@
 //! All functions are pure string builders (no I/O); callers write the SVG
 //! where they want it.
 
-use simbus::TraceRecorder;
-
 /// Size of the rendered canvas in pixels.
 const W: f64 = 760.0;
 const H: f64 = 480.0;
@@ -126,20 +124,6 @@ pub fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series<'_
     svg
 }
 
-/// Renders a recorded trace's signals over time (one colored line each) —
-/// the Fig. 8-style trajectory overlay.
-pub fn trace_chart(title: &str, trace: &TraceRecorder, signals: &[(&str, &str)]) -> String {
-    let series: Vec<Series<'_>> = signals
-        .iter()
-        .map(|(name, color)| Series {
-            label: name,
-            color,
-            points: trace.samples(name).iter().map(|s| (s.time.as_millis_f64(), s.value)).collect(),
-        })
-        .collect();
-    line_chart(title, "time (ms)", "value", &series)
-}
-
 /// Renders a probability grid (Fig. 9 style) as an SVG heatmap. `rows` are
 /// labeled (value, per-duration probabilities); `cols` are duration labels.
 pub fn heatmap(title: &str, cols: &[String], rows: &[(String, Vec<f64>)]) -> String {
@@ -200,7 +184,6 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simbus::{SimDuration, SimTime};
 
     fn sine_series(label: &'static str) -> Series<'static> {
         Series {
@@ -242,18 +225,6 @@ mod tests {
         let single = Series { label: "dot", color: "#0c0", points: vec![(3.0, 3.0)] };
         let svg = line_chart("dot", "x", "y", &[single]);
         assert!(svg.contains("<path"));
-    }
-
-    #[test]
-    fn trace_chart_pulls_signals() {
-        let mut trace = TraceRecorder::new();
-        for k in 0..10 {
-            let t = SimTime::ZERO + SimDuration::from_millis(k);
-            trace.record("a", t, k as f64);
-            trace.record("b", t, -(k as f64));
-        }
-        let svg = trace_chart("trace", &trace, &[("a", "#c33"), ("b", "#33c")]);
-        assert_eq!(svg.matches("<path").count(), 2);
     }
 
     #[test]

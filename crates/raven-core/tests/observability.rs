@@ -3,8 +3,9 @@
 //! attack (the ISSUE's acceptance protocol).
 
 use raven_core::training::{train_thresholds, TrainingConfig};
-use raven_core::{AttackSetup, DetectorSetup, SimConfig, Simulation};
+use raven_core::{run_spec, AttackSetup, DetectorSetup, SessionSpec, SimConfig, Simulation};
 use raven_detect::{DetectorConfig, Mitigation};
+use simbus::obs::channels;
 use simbus::SimTime;
 
 /// A guarded simulation with quick-trained thresholds, the given
@@ -140,4 +141,36 @@ fn drop_itp_mid_session_keeps_loss_accounting_cumulative() {
     // counter keeps the pre-attack history: one packet per step.
     let after = sim.metrics().counter("net.packets_dropped");
     assert_eq!(after, before + 200, "losses must accumulate across the attack install");
+}
+
+#[test]
+fn session_signals_are_a_time_ordered_view_of_the_cycle_log() {
+    let mut spec = SessionSpec::clean(23).with_session_ms(300);
+    spec.config.record_cycles = true;
+    let run = run_spec(&spec, |_| {}).expect_booted();
+    let log = run.sim.cycle_log();
+    let signals = run.artifact(&spec, 0).signals;
+
+    let keys: Vec<&str> = signals.keys().map(String::as_str).collect();
+    let mut want = channels::ALL.to_vec();
+    want.sort_unstable();
+    assert_eq!(keys, want, "exactly the registered channels");
+    let bits = |s: &[raven_core::Sample]| s.iter().map(|x| x.value.to_bits()).collect::<Vec<_>>();
+    let column = |f: fn(&raven_core::CycleRecord) -> f64| {
+        log.iter().map(|c| f(c).to_bits()).collect::<Vec<_>>()
+    };
+    for (name, samples) in &signals {
+        assert_eq!(samples.len(), log.len(), "{name}: one sample per recorded cycle");
+        assert!(
+            samples.windows(2).all(|w| w[1].time.as_nanos() - w[0].time.as_nanos() == 1_000_000),
+            "{name}: samples step by exactly 1 ms"
+        );
+    }
+    let ch = |name: &str| bits(&signals[name]);
+    assert_eq!(ch(channels::JPOS1), column(|c| c.state.joint_pos().shoulder));
+    assert_eq!(ch(channels::JPOS2), column(|c| c.state.joint_pos().elbow));
+    assert_eq!(ch(channels::JPOS3), column(|c| c.state.joint_pos().insertion));
+    assert_eq!(ch(channels::EE_X_MM), column(|c| c.ee.x * 1e3));
+    assert_eq!(ch(channels::EE_Y_MM), column(|c| c.ee.y * 1e3));
+    assert_eq!(ch(channels::EE_Z_MM), column(|c| c.ee.z * 1e3));
 }

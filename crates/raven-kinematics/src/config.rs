@@ -5,7 +5,7 @@ use raven_math::Vec3;
 use crate::coupling::CouplingMatrix;
 use crate::joints::{JointState, MotorState};
 use crate::limits::JointLimits;
-use crate::spherical::{self, FkResult, IkError};
+use crate::spherical::{self, IkError};
 
 /// Geometry and transmission of one RAVEN II arm.
 ///
@@ -27,7 +27,7 @@ use crate::spherical::{self, FkResult, IkError};
 /// The link arc angles are fixed once built (read them through
 /// [`ArmConfig::alpha1`] / [`ArmConfig::alpha2`]), so their sines and
 /// cosines are computed once in [`ArmConfigBuilder::build`] and every
-/// FK, IK and Jacobian evaluation reads the cached [`LinkTrig`].
+/// FK and IK evaluation reads the cached [`LinkTrig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmConfig {
     alpha1: f64,
@@ -74,17 +74,8 @@ impl ArmConfig {
         self.trig
     }
 
-    /// Forward kinematics for the positioning joints: the full tool pose.
-    ///
-    /// Callers that need only the tip should use [`ArmConfig::position`],
-    /// which skips building the tool-frame orientation and returns the same
-    /// bits as `forward(joints).position`.
-    pub fn forward(&self, joints: &JointState) -> FkResult {
-        spherical::forward(self, joints)
-    }
-
-    /// End-effector position for the positioning joints (forward kinematics
-    /// without the tool frame).
+    /// End-effector position for the positioning joints (forward
+    /// kinematics).
     pub fn position(&self, joints: &JointState) -> Vec3 {
         spherical::position(self, joints)
     }
@@ -291,8 +282,7 @@ mod tests {
         let arm = ArmConfig::raven_ii_left();
         let home = arm.home_joints();
         assert!(arm.limits.contains(&home));
-        let fk = arm.forward(&home);
-        let back = arm.inverse(fk.position).unwrap();
+        let back = arm.inverse(arm.position(&home)).unwrap();
         assert!((back.shoulder - home.shoulder).abs() < 1e-9);
     }
 
@@ -302,6 +292,6 @@ mod tests {
         let j = JointState::new(0.4, 1.2, 0.3);
         let m = arm.joints_to_motors(&j);
         let p = arm.motor_to_position(&m);
-        assert!((p - arm.forward(&j).position).norm() < 1e-9);
+        assert!((p - arm.position(&j)).norm() < 1e-9);
     }
 }

@@ -51,14 +51,12 @@
 
 pub mod config;
 pub mod coupling;
-pub mod jacobian;
 pub mod joints;
 pub mod limits;
 pub mod spherical;
 
 pub use config::{ArmConfig, LinkTrig};
 pub use coupling::CouplingMatrix;
-pub use jacobian::{ee_velocity, jacobian, max_gain};
 pub use joints::{JointState, MotorState, NUM_AXES, NUM_CHANNELS, WRIST_AXES};
 pub use limits::{JointLimits, LimitViolation};
-pub use spherical::{FkResult, IkError};
+pub use spherical::IkError;

@@ -14,22 +14,11 @@
 //! solution — fast enough to run inside the 1 ms control loop with room to
 //! spare, which the paper's real-time constraint (§IV) demands.
 
-use raven_math::{Quat, Vec3};
+use raven_math::Vec3;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ArmConfig, LinkTrig};
 use crate::joints::JointState;
-
-/// Result of forward kinematics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FkResult {
-    /// End-effector position in the base frame (meters).
-    pub position: Vec3,
-    /// Unit direction of the tool axis (from remote center toward the tip).
-    pub tool_axis: Vec3,
-    /// Orientation of the tool frame (Z aligned with `tool_axis`).
-    pub orientation: Quat,
-}
 
 /// Why inverse kinematics failed.
 ///
@@ -98,8 +87,7 @@ fn tip(config: &ArmConfig, axis: Vec3, insertion: f64) -> Vec3 {
     config.remote_center + axis * insertion
 }
 
-/// Forward kinematics to the end-effector position only: the per-cycle
-/// form, which skips the tool frame that [`forward`] builds.
+/// Forward kinematics: joints to end-effector position.
 pub(crate) fn position(config: &ArmConfig, joints: &JointState) -> Vec3 {
     position_from_sin_cos(
         config,
@@ -118,16 +106,6 @@ pub(crate) fn position_from_sin_cos(
     insertion: f64,
 ) -> Vec3 {
     tip(config, direction_from_sin_cos(config.link_trig(), shoulder, elbow), insertion)
-}
-
-/// Forward kinematics: joints to end-effector pose.
-pub(crate) fn forward(config: &ArmConfig, joints: &JointState) -> FkResult {
-    let axis = tool_direction(config, joints.shoulder, joints.elbow);
-    let position = tip(config, axis, joints.insertion);
-    // Tool frame: Z along the tool axis, roll given by the shoulder angle
-    // (sufficient for the positioning analysis; the wrist DOF refine it).
-    let orientation = orientation_from_axis(axis, joints.shoulder);
-    FkResult { position, tool_axis: axis, orientation }
 }
 
 /// Inverse kinematics: end-effector position to joints.
@@ -175,19 +153,6 @@ fn solve_shoulder(config: &ArmConfig, u: Vec3, elbow: f64, d3: f64) -> Result<Jo
     Ok(JointState::new(shoulder, elbow, d3))
 }
 
-/// Builds a tool-frame orientation with Z along `axis` and roll `roll`.
-fn orientation_from_axis(axis: Vec3, roll: f64) -> Quat {
-    let z = axis.normalized().unwrap_or(Vec3::Z);
-    // Any perpendicular as X seed.
-    let seed = if z.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
-    let x = seed.cross(z).normalized().unwrap_or(Vec3::X);
-    let y = z.cross(x);
-    let m = raven_math::Mat3::from_columns(x, y, z);
-    let base = Quat::from_mat3(&m);
-    let twist = Quat::from_axis_angle(z, roll).unwrap_or(Quat::IDENTITY);
-    twist.mul(base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,9 +177,7 @@ mod tests {
     fn fk_position_at_insertion_depth() {
         let a = arm();
         let j = JointState::new(0.3, 1.2, 0.25);
-        let fk = forward(&a, &j);
-        assert!((fk.position.distance(a.remote_center) - 0.25).abs() < 1e-12);
-        assert!((fk.tool_axis.norm() - 1.0).abs() < 1e-12);
+        assert!((position(&a, &j).distance(a.remote_center) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -224,8 +187,7 @@ mod tests {
             for el in [0.3, 0.9, 1.6, 2.4] {
                 for d in [0.1, 0.25, 0.4] {
                     let j = JointState::new(sh, el, d);
-                    let fk = forward(&a, &j);
-                    let back = inverse(&a, fk.position).unwrap();
+                    let back = inverse(&a, position(&a, &j)).unwrap();
                     assert!(
                         (back.shoulder - sh).abs() < 1e-9
                             && (back.elbow - el).abs() < 1e-9
@@ -259,15 +221,6 @@ mod tests {
             inverse(&a, Vec3::new(f64::NAN, 0.0, 0.0)),
             Err(IkError::NonFiniteTarget)
         ));
-    }
-
-    #[test]
-    fn orientation_z_axis_tracks_tool() {
-        let a = arm();
-        let j = JointState::new(0.4, 1.3, 0.3);
-        let fk = forward(&a, &j);
-        let z_world = fk.orientation.rotate(Vec3::Z);
-        assert!((z_world - fk.tool_axis).norm() < 1e-9);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Property-based tests: FK∘IK identity, coupling invertibility, limits.
 
 use proptest::prelude::*;
-use raven_kinematics::{
-    jacobian, ArmConfig, CouplingMatrix, IkError, JointLimits, JointState, MotorState,
-};
-use raven_math::{Mat3, Vec3};
+use raven_kinematics::{ArmConfig, CouplingMatrix, IkError, JointLimits, JointState, MotorState};
+use raven_math::Vec3;
 
 fn in_limit_joints() -> impl Strategy<Value = JointState> {
     let l = JointLimits::raven_ii();
@@ -33,17 +31,13 @@ fn vec_bits(v: Vec3) -> [u64; 3] {
     v.to_array().map(f64::to_bits)
 }
 
-fn mat_bits(m: &Mat3) -> [[u64; 3]; 3] {
-    [0, 1, 2].map(|c| vec_bits(m.column(c)))
-}
-
-/// The FK, IK and Jacobian formulas as they were before the arm cached its
+/// The FK and IK formulas as they were before the arm cached its
 /// link-arc trig and FK split its `sin_cos` calls from a call-free core:
 /// `sin_cos` of every angle inside one function on every call. The
 /// current forms must reproduce them bit for bit.
 mod uncached {
     use raven_kinematics::{ArmConfig, IkError, JointState};
-    use raven_math::{Mat3, Vec3};
+    use raven_math::Vec3;
 
     pub fn position(arm: &ArmConfig, j: &JointState) -> Vec3 {
         arm.remote_center + tool_direction(arm, j.shoulder, j.elbow) * j.insertion
@@ -88,31 +82,13 @@ mod uncached {
         let shoulder = raven_math::angles::wrap_to_pi(u.y.atan2(u.x) - v.y.atan2(v.x));
         Ok(JointState::new(shoulder, elbow, d3))
     }
-
-    pub fn jacobian(arm: &ArmConfig, joints: &JointState) -> Mat3 {
-        let (s1, c1) = joints.shoulder.sin_cos();
-        let (s2, c2) = joints.elbow.sin_cos();
-        let (sa1, ca1) = arm.alpha1().sin_cos();
-        let (sa2, ca2) = arm.alpha2().sin_cos();
-        let vx = sa2 * s2;
-        let vy = -ca1 * sa2 * c2 - sa1 * ca2;
-        let vz = -sa1 * sa2 * c2 + ca1 * ca2;
-        let dvx = sa2 * c2;
-        let dvy = ca1 * sa2 * s2;
-        let dvz = sa1 * sa2 * s2;
-        let u = Vec3::new(c1 * vx - s1 * vy, s1 * vx + c1 * vy, vz);
-        let du1 = Vec3::new(-s1 * vx - c1 * vy, c1 * vx - s1 * vy, 0.0);
-        let du2 = Vec3::new(c1 * dvx - s1 * dvy, s1 * dvx + c1 * dvy, dvz);
-        Mat3::from_columns(du1 * joints.insertion, du2 * joints.insertion, u)
-    }
 }
 
 proptest! {
     #[test]
     fn fk_ik_roundtrip_on_reachable_workspace(j in in_limit_joints()) {
         let arm = ArmConfig::raven_ii_left();
-        let fk = arm.forward(&j);
-        let back = arm.inverse(fk.position).unwrap();
+        let back = arm.inverse(arm.position(&j)).unwrap();
         prop_assert!((back.shoulder - j.shoulder).abs() < 1e-8);
         prop_assert!((back.elbow - j.elbow).abs() < 1e-8);
         prop_assert!((back.insertion - j.insertion).abs() < 1e-8);
@@ -121,8 +97,7 @@ proptest! {
     #[test]
     fn fk_position_distance_equals_insertion(j in in_limit_joints()) {
         let arm = ArmConfig::raven_ii_left();
-        let fk = arm.forward(&j);
-        prop_assert!((fk.position.distance(arm.remote_center) - j.insertion).abs() < 1e-9);
+        prop_assert!((arm.position(&j).distance(arm.remote_center) - j.insertion).abs() < 1e-9);
     }
 
     #[test]
@@ -131,13 +106,8 @@ proptest! {
         // the basis of the paper's "1 mm jump in 1-2 ms is anomalous" rule.
         let arm = ArmConfig::raven_ii_left();
         let eps = JointState::new(j.shoulder + 1e-3, j.elbow + 1e-3, j.insertion + 1e-4);
-        let d = arm.forward(&j).position.distance(arm.forward(&eps).position);
+        let d = arm.position(&j).distance(arm.position(&eps));
         prop_assert!(d < 1.5e-3, "tip moved {d} m for a tiny joint step");
-    }
-
-    #[test]
-    fn position_has_the_bits_of_the_fk_position(arm in arms(), j in in_limit_joints()) {
-        prop_assert_eq!(vec_bits(arm.position(&j)), vec_bits(arm.forward(&j).position));
     }
 
     /// `position` and its call-free core, fed `sin_cos` of the joints,
@@ -179,14 +149,6 @@ proptest! {
     }
 
     #[test]
-    fn cached_jacobian_has_the_bits_of_the_uncached_formula(
-        arm in arms(),
-        j in in_limit_joints(),
-    ) {
-        prop_assert_eq!(mat_bits(&jacobian(&arm, &j)), mat_bits(&uncached::jacobian(&arm, &j)));
-    }
-
-    #[test]
     fn coupling_roundtrip(j in in_limit_joints()) {
         let c = CouplingMatrix::raven_ii();
         let back = c.motors_to_joints(&c.joints_to_motors(&j));
@@ -223,8 +185,7 @@ proptest! {
             // Elbow-down branch only.
             prop_assert!(j.elbow >= 0.0 && j.elbow <= std::f64::consts::PI + 1e-9);
             // And FK of the solution must land on the target.
-            let fk = arm.forward(&j);
-            prop_assert!((fk.position - Vec3::from(p)).norm() < 1e-8);
+            prop_assert!((arm.position(&j) - Vec3::from(p)).norm() < 1e-8);
         }
     }
 }

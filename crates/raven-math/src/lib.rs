@@ -8,8 +8,8 @@
 //! alarm thresholds as high percentiles of instant velocities over fault-free
 //! runs. This crate provides exactly those foundations:
 //!
-//! * [`vec3::Vec3`], [`mat3::Mat3`], [`quat::Quat`], [`se3::Pose`] — 3-D
-//!   geometry used by the kinematic chain (Fig. 2 of the paper);
+//! * [`vec3::Vec3`], [`mat3::Mat3`] — 3-D geometry used by the kinematic
+//!   chain (Fig. 2 of the paper);
 //! * [`ode`] — generic fixed-step integrators ([`ode::Method::Euler`],
 //!   [`ode::Method::Rk4`]) over user-defined state vectors;
 //! * [`stats`] — running summary statistics, percentile estimation for
@@ -45,12 +45,8 @@
 pub mod angles;
 pub mod mat3;
 pub mod ode;
-pub mod quat;
-pub mod se3;
 pub mod stats;
 pub mod vec3;
 
 pub use mat3::Mat3;
-pub use quat::Quat;
-pub use se3::Pose;
 pub use vec3::Vec3;

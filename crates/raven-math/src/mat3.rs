@@ -1,7 +1,7 @@
-//! 3×3 matrices (row-major), used for rotation matrices and the manipulator
-//! inertia matrix `M(q)` of the link dynamics (paper §IV.A.1).
+//! 3×3 matrices (row-major), used for the joint ↔ motor cable coupling of
+//! the kinematic chain (Fig. 2 of the paper).
 
-use std::ops::{Add, Mul, Sub};
+use std::ops::Mul;
 
 use serde::{Deserialize, Serialize};
 
@@ -14,9 +14,9 @@ use crate::vec3::Vec3;
 /// ```
 /// use raven_math::{Mat3, Vec3};
 ///
-/// let r = Mat3::rotation_z(std::f64::consts::FRAC_PI_2);
-/// let v = r * Vec3::X;
-/// assert!((v - Vec3::Y).norm() < 1e-12);
+/// let m = Mat3::diagonal(2.0, 4.0, 8.0);
+/// let x = m.inverse().unwrap() * Vec3::new(2.0, 4.0, 8.0);
+/// assert_eq!(x, Vec3::new(1.0, 1.0, 1.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Mat3 {
@@ -25,12 +25,6 @@ pub struct Mat3 {
 }
 
 impl Mat3 {
-    /// The identity matrix.
-    pub const IDENTITY: Mat3 = Mat3 { rows: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] };
-
-    /// The zero matrix.
-    pub const ZERO: Mat3 = Mat3 { rows: [[0.0; 3]; 3] };
-
     /// Creates a matrix from rows.
     #[inline]
     pub const fn from_rows(r0: [f64; 3], r1: [f64; 3], r2: [f64; 3]) -> Self {
@@ -41,39 +35,6 @@ impl Mat3 {
     #[inline]
     pub const fn diagonal(d0: f64, d1: f64, d2: f64) -> Self {
         Mat3::from_rows([d0, 0.0, 0.0], [0.0, d1, 0.0], [0.0, 0.0, d2])
-    }
-
-    /// Creates a matrix whose columns are the given vectors.
-    pub fn from_columns(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
-        Mat3::from_rows([c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z])
-    }
-
-    /// Rotation about the X axis by `angle` radians.
-    pub fn rotation_x(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows([1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c])
-    }
-
-    /// Rotation about the Y axis by `angle` radians.
-    pub fn rotation_y(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows([c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c])
-    }
-
-    /// Rotation about the Z axis by `angle` radians.
-    pub fn rotation_z(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows([c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0])
-    }
-
-    /// Element at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row > 2` or `col > 2`.
-    #[inline]
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.rows[row][col]
     }
 
     /// Row `i` as a vector.
@@ -90,17 +51,16 @@ impl Mat3 {
 
     /// Transpose.
     pub fn transpose(&self) -> Mat3 {
-        Mat3::from_columns(self.row(0), self.row(1), self.row(2))
+        Mat3::from_rows(
+            self.column(0).to_array(),
+            self.column(1).to_array(),
+            self.column(2).to_array(),
+        )
     }
 
     /// Determinant.
     pub fn determinant(&self) -> f64 {
         self.row(0).dot(self.row(1).cross(self.row(2)))
-    }
-
-    /// Trace (sum of diagonal entries).
-    pub fn trace(&self) -> f64 {
-        self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
     }
 
     /// Matrix inverse, or `None` when `|det| < 1e-12` (singular).
@@ -118,31 +78,6 @@ impl Mat3 {
         let r2 = c0.cross(c1) / det;
         Some(Mat3::from_rows(r0.to_array(), r1.to_array(), r2.to_array()))
     }
-
-    /// Solves `self * x = b` via the inverse, or `None` when singular.
-    pub fn solve(&self, b: Vec3) -> Option<Vec3> {
-        self.inverse().map(|inv| inv * b)
-    }
-
-    /// `true` when this is a proper rotation matrix (orthonormal, det ≈ +1)
-    /// to tolerance `tol`.
-    pub fn is_rotation(&self, tol: f64) -> bool {
-        let should_be_identity = *self * self.transpose();
-        let mut err: f64 = 0.0;
-        for i in 0..3 {
-            for j in 0..3 {
-                let target = if i == j { 1.0 } else { 0.0 };
-                err = err.max((should_be_identity.at(i, j) - target).abs());
-            }
-        }
-        err < tol && (self.determinant() - 1.0).abs() < tol
-    }
-}
-
-impl Default for Mat3 {
-    fn default() -> Self {
-        Mat3::IDENTITY
-    }
 }
 
 impl Mul<Vec3> for Mat3 {
@@ -156,49 +91,10 @@ impl Mul<Vec3> for Mat3 {
 impl Mul for Mat3 {
     type Output = Mat3;
     fn mul(self, rhs: Mat3) -> Mat3 {
-        let mut out = Mat3::ZERO;
+        let mut out = Mat3 { rows: [[0.0; 3]; 3] };
         for i in 0..3 {
             for j in 0..3 {
                 out.rows[i][j] = self.row(i).dot(rhs.column(j));
-            }
-        }
-        out
-    }
-}
-
-impl Mul<f64> for Mat3 {
-    type Output = Mat3;
-    fn mul(self, s: f64) -> Mat3 {
-        let mut out = self;
-        for row in &mut out.rows {
-            for v in row {
-                *v *= s;
-            }
-        }
-        out
-    }
-}
-
-impl Add for Mat3 {
-    type Output = Mat3;
-    fn add(self, rhs: Mat3) -> Mat3 {
-        let mut out = Mat3::ZERO;
-        for i in 0..3 {
-            for j in 0..3 {
-                out.rows[i][j] = self.rows[i][j] + rhs.rows[i][j];
-            }
-        }
-        out
-    }
-}
-
-impl Sub for Mat3 {
-    type Output = Mat3;
-    fn sub(self, rhs: Mat3) -> Mat3 {
-        let mut out = Mat3::ZERO;
-        for i in 0..3 {
-            for j in 0..3 {
-                out.rows[i][j] = self.rows[i][j] - rhs.rows[i][j];
             }
         }
         out
@@ -209,80 +105,40 @@ impl Sub for Mat3 {
 mod tests {
     use super::*;
 
-    const PI_2: f64 = std::f64::consts::FRAC_PI_2;
+    const IDENTITY: Mat3 = Mat3::diagonal(1.0, 1.0, 1.0);
 
     fn approx(a: Mat3, b: Mat3, tol: f64) -> bool {
-        (0..3).all(|i| (0..3).all(|j| (a.at(i, j) - b.at(i, j)).abs() < tol))
+        (0..3).all(|i| (0..3).all(|j| (a.rows[i][j] - b.rows[i][j]).abs() < tol))
     }
 
     #[test]
     fn identity_is_neutral() {
         let m = Mat3::from_rows([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]);
-        assert_eq!(Mat3::IDENTITY * m, m);
-        assert_eq!(m * Mat3::IDENTITY, m);
-        assert_eq!(Mat3::IDENTITY * Vec3::new(1.0, 2.0, 3.0), Vec3::new(1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn rotations_are_rotations() {
-        for ang in [-1.3, 0.0, 0.4, 2.9] {
-            assert!(Mat3::rotation_x(ang).is_rotation(1e-12));
-            assert!(Mat3::rotation_y(ang).is_rotation(1e-12));
-            assert!(Mat3::rotation_z(ang).is_rotation(1e-12));
-        }
-    }
-
-    #[test]
-    fn rotation_z_maps_x_to_y() {
-        let v = Mat3::rotation_z(PI_2) * Vec3::X;
-        assert!((v - Vec3::Y).norm() < 1e-12);
-        let v = Mat3::rotation_x(PI_2) * Vec3::Y;
-        assert!((v - Vec3::Z).norm() < 1e-12);
-        let v = Mat3::rotation_y(PI_2) * Vec3::Z;
-        assert!((v - Vec3::X).norm() < 1e-12);
+        assert_eq!(IDENTITY * m, m);
+        assert_eq!(m * IDENTITY, m);
+        assert_eq!(IDENTITY * Vec3::new(1.0, 2.0, 3.0), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]
     fn inverse_of_general_matrix() {
         let m = Mat3::from_rows([2.0, 1.0, 0.5], [-1.0, 3.0, 2.0], [0.0, 1.0, 4.0]);
         let inv = m.inverse().unwrap();
-        assert!(approx(m * inv, Mat3::IDENTITY, 1e-12));
-        assert!(approx(inv * m, Mat3::IDENTITY, 1e-12));
+        assert!(approx(m * inv, IDENTITY, 1e-12));
+        assert!(approx(inv * m, IDENTITY, 1e-12));
     }
 
     #[test]
     fn singular_matrix_has_no_inverse() {
         let m = Mat3::from_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]);
         assert!(m.inverse().is_none());
-        assert!(m.solve(Vec3::X).is_none());
     }
 
     #[test]
-    fn solve_matches_manual_solution() {
-        let m = Mat3::diagonal(2.0, 4.0, 8.0);
-        let x = m.solve(Vec3::new(2.0, 4.0, 8.0)).unwrap();
-        assert!((x - Vec3::new(1.0, 1.0, 1.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn transpose_and_trace() {
-        let m = Mat3::from_rows([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]);
-        assert_eq!(m.transpose().at(0, 1), 4.0);
-        assert_eq!(m.trace(), 15.0);
+    fn transpose_and_determinant() {
+        let m = Mat3::from_rows([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]);
+        assert_eq!(m.transpose().rows[0][1], 4.0);
         assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn determinant_of_rotation_is_one() {
-        assert!((Mat3::rotation_y(0.77).determinant() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn arithmetic() {
-        let a = Mat3::diagonal(1.0, 2.0, 3.0);
-        let b = Mat3::diagonal(3.0, 2.0, 1.0);
-        assert_eq!(a + b, Mat3::diagonal(4.0, 4.0, 4.0));
-        assert_eq!(a - a, Mat3::ZERO);
-        assert_eq!(a * 2.0, Mat3::diagonal(2.0, 4.0, 6.0));
+        assert!((m.determinant() + 3.0).abs() < 1e-12);
+        assert!((m.transpose().determinant() - m.determinant()).abs() < 1e-12);
     }
 }

@@ -4,7 +4,7 @@
 //! and actual end-effector positions (`pos_d`, `pos` in Fig. 2 of the paper)
 //! are `Vec3` values in meters, expressed in the robot base frame.
 
-use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Sub};
 
 use serde::{Deserialize, Serialize};
 
@@ -45,12 +45,6 @@ impl Vec3 {
         Vec3 { x, y, z }
     }
 
-    /// Creates a vector with all components equal to `v`.
-    #[inline]
-    pub const fn splat(v: f64) -> Self {
-        Vec3::new(v, v, v)
-    }
-
     /// Dot product.
     #[inline]
     pub fn dot(self, rhs: Vec3) -> f64 {
@@ -73,45 +67,10 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (cheaper than [`Vec3::norm`]).
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn distance(self, rhs: Vec3) -> f64 {
         (self - rhs).norm()
-    }
-
-    /// Returns the unit vector in the same direction, or `None` when the norm
-    /// is below `1e-12` (direction undefined).
-    pub fn normalized(self) -> Option<Vec3> {
-        let n = self.norm();
-        if n < 1e-12 {
-            None
-        } else {
-            Some(self / n)
-        }
-    }
-
-    /// Component-wise linear interpolation: `self` at `t = 0`, `rhs` at `t = 1`.
-    #[inline]
-    pub fn lerp(self, rhs: Vec3, t: f64) -> Vec3 {
-        self + (rhs - self) * t
-    }
-
-    /// Component-wise absolute value.
-    #[inline]
-    pub fn abs(self) -> Vec3 {
-        Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
-    }
-
-    /// Largest component.
-    #[inline]
-    pub fn max_component(self) -> f64 {
-        self.x.max(self.y).max(self.z)
     }
 
     /// `true` when every component is finite.
@@ -130,12 +89,6 @@ impl Vec3 {
 impl From<[f64; 3]> for Vec3 {
     fn from(a: [f64; 3]) -> Self {
         Vec3::new(a[0], a[1], a[2])
-    }
-}
-
-impl From<Vec3> for [f64; 3] {
-    fn from(v: Vec3) -> Self {
-        v.to_array()
     }
 }
 
@@ -197,13 +150,6 @@ impl Sub for Vec3 {
     }
 }
 
-impl SubAssign for Vec3 {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Vec3) {
-        *self = *self - rhs;
-    }
-}
-
 impl Mul<f64> for Vec3 {
     type Output = Vec3;
     #[inline]
@@ -212,27 +158,11 @@ impl Mul<f64> for Vec3 {
     }
 }
 
-impl Mul<Vec3> for f64 {
-    type Output = Vec3;
-    #[inline]
-    fn mul(self, v: Vec3) -> Vec3 {
-        v * self
-    }
-}
-
 impl Div<f64> for Vec3 {
     type Output = Vec3;
     #[inline]
     fn div(self, s: f64) -> Vec3 {
         Vec3::new(self.x / s, self.y / s, self.z / s)
-    }
-}
-
-impl Neg for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn neg(self) -> Vec3 {
-        Vec3::new(-self.x, -self.y, -self.z)
     }
 }
 
@@ -249,7 +179,6 @@ mod tests {
     #[test]
     fn constructors_and_constants() {
         assert_eq!(Vec3::new(1.0, 2.0, 3.0).to_array(), [1.0, 2.0, 3.0]);
-        assert_eq!(Vec3::splat(2.0), Vec3::new(2.0, 2.0, 2.0));
         assert_eq!(Vec3::ZERO.norm(), 0.0);
         assert_eq!(Vec3::X.dot(Vec3::Y), 0.0);
     }
@@ -260,11 +189,9 @@ mod tests {
         let b = Vec3::new(0.5, 4.0, -1.0);
         assert_eq!(a + b - b, a);
         assert_eq!((a * 2.0) / 2.0, a);
-        assert_eq!(-(-a), a);
         let mut c = a;
         c += b;
-        c -= b;
-        assert_eq!(c, a);
+        assert_eq!(c, a + b);
     }
 
     #[test]
@@ -276,22 +203,6 @@ mod tests {
         let c = a.cross(b);
         assert!(c.dot(a).abs() < 1e-12);
         assert!(c.dot(b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_handles_zero() {
-        assert!(Vec3::ZERO.normalized().is_none());
-        let n = Vec3::new(3.0, 0.0, 4.0).normalized().unwrap();
-        assert!((n.norm() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]
@@ -309,12 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn distance_and_abs() {
+    fn distance() {
         let a = Vec3::new(1.0, 1.0, 1.0);
         let b = Vec3::new(1.0, 1.0, 2.0);
         assert_eq!(a.distance(b), 1.0);
-        assert_eq!(Vec3::new(-1.0, 2.0, -3.0).abs(), Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(Vec3::new(-1.0, 2.0, -3.0).max_component(), 2.0);
     }
 
     #[test]

@@ -25,12 +25,10 @@
 
 pub mod console;
 pub mod itp;
-pub mod recorded;
 pub mod traj;
 
 pub use console::{MasterConsole, PedalSchedule};
 pub use itp::{ItpError, ItpPacket, ITP_PACKET_LEN};
-pub use recorded::{Recording, Replay};
 pub use traj::{
     standard_workloads, Circle, Lissajous, MinimumJerk, Suturing, Trajectory, WithTremor,
 };

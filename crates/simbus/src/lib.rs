@@ -8,8 +8,6 @@
 //!   1 ms control tick;
 //! * [`net`] — simulated UDP links with loss, delay, and jitter (carries the
 //!   ITP teleoperation protocol and the malware's exfiltration traffic);
-//! * [`trace`] — time-series recording for experiment analysis (the
-//!   equivalent of the paper's logged robot runs);
 //! * [`obs`] — structured events and metrics (the flight-recorder
 //!   substrate; see `docs/OBSERVABILITY.md`);
 //! * [`span`] — hierarchical span tracing with virtual-time boundaries,
@@ -44,7 +42,6 @@ pub mod obs;
 pub mod rng;
 pub mod span;
 pub mod time;
-pub mod trace;
 
 pub use chaos::{ChaosConfig, ChaosFault, ChaosFaultKind, ChaosSchedule};
 pub use net::{LinkConfig, SimLink};
@@ -53,4 +50,3 @@ pub use obs::{
 };
 pub use span::{ChromeTraceBuilder, SpanGuard, SpanHandle, SpanRecord, SpanRecorder};
 pub use time::{SimClock, SimDuration, SimTime, CONTROL_PERIOD};
-pub use trace::TraceRecorder;

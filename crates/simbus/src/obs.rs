@@ -3,8 +3,8 @@
 //! The paper's argument hinges on *when* things happen inside one 1 ms
 //! control cycle — the TOCTOU gap between the software safety checks and the
 //! `write` to the USB board (§III.B), and the detector acting one control
-//! step ahead of the command it assesses (§IV, Fig. 7). Scalar traces
-//! ([`crate::trace::TraceRecorder`]) show *what* the signals did; this module
+//! step ahead of the command it assesses (§IV, Fig. 7). The simulation's
+//! per-cycle log shows *what* the signals did; this module
 //! records *why*: a causal, structured record of state transitions,
 //! injections, detector verdicts, and E-stops.
 //!
@@ -318,7 +318,7 @@ pub mod spans {
             STAGE_INTERCEPTORS = "span.stage.interceptors",
             /// Pipeline stage: guard-driven E-STOP check.
             STAGE_DETECTOR = "span.stage.detector",
-            /// Pipeline stage: plant step + trace recording.
+            /// Pipeline stage: plant step + cycle record.
             STAGE_PLANT = "span.stage.plant",
             /// ITP packet encode (console side).
             TELEOP_ENCODE = "span.teleop.encode",
@@ -355,11 +355,12 @@ pub mod spans {
 /// The flight-recorder channel registry: every trace-signal name the
 /// simulation records, as constants.
 ///
-/// Channel names key the `signals` map of an incident report and the
-/// in-memory trace buffer. Like [`names`], this module's `ALL` is checked
-/// by `tests/registry_docs.rs` against the channel table in
-/// `docs/OBSERVABILITY.md`; production record/read sites must go through
-/// these constants, never raw string literals.
+/// Channel names key the `signals` map of an incident report and of a
+/// session artifact, both views of the simulation's cycle log. Like
+/// [`names`], this module's `ALL` is checked by `tests/registry_docs.rs`
+/// against the channel table in `docs/OBSERVABILITY.md`; production
+/// record/read sites must go through these constants, never raw string
+/// literals.
 pub mod channels {
     registry! {
         /// Every registered channel name.

@@ -10,8 +10,8 @@
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use raven_core::viz::{line_chart, trace_chart, Series};
-use raven_core::{run_spec, AttackSetup, SessionSpec, SimConfig, Simulation};
+use raven_core::viz::{line_chart, Series};
+use raven_core::{cycle_signals, run_spec, AttackSetup, SessionSpec, SimConfig, Simulation};
 use simbus::obs::channels;
 
 /// A recorded 4 s circle-scan session under `attack`.
@@ -35,35 +35,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         42,
     );
 
-    let signals = [
-        (channels::EE_X_MM, "#c0392b"),
-        (channels::EE_Y_MM, "#2980b9"),
-        (channels::EE_Z_MM, "#27ae60"),
-    ];
+    // The end-effector coordinates over time, one colored line each.
+    let ee_chart = |title: &str, sim: &Simulation| {
+        let signals = cycle_signals(sim.cycle_log());
+        let series: Vec<Series<'_>> = [
+            (channels::EE_X_MM, "#c0392b"),
+            (channels::EE_Y_MM, "#2980b9"),
+            (channels::EE_Z_MM, "#27ae60"),
+        ]
+        .into_iter()
+        .map(|(label, color)| Series {
+            label,
+            color,
+            points: signals[label].iter().map(|s| (s.time.as_millis_f64(), s.value)).collect(),
+        })
+        .collect();
+        line_chart(title, "time (ms)", "value", &series)
+    };
     std::fs::write(
         out_dir.join("session_clean.svg"),
-        trace_chart("clean teleoperation: end-effector (mm)", clean.trace(), &signals),
+        ee_chart("clean teleoperation: end-effector (mm)", &clean),
     )?;
     std::fs::write(
         out_dir.join("session_attacked.svg"),
-        trace_chart(
-            "scenario-B injection (+30000 counts, 256 ms): end-effector (mm)",
-            attacked.trace(),
-            &signals,
-        ),
+        ee_chart("scenario-B injection (+30000 counts, 256 ms): end-effector (mm)", &attacked),
     )?;
 
     // XY path overlay: the hijacked trajectory vs the commanded circle.
     let path = |sim: &Simulation, label, color| Series {
         label,
         color,
-        points: sim
-            .trace()
-            .samples(channels::EE_X_MM)
-            .iter()
-            .zip(sim.trace().samples(channels::EE_Y_MM))
-            .map(|(x, y)| (x.value, y.value))
-            .collect(),
+        points: sim.cycle_log().iter().map(|c| (c.ee.x * 1e3, c.ee.y * 1e3)).collect(),
     };
     std::fs::write(
         out_dir.join("ee_path.svg"),

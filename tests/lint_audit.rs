@@ -308,7 +308,6 @@ fn toolchain_lints_are_configured_and_their_exceptions_pinned() {
         ("crates/raven-math/src/vec3.rs", "clippy::panic"),
         ("crates/simbus/src/span.rs", "clippy::disallowed_methods"),
         ("crates/simbus/src/span.rs", "clippy::disallowed_types"),
-        ("crates/simbus/src/trace.rs", "clippy::panic"),
         ("tests/zero_alloc.rs", "unsafe_code"),
     ];
     let found: Vec<(&str, &str)> = found.iter().map(|(f, l)| (f.as_str(), *l)).collect();
