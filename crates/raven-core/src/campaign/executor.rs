@@ -12,9 +12,9 @@
 //!
 //! Guarantees:
 //!
-//! * **Deterministic ordering** — the executor hands runs to its fold
-//!   in index order, exactly as the serial loops did, and
-//!   `SweepResult::outcomes[i]` is run `i`'s result.
+//! * **Deterministic ordering** — [`run_sweep`], the one entry point,
+//!   hands runs to its fold in index order, exactly as the serial loops
+//!   did, and merges their metrics registries in the same order.
 //! * **Streaming** — a run is folded and dropped as soon as its
 //!   predecessors are in, and no run starts more than a few runs per
 //!   worker ahead of the fold, so memory does not grow with the run count.
@@ -113,7 +113,7 @@ pub fn parse_workers(raw: &str) -> Result<usize, String> {
 /// A run that panicked instead of producing a result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunError {
-    /// The run's index in the sweep (its slot in `outcomes`).
+    /// The run's index in the sweep.
     pub index: usize,
     /// The seed the run executed under.
     pub seed: u64,
@@ -151,53 +151,21 @@ pub struct SweepStats {
     pub metrics: Metrics,
 }
 
-/// A sweep's outcome: one slot per run, in run order, plus stats.
+/// What a [`run_sweep`] returns beside its fold: the runs that panicked,
+/// in run order, and the stats.
 #[derive(Debug)]
-pub struct SweepResult<T> {
-    /// `outcomes[i]` is run `i`'s result or its captured panic.
-    pub outcomes: Vec<Result<T, RunError>>,
+pub struct FoldedSweep {
+    /// Every run that panicked instead of reaching the fold.
+    pub errors: Vec<RunError>,
     /// Execution telemetry.
     pub stats: SweepStats,
 }
 
-impl<T> SweepResult<T> {
-    /// Splits into successes (in run order) and errors (in run order).
-    pub fn split(self) -> (Vec<T>, Vec<RunError>) {
-        let mut ok = Vec::with_capacity(self.outcomes.len());
-        let mut errors = Vec::new();
-        for outcome in self.outcomes {
-            match outcome {
-                Ok(v) => ok.push(v),
-                Err(e) => errors.push(e),
-            }
-        }
-        (ok, errors)
-    }
-
-    /// All results in run order; panics listing every failed run if any
-    /// run panicked. Use this where the serial code would have panicked
-    /// anyway (e.g. training asserts fault-free runs).
-    pub fn expect_all(self, what: &str) -> Vec<T> {
-        let (ok, errors) = self.split();
-        assert_all_ran(what, &errors, errors.len() + ok.len());
-        ok
-    }
-}
-
-/// What a [`run_sweep_fold`] returns beside its fold: the runs that
-/// panicked, in run order, and the stats.
-#[derive(Debug)]
-pub(crate) struct FoldedSweep {
-    /// Every run that panicked instead of reaching the fold.
-    pub(crate) errors: Vec<RunError>,
-    /// Execution telemetry.
-    pub(crate) stats: SweepStats,
-}
-
 impl FoldedSweep {
-    /// The stats; panics listing every failed run if any run panicked, as
-    /// [`SweepResult::expect_all`] does.
-    pub(crate) fn expect_all(self, what: &str) -> SweepStats {
+    /// The stats; panics listing every failed run if any run panicked.
+    /// Use this where the serial code would have panicked anyway (e.g.
+    /// training asserts fault-free runs).
+    pub fn expect_all(self, what: &str) -> SweepStats {
         assert_all_ran(what, &self.errors, self.stats.runs);
         self.stats
     }
@@ -212,72 +180,31 @@ fn assert_all_ran(what: &str, errors: &[RunError], runs: usize) {
     );
 }
 
-/// Runs `n` independent jobs over a scoped worker pool and returns their
-/// results **in run order**.
+/// Runs `n` independent jobs over a scoped worker pool and folds their
+/// results **in run order** as they finish.
 ///
 /// `seed_of(i)` names run `i`'s seed (recorded in [`RunError`]s and handed
-/// to the job); `job(i, seed)` executes it. Jobs must be independent —
+/// to the job); `job(i, seed, metrics)` executes it and may record into
+/// `metrics`, a fresh registry of its own (a job that runs a session
+/// merges the session's registry into it). Jobs must be independent —
 /// each receives only its index and seed, never another run's output —
 /// which is what makes worker count and scheduling unobservable in the
-/// merged result.
-pub fn run_sweep<T, S, F>(
-    label: &str,
-    n: usize,
-    config: &ExecutorConfig,
-    seed_of: S,
-    job: F,
-) -> SweepResult<T>
-where
-    T: Send,
-    S: Fn(usize) -> u64 + Sync,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    run_sweep_observed(label, n, config, seed_of, |i, seed, _metrics| job(i, seed))
-}
-
-/// [`run_sweep`] with per-run metrics aggregation: each job receives a
-/// fresh [`Metrics`] registry, and completed runs' registries are merged
-/// **in run order** into [`SweepStats::metrics`] — so sweep-level counters
-/// and histograms (e.g. the Table IV detection-latency distribution) come
-/// out byte-identical for any worker count. A panicked run's partial
-/// registry is discarded along with its result.
-pub fn run_sweep_observed<T, S, F>(
-    label: &str,
-    n: usize,
-    config: &ExecutorConfig,
-    seed_of: S,
-    job: F,
-) -> SweepResult<T>
-where
-    T: Send,
-    S: Fn(usize) -> u64 + Sync,
-    F: Fn(usize, u64, &mut Metrics) -> T + Sync,
-{
-    let mut outcomes = Vec::with_capacity(n);
-    let FoldedSweep { errors, stats } =
-        run_sweep_fold(label, n, config, seed_of, job, |_, value| outcomes.push(Ok(value)));
-    // Errors come in run order, so each one's earlier slots are all filled.
-    for error in errors {
-        outcomes.insert(error.index, Err(error));
-    }
-    SweepResult { outcomes, stats }
-}
-
-/// The executor itself: [`run_sweep_observed`]'s runs, folded **in run
-/// order** as they finish instead of collected.
+/// fold.
 ///
 /// Workers hand each finished run to the calling thread, which calls
 /// `fold(i, result)` for runs `0, 1, 2, …` as soon as every earlier run is
 /// in, and merges the run's [`Metrics`] into [`SweepStats::metrics`] at the
-/// same point. Only runs that finish ahead of a predecessor still running
-/// wait in a buffer; every other run's result and registry are folded and
-/// dropped at once. A worker starts run `i` only once run `i − 4·workers`
-/// is folded, so at most `4·workers` runs are running or waiting at any
-/// time, however slow one of them is: a sweep's memory does not grow with
-/// its run count unless `fold` keeps what it is given. A panicked run is
-/// kept out of the fold and returned as a [`RunError`] in
-/// [`FoldedSweep::errors`].
-pub(crate) fn run_sweep_fold<T, S, F, G>(
+/// same point, so sweep-level counters and histograms come out
+/// byte-identical for any worker count. Only runs that finish ahead of a
+/// predecessor still running wait in a buffer; every other run's result
+/// and registry are folded and dropped at once. A worker starts run `i`
+/// only once run `i − 4·workers` is folded, so at most `4·workers` runs are
+/// running or waiting at any time, however slow one of them is: a sweep's
+/// memory does not grow with its run count unless `fold` keeps what it is
+/// given (a caller that wants a `Vec` pushes to one). A panicked run is
+/// kept out of the fold, its partial registry is discarded, and it is
+/// returned as a [`RunError`] in [`FoldedSweep::errors`].
+pub fn run_sweep<T, S, F, G>(
     label: &str,
     n: usize,
     config: &ExecutorConfig,
@@ -538,13 +465,26 @@ mod tests {
         simbus::rng::splitmix64(99 ^ i as u64)
     }
 
+    /// `job`'s `n` runs as one sweep, their results collected in run order.
+    fn collect<T: Send>(
+        label: &str,
+        n: usize,
+        config: &ExecutorConfig,
+        job: impl Fn(usize, u64, &mut Metrics) -> T + Sync,
+    ) -> (Vec<T>, FoldedSweep) {
+        let mut results = Vec::new();
+        let swept = run_sweep(label, n, config, seeds, job, |_, value| results.push(value));
+        (results, swept)
+    }
+
     #[test]
     fn parallel_matches_serial_in_order() {
-        let job = |i: usize, seed: u64| (i, seed.wrapping_mul(0x9e37_79b9));
-        let serial = run_sweep("t", 64, &ExecutorConfig::serial(), seeds, job).expect_all("serial");
+        let job = |i: usize, seed: u64, _: &mut Metrics| (i, seed.wrapping_mul(0x9e37_79b9));
+        let (serial, swept) = collect("t", 64, &ExecutorConfig::serial(), job);
+        swept.expect_all("serial");
         for workers in [2, 3, 8] {
-            let par = run_sweep("t", 64, &ExecutorConfig::with_workers(workers), seeds, job)
-                .expect_all("parallel");
+            let (par, swept) = collect("t", 64, &ExecutorConfig::with_workers(workers), job);
+            swept.expect_all("parallel");
             assert_eq!(par, serial, "workers={workers}");
         }
     }
@@ -579,7 +519,7 @@ mod tests {
         for workers in [1, 2, 3] {
             let config = ExecutorConfig::with_workers(workers);
             let mut seen = Vec::new();
-            let swept = run_sweep_fold("t", 24, &config, seeds, uneven_job, |i, value| {
+            let swept = run_sweep("t", 24, &config, seeds, uneven_job, |i, value| {
                 assert_eq!(i, value);
                 seen.push(i);
             });
@@ -589,17 +529,6 @@ mod tests {
             assert_eq!((swept.errors[0].index, swept.errors[0].seed), (9, seeds(9)));
             assert!(swept.errors[0].message.contains("poisoned run"));
             let metrics = serde_json::to_string(&swept.stats.metrics).expect("serialize metrics");
-            assert_eq!(metrics, UNEVEN_METRICS, "workers={workers}");
-
-            // The collecting form slots the error back at its index.
-            let collected = run_sweep_observed("t", 24, &config, seeds, uneven_job);
-            for (i, outcome) in collected.outcomes.iter().enumerate() {
-                match outcome {
-                    Ok(value) => assert_eq!(*value, i),
-                    Err(error) => assert_eq!(error.index, 9),
-                }
-            }
-            let metrics = serde_json::to_string(&collected.stats.metrics).expect("serialize");
             assert_eq!(metrics, UNEVEN_METRICS, "workers={workers}");
         }
     }
@@ -611,7 +540,7 @@ mod tests {
             // The highest run index started so far.
             let highest = AtomicUsize::new(0);
             let mut folded = 0;
-            run_sweep_fold(
+            run_sweep(
                 "t",
                 10 * window,
                 &ExecutorConfig::with_workers(workers),
@@ -638,7 +567,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the fold refused run 5")]
     fn a_panicking_fold_unwinds_with_its_own_message() {
-        let _ = run_sweep_fold(
+        let _ = run_sweep(
             "t",
             16,
             &ExecutorConfig::with_workers(2),
@@ -650,16 +579,15 @@ mod tests {
 
     #[test]
     fn one_poisoned_run_yields_one_error_others_complete() {
-        let result = run_sweep("t", 16, &ExecutorConfig::with_workers(4), seeds, |i, _seed| {
+        let (ok, swept) = collect("t", 16, &ExecutorConfig::with_workers(4), |i, _seed, _m| {
             assert!(i != 5, "poisoned run");
             i * 2
         });
-        assert_eq!(result.stats.errors, 1);
-        let (ok, errors) = result.split();
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].index, 5);
-        assert_eq!(errors[0].seed, seeds(5));
-        assert!(errors[0].message.contains("poisoned run"));
+        assert_eq!(swept.stats.errors, 1);
+        assert_eq!(swept.errors.len(), 1);
+        assert_eq!(swept.errors[0].index, 5);
+        assert_eq!(swept.errors[0].seed, seeds(5));
+        assert!(swept.errors[0].message.contains("poisoned run"));
         let expected: Vec<usize> = (0..16).filter(|i| *i != 5).map(|i| i * 2).collect();
         assert_eq!(ok, expected);
     }
@@ -673,29 +601,29 @@ mod tests {
 
     #[test]
     fn stats_count_runs_and_workers() {
-        let r = run_sweep("t", 10, &ExecutorConfig::with_workers(32), seeds, |i, _| i);
+        let (_, swept) = collect("t", 10, &ExecutorConfig::with_workers(32), |i, _, _| i);
+        let stats = swept.expect_all("stats");
         // Worker count is clamped to the number of runs.
-        assert_eq!(r.stats.workers, 10);
-        assert_eq!(r.stats.runs, 10);
-        assert_eq!(r.stats.errors, 0);
-        assert!(r.stats.elapsed_s >= 0.0);
-        assert!(r.stats.metrics.is_empty(), "plain run_sweep records no metrics");
+        assert_eq!(stats.workers, 10);
+        assert_eq!(stats.runs, 10);
+        assert_eq!(stats.errors, 0);
+        assert!(stats.elapsed_s >= 0.0);
+        assert!(stats.metrics.is_empty(), "jobs that record nothing merge nothing");
     }
 
     #[test]
-    fn observed_sweep_aggregates_metrics_identically_for_any_worker_count() {
+    fn sweep_metrics_merge_identically_for_any_worker_count() {
         let job = |i: usize, seed: u64, m: &mut Metrics| {
             m.inc("runs.completed");
             m.observe("run.index", i as f64);
             seed
         };
-        let serial = run_sweep_observed("t", 20, &ExecutorConfig::serial(), seeds, job);
+        let (_, serial) = collect("t", 20, &ExecutorConfig::serial(), job);
         assert_eq!(serial.stats.metrics.counter("runs.completed"), 20);
         assert_eq!(serial.stats.metrics.histogram("run.index").unwrap().count, 20);
         let reference = serde_json::to_string(&serial.stats.metrics).expect("serialize metrics");
         for workers in [2, 3, 8] {
-            let par =
-                run_sweep_observed("t", 20, &ExecutorConfig::with_workers(workers), seeds, job);
+            let (_, par) = collect("t", 20, &ExecutorConfig::with_workers(workers), job);
             let got = serde_json::to_string(&par.stats.metrics).expect("serialize metrics");
             assert_eq!(got, reference, "metrics diverged at workers={workers}");
         }
@@ -703,21 +631,15 @@ mod tests {
 
     #[test]
     fn panicked_run_contributes_no_metrics() {
-        let r = run_sweep_observed(
-            "t",
-            8,
-            &ExecutorConfig::with_workers(4),
-            seeds,
-            |i, _seed, m: &mut Metrics| {
-                m.inc("runs.completed");
-                assert!(i != 3, "poisoned run");
-                i
-            },
-        );
-        assert_eq!(r.stats.errors, 1);
+        let (_, swept) = collect("t", 8, &ExecutorConfig::with_workers(4), |i, _seed, m| {
+            m.inc("runs.completed");
+            assert!(i != 3, "poisoned run");
+            i
+        });
+        assert_eq!(swept.stats.errors, 1);
         // Run 3 incremented its counter before panicking; the partial
         // registry must not leak into the aggregate.
-        assert_eq!(r.stats.metrics.counter("runs.completed"), 7);
+        assert_eq!(swept.stats.metrics.counter("runs.completed"), 7);
     }
 
     #[test]
@@ -740,11 +662,11 @@ mod tests {
         for workers in [1, 4] {
             let collector = Arc::new(SweepTraceCollector::new());
             let config = ExecutorConfig::with_workers(workers).traced(Arc::clone(&collector));
-            let result = run_sweep("traced", 12, &config, seeds, |i, _seed| {
+            let (_, swept) = collect("traced", 12, &config, |i, _seed, _m| {
                 assert!(i != 7, "poisoned run");
                 i
             });
-            assert_eq!(result.stats.errors, 1);
+            assert_eq!(swept.stats.errors, 1);
             let segments = collector.segments();
             assert_eq!(segments.len(), 1, "workers={workers}");
             let seg = &segments[0];
@@ -773,12 +695,13 @@ mod tests {
 
     #[test]
     fn untraced_sweep_results_match_traced_ones() {
-        let job = |i: usize, seed: u64| (i, seed.rotate_left(11));
-        let plain =
-            run_sweep("t", 24, &ExecutorConfig::with_workers(3), seeds, job).expect_all("plain");
+        let job = |i: usize, seed: u64, _: &mut Metrics| (i, seed.rotate_left(11));
+        let (plain, swept) = collect("t", 24, &ExecutorConfig::with_workers(3), job);
+        swept.expect_all("plain");
         let collector = Arc::new(SweepTraceCollector::new());
         let traced_cfg = ExecutorConfig::with_workers(3).traced(collector);
-        let traced = run_sweep("t", 24, &traced_cfg, seeds, job).expect_all("traced");
+        let (traced, swept) = collect("t", 24, &traced_cfg, job);
+        swept.expect_all("traced");
         assert_eq!(plain, traced, "tracing must not perturb sweep results");
     }
 

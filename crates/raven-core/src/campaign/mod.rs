@@ -11,7 +11,5 @@
 pub mod executor;
 pub mod trace;
 
-pub use executor::{
-    run_sweep, run_sweep_observed, ExecutorConfig, RunError, SweepResult, SweepStats,
-};
+pub use executor::{run_sweep, ExecutorConfig, FoldedSweep, RunError, SweepStats};
 pub use trace::{RunLifecycle, SegmentUtilization, SweepSegment, SweepTraceCollector};

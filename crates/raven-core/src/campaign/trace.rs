@@ -3,10 +3,11 @@
 //!
 //! Install an `Arc<SweepTraceCollector>` in
 //! [`ExecutorConfig::trace`](super::ExecutorConfig) and every
-//! `run_sweep`/`run_sweep_observed` call stamps one [`SweepSegment`] per
-//! sweep: wall-clock begin/end, the merge phase, and a [`RunLifecycle`]
-//! per run (which worker ran it, when it started/finished, and when the
-//! run-order merge consumed it). Consumers:
+//! [`run_sweep`](super::run_sweep) call stamps one [`SweepSegment`]:
+//! wall-clock begin/end, the merge phase, and a [`RunLifecycle`] per run
+//! (which worker ran it, when it started/finished, and when the run-order
+//! merge consumed it). A traced Table IV or Fig. 9 run records two
+//! segments: its threshold training, then its scored runs. Consumers:
 //!
 //! * [`SweepTraceCollector::chrome_events`] — Chrome Trace Event export,
 //!   one pid per worker (`--trace-out`);
@@ -60,7 +61,7 @@ pub struct RunLifecycle {
 /// One executed sweep: its wall-clock envelope, merge phase, and runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSegment {
-    /// The sweep's label (e.g. `fig9`, `table4-A`).
+    /// The sweep's label (e.g. `training`, `table4`, `fig9`).
     pub label: String,
     /// Worker threads used.
     pub workers: usize,

@@ -104,7 +104,7 @@ impl DualArmSession {
     pub fn new(config: SimConfig) -> Self {
         let green_workload = match config.workload {
             Workload::Circle => Workload::Suturing,
-            Workload::Suturing | Workload::Lissajous | Workload::Reach => Workload::Circle,
+            Workload::Suturing | Workload::Reach => Workload::Circle,
         };
         let green_config = SimConfig {
             seed: derive_seed(config.seed, streams::GREEN_ARM),

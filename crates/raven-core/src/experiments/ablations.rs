@@ -18,7 +18,7 @@
 use raven_detect::{DetectionThresholds, DynamicDetector, FusionRule, Mitigation};
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
-use simbus::obs::streams;
+use simbus::obs::{streams, Metrics};
 use simbus::rng::derive_seed;
 
 use crate::campaign::executor::{run_sweep, ExecutorConfig};
@@ -69,59 +69,63 @@ impl FusionAblation {
 }
 
 /// Runs the fusion ablation: the same mixed attack/clean campaign under both
-/// fusion rules, reusing one set of learned thresholds.
+/// fusion rules, reusing one set of learned thresholds, as one sweep (rule
+/// major, run minor). Returns the runs' metrics beside the record.
 pub fn run_fusion_ablation_with(
     seed: u64,
     runs_per_rule: u32,
     exec: &ExecutorConfig,
-) -> FusionAblation {
+) -> (FusionAblation, Metrics) {
     let thresholds = ablation_thresholds(seed, exec);
-    let mut rows = Vec::new();
-    for (label, fusion) in [("all-three", FusionRule::AllThree), ("any-one", FusionRule::AnyOne)] {
-        let records = run_sweep(
-            &format!("ablation-fusion-{label}"),
-            runs_per_rule as usize,
-            exec,
-            |i| derive_seed(seed, streams::FUSION.at(&format!("{label}-{i}"))),
-            |i, run_seed| {
-                let run = i as u32;
-                let clean = run.is_multiple_of(2);
-                let attack = if clean {
-                    AttackSetup::None
-                } else {
-                    AttackSetup::ScenarioB {
-                        dac_delta: 22_000 + 2_000 * (run % 5) as i16,
-                        channel: (run % 3) as usize,
-                        delay_packets: 250 + u64::from(run) * 31 % 300,
-                        duration_packets: [8, 32, 128, 512][(run % 4) as usize],
-                    }
-                };
-                let mut detector = DetectorSetup::new(Mitigation::Observe, Some(thresholds));
-                detector.config.fusion = fusion;
-                let spec = SessionSpec::new(SimConfig {
-                    workload: Workload::training_pair()[(run % 2) as usize],
-                    session_ms: 2_200,
-                    detector: Some(detector),
-                    ..SimConfig::standard(run_seed)
-                })
-                .with_attack(attack);
-                let out = run_spec(&spec, |_| {}).expect_booted().outcome;
-                (attack.is_attack(), out.model_detected)
-            },
-        )
-        .expect_all("fusion ablation");
-        let mut cm = ConfusionMatrix::new();
-        for (attacked, detected) in records {
-            cm.record(attacked, detected);
-        }
-        rows.push(FusionRow {
+    let rules = [("all-three", FusionRule::AllThree), ("any-one", FusionRule::AnyOne)];
+    let runs = runs_per_rule as usize;
+    let mut matrices = [ConfusionMatrix::new(); 2];
+    let metrics = run_sweep(
+        "ablation-fusion",
+        rules.len() * runs,
+        exec,
+        |i| derive_seed(seed, streams::FUSION.at(&format!("{}-{}", rules[i / runs].0, i % runs))),
+        |i, run_seed, metrics| {
+            let (fusion, run) = (rules[i / runs].1, (i % runs) as u32);
+            let clean = run.is_multiple_of(2);
+            let attack = if clean {
+                AttackSetup::None
+            } else {
+                AttackSetup::ScenarioB {
+                    dac_delta: 22_000 + 2_000 * (run % 5) as i16,
+                    channel: (run % 3) as usize,
+                    delay_packets: 250 + u64::from(run) * 31 % 300,
+                    duration_packets: [8, 32, 128, 512][(run % 4) as usize],
+                }
+            };
+            let mut detector = DetectorSetup::new(Mitigation::Observe, Some(thresholds));
+            detector.config.fusion = fusion;
+            let spec = SessionSpec::new(SimConfig {
+                workload: Workload::training_pair()[(run % 2) as usize],
+                session_ms: 2_200,
+                detector: Some(detector),
+                ..SimConfig::standard(run_seed)
+            })
+            .with_attack(attack);
+            let session = run_spec(&spec, |_| {}).expect_booted();
+            metrics.merge(&session.sim.observer().metrics);
+            (attack.is_attack(), session.outcome.model_detected)
+        },
+        |i, (attacked, detected)| matrices[i / runs].record(attacked, detected),
+    )
+    .expect_all("fusion ablation")
+    .metrics;
+    let rows = rules
+        .iter()
+        .zip(matrices)
+        .map(|((label, _), cm)| FusionRow {
             rule: label.to_string(),
             tpr: cm.tpr() * 100.0,
             fpr: cm.fpr() * 100.0,
             confusion: cm,
-        });
-    }
-    FusionAblation { rows }
+        })
+        .collect();
+    (FusionAblation { rows }, metrics)
 }
 
 /// One mitigation-policy row.
@@ -167,65 +171,70 @@ impl MitigationAblation {
     }
 }
 
-/// Runs the mitigation ablation: identical attacks under the three policies.
+/// Runs the mitigation ablation: identical attacks under the three
+/// policies, as one sweep (policy major, run minor) in which run `r` of
+/// every policy shares one seed. Returns the runs' metrics beside the
+/// record.
 pub fn run_mitigation_ablation_with(
     seed: u64,
     runs_per_policy: u32,
     exec: &ExecutorConfig,
-) -> MitigationAblation {
+) -> (MitigationAblation, Metrics) {
     let thresholds = ablation_thresholds(seed, exec);
-    let mut rows = Vec::new();
-    for (label, mitigation) in [
+    let policies = [
         ("observe", Mitigation::Observe),
         ("block-and-hold", Mitigation::BlockAndHold),
         ("e-stop", Mitigation::EStop),
-    ] {
-        let records = run_sweep(
-            &format!("ablation-mitigation-{label}"),
-            runs_per_policy as usize,
-            exec,
-            |i| derive_seed(seed, streams::MITIGATION.at(&i.to_string())), // same per policy
-            |i, run_seed| {
-                let run = i as u32;
-                let spec = SessionSpec::new(SimConfig {
-                    workload: Workload::Circle,
-                    session_ms: 2_500,
-                    detector: Some(DetectorSetup::new(mitigation, Some(thresholds))),
-                    ..SimConfig::standard(run_seed)
-                })
-                .with_attack(AttackSetup::ScenarioB {
-                    dac_delta: 28_000,
-                    channel: (run % 3) as usize,
-                    delay_packets: 300 + u64::from(run) * 41,
-                    duration_packets: 256,
-                });
-                let out = run_spec(&spec, |_| {}).expect_booted().outcome;
-                (out.max_ee_step_2ms, out.adverse, out.final_state == "Pedal Down")
-            },
-        )
-        .expect_all("mitigation ablation");
-        let mut sum_step = 0.0;
-        let mut adverse = 0u32;
-        let mut survived = 0u32;
-        for (max_step, was_adverse, did_survive) in records {
-            sum_step += max_step * 1e3;
-            if was_adverse {
-                adverse += 1;
-            }
-            if did_survive {
-                survived += 1;
-            }
-        }
-        let n = f64::from(runs_per_policy.max(1));
-        rows.push(MitigationRow {
+    ];
+    let runs = runs_per_policy as usize;
+    // Per policy: summed worst step (mm), adverse runs, surviving runs.
+    let mut totals = [(0.0, 0u32, 0u32); 3];
+    let metrics = run_sweep(
+        "ablation-mitigation",
+        policies.len() * runs,
+        exec,
+        |i| derive_seed(seed, streams::MITIGATION.at(&(i % runs).to_string())),
+        |i, run_seed, metrics| {
+            let (mitigation, run) = (policies[i / runs].1, (i % runs) as u32);
+            let spec = SessionSpec::new(SimConfig {
+                workload: Workload::Circle,
+                session_ms: 2_500,
+                detector: Some(DetectorSetup::new(mitigation, Some(thresholds))),
+                ..SimConfig::standard(run_seed)
+            })
+            .with_attack(AttackSetup::ScenarioB {
+                dac_delta: 28_000,
+                channel: (run % 3) as usize,
+                delay_packets: 300 + u64::from(run) * 41,
+                duration_packets: 256,
+            });
+            let session = run_spec(&spec, |_| {}).expect_booted();
+            metrics.merge(&session.sim.observer().metrics);
+            let out = session.outcome;
+            (out.max_ee_step_2ms, out.adverse, out.final_state == "Pedal Down")
+        },
+        |i, (max_step, adverse, survived)| {
+            let total = &mut totals[i / runs];
+            total.0 += max_step * 1e3;
+            total.1 += u32::from(adverse);
+            total.2 += u32::from(survived);
+        },
+    )
+    .expect_all("mitigation ablation")
+    .metrics;
+    let n = f64::from(runs_per_policy.max(1));
+    let rows = policies
+        .iter()
+        .zip(totals)
+        .map(|((label, _), (sum_step, adverse, survived))| MitigationRow {
             policy: label.to_string(),
             mean_max_step_mm: sum_step / n,
             adverse_rate: f64::from(adverse) / n,
             survived_rate: f64::from(survived) / n,
             runs: runs_per_policy,
-        });
-    }
-    MitigationAblation { rows }
+        })
+        .collect();
+    (MitigationAblation { rows }, metrics)
 }
 
 /// Hardened-board counterfactual result.
@@ -259,17 +268,20 @@ fn harden(sim: &mut Simulation) {
     sim.rig_mut().board = raven_hw::UsbBoard::hardened();
 }
 
-/// Runs the hardened-board counterfactual: the two counterfactual sessions (scenario B, then scenario A, both against the
+/// Runs the hardened-board counterfactual: the two counterfactual
+/// sessions (scenario B, then scenario A, both against the
 /// checksum-verifying board) fan out as one sweep; seeds match the original
 /// serial protocol, so the result is identical for any worker count.
-pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> HardenedBoardResult {
+/// Returns the runs' metrics beside the record.
+pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> (HardenedBoardResult, Metrics) {
     let labels = [streams::HARDENED_B, streams::HARDENED_A];
-    let outcomes = run_sweep(
+    let mut outcomes = Vec::new();
+    let metrics = run_sweep(
         "ablation-hardened",
         labels.len(),
         exec,
         |i| derive_seed(seed, labels[i]),
-        |i, run_seed| {
+        |i, run_seed, metrics| {
             let attack = if i == 0 {
                 AttackSetup::ScenarioB {
                     dac_delta: 30_000,
@@ -288,19 +300,23 @@ pub fn run_hardened_board_with(seed: u64, exec: &ExecutorConfig) -> HardenedBoar
                 SessionSpec::new(SimConfig { session_ms: 3_000, ..SimConfig::standard(run_seed) })
                     .with_attack(attack);
             let run = run_spec(&spec, harden).expect_booted();
+            metrics.merge(&run.sim.observer().metrics);
             (run.sim.rig().board.integrity_rejects(), run.outcome)
         },
+        |_, outcome| outcomes.push(outcome),
     )
-    .expect_all("hardened-board ablation");
+    .expect_all("hardened-board ablation")
+    .metrics;
     let (b_rejects, out_b) = &outcomes[0];
     let (_, out_a) = &outcomes[1];
-    HardenedBoardResult {
+    let result = HardenedBoardResult {
         b_integrity_rejects: *b_rejects,
         b_adverse: out_b.adverse,
         a_still_effective: out_a.adverse
             || out_a.controller_fault.is_some()
             || out_a.max_ee_step_2ms > 2e-4,
-    }
+    };
+    (result, metrics)
 }
 
 /// One lookahead-horizon row.
@@ -343,70 +359,78 @@ impl LookaheadAblation {
     }
 }
 
-/// Runs the lookahead ablation: the same campaign with horizons 1–8.
+/// Runs the lookahead ablation: the same campaign with horizons 1–8, as
+/// one sweep (horizon major, run minor) in which run `r` of every horizon
+/// shares one seed. Returns the runs' metrics beside the record.
 pub fn run_lookahead_ablation_with(
     seed: u64,
     runs_per_horizon: u32,
     exec: &ExecutorConfig,
-) -> LookaheadAblation {
+) -> (LookaheadAblation, Metrics) {
     let thresholds = ablation_thresholds(seed, exec);
-    let mut rows = Vec::new();
-    for horizon in [1u32, 2, 4, 8] {
-        let records = run_sweep(
-            &format!("ablation-lookahead-{horizon}"),
-            runs_per_horizon as usize,
-            exec,
-            |i| derive_seed(seed, streams::LOOKAHEAD.at(&i.to_string())), // shared per horizon
-            |i, run_seed| {
-                let run = i as u32;
-                let clean = run.is_multiple_of(3);
-                let delay = 300 + u64::from(run) * 29 % 200;
-                let attack = if clean {
-                    AttackSetup::None
-                } else {
-                    AttackSetup::ScenarioB {
-                        dac_delta: 21_000 + 500 * (run % 6) as i16, // near PID authority: slow builds
-                        channel: (run % 3) as usize,
-                        delay_packets: delay,
-                        duration_packets: 512,
-                    }
-                };
-                let mut detector = DetectorSetup::new(Mitigation::Observe, Some(thresholds));
-                detector.config.lookahead_steps = horizon;
-                let spec = SessionSpec::new(SimConfig {
-                    workload: Workload::training_pair()[(run % 2) as usize],
-                    session_ms: 2_500,
-                    detector: Some(detector),
-                    ..SimConfig::standard(run_seed)
-                })
-                .with_attack(attack);
-                let run = run_spec(&spec, |_| {}).expect_booted();
-                let out = &run.outcome;
-                let latency = if attack.is_attack() && out.model_detected {
-                    run.sim
-                        .detector()
-                        .and_then(DynamicDetector::first_alarm_assessment)
-                        // Assessments count Pedal-Down packets; injection
-                        // starts after `delay` of them.
-                        .map(|first| first.saturating_sub(delay) as f64)
-                } else {
-                    None
-                };
-                (attack.is_attack(), out.model_detected, latency)
-            },
-        )
-        .expect_all("lookahead ablation");
-        let mut cm = ConfusionMatrix::new();
-        let mut latency_sum = 0.0;
-        let mut detected = 0u32;
-        for (attacked, model, latency) in records {
+    let horizons = [1u32, 2, 4, 8];
+    let runs = runs_per_horizon as usize;
+    // Per horizon: confusion counts, summed latency (ms), detected attacks.
+    let mut totals = [(ConfusionMatrix::new(), 0.0, 0u32); 4];
+    let metrics = run_sweep(
+        "ablation-lookahead",
+        horizons.len() * runs,
+        exec,
+        |i| derive_seed(seed, streams::LOOKAHEAD.at(&(i % runs).to_string())),
+        |i, run_seed, metrics| {
+            let (horizon, run) = (horizons[i / runs], (i % runs) as u32);
+            let clean = run.is_multiple_of(3);
+            let delay = 300 + u64::from(run) * 29 % 200;
+            let attack = if clean {
+                AttackSetup::None
+            } else {
+                AttackSetup::ScenarioB {
+                    dac_delta: 21_000 + 500 * (run % 6) as i16, // near PID authority: slow builds
+                    channel: (run % 3) as usize,
+                    delay_packets: delay,
+                    duration_packets: 512,
+                }
+            };
+            let mut detector = DetectorSetup::new(Mitigation::Observe, Some(thresholds));
+            detector.config.lookahead_steps = horizon;
+            let spec = SessionSpec::new(SimConfig {
+                workload: Workload::training_pair()[(run % 2) as usize],
+                session_ms: 2_500,
+                detector: Some(detector),
+                ..SimConfig::standard(run_seed)
+            })
+            .with_attack(attack);
+            let session = run_spec(&spec, |_| {}).expect_booted();
+            metrics.merge(&session.sim.observer().metrics);
+            let out = &session.outcome;
+            let latency = if attack.is_attack() && out.model_detected {
+                session
+                    .sim
+                    .detector()
+                    .and_then(DynamicDetector::first_alarm_assessment)
+                    // Assessments count Pedal-Down packets; injection
+                    // starts after `delay` of them.
+                    .map(|first| first.saturating_sub(delay) as f64)
+            } else {
+                None
+            };
+            (attack.is_attack(), out.model_detected, latency)
+        },
+        |i, (attacked, model, latency)| {
+            let (cm, latency_sum, detected) = &mut totals[i / runs];
             cm.record(attacked, model);
             if let Some(latency) = latency {
-                latency_sum += latency;
-                detected += 1;
+                *latency_sum += latency;
+                *detected += 1;
             }
-        }
-        rows.push(LookaheadRow {
+        },
+    )
+    .expect_all("lookahead ablation")
+    .metrics;
+    let rows = horizons
+        .iter()
+        .zip(totals)
+        .map(|(&horizon, (cm, latency_sum, detected))| LookaheadRow {
             horizon,
             tpr: cm.tpr() * 100.0,
             fpr: cm.fpr() * 100.0,
@@ -415,9 +439,9 @@ pub fn run_lookahead_ablation_with(
             } else {
                 f64::NAN
             },
-        });
-    }
-    LookaheadAblation { rows }
+        })
+        .collect();
+    (LookaheadAblation { rows }, metrics)
 }
 
 /// One BITW configuration's outcome against the full malware lifecycle.
@@ -484,20 +508,22 @@ impl BitwStudy {
 /// serial inside its run). Per-placement seeds are unchanged from the
 /// original serial protocol, so rows are identical for any worker count.
 /// The crypto-overhead measurement is wall-clock: it stays outside the
-/// sweep and is returned beside the record.
-pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> (BitwStudy, CryptoCost) {
+/// sweep and is returned beside the record, with the metrics of both
+/// phases of every placement.
+pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> (BitwStudy, CryptoCost, Metrics) {
     use raven_attack::{find_state_byte, LoggingWrapper};
     let configs: [(&str, Option<raven_hw::BitwPlacement>); 3] = [
         ("none", None),
         ("wire", Some(raven_hw::BitwPlacement::Wire)),
         ("host", Some(raven_hw::BitwPlacement::Host)),
     ];
-    let rows = run_sweep(
+    let mut rows = Vec::new();
+    let metrics = run_sweep(
         "bitw-study",
         configs.len(),
         exec,
         |i| derive_seed(seed, streams::BITW_RECON.at(configs[i].0)),
-        |i, recon_seed| {
+        |i, recon_seed, metrics| {
             let (label, bitw) = configs[i];
             // Phase 1–2: eavesdrop + analyze.
             let capture = SessionSpec::new(SimConfig {
@@ -506,6 +532,7 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> (BitwStudy, Cryp
                 ..SimConfig::standard(recon_seed)
             });
             let run = run_spec(&capture, eavesdrop).expect_booted();
+            metrics.merge(&run.sim.observer().metrics);
             let logger = run.sim.rig().channel.interceptor::<LoggingWrapper>().expect("installed");
             let recon = find_state_byte(logger.capture());
             let recon_succeeded = recon
@@ -545,6 +572,7 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> (BitwStudy, Cryp
                 }
             })
             .expect_booted();
+            metrics.merge(&run.sim.observer().metrics);
             let out = run.outcome;
             BitwRow {
                 config: label.to_string(),
@@ -557,8 +585,10 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> (BitwStudy, Cryp
                 available: out.final_state == "Pedal Down" && out.estop.is_none(),
             }
         },
+        |_, row| rows.push(row),
     )
-    .expect_all("bitw study");
+    .expect_all("bitw study")
+    .metrics;
 
     // Crypto overhead per packet.
     let mut tx = raven_hw::BitwCodec::new(1234);
@@ -572,7 +602,7 @@ pub fn run_bitw_study_with(seed: u64, exec: &ExecutorConfig) -> (BitwStudy, Cryp
     }
     let crypto_overhead_us = started.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
 
-    (BitwStudy { rows }, CryptoCost { crypto_overhead_us })
+    (BitwStudy { rows }, CryptoCost { crypto_overhead_us }, metrics)
 }
 
 #[cfg(test)]
@@ -590,7 +620,7 @@ mod tests {
 
     #[test]
     fn fusion_reduces_false_positives() {
-        let r = run_fusion_ablation_with(41, 12, &ExecutorConfig::default());
+        let (r, _) = run_fusion_ablation_with(41, 12, &ExecutorConfig::default());
         let all = &r.rows[0];
         let any = &r.rows[1];
         // The paper's justification for fusion: fewer false alarms at
@@ -607,7 +637,7 @@ mod tests {
 
     #[test]
     fn mitigations_trade_safety_for_availability() {
-        let r = run_mitigation_ablation_with(43, 6, &ExecutorConfig::default());
+        let (r, _) = run_mitigation_ablation_with(43, 6, &ExecutorConfig::default());
         let observe = &r.rows[0];
         let hold = &r.rows[1];
         let estop = &r.rows[2];
@@ -624,7 +654,7 @@ mod tests {
 
     #[test]
     fn longer_horizons_do_not_hurt_detection() {
-        let r = run_lookahead_ablation_with(49, 9, &ExecutorConfig::default());
+        let (r, _) = run_lookahead_ablation_with(49, 9, &ExecutorConfig::default());
         let h1 = &r.rows[0];
         let h8 = r.rows.last().unwrap();
         // Deeper rollouts can only strengthen the EE rule: TPR monotone
@@ -637,7 +667,7 @@ mod tests {
 
     #[test]
     fn bitw_wire_placement_is_useless_host_placement_degrades_to_dos() {
-        let (r, cost) = run_bitw_study_with(47, &ExecutorConfig::default());
+        let (r, cost, _) = run_bitw_study_with(47, &ExecutorConfig::default());
         let by = |label: &str| r.rows.iter().find(|row| row.config == label).unwrap();
         let text = r.render(cost);
         // Unprotected: recon works, attack jumps the arm.
@@ -660,7 +690,7 @@ mod tests {
 
     #[test]
     fn hardened_board_stops_b_not_a() {
-        let r = run_hardened_board_with(45, &ExecutorConfig::default());
+        let (r, _) = run_hardened_board_with(45, &ExecutorConfig::default());
         assert!(r.b_integrity_rejects > 0, "{}", r.render());
         assert!(!r.b_adverse, "checksums must stop byte-level corruption\n{}", r.render());
         assert!(r.a_still_effective, "integrity checks cannot stop scenario A\n{}", r.render());

@@ -130,7 +130,6 @@ struct RunTally {
     estop: bool,
     adverse: bool,
     completed: bool,
-    metrics: Metrics,
 }
 
 fn chaos_presets() -> [(&'static str, ChaosConfig); 3] {
@@ -151,38 +150,6 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
     let runs = config.runs_per_preset as usize;
     let total = presets.len() * runs;
 
-    let sweep = run_sweep(
-        "chaos-study",
-        total,
-        exec,
-        |i| {
-            let (label, _) = &presets[i / runs];
-            derive_seed(config.seed, streams::CHAOS_STUDY.at(&format!("{label}.{}", i % runs)))
-        },
-        |i, seed| {
-            let (_, chaos) = &presets[i / runs];
-            let spec = SessionSpec::new(SimConfig {
-                workload: Workload::Circle,
-                session_ms: config.session_ms,
-                detector: Some(DetectorSetup::new(Mitigation::EStop, Some(thresholds))),
-                ..SimConfig::standard(seed)
-            })
-            .with_chaos(chaos.clone());
-            let run = run_spec(&spec, |_| {}).expect_booted();
-            let out = run.outcome;
-            let metrics = run.sim.metrics();
-            RunTally {
-                scheduled: run.chaos_scheduled as u64,
-                injected: metrics.counter(names::CHAOS_INJECTIONS),
-                alarmed: out.model_detected,
-                estop: out.estop.is_some(),
-                adverse: out.adverse,
-                completed: out.final_state == "Pedal Down",
-                metrics,
-            }
-        },
-    );
-
     let mut rows: Vec<ChaosStudyRow> = presets
         .iter()
         .map(|(label, _)| ChaosStudyRow {
@@ -196,19 +163,49 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
             completed_runs: 0,
         })
         .collect();
-    let mut merged = Metrics::new();
-    for (i, outcome) in sweep.outcomes.into_iter().enumerate() {
-        let tally = outcome.expect("chaos-study run must not panic");
-        let row = &mut rows[i / runs];
-        row.faults_scheduled += tally.scheduled;
-        row.faults_injected += tally.injected;
-        row.alarmed_runs += u32::from(tally.alarmed);
-        row.estop_runs += u32::from(tally.estop);
-        row.adverse_runs += u32::from(tally.adverse);
-        row.completed_runs += u32::from(tally.completed);
-        merged.merge(&tally.metrics);
-    }
-    ChaosStudy { rows, metrics: merged }
+    let metrics = run_sweep(
+        "chaos-study",
+        total,
+        exec,
+        |i| {
+            let (label, _) = &presets[i / runs];
+            derive_seed(config.seed, streams::CHAOS_STUDY.at(&format!("{label}.{}", i % runs)))
+        },
+        |i, seed, metrics| {
+            let (_, chaos) = &presets[i / runs];
+            let spec = SessionSpec::new(SimConfig {
+                workload: Workload::Circle,
+                session_ms: config.session_ms,
+                detector: Some(DetectorSetup::new(Mitigation::EStop, Some(thresholds))),
+                ..SimConfig::standard(seed)
+            })
+            .with_chaos(chaos.clone());
+            let run = run_spec(&spec, |_| {}).expect_booted();
+            let out = run.outcome;
+            let run_metrics = &run.sim.observer().metrics;
+            metrics.merge(run_metrics);
+            RunTally {
+                scheduled: run.chaos_scheduled as u64,
+                injected: run_metrics.counter(names::CHAOS_INJECTIONS),
+                alarmed: out.model_detected,
+                estop: out.estop.is_some(),
+                adverse: out.adverse,
+                completed: out.final_state == "Pedal Down",
+            }
+        },
+        |i, tally| {
+            let row = &mut rows[i / runs];
+            row.faults_scheduled += tally.scheduled;
+            row.faults_injected += tally.injected;
+            row.alarmed_runs += u32::from(tally.alarmed);
+            row.estop_runs += u32::from(tally.estop);
+            row.adverse_runs += u32::from(tally.adverse);
+            row.completed_runs += u32::from(tally.completed);
+        },
+    )
+    .expect_all("chaos study")
+    .metrics;
+    ChaosStudy { rows, metrics }
 }
 
 #[cfg(test)]

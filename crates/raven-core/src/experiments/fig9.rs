@@ -17,7 +17,7 @@ use simbus::rng::derive_seed;
 
 use simbus::obs::{streams, Metrics};
 
-use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
+use crate::campaign::executor::{run_sweep, ExecutorConfig};
 use crate::scenario::AttackSetup;
 use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SessionOutcome, SimConfig, Workload};
@@ -220,7 +220,8 @@ fn grid_rows(
     exec: &ExecutorConfig,
 ) -> (Vec<(bool, bool, bool)>, Metrics) {
     let cells = config.values.len() * config.durations_ms.len();
-    let sweep = run_sweep_observed(
+    let mut rows = Vec::new();
+    let metrics = run_sweep(
         "fig9",
         cells * config.repetitions as usize,
         exec,
@@ -230,9 +231,11 @@ fn grid_rows(
             metrics.merge(&run.sim.observer().metrics);
             row(&run.outcome)
         },
-    );
-    let metrics = sweep.stats.metrics.clone();
-    (sweep.expect_all("fig9 sweep"), metrics)
+        |_, row| rows.push(row),
+    )
+    .expect_all("fig9 sweep")
+    .metrics;
+    (rows, metrics)
 }
 
 #[cfg(test)]

@@ -67,8 +67,8 @@ pub struct Produced {
     pub figures: Vec<(String, String)>,
     /// The shape checks that failed, by name (empty when all hold).
     pub failures: Vec<String>,
-    /// Sweep metrics merged in run order (empty for the rows that record
-    /// none).
+    /// Sweep metrics merged in run order (empty for the rows that run no
+    /// sweep).
     pub metrics: Metrics,
 }
 
@@ -93,6 +93,12 @@ impl Produced {
             failures: Vec::new(),
             metrics: Metrics::new(),
         }
+    }
+
+    /// Sets the run's merged sweep metrics.
+    fn metrics(mut self, metrics: Metrics) -> Self {
+        self.metrics = metrics;
+        self
     }
 
     /// Sets the run's wall-clock readings, its sidecar.
@@ -231,7 +237,7 @@ fn table1(seed: u64, scale: Scale, _exec: &ExecutorConfig) -> Produced {
 }
 
 fn table2(_seed: u64, scale: Scale, _exec: &ExecutorConfig) -> Produced {
-    let result = run_table2(scale.pick(10_000, 50_000));
+    let result = run_table2(50_000);
     let [base, logging, injection] = [0, 1, 2].map(|i| result.rows[i].mean_us);
     Produced::unrecorded(result.render())
         .sidecar(&result)
@@ -262,8 +268,7 @@ fn table4(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
             format!("{}: the dynamic model must not trail RAVEN on TPR", s.scenario),
         );
     }
-    produced.metrics = result.metrics;
-    produced
+    produced.metrics(result.metrics)
 }
 
 /// Threshold percentile sensitivity (DESIGN.md §5.3): scenario B on a
@@ -383,47 +388,54 @@ fn fig9(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
     let corner = |v: Option<&i16>, d: Option<&u64>| result.cell(*v?, *d?);
     let small_short = corner(values.first(), durations.first());
     let big_long = corner(values.last(), durations.last());
-    produced = produced
+    produced
         .check(small_short.is_some_and(|c| c.p_adverse <= 0.1), "small/short must be harmless")
         .check(big_long.is_some_and(|c| c.p_adverse >= 0.5), "big/long must hurt")
-        .check(big_long.is_some_and(|c| c.p_model >= c.p_raven), "model dominates RAVEN");
-    produced.metrics = result.metrics;
-    produced
+        .check(big_long.is_some_and(|c| c.p_model >= c.p_raven), "model dominates RAVEN")
+        .metrics(result.metrics)
 }
 
 fn fusion(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
-    let result = run_fusion_ablation_with(seed, scale.pick(12, 80), exec);
+    let (result, metrics) = run_fusion_ablation_with(seed, scale.pick(12, 80), exec);
     Produced::new(result.render(), &result)
         .check(result.rows[0].fpr <= result.rows[1].fpr, "fusion reduces false alarms")
+        .metrics(metrics)
 }
 
 fn mitigation(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
-    let result = run_mitigation_ablation_with(seed, scale.pick(6, 20), exec);
-    Produced::new(result.render(), &result).check(
-        result.rows[1].survived_rate >= result.rows[2].survived_rate,
-        "hold preserves availability at least as well as E-STOP",
-    )
+    let (result, metrics) = run_mitigation_ablation_with(seed, scale.pick(6, 20), exec);
+    Produced::new(result.render(), &result)
+        .check(
+            result.rows[1].survived_rate >= result.rows[2].survived_rate,
+            "hold preserves availability at least as well as E-STOP",
+        )
+        .metrics(metrics)
 }
 
 fn hardened_board(seed: u64, _scale: Scale, exec: &ExecutorConfig) -> Produced {
-    let result = run_hardened_board_with(seed, exec);
-    Produced::new(result.render(), &result).check(
-        !result.b_adverse && result.a_still_effective,
-        "the checksum board stops B but not A",
-    )
+    let (result, metrics) = run_hardened_board_with(seed, exec);
+    Produced::new(result.render(), &result)
+        .check(
+            !result.b_adverse && result.a_still_effective,
+            "the checksum board stops B but not A",
+        )
+        .metrics(metrics)
 }
 
 fn bitw(seed: u64, _scale: Scale, exec: &ExecutorConfig) -> Produced {
-    let (result, cost) = run_bitw_study_with(seed, exec);
-    Produced::new(result.render(cost), &result).sidecar(&cost).check(
-        result.rows[1].adverse && !result.rows[2].adverse,
-        "wire placement useless, host placement degrades the attack to DoS",
-    )
+    let (result, cost, metrics) = run_bitw_study_with(seed, exec);
+    Produced::new(result.render(cost), &result)
+        .sidecar(&cost)
+        .check(
+            result.rows[1].adverse && !result.rows[2].adverse,
+            "wire placement useless, host placement degrades the attack to DoS",
+        )
+        .metrics(metrics)
 }
 
 fn lookahead(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
-    let result = run_lookahead_ablation_with(seed, scale.pick(12, 30), exec);
-    Produced::new(result.render(), &result)
+    let (result, metrics) = run_lookahead_ablation_with(seed, scale.pick(12, 30), exec);
+    Produced::new(result.render(), &result).metrics(metrics)
 }
 
 fn network(seed: u64, _scale: Scale, _exec: &ExecutorConfig) -> Produced {
@@ -434,7 +446,5 @@ fn network(seed: u64, _scale: Scale, _exec: &ExecutorConfig) -> Produced {
 fn chaos(seed: u64, scale: Scale, exec: &ExecutorConfig) -> Produced {
     let config = scale.pick(ChaosStudyConfig::quick(seed), ChaosStudyConfig::paper_scale(seed));
     let result = run_chaos_study_with(&config, exec);
-    let mut produced = Produced::new(result.render(), &result);
-    produced.metrics = result.metrics;
-    produced
+    Produced::new(result.render(), &result).metrics(result.metrics)
 }

@@ -73,27 +73,36 @@ impl Table2Result {
     }
 }
 
-fn time_writes(channel: &mut UsbChannel, iters: u64) -> RunningStats {
+/// Times `iters` writes on each channel, interleaved: every iteration
+/// times one write of each in turn, starting one channel later each time,
+/// so host drift during the run and the cost of a place in the turn fall
+/// on all of them alike instead of on one block of writes.
+fn time_writes<const N: usize>(channels: &mut [UsbChannel; N], iters: u64) -> [RunningStats; N] {
     let pkt = UsbCommandPacket {
         state: RobotState::PedalDown,
         watchdog: true,
         dac: [1200, -800, 400, 100, 0, 0, 0, 0],
     };
     let bytes = pkt.encode().to_vec();
-    let mut stats = RunningStats::new();
+    let mut stats = [(); N].map(|()| RunningStats::new());
     let mut obs = Observer::default();
     // Warm-up to fault in code paths and allocator state. Every write gets
     // a fresh copy of the packet: the chain edits its buffer in place.
-    for _ in 0..1000 {
-        let _ = channel.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs);
+    for channel in channels.iter_mut() {
+        for _ in 0..1000 {
+            let _ = channel.write(&mut bytes.clone(), SimTime::ZERO, None, &mut obs);
+        }
     }
-    for _ in 0..iters {
-        let mut buf = bytes.clone();
-        let start = Instant::now();
-        let action = channel.write(&mut buf, SimTime::ZERO, None, &mut obs);
-        let elapsed = start.elapsed();
-        std::hint::black_box((action, buf));
-        stats.push(elapsed.as_secs_f64() * 1e6);
+    for i in 0..iters as usize {
+        // Each channel takes each place in the turn equally often.
+        for k in (0..N).map(|k| (i + k) % N) {
+            let mut buf = bytes.clone();
+            let start = Instant::now();
+            let action = channels[k].write(&mut buf, SimTime::ZERO, None, &mut obs);
+            let elapsed = start.elapsed();
+            std::hint::black_box((action, buf));
+            stats[k].push(elapsed.as_secs_f64() * 1e6);
+        }
     }
     stats
 }
@@ -106,30 +115,24 @@ fn time_writes(channel: &mut UsbChannel, iters: u64) -> RunningStats {
 /// Panics if `iters` is zero.
 pub fn run_table2(iters: u64) -> Table2Result {
     assert!(iters > 0, "need at least one timed write");
-    let mut rows = Vec::new();
-
     // Baseline: empty interceptor chain.
-    let mut channel = UsbChannel::new();
-    let stats = time_writes(&mut channel, iters);
-    rows.push(row("Baseline System Call", &stats));
-
+    let baseline = UsbChannel::new();
     // Logging wrapper: process/fd check + copy + UDP exfiltration.
-    let mut channel = UsbChannel::new();
-    let link = SimLink::new(LinkConfig::lan(), 7);
-    channel.install(LoggingWrapper::new().with_exfiltration(link));
-    let stats = time_writes(&mut channel, iters);
-    rows.push(row("With Malicious Wrapper: Logging", &stats));
-
+    let mut logging = UsbChannel::new();
+    logging.install(LoggingWrapper::new().with_exfiltration(SimLink::new(LinkConfig::lan(), 7)));
     // Injection wrapper: process/fd check + trigger check + byte overwrite.
-    let mut channel = UsbChannel::new();
-    channel.install(InjectionWrapper::pedal_down_trigger(
+    let mut injection = UsbChannel::new();
+    injection.install(InjectionWrapper::pedal_down_trigger(
         Corruption::AddDacWord { channel: 0, delta: 50 },
         ActivationWindow::immediate_persistent(),
     ));
-    let stats = time_writes(&mut channel, iters);
-    rows.push(row("With Malicious Wrapper: Injection", &stats));
-
-    Table2Result { rows }
+    let stats = time_writes(&mut [baseline, logging, injection], iters);
+    let labels = [
+        "Baseline System Call",
+        "With Malicious Wrapper: Logging",
+        "With Malicious Wrapper: Injection",
+    ];
+    Table2Result { rows: labels.iter().zip(&stats).map(|(label, s)| row(label, s)).collect() }
 }
 
 fn row(label: &str, stats: &RunningStats) -> OverheadRow {
@@ -149,8 +152,9 @@ mod tests {
 
     #[test]
     fn overhead_ordering_matches_paper() {
-        // Small sample for test speed; the sealed run uses 50,000.
-        let result = run_table2(3_000);
+        // The index row's 50,000 writes: at a few thousand, one preempted
+        // write moves a mean by more than the few ns between channels.
+        let result = run_table2(50_000);
         assert_eq!(result.rows.len(), 3);
         let base = result.rows[0].mean_us;
         let logging = result.rows[1].mean_us;

@@ -17,7 +17,7 @@ use simbus::rng::derive_seed;
 
 use simbus::obs::{streams, Metrics};
 
-use crate::campaign::executor::{run_sweep_observed, ExecutorConfig};
+use crate::campaign::executor::{run_sweep, ExecutorConfig};
 use crate::scenario::AttackSetup;
 use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SessionOutcome, SimConfig, Workload};
@@ -222,39 +222,51 @@ fn row(spec: &SessionSpec, outcome: &SessionOutcome) -> (bool, bool, bool) {
     (spec.attack.is_attack(), outcome.model_detected, outcome.raven_detected)
 }
 
-/// One scenario's rows in run order, and their metrics merged in run
-/// order.
-fn scenario_rows(
-    scenario: char,
+/// Run `i` of the flattened scored sweep: A run `i` for the first
+/// `scenario_a_runs`, then B run `i − scenario_a_runs`.
+fn scored_run(config: &Table4Config, i: usize) -> (char, u32) {
+    match i.checked_sub(config.scenario_a_runs as usize) {
+        None => ('A', i as u32),
+        Some(run) => ('B', run as u32),
+    }
+}
+
+/// Both scenarios' scored runs as one sweep: every run's row in run
+/// order (A runs, then B runs), and their metrics merged in run order.
+fn scored_rows(
     config: &Table4Config,
     thresholds: DetectionThresholds,
     exec: &ExecutorConfig,
 ) -> (Vec<(bool, bool, bool)>, Metrics) {
-    let runs = if scenario == 'A' { config.scenario_a_runs } else { config.scenario_b_runs };
-    let sweep = run_sweep_observed(
-        &format!("table4-{scenario}"),
-        runs as usize,
+    let mut rows = Vec::new();
+    let stats = run_sweep(
+        "table4",
+        (config.scenario_a_runs + config.scenario_b_runs) as usize,
         exec,
-        |i| seed(config, scenario, i as u32),
-        |i, _seed, metrics| {
-            let spec = spec(config, thresholds, scenario, i as u32);
-            let run = run_spec(&spec, |_| {}).expect_booted();
-            metrics.merge(&run.sim.observer().metrics);
-            row(&spec, &run.outcome)
+        |i| {
+            let (scenario, run) = scored_run(config, i);
+            seed(config, scenario, run)
         },
-    );
-    let metrics = sweep.stats.metrics.clone();
-    (sweep.expect_all("table4 scenario"), metrics)
+        |i, _seed, metrics| {
+            let (scenario, run) = scored_run(config, i);
+            let spec = spec(config, thresholds, scenario, run);
+            let session = run_spec(&spec, |_| {}).expect_booted();
+            metrics.merge(&session.sim.observer().metrics);
+            row(&spec, &session.outcome)
+        },
+        |_, row| rows.push(row),
+    )
+    .expect_all("table4");
+    (rows, stats.metrics)
 }
 
 /// One scenario's comparison: its rows folded in run order.
-fn compare(scenario: char, triples: Vec<(bool, bool, bool)>) -> ScenarioComparison {
-    let runs = triples.len() as u32;
+fn compare(scenario: char, rows: &[(bool, bool, bool)]) -> ScenarioComparison {
     let mut model_cm = ConfusionMatrix::new();
     let mut raven_cm = ConfusionMatrix::new();
     let mut model_only = 0;
     let mut raven_only = 0;
-    for (attacked, model, raven) in triples {
+    for &(attacked, model, raven) in rows {
         model_cm.record(attacked, model);
         raven_cm.record(attacked, raven);
         if attacked {
@@ -270,7 +282,7 @@ fn compare(scenario: char, triples: Vec<(bool, bool, bool)>) -> ScenarioComparis
             'A' => "A (User inputs)".to_string(),
             _ => "B (Torque commands)".to_string(),
         },
-        runs,
+        runs: rows.len() as u32,
         dynamic_model: DetectorScore::from_matrix(model_cm),
         raven: DetectorScore::from_matrix(raven_cm),
         model_only_detections: model_only,
@@ -287,16 +299,10 @@ pub fn run_table4(config: &Table4Config) -> Table4Result {
 /// for any worker count.
 pub fn run_table4_with(config: &Table4Config, exec: &ExecutorConfig) -> Table4Result {
     let training = train_thresholds_with(&config.training, exec);
-    let scenario = |label| {
-        let (rows, metrics) = scenario_rows(label, config, training.thresholds, exec);
-        (compare(label, rows), metrics)
-    };
-    let (scenario_a, metrics_a) = scenario('A');
-    let (scenario_b, metrics_b) = scenario('B');
-    let mut metrics = metrics_a;
-    metrics.merge(&metrics_b);
+    let (rows, metrics) = scored_rows(config, training.thresholds, exec);
+    let (a, b) = rows.split_at(config.scenario_a_runs as usize);
     Table4Result {
-        scenarios: vec![scenario_a, scenario_b],
+        scenarios: vec![compare('A', a), compare('B', b)],
         thresholds: training.thresholds,
         training_samples: training.samples,
         metrics,
@@ -355,14 +361,16 @@ mod tests {
         let thresholds = train_thresholds_with(&cfg.training, &exec).thresholds;
         // A replay knows only the config: it retrains, serially.
         let replayed = train_thresholds_with(&cfg.training, &ExecutorConfig::serial()).thresholds;
-        for scenario in ['A', 'B'] {
-            let (rows, _) = scenario_rows(scenario, &cfg, thresholds, &exec);
-            let clean = rows.iter().position(|r| !r.0).expect("a clean run");
-            let attacked = rows.iter().position(|r| r.0).expect("an attacked run");
-            for run in [clean, attacked] {
-                let spec = spec(&cfg, replayed, scenario, run as u32);
+        let (rows, _) = scored_rows(&cfg, thresholds, &exec);
+        let (a, b) = rows.split_at(cfg.scenario_a_runs as usize);
+        for (first, runs) in [(0, a), (a.len(), b)] {
+            let clean = first + runs.iter().position(|r| !r.0).expect("a clean run");
+            let attacked = first + runs.iter().position(|r| r.0).expect("an attacked run");
+            for i in [clean, attacked] {
+                let (scenario, run) = scored_run(&cfg, i);
+                let spec = spec(&cfg, replayed, scenario, run);
                 let alone = run_spec(&spec, |_| {}).expect_booted();
-                assert_eq!(row(&spec, &alone.outcome), rows[run], "{scenario} run {run}");
+                assert_eq!(row(&spec, &alone.outcome), rows[i], "{scenario} run {run}");
             }
         }
     }

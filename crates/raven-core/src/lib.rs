@@ -32,8 +32,7 @@ pub mod training;
 pub mod viz;
 
 pub use campaign::executor::{
-    parse_workers, run_sweep, run_sweep_observed, ExecutorConfig, RunError, SweepResult,
-    SweepStats, WORKERS_ENV,
+    parse_workers, run_sweep, ExecutorConfig, FoldedSweep, RunError, SweepStats, WORKERS_ENV,
 };
 pub use campaign::trace::{RunLifecycle, SegmentUtilization, SweepSegment, SweepTraceCollector};
 pub use dual::{Arm, DualArmSession, DualOutcome};

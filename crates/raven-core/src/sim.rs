@@ -30,8 +30,8 @@ use raven_hw::{EStopCause, FaultWindow, HardwareRig, Interceptor, RobotState};
 use raven_kinematics::ArmConfig;
 use raven_math::Vec3;
 use raven_teleop::{
-    Circle, ItpPacket, Lissajous, MasterConsole, MinimumJerk, PedalSchedule, Suturing, Trajectory,
-    WithTremor, ITP_PACKET_LEN,
+    Circle, ItpPacket, MasterConsole, MinimumJerk, PedalSchedule, Suturing, Trajectory, WithTremor,
+    ITP_PACKET_LEN,
 };
 use serde::{Deserialize, Serialize};
 use simbus::obs::{
@@ -45,6 +45,9 @@ use simbus::{
 
 use crate::scenario::AttackSetup;
 
+/// Operator tremor RMS (meters) on every console workload.
+const TREMOR_RMS: f64 = 3.0e-5;
+
 /// Which synthetic surgical workload the console plays.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Workload {
@@ -52,42 +55,26 @@ pub enum Workload {
     Circle,
     /// Suturing loops (6 mm stitches, 4 mm loops, 2 s period).
     Suturing,
-    /// Lissajous sweep.
-    Lissajous,
-    /// A single minimum-jerk reach.
+    /// A single minimum-jerk reach (~3 s of motion, then a hold).
     Reach,
 }
 
 impl Workload {
-    /// Builds the trajectory generator, with tremor when `tremor > 0`.
-    pub fn build(self, tremor: f64, seed: u64) -> Box<dyn Trajectory> {
+    /// Builds the trajectory generator, under 30 µm RMS of operator tremor.
+    pub fn build(self, seed: u64) -> Box<dyn Trajectory> {
         let seed = derive_seed(seed, streams::WORKLOAD);
-        match (self, tremor > 0.0) {
-            (Workload::Circle, true) => {
-                Box::new(WithTremor::new(Circle::new(0.012, 0.25), tremor, seed))
+        match self {
+            Workload::Circle => {
+                Box::new(WithTremor::new(Circle::new(0.012, 0.25), TREMOR_RMS, seed))
             }
-            (Workload::Circle, false) => Box::new(Circle::new(0.012, 0.25)),
-            (Workload::Suturing, true) => {
-                Box::new(WithTremor::new(Suturing::new(0.006, 0.004, 2.0), tremor, seed))
+            Workload::Suturing => {
+                Box::new(WithTremor::new(Suturing::new(0.006, 0.004, 2.0), TREMOR_RMS, seed))
             }
-            (Workload::Suturing, false) => Box::new(Suturing::new(0.006, 0.004, 2.0)),
-            (Workload::Lissajous, true) => Box::new(WithTremor::new(
-                Lissajous::new(Vec3::new(0.010, 0.012, 0.006), Vec3::new(0.23, 0.31, 0.17)),
-                tremor,
-                seed,
-            )),
-            (Workload::Lissajous, false) => Box::new(Lissajous::new(
-                Vec3::new(0.010, 0.012, 0.006),
-                Vec3::new(0.23, 0.31, 0.17),
-            )),
-            (Workload::Reach, true) => Box::new(WithTremor::new(
+            Workload::Reach => Box::new(WithTremor::new(
                 MinimumJerk::new(Vec3::new(0.02, -0.015, 0.01), 3.0),
-                tremor,
+                TREMOR_RMS,
                 seed,
             )),
-            (Workload::Reach, false) => {
-                Box::new(MinimumJerk::new(Vec3::new(0.02, -0.015, 0.01), 3.0))
-            }
         }
     }
 
@@ -194,8 +181,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Console workload.
     pub workload: Workload,
-    /// Operator tremor RMS (meters); `3e-5` is the standard value.
-    pub tremor: f64,
     /// Session length in milliseconds (one cycle each), counted from the
     /// end of boot (~1 594 ms after power-up), not from the pedal press at
     /// [`Simulation::PEDAL_PRESS_MS`]: the first ~906 ms of it are the
@@ -223,13 +208,11 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A standard clean session: circle workload, tremor, ideal LAN,
-    /// no detector.
+    /// A standard clean session: circle workload, ideal LAN, no detector.
     pub fn standard(seed: u64) -> Self {
         SimConfig {
             seed,
             workload: Workload::Circle,
-            tremor: 3.0e-5,
             session_ms: 5_000,
             pedal: PedalPattern::DownAfterBoot,
             link: LinkConfig::lan(),
@@ -425,8 +408,7 @@ impl Simulation {
                 cycles as usize,
             ),
         };
-        let console =
-            MasterConsole::new(config.workload.build(config.tremor, config.seed), schedule);
+        let console = MasterConsole::new(config.workload.build(config.seed), schedule);
         let itp_link = SimLink::new(config.link, derive_seed(config.seed, streams::ITP_LINK));
 
         let prev_state = controller.state_machine().state();

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
 use simbus::rng::derive_seed;
 
-use crate::campaign::executor::{run_sweep_fold, ExecutorConfig};
+use crate::campaign::executor::{run_sweep, ExecutorConfig};
 use crate::session::{run_spec, SessionSpec};
 use crate::sim::{DetectorSetup, SimConfig, Workload};
 
@@ -88,7 +88,7 @@ pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> 
     // each.
     let max_samples = config.runs as usize * config.session_ms as usize;
     let mut tails = ThresholdTails::new(config.percentile_band, max_samples);
-    run_sweep_fold(
+    run_sweep(
         "training",
         config.runs as usize,
         exec,

@@ -65,17 +65,25 @@ fn poisoned_seed_yields_one_error_and_full_results_elsewhere() {
     // Jobs heavy enough that workers genuinely interleave with the panic.
     let seed_of = |i: usize| splitmix64(3 ^ i as u64);
     let poisoned = seed_of(7);
-    let result = run_sweep("poison", 24, &ExecutorConfig::with_workers(4), seed_of, |i, seed| {
-        let mut acc = seed;
-        for _ in 0..10_000 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-        }
-        assert!(seed != poisoned, "seed {seed:#x} is poisoned");
-        (i, acc)
-    });
-    assert_eq!(result.stats.runs, 24);
-    assert_eq!(result.stats.errors, 1);
-    let (ok, errors) = result.split();
+    let mut ok = Vec::new();
+    let swept = run_sweep(
+        "poison",
+        24,
+        &ExecutorConfig::with_workers(4),
+        seed_of,
+        |i, seed, _metrics| {
+            let mut acc = seed;
+            for _ in 0..10_000 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            assert!(seed != poisoned, "seed {seed:#x} is poisoned");
+            (i, acc)
+        },
+        |_, run| ok.push(run),
+    );
+    assert_eq!(swept.stats.runs, 24);
+    assert_eq!(swept.stats.errors, 1);
+    let errors = swept.errors;
     assert_eq!(errors.len(), 1);
     assert_eq!(errors[0].index, 7);
     assert_eq!(errors[0].seed, poisoned);
@@ -87,23 +95,25 @@ fn poisoned_seed_yields_one_error_and_full_results_elsewhere() {
 }
 
 proptest! {
-    /// For arbitrary worker counts and sweep sizes, `outcomes[i]` is always
-    /// run `i`'s result under run `i`'s seed — scheduling is unobservable.
+    /// For arbitrary worker counts and sweep sizes, the fold's `i`-th value
+    /// is always run `i`'s result under run `i`'s seed — scheduling is
+    /// unobservable.
     #[test]
     fn sweep_order_matches_seed_order(workers in 1usize..12, n in 0usize..48, root in any::<u64>()) {
         let seed_of = |i: usize| splitmix64(root ^ i as u64);
-        let result = run_sweep(
+        let mut folded = Vec::new();
+        let swept = run_sweep(
             "prop",
             n,
             &ExecutorConfig::with_workers(workers),
             seed_of,
-            |i, seed| (i, seed, seed.rotate_left((i % 64) as u32)),
+            |i, seed, _metrics| (i, seed, seed.rotate_left((i % 64) as u32)),
+            |_, run| folded.push(run),
         );
-        prop_assert_eq!(result.stats.runs, n);
-        prop_assert_eq!(result.stats.errors, 0);
-        prop_assert_eq!(result.outcomes.len(), n);
-        for (i, outcome) in result.outcomes.iter().enumerate() {
-            let (idx, seed, derived) = outcome.as_ref().expect("no panics in this sweep");
+        prop_assert_eq!(swept.stats.runs, n);
+        prop_assert_eq!(swept.stats.errors, 0);
+        prop_assert_eq!(folded.len(), n);
+        for (i, (idx, seed, derived)) in folded.iter().enumerate() {
             let expected_seed = seed_of(i);
             prop_assert_eq!(*idx, i);
             prop_assert_eq!(*seed, expected_seed);
@@ -122,14 +132,15 @@ fn minimizer_pins_the_smallest_failing_sweep() {
     let cfg = ProptestConfig::with_cases(64);
     let strat = (1usize..12, 0usize..48);
     let failure = run_reporting("campaign_minimizer_fixture", &cfg, &strat, |(workers, n)| {
-        let result = run_sweep(
+        let swept = run_sweep(
             "fixture",
             n,
             &ExecutorConfig::with_workers(workers),
             |i| splitmix64(5 ^ i as u64),
-            |i, seed| (i, seed),
+            |i, seed, _metrics| (i, seed),
+            |_, _| {},
         );
-        if result.stats.runs >= 10 {
+        if swept.stats.runs >= 10 {
             Err(TestCaseError::fail("sweep large enough to trip the fixture"))
         } else {
             Ok(())

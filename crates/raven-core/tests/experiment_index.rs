@@ -1,9 +1,11 @@
 //! The experiment index at quick scale: every row passes its shape
 //! checks, every record and sidecar parses as JSON, a run on one worker
 //! and a run on two produce the same bytes in every file but the
-//! `profile_*` sidecars, the sealed rows produce exactly the
-//! `results/*.json` files the signed manifest pins plus the four figures,
-//! and running them writes nothing under `results/`.
+//! `profile_*` sidecars, every sweep row merges a non-empty metrics
+//! registry that is the same on one worker as on two, the sealed rows
+//! produce exactly the `results/*.json` files the signed manifest pins
+//! plus the four figures, and running them writes nothing under
+//! `results/`.
 
 use raven_core::experiments::index::{Scale, EXPERIMENTS};
 use raven_core::{manifest_candidates, ExecutorConfig};
@@ -31,13 +33,19 @@ fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
 type File = (bool, String, String);
 
 /// Runs every row at its sealed seed and quick scale on `workers`, and
-/// returns every row's files in index order and every failed check.
+/// returns every row's files in index order and every failed check. Each
+/// sweep row's merged metrics ride along as the file `metrics_<name>`.
 fn quick_pass(workers: usize) -> (Vec<File>, Vec<String>) {
     let exec = ExecutorConfig::with_workers(workers);
     let (mut files, mut failures) = (Vec::new(), Vec::new());
     for row in EXPERIMENTS {
         let out = (row.run)(row.seed.unwrap_or_default(), Scale::Quick, &exec);
         assert!(!out.text.is_empty(), "{}: empty text", row.name);
+        if row.sweep {
+            assert!(!out.metrics.is_empty(), "{}: the sweep merged no metrics", row.name);
+            let metrics = serde_json::to_string(&out.metrics).expect("serialize metrics");
+            files.push((false, format!("metrics_{}", row.name), metrics));
+        }
         failures.extend(out.failures.iter().map(|f| format!("{}: {f}", row.name)));
         for (name, text) in row.files(&out) {
             if name.ends_with(".json") {

@@ -46,12 +46,14 @@ fn scored_runs_record_the_boot_that_their_sweep_and_training_replay() {
         .flat_map(|scenario| (0..3).map(move |run| table4::spec(&cfg, detached, scenario, run)))
         .collect();
     for workers in [2, 1] {
-        let replayed = run_sweep(
+        let mut replayed = Vec::new();
+        run_sweep(
             "shared-boot",
             specs.len(),
             &ExecutorConfig::with_workers(workers),
             |i| specs[i].config.seed,
-            |i, _seed| replayed_and_identical(&specs[i]),
+            |i, _seed, _metrics| replayed_and_identical(&specs[i]),
+            |_, periods| replayed.push(periods),
         )
         .expect_all("shared-boot sweep");
         let full = replayed.iter().filter(|&&n| n == BOOT).count();

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use raven_core::{
-    run_sweep_observed, AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation,
+    run_sweep, AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation,
     SweepTraceCollector,
 };
 use simbus::obs::spans;
@@ -189,16 +189,25 @@ fn traced_sweep_merge_stays_deterministic_across_worker_counts() {
     let run = |workers: usize| {
         let collector = Arc::new(SweepTraceCollector::new());
         let config = ExecutorConfig::with_workers(workers).traced(Arc::clone(&collector));
-        let sweep = run_sweep_observed("tracing", 8, &config, seeds, |i, seed, metrics| {
-            let mut sim =
-                Simulation::new(SimConfig { session_ms: 1_000, ..SimConfig::standard(seed) });
-            sim.boot();
-            let outcome = sim.run_session();
-            metrics.merge(&sim.metrics());
-            (i, outcome.final_state.to_string())
-        });
-        let metrics = serde_json::to_string(&sweep.stats.metrics).expect("serialize metrics");
-        (sweep.expect_all("tracing sweep"), metrics, collector)
+        let mut outcomes = Vec::new();
+        let stats = run_sweep(
+            "tracing",
+            8,
+            &config,
+            seeds,
+            |i, seed, metrics| {
+                let mut sim =
+                    Simulation::new(SimConfig { session_ms: 1_000, ..SimConfig::standard(seed) });
+                sim.boot();
+                let outcome = sim.run_session();
+                metrics.merge(&sim.observer().metrics);
+                (i, outcome.final_state.to_string())
+            },
+            |_, outcome| outcomes.push(outcome),
+        )
+        .expect_all("tracing sweep");
+        let metrics = serde_json::to_string(&stats.metrics).expect("serialize metrics");
+        (outcomes, metrics, collector)
     };
     let (base_outcomes, base_metrics, _) = run(1);
     for workers in [2, 4] {

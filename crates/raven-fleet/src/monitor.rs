@@ -173,19 +173,21 @@ impl FleetMonitor {
     pub fn run_with(&self, exec: &ExecutorConfig) -> MonitorReport {
         let (mut report, phases) = self.schedule();
         let chunks: Vec<&[usize]> = phases.chunks(CHUNK_FILLS * self.config.width).collect();
-        let verdicts = run_sweep(
+        run_sweep(
             "fleet-monitor",
             chunks.len(),
             exec,
             |i| i as u64,
-            |i, _| self.assess_chunk(chunks[i]),
+            |i, _, _| self.assess_chunk(chunks[i]),
+            |i, verdicts| {
+                for (&id, (assessments, alarms)) in chunks[i].iter().zip(verdicts) {
+                    let t = &mut report.totals[id];
+                    t.assessments += assessments;
+                    t.alarms += alarms;
+                }
+            },
         )
         .expect_all("fleet monitor");
-        for (&id, (assessments, alarms)) in phases.iter().zip(verdicts.into_iter().flatten()) {
-            let t = &mut report.totals[id];
-            t.assessments += assessments;
-            t.alarms += alarms;
-        }
         report
     }
 

@@ -53,14 +53,17 @@ pub fn standard_mix(n: usize, base_seed: u64) -> Vec<SessionSpec> {
 /// assert!(artifacts.iter().all(|a| a.booted));
 /// ```
 pub fn run_fleet(specs: &[SessionSpec], exec: &ExecutorConfig) -> Vec<SessionArtifact> {
+    let mut artifacts = Vec::with_capacity(specs.len());
     run_sweep(
         "fleet",
         specs.len(),
         exec,
         |i| specs[i].config.seed,
-        |i, _| run_spec(&specs[i], |_| {}).artifact(&specs[i], i as u64),
+        |i, _, _| run_spec(&specs[i], |_| {}).artifact(&specs[i], i as u64),
+        |_, artifact| artifacts.push(artifact),
     )
-    .expect_all("fleet")
+    .expect_all("fleet");
+    artifacts
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! * [`itp`] — the ITP-like wire protocol ("a protocol based on the UDP
 //!   packet protocol", paper §II.B); attack scenario A mutates these packets;
 //! * [`traj`] — surgical trajectory generators (minimum-jerk reaches,
-//!   circles, Lissajous sweeps, suturing loops, operator tremor), standing in
-//!   for the paper's recorded surgeon motions;
+//!   circles, suturing loops, operator tremor), standing in for the paper's
+//!   recorded surgeon motions;
 //! * [`console`] — the master console emulator of §IV.A, with foot-pedal
 //!   schedules.
 
@@ -29,6 +29,4 @@ pub mod traj;
 
 pub use console::{MasterConsole, PedalSchedule};
 pub use itp::{ItpError, ItpPacket, ITP_PACKET_LEN};
-pub use traj::{
-    standard_workloads, Circle, Lissajous, MinimumJerk, Suturing, Trajectory, WithTremor,
-};
+pub use traj::{Circle, MinimumJerk, Suturing, Trajectory, WithTremor};

@@ -6,8 +6,8 @@
 //! "two different trajectories containing sufficient variability in the
 //! movement" (§IV.C). We have no recorded surgeon data, so these generators
 //! synthesize surgical-scale motion: smooth minimum-jerk reaches, circular
-//! scans, Lissajous sweeps, and suturing-like loop patterns, optionally with
-//! band-limited operator tremor.
+//! scans and suturing-like loop patterns, under band-limited operator
+//! tremor.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -88,36 +88,6 @@ impl Trajectory for Circle {
 
     fn label(&self) -> &str {
         "circle scan"
-    }
-}
-
-/// A 3-D Lissajous sweep — rich frequency content for threshold learning.
-#[derive(Debug, Clone)]
-pub struct Lissajous {
-    amplitude: Vec3,
-    freq: Vec3,
-}
-
-impl Lissajous {
-    /// Creates a Lissajous sweep with per-axis amplitudes (m) and
-    /// frequencies (Hz).
-    pub fn new(amplitude: Vec3, freq: Vec3) -> Self {
-        Lissajous { amplitude, freq }
-    }
-}
-
-impl Trajectory for Lissajous {
-    fn offset(&mut self, t: f64) -> Vec3 {
-        let w = 2.0 * std::f64::consts::PI;
-        Vec3::new(
-            self.amplitude.x * (w * self.freq.x * t).sin(),
-            self.amplitude.y * (w * self.freq.y * t).sin(),
-            self.amplitude.z * (1.0 - (w * self.freq.z * t).cos()) * 0.5,
-        )
-    }
-
-    fn label(&self) -> &str {
-        "lissajous sweep"
     }
 }
 
@@ -210,16 +180,6 @@ impl<T: Trajectory> Trajectory for WithTremor<T> {
     }
 }
 
-/// The two standard workloads of the reproduction (the paper learns
-/// thresholds over two trajectories, §IV.C): a tremored circle scan and a
-/// tremored suturing pattern.
-pub fn standard_workloads(seed: u64) -> Vec<Box<dyn Trajectory>> {
-    vec![
-        Box::new(WithTremor::new(Circle::new(0.012, 0.25), 3.0e-5, seed)),
-        Box::new(WithTremor::new(Suturing::new(0.006, 0.004, 2.0), 3.0e-5, seed.wrapping_add(1))),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,18 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn lissajous_bounded_by_amplitude() {
-        let amp = Vec3::new(0.01, 0.015, 0.008);
-        let mut l = Lissajous::new(amp, Vec3::new(0.3, 0.4, 0.2));
-        for k in 0..5000 {
-            let p = l.offset(k as f64 * 1e-2);
-            assert!(p.x.abs() <= amp.x + 1e-12);
-            assert!(p.y.abs() <= amp.y + 1e-12);
-            assert!(p.z.abs() <= amp.z + 1e-12);
-        }
-    }
-
-    #[test]
     fn suturing_advances_monotonically_per_stitch() {
         let mut s = Suturing::new(0.005, 0.003, 2.0);
         let after_1 = s.offset(2.0).x;
@@ -298,13 +246,6 @@ mod tests {
         }
         assert!(max_dev > 1e-6, "tremor must actually perturb");
         assert!(max_dev < 2e-3, "tremor too large: {max_dev}");
-    }
-
-    #[test]
-    fn standard_workloads_are_two_distinct_trajectories() {
-        let w = standard_workloads(3);
-        assert_eq!(w.len(), 2);
-        assert_ne!(w[0].label(), w[1].label());
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use raven_math::Vec3;
-use raven_teleop::{
-    Circle, ItpPacket, Lissajous, MinimumJerk, Suturing, Trajectory, ITP_PACKET_LEN,
-};
+use raven_teleop::{Circle, ItpPacket, MinimumJerk, Suturing, Trajectory, ITP_PACKET_LEN};
 
 fn any_packet() -> impl Strategy<Value = ItpPacket> {
     (
@@ -64,10 +62,6 @@ proptest! {
         let mut gens: Vec<Box<dyn Trajectory>> = vec![
             Box::new(Circle::new(0.012, 0.25)),
             Box::new(Suturing::new(0.006, 0.004, 2.0)),
-            Box::new(Lissajous::new(
-                Vec3::new(0.010, 0.012, 0.006),
-                Vec3::new(0.23, 0.31, 0.17),
-            )),
             Box::new(MinimumJerk::new(Vec3::new(0.02, -0.015, 0.01), 3.0)),
         ];
         for g in &mut gens {

@@ -13,7 +13,7 @@ use raven_core::ExecutorConfig;
 
 fn main() {
     println!("running the BITW study: recon + injection vs three placements …\n");
-    let (study, cost) = run_bitw_study_with(47, &ExecutorConfig::default());
+    let (study, cost, _) = run_bitw_study_with(47, &ExecutorConfig::default());
     print!("{}", study.render(cost));
     println!(
         "\nthe paper's §III.D argument, executed: the wire retrofit encrypts *downstream* \

@@ -23,7 +23,7 @@ fn reserialize<T: Serialize + Deserialize>(text: &str) -> Result<String, String>
 type Roundtrip = fn(&str) -> Result<String, String>;
 
 /// Every pinned artifact and the record type its writer serializes.
-const ARTIFACTS: [(&str, Roundtrip); 25] = [
+const ARTIFACTS: [(&str, Roundtrip); 22] = [
     // The manifest's writer appends a newline to the pretty JSON.
     ("results/MANIFEST.json", |text| Manifest::from_json(text).map(|m| m.to_json_pretty())),
     ("results/ablation_bitw.json", reserialize::<BitwStudy>),
@@ -38,13 +38,10 @@ const ARTIFACTS: [(&str, Roundtrip); 25] = [
     ("results/study_network.json", reserialize::<NetworkStudy>),
     ("results/table1_variants.json", reserialize::<Table1Result>),
     ("results/table4_detection.json", reserialize::<Table4Result>),
-    ("tests/fixtures/golden_bitw.json", reserialize::<BitwStudy>),
     ("tests/fixtures/golden_fig5.json", reserialize::<Fig5Result>),
-    ("tests/fixtures/golden_fig6.json", reserialize::<Fig6Result>),
     ("tests/fixtures/golden_fig8.json", reserialize::<Fig8Result>),
     ("tests/fixtures/golden_fig9.json", reserialize::<Fig9Result>),
     ("tests/fixtures/golden_fusion.json", reserialize::<FusionAblation>),
-    ("tests/fixtures/golden_hardened.json", reserialize::<HardenedBoardResult>),
     ("tests/fixtures/golden_lookahead.json", reserialize::<LookaheadAblation>),
     ("tests/fixtures/golden_mitigation.json", reserialize::<MitigationAblation>),
     ("tests/fixtures/golden_network.json", reserialize::<NetworkStudy>),

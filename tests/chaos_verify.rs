@@ -29,18 +29,19 @@ fn sweep_reports(workers: usize) -> String {
     let specs = sweep_specs();
     let config =
         if workers == 1 { ExecutorConfig::serial() } else { ExecutorConfig::with_workers(workers) };
-    let sweep = run_sweep(
+    let mut joined = String::new();
+    run_sweep(
         "chaos-verify",
         specs.len(),
         &config,
         |i| specs[i].config.seed,
-        |i, _seed| run_standalone(&specs[i], i as u64, |_| {}).to_json(),
-    );
-    let mut joined = String::new();
-    for outcome in sweep.outcomes {
-        joined.push_str(&outcome.expect("chaos job must not panic"));
-        joined.push('\n');
-    }
+        |i, _seed, _metrics| run_standalone(&specs[i], i as u64, |_| {}).to_json(),
+        |_, report| {
+            joined.push_str(&report);
+            joined.push('\n');
+        },
+    )
+    .expect_all("chaos job must not panic");
     joined
 }
 
